@@ -126,6 +126,7 @@ class AdmValue {
     children_.push_back(std::move(v));
     return children_.back();
   }
+  void Reserve(size_t n) { children_.reserve(n); }
   size_t size() const { return children_.size(); }
   const AdmValue& item(size_t i) const { return children_[i]; }
   AdmValue& item(size_t i) { return children_[i]; }

@@ -341,27 +341,6 @@ size_t VectorRecordWalker::TryFixedRun(AdmTag* tag, const uint8_t** base) {
 
 namespace {
 
-int64_t PackedIntOf(AdmTag tag, const uint8_t* p) {
-  switch (tag) {
-    case AdmTag::kTinyInt:
-      return static_cast<int8_t>(p[0]);
-    case AdmTag::kSmallInt:
-      return static_cast<int16_t>(GetFixed16(p));
-    case AdmTag::kInt:
-    case AdmTag::kDate:
-    case AdmTag::kTime:
-      return static_cast<int32_t>(GetFixed32(p));
-    default:  // bigint/datetime/duration
-      return static_cast<int64_t>(GetFixed64(p));
-  }
-}
-
-double PackedDoubleOf(AdmTag tag, const uint8_t* p) {
-  if (tag == AdmTag::kFloat) return GetFloat(p);
-  if (tag == AdmTag::kDouble) return GetDouble(p);
-  return static_cast<double>(PackedIntOf(tag, p));
-}
-
 /// Op dispatch happens ONCE, outside the loop; the per-element loop is a
 /// branch-free accumulate over contiguous packed values, which the compiler
 /// can vectorize.

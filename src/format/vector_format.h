@@ -126,6 +126,30 @@ Status DecodeVectorRecord(const VectorRecordView& view, const DatasetType& type,
 /// field-access walker).
 AdmValue DecodeVectorScalarItem(const VectorRecordWalker::Item& item);
 
+/// The payload of one packed int-family leaf (tinyint..bigint, date, time,
+/// datetime, duration), sign-extended — no AdmValue.
+inline int64_t PackedIntOf(AdmTag tag, const uint8_t* p) {
+  switch (tag) {
+    case AdmTag::kTinyInt:
+      return static_cast<int8_t>(p[0]);
+    case AdmTag::kSmallInt:
+      return static_cast<int16_t>(GetFixed16(p));
+    case AdmTag::kInt:
+    case AdmTag::kDate:
+    case AdmTag::kTime:
+      return static_cast<int32_t>(GetFixed32(p));
+    default:  // bigint/datetime/duration
+      return static_cast<int64_t>(GetFixed64(p));
+  }
+}
+
+/// The payload of one packed numeric leaf, widened to double.
+inline double PackedDoubleOf(AdmTag tag, const uint8_t* p) {
+  if (tag == AdmTag::kFloat) return GetFloat(p);
+  if (tag == AdmTag::kDouble) return GetDouble(p);
+  return static_cast<double>(PackedIntOf(tag, p));
+}
+
 // ---------------------------------------------------------------------------
 // Packed-leaf comparator kernels (§3.4.2-deep): predicate evaluation directly
 // on the packed value vectors, before any record/Row assembly. Both kernels

@@ -22,12 +22,14 @@ void MergeVecCounters(const VecCounterSet& partition_counters, QueryStats* stats
       }
     }
     if (cell == nullptr) {
-      stats->operators.push_back(QueryOpCounters{e->first, 0, 0, 0});
+      stats->operators.emplace_back();
       cell = &stats->operators.back();
+      cell->name = e->first;
     }
     cell->batches += e->second.batches;
     cell->rows += e->second.rows;
     cell->bytes += e->second.bytes;
+    cell->fallback_rows += e->second.fallback_rows;
   }
 }
 

@@ -48,6 +48,8 @@ struct QueryOpCounters {
   uint64_t batches = 0;
   uint64_t rows = 0;
   uint64_t bytes = 0;
+  /// Scans: rows that left the columnar fast path (VecOpCounters).
+  uint64_t fallback_rows = 0;
 };
 
 struct QueryStats {

@@ -97,9 +97,12 @@ AdmValue NavigateAdmValue(const AdmValue& v, const std::vector<PathStep>& steps,
 
 // ---------------------------------------------------------------------------
 // Vector-based multi-path extraction: one linear walk serving all paths.
-// MatchVectorRecord (scan_predicate.cpp) mirrors this walk skeleton with
-// in-place compares instead of materialization; keep structural changes in
-// sync (the scan-predicate equivalence tests pin the two together).
+// Two walks mirror this skeleton: ScanPredicateMatcher (scan_predicate.cpp),
+// with in-place compares instead of materialization, and the vectorized
+// scan's VecPathExtractor (vec/vec_operator.cpp), which collects scalar items
+// for typed columns. Keep structural changes to all three in sync (the
+// scan-predicate equivalence tests and VecFastPath.ExtractorMatchesGetValuesVector
+// pin them to this one).
 // ---------------------------------------------------------------------------
 
 namespace {

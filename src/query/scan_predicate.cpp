@@ -57,8 +57,10 @@ FilterOperator::Predicate MakeRowPredicate(
 // short-circuits and term states here, subtree materialization with builder
 // fan-out there — that parameterizing one walker over both would bury the
 // §4.4.4 hot loop under callbacks. A structural change to either walk MUST be
-// mirrored in the other; LoweredPredicateEquivalence.RandomizedAcrossModesAndChurn
-// pins the two together.
+// mirrored in the other, and in the vectorized scan's VecPathExtractor
+// (vec/vec_operator.cpp), the third walk on this skeleton;
+// LoweredPredicateEquivalence.RandomizedAcrossModesAndChurn pins this one to
+// GetValuesVector.
 //
 // The per-record state (term flags, scope stack, name buffer) lives in the
 // ScanPredicateMatcher so a scan evaluating millions of records reuses the

@@ -48,7 +48,19 @@ void ColumnVector::Clear() {
   doubles_.clear();
   ends_.clear();
   arena_.clear();
+  if (!child_.empty()) child_[0].Clear();
   values_.clear();
+  value_bytes_ = 0;
+}
+
+ColumnVector& ColumnVector::Items() {
+  if (child_.empty()) child_.emplace_back();
+  return child_[0];
+}
+
+void ColumnVector::PushValue(AdmValue v) {
+  value_bytes_ += EstimateAdmValueBytes(v);
+  values_.push_back(std::move(v));
 }
 
 void ColumnVector::AppendValueless(AdmTag tag) {
@@ -65,8 +77,11 @@ void ColumnVector::AppendValueless(AdmTag tag) {
     case Kind::kString:
       ends_.push_back(static_cast<uint32_t>(arena_.size()));
       break;
+    case Kind::kList:
+      ends_.push_back(static_cast<uint32_t>(child_[0].size()));
+      break;
     case Kind::kValue:
-      values_.emplace_back(tag);
+      PushValue(AdmValue(tag));
       break;
   }
 }
@@ -87,9 +102,14 @@ ColumnVector::Kind ColumnVector::Adopt(Kind want) {
       case Kind::kString:
         ends_.assign(tags_.size(), 0);
         break;
+      case Kind::kList:
+        Items();  // empty: the column held no items before
+        ends_.assign(tags_.size(), 0);
+        break;
       default:
         values_.clear();
-        for (AdmTag t : tags_) values_.emplace_back(t);
+        value_bytes_ = 0;
+        for (AdmTag t : tags_) PushValue(AdmValue(t));
         break;
     }
     return kind_;
@@ -101,12 +121,18 @@ ColumnVector::Kind ColumnVector::Adopt(Kind want) {
 void ColumnVector::DemoteToValues() {
   std::vector<AdmValue> vals;
   vals.reserve(tags_.size());
-  for (size_t i = 0; i < tags_.size(); ++i) vals.push_back(ValueAt(i));
+  size_t bytes = 0;
+  for (size_t i = 0; i < tags_.size(); ++i) {
+    vals.push_back(ValueAt(i));
+    bytes += EstimateAdmValueBytes(vals.back());
+  }
   values_ = std::move(vals);
+  value_bytes_ = bytes;
   ints_.clear();
   doubles_.clear();
   ends_.clear();
   arena_.clear();
+  if (!child_.empty()) child_[0].Clear();
   kind_ = Kind::kValue;
 }
 
@@ -117,7 +143,7 @@ void ColumnVector::AppendInt64(AdmTag tag, int64_t v) {
     return;
   }
   tags_.push_back(tag);
-  values_.push_back(IntTagValue(tag, v));
+  PushValue(IntTagValue(tag, v));
 }
 
 void ColumnVector::AppendDouble(AdmTag tag, double v) {
@@ -127,8 +153,8 @@ void ColumnVector::AppendDouble(AdmTag tag, double v) {
     return;
   }
   tags_.push_back(tag);
-  values_.push_back(tag == AdmTag::kFloat ? AdmValue::Float(static_cast<float>(v))
-                                          : AdmValue::Double(v));
+  PushValue(tag == AdmTag::kFloat ? AdmValue::Float(static_cast<float>(v))
+                                  : AdmValue::Double(v));
 }
 
 void ColumnVector::AppendString(AdmTag tag, std::string_view bytes) {
@@ -139,7 +165,7 @@ void ColumnVector::AppendString(AdmTag tag, std::string_view bytes) {
     return;
   }
   tags_.push_back(tag);
-  values_.push_back(StringTagValue(tag, bytes));
+  PushValue(StringTagValue(tag, bytes));
 }
 
 void ColumnVector::AppendValue(const AdmValue& v) {
@@ -153,11 +179,32 @@ void ColumnVector::AppendValue(const AdmValue& v) {
   } else if (IsStringStorageTag(t)) {
     AppendString(t, v.string_value());
   } else {
-    // Points, nested values (wildcard-path arrays, objects): generic storage.
+    // Points, nested values (objects, arrays from the generic walk): generic
+    // storage.
     Adopt(Kind::kValue);
     tags_.push_back(t);
-    values_.push_back(v);
+    PushValue(v);
   }
+}
+
+ColumnVector& ColumnVector::BeginList() {
+  ColumnVector& items = Items();
+  if (Adopt(Kind::kList) != Kind::kList) items.Clear();  // demoted: scratch
+  return items;
+}
+
+void ColumnVector::EndList() {
+  ColumnVector& items = child_[0];
+  tags_.push_back(AdmTag::kArray);
+  if (kind_ == Kind::kList) {
+    ends_.push_back(static_cast<uint32_t>(items.size()));
+    return;
+  }
+  AdmValue arr = AdmValue::Array();
+  arr.Reserve(items.size());
+  for (size_t k = 0; k < items.size(); ++k) arr.Append(items.ValueAt(k));
+  items.Clear();
+  PushValue(std::move(arr));
 }
 
 void ColumnVector::AppendFrom(const ColumnVector& src, size_t i) {
@@ -176,6 +223,14 @@ void ColumnVector::AppendFrom(const ColumnVector& src, size_t i) {
     case Kind::kString:
       AppendString(t, src.StringAt(i));
       return;
+    case Kind::kList: {
+      ColumnVector& items = BeginList();
+      for (uint32_t k = src.ListBegin(i); k < src.ListEnd(i); ++k) {
+        items.AppendFrom(src.ListItems(), k);
+      }
+      EndList();
+      return;
+    }
     default:
       AppendValue(src.values_[i]);
       return;
@@ -199,6 +254,15 @@ AdmValue ColumnVector::ValueAt(size_t i) const {
                                  : AdmValue::Double(doubles_[i]);
     case Kind::kString:
       return StringTagValue(t, StringAt(i));
+    case Kind::kList: {
+      const ColumnVector& items = child_[0];
+      AdmValue arr = AdmValue::Array();
+      arr.Reserve(ListEnd(i) - ListBegin(i));
+      for (uint32_t k = ListBegin(i); k < ListEnd(i); ++k) {
+        arr.Append(items.ValueAt(k));
+      }
+      return arr;
+    }
     case Kind::kValue:
       return values_[i];
     case Kind::kNone:
@@ -211,8 +275,8 @@ AdmValue ColumnVector::ValueAt(size_t i) const {
 size_t ColumnVector::ByteSize() const {
   size_t bytes = tags_.size() * sizeof(AdmTag) + ints_.size() * sizeof(int64_t) +
                  doubles_.size() * sizeof(double) +
-                 ends_.size() * sizeof(uint32_t) + arena_.size();
-  for (const AdmValue& v : values_) bytes += EstimateAdmValueBytes(v);
+                 ends_.size() * sizeof(uint32_t) + arena_.size() + value_bytes_;
+  if (kind_ == Kind::kList) bytes += child_[0].ByteSize();
   return bytes;
 }
 

@@ -8,11 +8,14 @@
 // no static column type: the first typed value picks the storage family
 // (int64, double, or a string arena), later values of the same family append
 // without any AdmValue materialization, and a family mismatch — or a nested
-// value, as produced by [*] wildcard paths — demotes the column to a plain
-// AdmValue vector with identical semantics. Missing/null rows are representable
-// in every storage family. The per-row ADM tag is always retained, so
-// ValueAt() reconstructs the exact AdmValue a row-at-a-time scan would have
-// produced — the row-bridge equivalence tests depend on that.
+// value handed to AppendValue — demotes the column to a plain AdmValue vector
+// with identical semantics. The arrays that [*] wildcard paths produce get a
+// list family instead: a per-row item end offset into a child ColumnVector
+// that adapts like any other column (doubles for readings[*].temp, the string
+// arena for hashtags[*].text). Missing/null rows are representable in every
+// storage family. The per-row ADM tag is always retained, so ValueAt()
+// reconstructs the exact AdmValue a row-at-a-time scan would have produced —
+// the row-bridge equivalence tests depend on that.
 #ifndef TC_QUERY_VEC_COLUMN_BATCH_H_
 #define TC_QUERY_VEC_COLUMN_BATCH_H_
 
@@ -29,7 +32,7 @@ namespace tc {
 class ColumnVector {
  public:
   /// Physical storage family. kNone = only missing/null seen so far.
-  enum class Kind : uint8_t { kNone, kInt64, kDouble, kString, kValue };
+  enum class Kind : uint8_t { kNone, kInt64, kDouble, kString, kList, kValue };
 
   void Clear();
   size_t size() const { return tags_.size(); }
@@ -53,6 +56,12 @@ class ColumnVector {
   /// Generic append: dispatches to the typed paths for scalar families,
   /// demotes the column for everything else (points, nested values).
   void AppendValue(const AdmValue& v);
+  /// List rows (kArray; the arrays [*] paths produce): append the row's items
+  /// to the column BeginList() returns, then close the row with EndList().
+  /// On a demoted (kValue) column the items collect in a scratch column and
+  /// EndList() folds them into one array value.
+  ColumnVector& BeginList();
+  void EndList();
   /// Typed row copy from another column (the join's output assembly): no
   /// AdmValue is materialized when both columns share a storage family.
   void AppendFrom(const ColumnVector& src, size_t i);
@@ -61,12 +70,17 @@ class ColumnVector {
   int64_t Int64At(size_t i) const { return ints_[i]; }
   double DoubleAt(size_t i) const { return doubles_[i]; }
   std::string_view StringAt(size_t i) const;
+  /// kList: row i's items are ListItems() rows [ListBegin(i), ListEnd(i)).
+  const ColumnVector& ListItems() const { return child_[0]; }
+  uint32_t ListBegin(size_t i) const { return i == 0 ? 0 : ends_[i - 1]; }
+  uint32_t ListEnd(size_t i) const { return ends_[i]; }
 
   /// Materializes row `i` as the AdmValue a row-at-a-time extraction would
   /// have produced (exact tag preserved).
   AdmValue ValueAt(size_t i) const;
 
-  /// Approximate heap footprint, for the join's memory accounting.
+  /// Approximate heap footprint, for the join's memory accounting. Constant
+  /// time: demoted values are costed once, as they append.
   size_t ByteSize() const;
 
  private:
@@ -76,14 +90,19 @@ class ColumnVector {
   /// Returns the storage family appends should use.
   Kind Adopt(Kind want);
   void DemoteToValues();
+  void PushValue(AdmValue v);
+  /// The list item column, created on first use.
+  ColumnVector& Items();
 
   Kind kind_ = Kind::kNone;
   std::vector<AdmTag> tags_;        // one per row, always maintained
   std::vector<int64_t> ints_;       // kInt64
   std::vector<double> doubles_;     // kDouble
-  std::vector<uint32_t> ends_;      // kString: arena end offset per row
+  std::vector<uint32_t> ends_;      // kString: arena end, kList: item end, per row
   std::string arena_;               // kString: concatenated bytes
+  std::vector<ColumnVector> child_; // kList items (demoted: EndList scratch); 0 or 1
   std::vector<AdmValue> values_;    // kValue
+  size_t value_bytes_ = 0;          // kValue: EstimateAdmValueBytes over values_
 };
 
 /// One batch flowing between vectorized operators: the extracted columns, a

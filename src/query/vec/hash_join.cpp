@@ -20,12 +20,19 @@ size_t JoinBuildBudgetFromEnv() {
 
 namespace {
 
-/// The int64 join key of row `r`, or false: missing/null/non-integer keys
-/// never match (equi-join null semantics). Booleans are int-STORED but not
-/// int-FAMILY, so they correctly fall out here.
-bool Int64KeyAt(const ColumnVector& col, size_t r, int64_t* out) {
+/// The int64 join key of row `r`, or false: missing/null keys never match
+/// (equi-join null semantics), nor do booleans (int-STORED but not
+/// int-FAMILY), points and nested values. A string, binary, uuid or
+/// floating-point key is an error: the int64 table cannot hash it, and
+/// treating it as "never matches" would return a silently empty join.
+Result<bool> Int64KeyAt(const ColumnVector& col, size_t r, int64_t* out) {
   if (!col.HasValueAt(r)) return false;
-  if (!IsIntFamily(col.TagAt(r))) return false;
+  AdmTag t = col.TagAt(r);
+  if (IsVariableLengthScalar(t) || t == AdmTag::kUuid || IsFloatFamily(t)) {
+    return Status::NotSupported(std::string("hash join key of type ") +
+                                AdmTagName(t) + ": keys must be integers");
+  }
+  if (!IsIntFamily(t)) return false;
   if (col.kind() == ColumnVector::Kind::kInt64) {
     *out = col.Int64At(r);
   } else {
@@ -191,12 +198,16 @@ Result<JoinStats> HashJoinDatasets(Dataset* build, Dataset* probe,
                        &build_views[bp], &build_vc, "join_build_scan"));
       TC_RETURN_IF_ERROR(op->Open());
       ColumnBatch batch;
-      while (true) {
+      Status key_st = Status::OK();
+      while (key_st.ok()) {
         TC_ASSIGN_OR_RETURN(bool more, op->Next(&batch));
         if (!more) break;
         batch.ForEachActive([&](size_t r) {
+          if (!key_st.ok()) return;
           int64_t key;
-          if (!Int64KeyAt(batch.cols[0], r, &key)) return;
+          Result<bool> has_key = Int64KeyAt(batch.cols[0], r, &key);
+          if (!has_key.ok()) key_st = has_key.status();
+          if (!has_key.ok() || !has_key.value()) return;
           uint32_t idx = static_cast<uint32_t>(t.store.rows);
           for (size_t c = 0; c < nb; ++c) {
             t.store.cols[c].AppendFrom(batch.cols[c], r);
@@ -206,6 +217,11 @@ Result<JoinStats> HashJoinDatasets(Dataset* build, Dataset* probe,
           t.next.push_back(h);
           h = idx + 1;
         });
+      }
+      if (!key_st.ok()) {
+        // Earlier partitions of this wave already charged the arbiter.
+        if (arbiter != nullptr && charged > 0) arbiter->ReleaseQuery(charged);
+        return key_st;
       }
 
       // Admission: the wave's FIRST partition always stays (progress
@@ -297,7 +313,9 @@ Result<JoinStats> HashJoinDatasets(Dataset* build, Dataset* probe,
           batch.ForEachActive([&](size_t r) {
             if (!st.ok()) return;
             int64_t key;
-            if (!Int64KeyAt(batch.cols[0], r, &key)) return;
+            Result<bool> has_key = Int64KeyAt(batch.cols[0], r, &key);
+            if (!has_key.ok()) st = has_key.status();
+            if (!has_key.ok() || !has_key.value()) return;
             st = emit_matches(key, [&]() {
               for (size_t c = 0; c < probe_cols.size(); ++c) {
                 out.cols[nb + c].AppendFrom(batch.cols[c], r);

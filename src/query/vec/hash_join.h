@@ -16,8 +16,10 @@
 // a join that fits is one pass.
 //
 // Keys are int64 (the repo's primary-key/secondary-key domain): rows whose
-// key path is missing, null, or non-integer never match, on either side —
-// standard equi-join null semantics.
+// key is missing or null never match, on either side — standard equi-join
+// null semantics — and neither do boolean, point or nested keys. A string,
+// binary, uuid or floating-point key fails the join with NotSupported rather
+// than silently matching nothing.
 //
 // No schema broadcast is needed even though probe rows are routed by key hash
 // across build partitions: both sides' columns are extracted into typed
@@ -43,7 +45,8 @@ namespace tc {
 size_t JoinBuildBudgetFromEnv();
 
 struct JoinSpec {
-  /// Equi-join key paths (top-level or dotted; must resolve to int64 values).
+  /// Equi-join key paths (top-level or dotted; must resolve to int64 values,
+  /// see the key note above).
   std::string build_key;
   std::string probe_key;
   /// Extra columns carried through the join, extracted alongside the keys.

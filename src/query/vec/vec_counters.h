@@ -17,6 +17,10 @@ struct VecOpCounters {
   uint64_t batches = 0;
   uint64_t rows = 0;   // live rows produced (selection applied)
   uint64_t bytes = 0;  // bytes of the batches produced
+  /// Scans: rows extracted by the generic RecordAccessor::GetValues walk
+  /// instead of the columnar fast path (ineligible format, or a record whose
+  /// path ends in a nested value).
+  uint64_t fallback_rows = 0;
 };
 
 class VecCounterSet {

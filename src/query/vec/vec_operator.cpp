@@ -16,38 +16,77 @@ bool VecEnabledFromEnv() { return EnvInt64("TC_VEC_ENABLE", 1) != 0; }
 
 // ---------------------------------------------------------------------------
 // Columnar fast-path extraction: one walk over the record's packed vectors
-// fills one slot per requested path, in place — strings stay string_views into
-// the payload (appended straight into the column arena), fixed scalars decode
-// on the stack. The walk skeleton mirrors ScanPredicateMatcher::MatchVector /
-// GetValuesVector (scope stack, active-path matching, declared-type
-// propagation); a structural change to any of the three walks MUST be mirrored
-// in the others. The terminal differs: extraction, first occurrence wins, and
-// a NESTED value at a terminal bails the whole record out to the generic
-// GetValues fallback (subtree materialization is exactly what this path
-// avoids implementing twice).
+// collects, per requested path, the scalar walker items it matches — items
+// point into the payload, so nothing is decoded or allocated until the scan
+// appends them typed into the batch columns (AppendItem). The walk skeleton
+// mirrors GetValuesVector (field_access.cpp) and ScanPredicateMatcher's
+// MatchVector (scan_predicate.cpp): scope stack, active-path matching with
+// [*] matching every item of a collection scope, declared-type propagation.
+// A structural change to any of the three walks MUST be mirrored in the
+// others; VecFastPath.ExtractorMatchesGetValuesVector pins this one to
+// GetValuesVector. The terminal differs: exact paths keep their first
+// occurrence (and the walk stops once all of them resolved, unless a wildcard
+// path is requested), wildcard paths keep every match in walk order (nested
+// wildcards flatten into one list), and a NESTED value at any terminal bails
+// the whole record out to the generic GetValues fallback (subtree
+// materialization is exactly what this path avoids implementing twice).
 // ---------------------------------------------------------------------------
+
+namespace {
+
+/// Appends one scalar walker item to `col`, decoded straight from the packed
+/// bytes: no AdmValue for the int, double and string families.
+void AppendItem(const VectorRecordWalker::Item& it, ColumnVector* col) {
+  AdmTag t = it.tag;
+  if (t == AdmTag::kMissing) {
+    col->AppendMissing();
+  } else if (t == AdmTag::kNull) {
+    col->AppendNull();
+  } else if (t == AdmTag::kBoolean) {
+    col->AppendInt64(t, it.fixed[0] != 0 ? 1 : 0);
+  } else if (IsIntFamily(t)) {
+    col->AppendInt64(t, PackedIntOf(t, it.fixed));
+  } else if (IsFloatFamily(t)) {
+    col->AppendDouble(t, PackedDoubleOf(t, it.fixed));
+  } else if (IsVariableLengthScalar(t)) {
+    col->AppendString(t, it.var);
+  } else if (t == AdmTag::kUuid) {
+    col->AppendString(t, std::string_view(reinterpret_cast<const char*>(it.fixed), 16));
+  } else {
+    col->AppendValue(DecodeVectorScalarItem(it));  // point
+  }
+}
+
+}  // namespace
 
 class VecPathExtractor {
  public:
-  /// `paths` must outlive the extractor; every path is exact (no wildcards)
-  /// and non-empty — the eligibility check in VecScanOperator::Open.
+  /// `paths` must outlive the extractor; every path is non-empty — the
+  /// eligibility check in VecScanOperator::Open.
   explicit VecPathExtractor(const std::vector<FieldPath>& paths)
-      : paths_(&paths) {}
+      : paths_(&paths), items_(paths.size()), wildcard_(paths.size(), 0) {
+    for (size_t p = 0; p < paths.size(); ++p) {
+      if (paths[p].HasWildcard()) {
+        wildcard_[p] = 1;
+        any_wildcard_ = true;
+      } else {
+        ++exact_paths_;
+      }
+    }
+  }
 
-  struct Slot {
-    bool set = false;
-    bool is_view = false;        // var-length payload viewed in place
-    AdmTag tag = AdmTag::kMissing;
-    std::string_view view;       // valid until the next Extract call
-    AdmValue value;
-  };
-
-  /// Attempts the direct extraction from one payload. Returns false (slots
+  /// Attempts the direct extraction from one payload. Returns false (items
   /// unspecified) when the record needs the GetValues fallback.
   Result<bool> Extract(const VectorRecordView& view, const DatasetType& type,
                        const Schema* schema);
 
-  const Slot& slot(size_t i) const { return slots_[i]; }
+  /// The scalar items path `p` matched in the last Extract, in record order:
+  /// at most one for an exact path, the list's items for a wildcard path.
+  /// They point into the payload.
+  const std::vector<VectorRecordWalker::Item>& items(size_t p) const {
+    return items_[p];
+  }
+  bool wildcard(size_t p) const { return wildcard_[p] != 0; }
 
  private:
   struct Active {
@@ -72,7 +111,10 @@ class VecPathExtractor {
   }
 
   const std::vector<FieldPath>* paths_;
-  std::vector<Slot> slots_;
+  std::vector<std::vector<VectorRecordWalker::Item>> items_;
+  std::vector<uint8_t> wildcard_;
+  size_t exact_paths_ = 0;
+  bool any_wildcard_ = false;
   std::vector<Scope> scopes_;
   size_t depth_ = 0;
   std::vector<Active> child_actives_;
@@ -84,8 +126,8 @@ Result<bool> VecPathExtractor::Extract(const VectorRecordView& view,
                                        const Schema* schema) {
   TC_RETURN_IF_ERROR(view.Validate());
   const std::vector<FieldPath>& paths = *paths_;
-  slots_.assign(paths.size(), Slot{});
-  size_t remaining = paths.size();
+  for (auto& got : items_) got.clear();
+  size_t remaining = exact_paths_;
 
   VectorRecordWalker walker(view);
   VectorRecordWalker::Item it;
@@ -122,6 +164,8 @@ Result<bool> VecPathExtractor::Extract(const VectorRecordView& view,
       bool match = false;
       if (scope.is_object) {
         match = st.kind == PathStep::kField && st.name == name_;
+      } else if (st.kind == PathStep::kWildcard) {
+        match = true;
       } else if (st.kind == PathStep::kIndex) {
         match = st.index == scope.item_index;
       }
@@ -130,20 +174,15 @@ Result<bool> VecPathExtractor::Extract(const VectorRecordView& view,
         child_actives_.push_back({a.path, a.step + 1});
         continue;
       }
-      // Terminal. Records violating the unique-field-name contract take
-      // first-occurrence-wins, matching GetValuesVector.
-      Slot& slot = slots_[a.path];
-      if (slot.set) continue;
+      // Terminal. A wildcard path keeps every match; an exact path keeps its
+      // first (records violating the unique-field-name contract take
+      // first-occurrence-wins, matching GetValuesVector).
+      std::vector<VectorRecordWalker::Item>& got = items_[a.path];
+      bool exact = wildcard_[a.path] == 0;
+      if (exact && !got.empty()) continue;
       if (IsNested(it.tag)) return false;  // subtree: generic fallback
-      slot.set = true;
-      slot.tag = it.tag;
-      if (IsVariableLengthScalar(it.tag)) {
-        slot.is_view = true;
-        slot.view = it.var;
-      } else {
-        slot.value = DecodeVectorScalarItem(it);
-      }
-      if (--remaining == 0) return true;
+      got.push_back(it);
+      if (exact && --remaining == 0 && !any_wildcard_) return true;
     }
 
     const TypeDescriptor* item_decl = nullptr;
@@ -170,7 +209,7 @@ Result<bool> VecPathExtractor::Extract(const VectorRecordView& view,
       ++scope.item_index;
     }
   }
-  return true;  // unset slots are missing values
+  return true;  // exact paths without an item are missing values
 }
 
 // ---------------------------------------------------------------------------
@@ -218,15 +257,15 @@ Status VecScanOperator::Open() {
         });
     counts_in_filter_ = true;
   }
-  // Columnar fast path: vector-based records with consolidated access and
-  // exact scalar paths extract without the generic builder machinery.
+  // Columnar fast path: vector-based records with consolidated access extract
+  // scalar and [*] paths without the generic builder machinery.
   extractor_.reset();
   bool fast = !spec_.paths.empty() &&
               (accessor_->mode() == SchemaMode::kInferred ||
                accessor_->mode() == SchemaMode::kSchemalessVB) &&
               accessor_->consolidate();
   for (const FieldPath& p : spec_.paths) {
-    if (p.steps.empty() || p.HasWildcard()) fast = false;
+    if (p.steps.empty()) fast = false;
   }
   if (fast) extractor_ = std::make_unique<VecPathExtractor>(spec_.paths);
   first_ = true;
@@ -236,6 +275,7 @@ Status VecScanOperator::Open() {
 Result<bool> VecScanOperator::Next(ColumnBatch* batch) {
   batch->Reset(spec_.paths.size());
   batch->partition = partition_->partition_id();
+  uint64_t fallback_rows = 0;
   while (batch->rows < batch_rows_) {
     if (first_) {
       TC_RETURN_IF_ERROR(it_->SeekToFirst());
@@ -260,16 +300,20 @@ Result<bool> VecScanOperator::Next(ColumnBatch* batch) {
       }
       if (fast_done) {
         for (size_t c = 0; c < spec_.paths.size(); ++c) {
-          const VecPathExtractor::Slot& slot = extractor_->slot(c);
-          if (!slot.set) {
-            batch->cols[c].AppendMissing();
-          } else if (slot.is_view) {
-            batch->cols[c].AppendString(slot.tag, slot.view);
+          const std::vector<VectorRecordWalker::Item>& items = extractor_->items(c);
+          ColumnVector& col = batch->cols[c];
+          if (extractor_->wildcard(c)) {
+            ColumnVector& list = col.BeginList();
+            for (const VectorRecordWalker::Item& item : items) AppendItem(item, &list);
+            col.EndList();
+          } else if (items.empty()) {
+            col.AppendMissing();
           } else {
-            batch->cols[c].AppendValue(slot.value);
+            AppendItem(items[0], &col);
           }
         }
       } else {
+        ++fallback_rows;
         scratch_.clear();
         TC_RETURN_IF_ERROR(accessor_->GetValues(payload, spec_.paths, &scratch_));
         for (size_t c = 0; c < spec_.paths.size(); ++c) {
@@ -288,6 +332,7 @@ Result<bool> VecScanOperator::Next(ColumnBatch* batch) {
     ++op_counters_->batches;
     op_counters_->rows += batch->rows;
     op_counters_->bytes += batch->ByteSize();
+    op_counters_->fallback_rows += fallback_rows;
   }
   return true;
 }

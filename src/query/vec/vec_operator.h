@@ -40,8 +40,11 @@ class VecOperator {
 /// lowering is identical to ScanOperator (the merged cursor's payload filter
 /// owns the counters and a reusable matcher); surviving records are extracted
 /// into column vectors — via a direct walk over the packed vectors when the
-/// format and paths allow (vector-based records, consolidated access, exact
-/// scalar paths), via RecordAccessor::GetValues otherwise.
+/// format allows (vector-based records, consolidated access): exact paths
+/// into typed columns, [*] paths into list columns of typed items. A record
+/// whose path ends in a nested value, and every record of an ineligible
+/// format, goes through RecordAccessor::GetValues instead and counts in
+/// VecOpCounters::fallback_rows.
 class VecScanOperator final : public VecOperator {
  public:
   VecScanOperator(DatasetPartition* partition, const RecordAccessor* accessor,

@@ -1,8 +1,10 @@
-// Tests for the vectorized execution tier: ColumnVector storage adaptation,
-// vec-vs-row paper-query equivalence (the bridge must be invisible to sinks),
-// and the partitioned hash join checked against a nested-loop reference under
-// randomized partition counts, key skew, budget-forced multi-wave execution,
-// and concurrent ingest.
+// Tests for the vectorized execution tier: ColumnVector storage adaptation
+// (list columns included), vec-vs-row paper-query equivalence (the bridge must
+// be invisible to sinks), the scan's columnar fast path checked against
+// GetValuesVector on randomized records and path sets, and the partitioned
+// hash join checked against a nested-loop reference under randomized
+// partition counts, key skew, budget-forced multi-wave execution, and
+// concurrent ingest.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,6 +17,9 @@
 #include <tuple>
 #include <vector>
 
+#include "common/memory_arbiter.h"
+#include "query/executor.h"
+#include "query/field_access.h"
 #include "query/paper_queries.h"
 #include "query/planner.h"
 #include "query/vec/column_batch.h"
@@ -112,6 +117,102 @@ TEST(ColumnVector, AppendFromCopiesTypedRows) {
   EXPECT_EQ(dst.ValueAt(0).tag(), AdmTag::kInt);
   EXPECT_FALSE(dst.HasValueAt(1));
   EXPECT_EQ(dst.Int64At(2), 10);
+}
+
+AdmValue ArrayOf(std::vector<AdmValue> items) {
+  AdmValue arr = AdmValue::Array();
+  for (AdmValue& v : items) arr.Append(std::move(v));
+  return arr;
+}
+
+TEST(ColumnVector, ListRowsKeepTypedItems) {
+  ColumnVector c;
+  c.AppendMissing();  // backfilled when the first list row arrives
+  ColumnVector& items = c.BeginList();
+  items.AppendDouble(AdmTag::kDouble, 1.5);
+  items.AppendDouble(AdmTag::kFloat, 2.5);
+  c.EndList();
+  c.BeginList();
+  c.EndList();  // an empty list
+  c.AppendNull();
+  ColumnVector& more = c.BeginList();
+  more.AppendNull();
+  more.AppendDouble(AdmTag::kDouble, -3);
+  c.EndList();
+
+  EXPECT_EQ(c.kind(), ColumnVector::Kind::kList);
+  ASSERT_EQ(c.size(), 5u);
+  EXPECT_EQ(c.ListItems().kind(), ColumnVector::Kind::kDouble);
+  EXPECT_EQ(c.ValueAt(0).tag(), AdmTag::kMissing);
+  EXPECT_EQ(c.TagAt(1), AdmTag::kArray);
+  EXPECT_EQ(c.ValueAt(1),
+            ArrayOf({AdmValue::Double(1.5), AdmValue::Float(2.5f)}));
+  EXPECT_EQ(c.ListBegin(2), c.ListEnd(2));
+  EXPECT_EQ(c.ValueAt(2), AdmValue::Array());
+  EXPECT_FALSE(c.HasValueAt(3));
+  EXPECT_EQ(c.ValueAt(3).tag(), AdmTag::kNull);
+  EXPECT_EQ(c.ValueAt(4), ArrayOf({AdmValue::Null(), AdmValue::Double(-3)}));
+  // Items live in the child column, not in per-row AdmValues.
+  EXPECT_EQ(c.ListItems().size(), 4u);
+  EXPECT_GE(c.ByteSize(), c.ListItems().ByteSize());
+}
+
+TEST(ColumnVector, ListColumnDemotesLosslessly) {
+  ColumnVector c;
+  ColumnVector& items = c.BeginList();
+  items.AppendString(AdmTag::kString, "a");
+  items.AppendString(AdmTag::kString, "bc");
+  c.EndList();
+  EXPECT_EQ(c.ListItems().kind(), ColumnVector::Kind::kString);
+  // A row the generic walk produced (here: an array of objects) demotes.
+  AdmValue obj = AdmValue::Object();
+  obj.AddField("x", AdmValue::BigInt(5));
+  AdmValue nested = ArrayOf({obj});
+  c.AppendValue(nested);
+  EXPECT_EQ(c.kind(), ColumnVector::Kind::kValue);
+  // A list row on a demoted column folds its items into one array value.
+  ColumnVector& late = c.BeginList();
+  late.AppendInt64(AdmTag::kBigInt, 7);
+  late.AppendString(AdmTag::kString, "z");
+  c.EndList();
+
+  ASSERT_EQ(c.size(), 3u);
+  EXPECT_EQ(c.ValueAt(0),
+            ArrayOf({AdmValue::String("a"), AdmValue::String("bc")}));
+  EXPECT_EQ(c.ValueAt(1), nested);
+  EXPECT_EQ(c.ValueAt(2), ArrayOf({AdmValue::BigInt(7), AdmValue::String("z")}));
+  size_t want_bytes = 3 * sizeof(AdmTag);
+  for (size_t i = 0; i < c.size(); ++i) want_bytes += EstimateAdmValueBytes(c.ValueAt(i));
+  EXPECT_EQ(c.ByteSize(), want_bytes);
+}
+
+TEST(ColumnVector, AppendFromCopiesListRows) {
+  ColumnVector src;
+  ColumnVector& first = src.BeginList();
+  first.AppendInt64(AdmTag::kBigInt, 1);
+  first.AppendInt64(AdmTag::kInt, 2);
+  src.EndList();
+  src.AppendNull();
+  src.BeginList().AppendInt64(AdmTag::kBigInt, 3);
+  src.EndList();
+
+  ColumnVector dst;
+  dst.AppendFrom(src, 2);
+  dst.AppendFrom(src, 1);
+  dst.AppendFrom(src, 0);
+  EXPECT_EQ(dst.kind(), ColumnVector::Kind::kList);
+  EXPECT_EQ(dst.ListItems().kind(), ColumnVector::Kind::kInt64);
+  EXPECT_EQ(dst.ValueAt(0), src.ValueAt(2));
+  EXPECT_FALSE(dst.HasValueAt(1));
+  EXPECT_EQ(dst.ValueAt(2), ArrayOf({AdmValue::BigInt(1), AdmValue::Int(2)}));
+
+  // Into a column of another family: demotes, same values.
+  ColumnVector mixed;
+  mixed.AppendInt64(AdmTag::kBigInt, 9);
+  mixed.AppendFrom(src, 0);
+  EXPECT_EQ(mixed.kind(), ColumnVector::Kind::kValue);
+  EXPECT_EQ(mixed.ValueAt(0), AdmValue::BigInt(9));
+  EXPECT_EQ(mixed.ValueAt(1), src.ValueAt(0));
 }
 
 TEST(ColumnBatch, SelectionVectorDrivesActiveRows) {
@@ -238,6 +339,233 @@ TEST(VecRowEquivalence, InListPredicateAllPathsAgree) {
           << "vectorized=" << vectorized << " pushdown=" << pushdown;
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// The scan's columnar fast path vs GetValuesVector: every row's ValueAt must
+// be exactly what the generic walk returns for the same record, for exact and
+// [*] paths alike, on flushed (compacted) and memtable (uncompacted) records.
+// ---------------------------------------------------------------------------
+
+AdmValue MixedScalar(Rng* rng) {
+  switch (rng->Uniform(6)) {
+    case 0: return AdmValue::Null();
+    case 1: return AdmValue::BigInt(rng->Range(-50, 50));
+    case 2: return AdmValue::Int(static_cast<int32_t>(rng->Range(-5, 5)));
+    case 3: return AdmValue::Double(rng->NextDouble());
+    case 4: return AdmValue::String(rng->AlphaString(rng->Uniform(6)));
+    default: return AdmValue::Boolean(rng->Bernoulli(0.5));
+  }
+}
+
+AdmValue RandomCollection(Rng* rng) {
+  return rng->Bernoulli(0.7) ? AdmValue::Array() : AdmValue::Multiset();
+}
+
+// `a`: absent, a scalar, an object, or a collection of scalars and
+// {b: [{c}], x} objects; `t`: a collection of collections of scalars; `s`: a
+// scalar, or now and then an object (the nested-terminal fallback).
+AdmValue WildcardRecord(Rng* rng, int64_t id) {
+  AdmValue rec = AdmValue::Object();
+  rec.AddField("id", AdmValue::BigInt(id));
+  switch (rng->Uniform(5)) {
+    case 0:
+      break;
+    case 1:
+      rec.AddField("a", MixedScalar(rng));
+      break;
+    case 2: {
+      AdmValue o = AdmValue::Object();
+      o.AddField("x", MixedScalar(rng));
+      rec.AddField("a", std::move(o));
+      break;
+    }
+    default: {
+      AdmValue a = RandomCollection(rng);
+      size_t n = rng->Uniform(6);
+      for (size_t i = 0; i < n; ++i) {
+        if (rng->Bernoulli(0.4)) {
+          a.Append(MixedScalar(rng));
+          continue;
+        }
+        AdmValue item = AdmValue::Object();
+        if (rng->Bernoulli(0.8)) {
+          AdmValue b = RandomCollection(rng);
+          size_t m = rng->Uniform(4);
+          for (size_t j = 0; j < m; ++j) {
+            AdmValue bi = AdmValue::Object();
+            if (rng->Bernoulli(0.85)) bi.AddField("c", MixedScalar(rng));
+            b.Append(std::move(bi));
+          }
+          item.AddField("b", std::move(b));
+        }
+        if (rng->Bernoulli(0.7)) item.AddField("x", MixedScalar(rng));
+        a.Append(std::move(item));
+      }
+      rec.AddField("a", std::move(a));
+    }
+  }
+  if (rng->Bernoulli(0.8)) {
+    AdmValue t = RandomCollection(rng);
+    size_t n = rng->Uniform(4);
+    for (size_t i = 0; i < n; ++i) {
+      AdmValue inner = RandomCollection(rng);
+      size_t m = rng->Uniform(4);
+      for (size_t j = 0; j < m; ++j) inner.Append(MixedScalar(rng));
+      t.Append(std::move(inner));
+    }
+    rec.AddField("t", std::move(t));
+  }
+  if (rng->Bernoulli(0.85)) {
+    if (rng->Bernoulli(0.15)) {
+      AdmValue o = AdmValue::Object();
+      o.AddField("y", MixedScalar(rng));
+      rec.AddField("s", std::move(o));
+    } else {
+      rec.AddField("s", MixedScalar(rng));
+    }
+  }
+  return rec;
+}
+
+// Scans partition 0 with `paths` through VecScanOperator and checks every
+// row against GetValuesVector on the same payload; returns the scan's
+// counters.
+VecOpCounters ScanAndCompare(DatasetPartition* p, const std::vector<FieldPath>& paths,
+                             size_t batch_rows, const std::string& label) {
+  RecordAccessor accessor(p->options().mode, &p->options().type, p->SchemaSnapshot(),
+                          /*consolidate=*/true);
+  ScanSpec spec;
+  spec.paths = paths;
+  spec.attach_record = true;
+  ScanCounters sc;
+  VecOpCounters oc;
+  VecScanOperator scan(p, &accessor, spec, batch_rows, &sc, nullptr, &oc);
+  EXPECT_TRUE(scan.Open().ok()) << label;
+  ColumnBatch batch;
+  std::vector<AdmValue> want;
+  while (true) {
+    auto more = scan.Next(&batch);
+    EXPECT_TRUE(more.ok()) << label << ": " << more.status().ToString();
+    if (!more.ok() || !more.value()) break;
+    EXPECT_LE(batch.rows, batch_rows);
+    for (size_t r = 0; r < batch.rows; ++r) {
+      const Buffer& rec = *batch.records[r];
+      VectorRecordView view(rec.data(), rec.size());
+      EXPECT_TRUE(GetValuesVector(view, *accessor.type(), &accessor.schema(), paths,
+                                  &want)
+                      .ok());
+      for (size_t c = 0; c < paths.size(); ++c) {
+        EXPECT_EQ(batch.cols[c].ValueAt(r), want[c])
+            << label << " path " << paths[c].ToString() << " batch_rows "
+            << batch_rows << " row " << r;
+      }
+    }
+  }
+  EXPECT_EQ(oc.rows, sc.rows) << label;
+  return oc;
+}
+
+TEST(VecFastPath, ExtractorMatchesGetValuesVector) {
+  DatasetFixture fx;
+  ASSERT_TRUE(fx.Open(SmallOptions(SchemaMode::kInferred, 1024), 1).ok());
+  Rng rng(2024);
+  for (int64_t id = 0; id < 400; ++id) {
+    ASSERT_TRUE(fx.dataset->Insert(WildcardRecord(&rng, id)).ok());
+    if (id == 259) {
+      ASSERT_TRUE(fx.dataset->FlushAll().ok());  // the rest stay in the memtable
+    }
+  }
+  DatasetPartition* p = fx.dataset->partition(0);
+
+  // Paths the fast path extracts whole (no terminal is ever nested) ...
+  const std::vector<std::string> clean = {
+      "id", "s.y", "a[1].x", "no_such_field", "a[*].x", "a[*].b[*].c",
+      "a[*].b[0].c", "t[*][*]", "a.x"};
+  // ... and paths that end in a nested value for some records.
+  const std::vector<std::string> nesting = {"a[*]", "t[*]", "a", "s", "a[*].b"};
+
+  for (int trial = 0; trial < 24; ++trial) {
+    std::vector<FieldPath> paths;
+    std::string label = "trial " + std::to_string(trial) + " {";
+    size_t n = 1 + rng.Uniform(5);
+    bool clean_only = trial % 2 == 0;
+    for (size_t i = 0; i < n; ++i) {
+      const auto& pool = clean_only || rng.Bernoulli(0.6) ? clean : nesting;
+      paths.push_back(FieldPath::Parse(pool[rng.Uniform(pool.size())]));
+      label += paths.back().ToString() + " ";
+    }
+    label += "}";
+    for (size_t batch_rows : {size_t{1}, size_t{7}, size_t{1024}}) {
+      VecOpCounters oc = ScanAndCompare(p, paths, batch_rows, label);
+      EXPECT_EQ(oc.rows, 400u) << label;
+      if (clean_only) {
+        EXPECT_EQ(oc.fallback_rows, 0u) << label;
+      }
+    }
+  }
+  // A path ending in an object for some records leaves the fast path for
+  // exactly those records.
+  VecOpCounters oc = ScanAndCompare(p, {FieldPath::Parse("s")}, 64, "s");
+  EXPECT_GT(oc.fallback_rows, 0u);
+  EXPECT_LT(oc.fallback_rows, oc.rows);
+}
+
+TEST(VecFastPath, WildcardPaperQueriesReportNoFallbackRows) {
+  struct Case {
+    const char* workload;
+    int n;
+    std::vector<int> queries;
+  };
+  for (const Case& cs : {Case{"sensors", 24, {1, 2, 3, 4}}, Case{"twitter", 60, {3}}}) {
+    DatasetFixture fx;
+    auto gen = MakeGenerator(cs.workload, 42);
+    ASSERT_TRUE(fx.Open(SmallOptions(SchemaMode::kInferred, 128), 2).ok());
+    for (int i = 0; i < cs.n; ++i) {
+      ASSERT_TRUE(fx.dataset->Insert(gen->NextRecord()).ok());
+      if (i == cs.n / 2) {
+        ASSERT_TRUE(fx.dataset->FlushAll().ok());
+      }
+    }
+    for (int q : cs.queries) {
+      QueryOptions vec;
+      vec.vectorized = true;
+      auto res = RunPaperQuery(cs.workload, q, fx.dataset.get(), vec);
+      ASSERT_TRUE(res.ok()) << cs.workload << " q" << q;
+      bool saw_scan = false;
+      for (const QueryOpCounters& op : res.value().stats.operators) {
+        if (op.name != "scan") continue;
+        saw_scan = true;
+        EXPECT_EQ(op.fallback_rows, 0u) << cs.workload << " q" << q;
+      }
+      EXPECT_TRUE(saw_scan) << cs.workload << " q" << q;
+    }
+  }
+}
+
+TEST(VecFastPath, ObjectTerminalFallbackIsVisibleInQueryStats) {
+  DatasetFixture fx;
+  auto gen = MakeGenerator("twitter", 5);
+  ASSERT_TRUE(fx.Open(SmallOptions(SchemaMode::kInferred, 128), 2).ok());
+  for (int i = 0; i < 30; ++i) ASSERT_TRUE(fx.dataset->Insert(gen->NextRecord()).ok());
+  ASSERT_TRUE(fx.dataset->FlushAll().ok());
+  QueryOptions vec;
+  vec.vectorized = true;
+  auto stats = RunPartitioned(
+      fx.dataset.get(), vec,
+      [](const PartitionContext& ctx) -> Result<std::unique_ptr<Operator>> {
+        ScanSpec spec;
+        spec.paths = {FieldPath::Parse("user")};  // an object in every tweet
+        std::unique_ptr<VecOperator> scan(
+            new VecScanOperator(ctx.partition, ctx.accessor, std::move(spec), 8,
+                                ctx.counters, ctx.view, ctx.vec_counters->For("scan")));
+        return std::unique_ptr<Operator>(new VecToRowBridge(std::move(scan)));
+      },
+      [](int) -> RowSink { return [](Row&&) { return Status::OK(); }; });
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  ASSERT_EQ(stats.value().operators.size(), 1u);
+  EXPECT_EQ(stats.value().operators[0].name, "scan");
+  EXPECT_EQ(stats.value().operators[0].fallback_rows, 30u);
 }
 
 // ---------------------------------------------------------------------------
@@ -384,6 +712,74 @@ TEST(HashJoin, ProbePredicateFiltersBeforeJoin) {
     if (std::get<2>(r) < 15) expected.push_back(r);
   }
   EXPECT_EQ(got, expected);
+}
+
+// Users self-joined on their string country: the nested-loop reference pairs
+// many rows, so an OK status with zero rows would be a silent wrong answer —
+// the join must refuse the key type instead. A key path missing from every
+// record still joins nothing, with OK.
+TEST(HashJoin, StringKeysRejectedMissingKeysNeverMatch) {
+  JoinFixture jf;
+  jf.Load(30, 40, 2, 2, 0, 4242);
+  size_t reference = 0;
+  for (const auto& [u1, c1] : jf.country) {
+    for (const auto& [u2, c2] : jf.country) reference += c1 == c2 ? 1 : 0;
+  }
+  ASSERT_GT(reference, 0u);
+  JoinSinkFactory sink = [](int) -> JoinBatchSink {
+    return [](const ColumnBatch&) { return Status::OK(); };
+  };
+  for (bool vectorized : {true, false}) {
+    JoinSpec spec;
+    spec.vectorized = vectorized;
+    spec.build_key = "country";
+    spec.probe_key = "country";
+    auto got = HashJoinDatasets(jf.users.dataset.get(), jf.users.dataset.get(), spec,
+                                sink);
+    ASSERT_FALSE(got.ok()) << "vectorized=" << vectorized;
+    EXPECT_EQ(got.status().code(), StatusCode::kNotSupported) << got.status().ToString();
+
+    spec.build_key = "id";
+    spec.probe_key = "no_such_field";
+    auto none = HashJoinDatasets(jf.users.dataset.get(), jf.tweets.dataset.get(), spec,
+                                 sink);
+    ASSERT_TRUE(none.ok()) << none.status().ToString();
+    EXPECT_EQ(none.value().output_rows, 0u);
+    EXPECT_EQ(none.value().probe_rows, 40u);
+  }
+}
+
+// The build side meets its first string key in its second partition, after
+// the first one charged the memory arbiter: the failed join returns the charge.
+TEST(HashJoin, KeyTypeErrorReleasesArbiterCharge) {
+  MemoryArbiter::Options ao;
+  ao.total_budget_bytes = 64 << 20;
+  ao.adaptive = false;
+  MemoryArbiter arb(ao);
+  {
+    DatasetFixture fx;
+    DatasetOptions o = SmallOptions(SchemaMode::kInferred, 128);
+    o.arbiter = &arb;
+    ASSERT_TRUE(fx.Open(std::move(o), 2).ok());
+    for (int64_t id = 0; id < 40; ++id) {
+      AdmValue r = AdmValue::Object();
+      r.AddField("id", AdmValue::BigInt(id));
+      r.AddField("k", fx.dataset->PartitionOf(id) == 0 ? AdmValue::BigInt(id)
+                                                       : AdmValue::String("s"));
+      ASSERT_TRUE(fx.dataset->Insert(r).ok());
+    }
+    ASSERT_TRUE(fx.dataset->FlushAll().ok());
+    JoinSpec spec;
+    spec.build_key = "k";
+    spec.probe_key = "id";
+    auto got = HashJoinDatasets(
+        fx.dataset.get(), fx.dataset.get(), spec, [](int) -> JoinBatchSink {
+          return [](const ColumnBatch&) { return Status::OK(); };
+        });
+    ASSERT_FALSE(got.ok());
+    EXPECT_EQ(got.status().code(), StatusCode::kNotSupported);
+    EXPECT_EQ(arb.stats().query_bytes_charged, 0u);
+  }
 }
 
 // Joins repeatedly while tweets ingest concurrently: each join pins read views
