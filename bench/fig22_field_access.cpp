@@ -9,7 +9,7 @@
 // the linear scan becomes visible with a single core.
 #include "bench/bench_util.h"
 #include "query/field_access.h"
-#include "query/operators.h"
+#include "query/vec/vec_operator.h"
 
 using namespace tc;
 using namespace tc::bench;
@@ -44,9 +44,10 @@ double CountWhere(Dataset* ds, const std::string& field, size_t threads) {
     auto stats = RunPartitioned(
         ds, qo,
         [&](const PartitionContext& ctx) -> Result<std::unique_ptr<Operator>> {
-          return {std::make_unique<ScanOperator>(ctx.partition, ctx.accessor,
-                                                 ScanSpec{paths, false, nullptr},
-                                                 ctx.counters)};
+          VecScanPipeline scan =
+              MakeVecScan(ctx, ScanSpec{paths, false, nullptr},
+                          /*push_predicate=*/true, qo.vec_batch_rows);
+          return {std::make_unique<VecToRowBridge>(std::move(scan.op))};
         },
         [&](int) -> RowSink {
           return [&matches](Row&& row) -> Status {

@@ -1,19 +1,19 @@
 // "Figure 27" (repo extension; no paper counterpart): the vectorized batch
 // engine measured end to end.
 //
-//  (a) users ⋈ tweets partitioned hash join, vectorized probe arm vs the
-//      row-operator bridge arm — same plan, same result, the batch engine's
-//      amortization is the only difference.
+//  (a) users ⋈ tweets partitioned hash join: time, probe throughput, output
+//      cardinality and grace waves.
 //  (b) cost-based planner axis: COUNT(*) over a timestamp_ms window on a
 //      secondary-indexed tweets dataset, narrow (index-probe) vs wide
 //      (filtered-scan), with the chosen plan printed from QueryStats.
 //
-// TC_JOIN_ASSERT=1 (the CI smoke mode) exits non-zero unless the vectorized
-// join is >= 1.5x the row-bridge join, both arms produce identical output
-// cardinality, the narrow window runs as index-probe, and the wide window as
+// TC_JOIN_ASSERT=1 (the CI smoke mode) exits non-zero unless the join's
+// output cardinality equals the count of loaded tweets whose author is a
+// loaded user, the narrow window runs as index-probe, and the wide window as
 // filtered-scan.
 #include <cstdio>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -29,6 +29,9 @@ struct JoinData {
   std::unique_ptr<BenchDataset> tweets;
   uint64_t n_users = 0;
   uint64_t n_tweets = 0;
+  /// Tweets whose author id is a loaded user: the join's output cardinality,
+  /// counted while loading.
+  uint64_t join_rows = 0;
   int64_t ts_min = 0;
   int64_t ts_max = 0;
 };
@@ -46,8 +49,11 @@ JoinData LoadJoinData(int64_t tweets_mb) {
   // build side memory-resident at smoke scale and multi-wave at larger ones.
   d.n_users = static_cast<uint64_t>(tweets_mb) << 8;
   auto ugen = MakeGenerator("twitter_users", ucfg.seed);
+  std::unordered_set<int64_t> user_ids;
   for (uint64_t i = 0; i < d.n_users; ++i) {
-    Status st = d.users->dataset->Insert(ugen->NextRecord());
+    AdmValue user = ugen->NextRecord();
+    user_ids.insert(user.FindField("id")->int_value());
+    Status st = d.users->dataset->Insert(user);
     TC_CHECK(st.ok());
   }
   TC_CHECK(d.users->dataset->FlushAll().ok());
@@ -66,8 +72,9 @@ JoinData LoadJoinData(int64_t tweets_mb) {
   while (raw < target) {
     AdmValue rec = tgen->NextRecord();
     // Remap author ids into the users universe (plus a 5% miss tail).
-    RemapTweetUserId(&rec, static_cast<int64_t>(
-                               rng.Uniform(d.n_users + d.n_users / 20 + 1)));
+    int64_t uid = static_cast<int64_t>(rng.Uniform(d.n_users + d.n_users / 20 + 1));
+    RemapTweetUserId(&rec, uid);
+    d.join_rows += user_ids.count(uid);
     int64_t ts = rec.FindField("timestamp_ms")->int_value();
     if (first || ts < d.ts_min) d.ts_min = ts;
     if (first || ts > d.ts_max) d.ts_max = ts;
@@ -81,20 +88,19 @@ JoinData LoadJoinData(int64_t tweets_mb) {
   return d;
 }
 
-struct JoinArm {
+struct JoinRun {
   double best_seconds = 1e30;
   uint64_t output_rows = 0;
   uint64_t passes = 0;
 };
 
-JoinArm RunJoinArm(JoinData* d, bool vectorized, int reps) {
-  JoinArm arm;
+JoinRun RunJoin(JoinData* d, int reps) {
+  JoinRun run;
   for (int i = 0; i < reps; ++i) {
     JoinSpec spec;
     spec.build_key = "id";
     spec.probe_key = "user.id";
     spec.build_paths = {"country"};
-    spec.vectorized = vectorized;
     double secs = TimeIt([&] {
       auto stats = HashJoinDatasets(
           d->users->dataset.get(), d->tweets->dataset.get(), spec,
@@ -103,53 +109,36 @@ JoinArm RunJoinArm(JoinData* d, bool vectorized, int reps) {
             return [](const ColumnBatch&) { return Status::OK(); };
           });
       TC_CHECK(stats.ok());
-      arm.output_rows = stats.value().output_rows;
-      arm.passes = stats.value().passes;
+      run.output_rows = stats.value().output_rows;
+      run.passes = stats.value().passes;
     });
-    arm.best_seconds = std::min(arm.best_seconds, secs);
+    run.best_seconds = std::min(run.best_seconds, secs);
   }
-  return arm;
+  return run;
 }
 
 int RunJoinAxis(JoinData* d, bool assert_mode) {
-  std::printf(
-      "-- (a) users(%llu) \xE2\x8B\x88 tweets(%llu) on user.id: vectorized vs "
-      "row bridge --\n",
-      static_cast<unsigned long long>(d->n_users),
-      static_cast<unsigned long long>(d->n_tweets));
-  std::printf("%-12s %10s %14s %12s %8s\n", "probe arm", "time(s)",
-              "probe rows/s", "output rows", "waves");
-  const int reps = 5;
-  JoinArm vec = RunJoinArm(d, /*vectorized=*/true, reps);
-  JoinArm row = RunJoinArm(d, /*vectorized=*/false, reps);
-  auto print = [&](const char* name, const JoinArm& a) {
-    std::printf("%-12s %10.3f %14.0f %12llu %8llu\n", name, a.best_seconds,
-                static_cast<double>(d->n_tweets) / a.best_seconds,
-                static_cast<unsigned long long>(a.output_rows),
-                static_cast<unsigned long long>(a.passes));
-  };
-  print("vectorized", vec);
-  print("row-bridge", row);
-  double speedup = row.best_seconds / vec.best_seconds;
-  std::printf("vectorized speedup: %.2fx\n\n", speedup);
+  std::printf("-- (a) users(%llu) \xE2\x8B\x88 tweets(%llu) on user.id --\n",
+              static_cast<unsigned long long>(d->n_users),
+              static_cast<unsigned long long>(d->n_tweets));
+  std::printf("%10s %14s %12s %8s\n", "time(s)", "probe rows/s", "output rows",
+              "waves");
+  JoinRun run = RunJoin(d, /*reps=*/5);
+  std::printf("%10.3f %14.0f %12llu %8llu\n\n", run.best_seconds,
+              static_cast<double>(d->n_tweets) / run.best_seconds,
+              static_cast<unsigned long long>(run.output_rows),
+              static_cast<unsigned long long>(run.passes));
   if (!assert_mode) return 0;
-  bool ok = true;
-  if (vec.output_rows != row.output_rows) {
-    std::fprintf(stderr, "FAIL: arm outputs differ (vec %llu vs row %llu)\n",
-                 static_cast<unsigned long long>(vec.output_rows),
-                 static_cast<unsigned long long>(row.output_rows));
-    ok = false;
+  if (run.output_rows != d->join_rows) {
+    std::fprintf(stderr,
+                 "FAIL: join produced %llu rows, %llu tweets have a loaded author\n",
+                 static_cast<unsigned long long>(run.output_rows),
+                 static_cast<unsigned long long>(d->join_rows));
+    return 1;
   }
-  if (speedup < 1.5) {
-    std::fprintf(stderr, "FAIL: vectorized speedup %.2fx below 1.5x\n", speedup);
-    ok = false;
-  }
-  if (ok) {
-    std::printf("TC_JOIN_ASSERT ok: vectorized %.2fx row bridge, outputs equal "
-                "(%llu rows)\n",
-                speedup, static_cast<unsigned long long>(vec.output_rows));
-  }
-  return ok ? 0 : 1;
+  std::printf("TC_JOIN_ASSERT ok: join output matches the loaded data (%llu rows)\n",
+              static_cast<unsigned long long>(run.output_rows));
+  return 0;
 }
 
 int RunPlannerAxis(JoinData* d, bool assert_mode) {
@@ -199,8 +188,7 @@ int RunPlannerAxis(JoinData* d, bool assert_mode) {
 }
 
 int Run() {
-  PrintBanner("Figure 27",
-              "vectorized hash join vs row bridge; cost-based plan picker");
+  PrintBanner("Figure 27", "vectorized hash join; cost-based plan picker");
   bool assert_mode = EnvInt64("TC_JOIN_ASSERT", 0) != 0;
   JoinData d = LoadJoinData(BenchMegabytes());
   int rc = RunJoinAxis(&d, assert_mode);

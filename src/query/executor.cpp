@@ -6,11 +6,8 @@
 #include <vector>
 
 #include "common/memory_arbiter.h"
-#include "query/vec/vec_operator.h"
 
 namespace tc {
-
-bool DefaultVectorizedQueries() { return VecEnabledFromEnv(); }
 
 void MergeVecCounters(const VecCounterSet& partition_counters, QueryStats* stats) {
   for (const auto& e : partition_counters.entries()) {

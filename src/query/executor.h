@@ -16,10 +16,6 @@
 
 namespace tc {
 
-/// Env default behind QueryOptions::vectorized (defined in executor.cpp, so
-/// the header stays free of env plumbing).
-bool DefaultVectorizedQueries();
-
 struct QueryOptions {
   /// The §3.4.2 consolidation + pushdown optimization; Figure 23 disables it.
   bool consolidate_field_access = true;
@@ -33,10 +29,6 @@ struct QueryOptions {
   bool has_nonlocal_exchange = false;
   /// Cap on executor threads (0 = one per partition).
   size_t max_threads = 0;
-  /// Route eligible scans through the vectorized engine (batched columnar
-  /// extraction behind a VecToRowBridge, so plans and sinks are unchanged).
-  /// Default from TC_VEC_ENABLE (on); fig27's row arm disables it.
-  bool vectorized = DefaultVectorizedQueries();
   /// Rows per ColumnBatch; 0 = TC_VEC_BATCH_ROWS (default 1024).
   size_t vec_batch_rows = 0;
 };
@@ -83,9 +75,10 @@ struct PartitionContext {
   /// Coherent snapshot of the partition's trees, pinned for the whole query:
   /// scans, secondary-index probes, and primary lookups of one pipeline all
   /// see the same LSM state, and concurrent flush/merge never blocks (or is
-  /// observed by) the query. Pass to Scan/LookupOperator.
+  /// observed by) the query. Pass to the scan (MakeVecScan) and to
+  /// LookupOperator.
   const PartitionReadView* view = nullptr;
-  /// The query's options (vectorization routing inside pipeline factories).
+  /// The query's options (batch size, pushdown inside pipeline factories).
   const QueryOptions* options = nullptr;
   /// This partition's per-operator counter registry (vectorized pipelines).
   VecCounterSet* vec_counters = nullptr;

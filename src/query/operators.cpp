@@ -7,81 +7,6 @@
 
 namespace tc {
 
-ScanOperator::ScanOperator(DatasetPartition* partition,
-                           const RecordAccessor* accessor, ScanSpec spec,
-                           ScanCounters* counters, const PartitionReadView* view)
-    : partition_(partition), accessor_(accessor), spec_(std::move(spec)),
-      counters_(counters), shared_view_(view) {}
-
-ScanOperator::~ScanOperator() = default;
-
-Status ScanOperator::Open() {
-  // Pin the snapshot this scan runs against: the query's shared partition
-  // view when provided, a private one otherwise. The iterator holds the view
-  // alive, so merged-away components stay readable until the scan ends.
-  view_ = shared_view_ != nullptr ? shared_view_->primary
-                                  : partition_->primary()->AcquireView();
-  it_ = std::make_unique<LsmTree::Iterator>(view_);
-  counts_in_filter_ = false;
-  if (spec_.predicate != nullptr) {
-    if (!accessor_->SupportsScanPredicate()) {
-      return Status::NotSupported("scan predicate on this storage format");
-    }
-    // Lower the predicate into the merged LSM cursor: non-matching positions
-    // are rejected on the packed payload bytes and never assembled. They are
-    // still rows the scan read, so the filter callback owns the counters —
-    // and the reusable matcher, so the per-record evaluation state (term
-    // flags, scope stack) is allocated once per scan, not once per row.
-    pred_paths_ = spec_.predicate->Paths();
-    matcher_ = std::make_unique<ScanPredicateMatcher>();
-    const RecordAccessor* accessor = accessor_;
-    std::shared_ptr<const ScanPredicate> pred = spec_.predicate;
-    const std::vector<FieldPath>* paths = &pred_paths_;
-    ScanCounters* counters = counters_;
-    ScanPredicateMatcher* matcher = matcher_.get();
-    it_->set_payload_filter(
-        [accessor, pred, paths, counters,
-         matcher](std::string_view payload) -> Result<bool> {
-          ++counters->rows;
-          counters->bytes += payload.size();
-          TC_ASSIGN_OR_RETURN(bool match,
-                              matcher->Matches(*accessor, payload, *pred, *paths));
-          if (!match) ++counters->filtered_pre_assembly;
-          return match;
-        });
-    counts_in_filter_ = true;
-  }
-  first_ = true;
-  return Status::OK();
-}
-
-Result<bool> ScanOperator::Next(Row* row) {
-  if (first_) {
-    TC_RETURN_IF_ERROR(it_->SeekToFirst());
-    first_ = false;
-  } else if (it_->Valid()) {
-    TC_RETURN_IF_ERROR(it_->Next());
-  }
-  if (!it_->Valid()) return false;
-  std::string_view payload = it_->payload();
-  if (!counts_in_filter_) {
-    ++counters_->rows;
-    counters_->bytes += payload.size();
-  }
-
-  row->partition = partition_->partition_id();
-  row->cols.clear();
-  if (!spec_.paths.empty()) {
-    TC_RETURN_IF_ERROR(accessor_->GetValues(payload, spec_.paths, &row->cols));
-  }
-  if (spec_.attach_record) {
-    row->record = std::make_shared<Buffer>(payload.begin(), payload.end());
-  } else {
-    row->record.reset();
-  }
-  return true;
-}
-
 LookupOperator::LookupOperator(DatasetPartition* partition,
                                const RecordAccessor* accessor,
                                std::vector<int64_t> pks, ScanSpec spec,
@@ -139,25 +64,6 @@ Result<bool> LookupOperator::Next(Row* row) {
     return true;
   }
   return false;
-}
-
-Result<bool> UnnestOperator::Next(Row* row) {
-  while (true) {
-    if (have_ && item_ < current_.cols[col_].size()) {
-      *row = current_;
-      row->cols[col_] = current_.cols[col_].item(item_);
-      ++item_;
-      return true;
-    }
-    have_ = false;
-    TC_ASSIGN_OR_RETURN(bool ok, child_->Next(&current_));
-    if (!ok) return false;
-    if (col_ >= current_.cols.size() || !current_.cols[col_].is_collection()) {
-      continue;  // inner unnest: non-collections contribute nothing
-    }
-    item_ = 0;
-    have_ = true;
-  }
 }
 
 std::vector<std::pair<std::string, AggCell>> GroupMap::TopK(

@@ -1,7 +1,9 @@
 // Pull-based query operators (the Hyracks-like runtime of paper §2.3).
 // Pipelines are assembled per partition and run in parallel by the executor;
 // rows flow bottom-up through Next(). Field access is performed at the scan
-// via a RecordAccessor (consolidated getValues by default, §3.4.2).
+// via a RecordAccessor (consolidated getValues by default, §3.4.2); the scan
+// itself is batch-at-a-time (query/vec/vec_operator.h, bridged into rows by
+// VecToRowBridge), and LookupOperator is the one row-producing source.
 #ifndef TC_QUERY_OPERATORS_H_
 #define TC_QUERY_OPERATORS_H_
 
@@ -52,42 +54,10 @@ struct ScanCounters {
 
 class ScanPredicateMatcher;  // query/scan_predicate.h
 
-/// Full scan of one partition's primary LSM index. Scans run against a
-/// ReadView snapshot: pass the query's coherent per-partition view triple
-/// (the executor's PartitionContext provides one) so every operator of the
-/// pipeline reads ONE LSM state; with a null view the operator pins its own
-/// snapshot at Open.
-class ScanOperator final : public Operator {
- public:
-  ScanOperator(DatasetPartition* partition, const RecordAccessor* accessor,
-               ScanSpec spec, ScanCounters* counters,
-               const PartitionReadView* view = nullptr);
-  ~ScanOperator() override;
-
-  Status Open() override;
-  Result<bool> Next(Row* row) override;
-
- private:
-  DatasetPartition* partition_;
-  const RecordAccessor* accessor_;
-  ScanSpec spec_;
-  ScanCounters* counters_;
-  const PartitionReadView* shared_view_;  // not owned; may be null
-  LsmTree::ReadViewRef view_;             // pinned snapshot for this scan
-  std::unique_ptr<LsmTree::Iterator> it_;
-  // Reusable lowered-predicate scratch owned by this scan's payload-filter
-  // callback: no per-row allocations in the deep-pushdown path.
-  std::unique_ptr<ScanPredicateMatcher> matcher_;
-  bool first_ = true;
-  // When the predicate is lowered into the LSM cursor, the cursor's filter
-  // callback owns row/byte counting (it sees filtered rows too).
-  bool counts_in_filter_ = false;
-  std::vector<FieldPath> pred_paths_;  // pred->Paths(), precomputed at Open
-};
-
 /// Point-lookup source: emits the records of the given primary keys (the
-/// secondary-index query path of §4.4.5). Lookups resolve against the same
-/// snapshot discipline as ScanOperator.
+/// secondary-index query path of §4.4.5). Lookups resolve against the
+/// query's pinned per-partition view, or a private snapshot pinned at Open
+/// when `view` is null: the same discipline as VecScanOperator.
 class LookupOperator final : public Operator {
  public:
   LookupOperator(DatasetPartition* partition, const RecordAccessor* accessor,
@@ -149,24 +119,6 @@ class MapOperator final : public Operator {
  private:
   std::unique_ptr<Operator> child_;
   Fn fn_;
-};
-
-/// Emits one row per item of the collection in `col`; rows whose column is
-/// not a collection (or is empty) produce nothing (inner unnest).
-class UnnestOperator final : public Operator {
- public:
-  UnnestOperator(std::unique_ptr<Operator> child, size_t col)
-      : child_(std::move(child)), col_(col) {}
-
-  Status Open() override { return child_->Open(); }
-  Result<bool> Next(Row* row) override;
-
- private:
-  std::unique_ptr<Operator> child_;
-  size_t col_;
-  Row current_;
-  size_t item_ = 0;
-  bool have_ = false;
 };
 
 // ---------------------------------------------------------------------------

@@ -47,24 +47,14 @@ std::string RenderTopK(const std::vector<std::pair<std::string, AggCell>>& top,
   return s;
 }
 
-// Builds the scan every eager plan shares: routed through the vectorized
-// engine (batched columnar extraction behind a VecToRowBridge) when the
-// options ask for it, so plans and sinks stay row-shaped either way.
-Result<std::unique_ptr<Operator>> MakeScan(const PartitionContext& ctx,
-                                           ScanSpec spec) {
-  if (ctx.options != nullptr && ctx.options->vectorized &&
-      ctx.vec_counters != nullptr) {
-    size_t batch_rows = ctx.options->vec_batch_rows > 0
-                            ? ctx.options->vec_batch_rows
-                            : VecBatchRowsFromEnv();
-    std::unique_ptr<VecOperator> scan(new VecScanOperator(
-        ctx.partition, ctx.accessor, std::move(spec), batch_rows, ctx.counters,
-        ctx.view, ctx.vec_counters->For("scan")));
-    return std::unique_ptr<Operator>(
-        new VecToRowBridge(std::move(scan), ctx.vec_counters->For("bridge")));
-  }
-  return std::unique_ptr<Operator>(new ScanOperator(
-      ctx.partition, ctx.accessor, std::move(spec), ctx.counters, ctx.view));
+// Builds the scan every plan shares: batched columnar extraction behind a
+// VecToRowBridge, so plans and sinks stay row-shaped. Paper-query plans set a
+// scan predicate only when it lowers, so it is always pushed into the scan.
+std::unique_ptr<Operator> MakeScan(const PartitionContext& ctx, ScanSpec spec) {
+  VecScanPipeline scan = MakeVecScan(ctx, std::move(spec), /*push_predicate=*/true,
+                                     ctx.options->vec_batch_rows);
+  return std::make_unique<VecToRowBridge>(std::move(scan.op),
+                                          ctx.vec_counters->For("bridge"));
 }
 
 // COUNT(*) over the primary index: a scan with no field extraction.
@@ -514,9 +504,8 @@ Result<PaperQueryResult> SensorsTopAvg(Dataset* ds, const QueryOptions& opt,
             }
             std::vector<FieldPath> scan_paths = {FieldPath::Parse("sensor_id"),
                                                  FieldPath::Parse("report_time")};
-            auto scan = std::make_unique<ScanOperator>(
-                ctx.partition, ctx.accessor, ScanSpec{scan_paths, /*attach=*/true, nullptr},
-                ctx.counters, ctx.view);
+            auto scan =
+                MakeScan(ctx, ScanSpec{scan_paths, /*attach=*/true, nullptr});
             auto filter = std::make_unique<FilterOperator>(
                 std::move(scan), [window](const Row& row) {
                   int64_t ts = row.cols[1].int_value();
@@ -594,7 +583,6 @@ Result<PaperQueryResult> TwitterJoinTopCountries(Dataset* users,
   spec.build_key = "id";
   spec.probe_key = "user.id";
   spec.build_paths = {"country"};
-  spec.vectorized = opt.vectorized;
   spec.batch_rows = opt.vec_batch_rows;
   spec.max_threads = opt.max_threads;
   spec.consolidate_field_access = opt.consolidate_field_access;

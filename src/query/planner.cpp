@@ -240,7 +240,6 @@ Result<QueryStats> RunPlannedScan(Dataset* dataset, const QueryOptions& options,
   std::vector<FieldPath> parsed;
   parsed.reserve(paths.size());
   for (const std::string& p : paths) parsed.push_back(FieldPath::Parse(p));
-  const size_t n_paths = parsed.size();
 
   PipelineFactory factory =
       [&, pred, parsed, decision](const PartitionContext& ctx)
@@ -266,44 +265,17 @@ Result<QueryStats> RunPlannedScan(Dataset* dataset, const QueryOptions& options,
             new LookupOperator(ctx.partition, ctx.accessor, std::move(pks),
                                std::move(spec), ctx.counters, ctx.view));
       }
-      case AccessPath::kFilteredScan: {
-        ScanSpec spec;
-        spec.paths = parsed;
-        spec.predicate = pred;
-        if (ctx.options != nullptr && ctx.options->vectorized) {
-          size_t batch_rows = ctx.options->vec_batch_rows > 0
-                                  ? ctx.options->vec_batch_rows
-                                  : VecBatchRowsFromEnv();
-          std::unique_ptr<VecOperator> scan(new VecScanOperator(
-              ctx.partition, ctx.accessor, std::move(spec), batch_rows,
-              ctx.counters, ctx.view, ctx.vec_counters->For("scan")));
-          return std::unique_ptr<Operator>(new VecToRowBridge(
-              std::move(scan), ctx.vec_counters->For("bridge")));
-        }
-        return std::unique_ptr<Operator>(
-            new ScanOperator(ctx.partition, ctx.accessor, std::move(spec),
-                             ctx.counters, ctx.view));
-      }
+      case AccessPath::kFilteredScan:
       case AccessPath::kFullScan: {
         ScanSpec spec;
         spec.paths = parsed;
-        if (pred != nullptr) {
-          for (const FieldPath& p : pred->Paths()) spec.paths.push_back(p);
-        }
-        std::unique_ptr<Operator> op(
-            new ScanOperator(ctx.partition, ctx.accessor, std::move(spec),
-                             ctx.counters, ctx.view));
-        if (pred != nullptr) {
-          op = std::make_unique<FilterOperator>(
-              std::move(op), MakeRowPredicate(pred, n_paths));
-          // Drop the predicate columns so sinks see the same row layout as
-          // the other access paths.
-          op = std::make_unique<MapOperator>(std::move(op), [n_paths](Row* row) {
-            row->cols.resize(n_paths);
-            return Status::OK();
-          });
-        }
-        return op;
+        spec.predicate = pred;
+        VecScanPipeline scan = MakeVecScan(
+            ctx, std::move(spec),
+            /*push_predicate=*/decision.path == AccessPath::kFilteredScan,
+            ctx.options->vec_batch_rows);
+        return std::unique_ptr<Operator>(new VecToRowBridge(
+            std::move(scan.op), ctx.vec_counters->For("bridge")));
       }
     }
     return Status::Internal("bad access path");

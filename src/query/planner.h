@@ -1,7 +1,8 @@
 // Cost-based access-path selection (the plan picker of the executor tier):
 // given a dataset's LSM shape and a scan predicate, choose per query between
-//   * kFullScan     — scan everything, evaluate the predicate on rows
-//                     (the only option when the predicate cannot lower);
+//   * kFullScan     — scan everything, evaluate the predicate on the
+//                     extracted column batches (the only option when the
+//                     predicate cannot lower);
 //   * kFilteredScan — scan with the predicate lowered below record assembly
 //                     (§3.4.2-deep: non-matching rows never assemble);
 //   * kIndexProbe   — resolve primary keys through the secondary index and
@@ -78,8 +79,8 @@ PlanDecision ChooseAccessPath(const PlannerInputs& inputs,
 
 /// Plans and runs a scan query: picks the access path for (dataset, pred),
 /// builds the per-partition pipelines (index probe → LookupOperator with the
-/// full predicate as residual; filtered scan → lowered scan, vectorized when
-/// the options say so; full scan → scan + row filter), and runs them through
+/// full predicate as residual; filtered scan → MakeVecScan with the predicate
+/// pushed; full scan → MakeVecScan with a batch filter), and runs them through
 /// RunPartitioned. Rows reaching the sinks carry exactly `paths` as columns
 /// under every access path. The decision is recorded in QueryStats::plan /
 /// plan_selectivity (and `decision_out` when given).

@@ -15,11 +15,11 @@
 // terms against each surviving record's packed vectors — walking tags, not
 // building AdmValues — and positions that fail never reach record/Row
 // assembly. Paths with [*] steps are existential ("some item satisfies").
-// When lowering is impossible (BSON payloads, predicates beyond this shape),
-// the same terms run as an ordinary row-level FilterOperator via
-// MakeRowPredicate; both paths share one semantic definition
-// (EvalPredicateTerm over AdmScalarSatisfies), and the scan-predicate tests
-// assert they return byte-identical result sets.
+// When lowering is impossible (BSON payloads, pushdown disabled), the same
+// terms run as a batch filter over the extracted columns (VecFilterOperator);
+// both paths share one semantic definition (EvalPredicateTerm over
+// AdmScalarSatisfies), and the scan-predicate tests assert they return the
+// result set of a row-level EvalPredicateRow reference.
 #ifndef TC_QUERY_SCAN_PREDICATE_H_
 #define TC_QUERY_SCAN_PREDICATE_H_
 
@@ -92,8 +92,9 @@ bool EvalPredicateTerm(const AdmValue& extracted, const PredicateTerm& term);
 bool EvalPredicateRow(const std::vector<AdmValue>& cols, const ScanPredicate& pred,
                       size_t first_col = 0);
 
-/// Builds the row-level fallback FilterOperator predicate. The child scan's
-/// ScanSpec.paths must contain `pred->Paths()` at [first_col, ...).
+/// Builds the row-level FilterOperator form of the predicate (the reference
+/// the lowered paths are tested against). The child's columns must contain
+/// `pred->Paths()` at [first_col, ...).
 FilterOperator::Predicate MakeRowPredicate(
     std::shared_ptr<const ScanPredicate> pred, size_t first_col);
 

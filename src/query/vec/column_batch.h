@@ -14,8 +14,8 @@
 // that adapts like any other column (doubles for readings[*].temp, the string
 // arena for hashtags[*].text). Missing/null rows are representable in every
 // storage family. The per-row ADM tag is always retained, so ValueAt()
-// reconstructs the exact AdmValue a row-at-a-time scan would have produced —
-// the row-bridge equivalence tests depend on that.
+// reconstructs the exact AdmValue RecordAccessor::GetValues returns — the
+// fast-path and inferred-vs-ADM equivalence tests depend on that.
 #ifndef TC_QUERY_VEC_COLUMN_BATCH_H_
 #define TC_QUERY_VEC_COLUMN_BATCH_H_
 
@@ -75,8 +75,8 @@ class ColumnVector {
   uint32_t ListBegin(size_t i) const { return i == 0 ? 0 : ends_[i - 1]; }
   uint32_t ListEnd(size_t i) const { return ends_[i]; }
 
-  /// Materializes row `i` as the AdmValue a row-at-a-time extraction would
-  /// have produced (exact tag preserved).
+  /// Materializes row `i` as the AdmValue RecordAccessor::GetValues would
+  /// have extracted (exact tag preserved).
   AdmValue ValueAt(size_t i) const;
 
   /// Approximate heap footprint, for the join's memory accounting. Constant

@@ -65,64 +65,19 @@ std::vector<FieldPath> ParseJoinPaths(const std::string& key,
   return out;
 }
 
-/// Builds one side's scan pipeline over a pinned view. With pushdown the
-/// predicate lowers into the scan; without it, predicate paths ride as extra
-/// trailing columns, a VecFilterOperator tests them, and a project drops them
-/// — so the sink-visible layout is the same either way. With `vectorized`
-/// off (fig27's baseline arm), the whole side runs as row operators — a
-/// virtual Next() and fresh AdmValues per tuple — and a RowToVecBridge feeds
-/// the shared batch join core.
-Result<std::unique_ptr<VecOperator>> MakeSideScan(
-    DatasetPartition* partition, const RecordAccessor* accessor,
-    const std::vector<FieldPath>& carried,
-    const std::shared_ptr<const ScanPredicate>& pred, bool pushdown,
-    bool vectorized, size_t batch_rows, ScanCounters* counters,
-    const PartitionReadView* view, VecCounterSet* vc, const char* scan_name) {
-  ScanSpec spec;
-  spec.paths = carried;
-  size_t first_pred_col = carried.size();
-  if (!vectorized) {
-    std::unique_ptr<Operator> op;
-    if (pred != nullptr && pushdown) {
-      spec.predicate = pred;
-      op = std::make_unique<ScanOperator>(partition, accessor, std::move(spec),
-                                          counters, view);
-    } else {
-      if (pred != nullptr) {
-        for (const FieldPath& p : pred->Paths()) spec.paths.push_back(p);
-      }
-      op = std::make_unique<ScanOperator>(partition, accessor, std::move(spec),
-                                          counters, view);
-      if (pred != nullptr) {
-        op = std::make_unique<FilterOperator>(
-            std::move(op), MakeRowPredicate(pred, first_pred_col));
-      }
-    }
-    // The bridge copies only the carried columns, so trailing predicate
-    // columns drop here just as the project drops them in the batch pipeline.
-    return std::unique_ptr<VecOperator>(new RowToVecBridge(
-        std::move(op), carried.size(), batch_rows, vc->For(scan_name)));
-  }
-  if (pred != nullptr && pushdown) {
-    spec.predicate = pred;
-    return std::unique_ptr<VecOperator>(
-        new VecScanOperator(partition, accessor, std::move(spec), batch_rows,
-                            counters, view, vc->For(scan_name)));
-  }
-  if (pred != nullptr) {
-    for (const FieldPath& p : pred->Paths()) spec.paths.push_back(p);
-  }
-  std::unique_ptr<VecOperator> op(
-      new VecScanOperator(partition, accessor, std::move(spec), batch_rows,
-                          counters, view, vc->For(scan_name)));
-  if (pred != nullptr) {
-    op.reset(new VecFilterOperator(std::move(op), pred, first_pred_col,
-                                   vc->For("join_filter")));
-    std::vector<size_t> keep;
-    for (size_t i = 0; i < first_pred_col; ++i) keep.push_back(i);
-    op.reset(new VecProjectOperator(std::move(op), std::move(keep)));
-  }
-  return op;
+/// The context of one join side's scan over a pinned view. The join has no
+/// QueryOptions: its knobs go to MakeVecScan directly.
+PartitionContext SideContext(DatasetPartition* partition,
+                             const RecordAccessor* accessor,
+                             ScanCounters* counters,
+                             const PartitionReadView* view, VecCounterSet* vc) {
+  PartitionContext ctx;
+  ctx.partition = partition;
+  ctx.accessor = accessor;
+  ctx.counters = counters;
+  ctx.view = view;
+  ctx.vec_counters = vc;
+  return ctx;
 }
 
 }  // namespace
@@ -133,8 +88,6 @@ Result<JoinStats> HashJoinDatasets(Dataset* build, Dataset* probe,
   auto start = std::chrono::steady_clock::now();
   const size_t bn = build->partition_count();
   const size_t pn = probe->partition_count();
-  const size_t batch_rows =
-      spec.batch_rows > 0 ? spec.batch_rows : VecBatchRowsFromEnv();
   const size_t budget = spec.build_budget_bytes > 0 ? spec.build_budget_bytes
                                                     : JoinBuildBudgetFromEnv();
   MemoryArbiter* arbiter = build->options().arbiter != nullptr
@@ -190,12 +143,13 @@ Result<JoinStats> HashJoinDatasets(Dataset* build, Dataset* probe,
       if (built[bp]) continue;
       BuildTable& t = tables[bp];
       t.store.Reset(nb);
-      TC_ASSIGN_OR_RETURN(
-          std::unique_ptr<VecOperator> op,
-          MakeSideScan(build->partition(bp), build_acc[bp].get(), build_cols,
-                       spec.build_predicate, spec.pushdown_scan_predicates,
-                       spec.vectorized, batch_rows, &build_sc[bp],
-                       &build_views[bp], &build_vc, "join_build_scan"));
+      std::unique_ptr<VecOperator> op =
+          MakeVecScan(SideContext(build->partition(bp), build_acc[bp].get(),
+                                  &build_sc[bp], &build_views[bp], &build_vc),
+                      ScanSpec{build_cols, false, spec.build_predicate},
+                      spec.pushdown_scan_predicates, spec.batch_rows,
+                      "join_build_scan", "join_filter")
+              .op;
       TC_RETURN_IF_ERROR(op->Open());
       ColumnBatch batch;
       Status key_st = Status::OK();
@@ -259,6 +213,12 @@ Result<JoinStats> HashJoinDatasets(Dataset* build, Dataset* probe,
         size_t i = next_part.fetch_add(1);
         if (i >= pn) return;
         JoinBatchSink sink = make_sink(static_cast<int>(i));
+        VecScanPipeline scan = MakeVecScan(
+            SideContext(probe->partition(i), probe_acc[i].get(), &probe_sc[i],
+                        &probe_views[i], &probe_vc[i]),
+            ScanSpec{probe_cols, false, spec.probe_predicate},
+            spec.pushdown_scan_predicates, spec.batch_rows, "join_probe_scan",
+            "join_filter");
         ColumnBatch out;
         out.Reset(out_width);
         out.partition = static_cast<int32_t>(i);
@@ -286,25 +246,15 @@ Result<JoinStats> HashJoinDatasets(Dataset* build, Dataset* probe,
             }
             add_probe_cols();
             ++out.rows;
-            if (out.rows >= batch_rows) TC_RETURN_IF_ERROR(flush());
+            if (out.rows >= scan.batch_rows) TC_RETURN_IF_ERROR(flush());
           }
           return Status::OK();
         };
 
-        auto made = MakeSideScan(
-            probe->partition(i), probe_acc[i].get(), probe_cols,
-            spec.probe_predicate, spec.pushdown_scan_predicates,
-            spec.vectorized, batch_rows, &probe_sc[i], &probe_views[i],
-            &probe_vc[i], "join_probe_scan");
-        if (!made.ok()) {
-          statuses[i] = made.status();
-          return;
-        }
-        std::unique_ptr<VecOperator> op = std::move(made).value();
-        Status st = op->Open();
+        Status st = scan.op->Open();
         ColumnBatch batch;
         while (st.ok()) {
-          auto more = op->Next(&batch);
+          auto more = scan.op->Next(&batch);
           if (!more.ok()) {
             st = more.status();
             break;

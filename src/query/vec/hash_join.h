@@ -61,9 +61,6 @@ struct JoinSpec {
   size_t build_budget_bytes = 0;
   /// Rows per output/probe batch; 0 = TC_VEC_BATCH_ROWS.
   size_t batch_rows = 0;
-  /// Probe arm: vectorized scan (default) or the row-operator bridge arm —
-  /// the fig27 comparison axis.
-  bool vectorized = true;
   /// Probe-side parallelism (0 = one thread per probe partition). The build
   /// loads sequentially: it is budget-accounted and usually much smaller.
   size_t max_threads = 0;

@@ -7,12 +7,14 @@
 #include "query/scan_predicate.h"
 
 namespace tc {
+namespace {
 
+/// TC_VEC_BATCH_ROWS (default 1024, min 1); read only by MakeVecScan.
 size_t VecBatchRowsFromEnv() {
   return static_cast<size_t>(std::max<int64_t>(1, EnvInt64("TC_VEC_BATCH_ROWS", 1024)));
 }
 
-bool VecEnabledFromEnv() { return EnvInt64("TC_VEC_ENABLE", 1) != 0; }
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // Columnar fast-path extraction: one walk over the record's packed vectors
@@ -228,6 +230,9 @@ VecScanOperator::VecScanOperator(DatasetPartition* partition,
 VecScanOperator::~VecScanOperator() = default;
 
 Status VecScanOperator::Open() {
+  // Pin the snapshot this scan runs against: the query's shared partition
+  // view when provided, a private one otherwise. The iterator holds the view
+  // alive, so merged-away components stay readable until the scan ends.
   view_ = shared_view_ != nullptr ? shared_view_->primary
                                   : partition_->primary()->AcquireView();
   it_ = std::make_unique<LsmTree::Iterator>(view_);
@@ -236,8 +241,11 @@ Status VecScanOperator::Open() {
     if (!accessor_->SupportsScanPredicate()) {
       return Status::NotSupported("scan predicate on this storage format");
     }
-    // Identical lowering to ScanOperator::Open: the cursor's filter callback
-    // owns the counters and the reusable matcher.
+    // Lower the predicate into the merged LSM cursor: non-matching positions
+    // are rejected on the packed payload bytes and never assembled. They are
+    // still rows the scan read, so the filter callback owns the counters —
+    // and the reusable matcher, so the per-record evaluation state (term
+    // flags, scope stack) is allocated once per scan, not once per row.
     pred_paths_ = spec_.predicate->Paths();
     matcher_ = std::make_unique<ScanPredicateMatcher>();
     const RecordAccessor* accessor = accessor_;
@@ -493,38 +501,35 @@ Result<bool> VecToRowBridge::Next(Row* row) {
   }
 }
 
-RowToVecBridge::RowToVecBridge(std::unique_ptr<Operator> child, size_t num_cols,
-                               size_t batch_rows, VecOpCounters* op_counters)
-    : child_(std::move(child)), num_cols_(num_cols),
-      batch_rows_(std::max<size_t>(1, batch_rows)), op_counters_(op_counters) {}
+// ---------------------------------------------------------------------------
+// The scan builder
+// ---------------------------------------------------------------------------
 
-Status RowToVecBridge::Open() { return child_->Open(); }
-
-Result<bool> RowToVecBridge::Next(ColumnBatch* batch) {
-  batch->Reset(num_cols_);
-  Row row;
-  while (batch->rows < batch_rows_) {
-    TC_ASSIGN_OR_RETURN(bool ok, child_->Next(&row));
-    if (!ok) break;
-    batch->partition = row.partition;
-    for (size_t c = 0; c < num_cols_; ++c) {
-      if (c < row.cols.size()) {
-        batch->cols[c].AppendValue(row.cols[c]);
-      } else {
-        batch->cols[c].AppendMissing();
-      }
-    }
-    batch->records.push_back(std::move(row.record));
-    ++batch->rows;
-    row = Row{};
+VecScanPipeline MakeVecScan(const PartitionContext& ctx, ScanSpec spec,
+                            bool push_predicate, size_t batch_rows,
+                            const char* scan_name, const char* filter_name) {
+  auto counters = [&ctx](const char* name) -> VecOpCounters* {
+    return ctx.vec_counters != nullptr ? ctx.vec_counters->For(name) : nullptr;
+  };
+  VecScanPipeline out;
+  out.batch_rows = batch_rows > 0 ? batch_rows : VecBatchRowsFromEnv();
+  std::shared_ptr<const ScanPredicate> pred;
+  if (!push_predicate) std::swap(pred, spec.predicate);
+  const size_t first_pred_col = spec.paths.size();
+  if (pred != nullptr) {
+    for (const FieldPath& p : pred->Paths()) spec.paths.push_back(p);
   }
-  if (batch->rows == 0) return false;
-  if (op_counters_ != nullptr) {
-    ++op_counters_->batches;
-    op_counters_->rows += batch->rows;
-    op_counters_->bytes += batch->ByteSize();
+  out.op.reset(new VecScanOperator(ctx.partition, ctx.accessor, std::move(spec),
+                                   out.batch_rows, ctx.counters, ctx.view,
+                                   counters(scan_name)));
+  if (pred != nullptr) {
+    out.op.reset(new VecFilterOperator(std::move(out.op), pred, first_pred_col,
+                                       counters(filter_name)));
+    std::vector<size_t> keep(first_pred_col);
+    for (size_t i = 0; i < first_pred_col; ++i) keep[i] = i;
+    out.op.reset(new VecProjectOperator(std::move(out.op), std::move(keep)));
   }
-  return true;
+  return out;
 }
 
 }  // namespace tc

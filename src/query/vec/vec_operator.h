@@ -1,17 +1,18 @@
-// Batch-at-a-time operators (the vectorized tier of the query engine). The
-// row operators in query/operators.h pay a virtual Next() and a fresh
-// Row{}/AdmValue materialization per tuple; these amortize both over
-// TC_VEC_BATCH_ROWS rows: the scan fills typed column vectors straight from
-// the packed record payloads (no per-row heap traffic on the fast path),
-// filters mark a selection vector instead of copying, and VecToRowBridge
-// adapts a vectorized pipeline back into a row Operator so every existing
-// executor plan and sink keeps working unchanged.
+// Batch-at-a-time operators: the query engine's only scan tier. Operators
+// exchange TC_VEC_BATCH_ROWS rows at a time instead of paying a virtual
+// Next() and a fresh Row{}/AdmValue materialization per tuple: the scan fills
+// typed column vectors straight from the packed record payloads (no per-row
+// heap traffic on the fast path), filters mark a selection vector instead of
+// copying, and VecToRowBridge adapts a vectorized pipeline into a row
+// Operator so executor plans and row sinks consume it unchanged. MakeVecScan
+// is the one builder every scan goes through.
 #ifndef TC_QUERY_VEC_VEC_OPERATOR_H_
 #define TC_QUERY_VEC_VEC_OPERATOR_H_
 
 #include <memory>
 #include <vector>
 
+#include "query/executor.h"
 #include "query/operators.h"
 #include "query/vec/column_batch.h"
 #include "query/vec/vec_counters.h"
@@ -20,11 +21,6 @@ namespace tc {
 
 class ScanPredicateMatcher;  // query/scan_predicate.h
 class VecPathExtractor;      // vec_operator.cpp: columnar fast-path extraction
-
-/// TC_VEC_BATCH_ROWS (default 1024, min 1).
-size_t VecBatchRowsFromEnv();
-/// TC_VEC_ENABLE (default on): route eligible scans through this engine.
-bool VecEnabledFromEnv();
 
 class VecOperator {
  public:
@@ -36,9 +32,13 @@ class VecOperator {
   virtual Result<bool> Next(ColumnBatch* batch) = 0;
 };
 
-/// Batch-producing full scan of one partition's primary LSM index. Predicate
-/// lowering is identical to ScanOperator (the merged cursor's payload filter
-/// owns the counters and a reusable matcher); surviving records are extracted
+/// Batch-producing full scan of one partition's primary LSM index. Scans run
+/// against a ReadView snapshot: pass the query's coherent per-partition view
+/// triple (the executor's PartitionContext provides one) so every operator of
+/// the pipeline reads ONE LSM state; with a null view the operator pins its
+/// own snapshot at Open. A lowered predicate runs as the merged cursor's
+/// payload filter, which owns the counters and a reusable matcher, so
+/// non-matching records are never assembled. Surviving records are extracted
 /// into column vectors — via a direct walk over the packed vectors when the
 /// format allows (vector-based records, consolidated access): exact paths
 /// into typed columns, [*] paths into list columns of typed items. A record
@@ -131,23 +131,24 @@ class VecToRowBridge final : public Operator {
   bool have_ = false;
 };
 
-/// Adapts a row Operator into a batch producer (the row-at-a-time arm of the
-/// vec-vs-row comparisons; also lets row-only sources feed batch consumers).
-class RowToVecBridge final : public VecOperator {
- public:
-  RowToVecBridge(std::unique_ptr<Operator> child, size_t num_cols,
-                 size_t batch_rows, VecOpCounters* op_counters = nullptr);
-
-  Status Open() override;
-  Result<bool> Next(ColumnBatch* batch) override;
-
- private:
-  std::unique_ptr<Operator> child_;
-  size_t num_cols_;
-  size_t batch_rows_;
-  VecOpCounters* op_counters_;
-  int32_t partition_ = -1;
+/// A scan pipeline and the rows per batch its scan fills.
+struct VecScanPipeline {
+  std::unique_ptr<VecOperator> op;
+  size_t batch_rows = 0;
 };
+
+/// Builds the scan of `ctx.partition` around `spec.predicate`: the one place
+/// that decides how a scan handles its predicate. With `push_predicate` the
+/// predicate lowers into the VecScanOperator (§3.4.2-deep). Otherwise its
+/// paths ride as trailing columns, a VecFilterOperator tests them and a
+/// VecProjectOperator drops them. Either way the pipeline's columns are
+/// exactly `spec.paths`. `batch_rows` 0 means TC_VEC_BATCH_ROWS. Counters
+/// register in `ctx.vec_counters` (when set) as `scan_name` and
+/// `filter_name`.
+VecScanPipeline MakeVecScan(const PartitionContext& ctx, ScanSpec spec,
+                            bool push_predicate, size_t batch_rows,
+                            const char* scan_name = "scan",
+                            const char* filter_name = "filter");
 
 }  // namespace tc
 

@@ -35,7 +35,7 @@ TEST(Operators, ScanCountsEverything) {
   EXPECT_GT(res.stats.bytes_scanned, 0u);
 }
 
-TEST(Operators, UnnestOperator) {
+TEST(Operators, SensorsQ1CountsUnnestedReadings) {
   QueryFixture q;
   q.Load(SchemaMode::kInferred, "sensors", 10, 1);
   // SensorsQ1 counts unnested readings: 117 per record.

@@ -6,6 +6,7 @@
 #include "adm/printer.h"
 #include "query/paper_queries.h"
 #include "query/scan_predicate.h"
+#include "query/vec/vec_operator.h"
 #include "tests/test_util.h"
 #include "workload/workload.h"
 
@@ -187,9 +188,11 @@ TEST(PackedKernels, WalkerFixedRunOnlyInsideCollections) {
 }
 
 // ---------------------------------------------------------------------------
-// Randomized equivalence: lowered scans == row-level FilterOperator, across
-// storage modes, union-typed/missing/null leaves, and multi-component trees
-// with deletes and shape-changing upserts.
+// Randomized equivalence: the scan with its predicate lowered, and the scan
+// with a batch filter above it, both equal an unlowered reference that walks
+// each partition's read view through RecordAccessor::GetValues and
+// EvalPredicateRow — across storage modes, union-typed/missing/null leaves,
+// and multi-component trees with deletes and shape-changing upserts.
 // ---------------------------------------------------------------------------
 
 AdmValue ChurnRecord(Rng* rng, int64_t id) {
@@ -281,33 +284,39 @@ struct ScanResult {
   QueryStats stats;
 };
 
-// Runs the scan over `fx` with the predicate either LOWERED into the scan or
-// applied as a row-level FilterOperator above it.
-ScanResult RunScan(DatasetFixture* fx, const QueryOptions& qo,
-                   std::shared_ptr<const ScanPredicate> pred, bool lowered) {
+// The sink-visible columns: the key, then the predicate's paths.
+std::vector<FieldPath> ScanPaths(const ScanPredicate& pred) {
   std::vector<FieldPath> paths = {FieldPath::Parse("id")};
-  for (const auto& p : pred->Paths()) paths.push_back(p);
+  for (const auto& p : pred.Paths()) paths.push_back(p);
+  return paths;
+}
+
+std::string RenderRow(const std::vector<AdmValue>& cols) {
+  std::string s;
+  for (const auto& c : cols) {
+    s += PrintAdm(c);
+    s += "|";
+  }
+  return s;
+}
+
+// Runs the scan over `fx` through MakeVecScan, with the predicate either
+// pushed into the scan or tested by a batch filter above it.
+ScanResult RunScan(DatasetFixture* fx, const QueryOptions& qo,
+                   std::shared_ptr<const ScanPredicate> pred, bool push) {
+  std::vector<FieldPath> paths = ScanPaths(*pred);
   ScanResult out;
   std::mutex mu;
   auto stats = RunPartitioned(
       fx->dataset.get(), qo,
       [&](const PartitionContext& ctx) -> Result<std::unique_ptr<Operator>> {
-        ScanSpec spec;
-        spec.paths = paths;
-        if (lowered) spec.predicate = pred;
-        auto scan = std::make_unique<ScanOperator>(ctx.partition, ctx.accessor,
-                                                   std::move(spec), ctx.counters);
-        if (lowered) return {std::move(scan)};
-        return {std::make_unique<FilterOperator>(std::move(scan),
-                                                 MakeRowPredicate(pred, 1))};
+        VecScanPipeline scan =
+            MakeVecScan(ctx, ScanSpec{paths, false, pred}, push, /*batch_rows=*/7);
+        return std::unique_ptr<Operator>(new VecToRowBridge(std::move(scan.op)));
       },
       [&](int) -> RowSink {
         return [&](Row&& row) -> Status {
-          std::string s;
-          for (const auto& c : row.cols) {
-            s += PrintAdm(c);
-            s += "|";
-          }
+          std::string s = RenderRow(row.cols);
           std::lock_guard<std::mutex> lock(mu);
           out.rows.push_back(std::move(s));
           return Status::OK();
@@ -315,6 +324,38 @@ ScanResult RunScan(DatasetFixture* fx, const QueryOptions& qo,
       });
   EXPECT_TRUE(stats.ok()) << stats.status().ToString();
   if (stats.ok()) out.stats = stats.value();
+  std::sort(out.rows.begin(), out.rows.end());
+  return out;
+}
+
+// The unlowered reference: every surviving record of every partition's read
+// view, extracted with RecordAccessor::GetValues and kept when
+// EvalPredicateRow holds. Counts rows/bytes the way a scan does.
+ScanResult ReferenceScan(DatasetFixture* fx, bool consolidate,
+                         const ScanPredicate& pred) {
+  std::vector<FieldPath> paths = ScanPaths(pred);
+  ScanResult out;
+  for (size_t i = 0; i < fx->dataset->partition_count(); ++i) {
+    DatasetPartition* part = fx->dataset->partition(i);
+    PartitionReadView view = part->AcquireReadView();
+    RecordAccessor accessor(part->options().mode, &part->options().type,
+                            part->SchemaSnapshot(), consolidate);
+    LsmTree::Iterator it(view.primary);
+    std::vector<AdmValue> cols;
+    Status st = it.SeekToFirst();
+    for (; st.ok() && it.Valid(); st = it.Next()) {
+      std::string_view payload = it.payload();
+      ++out.stats.rows_scanned;
+      out.stats.bytes_scanned += payload.size();
+      cols.clear();
+      Status got = accessor.GetValues(payload, paths, &cols);
+      EXPECT_TRUE(got.ok()) << got.ToString();
+      if (got.ok() && EvalPredicateRow(cols, pred, 1)) {
+        out.rows.push_back(RenderRow(cols));
+      }
+    }
+    EXPECT_TRUE(st.ok()) << st.ToString();
+  }
   std::sort(out.rows.begin(), out.rows.end());
   return out;
 }
@@ -360,18 +401,23 @@ TEST(LoweredPredicateEquivalence, RandomizedAcrossModesAndChurn) {
       qo.consolidate_field_access = cfg.consolidate;
       for (int p = 0; p < 12; ++p) {
         auto pred = RandomPredicate(&rng);
-        ScanResult lowered = RunScan(&fx, qo, pred, /*lowered=*/true);
-        ScanResult row_level = RunScan(&fx, qo, pred, /*lowered=*/false);
-        EXPECT_EQ(lowered.rows, row_level.rows)
-            << "mode=" << SchemaModeName(cfg.mode)
-            << " consolidate=" << cfg.consolidate << " seed=" << seed
-            << " pred#" << p;
+        ScanResult ref = ReferenceScan(&fx, cfg.consolidate, *pred);
+        ScanResult lowered = RunScan(&fx, qo, pred, /*push=*/true);
+        ScanResult filtered = RunScan(&fx, qo, pred, /*push=*/false);
+        std::string where = std::string("mode=") + SchemaModeName(cfg.mode) +
+                            " consolidate=" + std::to_string(cfg.consolidate) +
+                            " seed=" + std::to_string(seed) +
+                            " pred#" + std::to_string(p);
+        EXPECT_EQ(lowered.rows, ref.rows) << where;
+        EXPECT_EQ(filtered.rows, ref.rows) << where;
         // Skipped rows are scanned-but-filtered, never dropped from stats.
-        EXPECT_EQ(lowered.stats.rows_scanned, row_level.stats.rows_scanned);
-        EXPECT_EQ(lowered.stats.bytes_scanned, row_level.stats.bytes_scanned);
+        for (const ScanResult* r : {&lowered, &filtered}) {
+          EXPECT_EQ(r->stats.rows_scanned, ref.stats.rows_scanned) << where;
+          EXPECT_EQ(r->stats.bytes_scanned, ref.stats.bytes_scanned) << where;
+        }
         EXPECT_EQ(lowered.stats.rows_filtered_pre_assembly,
                   lowered.stats.rows_scanned - lowered.rows.size());
-        EXPECT_EQ(row_level.stats.rows_filtered_pre_assembly, 0u);
+        EXPECT_EQ(filtered.stats.rows_filtered_pre_assembly, 0u);
       }
     }
   }

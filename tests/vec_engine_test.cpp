@@ -1,6 +1,7 @@
 // Tests for the vectorized execution tier: ColumnVector storage adaptation
-// (list columns included), vec-vs-row paper-query equivalence (the bridge must
-// be invisible to sinks), the scan's columnar fast path checked against
+// (list columns included), paper queries on inferred data checked against the
+// same records in ADM format (which never take the columnar fast path), the
+// scan's columnar fast path checked against
 // GetValuesVector on randomized records and path sets, and the partitioned
 // hash join checked against a nested-loop reference under randomized
 // partition counts, key skew, budget-forced multi-wave execution, and
@@ -230,9 +231,13 @@ TEST(ColumnBatch, SelectionVectorDrivesActiveRows) {
 }
 
 // ---------------------------------------------------------------------------
-// Vec-vs-row paper-query equivalence: toggling QueryOptions::vectorized (and
-// shrinking the batch size to force many batch boundaries) must not change
-// any query result.
+// Paper-query equivalence against an independent reference: the same records
+// loaded in kOpen (ADM) mode always go through the generic GetValues walk, so
+// inferred-mode results (columnar fast path, list columns, predicates on
+// packed vectors) must match them at every batch size (1 and 7 force many
+// batch boundaries), and with consolidated field access off, whose Sensors
+// plans fetch whole readings objects (and, without pushdown, filter above the
+// scan before fetching them).
 // ---------------------------------------------------------------------------
 
 TEST(VecRowEquivalence, PaperQueriesAgree) {
@@ -240,32 +245,44 @@ TEST(VecRowEquivalence, PaperQueriesAgree) {
     const char* workload;
     int n;
   };
+  struct Plan {
+    bool consolidate;
+    bool pushdown;
+  };
   for (const Case& cs : {Case{"twitter", 60}, Case{"sensors", 24}, Case{"wos", 40}}) {
-    DatasetFixture fx;
-    DatasetOptions o = SmallOptions(SchemaMode::kInferred, 128);
-    auto gen = MakeGenerator(cs.workload, 42);
-    ASSERT_TRUE(fx.Open(std::move(o), 2).ok());
-    for (int i = 0; i < cs.n; ++i) {
-      ASSERT_TRUE(fx.dataset->Insert(gen->NextRecord()).ok());
-    }
-    ASSERT_TRUE(fx.dataset->FlushAll().ok());
-    for (int q = 1; q <= 4; ++q) {
-      QueryOptions row;
-      row.vectorized = false;
-      auto ref = RunPaperQuery(cs.workload, q, fx.dataset.get(), row);
-      ASSERT_TRUE(ref.ok()) << cs.workload << " q" << q << ": "
-                            << ref.status().ToString();
-      for (size_t batch_rows : {size_t{1}, size_t{7}, size_t{1024}}) {
-        QueryOptions vec;
-        vec.vectorized = true;
-        vec.vec_batch_rows = batch_rows;
-        auto got = RunPaperQuery(cs.workload, q, fx.dataset.get(), vec);
-        ASSERT_TRUE(got.ok()) << cs.workload << " q" << q;
-        EXPECT_EQ(got.value().summary, ref.value().summary)
-            << cs.workload << " q" << q << " batch_rows=" << batch_rows;
-        EXPECT_EQ(got.value().result_hash, ref.value().result_hash)
-            << cs.workload << " q" << q << " batch_rows=" << batch_rows;
-        EXPECT_EQ(got.value().stats.rows_scanned, ref.value().stats.rows_scanned);
+    auto load = [&cs](SchemaMode mode, DatasetFixture* fx) {
+      auto gen = MakeGenerator(cs.workload, 42);
+      ASSERT_TRUE(fx->Open(SmallOptions(mode, 128), 2).ok());
+      for (int i = 0; i < cs.n; ++i) {
+        ASSERT_TRUE(fx->dataset->Insert(gen->NextRecord()).ok());
+      }
+      ASSERT_TRUE(fx->dataset->FlushAll().ok());
+    };
+    DatasetFixture inferred, adm;
+    load(SchemaMode::kInferred, &inferred);
+    load(SchemaMode::kOpen, &adm);
+    for (const Plan& plan : {Plan{true, true}, Plan{false, true}, Plan{false, false}}) {
+      QueryOptions ref_opt;
+      ref_opt.consolidate_field_access = plan.consolidate;
+      ref_opt.pushdown_scan_predicates = plan.pushdown;
+      for (int q = 1; q <= 4; ++q) {
+        std::string where = std::string(cs.workload) + " q" + std::to_string(q) +
+                            " consolidate=" + std::to_string(plan.consolidate) +
+                            " pushdown=" + std::to_string(plan.pushdown);
+        auto ref = RunPaperQuery(cs.workload, q, adm.dataset.get(), ref_opt);
+        ASSERT_TRUE(ref.ok()) << where << ": " << ref.status().ToString();
+        for (size_t batch_rows : {size_t{1}, size_t{7}, size_t{1024}}) {
+          QueryOptions opt = ref_opt;
+          opt.vec_batch_rows = batch_rows;
+          auto got = RunPaperQuery(cs.workload, q, inferred.dataset.get(), opt);
+          ASSERT_TRUE(got.ok()) << where << ": " << got.status().ToString();
+          EXPECT_EQ(got.value().summary, ref.value().summary)
+              << where << " batch_rows=" << batch_rows;
+          EXPECT_EQ(got.value().result_hash, ref.value().result_hash)
+              << where << " batch_rows=" << batch_rows;
+          EXPECT_EQ(got.value().stats.rows_scanned, ref.value().stats.rows_scanned)
+              << where << " batch_rows=" << batch_rows;
+        }
       }
     }
   }
@@ -277,9 +294,7 @@ TEST(VecRowEquivalence, VectorizedRunsReportOperatorCounters) {
   ASSERT_TRUE(fx.Open(SmallOptions(SchemaMode::kInferred, 128), 2).ok());
   for (int i = 0; i < 30; ++i) ASSERT_TRUE(fx.dataset->Insert(gen->NextRecord()).ok());
   ASSERT_TRUE(fx.dataset->FlushAll().ok());
-  QueryOptions vec;
-  vec.vectorized = true;
-  auto res = TwitterQ2(fx.dataset.get(), vec).ValueOrDie();
+  auto res = TwitterQ2(fx.dataset.get(), QueryOptions{}).ValueOrDie();
   bool saw_scan = false;
   for (const QueryOpCounters& op : res.stats.operators) {
     if (op.name == "scan") {
@@ -289,15 +304,10 @@ TEST(VecRowEquivalence, VectorizedRunsReportOperatorCounters) {
     }
   }
   EXPECT_TRUE(saw_scan);
-  QueryOptions row;
-  row.vectorized = false;
-  auto rres = TwitterQ2(fx.dataset.get(), row).ValueOrDie();
-  EXPECT_TRUE(rres.stats.operators.empty());
 }
 
-// IN-list predicates through all four (vectorized × pushdown) paths: the
-// lowered vector matcher, the vec filter, and the row-level fallback must
-// select the same rows.
+// IN-list predicates with and without pushdown: the lowered vector matcher
+// and the batch filter must select the same rows.
 TEST(VecRowEquivalence, InListPredicateAllPathsAgree) {
   DatasetFixture fx;
   auto gen = MakeGenerator("twitter", 11);
@@ -320,24 +330,20 @@ TEST(VecRowEquivalence, InListPredicateAllPathsAgree) {
     if (uid == 2 || uid == 5 || uid == 7) ++expected;
   }
   ASSERT_GT(expected, 0u);
-  for (bool vectorized : {false, true}) {
-    for (bool pushdown : {false, true}) {
-      QueryOptions opt;
-      opt.vectorized = vectorized;
-      opt.pushdown_scan_predicates = pushdown;
-      opt.vec_batch_rows = 5;
-      std::vector<uint64_t> counts(2, 0);
-      auto sink = [&](int p) {
-        return [&counts, p](Row&&) {
-          ++counts[p];
-          return Status::OK();
-        };
+  for (bool pushdown : {false, true}) {
+    QueryOptions opt;
+    opt.pushdown_scan_predicates = pushdown;
+    opt.vec_batch_rows = 5;
+    std::vector<uint64_t> counts(2, 0);
+    auto sink = [&](int p) {
+      return [&counts, p](Row&&) {
+        ++counts[p];
+        return Status::OK();
       };
-      auto stats = RunPlannedScan(fx.dataset.get(), opt, {}, pred, sink);
-      ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-      EXPECT_EQ(counts[0] + counts[1], expected)
-          << "vectorized=" << vectorized << " pushdown=" << pushdown;
-    }
+    };
+    auto stats = RunPlannedScan(fx.dataset.get(), opt, {}, pred, sink);
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    EXPECT_EQ(counts[0] + counts[1], expected) << "pushdown=" << pushdown;
   }
 }
 
@@ -528,9 +534,7 @@ TEST(VecFastPath, WildcardPaperQueriesReportNoFallbackRows) {
       }
     }
     for (int q : cs.queries) {
-      QueryOptions vec;
-      vec.vectorized = true;
-      auto res = RunPaperQuery(cs.workload, q, fx.dataset.get(), vec);
+      auto res = RunPaperQuery(cs.workload, q, fx.dataset.get(), QueryOptions{});
       ASSERT_TRUE(res.ok()) << cs.workload << " q" << q;
       bool saw_scan = false;
       for (const QueryOpCounters& op : res.value().stats.operators) {
@@ -549,10 +553,8 @@ TEST(VecFastPath, ObjectTerminalFallbackIsVisibleInQueryStats) {
   ASSERT_TRUE(fx.Open(SmallOptions(SchemaMode::kInferred, 128), 2).ok());
   for (int i = 0; i < 30; ++i) ASSERT_TRUE(fx.dataset->Insert(gen->NextRecord()).ok());
   ASSERT_TRUE(fx.dataset->FlushAll().ok());
-  QueryOptions vec;
-  vec.vectorized = true;
   auto stats = RunPartitioned(
-      fx.dataset.get(), vec,
+      fx.dataset.get(), QueryOptions{},
       [](const PartitionContext& ctx) -> Result<std::unique_ptr<Operator>> {
         ScanSpec spec;
         spec.paths = {FieldPath::Parse("user")};  // an object in every tweet
@@ -662,21 +664,17 @@ TEST(HashJoin, MatchesNestedLoopReferenceAcrossPartitionsAndSkew) {
     JoinFixture jf;
     jf.Load(40, 150, cfg.upar, cfg.tpar, cfg.skew, seed += 17);
     ASSERT_FALSE(jf.reference.empty());
-    for (bool vectorized : {true, false}) {
-      JoinSpec spec;
-      spec.vectorized = vectorized;
-      spec.batch_rows = 9;  // force many output-batch flushes
-      std::vector<JoinedRow> got;
-      auto stats = jf.Run(spec, &got);
-      ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-      EXPECT_EQ(got, jf.reference)
-          << "upar=" << cfg.upar << " tpar=" << cfg.tpar << " skew=" << cfg.skew
-          << " vectorized=" << vectorized;
-      EXPECT_EQ(stats.value().output_rows, jf.reference.size());
-      EXPECT_EQ(stats.value().passes, 1u);
-      EXPECT_EQ(stats.value().build_rows, 40u);
-      EXPECT_EQ(stats.value().probe_rows, 150u);
-    }
+    JoinSpec spec;
+    spec.batch_rows = 9;  // force many output-batch flushes
+    std::vector<JoinedRow> got;
+    auto stats = jf.Run(spec, &got);
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    EXPECT_EQ(got, jf.reference)
+        << "upar=" << cfg.upar << " tpar=" << cfg.tpar << " skew=" << cfg.skew;
+    EXPECT_EQ(stats.value().output_rows, jf.reference.size());
+    EXPECT_EQ(stats.value().passes, 1u);
+    EXPECT_EQ(stats.value().build_rows, 40u);
+    EXPECT_EQ(stats.value().probe_rows, 150u);
   }
 }
 
@@ -729,24 +727,21 @@ TEST(HashJoin, StringKeysRejectedMissingKeysNeverMatch) {
   JoinSinkFactory sink = [](int) -> JoinBatchSink {
     return [](const ColumnBatch&) { return Status::OK(); };
   };
-  for (bool vectorized : {true, false}) {
-    JoinSpec spec;
-    spec.vectorized = vectorized;
-    spec.build_key = "country";
-    spec.probe_key = "country";
-    auto got = HashJoinDatasets(jf.users.dataset.get(), jf.users.dataset.get(), spec,
-                                sink);
-    ASSERT_FALSE(got.ok()) << "vectorized=" << vectorized;
-    EXPECT_EQ(got.status().code(), StatusCode::kNotSupported) << got.status().ToString();
+  JoinSpec spec;
+  spec.build_key = "country";
+  spec.probe_key = "country";
+  auto got = HashJoinDatasets(jf.users.dataset.get(), jf.users.dataset.get(), spec,
+                              sink);
+  ASSERT_FALSE(got.ok());
+  EXPECT_EQ(got.status().code(), StatusCode::kNotSupported) << got.status().ToString();
 
-    spec.build_key = "id";
-    spec.probe_key = "no_such_field";
-    auto none = HashJoinDatasets(jf.users.dataset.get(), jf.tweets.dataset.get(), spec,
-                                 sink);
-    ASSERT_TRUE(none.ok()) << none.status().ToString();
-    EXPECT_EQ(none.value().output_rows, 0u);
-    EXPECT_EQ(none.value().probe_rows, 40u);
-  }
+  spec.build_key = "id";
+  spec.probe_key = "no_such_field";
+  auto none = HashJoinDatasets(jf.users.dataset.get(), jf.tweets.dataset.get(), spec,
+                               sink);
+  ASSERT_TRUE(none.ok()) << none.status().ToString();
+  EXPECT_EQ(none.value().output_rows, 0u);
+  EXPECT_EQ(none.value().probe_rows, 40u);
 }
 
 // The build side meets its first string key in its second partition, after
@@ -805,11 +800,10 @@ TEST(HashJoin, StormUnderConcurrentIngest) {
   std::vector<std::thread> joiners;
   std::atomic<int> failures{0};
   for (int t = 0; t < 2; ++t) {
-    joiners.emplace_back([&, t] {
+    joiners.emplace_back([&] {
       for (int i = 0; i < 3; ++i) {
         JoinSpec spec;
         spec.batch_rows = 16;
-        spec.vectorized = (t == 0);
         std::vector<std::vector<JoinedRow>> rows(2);
         auto factory = [&rows](int partition) {
           std::vector<JoinedRow>* mine = &rows[partition];
@@ -854,21 +848,17 @@ TEST(HashJoin, TwitterJoinTopCountriesMatchesReference) {
   std::sort(order.begin(), order.end(), [](const auto& a, const auto& b) {
     return a.first > b.first;
   });
-  for (bool vectorized : {true, false}) {
-    QueryOptions opt;
-    opt.vectorized = vectorized;
-    auto res = TwitterJoinTopCountries(jf.users.dataset.get(),
-                                       jf.tweets.dataset.get(), opt);
-    ASSERT_TRUE(res.ok()) << res.status().ToString();
-    EXPECT_EQ(res.value().stats.plan, "hash-join");
-    // The summary renders "country=count" entries (%.4f counts); the top
-    // reference entry must appear with its exact count.
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "=%.4f", static_cast<double>(order[0].first));
-    std::string want = order[0].second + buf;
-    EXPECT_NE(res.value().summary.find(want), std::string::npos)
-        << "summary: " << res.value().summary << " want " << want;
-  }
+  auto res = TwitterJoinTopCountries(jf.users.dataset.get(),
+                                     jf.tweets.dataset.get(), QueryOptions{});
+  ASSERT_TRUE(res.ok()) << res.status().ToString();
+  EXPECT_EQ(res.value().stats.plan, "hash-join");
+  // The summary renders "country=count" entries (%.4f counts); the top
+  // reference entry must appear with its exact count.
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "=%.4f", static_cast<double>(order[0].first));
+  std::string want = order[0].second + buf;
+  EXPECT_NE(res.value().summary.find(want), std::string::npos)
+      << "summary: " << res.value().summary << " want " << want;
 }
 
 }  // namespace
