@@ -2,7 +2,7 @@
 // bench ingests generated workload data into a real (POSIX) directory so
 // compression and storage effects are physical, optionally throttled through
 // the DeviceModel to reproduce the paper's SATA-vs-NVMe axis, and prints
-// paper-style result rows. Scale with TC_BENCH_MB (default 24; the paper used
+// paper-style result rows. Scale with TC_BENCH_MB (default 12; the paper used
 // 122-253 GB — shapes, not absolute numbers, are the reproduction target).
 #ifndef TC_BENCH_BENCH_UTIL_H_
 #define TC_BENCH_BENCH_UTIL_H_
@@ -40,7 +40,7 @@ struct BenchConfig {
   uint64_t max_mergeable_mb = 24;
   size_t tolerance = 5;
   /// Merge-policy name for this run ("prefix", "tiered", "lazy-leveled",
-  /// "none", "constant"); empty defers to TC_MERGE_POLICY / the prefix
+  /// "none"); empty defers to TC_MERGE_POLICY / the prefix
   /// default. An explicit name wins over the environment so the fig17/fig24
   /// policy-axis sections stay comparable under any TC_MERGE_POLICY.
   std::string merge_policy;
@@ -49,9 +49,9 @@ struct BenchConfig {
   bool use_wal = true;
   size_t wal_sync_every = 0;  // benches run without fsync (MemFS-equivalent)
   uint64_t seed = 42;
-  /// Shared executor for background flush builds + merges (not owned; must
-  /// outlive the dataset). Null = inline background work, the historical
-  /// bench behaviour.
+  /// Executor for flush builds + merges (not owned; must outlive the
+  /// dataset). Null = caller-runs: each flush finishes its build and merge
+  /// cascade on the ingesting thread, the deterministic bench default.
   TaskPool* merge_pool = nullptr;
   /// Per-tree concurrent-merge cap when merge_pool is set (fig17 section e
   /// compares 1 — the old single-inflight scheduler — against higher caps).

@@ -101,9 +101,10 @@ struct MergeAxisDirs {
 /// Ingest `mb` MiB of a workload as schemaless vector-blob records with no
 /// merging (so every component keeps the uncompacted wire format), then
 /// reopen the same directory as an inferred dataset with a full-cascade
-/// constant(1) merge policy. The single post-reopen insert + flush drives the
-/// legacy components through the merge pipeline, which either re-compacts
-/// them (transform on) or splices their bytes verbatim (transform off).
+/// uncapped prefix(1) merge policy. The single post-reopen insert + flush
+/// drives the legacy components through the merge pipeline, which either
+/// re-compacts them (transform on) or splices their bytes verbatim
+/// (transform off).
 MergeAxisRow RunTransformRow(const char* workload, int64_t mb,
                              bool transform) {
   MergeAxisDirs env(transform ? "t" : "s");
@@ -126,8 +127,9 @@ MergeAxisRow RunTransformRow(const char* workload, int64_t mb,
   {
     DatasetOptions o = env.Base();
     o.mode = SchemaMode::kInferred;
-    o.merge.kind = MergePolicyKind::kConstant;
-    o.merge.constant_k = 1;
+    o.merge.kind = MergePolicyKind::kPrefix;  // uncapped: merge all past 1
+    o.merge.max_mergeable_bytes = UINT64_MAX;
+    o.merge.max_tolerance_count = 1;
     o.merge_transform = transform;
     o.merge_recompress = CompressionKind::kNone;
     auto ds = Dataset::Open(std::move(o), /*num_partitions=*/1);
@@ -142,9 +144,9 @@ MergeAxisRow RunTransformRow(const char* workload, int64_t mb,
 }
 
 /// Ingest `mb` MiB as inferred with an uncompressed tree and a full-cascade
-/// constant(1) policy, optionally recompressing bottom merges with the heavy
-/// codec tier. Every flush triggers a bottom merge, so by the end nearly all
-/// data has passed through the recompression path.
+/// uncapped prefix(1) policy, optionally recompressing bottom merges with the
+/// heavy codec tier. Every flush triggers a bottom merge, so by the end nearly
+/// all data has passed through the recompression path.
 MergeAxisRow RunRecompressRow(const char* workload, int64_t mb,
                               CompressionKind recompress) {
   MergeAxisDirs env(recompress == CompressionKind::kNone ? "rn" : "rh");
@@ -153,8 +155,9 @@ MergeAxisRow RunRecompressRow(const char* workload, int64_t mb,
   DatasetOptions o = env.Base();
   o.mode = SchemaMode::kInferred;
   o.compression = false;
-  o.merge.kind = MergePolicyKind::kConstant;
-  o.merge.constant_k = 1;
+  o.merge.kind = MergePolicyKind::kPrefix;  // uncapped: merge all past 1
+  o.merge.max_mergeable_bytes = UINT64_MAX;
+  o.merge.max_tolerance_count = 1;
   o.merge_recompress = recompress;
   auto ds = Dataset::Open(std::move(o), /*num_partitions=*/1);
   TC_CHECK(ds.ok());

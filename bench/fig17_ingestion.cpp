@@ -6,7 +6,8 @@
 //   (d) merge-policy axis: the same insert-only feed under none / prefix /
 //       tiered / lazy-leveled schedules, reporting write amplification and
 //       the component-count high-water mark (the tiering-vs-leveling
-//       trade-off of Luo & Carey's LSM survey)
+//       trade-off of Luo & Carey's LSM survey). No pool: each flush runs its
+//       build and merge cascade caller-runs on the feed thread.
 //
 // Paper result shape: inferred ingests fastest (smaller flushed components,
 // cheaper record construction); with 50% updates inferred pays ~25% over its

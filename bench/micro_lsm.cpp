@@ -164,8 +164,8 @@ BENCHMARK(BM_FlushWithCompaction)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond)
 //               searches without tree locks; merges run on a TaskPool.
 //   path=mutex  emulation of the pre-snapshot (PR 3) read path: one big tree
 //               mutex held across every Get AND across the writer's whole
-//               upsert, including any inline flush/merge it triggers — which
-//               is exactly what LsmTree::mu_ used to do.
+//               upsert, including any caller-runs flush/merge it triggers —
+//               which is exactly what LsmTree::mu_ used to do.
 //
 // I/O is throttled through the SATA-SSD device model and the buffer cache is
 // deliberately small, so lookups block in (modeled) I/O: the view path

@@ -13,7 +13,7 @@ Result<std::unique_ptr<ClusterHarness>> ClusterHarness::Create(
   h->topology_ = topology;
   // One bounded executor for ALL partitions' background work — flush builds
   // and (concurrent, disjoint) merges: feeds hand rewrites off instead of
-  // performing them inline, and total background parallelism tracks the
+  // running them caller-runs, and total background parallelism tracks the
   // hardware, not the feed count.
   h->executor_ = std::make_unique<TaskPool>(topology.executor_threads);
   options.merge_pool = h->executor_.get();
@@ -92,7 +92,7 @@ Status ClusterHarness::IngestParallel(const std::string& workload,
     if (!st.ok()) return st;
   }
   // Settle the scheduled merges so callers time (and observe) a quiesced
-  // dataset, like the inline-merge path always did.
+  // dataset, as the caller-runs path always does.
   return dataset_->WaitForBackgroundWork();
 }
 

@@ -7,7 +7,8 @@
 // Background work is NOT thread-per-feed: the harness owns one nproc-sized
 // TaskPool shared by every partition's LSM trees, so flush builds and merges
 // from all feeds are scheduled onto a bounded executor instead of running
-// inline on whichever feed thread happened to fill a memtable. A feed thread
+// caller-runs on whichever feed thread happened to fill a memtable (what a
+// dataset without a pool does). A feed thread
 // pays only the WAL append + memtable update + generation swap; each tree
 // runs up to DatasetOptions::merge.max_concurrent_merges disjoint merges
 // concurrently, with max_pending_flush_builds bounding the queued builds
@@ -47,7 +48,7 @@ class ClusterHarness {
   /// `records_per_node` records with node-disjoint primary keys and inserts
   /// them (hash-partitioned) into the dataset. Returns after the feeds join
   /// AND the scheduled background merges drain, so ingest timings stay
-  /// comparable with the inline-merge path.
+  /// comparable with the caller-runs path.
   Status IngestParallel(const std::string& workload, uint64_t records_per_node,
                         uint64_t seed);
 

@@ -15,7 +15,7 @@ int64_t EnvInt64(const char* name, int64_t def);
 /// case-insensitively at their point of use.
 std::string EnvString(const char* name, const std::string& def);
 
-/// Target raw-data megabytes per dataset for figure benches (TC_BENCH_MB, default 24).
+/// Target raw-data megabytes per dataset for figure benches (TC_BENCH_MB, default 12).
 int64_t BenchMegabytes();
 
 }  // namespace tc

@@ -1,6 +1,30 @@
 #include "common/task_pool.h"
 
 namespace tc {
+namespace {
+
+// The caller-runs trampoline: while a caller-runs task executes on this
+// thread, the tasks it (transitively) submits queue here and run after it
+// returns, in submission order. Null when no such task is running.
+thread_local std::deque<std::function<void()>>* tls_caller_queue = nullptr;
+
+void RunOnCaller(std::function<void()> task) {
+  if (tls_caller_queue != nullptr) {
+    tls_caller_queue->push_back(std::move(task));
+    return;
+  }
+  std::deque<std::function<void()>> queue;
+  tls_caller_queue = &queue;
+  task();
+  while (!queue.empty()) {
+    std::function<void()> next = std::move(queue.front());
+    queue.pop_front();
+    next();
+  }
+  tls_caller_queue = nullptr;
+}
+
+}  // namespace
 
 size_t TaskPool::DefaultThreadCount() {
   unsigned hw = std::thread::hardware_concurrency();
@@ -65,23 +89,26 @@ void TaskGroup::Submit(std::function<void(bool)> fn, TaskPriority priority) {
     std::lock_guard<std::mutex> lock(shared_->mu);
     ++shared_->outstanding;
   }
-  pool_->Submit(
-      [shared = shared_, fn = std::move(fn)] {
-        bool canceled;
-        {
-          std::lock_guard<std::mutex> lock(shared->mu);
-          canceled = shared->canceled;
-        }
-        fn(canceled);
-        // Decrement AFTER the task body: Wait() returning guarantees no task
-        // is still touching the state it captured.
-        {
-          std::lock_guard<std::mutex> lock(shared->mu);
-          --shared->outstanding;
-        }
-        shared->cv.notify_all();
-      },
-      priority);
+  std::function<void()> task = [shared = shared_, fn = std::move(fn)] {
+    bool canceled;
+    {
+      std::lock_guard<std::mutex> lock(shared->mu);
+      canceled = shared->canceled;
+    }
+    fn(canceled);
+    // Decrement AFTER the task body: Wait() returning guarantees no task is
+    // still touching the state it captured.
+    {
+      std::lock_guard<std::mutex> lock(shared->mu);
+      --shared->outstanding;
+    }
+    shared->cv.notify_all();
+  };
+  if (pool_ == nullptr) {
+    RunOnCaller(std::move(task));
+  } else {
+    pool_->Submit(std::move(task), priority);
+  }
 }
 
 void TaskGroup::Cancel() {
@@ -90,6 +117,7 @@ void TaskGroup::Cancel() {
 }
 
 void TaskGroup::Wait() {
+  if (pool_ == nullptr) return;
   std::unique_lock<std::mutex> lock(shared_->mu);
   shared_->cv.wait(lock, [this] { return shared_->outstanding == 0; });
 }

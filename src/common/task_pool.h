@@ -1,14 +1,15 @@
 // Shared background executor: a fixed pool of worker threads that LSM trees
 // submit flush/merge work to. One pool serves every partition of a cluster
 // node (ROADMAP "Parallelism"), so background rewrites are bounded by the
-// machine's core count instead of exploding thread-per-feed. Trees without a
-// pool run merges inline on the writer thread (deterministic; what unit tests
-// use).
+// machine's core count instead of exploding thread-per-feed.
 //
 // Completion and cancellation are per-owner, not pool-wide: each owner (e.g.
 // one LsmTree) funnels its submissions through a TaskGroup, which lets it
 // wait for exactly its own tasks and skip the ones that have not started yet
-// when it tears down.
+// when it tears down. A TaskGroup without a pool is a caller-runs executor:
+// the same submissions run on the submitting thread before Submit returns,
+// which is how trees without a pool stay deterministic (unit tests, the
+// figure benches, crash-recovery replay) on the one scheduling path.
 #ifndef TC_COMMON_TASK_POOL_H_
 #define TC_COMMON_TASK_POOL_H_
 
@@ -69,6 +70,15 @@ class TaskPool {
 /// submitted so it can wait for "all my work done" without a pool-wide
 /// barrier, and cancel work that has not started yet.
 ///
+/// Built on a null pool the group is caller-runs: Submit runs the task on the
+/// calling thread through a per-thread trampoline. A task submitted by a
+/// running task (of any caller-runs group on this thread) is queued and runs
+/// after that task returns, in submission order, so the outermost Submit
+/// returns only once the whole chain it started has run. Priorities are
+/// ignored (there is no queue to jump), and Wait() returns at once: outside a
+/// task nothing submitted by this thread is left, and inside one the queued
+/// tasks cannot run before it returns.
+///
 /// Every task receives `canceled`: a task dequeued after Cancel() gets true
 /// and should perform only its (cheap) completion bookkeeping — releasing
 /// claims, decrementing counters — and skip its (expensive) payload. Running
@@ -84,8 +94,8 @@ class TaskGroup {
   TaskGroup(const TaskGroup&) = delete;
   TaskGroup& operator=(const TaskGroup&) = delete;
 
-  /// Enqueues `fn` on the pool; `fn(true)` is invoked if the group was
-  /// canceled before the task started.
+  /// Enqueues `fn` on the pool (or runs it, caller-runs); `fn(true)` is
+  /// invoked if the group was canceled before the task started.
   void Submit(std::function<void(bool canceled)> fn,
               TaskPriority priority = TaskPriority::kNormal);
 
@@ -94,7 +104,8 @@ class TaskGroup {
   void Cancel();
 
   /// Blocks until every task submitted so far (including tasks submitted by
-  /// other tasks while waiting) has finished or been skipped.
+  /// other tasks while waiting) has finished or been skipped. Returns at once
+  /// in caller-runs mode.
   void Wait();
 
   size_t outstanding() const;
@@ -110,7 +121,7 @@ class TaskGroup {
     bool canceled = false;
   };
 
-  TaskPool* pool_;
+  TaskPool* pool_;  // null = caller-runs
   std::shared_ptr<Shared> shared_;
 };
 

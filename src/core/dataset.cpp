@@ -67,12 +67,10 @@ Result<std::unique_ptr<DatasetPartition>> DatasetPartition::Open(
   lsm.transformer = p->compactor_.get();
   // Merge transformation pipeline: inferred-mode partitions re-compact
   // surviving records during merges (the compactor doubles as the tree's
-  // MergeTransformer); every tree may recompress bottom-level merge outputs
-  // and schedule merges by rewrite value.
+  // MergeTransformer); every tree may recompress bottom-level merge outputs.
   lsm.merge_transformer =
       opts->merge_transform ? p->compactor_.get() : nullptr;
   lsm.merge_recompress = opts->merge_recompress;
-  lsm.value_ordered_merges = opts->value_ordered_merges;
   lsm.capture_old_versions = opts->mode == SchemaMode::kInferred ||
                              !opts->secondary_index_field.empty();
   lsm.arbiter = opts->arbiter;
@@ -111,7 +109,6 @@ Result<std::unique_ptr<DatasetPartition>> DatasetPartition::Open(
     sk.filter = opts->filter;
     sk.merge_policy = MakeMergePolicy(opts->merge);
     sk.merge_recompress = opts->merge_recompress;
-    sk.value_ordered_merges = opts->value_ordered_merges;
     sk.merge_pool = opts->merge_pool;
     sk.max_concurrent_merges = lsm.max_concurrent_merges;
     sk.max_pending_flush_builds = lsm.max_pending_flush_builds;

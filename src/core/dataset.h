@@ -102,23 +102,20 @@ struct DatasetOptions {
   ///  * merge_recompress (TC_MERGE_RECOMPRESS: none|snappy|heavy|zstd|lz4,
   ///    default none): bottom-level merge outputs switch to this heavier
   ///    codec; unavailable codecs fall back to the built-in heavy tier.
-  ///  * value_ordered_merges (TC_MERGE_ORDER: value|fifo, default value):
-  ///    schedule merge candidates by estimated rewrite value instead of
-  ///    policy proposal order.
   bool merge_transform = EnvInt64("TC_MERGE_TRANSFORM", 1) != 0;
   CompressionKind merge_recompress =
       CompressionKindFromEnv("TC_MERGE_RECOMPRESS", CompressionKind::kNone);
-  bool value_ordered_merges = EnvString("TC_MERGE_ORDER", "value") != "fifo";
   bool use_wal = true;
   size_t wal_sync_every = 64;
   /// Primary-key index for upsert existence checks (paper §3.2.2, Fig. 17b).
   bool primary_key_index = false;
   /// Name of a top-level bigint field to index (paper §4.4.5), empty = none.
   std::string secondary_index_field;
-  /// Shared background executor for LSM merges AND flush builds across every
-  /// partition's trees (not owned; must outlive the dataset). Null = inline
-  /// background work on the writer thread — deterministic, what unit tests
-  /// use. ClusterHarness wires its nproc-sized pool here. The per-tree merge
+  /// Executor for LSM merges AND flush builds across every partition's trees
+  /// (not owned; must outlive the dataset). Null = caller-runs: the same
+  /// jobs run on the writer thread and finish inside the flush that started
+  /// them — deterministic, what unit tests use. ClusterHarness wires its
+  /// nproc-sized pool here. The per-tree merge
   /// concurrency cap and the pooled-flush backpressure bound ride in
   /// `merge.max_concurrent_merges` / `merge.max_pending_flush_builds`
   /// (TC_MERGE_CONCURRENT / TC_FLUSH_PENDING).

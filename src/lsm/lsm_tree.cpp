@@ -5,6 +5,7 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
+#include <utility>
 
 namespace tc {
 namespace {
@@ -236,6 +237,9 @@ std::string LsmTree::WalSegmentPath(uint64_t seq) const {
 Result<std::unique_ptr<LsmTree>> LsmTree::Open(LsmTreeOptions options) {
   auto tree = std::unique_ptr<LsmTree>(new LsmTree());
   tree->opts_ = std::move(options);
+  // Null pool = caller-runs groups: the same jobs, run on the writer thread.
+  tree->flush_jobs_ = std::make_unique<TaskGroup>(tree->opts_.merge_pool);
+  tree->merge_jobs_ = std::make_unique<TaskGroup>(tree->opts_.merge_pool);
   TC_CHECK(tree->opts_.fs != nullptr && tree->opts_.cache != nullptr);
   TC_CHECK(tree->opts_.cache->page_size() == tree->opts_.page_size);
   if (tree->opts_.merge_policy == nullptr) {
@@ -261,10 +265,6 @@ Result<std::unique_ptr<LsmTree>> LsmTree::Open(LsmTreeOptions options) {
   tree->reclaimer_ = std::make_shared<ComponentReclaimer>(tree->opts_.fs,
                                                           tree->opts_.cache);
   tree->counters_ = std::make_shared<LsmReadCounters>();
-  if (tree->opts_.merge_pool != nullptr) {
-    tree->flush_jobs_ = std::make_unique<TaskGroup>(tree->opts_.merge_pool);
-    tree->merge_jobs_ = std::make_unique<TaskGroup>(tree->opts_.merge_pool);
-  }
   TC_RETURN_IF_ERROR(tree->opts_.fs->CreateDir(tree->opts_.dir));
   TC_RETURN_IF_ERROR(tree->RecoverComponents());
   // Reload the newest persisted schema BEFORE replaying the WAL: replayed
@@ -276,8 +276,8 @@ Result<std::unique_ptr<LsmTree>> LsmTree::Open(LsmTreeOptions options) {
     TC_RETURN_IF_ERROR(tree->ReplayWal());
   }
   if (tree->opts_.arbiter != nullptr) {
-    // Register AFTER recovery: the replay flush above ran under the plain
-    // inline path, so a replaying tree never dispatches cross-tree victims.
+    // Register AFTER recovery: the replay flush above ran unregistered, so a
+    // replaying tree never dispatches cross-tree victims.
     LsmTree* raw = tree.get();
     tree->arbiter_reg_ = tree->opts_.arbiter->Register(
         tree->opts_.name, tree->opts_.arbiter_floor_bytes,
@@ -301,16 +301,13 @@ LsmTree::~LsmTree() {
   // for the next Open to replay. WAL-less trees (the pk/secondary indexes)
   // instead DRAIN their queued builds, so a completed Flush() is never lost
   // on clean teardown — exactly the pre-pipeline guarantee.
-  if (merge_jobs_ != nullptr) {
-    merge_jobs_->Cancel();
-    if (opts_.use_wal) flush_jobs_->Cancel();
-    // Drained flush builds may install and cascade-schedule merges; those
-    // land in the canceled merge group and run as skips, so wait for the
-    // flush group first and the merge group (which only ever shrinks after
-    // that) second.
-    flush_jobs_->Wait();
-    merge_jobs_->Wait();
-  }
+  merge_jobs_->Cancel();
+  if (opts_.use_wal) flush_jobs_->Cancel();
+  // Drained flush builds may install and cascade-schedule merges; those land
+  // in the canceled merge group and run as skips, so wait for the flush group
+  // first and the merge group (which only ever shrinks after that) second.
+  flush_jobs_->Wait();
+  merge_jobs_->Wait();
   components_.clear();
   flush_queue_.clear();
   mem_.reset();
@@ -429,11 +426,21 @@ Status LsmTree::ReplayWal() {
     TC_ASSIGN_OR_RETURN(auto wal, WriteAheadLog::Open(opts_.fs, seg.second, 0));
     TC_RETURN_IF_ERROR(wal->Replay(apply));
   }
-  // Flush the restored in-memory component (paper §3.1.2) — synchronously,
-  // so every replayed segment is durable as a component before it is
-  // dropped and the fresh base segment opens.
-  if (!mem_->empty()) {
-    TC_RETURN_IF_ERROR(FlushMemtableInline());
+  // Flush the restored in-memory component (paper §3.1.2) through the one
+  // flush path, then wait for its build: every replayed segment must be
+  // durable as a component before it is dropped and the fresh base segment
+  // opens. No WAL is live yet, so the flush rotates nothing, and replay
+  // takes no merge decision (the first one follows the next flush).
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    replaying_ = true;
+  }
+  TC_RETURN_IF_ERROR(FlushLocked());
+  flush_jobs_->Wait();
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    replaying_ = false;
+    TC_RETURN_IF_ERROR(BackgroundErrorLocked());
   }
   for (const auto& seg : segments) {
     TC_RETURN_IF_ERROR(opts_.fs->Delete(seg.second));
@@ -667,10 +674,7 @@ bool LsmTree::TryArbiterFlush() {
     // Full flush queue: FlushLocked would block on the backpressure wait.
     // Checked here because the queue cannot GROW before FlushLocked's wait —
     // only writers push, and we hold write_mu_.
-    if (opts_.merge_pool != nullptr &&
-        flush_queue_.size() >= opts_.max_pending_flush_builds) {
-      return false;
-    }
+    if (flush_queue_.size() >= opts_.max_pending_flush_builds) return false;
   }
   Status st = FlushLocked();
   if (!st.ok()) {
@@ -722,13 +726,6 @@ Status LsmTree::Flush() {
 }
 
 Status LsmTree::FlushLocked() {
-  if (opts_.merge_pool == nullptr) {
-    // Inline: build + install on the writer thread, then one policy
-    // decision — deterministic, what unit tests and benches without a pool
-    // rely on.
-    TC_RETURN_IF_ERROR(FlushMemtableInline());
-    return MaybeMergeInline();
-  }
   if (!mem_->empty()) {
     {
       // Backpressure: a bounded queue of sealed generations. Break on ANY
@@ -759,8 +756,8 @@ Status LsmTree::FlushLocked() {
     bool submit = false;
     size_t sealed_bytes = 0;
     {
-      // The swap — all the writer pays: seal the generation, queue it for
-      // its pooled build (views keep reading it from the queue), hand new
+      // The swap — all a pooled writer pays: seal the generation, queue it
+      // for its build (views keep reading it from the queue), hand new
       // writes a fresh generation.
       std::lock_guard<std::mutex> lock(mu_);
       mem_->Seal();
@@ -783,13 +780,20 @@ Status LsmTree::FlushLocked() {
     if (submit) {
       // High lane: a flush build gates writer admission (TC_FLUSH_PENDING
       // backpressure), so it must never queue behind a storm of merges.
+      // Caller-runs builds, installs and cascades every merge right here.
       flush_jobs_->Submit([this](bool canceled) { FlushBuildJob(canceled); },
                           TaskPriority::kHigh);
     }
   }
-  std::lock_guard<std::mutex> lock(mu_);
-  ScheduleMergesLocked();
-  return Status::OK();
+  std::vector<MergePlan> plans;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    plans = ScheduleMergesLocked();
+  }
+  SubmitMerges(std::move(plans));
+  // A caller-runs failure above happened during this call, so it is this
+  // call's error; with a pool, whatever has latched so far.
+  return BackgroundError();
 }
 
 Result<std::shared_ptr<BtreeComponent>> LsmTree::BuildFlushComponent(
@@ -804,11 +808,10 @@ Result<std::shared_ptr<BtreeComponent>> LsmTree::BuildFlushComponent(
                                                     opts_.page_size, compressor_,
                                                     opts_.filter));
   TC_RETURN_IF_ERROR(transformer_->OnFlushBegin());
-  // Writer-side iteration is safe here: either this runs on the writer
-  // thread (inline mode, write_mu_ held) or `mem` is a sealed generation
-  // nothing mutates. Transformer calls are serialized in generation order —
-  // at most one flush build per tree at a time — because schema inference is
-  // stateful and order-dependent (§3.1.1).
+  // Iteration needs no lock: `mem` is a sealed generation nothing mutates.
+  // Transformer calls are serialized in generation order — at most one
+  // flush build per tree at a time — because schema inference is stateful
+  // and order-dependent (§3.1.1).
   Buffer transformed;
   for (auto it = mem.begin(); it != mem.end(); ++it) {
     const MemTable::Entry& e = it->second;
@@ -839,36 +842,6 @@ Result<std::shared_ptr<BtreeComponent>> LsmTree::BuildFlushComponent(
                               compressor_, opts_.filter);
 }
 
-Status LsmTree::FlushMemtableInline() {
-  if (mem_->empty()) return Status::OK();
-  uint64_t cid = next_cid_++;
-  TC_ASSIGN_OR_RETURN(auto comp, BuildFlushComponent(*mem_, cid));
-  uint64_t phys = comp->physical_bytes();
-  size_t sealed_bytes = 0;
-  {
-    // The structure swap: install the component and retire the memtable
-    // generation in one atomic step, so every snapshot sees the record
-    // exactly once — in the generation before, in the component after.
-    std::lock_guard<std::mutex> lock(mu_);
-    stats_.bytes_flushed += comp->physical_bytes();
-    ++stats_.flush_count;
-    components_.insert(components_.begin(), std::move(comp));
-    stats_.component_count_high_water = std::max<uint64_t>(
-        stats_.component_count_high_water, components_.size());
-    mem_->Seal();  // frozen for good; views that pinned it keep reading it
-    sealed_bytes = mem_->approximate_bytes();
-    mem_ = std::make_shared<MemTable>();
-  }
-  if (arbiter_reg_ != nullptr) {
-    // Inline flushes seal and install in one step: the generation passes
-    // through sealed accounting and straight out.
-    opts_.arbiter->OnSeal(arbiter_reg_, sealed_bytes);
-    opts_.arbiter->OnFlushInstalled(arbiter_reg_, sealed_bytes, phys);
-  }
-  if (wal_ != nullptr) TC_RETURN_IF_ERROR(wal_->Reset());
-  return Status::OK();
-}
-
 void LsmTree::FlushBuildJob(bool canceled) {
   PendingFlush work;
   {
@@ -887,6 +860,7 @@ void LsmTree::FlushBuildJob(bool canceled) {
       BuildFlushComponent(*work.mem, work.cid);
   bool more = false;
   uint64_t phys = 0;
+  std::vector<MergePlan> plans;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (!built.ok()) {
@@ -911,9 +885,10 @@ void LsmTree::FlushBuildJob(bool canceled) {
     flush_queue_.pop_front();
     more = !flush_queue_.empty();
     if (!more) flush_build_running_ = false;
-    ScheduleMergesLocked();
+    plans = ScheduleMergesLocked();
     flush_cv_.notify_all();
   }
+  SubmitMerges(std::move(plans));
   if (arbiter_reg_ != nullptr) {
     // Sealed accounting releases only now, when the memory is truly traded
     // for a durable component (approximate_bytes is lock-free once sealed).
@@ -1198,80 +1173,57 @@ double LsmTree::ScoreMergePlanLocked(const MergePlan& plan) const {
                                    plan.inputs.size());
 }
 
-void LsmTree::ScheduleMergesLocked() {
-  if (opts_.merge_pool == nullptr) return;
-  // Once an error is latched every further merge is doomed work; stop
-  // cascading (the sticky error already gates writers).
-  if (!background_error_.ok()) return;
+std::vector<LsmTree::MergePlan> LsmTree::ScheduleMergesLocked() {
+  // WAL replay takes no merge decision. Once an error is latched every
+  // further merge is doomed work; stop cascading (the sticky error already
+  // gates writers).
+  if (replaying_ || !background_error_.ok()) return {};
   // Collect EVERY disjoint plan the policy proposes (claiming as we go so
   // each successive decision sees the previous ranges as taken), then order
   // by estimated rewrite value instead of proposal (FIFO) order. Plans past
   // the concurrency cap are unclaimed again — the cascade re-proposes (and
   // re-scores) them when a slot frees, so scoring stays fresh.
-  std::vector<MergePlan> plans;
+  std::vector<std::pair<double, MergePlan>> scored;
   while (true) {
     Result<MergePlan> plan_or = DecideMergeLocked();
     if (!plan_or.ok()) {
-      for (auto& p : plans) {
-        for (const auto& c : p.inputs) claimed_.erase(c.get());
+      for (const auto& sp : scored) {
+        for (const auto& c : sp.second.inputs) claimed_.erase(c.get());
       }
       background_error_ = plan_or.status();
       flush_cv_.notify_all();
-      return;
+      return {};
     }
     MergePlan plan = std::move(plan_or).value();
     if (plan.inputs.empty()) break;
     for (const auto& c : plan.inputs) claimed_.insert(c.get());
-    plans.push_back(std::move(plan));
+    double score = ScoreMergePlanLocked(plan);
+    scored.emplace_back(score, std::move(plan));
   }
-  if (opts_.value_ordered_merges && plans.size() > 1) {
-    std::vector<double> scores;
-    scores.reserve(plans.size());
-    for (const auto& p : plans) scores.push_back(ScoreMergePlanLocked(p));
-    std::vector<size_t> order(plans.size());
-    for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-    // Stable on ties so equal-value plans keep the policy's proposal order.
-    std::stable_sort(order.begin(), order.end(), [&scores](size_t a, size_t b) {
-      return scores[a] > scores[b];
-    });
-    std::vector<MergePlan> sorted;
-    sorted.reserve(plans.size());
-    for (size_t i : order) sorted.push_back(std::move(plans[i]));
-    plans.swap(sorted);
-  }
-  for (auto& plan : plans) {
+  // Stable on ties so equal-value plans keep the policy's proposal order.
+  std::stable_sort(
+      scored.begin(), scored.end(),
+      [](const auto& a, const auto& b) { return a.first > b.first; });
+  std::vector<MergePlan> launch;
+  for (auto& sp : scored) {
     if (merges_inflight_ >= opts_.max_concurrent_merges) {
       // Over the cap: give the claim back. The next install's cascade will
       // re-decide, so nothing is lost — only deferred.
-      for (const auto& c : plan.inputs) claimed_.erase(c.get());
+      for (const auto& c : sp.second.inputs) claimed_.erase(c.get());
       continue;
     }
     ++merges_inflight_;
+    launch.push_back(std::move(sp.second));
+  }
+  return launch;
+}
+
+void LsmTree::SubmitMerges(std::vector<MergePlan> plans) {
+  for (auto& plan : plans) {
     merge_jobs_->Submit([this, plan = std::move(plan)](bool canceled) mutable {
       MergeJob(std::move(plan), canceled);
     });
   }
-}
-
-Status LsmTree::MaybeMergeInline() {
-  // Inline: one policy decision per flush, rewritten on the writer thread.
-  // Readers stay unblocked either way — they only need `mu_`, which is held
-  // just for the decision and the final swap.
-  MergePlan plan;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    TC_ASSIGN_OR_RETURN(plan, DecideMergeLocked());
-  }
-  if (plan.inputs.empty()) return Status::OK();
-  MergePipelineCounters counters;
-  TC_ASSIGN_OR_RETURN(auto merged, BuildMergedComponent(plan, &counters));
-  uint64_t phys = merged->physical_bytes();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    InstallMergedLocked(plan, std::move(merged));
-    FoldMergeCountersLocked(counters, phys);
-  }
-  return reclaimer_->Drain();
 }
 
 void LsmTree::MergeJob(MergePlan plan, bool canceled) {
@@ -1294,6 +1246,7 @@ void LsmTree::MergeJob(MergePlan plan, bool canceled) {
   Result<std::shared_ptr<BtreeComponent>> merged =
       BuildMergedComponent(plan, &counters);
   uint64_t phys = merged.ok() ? merged.value()->physical_bytes() : 0;
+  std::vector<MergePlan> cascade;
   {
     std::lock_guard<std::mutex> lock(mu_);
     --merges_building_;
@@ -1309,8 +1262,9 @@ void LsmTree::MergeJob(MergePlan plan, bool canceled) {
     // Cascade: the policy may want another merge on the new shape (e.g. a
     // tier completed by this rewrite) — and freeing a claim may unblock a
     // plan the concurrency cap deferred.
-    ScheduleMergesLocked();
+    cascade = ScheduleMergesLocked();
   }
+  SubmitMerges(std::move(cascade));
   plan.inputs.clear();  // drop our pins so the drain can reclaim the inputs
   // Deferred-deletion sweep. Failures latch into the reclaimer's sticky
   // error — shared with every view and surfaced through BackgroundError()
@@ -1320,13 +1274,11 @@ void LsmTree::MergeJob(MergePlan plan, bool canceled) {
 }
 
 Status LsmTree::WaitForMerges() {
-  if (flush_jobs_ != nullptr) {
-    // Flush installs schedule merges, so settle the flush group first; a
-    // drained build that cascaded re-fills the flush group only via writers,
-    // which callers have quiesced.
-    flush_jobs_->Wait();
-    merge_jobs_->Wait();
-  }
+  // Flush installs schedule merges, so settle the flush group first; a
+  // drained build that cascaded re-fills the flush group only via writers,
+  // which callers have quiesced.
+  flush_jobs_->Wait();
+  merge_jobs_->Wait();
   std::lock_guard<std::mutex> lock(mu_);
   return BackgroundErrorLocked();
 }
@@ -1386,10 +1338,8 @@ Status LsmTree::DestroyAll() {
   std::lock_guard<std::mutex> wlock(write_mu_);
   // Settle background work first (no cancel: completed merges make teardown
   // deterministic); nothing new is scheduled while we hold write_mu_.
-  if (flush_jobs_ != nullptr) {
-    flush_jobs_->Wait();
-    merge_jobs_->Wait();
-  }
+  flush_jobs_->Wait();
+  merge_jobs_->Wait();
   std::vector<std::shared_ptr<BtreeComponent>> doomed;
   std::vector<std::string> wal_segments;
   {

@@ -17,14 +17,17 @@
 //   * Writers are serialized by `write_mu_` (held across WAL append and
 //     memtable update) and take `mu_` only for the brief structure swaps —
 //     readers never wait out a flush or merge rewrite.
-//   * Flush seals the live generation and swaps in a fresh one. Without a
-//     merge pool the component build runs inline on the writer thread
-//     (deterministic — what unit tests use). With a pool the build is
-//     submitted to the shared executor: the writer pays only the generation
-//     swap and a WAL segment rotation, sealed generations stay readable from
-//     the flush queue until their component installs, and at most
-//     `max_pending_flush_builds` generations may be queued before writers
-//     stall (backpressure).
+//   * Flush seals the live generation, swaps in a fresh one, rotates the WAL
+//     to a new segment, and submits the component build as a job; merges
+//     are jobs too. There is one scheduling path, and `merge_pool` only picks
+//     the executor. With a pool the writer pays just the swap and the
+//     rotation, sealed generations stay readable from the flush queue until
+//     their component installs, and at most `max_pending_flush_builds`
+//     generations may be queued before writers stall (backpressure).
+//     Without one the jobs are caller-runs (TaskGroup on a null pool): the
+//     build, its install and the whole merge cascade run on the writer
+//     thread before Flush returns — deterministic, what unit tests, the
+//     figure benches and crash-recovery replay use.
 //   * Merges run concurrently per tree: the policy proposes plans over
 //     DISJOINT component ranges (components claimed by an in-flight merge
 //     are excluded from later decisions), up to `max_concurrent_merges` jobs
@@ -36,7 +39,9 @@
 //   * A background build failure latches a sticky error that gates writers,
 //     short-circuits queued/cascading jobs, and surfaces from
 //     WaitForMerges(); deferred-deletion failures latch into the reclaimer's
-//     own sticky error, surfaced the same way.
+//     own sticky error, surfaced the same way. A call that flushes returns
+//     the latched error too, so a caller-runs failure reaches the very call
+//     whose flush ran the failing job.
 #ifndef TC_LSM_LSM_TREE_H_
 #define TC_LSM_LSM_TREE_H_
 
@@ -149,11 +154,6 @@ struct LsmTreeOptions {
   /// of `compression`. kNone disables; readers are unaffected either way
   /// (components self-describe their codec via the LAF v2 sidecar).
   CompressionKind merge_recompress = CompressionKind::kNone;
-  /// Order candidate merge plans by EstimateMergeRewriteValue (stale-schema
-  /// bytes + recompressible cold bytes + write-amp payoff) instead of the
-  /// policy's proposal order, so the most valuable rewrite runs first when
-  /// plans outnumber max_concurrent_merges.
-  bool value_ordered_merges = true;
   /// Optional fast existence filter (the primary-key index of §3.2.2): when it
   /// returns false the expensive old-version point lookup is skipped. Invoked
   /// on the writer thread; implementations read through snapshots, so they
@@ -162,17 +162,18 @@ struct LsmTreeOptions {
   /// Capture old on-disk versions on upsert/delete (needed by the tuple
   /// compactor's anti-schema processing and by secondary index maintenance).
   bool capture_old_versions = false;
-  /// Shared background executor for merges and flush builds (not owned; must
-  /// outlive the tree). Null = all background work runs inline on the writer
-  /// thread after each flush.
+  /// Executor for flush builds and merges (not owned; must outlive the
+  /// tree). Null = caller-runs: the same jobs run on the thread that flushes,
+  /// finished before the flush returns.
   TaskPool* merge_pool = nullptr;
-  /// Cap on merges of THIS tree building concurrently on the pool (clamped
-  /// to >= 1; irrelevant without a pool). Disjoint plans beyond the cap stay
-  /// unscheduled until a running merge completes.
+  /// Cap on merges of THIS tree scheduled at once (clamped to >= 1).
+  /// Disjoint plans beyond the cap stay unscheduled until a scheduled merge
+  /// completes; candidates are ordered by EstimateMergeRewriteValue, so the
+  /// most valuable rewrite runs first when plans outnumber the cap.
   size_t max_concurrent_merges = kDefaultMaxConcurrentMerges;
-  /// Backpressure for pooled flush builds: writers stall once this many
-  /// sealed generations await their component build (clamped to >= 1;
-  /// irrelevant without a pool).
+  /// Backpressure for flush builds: writers stall once this many sealed
+  /// generations await their component build (clamped to >= 1; never
+  /// reached caller-runs, where each build finishes inside its flush).
   size_t max_pending_flush_builds = kDefaultMaxPendingFlushBuilds;
   /// Node-level memory arbiter (not owned; must outlive the tree). When set,
   /// flush triggering is GLOBAL: the tree registers on Open, reports its
@@ -219,8 +220,8 @@ struct LsmStats {
   /// disjoint merges actually ran concurrently (scheduled-but-queued jobs
   /// don't count).
   uint64_t concurrent_merges_high_water = 0;
-  /// Most sealed generations ever queued for a pooled flush build at once
-  /// (bounded by max_pending_flush_builds).
+  /// Most sealed generations ever queued for a flush build at once (bounded
+  /// by max_pending_flush_builds; 1 once a caller-runs tree has flushed).
   uint64_t flush_queue_high_water = 0;
 
   // Merge transformation pipeline (ISSUE 10): per-stage CPU inside the merge
@@ -352,7 +353,7 @@ class LsmTree {
     /// The generation that was live at acquisition time.
     const MemTable& memtable() const { return *mem_; }
     /// Sealed generations still awaiting their pooled flush build, newest
-    /// first — empty in the common case (inline flushes, or an idle queue).
+    /// first — empty in the common case (caller-runs, or an idle queue).
     /// Lookups and scans must consult memtable() first, then these in order
     /// (newer shadows older).
     const std::vector<std::shared_ptr<const MemTable>>& pending_memtables()
@@ -439,16 +440,17 @@ class LsmTree {
   Result<std::optional<Buffer>> GetDiskVersion(const BtreeKey& key);
 
   /// Flushes the in-memory component if non-empty, then consults the merge
-  /// policy. Without a merge pool the build and any merges run inline; with
-  /// one, the sealed generation is queued for a pooled build (subject to the
-  /// max_pending_flush_builds backpressure) and Flush returns as soon as the
-  /// swap is done — call WaitForMerges() to quiesce.
+  /// policy. The sealed generation is queued for its build job (subject to
+  /// the max_pending_flush_builds backpressure). With a pool, Flush returns
+  /// as soon as the swap is done — call WaitForMerges() to quiesce; without
+  /// one, it returns with the component installed and the merge cascade
+  /// done. Returns the sticky background error, if any.
   Status Flush();
 
-  /// Blocks until no background work — merge or pooled flush build — is
-  /// scheduled or running for this tree; returns the sticky background
-  /// error, if any (build failures and deferred-deletion failures alike). A
-  /// no-op without a merge pool.
+  /// Blocks until no background work — merge or flush build — is scheduled
+  /// or running for this tree; returns the sticky background error, if any
+  /// (build failures and deferred-deletion failures alike). Caller-runs work
+  /// is always finished already, so without a pool this only reports.
   Status WaitForMerges();
 
   /// Builds a single on-disk component from externally sorted entries
@@ -576,28 +578,28 @@ class LsmTree {
   bool TryArbiterFlush();
   Status RecoverComponents();
   Status ReplayWal();
-  // Writer-side (write_mu_ held): flush + merge dispatch — inline builds
-  // without a pool, generation handoff + scheduling with one.
+  // Writer-side (write_mu_ held): seals the live generation, rotates the WAL,
+  // submits its build and schedules merges; returns the sticky background
+  // error (caller-runs jobs have finished by then).
   Status FlushLocked();
-  // Writer-side: builds + installs the flushed component synchronously and
-  // resets the WAL (the no-pool path, and crash-recovery replay).
-  Status FlushMemtableInline();
   // Streams one sealed generation through the transformer into a component
-  // file. Runs on the writer thread (inline mode) or a pool thread (at most
-  // one flush build per tree at a time, in generation order — the
-  // transformer is stateful and schema evolution is order-dependent).
+  // file. Runs inside FlushBuildJob — at most one flush build per tree at a
+  // time, in generation order, because the transformer is stateful and
+  // schema evolution is order-dependent.
   Result<std::shared_ptr<BtreeComponent>> BuildFlushComponent(
       const MemTable& mem, uint64_t cid);
-  // Pool job: builds the oldest queued generation, installs it, reschedules
+  // Flush job: builds the oldest queued generation, installs it, reschedules
   // itself while generations remain queued.
   void FlushBuildJob(bool canceled);
-  // Inline-mode merging: one policy decision per flush on the writer thread.
-  Status MaybeMergeInline();
   // *Locked methods require `mu_` to be held by the caller.
-  // Launches merge jobs for every disjoint plan the policy proposes, up to
-  // max_concurrent_merges; claimed components are excluded from decisions.
-  // No-op without a pool or once an error is latched.
-  void ScheduleMergesLocked();
+  // Claims every disjoint plan the policy proposes, highest rewrite value
+  // first, up to max_concurrent_merges, and returns them for SubmitMerges;
+  // claimed components are excluded from decisions. Empty during WAL replay
+  // or once an error is latched.
+  std::vector<MergePlan> ScheduleMergesLocked();
+  // Submits one MergeJob per plan. Called WITHOUT mu_: a caller-runs job
+  // runs inside Submit and takes mu_ itself.
+  void SubmitMerges(std::vector<MergePlan> plans);
   Result<MergePlan> DecideMergeLocked();
   void InstallMergedLocked(const MergePlan& plan,
                            std::shared_ptr<BtreeComponent> merged);
@@ -636,8 +638,8 @@ class LsmTree {
   // (the recompressed-bytes figure when the rewrite switched codecs).
   void FoldMergeCountersLocked(const MergePipelineCounters& counters,
                                uint64_t merged_physical_bytes);
-  // Executes one scheduled merge on a pool thread, then re-decides
-  // (cascade); short-circuits when canceled or an error is latched.
+  // Executes one scheduled merge, then re-decides (cascade); short-circuits
+  // when canceled or an error is latched.
   void MergeJob(MergePlan plan, bool canceled);
 
   LsmTreeOptions opts_;
@@ -671,13 +673,14 @@ class LsmTree {
   size_t merges_inflight_ = 0;  // scheduled or running
   size_t merges_building_ = 0;  // actually rewriting right now
   Status background_error_;     // sticky first background failure
+  bool replaying_ = false;      // WAL replay in progress: no merge decisions
 
-  // Track this tree's pool jobs, split by kind: WaitForMerges() waits on
-  // both; the destructor always cancels queued MERGE jobs (their inputs
-  // stay live in the tree), but cancels queued FLUSH builds only when a WAL
-  // backs the tree — without one, a sealed generation has no segment to
-  // replay, so teardown must drain its build to stay lossless (the
-  // pk/secondary index trees run WAL-less). Null without a pool.
+  // Track this tree's jobs, split by kind: WaitForMerges() waits on both;
+  // the destructor always cancels queued MERGE jobs (their inputs stay live
+  // in the tree), but cancels queued FLUSH builds only when a WAL backs the
+  // tree — without one, a sealed generation has no segment to replay, so
+  // teardown must drain its build to stay lossless (the pk/secondary index
+  // trees run WAL-less). Caller-runs groups without a pool.
   std::unique_ptr<TaskGroup> flush_jobs_;
   std::unique_ptr<TaskGroup> merge_jobs_;
 

@@ -89,23 +89,6 @@ class PrefixMergePolicy final : public MergePolicy {
   size_t tolerance_;
 };
 
-class ConstantMergePolicy final : public MergePolicy {
- public:
-  explicit ConstantMergePolicy(size_t k) : k_(k) {}
-  const char* name() const override { return "constant"; }
-  MergeDecision Decide(const std::vector<uint64_t>& sizes,
-                       const std::vector<bool>& claimed) const override {
-    return FirstUnclaimedRunDecision(
-        sizes.size(), claimed, [&](size_t b, size_t e) -> MergeDecision {
-          if (e - b > k_) return {true, b, e};
-          return {};
-        });
-  }
-
- private:
-  size_t k_;
-};
-
 // Scans [begin, end) newest-first for the first tier — a maximal run of
 // components whose sizes span strictly less than a factor of `ratio` — that
 // is at least `width` long; the full tier merges at once. The strict bound
@@ -213,10 +196,6 @@ std::unique_ptr<MergePolicy> MakePrefixMergePolicy(uint64_t max_mergeable_bytes,
                                              max_tolerance_count);
 }
 
-std::unique_ptr<MergePolicy> MakeConstantMergePolicy(size_t k) {
-  return std::make_unique<ConstantMergePolicy>(k);
-}
-
 std::unique_ptr<MergePolicy> MakeTieredMergePolicy(size_t size_ratio,
                                                    size_t min_merge_width) {
   return std::make_unique<TieredMergePolicy>(size_ratio, min_merge_width);
@@ -231,7 +210,6 @@ const char* MergePolicyKindName(MergePolicyKind kind) {
   switch (kind) {
     case MergePolicyKind::kNoMerge: return "none";
     case MergePolicyKind::kPrefix: return "prefix";
-    case MergePolicyKind::kConstant: return "constant";
     case MergePolicyKind::kTiered: return "tiered";
     case MergePolicyKind::kLazyLeveled: return "lazy-leveled";
   }
@@ -247,8 +225,6 @@ bool ParseMergePolicyKind(std::string_view text, MergePolicyKind* out) {
     *out = MergePolicyKind::kNoMerge;
   } else if (lower == "prefix") {
     *out = MergePolicyKind::kPrefix;
-  } else if (lower == "constant") {
-    *out = MergePolicyKind::kConstant;
   } else if (lower == "tiered") {
     *out = MergePolicyKind::kTiered;
   } else if (lower == "lazy-leveled" || lower == "lazy") {
@@ -279,8 +255,6 @@ MergePolicyConfig MergePolicyConfig::FromEnv(MergePolicyConfig defaults) {
       EnvInt64("TC_MERGE_SIZE_RATIO", static_cast<int64_t>(defaults.size_ratio)));
   c.min_merge_width = static_cast<size_t>(EnvInt64(
       "TC_MERGE_MIN_WIDTH", static_cast<int64_t>(defaults.min_merge_width)));
-  c.constant_k = static_cast<size_t>(
-      EnvInt64("TC_MERGE_CONSTANT_K", static_cast<int64_t>(defaults.constant_k)));
   c.max_concurrent_merges = static_cast<size_t>(std::max<int64_t>(
       1, EnvInt64("TC_MERGE_CONCURRENT",
                   static_cast<int64_t>(defaults.max_concurrent_merges))));
@@ -297,8 +271,6 @@ std::unique_ptr<MergePolicy> MakeMergePolicy(const MergePolicyConfig& config) {
     case MergePolicyKind::kPrefix:
       return MakePrefixMergePolicy(config.max_mergeable_bytes,
                                    config.max_tolerance_count);
-    case MergePolicyKind::kConstant:
-      return MakeConstantMergePolicy(config.constant_k);
     case MergePolicyKind::kTiered:
       return MakeTieredMergePolicy(config.size_ratio, config.min_merge_width);
     case MergePolicyKind::kLazyLeveled:

@@ -50,13 +50,11 @@ std::unique_ptr<MergePolicy> MakeNoMergePolicy();
 /// AsterixDB's prefix merge policy: ignore components larger than
 /// `max_mergeable_bytes`; among the remaining *suffix* of newest components,
 /// merge the longest run whose total stays under `max_mergeable_bytes` once
-/// more than `max_tolerance_count` such components accumulate.
+/// more than `max_tolerance_count` such components accumulate. With no size
+/// cap (UINT64_MAX) it merges every component whenever their count exceeds
+/// the tolerance — the constant-components schedule tests use.
 std::unique_ptr<MergePolicy> MakePrefixMergePolicy(uint64_t max_mergeable_bytes,
                                                    size_t max_tolerance_count);
-
-/// Merges all components whenever their count exceeds `k` (a simple
-/// constant-components policy, useful in tests).
-std::unique_ptr<MergePolicy> MakeConstantMergePolicy(size_t k);
 
 /// Size-tiered policy: contiguous (newest-first) components whose sizes span
 /// strictly less than a factor of `size_ratio` form a tier; once a tier
@@ -79,7 +77,6 @@ std::unique_ptr<MergePolicy> MakeLazyLeveledMergePolicy(size_t size_ratio,
 enum class MergePolicyKind {
   kNoMerge,
   kPrefix,
-  kConstant,
   kTiered,
   kLazyLeveled,
 };
@@ -92,7 +89,7 @@ inline constexpr size_t kDefaultMaxPendingFlushBuilds = 2;
 
 const char* MergePolicyKindName(MergePolicyKind kind);
 
-/// Parses "none"/"no-merge", "prefix", "constant", "tiered", and
+/// Parses "none"/"no-merge", "prefix", "tiered", and
 /// "lazy-leveled"/"lazy" (case-insensitive). Returns false on unknown names.
 bool ParseMergePolicyKind(std::string_view text, MergePolicyKind* out);
 
@@ -106,19 +103,17 @@ struct MergePolicyConfig {
   // Tiered / lazy-leveled knobs.
   size_t size_ratio = 4;
   size_t min_merge_width = 4;
-  // Constant-policy knob.
-  size_t constant_k = 8;
   // Background-scheduling (not policy) knobs, carried here because this
-  // config already reaches every LSM tree and both are irrelevant without a
-  // merge pool: cap on merges of one tree running concurrently, and the
-  // pooled-flush backpressure bound (sealed generations that may queue for
-  // their component build before writers stall). Both >= 1.
+  // config already reaches every LSM tree: cap on merges of one tree
+  // scheduled at once, and the flush-build backpressure bound (sealed
+  // generations that may queue for their component build before writers
+  // stall). Both >= 1.
   size_t max_concurrent_merges = kDefaultMaxConcurrentMerges;
   size_t max_pending_flush_builds = kDefaultMaxPendingFlushBuilds;
 
   /// Overlays the TC_MERGE_POLICY / TC_MERGE_MAX_MB / TC_MERGE_TOLERANCE /
-  /// TC_MERGE_SIZE_RATIO / TC_MERGE_MIN_WIDTH / TC_MERGE_CONSTANT_K /
-  /// TC_MERGE_CONCURRENT / TC_FLUSH_PENDING environment knobs onto
+  /// TC_MERGE_SIZE_RATIO / TC_MERGE_MIN_WIDTH / TC_MERGE_CONCURRENT /
+  /// TC_FLUSH_PENDING environment knobs onto
   /// `defaults`; unset knobs keep their defaults. An unknown TC_MERGE_POLICY
   /// value warns on stderr and keeps the default.
   static MergePolicyConfig FromEnv(MergePolicyConfig defaults);

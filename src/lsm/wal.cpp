@@ -117,12 +117,4 @@ Status WriteAheadLog::Sync() {
   return file_->Sync();
 }
 
-Status WriteAheadLog::Reset() {
-  // Recreate the file; next_lsn_ keeps increasing so LSNs stay unique.
-  TC_ASSIGN_OR_RETURN(file_, fs_->Create(path_));
-  write_offset_ = 0;
-  appends_since_sync_ = 0;
-  return Status::OK();
-}
-
 }  // namespace tc

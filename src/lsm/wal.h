@@ -1,9 +1,10 @@
 // Write-ahead log (paper §2.2): no-steal/no-force buffer management means
 // every ingested operation is logged before it is acknowledged; on a crash the
-// memtable's unflushed tail is rebuilt by replaying the log. Because a flush
-// persists the entire in-memory component, the log is reset once the flushed
-// component is marked VALID (the paper: "the tree manager can safely delete
-// the logs for the flushed component").
+// memtable's unflushed tail is rebuilt by replaying the log. The tree logs
+// each memtable generation to its own segment: a flush rotates to a fresh
+// segment, and the sealed generation's segment is deleted once its component
+// is marked VALID (the paper: "the tree manager can safely delete the logs
+// for the flushed component").
 #ifndef TC_LSM_WAL_H_
 #define TC_LSM_WAL_H_
 
@@ -65,12 +66,9 @@ class WriteAheadLog {
   /// replay silently, matching standard WAL semantics.
   Status Replay(const std::function<Status(const WalRecord&)>& fn) const;
 
-  /// Drops all log records (called after a flush commits).
-  Status Reset();
-
   /// Forces buffered appends to the device — called before a log segment is
-  /// frozen behind a pooled flush build, so the segment is as durable as the
-  /// configured sync cadence ever made it.
+  /// frozen behind its generation's flush build, so the segment is as
+  /// durable as the configured sync cadence ever made it.
   Status Sync();
 
   uint64_t next_lsn() const { return next_lsn_; }

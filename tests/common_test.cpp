@@ -4,7 +4,9 @@
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "common/bit_packer.h"
 #include "common/bytes.h"
@@ -231,6 +233,83 @@ TEST(TaskGroup, TwoGroupsOnOnePoolAreIndependent) {
   b.Wait();
   EXPECT_EQ(a_ran.load(), 1);
   EXPECT_EQ(b_ran.load(), 1);
+}
+
+// ---------------------------------------------------------------------------
+// Caller-runs TaskGroup (null pool): what an LsmTree without a pool runs its
+// flush builds and merges on.
+// ---------------------------------------------------------------------------
+
+TEST(TaskGroupCallerRuns, RunsOnTheSubmittingThreadBeforeSubmitReturns) {
+  TaskGroup group(nullptr);
+  std::thread::id ran_on;
+  bool ran = false;
+  group.Submit([&](bool canceled) {
+    EXPECT_FALSE(canceled);
+    ran_on = std::this_thread::get_id();
+    ran = true;
+  });
+  EXPECT_TRUE(ran);
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
+  EXPECT_EQ(group.outstanding(), 0u);
+}
+
+TEST(TaskGroupCallerRuns, TasksSubmittedByATaskRunAfterItInOrder) {
+  TaskGroup group(nullptr);
+  TaskGroup other(nullptr);  // the trampoline is per thread, not per group
+  std::vector<std::string> log;
+  group.Submit([&](bool) {
+    log.push_back("a-begin");
+    group.Submit([&](bool) {
+      log.push_back("b");
+      group.Submit([&](bool) { log.push_back("d"); });
+    });
+    other.Submit([&](bool) { log.push_back("c"); });
+    // Queued, not run: both children wait for this task to return, and
+    // they still count as outstanding in their groups.
+    EXPECT_EQ(log.size(), 1u);
+    EXPECT_EQ(group.outstanding(), 2u);
+    EXPECT_EQ(other.outstanding(), 1u);
+    log.push_back("a-end");
+  });
+  // The outermost Submit returns only once the whole chain has run, in
+  // submission order (d was submitted by b, after c).
+  EXPECT_EQ(log, (std::vector<std::string>{"a-begin", "a-end", "b", "c", "d"}));
+  EXPECT_EQ(group.outstanding(), 0u);
+  EXPECT_EQ(other.outstanding(), 0u);
+}
+
+TEST(TaskGroupCallerRuns, WaitReturnsAtOnce) {
+  TaskGroup group(nullptr);
+  int ran = 0;
+  group.Submit([&](bool) { ++ran; });
+  group.Wait();
+  EXPECT_EQ(ran, 1);
+  // Inside a task a queued child cannot run before the task returns, so a
+  // blocking Wait would deadlock; it must return at once instead.
+  group.Submit([&](bool) {
+    group.Submit([&](bool) { ++ran; });
+    group.Wait();
+    EXPECT_EQ(ran, 1);
+  });
+  EXPECT_EQ(ran, 2);
+}
+
+TEST(TaskGroupCallerRuns, CancelTurnsLaterSubmissionsIntoSkips) {
+  TaskGroup group(nullptr);
+  std::vector<bool> canceled_flags;
+  auto record = [&](bool canceled) { canceled_flags.push_back(canceled); };
+  group.Submit(record);
+  // A child queued by a running task has not started when the task cancels
+  // the group, so it runs as a skip.
+  group.Submit([&](bool canceled) {
+    record(canceled);
+    group.Submit(record);
+    group.Cancel();
+  });
+  group.Submit(record);
+  EXPECT_EQ(canceled_flags, (std::vector<bool>{false, false, true, true}));
+  EXPECT_EQ(group.outstanding(), 0u);
 }
 
 }  // namespace

@@ -6,7 +6,7 @@
 //   * retired component files are deleted only after the last view
 //     referencing them is released (deferred deletion);
 //   * merges scheduled on a shared TaskPool produce byte-identical content
-//     to inline merges.
+//     to caller-runs merges (no pool).
 // With a pool, trees now also build flushed components on the executor and
 // run disjoint merges concurrently, so every pool-backed test here doubles as
 // coverage for that pipeline; merge_concurrency_test.cpp carries the
@@ -173,7 +173,8 @@ TEST(Concurrency, ReadersNeverTornDuringFlushAndMerge) {
 // readable; the files disappear exactly when the last reference releases.
 TEST(Concurrency, DeferredDeletionWaitsForLastView) {
   ConcurrencyFixture fx;
-  auto t = fx.Open(1 << 20, MakeConstantMergePolicy(2), /*use_pool=*/false);
+  auto t = fx.Open(1 << 20, MakePrefixMergePolicy(UINT64_MAX, 2),
+                   /*use_pool=*/false);
   for (int round = 0; round < 2; ++round) {
     for (int i = 0; i < 4; ++i) {
       int64_t k = round * 4 + i;
@@ -188,10 +189,10 @@ TEST(Concurrency, DeferredDeletionWaitsForLastView) {
   auto pinned = t->AcquireView();
   ASSERT_EQ(pinned->component_count(), 2u);
 
-  // Third flush trips constant(2): everything merges into one component and
-  // the three inputs retire. The two components `pinned` references must
-  // SURVIVE; the third input (flushed after the pin, so referenced by nobody)
-  // reclaims immediately.
+  // Third flush trips uncapped prefix(2): everything merges into one
+  // component and the three inputs retire. The two components `pinned`
+  // references must SURVIVE; the third input (flushed after the pin, so
+  // referenced by nobody) reclaims immediately.
   for (int i = 8; i < 12; ++i) {
     ASSERT_TRUE(t->Insert(BtreeKey{i, 0}, "r2").ok());
   }
@@ -430,7 +431,8 @@ TEST(Concurrency, FilteredLookupStormDuringFlushAndMerge) {
 // through the pinned view stay correct and still consult filters.
 TEST(Concurrency, PinnedViewKeepsRetiredFiltersValid) {
   ConcurrencyFixture fx;
-  auto t = fx.Open(1 << 20, MakeConstantMergePolicy(2), /*use_pool=*/false);
+  auto t = fx.Open(1 << 20, MakePrefixMergePolicy(UINT64_MAX, 2),
+                   /*use_pool=*/false);
   for (int round = 0; round < 2; ++round) {
     for (int i = 0; i < 8; ++i) {
       int64_t k = round * 8 + i;

@@ -2,7 +2,10 @@
 
 #include <atomic>
 #include <map>
+#include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
 #include "lsm/lsm_tree.h"
@@ -91,7 +94,8 @@ TEST(LsmTree, MergeAnnihilatesAntiMatter) {
 
 TEST(LsmTree, MergedComponentIdSpansRange) {
   LsmFixture fx;
-  auto t = fx.Open(8 * 1024, CompressionKind::kNone, MakeConstantMergePolicy(2));
+  auto t = fx.Open(8 * 1024, CompressionKind::kNone,
+                   MakePrefixMergePolicy(UINT64_MAX, 2));
   for (int round = 0; round < 3; ++round) {
     for (int i = 0; i < 3; ++i) {
       ASSERT_TRUE(
@@ -100,7 +104,7 @@ TEST(LsmTree, MergedComponentIdSpansRange) {
     }
     ASSERT_TRUE(t->Flush().ok());
   }
-  // Constant policy (k=2) merged everything into one [C1..C3] component.
+  // Uncapped prefix(2) merged everything into one [C1..C3] component.
   auto view = t->View();
   ASSERT_EQ(view.component_count(), 1u);
   EXPECT_EQ(view.components()[0]->meta().cid_min, 1u);
@@ -290,7 +294,8 @@ TEST(LsmTree, MalformedMergeDecisionRejectedNotCrashed) {
 
 TEST(LsmTree, StatsTrackWriteAmpAndComponentHighWater) {
   LsmFixture fx;
-  auto t = fx.Open(8 * 1024, CompressionKind::kNone, MakeConstantMergePolicy(2));
+  auto t = fx.Open(8 * 1024, CompressionKind::kNone,
+                   MakePrefixMergePolicy(UINT64_MAX, 2));
   std::string payload(128, 'p');
   for (int round = 0; round < 4; ++round) {
     for (int i = 0; i < 8; ++i) {
@@ -298,8 +303,9 @@ TEST(LsmTree, StatsTrackWriteAmpAndComponentHighWater) {
     }
     ASSERT_TRUE(t->Flush().ok());
   }
-  // constant(2) merges everything whenever a flush pushes the count to 3, so
-  // the high-water mark is exactly 3 (flushes 1-4 leave 1, 2, 3→1, 2 live).
+  // Uncapped prefix(2) merges everything whenever a flush pushes the count
+  // to 3, so the high-water mark is exactly 3 (flushes 1-4 leave 1, 2, 3→1,
+  // 2 live).
   EXPECT_EQ(t->stats().component_count_high_water, 3u);
   EXPECT_EQ(t->component_count(), 2u);
   EXPECT_GT(t->stats().merge_count, 0u);
@@ -346,6 +352,148 @@ TEST(LsmTree, ConcurrentReadersDuringFlushAndMerge) {
   for (auto& th : readers) th.join();
   EXPECT_FALSE(reader_failed.load());
   EXPECT_GT(t->stats().merge_count, 0u);
+}
+
+/// Filesystem wrapper that fails Create for every path containing
+/// `fail_substr` (when non-empty) — injects component-write failures.
+class FailCreateFs final : public FileSystem {
+ public:
+  explicit FailCreateFs(std::shared_ptr<FileSystem> inner)
+      : inner_(std::move(inner)) {}
+
+  std::string fail_substr;
+
+  Result<std::unique_ptr<File>> Open(const std::string& path) override {
+    return inner_->Open(path);
+  }
+  Result<std::unique_ptr<File>> Create(const std::string& path) override {
+    if (!fail_substr.empty() && path.find(fail_substr) != std::string::npos) {
+      return Status::IOError("injected create failure: " + path);
+    }
+    return inner_->Create(path);
+  }
+  Status Delete(const std::string& path) override { return inner_->Delete(path); }
+  bool Exists(const std::string& path) const override {
+    return inner_->Exists(path);
+  }
+  Result<std::vector<std::string>> List(const std::string& dir,
+                                        const std::string& prefix) const override {
+    return inner_->List(dir, prefix);
+  }
+  Status CreateDir(const std::string& path) override {
+    return inner_->CreateDir(path);
+  }
+  Result<uint64_t> FileSize(const std::string& path) const override {
+    return inner_->FileSize(path);
+  }
+
+ private:
+  std::shared_ptr<FileSystem> inner_;
+};
+
+// Without a pool the flush build runs inside Flush(), so its failure is
+// Flush()'s own result — not a latched error left for the next write.
+TEST(LsmTree, CallerRunsFlushReturnsItsBuildError) {
+  LsmFixture fx;
+  auto fail_fs = std::make_shared<FailCreateFs>(fx.fs);
+  fx.fs = fail_fs;
+  auto t = fx.Open();
+  ASSERT_TRUE(t->Insert(BtreeKey{1, 0}, "one").ok());
+  fail_fs->fail_substr = ".btree";
+  Status st = t->Flush();
+  EXPECT_FALSE(st.ok());
+  EXPECT_EQ(st.code(), StatusCode::kIOError);
+  // The sealed generation stays readable; the sticky error gates writers.
+  EXPECT_EQ(S(*t->Get(BtreeKey{1, 0}).ValueOrDie()), "one");
+  EXPECT_FALSE(t->Insert(BtreeKey{2, 0}, "two").ok());
+  EXPECT_FALSE(t->WaitForMerges().ok());
+}
+
+// The same holds for a merge the flush cascaded into: it too ran inside the
+// call, so the call reports it.
+TEST(LsmTree, CallerRunsFlushReturnsItsMergeError) {
+  LsmFixture fx;
+  auto fail_fs = std::make_shared<FailCreateFs>(fx.fs);
+  fx.fs = fail_fs;
+  auto t = fx.Open(8 * 1024, CompressionKind::kNone,
+                   MakePrefixMergePolicy(UINT64_MAX, 1));
+  fail_fs->fail_substr = "c00000001-00000002";  // the [C1..C2] merge output
+  ASSERT_TRUE(t->Insert(BtreeKey{1, 0}, "one").ok());
+  ASSERT_TRUE(t->Flush().ok());
+  ASSERT_TRUE(t->Insert(BtreeKey{2, 0}, "two").ok());
+  EXPECT_FALSE(t->Flush().ok());
+  EXPECT_EQ(t->stats().flush_count, 2u);
+  EXPECT_EQ(t->stats().merge_count, 0u);
+  EXPECT_EQ(S(*t->Get(BtreeKey{2, 0}).ValueOrDie()), "two");
+}
+
+// Caller-runs scheduling is deterministic: the same seeded sequence of
+// inserts, upserts, deletes and flushes yields the same stats and the same
+// component layout, run after run.
+TEST(LsmTree, CallerRunsIsDeterministic) {
+  struct Outcome {
+    std::vector<uint64_t> stats;
+    std::vector<std::pair<uint64_t, uint64_t>> cids;
+  };
+  auto run = [] {
+    LsmFixture fx;
+    LsmTreeOptions o;
+    o.fs = fx.fs;
+    o.cache = &fx.cache;
+    o.dir = "lsm";
+    o.name = "t";
+    o.page_size = 4096;
+    o.memtable_budget_bytes = 2 * 1024;
+    o.merge_policy = MakeTieredMergePolicy(3, 3);
+    o.capture_old_versions = true;
+    o.wal_sync_every = 0;
+    auto t = LsmTree::Open(std::move(o)).ValueOrDie();
+    Rng rng(4242);
+    int64_t next_key = 0;
+    for (int op = 0; op < 3000; ++op) {
+      double r = rng.NextDouble();
+      std::string v =
+          "v" + std::to_string(op) + rng.AlphaString(rng.Uniform(48));
+      if (r < 0.4 || next_key == 0) {
+        EXPECT_TRUE(t->Insert(BtreeKey{next_key++, 0}, v).ok());
+        continue;
+      }
+      BtreeKey key{static_cast<int64_t>(
+                       rng.Uniform(static_cast<uint64_t>(next_key))),
+                   0};
+      if (r < 0.75) {
+        EXPECT_TRUE(t->Upsert(key, v, nullptr).ok());
+      } else if (r < 0.97) {
+        EXPECT_TRUE(t->Delete(key, nullptr).ok());
+      } else {
+        EXPECT_TRUE(t->Flush().ok());
+      }
+    }
+    EXPECT_TRUE(t->Flush().ok());
+    // Every LsmStats field except the four merge-stage wall-clock timers.
+    LsmStats s = t->stats();
+    Outcome out;
+    out.stats = {s.flush_count, s.merge_count, s.bytes_flushed, s.bytes_merged,
+                 s.bulk_load_count, s.bytes_bulk_loaded, s.point_lookups,
+                 s.old_version_lookups, s.filter_checks, s.filter_negatives,
+                 s.filter_false_positives, s.lookup_pages_read,
+                 s.component_count_high_water, s.concurrent_merges_high_water,
+                 s.flush_queue_high_water, s.merge_records_recompacted,
+                 s.merge_bytes_recompacted, s.merge_components_recompressed,
+                 s.merge_bytes_recompressed};
+    auto view = t->View();
+    for (const auto& c : view.components()) {
+      out.cids.emplace_back(c->meta().cid_min, c->meta().cid_max);
+    }
+    EXPECT_GT(s.flush_count, 10u);
+    EXPECT_GT(s.merge_count, 2u);
+    EXPECT_EQ(s.concurrent_merges_high_water, 1u);  // one job at a time
+    return out;
+  };
+  Outcome a = run();
+  Outcome b = run();
+  EXPECT_EQ(a.stats, b.stats);
+  EXPECT_EQ(a.cids, b.cids);
 }
 
 TEST(LsmTree, BulkLoadBuildsSingleComponent) {

@@ -235,7 +235,7 @@ TEST(MemoryArbiter, MultiTreeBudgetRespectedUnderConcurrentIngest) {
     trees.push_back(fx.Open(&arb, "t" + std::to_string(i)));
   }
 
-  // Inline flushes (no pool): the enforced bound is the arbiter's hard
+  // Caller-runs flushes (no pool): the enforced bound is the arbiter's hard
   // ceiling — live memory under 2x the share (a skipped dispatch past that
   // makes the caller drain itself), plus slack for floors and records in
   // flight. Sealed bytes are transient here (a generation mid-build, drained
@@ -507,7 +507,7 @@ TEST(MemoryArbiter, TreeBuildsChargeBackgroundScratch) {
     t.name = "t";
     t.page_size = 4096;
     t.memtable_budget_bytes = 1 << 20;
-    t.merge_policy = MakeConstantMergePolicy(1);
+    t.merge_policy = MakePrefixMergePolicy(UINT64_MAX, 1);
     t.arbiter = &arb;
     t.wal_sync_every = 0;
     auto tree = LsmTree::Open(std::move(t)).ValueOrDie();
@@ -518,7 +518,7 @@ TEST(MemoryArbiter, TreeBuildsChargeBackgroundScratch) {
     for (int64_t k = 32; k < 64; ++k) {
       ASSERT_TRUE(tree->Insert(BtreeKey{k, 0}, "vvvv").ok());
     }
-    ASSERT_TRUE(tree->Flush().ok());  // flush build + inline merge rewrite
+    ASSERT_TRUE(tree->Flush().ok());  // flush build + caller-runs merge
   }
   MemoryArbiter::Stats s = arb.stats();
   EXPECT_GE(s.background_charges, 3u);  // two flush builds + one merge

@@ -254,15 +254,18 @@ TEST(MergeConcurrency, PooledFlushDoesNotBlockWriterBeyondSwap) {
 // Regression (cascade resubmit): once any background job latches the sticky
 // error, a concurrently-running merge must NOT cascade-schedule new merges on
 // completion. Deterministic sequencing: merge A ([c1-c2]) and merge B
-// ([c3-c4]) both enter the gate; A's build is failed first and the test
-// waits until the error is latched (writers become gated) before releasing
-// B. B installs fine — but its cascade, which would propose merging B's
-// output with A's now-unclaimed inputs, must short-circuit.
+// ([c3-c4]) both enter the gate; once the flushes have returned (a flush
+// reports whatever error has latched by then, so A must not fail earlier),
+// A's build is failed first and the test waits until the error is latched
+// (writers become gated) before releasing B. B installs fine — but its
+// cascade, which would propose merging B's output with A's now-unclaimed
+// inputs, must short-circuit.
 TEST(MergeConcurrency, CascadeShortCircuitsAfterStickyError) {
   Fixture fx;
   std::mutex mu;
   std::condition_variable cv;
   int arrived = 0;
+  bool release_a = false;
   bool release_b = false;
   int merge_attempts = 0;
   fx.fs->create_hook = [&](const std::string& path) -> Status {
@@ -273,7 +276,8 @@ TEST(MergeConcurrency, CascadeShortCircuitsAfterStickyError) {
     ++arrived;
     cv.notify_all();
     if (lo == 1) {  // merge A over the oldest pair
-      cv.wait_for(lock, std::chrono::seconds(30), [&] { return arrived >= 2; });
+      cv.wait_for(lock, std::chrono::seconds(30),
+                  [&] { return arrived >= 2 && release_a; });
       return Status::IOError("injected merge-build failure");
     }
     // merge B: held until the test observed A's latched error.
@@ -286,7 +290,12 @@ TEST(MergeConcurrency, CascadeShortCircuitsAfterStickyError) {
   for (int f = 0; f < 4; ++f) {
     ASSERT_TRUE(fx.FlushBatch(t.get(), f * 8, 8, v).ok());
   }
-  // Both merges are in the gate now (A waits for B's arrival, then fails).
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    release_a = true;
+  }
+  cv.notify_all();
+  // Both merges enter the gate (A waits for B's arrival, then fails).
   // Wait until A's failure is latched: writers are gated by the sticky error.
   for (int spin = 0; spin < 5000; ++spin) {
     Status st = t->Insert(BtreeKey{1000 + spin, 0}, "probe");
@@ -317,13 +326,26 @@ TEST(MergeConcurrency, CascadeShortCircuitsAfterStickyError) {
 TEST(MergeConcurrency, DrainFailureSurfacesAsBackgroundError) {
   Fixture fx;
   std::atomic<bool> fail_deletes{false};
+  // Holds merge builds until released, so the failing drain cannot land
+  // before the flush that scheduled its merge has returned (a flush reports
+  // whatever error has latched by then).
+  std::mutex mu;
+  std::condition_variable cv;
+  bool release = true;
+  fx.fs->create_hook = [&](const std::string& path) -> Status {
+    uint64_t lo = 0, hi = 0;
+    if (!ParseComponentCids(path, &lo, &hi) || lo == hi) return Status::OK();
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait_for(lock, std::chrono::seconds(30), [&] { return release; });
+    return Status::OK();
+  };
   fx.fs->delete_hook = [&](const std::string& path) -> Status {
     if (fail_deletes.load() && path.find(".btree") != std::string::npos) {
       return Status::IOError("injected delete failure");
     }
     return Status::OK();
   };
-  auto t = fx.Open(MakeConstantMergePolicy(2), /*pool_threads=*/1,
+  auto t = fx.Open(MakePrefixMergePolicy(UINT64_MAX, 2), /*pool_threads=*/1,
                    /*max_merges=*/1);
   std::string v(64, 'v');
   for (int f = 0; f < 2; ++f) {
@@ -331,9 +353,18 @@ TEST(MergeConcurrency, DrainFailureSurfacesAsBackgroundError) {
   }
   ASSERT_TRUE(t->WaitForMerges().ok());  // healthy so far
   fail_deletes.store(true);
-  // The third flush trips constant(2); the merge succeeds but retiring its
-  // inputs fails in the drain.
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    release = false;
+  }
+  // The third flush trips uncapped prefix(2); the merge succeeds but
+  // retiring its inputs fails in the drain.
   ASSERT_TRUE(fx.FlushBatch(t.get(), 16, 8, v).ok());
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    release = true;
+  }
+  cv.notify_all();
   Status st = t->WaitForMerges();
   EXPECT_FALSE(st.ok());
   EXPECT_NE(st.message().find("injected delete failure"), std::string::npos);

@@ -57,8 +57,10 @@ TEST(Prefix, PairwiseFallbackWhenOverflowing) {
   EXPECT_EQ(d.end - d.begin, 2u);
 }
 
-TEST(Constant, MergesAllPastK) {
-  auto p = MakeConstantMergePolicy(3);
+// With no size cap every component is "small" and the take loop takes them
+// all: the constant-components schedule (merge everything past k).
+TEST(Prefix, UncappedMergesAllPastTolerance) {
+  auto p = MakePrefixMergePolicy(UINT64_MAX, 3);
   EXPECT_FALSE(p->Decide({kMB, kMB, kMB}).merge);
   MergeDecision d = p->Decide({kMB, kMB, kMB, kMB});
   ASSERT_TRUE(d.merge);
@@ -151,7 +153,7 @@ TEST(EnvConfig, ParseAndFactoryCoverEveryKind) {
   EXPECT_FALSE(ParseMergePolicyKind("leveled-eagerly", &k));
   for (MergePolicyKind kind :
        {MergePolicyKind::kNoMerge, MergePolicyKind::kPrefix,
-        MergePolicyKind::kConstant, MergePolicyKind::kTiered,
+        MergePolicyKind::kTiered,
         MergePolicyKind::kLazyLeveled}) {
     MergePolicyConfig c;
     c.kind = kind;
@@ -200,7 +202,7 @@ TEST(AllPolicies, RandomizedSimulationInvariants) {
   std::vector<Case> cases = {
       {MakeNoMergePolicy(), false, 0},
       {MakePrefixMergePolicy(kPrefixMax, 3), true, kPrefixMax},
-      {MakeConstantMergePolicy(5), true, 0},
+      {MakePrefixMergePolicy(UINT64_MAX, 5), true, 0},
       {MakeTieredMergePolicy(3, 3), true, 0},
       {MakeLazyLeveledMergePolicy(3, 3), true, 0},
   };
@@ -246,10 +248,10 @@ TEST(AllPolicies, RandomizedSimulationInvariants) {
 
 TEST(ClaimAware, EmptyClaimsMatchSingleArgDecide) {
   // The two-arg overload with nothing claimed must reproduce the historical
-  // decision bit for bit — the inline (single-inflight) path depends on it.
+  // decision bit for bit — the single-inflight schedule depends on it.
   std::vector<std::shared_ptr<MergePolicy>> policies = {
       MakeNoMergePolicy(), MakePrefixMergePolicy(2 * kMB, 3),
-      MakeConstantMergePolicy(5), MakeTieredMergePolicy(3, 3),
+      MakePrefixMergePolicy(UINT64_MAX, 5), MakeTieredMergePolicy(3, 3),
       MakeLazyLeveledMergePolicy(3, 3)};
   Rng rng(777);
   for (const auto& p : policies) {
@@ -301,8 +303,8 @@ TEST(ClaimAware, TieredTiersWithinUnclaimedRuns) {
   EXPECT_FALSE(d.merge);
 }
 
-TEST(ClaimAware, ConstantMergesTheUnclaimedRunOnly) {
-  auto p = MakeConstantMergePolicy(2);
+TEST(ClaimAware, UncappedPrefixMergesTheUnclaimedRunOnly) {
+  auto p = MakePrefixMergePolicy(UINT64_MAX, 2);
   std::vector<uint64_t> sizes = {kMB, kMB, kMB, kMB, kMB};
   std::vector<bool> claimed = {true, true, false, false, false};
   MergeDecision d = p->Decide(sizes, claimed);
@@ -333,7 +335,7 @@ TEST(ClaimAware, LazyLeveledNeverAbsorbsWhileAMergeRuns) {
 // (and its double-merge hardening) relies on.
 TEST(ClaimAware, ProposalsNeverOverlapClaims) {
   std::vector<std::shared_ptr<MergePolicy>> policies = {
-      MakePrefixMergePolicy(2 * kMB, 2), MakeConstantMergePolicy(3),
+      MakePrefixMergePolicy(2 * kMB, 2), MakePrefixMergePolicy(UINT64_MAX, 3),
       MakeTieredMergePolicy(3, 2), MakeLazyLeveledMergePolicy(3, 2)};
   Rng rng(20260726);
   for (const auto& p : policies) {

@@ -137,10 +137,11 @@ TEST(ReEncode, CompactedRecordPassesThroughByteIdentical) {
 
 DatasetOptions CascadeOptions(SchemaMode mode) {
   DatasetOptions o = SmallOptions(mode, /*memtable_kb=*/32);
-  // Constant policy with k=1: every flush beyond the first triggers a full
-  // merge, so the test exercises the pipeline on every component shape.
-  o.merge.kind = MergePolicyKind::kConstant;
-  o.merge.constant_k = 1;
+  // Uncapped prefix with tolerance 1: every flush beyond the first triggers a
+  // full merge, so the test exercises the pipeline on every component shape.
+  o.merge.kind = MergePolicyKind::kPrefix;
+  o.merge.max_mergeable_bytes = UINT64_MAX;
+  o.merge.max_tolerance_count = 1;
   return o;
 }
 
@@ -269,7 +270,7 @@ struct TreeFixture {
     o.name = "t";
     o.page_size = 4096;
     o.memtable_budget_bytes = 1 << 20;
-    o.merge_policy = MakeConstantMergePolicy(1);
+    o.merge_policy = MakePrefixMergePolicy(UINT64_MAX, 1);
     o.wal_sync_every = 0;
     return o;
   }
@@ -292,7 +293,7 @@ TEST(MergeRecompress, BottomMergeSwitchesToHeavierCodecAndStaysReadable) {
     for (int64_t k = 50; k < 100; ++k) {
       ASSERT_TRUE(t->Insert(BtreeKey{k, 0}, v).ok());
     }
-    ASSERT_TRUE(t->Flush().ok());  // constant(1): inline full merge
+    ASSERT_TRUE(t->Flush().ok());  // uncapped prefix(1): full merge
 
     LsmStats s = t->stats();
     EXPECT_GT(s.merge_count, 0u);

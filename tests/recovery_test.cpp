@@ -156,6 +156,59 @@ TEST(Recovery, DeletesReplayedFromWal) {
   EXPECT_FALSE(t->Get(BtreeKey{1, 0}).ValueOrDie().has_value());
 }
 
+// Every flush rotates the WAL: new writes go to the next segment and the
+// flushed generation's segment is deleted once its component is durable, so
+// a crash after the flush replays only the tail written since — never the
+// flushed generation a second time.
+TEST(Recovery, FlushRotatesWalSegmentAndDropsTheFlushedOne) {
+  auto fs = MakeMemFileSystem();
+  BufferCache cache(4096, 512);
+  {
+    auto t = LsmTree::Open(BaseOptions(fs, &cache)).ValueOrDie();
+    ASSERT_TRUE(t->Insert(BtreeKey{1, 0}, "flushed").ok());
+    ASSERT_TRUE(t->Flush().ok());
+    EXPECT_EQ(fs->List("rec", "t.wal").ValueOrDie(),
+              std::vector<std::string>{"t.wal.1"});
+    ASSERT_TRUE(t->Insert(BtreeKey{2, 0}, "tail").ok());
+    // "Crash": the tail lives only in t.wal.1.
+  }
+  auto t = LsmTree::Open(BaseOptions(fs, &cache)).ValueOrDie();
+  auto view = t->View();
+  ASSERT_EQ(view.component_count(), 2u);
+  EXPECT_EQ(view.components()[0]->meta().n_entries, 1u);  // just the tail
+  EXPECT_EQ(S(*t->Get(BtreeKey{1, 0}).ValueOrDie()), "flushed");
+  EXPECT_EQ(S(*t->Get(BtreeKey{2, 0}).ValueOrDie()), "tail");
+  // Replay flushed the tail and restarted logging at the base segment.
+  EXPECT_EQ(fs->List("rec", "t.wal").ValueOrDie(),
+            std::vector<std::string>{"t.wal"});
+}
+
+// Replay flushes the restored generation through the ordinary flush path but
+// takes no merge decision: the policy first runs on the next flush.
+TEST(Recovery, ReplayFlushTakesNoMergeDecision) {
+  auto fs = MakeMemFileSystem();
+  BufferCache cache(4096, 512);
+  auto options = [&] {
+    auto o = BaseOptions(fs, &cache);
+    o.merge_policy = MakePrefixMergePolicy(UINT64_MAX, 1);  // merge past 1
+    return o;
+  };
+  {
+    auto t = LsmTree::Open(options()).ValueOrDie();
+    ASSERT_TRUE(t->Insert(BtreeKey{1, 0}, "flushed").ok());
+    ASSERT_TRUE(t->Flush().ok());
+    ASSERT_TRUE(t->Insert(BtreeKey{2, 0}, "replayed").ok());
+  }
+  auto t = LsmTree::Open(options()).ValueOrDie();
+  EXPECT_EQ(t->component_count(), 2u);
+  EXPECT_EQ(t->stats().merge_count, 0u);
+  ASSERT_TRUE(t->Insert(BtreeKey{3, 0}, "fresh").ok());
+  ASSERT_TRUE(t->Flush().ok());
+  EXPECT_EQ(t->component_count(), 1u);
+  EXPECT_EQ(t->stats().merge_count, 1u);
+  EXPECT_EQ(S(*t->Get(BtreeKey{2, 0}).ValueOrDie()), "replayed");
+}
+
 // Pooled flush builds rotate the WAL into per-generation segments; a crash
 // (or teardown that cancels queued builds) leaves rotated segments on disk,
 // and the next Open must replay every segment in order — the sealed
@@ -419,13 +472,13 @@ TEST(Recovery, CrashMidMergeRewriteRecoversTransformedHeavyComponent) {
   {
     TupleCompactor compactor(&type);
     auto opts = BaseOptions(fs, &cache);
-    opts.merge_policy = MakeConstantMergePolicy(1);
+    opts.merge_policy = MakePrefixMergePolicy(UINT64_MAX, 1);
     opts.merge_transformer = &compactor;
     opts.merge_recompress = CompressionKind::kHeavy;
     auto t = LsmTree::Open(std::move(opts)).ValueOrDie();
     Buffer p = payload_for(8);
     ASSERT_TRUE(t->Insert(BtreeKey{8, 0}, S(p)).ok());
-    ASSERT_TRUE(t->Flush().ok());  // inline: flush then merge [0..8]
+    ASSERT_TRUE(t->Flush().ok());  // caller-runs: flush then merge [0..8]
     LsmStats s = t->stats();
     ASSERT_EQ(s.merge_count, 1u);
     EXPECT_EQ(s.merge_records_recompacted, 9u);

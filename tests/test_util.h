@@ -116,7 +116,6 @@ inline DatasetOptions SmallOptions(SchemaMode mode, size_t memtable_kb = 64) {
   // Pin the merge-pipeline knobs too (their defaults read TC_MERGE_* env).
   o.merge_transform = true;
   o.merge_recompress = CompressionKind::kNone;
-  o.value_ordered_merges = true;
   o.wal_sync_every = 0;
   return o;
 }

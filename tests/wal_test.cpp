@@ -62,22 +62,6 @@ TEST(Wal, TornTailIsIgnored) {
   EXPECT_EQ(n, 1u);  // only the intact record replays
 }
 
-TEST(Wal, ResetDropsRecordsKeepsLsnMonotonic) {
-  auto fs = MakeMemFileSystem();
-  auto wal = WriteAheadLog::Open(fs, "log", 0).ValueOrDie();
-  (void)wal->Append(WalOp::kPut, BtreeKey{1, 0}, "a").ValueOrDie();
-  ASSERT_TRUE(wal->Reset().ok());
-  EXPECT_EQ(wal->size_bytes(), 0u);
-  EXPECT_EQ(wal->Append(WalOp::kPut, BtreeKey{2, 0}, "b").ValueOrDie(), 2u);
-  size_t n = 0;
-  ASSERT_TRUE(wal->Replay([&](const WalRecord&) {
-                    ++n;
-                    return Status::OK();
-                  })
-                  .ok());
-  EXPECT_EQ(n, 1u);
-}
-
 // ---------------------------------------------------------------------------
 // Group commit (AppendBatch): one buffered write + at most one sync per
 // batch, per-record LSNs, on-disk bytes indistinguishable from single
