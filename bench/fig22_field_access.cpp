@@ -41,19 +41,24 @@ double CountWhere(Dataset* ds, const std::string& field, size_t threads) {
   std::vector<FieldPath> paths = {FieldPath::Parse(field)};
   std::atomic<uint64_t> matches{0};
   auto run = [&] {
-    auto stats = RunPartitioned(
+    auto stats = RunPartitionedBatches(
         ds, qo,
-        [&](const PartitionContext& ctx) -> Result<std::unique_ptr<Operator>> {
-          VecScanPipeline scan =
-              MakeVecScan(ctx, ScanSpec{paths, false, nullptr},
-                          /*push_predicate=*/true, qo.vec_batch_rows);
-          return {std::make_unique<VecToRowBridge>(std::move(scan.op))};
+        [&](const PartitionContext& ctx) -> Result<std::unique_ptr<VecOperator>> {
+          return MakeVecScan(ctx, ScanSpec{paths, false, nullptr},
+                             /*push_predicate=*/true, qo.vec_batch_rows)
+              .op;
         },
-        [&](int) -> RowSink {
-          return [&matches](Row&& row) -> Status {
-            if (row.cols[0].int_value() < 500) {
-              matches.fetch_add(1, std::memory_order_relaxed);
-            }
+        [&](int) -> BatchSink {
+          return [&matches](const ColumnBatch& batch) -> Status {
+            const ColumnVector& col = batch.cols[0];
+            uint64_t hits = 0;
+            batch.ForEachActive([&](size_t r) {
+              int64_t v = col.kind() == ColumnVector::Kind::kInt64
+                              ? col.Int64At(r)
+                              : col.ValueAt(r).int_value();
+              if (v < 500) ++hits;
+            });
+            matches.fetch_add(hits, std::memory_order_relaxed);
             return Status::OK();
           };
         });

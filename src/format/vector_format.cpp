@@ -488,6 +488,12 @@ AdmValue DecodeVectorScalarItem(const VectorRecordWalker::Item& it) {
   }
 }
 
+namespace {
+
+/// Spells out the field name of a walker item given the enclosing object's
+/// declared descriptor (nullable) and the schema dictionary (nullable for
+/// uncompacted records). Only whole-record decoding needs the name itself;
+/// the query walks compare names without copying them (query/field_match.h).
 Status ResolveVectorFieldName(const VectorRecordWalker::Item& it,
                               const TypeDescriptor* scope_decl,
                               const Schema* schema, std::string* out) {
@@ -509,8 +515,6 @@ Status ResolveVectorFieldName(const VectorRecordWalker::Item& it,
   *out = schema->dict().NameOf(it.name_id);
   return Status::OK();
 }
-
-namespace {
 
 /// Declared type of the item itself, given its enclosing scope's descriptor.
 const TypeDescriptor* ChildDescriptor(const VectorRecordWalker::Item& it,

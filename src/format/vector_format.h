@@ -170,13 +170,6 @@ bool PackedLeafSatisfies(const VectorRecordWalker::Item& item, CompareOp op,
 bool AnyPackedFixedSatisfies(AdmTag tag, const uint8_t* base, size_t count,
                              CompareOp op, const AdmValue& literal);
 
-/// Resolves the field name of a walker item given the enclosing object's
-/// declared descriptor (nullable) and the schema dictionary (nullable for
-/// uncompacted records).
-Status ResolveVectorFieldName(const VectorRecordWalker::Item& item,
-                              const TypeDescriptor* scope_decl,
-                              const Schema* schema, std::string* out);
-
 /// Flush-path inference (paper §3.3.2): folds the record into `schema` by
 /// scanning only the tag and name vectors. Equivalent to InferRecord on the
 /// decoded value (tests assert this).

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/memory_arbiter.h"
+#include "query/vec/vec_operator.h"
 
 namespace tc {
 
@@ -30,9 +31,17 @@ void MergeVecCounters(const VecCounterSet& partition_counters, QueryStats* stats
   }
 }
 
-Result<QueryStats> RunPartitioned(Dataset* dataset, const QueryOptions& options,
-                                  const PipelineFactory& make_pipeline,
-                                  const SinkFactory& make_sink) {
+namespace {
+
+/// Runs the pipeline of partition `index` (dataset->partition(index)) to
+/// completion on the calling thread.
+using PartitionBody = std::function<Status(const PartitionContext&, int index)>;
+
+/// The one per-partition driver behind both executor forms: pins the views,
+/// collects the schema registry, binds the accessors, runs `body` for every
+/// partition on the executor threads, and folds the counters into the stats.
+Result<QueryStats> RunEachPartition(Dataset* dataset, const QueryOptions& options,
+                                    const PartitionBody& body) {
   auto start = std::chrono::steady_clock::now();
   size_t n = dataset->partition_count();
 
@@ -76,33 +85,8 @@ Result<QueryStats> RunPartitioned(Dataset* dataset, const QueryOptions& options,
       ctx.view = &views[i];
       ctx.options = &options;
       ctx.vec_counters = &vec_counters[i];
-      auto pipeline = make_pipeline(ctx);
-      if (!pipeline.ok()) {
-        statuses[i] = pipeline.status();
-        return;
-      }
-      std::unique_ptr<Operator> op = std::move(pipeline).value();
-      RowSink sink = make_sink(static_cast<int>(i));
-      Status st = op->Open();
-      if (!st.ok()) {
-        statuses[i] = st;
-        return;
-      }
-      Row row;
-      while (true) {
-        auto has = op->Next(&row);
-        if (!has.ok()) {
-          statuses[i] = has.status();
-          return;
-        }
-        if (!has.value()) break;
-        st = sink(std::move(row));
-        if (!st.ok()) {
-          statuses[i] = st;
-          return;
-        }
-        row = Row{};
-      }
+      statuses[i] = body(ctx, static_cast<int>(i));
+      if (!statuses[i].ok()) return;
     }
   };
 
@@ -135,6 +119,47 @@ Result<QueryStats> RunPartitioned(Dataset* dataset, const QueryOptions& options,
     }
   }
   return stats;
+}
+
+}  // namespace
+
+Result<QueryStats> RunPartitioned(Dataset* dataset, const QueryOptions& options,
+                                  const PipelineFactory& make_pipeline,
+                                  const SinkFactory& make_sink) {
+  auto body = [&](const PartitionContext& ctx, int index) -> Status {
+    TC_ASSIGN_OR_RETURN(std::unique_ptr<Operator> op, make_pipeline(ctx));
+    RowSink sink = make_sink(index);
+    TC_RETURN_IF_ERROR(op->Open());
+    Row row;
+    while (true) {
+      TC_ASSIGN_OR_RETURN(bool has, op->Next(&row));
+      if (!has) return Status::OK();
+      TC_RETURN_IF_ERROR(sink(std::move(row)));
+      row = Row{};
+    }
+  };
+  return RunEachPartition(dataset, options, body);
+}
+
+Result<QueryStats> RunPartitionedBatches(Dataset* dataset,
+                                         const QueryOptions& options,
+                                         const VecPipelineFactory& make_pipeline,
+                                         const BatchSinkFactory& make_sink) {
+  auto body = [&](const PartitionContext& ctx, int index) -> Status {
+    TC_ASSIGN_OR_RETURN(std::unique_ptr<VecOperator> op, make_pipeline(ctx));
+    BatchSink sink = make_sink(index);
+    VecOpCounters* sink_counters = ctx.vec_counters->For("sink");
+    TC_RETURN_IF_ERROR(op->Open());
+    ColumnBatch batch;
+    while (true) {
+      TC_ASSIGN_OR_RETURN(bool has, op->Next(&batch));
+      if (!has) return Status::OK();
+      ++sink_counters->batches;
+      sink_counters->rows += batch.ActiveRows();
+      TC_RETURN_IF_ERROR(sink(batch));
+    }
+  };
+  return RunEachPartition(dataset, options, body);
 }
 
 }  // namespace tc

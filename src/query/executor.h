@@ -1,7 +1,15 @@
 // Parallel query executor: runs one pipeline per data partition on its own
-// thread (the paper's per-partition query executors, §2.3) and feeds rows to
-// per-partition sinks, which the caller merges — the local-aggregate /
-// exchange / global-merge structure of the paper's Figure 5 plans.
+// thread (the paper's per-partition query executors, §2.3) and feeds its
+// output to per-partition sinks, which the caller merges — the
+// local-aggregate / exchange / global-merge structure of the paper's Figure 5
+// plans. Two forms share one driver (view pinning, schema registry,
+// accessors, counters, the thread loop, the memory-arbiter tick):
+//   - RunPartitionedBatches: a VecOperator pipeline hands whole ColumnBatches
+//     to a BatchSink, which reads the typed columns in place. Every
+//     scan-shaped paper query runs this way, scan straight into aggregate.
+//   - RunPartitioned: a row Operator pipeline hands Rows to a RowSink. Only
+//     plans with a row-producing operator need it (LookupOperator, the
+//     un-consolidated Sensors Q4 plan's filter + map).
 #ifndef TC_QUERY_EXECUTOR_H_
 #define TC_QUERY_EXECUTOR_H_
 
@@ -96,6 +104,27 @@ using SinkFactory = std::function<RowSink(int partition)>;
 Result<QueryStats> RunPartitioned(Dataset* dataset, const QueryOptions& options,
                                   const PipelineFactory& make_pipeline,
                                   const SinkFactory& make_sink);
+
+class VecOperator;   // query/vec/vec_operator.h
+struct ColumnBatch;  // query/vec/column_batch.h
+
+using VecPipelineFactory =
+    std::function<Result<std::unique_ptr<VecOperator>>(const PartitionContext&)>;
+/// Consumes one batch on the partition's thread: only the batch's live rows
+/// (ColumnBatch::ForEachActive) belong to the result. The batch is reused for
+/// the next Next() call, so a sink copies what it keeps. One sink per
+/// partition, so no synchronization is needed inside.
+using BatchSink = std::function<Status(const ColumnBatch&)>;
+using BatchSinkFactory = std::function<BatchSink(int partition)>;
+
+/// The batch form of RunPartitioned: batches go to the sinks as the pipeline
+/// produces them, with no per-row materialization. The batches and live rows
+/// handed to each sink are counted as operator "sink" in
+/// QueryStats::operators.
+Result<QueryStats> RunPartitionedBatches(Dataset* dataset,
+                                         const QueryOptions& options,
+                                         const VecPipelineFactory& make_pipeline,
+                                         const BatchSinkFactory& make_sink);
 
 }  // namespace tc
 

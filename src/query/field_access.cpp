@@ -2,6 +2,8 @@
 
 #include <cstdlib>
 
+#include "query/field_match.h"
+
 namespace tc {
 
 // ---------------------------------------------------------------------------
@@ -100,9 +102,10 @@ AdmValue NavigateAdmValue(const AdmValue& v, const std::vector<PathStep>& steps,
 // Two walks mirror this skeleton: ScanPredicateMatcher (scan_predicate.cpp),
 // with in-place compares instead of materialization, and the vectorized
 // scan's VecPathExtractor (vec/vec_operator.cpp), which collects scalar items
-// for typed columns. Keep structural changes to all three in sync (the
-// scan-predicate equivalence tests and VecFastPath.ExtractorMatchesGetValuesVector
-// pin them to this one).
+// for typed columns. All three match field names through one
+// PathFieldMatcher (query/field_match.h). Keep structural changes to all
+// three in sync (the scan-predicate equivalence tests and
+// VecFastPath.ExtractorMatchesGetValuesVector pin them to this one).
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -156,6 +159,10 @@ Status GetValuesVector(const VectorRecordView& view, const DatasetType& type,
   }
   size_t open_builders = 0;
 
+  PathFieldMatcher names;
+  names.Bind(paths.size(), [&paths](size_t p) -> const FieldPath& { return paths[p]; },
+             schema);
+
   std::vector<WalkScope> scopes;
   scopes.push_back({});
   {
@@ -167,7 +174,6 @@ Status GetValuesVector(const VectorRecordView& view, const DatasetType& type,
     }
   }
 
-  std::string name;
   std::vector<AdmValue*> child_builders;
   while (true) {
     if (!any_wildcard && unresolved == 0 && open_builders == 0) break;
@@ -183,10 +189,8 @@ Status GetValuesVector(const VectorRecordView& view, const DatasetType& type,
     WalkScope& scope = scopes.back();
     bool need_name = scope.is_object &&
                      (!scope.actives.empty() || !scope.builders.empty());
-    name.clear();
-    if (need_name) {
-      TC_RETURN_IF_ERROR(ResolveVectorFieldName(it, scope.decl, schema, &name));
-    }
+    ItemFieldName name;
+    if (need_name) TC_RETURN_IF_ERROR(names.Resolve(it, scope.decl, &name));
 
     // Which paths does this item advance or complete?
     std::vector<Active> child_actives;
@@ -195,7 +199,7 @@ Status GetValuesVector(const VectorRecordView& view, const DatasetType& type,
       const PathStep& st = paths[a.path].steps[a.step];
       bool match = false;
       if (scope.is_object) {
-        match = st.kind == PathStep::kField && st.name == name;
+        match = names.Matches(name, a.path, a.step, st);
       } else if (st.kind == PathStep::kWildcard) {
         match = true;
       } else if (st.kind == PathStep::kIndex) {
@@ -234,8 +238,10 @@ Status GetValuesVector(const VectorRecordView& view, const DatasetType& type,
     if (!nested) scalar = DecodeVectorScalarItem(it);
     for (AdmValue* b : scope.builders) {
       AdmValue placed = nested ? AdmValue(it.tag) : scalar;
-      AdmValue* slot = scope.is_object ? &b->AddField(name, std::move(placed))
-                                       : &b->Append(std::move(placed));
+      AdmValue* slot =
+          scope.is_object
+              ? &b->AddField(std::string(names.Text(name)), std::move(placed))
+              : &b->Append(std::move(placed));
       if (nested) child_builders.push_back(slot);
     }
     for (AdmValue* t : extraction_targets) {

@@ -22,9 +22,13 @@ uint64_t Fnv1a(std::string_view s, uint64_t h = 1469598103934665603ull) {
   return h;
 }
 
-std::string Lower(std::string s) {
-  for (char& c : s) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  return s;
+/// Whether `s`, ASCII-lowercased, equals `lower_literal`.
+bool EqualsLowered(std::string_view s, std::string_view lower_literal) {
+  if (s.size() != lower_literal.size()) return false;
+  for (size_t i = 0; i < s.size(); ++i) {
+    if (std::tolower(static_cast<unsigned char>(s[i])) != lower_literal[i]) return false;
+  }
+  return true;
 }
 
 PaperQueryResult Summarize(QueryStats stats, std::string summary) {
@@ -47,14 +51,55 @@ std::string RenderTopK(const std::vector<std::pair<std::string, AggCell>>& top,
   return s;
 }
 
-// Builds the scan every plan shares: batched columnar extraction behind a
-// VecToRowBridge, so plans and sinks stay row-shaped. Paper-query plans set a
-// scan predicate only when it lowers, so it is always pushed into the scan.
-std::unique_ptr<Operator> MakeScan(const PartitionContext& ctx, ScanSpec spec) {
-  VecScanPipeline scan = MakeVecScan(ctx, std::move(spec), /*push_predicate=*/true,
-                                     ctx.options->vec_batch_rows);
-  return std::make_unique<VecToRowBridge>(std::move(scan.op),
-                                          ctx.vec_counters->For("bridge"));
+// Builds the scan every batch plan shares. Paper-query plans set a scan
+// predicate only when it lowers, so it is always pushed into the scan.
+Result<std::unique_ptr<VecOperator>> MakeScan(const PartitionContext& ctx,
+                                              ScanSpec spec) {
+  return MakeVecScan(ctx, std::move(spec), /*push_predicate=*/true,
+                     ctx.options->vec_batch_rows)
+      .op;
+}
+
+// ---------------------------------------------------------------------------
+// Column readers for the batch sinks. The scan keeps a column in its typed
+// storage family (and a [*] column as a list of typed items) unless its rows
+// disagree; only a demoted (kValue) column is read through ValueAt. Each
+// reader returns what the AdmValue accessor of the row-at-a-time plans
+// returned for the same row.
+// ---------------------------------------------------------------------------
+
+/// Row `r` as a string when it holds one (tag kString). A demoted column's
+/// value lands in `*scratch`, which `*out` then points into.
+bool StringOf(const ColumnVector& col, size_t r, AdmValue* scratch,
+              std::string_view* out) {
+  if (col.TagAt(r) != AdmTag::kString) return false;
+  if (col.kind() == ColumnVector::Kind::kString) {
+    *out = col.StringAt(r);
+  } else {
+    *scratch = col.ValueAt(r);
+    *out = scratch->string_value();
+  }
+  return true;
+}
+
+/// AdmValue::int_value() of row `r`.
+int64_t IntOf(const ColumnVector& col, size_t r) {
+  return col.kind() == ColumnVector::Kind::kInt64 ? col.Int64At(r)
+                                                  : col.ValueAt(r).int_value();
+}
+
+/// AdmValue::double_value() of row `r`.
+double DoubleOf(const ColumnVector& col, size_t r) {
+  return col.kind() == ColumnVector::Kind::kDouble ? col.DoubleAt(r)
+                                                   : col.ValueAt(r).double_value();
+}
+
+/// GroupKeyOf(row `r`).
+std::string GroupKeyAt(const ColumnVector& col, size_t r) {
+  if (col.kind() == ColumnVector::Kind::kString && col.TagAt(r) == AdmTag::kString) {
+    return std::string(col.StringAt(r));
+  }
+  return GroupKeyOf(col.ValueAt(r));
 }
 
 // COUNT(*) over the primary index: a scan with no field extraction.
@@ -63,14 +108,13 @@ Result<PaperQueryResult> CountStar(Dataset* ds, const QueryOptions& opt) {
   std::vector<uint64_t> counts(n, 0);
   TC_ASSIGN_OR_RETURN(
       QueryStats stats,
-      RunPartitioned(
+      RunPartitionedBatches(
           ds, opt,
-          [](const PartitionContext& ctx) -> Result<std::unique_ptr<Operator>> {
-            return MakeScan(ctx, ScanSpec{});
-          },
-          [&](int pid) -> RowSink {
-            return [&counts, pid](Row&&) -> Status {
-              ++counts[static_cast<size_t>(pid)];
+          [](const PartitionContext& ctx) { return MakeScan(ctx, ScanSpec{}); },
+          [&](int pid) -> BatchSink {
+            uint64_t* count = &counts[static_cast<size_t>(pid)];
+            return [count](const ColumnBatch& batch) -> Status {
+              *count += batch.ActiveRows();
               return Status::OK();
             };
           }));
@@ -100,19 +144,23 @@ Result<PaperQueryResult> TwitterQ2(Dataset* ds, const QueryOptions& opt) {
                                   FieldPath::Parse("text")};
   TC_ASSIGN_OR_RETURN(
       QueryStats stats,
-      RunPartitioned(
+      RunPartitionedBatches(
           ds, o,
-          [&](const PartitionContext& ctx) -> Result<std::unique_ptr<Operator>> {
+          [&](const PartitionContext& ctx) {
             return MakeScan(ctx, ScanSpec{paths, false, nullptr});
           },
-          [&](int pid) -> RowSink {
+          [&](int pid) -> BatchSink {
             GroupMap* map = &maps[static_cast<size_t>(pid)];
-            return [map](Row&& row) -> Status {
-              if (row.cols[0].tag() != AdmTag::kString) return Status::OK();
-              double len = row.cols[1].tag() == AdmTag::kString
-                               ? static_cast<double>(row.cols[1].string_value().size())
-                               : 0.0;
-              map->Cell(row.cols[0].string_value()).Add(len);
+            return [map](const ColumnBatch& batch) -> Status {
+              AdmValue name_scratch, text_scratch;
+              batch.ForEachActive([&](size_t r) {
+                std::string_view name, text;
+                if (!StringOf(batch.cols[0], r, &name_scratch, &name)) return;
+                double len = StringOf(batch.cols[1], r, &text_scratch, &text)
+                                 ? static_cast<double>(text.size())
+                                 : 0.0;
+                map->Cell(std::string(name)).Add(len);
+              });
               return Status::OK();
             };
           }));
@@ -148,9 +196,9 @@ Result<PaperQueryResult> TwitterQ3(Dataset* ds, const QueryOptions& opt) {
   }
   TC_ASSIGN_OR_RETURN(
       QueryStats stats,
-      RunPartitioned(
+      RunPartitionedBatches(
           ds, o,
-          [&](const PartitionContext& ctx) -> Result<std::unique_ptr<Operator>> {
+          [&](const PartitionContext& ctx) {
             ScanSpec spec;
             spec.paths = paths;
             // The sink re-applies the hashtag check, so formats that cannot
@@ -158,22 +206,35 @@ Result<PaperQueryResult> TwitterQ3(Dataset* ds, const QueryOptions& opt) {
             if (ctx.accessor->SupportsScanPredicate()) spec.predicate = pred;
             return MakeScan(ctx, std::move(spec));
           },
-          [&, push](int pid) -> RowSink {
+          [&, push](int pid) -> BatchSink {
             GroupMap* map = &maps[static_cast<size_t>(pid)];
-            return [map, push](Row&& row) -> Status {
-              const AdmValue& tags = row.cols[1];
-              bool hit = false;
-              if (tags.is_collection()) {
-                for (size_t i = 0; i < tags.size() && !hit; ++i) {
-                  const AdmValue* text =
-                      push ? &tags.item(i) : tags.item(i).FindField("text");
-                  hit = text != nullptr && text->tag() == AdmTag::kString &&
-                        Lower(text->string_value()) == "jobs";
+            return [map, push](const ColumnBatch& batch) -> Status {
+              const ColumnVector& tags = batch.cols[1];
+              AdmValue scratch;
+              batch.ForEachActive([&](size_t r) {
+                bool hit = false;
+                if (tags.kind() == ColumnVector::Kind::kList) {
+                  // The pushed plan's hashtag texts.
+                  const ColumnVector& texts = tags.ListItems();
+                  std::string_view text;
+                  for (uint32_t i = tags.ListBegin(r); i < tags.ListEnd(r) && !hit; ++i) {
+                    hit = StringOf(texts, i, &scratch, &text) &&
+                          EqualsLowered(text, "jobs");
+                  }
+                } else if (IsCollection(tags.TagAt(r))) {
+                  AdmValue arr = tags.ValueAt(r);
+                  for (size_t i = 0; i < arr.size() && !hit; ++i) {
+                    const AdmValue* text =
+                        push ? &arr.item(i) : arr.item(i).FindField("text");
+                    hit = text != nullptr && text->tag() == AdmTag::kString &&
+                          EqualsLowered(text->string_value(), "jobs");
+                  }
                 }
-              }
-              if (hit && row.cols[0].tag() == AdmTag::kString) {
-                map->Cell(row.cols[0].string_value()).AddCount();
-              }
+                std::string_view name;
+                if (hit && StringOf(batch.cols[0], r, &scratch, &name)) {
+                  map->Cell(std::string(name)).AddCount();
+                }
+              });
               return Status::OK();
             };
           }));
@@ -202,16 +263,18 @@ Result<PaperQueryResult> TwitterQ4(Dataset* ds, const QueryOptions& opt) {
   SchemaRegistry registry = SchemaRegistry::Collect(ds, true);
   TC_ASSIGN_OR_RETURN(
       QueryStats stats,
-      RunPartitioned(
+      RunPartitionedBatches(
           ds, o,
-          [&](const PartitionContext& ctx) -> Result<std::unique_ptr<Operator>> {
+          [&](const PartitionContext& ctx) {
             return MakeScan(ctx, ScanSpec{paths, /*attach=*/true, nullptr});
           },
-          [&](int pid) -> RowSink {
+          [&](int pid) -> BatchSink {
             auto* out = &rows[static_cast<size_t>(pid)];
-            return [out](Row&& row) -> Status {
-              out->push_back(SortRow{row.cols[0].int_value(), row.partition,
-                                     std::move(row.record)});
+            return [out](const ColumnBatch& batch) -> Status {
+              batch.ForEachActive([&](size_t r) {
+                out->push_back(
+                    SortRow{IntOf(batch.cols[0], r), batch.partition, batch.records[r]});
+              });
               return Status::OK();
             };
           }));
@@ -255,15 +318,21 @@ const char* kSubjectValuePath =
 const char* kCountryPath =
     "static_data.fullrecord_metadata.addresses.address_name[*].address_spec.country";
 
-// Distinct country list of one publication, only when address_name is an
-// array with more than one distinct country (the Q3/Q4 LET + WHERE clauses).
-std::vector<std::string> DistinctCountries(const AdmValue& countries) {
+// Distinct country list of one publication: the string items of row `r` of
+// the [*] country column (the Q3/Q4 LET clause).
+std::vector<std::string> DistinctCountries(const ColumnVector& countries, size_t r) {
   std::set<std::string> set;
-  if (countries.is_collection()) {
-    for (size_t i = 0; i < countries.size(); ++i) {
-      if (countries.item(i).tag() == AdmTag::kString) {
-        set.insert(countries.item(i).string_value());
-      }
+  if (countries.kind() == ColumnVector::Kind::kList) {
+    const ColumnVector& items = countries.ListItems();
+    AdmValue scratch;
+    std::string_view country;
+    for (uint32_t i = countries.ListBegin(r); i < countries.ListEnd(r); ++i) {
+      if (StringOf(items, i, &scratch, &country)) set.emplace(country);
+    }
+  } else if (IsCollection(countries.TagAt(r))) {
+    AdmValue arr = countries.ValueAt(r);
+    for (size_t i = 0; i < arr.size(); ++i) {
+      if (arr.item(i).tag() == AdmTag::kString) set.insert(arr.item(i).string_value());
     }
   }
   return std::vector<std::string>(set.begin(), set.end());
@@ -284,24 +353,46 @@ Result<PaperQueryResult> WosQ2(Dataset* ds, const QueryOptions& opt) {
                                   FieldPath::Parse(kSubjectValuePath)};
   TC_ASSIGN_OR_RETURN(
       QueryStats stats,
-      RunPartitioned(
+      RunPartitionedBatches(
           ds, o,
-          [&](const PartitionContext& ctx) -> Result<std::unique_ptr<Operator>> {
+          [&](const PartitionContext& ctx) {
             return MakeScan(ctx, ScanSpec{paths, false, nullptr});
           },
-          [&](int pid) -> RowSink {
+          [&](int pid) -> BatchSink {
             GroupMap* map = &maps[static_cast<size_t>(pid)];
-            return [map](Row&& row) -> Status {
-              const AdmValue& types = row.cols[0];
-              const AdmValue& values = row.cols[1];
-              size_t m = std::min(types.size(), values.size());
-              for (size_t i = 0; i < m; ++i) {
-                if (types.item(i).tag() == AdmTag::kString &&
-                    types.item(i).string_value() == "extended" &&
-                    values.item(i).tag() == AdmTag::kString) {
-                  map->Cell(values.item(i).string_value()).AddCount();
+            return [map](const ColumnBatch& batch) -> Status {
+              const ColumnVector& types = batch.cols[0];
+              const ColumnVector& values = batch.cols[1];
+              AdmValue type_scratch, value_scratch;
+              batch.ForEachActive([&](size_t r) {
+                if (types.kind() == ColumnVector::Kind::kList &&
+                    values.kind() == ColumnVector::Kind::kList) {
+                  // The i-th ascatype pairs with the i-th subject value.
+                  const ColumnVector& type_items = types.ListItems();
+                  const ColumnVector& value_items = values.ListItems();
+                  uint32_t t0 = types.ListBegin(r), v0 = values.ListBegin(r);
+                  uint32_t m = std::min(types.ListEnd(r) - t0, values.ListEnd(r) - v0);
+                  std::string_view type, value;
+                  for (uint32_t i = 0; i < m; ++i) {
+                    if (StringOf(type_items, t0 + i, &type_scratch, &type) &&
+                        type == "extended" &&
+                        StringOf(value_items, v0 + i, &value_scratch, &value)) {
+                      map->Cell(std::string(value)).AddCount();
+                    }
+                  }
+                  return;
                 }
-              }
+                AdmValue type_arr = types.ValueAt(r);
+                AdmValue value_arr = values.ValueAt(r);
+                size_t m = std::min(type_arr.size(), value_arr.size());
+                for (size_t i = 0; i < m; ++i) {
+                  if (type_arr.item(i).tag() == AdmTag::kString &&
+                      type_arr.item(i).string_value() == "extended" &&
+                      value_arr.item(i).tag() == AdmTag::kString) {
+                    map->Cell(value_arr.item(i).string_value()).AddCount();
+                  }
+                }
+              });
               return Status::OK();
             };
           }));
@@ -322,33 +413,35 @@ Result<PaperQueryResult> WosCollaboration(Dataset* ds, const QueryOptions& opt,
   std::vector<FieldPath> paths = {FieldPath::Parse(kCountryPath)};
   TC_ASSIGN_OR_RETURN(
       QueryStats stats,
-      RunPartitioned(
+      RunPartitionedBatches(
           ds, o,
-          [&](const PartitionContext& ctx) -> Result<std::unique_ptr<Operator>> {
+          [&](const PartitionContext& ctx) {
             return MakeScan(ctx, ScanSpec{paths, false, nullptr});
           },
-          [&, pairs](int pid) -> RowSink {
+          [&, pairs](int pid) -> BatchSink {
             GroupMap* map = &maps[static_cast<size_t>(pid)];
-            return [map, pairs](Row&& row) -> Status {
-              // The [*] extraction yields an empty array when address_name is
-              // a single object — which also fails the is_array + count > 1
-              // predicate of the paper's query.
-              std::vector<std::string> countries = DistinctCountries(row.cols[0]);
-              if (countries.size() < 2) return Status::OK();
-              if (pairs) {
-                for (size_t x = 0; x < countries.size(); ++x) {
-                  for (size_t y = x + 1; y < countries.size(); ++y) {
-                    map->Cell(countries[x] + "+" + countries[y]).AddCount();
+            return [map, pairs](const ColumnBatch& batch) -> Status {
+              batch.ForEachActive([&](size_t r) {
+                // The [*] extraction yields an empty list when address_name
+                // is a single object — which also fails the is_array +
+                // count > 1 predicate of the paper's query.
+                std::vector<std::string> countries = DistinctCountries(batch.cols[0], r);
+                if (countries.size() < 2) return;
+                if (pairs) {
+                  for (size_t x = 0; x < countries.size(); ++x) {
+                    for (size_t y = x + 1; y < countries.size(); ++y) {
+                      map->Cell(countries[x] + "+" + countries[y]).AddCount();
+                    }
+                  }
+                } else {
+                  bool usa = std::find(countries.begin(), countries.end(), "USA") !=
+                             countries.end();
+                  if (!usa) return;
+                  for (const auto& c : countries) {
+                    if (c != "USA") map->Cell(c).AddCount();
                   }
                 }
-              } else {
-                bool usa = std::find(countries.begin(), countries.end(), "USA") !=
-                           countries.end();
-                if (!usa) return Status::OK();
-                for (const auto& c : countries) {
-                  if (c != "USA") map->Cell(c).AddCount();
-                }
-              }
+              });
               return Status::OK();
             };
           }));
@@ -376,10 +469,10 @@ namespace {
 
 // Builds the scan for the sensors queries. With the §3.4.2 optimization the
 // scan extracts reading temperatures directly (consolidated getValues with
-// the access pushed through the unnest: array of doubles); without it, the
-// readings objects are materialized and temp is fetched per item (larger
-// intermediate results — the Figure 23 "Inferred (un-op)" behaviour, and the
-// natural plan for ADM-format datasets).
+// the access pushed through the unnest: a list column of doubles); without
+// it, the readings objects are materialized and temp is fetched per item
+// (larger intermediate results — the Figure 23 "Inferred (un-op)" behaviour,
+// and the natural plan for ADM-format datasets).
 struct SensorsPlan {
   std::vector<FieldPath> paths;
   bool pushed;
@@ -402,6 +495,29 @@ double ReadingTemp(const AdmValue& item, bool pushed) {
   return t != nullptr ? t->double_value() : 0.0;
 }
 
+/// Calls fn(temp) for every reading of the readings value `arr`.
+template <typename Fn>
+void ForEachReading(const AdmValue& arr, bool pushed, Fn&& fn) {
+  for (size_t i = 0; i < arr.size(); ++i) fn(ReadingTemp(arr.item(i), pushed));
+}
+
+/// Calls fn(temp) for every reading of row `r` of the readings column, and
+/// returns false (calling nothing) when the row holds no collection. The
+/// pushed plan's list of temperatures reads typed; demoted rows — arrays
+/// from the generic extraction (ADM records) and the unpushed plan's reading
+/// objects — go through ValueAt.
+template <typename Fn>
+bool ForEachReading(const ColumnVector& col, size_t r, bool pushed, Fn&& fn) {
+  if (!IsCollection(col.TagAt(r))) return false;
+  if (col.kind() == ColumnVector::Kind::kList) {
+    const ColumnVector& temps = col.ListItems();
+    for (uint32_t i = col.ListBegin(r); i < col.ListEnd(r); ++i) fn(DoubleOf(temps, i));
+  } else {
+    ForEachReading(col.ValueAt(r), pushed, fn);
+  }
+  return true;
+}
+
 }  // namespace
 
 Result<PaperQueryResult> SensorsQ1(Dataset* ds, const QueryOptions& opt) {
@@ -411,15 +527,22 @@ Result<PaperQueryResult> SensorsQ1(Dataset* ds, const QueryOptions& opt) {
   SensorsPlan plan = MakeSensorsPlan(opt, false, false);
   TC_ASSIGN_OR_RETURN(
       QueryStats stats,
-      RunPartitioned(
+      RunPartitionedBatches(
           ds, opt,
-          [&](const PartitionContext& ctx) -> Result<std::unique_ptr<Operator>> {
+          [&](const PartitionContext& ctx) {
             return MakeScan(ctx, ScanSpec{plan.paths, false, nullptr});
           },
-          [&](int pid) -> RowSink {
+          [&](int pid) -> BatchSink {
             uint64_t* count = &counts[static_cast<size_t>(pid)];
-            return [count](Row&& row) -> Status {
-              if (row.cols[0].is_collection()) *count += row.cols[0].size();
+            return [count](const ColumnBatch& batch) -> Status {
+              const ColumnVector& readings = batch.cols[0];
+              batch.ForEachActive([&](size_t r) {
+                if (readings.kind() == ColumnVector::Kind::kList) {
+                  *count += readings.ListEnd(r) - readings.ListBegin(r);
+                } else if (IsCollection(readings.TagAt(r))) {
+                  *count += readings.ValueAt(r).size();
+                }
+              });
               return Status::OK();
             };
           }));
@@ -435,20 +558,19 @@ Result<PaperQueryResult> SensorsQ2(Dataset* ds, const QueryOptions& opt) {
   SensorsPlan plan = MakeSensorsPlan(opt, false, false);
   TC_ASSIGN_OR_RETURN(
       QueryStats stats,
-      RunPartitioned(
+      RunPartitionedBatches(
           ds, opt,
-          [&](const PartitionContext& ctx) -> Result<std::unique_ptr<Operator>> {
+          [&](const PartitionContext& ctx) {
             return MakeScan(ctx, ScanSpec{plan.paths, false, nullptr});
           },
-          [&](int pid) -> RowSink {
+          [&](int pid) -> BatchSink {
             AggCell* cell = &cells[static_cast<size_t>(pid)];
             bool pushed = plan.pushed;
-            return [cell, pushed](Row&& row) -> Status {
-              const AdmValue& arr = row.cols[0];
-              if (!arr.is_collection()) return Status::OK();
-              for (size_t i = 0; i < arr.size(); ++i) {
-                cell->Add(ReadingTemp(arr.item(i), pushed));
-              }
+            return [cell, pushed](const ColumnBatch& batch) -> Status {
+              batch.ForEachActive([&](size_t r) {
+                ForEachReading(batch.cols[0], r, pushed,
+                               [cell](double t) { cell->Add(t); });
+              });
               return Status::OK();
             };
           }));
@@ -460,6 +582,54 @@ Result<PaperQueryResult> SensorsQ2(Dataset* ds, const QueryOptions& opt) {
 }
 
 namespace {
+
+bool InSensorsQ4Window(int64_t ts) {
+  SensorsQ4Window window = DefaultSensorsQ4Window();
+  return ts > window.lo && ts < window.hi;
+}
+
+// Sensors Q4 with both optimizations disabled: the selective filter runs
+// before the reading access. The scan extracts only scalar columns, and a
+// post-filter map fetches the readings subtree from the raw record — the
+// row-shaped "Inferred (un-op)" plan of Figure 23.
+Result<QueryStats> RunUnoptimizedWindowPlan(Dataset* ds, const QueryOptions& o,
+                                            std::vector<GroupMap>* maps) {
+  return RunPartitioned(
+      ds, o,
+      [](const PartitionContext& ctx) -> Result<std::unique_ptr<Operator>> {
+        std::vector<FieldPath> scan_paths = {FieldPath::Parse("sensor_id"),
+                                             FieldPath::Parse("report_time")};
+        TC_ASSIGN_OR_RETURN(
+            std::unique_ptr<VecOperator> scan,
+            MakeScan(ctx, ScanSpec{scan_paths, /*attach=*/true, nullptr}));
+        auto filter = std::make_unique<FilterOperator>(
+            std::make_unique<VecToRowBridge>(std::move(scan),
+                                             ctx.vec_counters->For("bridge")),
+            [](const Row& row) { return InSensorsQ4Window(row.cols[1].int_value()); });
+        const RecordAccessor* accessor = ctx.accessor;
+        std::vector<FieldPath> late = {FieldPath::Parse("readings")};
+        return {std::make_unique<MapOperator>(
+            std::move(filter), [accessor, late](Row* row) -> Status {
+              std::vector<AdmValue> vals;
+              TC_RETURN_IF_ERROR(accessor->GetValues(
+                  std::string_view(reinterpret_cast<const char*>(row->record->data()),
+                                   row->record->size()),
+                  late, &vals));
+              row->cols = {row->cols[0], std::move(vals[0])};  // [sensor_id, readings]
+              return Status::OK();
+            })};
+      },
+      [maps](int pid) -> RowSink {
+        GroupMap* map = &(*maps)[static_cast<size_t>(pid)];
+        return [map](Row&& row) -> Status {
+          const AdmValue& arr = row.cols[1];
+          if (!arr.is_collection()) return Status::OK();
+          AggCell& cell = map->Cell(GroupKeyOf(row.cols[0]));
+          ForEachReading(arr, /*pushed=*/false, [&cell](double t) { cell.Add(t); });
+          return Status::OK();
+        };
+      });
+}
 
 Result<PaperQueryResult> SensorsTopAvg(Dataset* ds, const QueryOptions& opt,
                                        bool with_window) {
@@ -482,69 +652,37 @@ Result<PaperQueryResult> SensorsTopAvg(Dataset* ds, const QueryOptions& opt,
          ScanPredicate::Term("report_time", CompareOp::kLt,
                              AdmValue::BigInt(window.hi))});
   }
-  TC_ASSIGN_OR_RETURN(
-      QueryStats stats,
-      RunPartitioned(
-          ds, o,
-          [&](const PartitionContext& ctx) -> Result<std::unique_ptr<Operator>> {
-            // The sink re-applies the window check, so formats that cannot
-            // lower the predicate fall back to the plans below.
-            if (window_pred != nullptr && ctx.accessor->SupportsScanPredicate()) {
-              ScanSpec spec;
-              spec.paths = plan.paths;
-              spec.predicate = window_pred;
+  QueryStats stats;
+  if (with_window && !plan.pushed && window_pred == nullptr) {
+    TC_ASSIGN_OR_RETURN(stats, RunUnoptimizedWindowPlan(ds, o, &maps));
+  } else {
+    TC_ASSIGN_OR_RETURN(
+        stats,
+        RunPartitionedBatches(
+            ds, o,
+            [&](const PartitionContext& ctx) {
+              ScanSpec spec{plan.paths, false, nullptr};
+              // The sink re-applies the window check, so formats that cannot
+              // lower the predicate run the plain scan.
+              if (ctx.accessor->SupportsScanPredicate()) spec.predicate = window_pred;
               return MakeScan(ctx, std::move(spec));
-            }
-            // With the optimization disabled (and for ADM datasets), the
-            // selective filter is evaluated before the reading access: the
-            // scan extracts only scalar columns and the readings subtree is
-            // fetched in a post-filter map over the raw record.
-            if (plan.pushed || !with_window) {
-              return MakeScan(ctx, ScanSpec{plan.paths, false, nullptr});
-            }
-            std::vector<FieldPath> scan_paths = {FieldPath::Parse("sensor_id"),
-                                                 FieldPath::Parse("report_time")};
-            auto scan =
-                MakeScan(ctx, ScanSpec{scan_paths, /*attach=*/true, nullptr});
-            auto filter = std::make_unique<FilterOperator>(
-                std::move(scan), [window](const Row& row) {
-                  int64_t ts = row.cols[1].int_value();
-                  return ts > window.lo && ts < window.hi;
+            },
+            [&](int pid) -> BatchSink {
+              GroupMap* map = &maps[static_cast<size_t>(pid)];
+              bool pushed = plan.pushed;
+              return [map, pushed, with_window](const ColumnBatch& batch) -> Status {
+                const ColumnVector& sensor = batch.cols[0];
+                const ColumnVector& readings = batch.cols[1];
+                batch.ForEachActive([&](size_t r) {
+                  if (with_window && !InSensorsQ4Window(IntOf(batch.cols[2], r))) return;
+                  if (!IsCollection(readings.TagAt(r))) return;
+                  AggCell& cell = map->Cell(GroupKeyAt(sensor, r));
+                  ForEachReading(readings, r, pushed, [&cell](double t) { cell.Add(t); });
                 });
-            const RecordAccessor* accessor = ctx.accessor;
-            std::vector<FieldPath> late = {FieldPath::Parse("readings")};
-            auto map = std::make_unique<MapOperator>(
-                std::move(filter), [accessor, late](Row* row) -> Status {
-                  std::vector<AdmValue> vals;
-                  TC_RETURN_IF_ERROR(accessor->GetValues(
-                      std::string_view(
-                          reinterpret_cast<const char*>(row->record->data()),
-                          row->record->size()),
-                      late, &vals));
-                  // Rewrite columns to the canonical [sensor_id, readings,
-                  // report_time] layout of the eager plan.
-                  row->cols = {row->cols[0], std::move(vals[0]), row->cols[1]};
-                  return Status::OK();
-                });
-            return {std::move(map)};
-          },
-          [&](int pid) -> RowSink {
-            GroupMap* map = &maps[static_cast<size_t>(pid)];
-            bool pushed = plan.pushed;
-            return [map, pushed, with_window, window](Row&& row) -> Status {
-              if (with_window) {
-                int64_t ts = row.cols[2].int_value();
-                if (ts <= window.lo || ts >= window.hi) return Status::OK();
-              }
-              const AdmValue& arr = row.cols[1];
-              if (!arr.is_collection()) return Status::OK();
-              AggCell& cell = map->Cell(GroupKeyOf(row.cols[0]));
-              for (size_t i = 0; i < arr.size(); ++i) {
-                cell.Add(ReadingTemp(arr.item(i), pushed));
-              }
-              return Status::OK();
-            };
-          }));
+                return Status::OK();
+              };
+            }));
+  }
   GroupMap merged;
   for (const auto& m : maps) merged.Merge(m);
   auto score = [](const AggCell& c) { return c.avg(); };

@@ -62,9 +62,11 @@ FilterOperator::Predicate MakeRowPredicate(
 // LoweredPredicateEquivalence.RandomizedAcrossModesAndChurn pins this one to
 // GetValuesVector.
 //
-// The per-record state (term flags, scope stack, name buffer) lives in the
-// ScanPredicateMatcher so a scan evaluating millions of records reuses the
-// same capacity instead of reallocating the stack per row.
+// Field names match through the PathFieldMatcher shared with the other two
+// walks (query/field_match.h): compacted fields by FieldNameID, the rest as
+// string_views. The per-record state (term flags, scope stack) and the step
+// IDs live in the ScanPredicateMatcher so a scan evaluating millions of
+// records reuses them instead of rebuilding them per row.
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -121,6 +123,18 @@ Result<bool> ScanPredicateMatcher::MatchVector(const VectorRecordView& view,
   for (const auto& t : terms) {
     // The empty path denotes the root object, which is never a scalar.
     if (t.path.steps.empty()) return false;
+  }
+  // Dictionaries only grow, so a schema whose dictionary grew since the
+  // last bind may now hold a step name that resolved to 0 then.
+  uint32_t dict_size = schema != nullptr ? schema->dict().size() : 0;
+  if (&pred != bound_pred_ || schema != bound_schema_ ||
+      dict_size != bound_dict_size_) {
+    names_.Bind(terms.size(),
+                [&terms](size_t t) -> const FieldPath& { return terms[t].path; },
+                schema);
+    bound_pred_ = &pred;
+    bound_schema_ = schema;
+    bound_dict_size_ = dict_size;
   }
 
   /// The vectorized-run fast path applies when every active in a collection
@@ -180,9 +194,9 @@ Result<bool> ScanPredicateMatcher::MatchVector(const VectorRecordView& view,
       continue;
     }
     Scope& scope = scopes_[depth_ - 1];
-    name_.clear();
+    ItemFieldName name;
     if (scope.is_object && !scope.actives.empty()) {
-      TC_RETURN_IF_ERROR(ResolveVectorFieldName(it, scope.decl, schema, &name_));
+      TC_RETURN_IF_ERROR(names_.Resolve(it, scope.decl, &name));
     }
 
     child_actives_.clear();
@@ -190,7 +204,7 @@ Result<bool> ScanPredicateMatcher::MatchVector(const VectorRecordView& view,
       const PathStep& st = terms[a.term].path.steps[a.step];
       bool match = false;
       if (scope.is_object) {
-        match = st.kind == PathStep::kField && st.name == name_;
+        match = names_.Matches(name, a.term, a.step, st);
       } else if (st.kind == PathStep::kWildcard) {
         match = true;
       } else if (st.kind == PathStep::kIndex) {

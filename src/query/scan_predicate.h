@@ -29,6 +29,7 @@
 
 #include "adm/value.h"
 #include "query/field_access.h"
+#include "query/field_match.h"
 #include "query/operators.h"
 
 namespace tc {
@@ -100,13 +101,16 @@ FilterOperator::Predicate MakeRowPredicate(
 
 /// Reusable evaluation scratch for one scan's lowered predicate. The walk
 /// needs per-record state — term satisfaction flags, the scope stack with its
-/// active-path lists, a field-name buffer, and (for the fallback modes) an
-/// extracted-column vector. A hot scan evaluates the predicate on every
-/// surviving record, so the scan's payload-filter callback owns ONE matcher
-/// and re-runs it per record with all capacity retained: the deep-pushdown
-/// path performs no per-row allocations once the stack has warmed up.
-/// A matcher is single-threaded state; each scan (per partition, per query)
-/// creates its own.
+/// active-path lists, and (for the fallback modes) an extracted-column
+/// vector. A hot scan evaluates the predicate on every surviving record, so
+/// the scan's payload-filter callback owns ONE matcher and re-runs it per
+/// record with all capacity retained: the deep-pushdown path performs no
+/// per-row allocations once the stack has warmed up. The FieldNameIDs of the
+/// terms' path steps are resolved on the first call and reused while the
+/// same predicate and schema objects come back (a schema whose dictionary
+/// grew is re-resolved), so a predicate must not change in place between
+/// calls. A matcher is single-threaded state; each scan (per partition, per
+/// query) creates its own.
 class ScanPredicateMatcher {
  public:
   /// Evaluates `pred` against one raw payload exactly like
@@ -143,7 +147,10 @@ class ScanPredicateMatcher {
   std::vector<Scope> scopes_;  // pooled stack; [0, depth_) is live
   size_t depth_ = 0;
   std::vector<Active> child_actives_;  // per-item scratch, swapped into scopes
-  std::string name_;
+  PathFieldMatcher names_;  // bound to the three bound_* values below
+  const ScanPredicate* bound_pred_ = nullptr;
+  const Schema* bound_schema_ = nullptr;
+  uint32_t bound_dict_size_ = 0;
   std::vector<AdmValue> cols_;  // fallback-mode extraction scratch
 };
 

@@ -4,6 +4,7 @@
 
 #include "common/env_config.h"
 #include "format/vector_format.h"
+#include "query/field_match.h"
 #include "query/scan_predicate.h"
 
 namespace tc {
@@ -23,15 +24,17 @@ size_t VecBatchRowsFromEnv() {
 // appends them typed into the batch columns (AppendItem). The walk skeleton
 // mirrors GetValuesVector (field_access.cpp) and ScanPredicateMatcher's
 // MatchVector (scan_predicate.cpp): scope stack, active-path matching with
-// [*] matching every item of a collection scope, declared-type propagation.
-// A structural change to any of the three walks MUST be mirrored in the
-// others; VecFastPath.ExtractorMatchesGetValuesVector pins this one to
-// GetValuesVector. The terminal differs: exact paths keep their first
-// occurrence (and the walk stops once all of them resolved, unless a wildcard
-// path is requested), wildcard paths keep every match in walk order (nested
-// wildcards flatten into one list), and a NESTED value at any terminal bails
-// the whole record out to the generic GetValues fallback (subtree
-// materialization is exactly what this path avoids implementing twice).
+// [*] matching every item of a collection scope, declared-type propagation,
+// and field names matched through the shared PathFieldMatcher
+// (query/field_match.h). A structural change to any of the three walks MUST
+// be mirrored in the others; VecFastPath.ExtractorMatchesGetValuesVector
+// pins this one to GetValuesVector. The terminal differs: exact paths keep
+// their first occurrence (and the walk stops once all of them resolved,
+// unless a wildcard path is requested), wildcard paths keep every match in
+// walk order (nested wildcards flatten into one list), and a NESTED value at
+// any terminal bails the whole record out to the generic GetValues fallback
+// (subtree materialization is exactly what this path avoids implementing
+// twice).
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -63,10 +66,14 @@ void AppendItem(const VectorRecordWalker::Item& it, ColumnVector* col) {
 
 class VecPathExtractor {
  public:
-  /// `paths` must outlive the extractor; every path is non-empty — the
-  /// eligibility check in VecScanOperator::Open.
-  explicit VecPathExtractor(const std::vector<FieldPath>& paths)
+  /// `paths` and `schema` (the accessor's snapshot, which resolves the
+  /// FieldNameIDs of compacted records) must outlive the extractor; every
+  /// path is non-empty — the eligibility check in VecScanOperator::Open.
+  VecPathExtractor(const std::vector<FieldPath>& paths, const Schema* schema)
       : paths_(&paths), items_(paths.size()), wildcard_(paths.size(), 0) {
+    names_.Bind(paths.size(), [&paths](size_t p) -> const FieldPath& {
+      return paths[p];
+    }, schema);
     for (size_t p = 0; p < paths.size(); ++p) {
       if (paths[p].HasWildcard()) {
         wildcard_[p] = 1;
@@ -79,8 +86,7 @@ class VecPathExtractor {
 
   /// Attempts the direct extraction from one payload. Returns false (items
   /// unspecified) when the record needs the GetValues fallback.
-  Result<bool> Extract(const VectorRecordView& view, const DatasetType& type,
-                       const Schema* schema);
+  Result<bool> Extract(const VectorRecordView& view, const DatasetType& type);
 
   /// The scalar items path `p` matched in the last Extract, in record order:
   /// at most one for an exact path, the list's items for a wildcard path.
@@ -113,6 +119,7 @@ class VecPathExtractor {
   }
 
   const std::vector<FieldPath>* paths_;
+  PathFieldMatcher names_;
   std::vector<std::vector<VectorRecordWalker::Item>> items_;
   std::vector<uint8_t> wildcard_;
   size_t exact_paths_ = 0;
@@ -120,12 +127,10 @@ class VecPathExtractor {
   std::vector<Scope> scopes_;
   size_t depth_ = 0;
   std::vector<Active> child_actives_;
-  std::string name_;
 };
 
 Result<bool> VecPathExtractor::Extract(const VectorRecordView& view,
-                                       const DatasetType& type,
-                                       const Schema* schema) {
+                                       const DatasetType& type) {
   TC_RETURN_IF_ERROR(view.Validate());
   const std::vector<FieldPath>& paths = *paths_;
   for (auto& got : items_) got.clear();
@@ -155,9 +160,9 @@ Result<bool> VecPathExtractor::Extract(const VectorRecordView& view,
       continue;
     }
     Scope& scope = scopes_[depth_ - 1];
-    name_.clear();
+    ItemFieldName name;
     if (scope.is_object && !scope.actives.empty()) {
-      TC_RETURN_IF_ERROR(ResolveVectorFieldName(it, scope.decl, schema, &name_));
+      TC_RETURN_IF_ERROR(names_.Resolve(it, scope.decl, &name));
     }
 
     child_actives_.clear();
@@ -165,7 +170,7 @@ Result<bool> VecPathExtractor::Extract(const VectorRecordView& view,
       const PathStep& st = paths[a.path].steps[a.step];
       bool match = false;
       if (scope.is_object) {
-        match = st.kind == PathStep::kField && st.name == name_;
+        match = names_.Matches(name, a.path, a.step, st);
       } else if (st.kind == PathStep::kWildcard) {
         match = true;
       } else if (st.kind == PathStep::kIndex) {
@@ -275,7 +280,9 @@ Status VecScanOperator::Open() {
   for (const FieldPath& p : spec_.paths) {
     if (p.steps.empty()) fast = false;
   }
-  if (fast) extractor_ = std::make_unique<VecPathExtractor>(spec_.paths);
+  if (fast) {
+    extractor_ = std::make_unique<VecPathExtractor>(spec_.paths, &accessor_->schema());
+  }
   first_ = true;
   return Status::OK();
 }
@@ -302,9 +309,7 @@ Result<bool> VecScanOperator::Next(ColumnBatch* batch) {
       if (extractor_ != nullptr) {
         VectorRecordView view(reinterpret_cast<const uint8_t*>(payload.data()),
                               payload.size());
-        TC_ASSIGN_OR_RETURN(
-            fast_done,
-            extractor_->Extract(view, *accessor_->type(), &accessor_->schema()));
+        TC_ASSIGN_OR_RETURN(fast_done, extractor_->Extract(view, *accessor_->type()));
       }
       if (fast_done) {
         for (size_t c = 0; c < spec_.paths.size(); ++c) {

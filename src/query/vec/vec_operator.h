@@ -2,10 +2,13 @@
 // exchange TC_VEC_BATCH_ROWS rows at a time instead of paying a virtual
 // Next() and a fresh Row{}/AdmValue materialization per tuple: the scan fills
 // typed column vectors straight from the packed record payloads (no per-row
-// heap traffic on the fast path), filters mark a selection vector instead of
-// copying, and VecToRowBridge adapts a vectorized pipeline into a row
-// Operator so executor plans and row sinks consume it unchanged. MakeVecScan
-// is the one builder every scan goes through.
+// heap traffic on the fast path), and filters mark a selection vector instead
+// of copying. Pipelines end in batch sinks (RunPartitionedBatches in
+// executor.h), which read the typed columns in place. VecToRowBridge adapts a
+// pipeline into a row Operator only for the plans that stay row-shaped: the
+// planner's RunPlannedScan (whose index-probe arm is the row-producing
+// LookupOperator) and the un-consolidated Sensors Q4 plan's filter + map.
+// MakeVecScan is the one builder every scan goes through.
 #ifndef TC_QUERY_VEC_VEC_OPERATOR_H_
 #define TC_QUERY_VEC_VEC_OPERATOR_H_
 
@@ -111,9 +114,10 @@ class VecProjectOperator final : public VecOperator {
   VecOpCounters* op_counters_;
 };
 
-/// Adapts a vectorized pipeline into a row Operator: existing executor plans
-/// and sinks consume batches row by row (columns materialize per row here —
-/// the batch amortization upstream is what the engine saves).
+/// Adapts a vectorized pipeline into a row Operator, for the row-shaped plans
+/// only (see the file comment): every column of every live row materializes
+/// as an AdmValue here, which is why batch plans hand batches to their sinks
+/// instead.
 class VecToRowBridge final : public Operator {
  public:
   explicit VecToRowBridge(std::unique_ptr<VecOperator> child,

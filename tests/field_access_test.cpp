@@ -199,5 +199,123 @@ TEST(GetValues, DeclaredFieldAccessInVectorRecords) {
   EXPECT_EQ(out[1].int_value(), 6);
 }
 
+// ---------------------------------------------------------------------------
+// Field-name matching edge cases (query/field_match.h): compacted fields
+// match by FieldNameID, declared and inline fields by name.
+// ---------------------------------------------------------------------------
+
+// One record compacted against its own fresh schema.
+struct CompactedRecord {
+  DatasetType type = PkType();
+  Schema schema;
+  Buffer bytes;
+
+  explicit CompactedRecord(const AdmValue& rec) {
+    Buffer raw;
+    TC_CHECK(EncodeVectorRecord(rec, type, &raw).ok());
+    TC_CHECK(InferAndCompactVectorRecord(VectorRecordView(raw.data(), raw.size()),
+                                         type, &schema, &bytes)
+                 .ok());
+  }
+  VectorRecordView view() const { return VectorRecordView(bytes.data(), bytes.size()); }
+};
+
+std::vector<FieldPath> Paths(const std::vector<std::string>& texts) {
+  std::vector<FieldPath> out;
+  for (const auto& t : texts) out.push_back(FieldPath::Parse(t));
+  return out;
+}
+
+TEST(GetValues, NameAbsentFromDictionaryReadsMissing) {
+  CompactedRecord c(R(R"({"id": 5, "user": {"name": "Zoe"}, "tags": [{"t": "a"}]})"));
+  ASSERT_TRUE(c.view().compacted());
+  ASSERT_EQ(c.schema.dict().Lookup("nope"), FieldNameDictionary::kInvalidId);
+  std::vector<AdmValue> out;
+  ASSERT_TRUE(GetValuesVector(c.view(), c.type, &c.schema,
+                              Paths({"nope", "user.nope", "tags[*].nope", "user.name",
+                                     "tags[*].t"}),
+                              &out)
+                  .ok());
+  EXPECT_EQ(out[0].tag(), AdmTag::kMissing);
+  EXPECT_EQ(out[1].tag(), AdmTag::kMissing);
+  EXPECT_EQ(PrintAdm(out[2]), PrintAdm(AdmValue::Array()));
+  EXPECT_EQ(out[3].string_value(), "Zoe");
+  EXPECT_EQ(PrintAdm(out[4]), PrintAdm(R(R"(["a"])")));
+}
+
+TEST(GetValues, UnknownFieldNameIdIsCorruption) {
+  CompactedRecord c(R(R"({"id": 5, "user": {"name": "Zoe"}, "tags": [{"t": "a"}]})"));
+  // A dictionary that knows "id" only: the record's later FieldNameIDs are
+  // out of its range.
+  CompactedRecord small(R(R"({"id": 1})"));
+  ASSERT_LT(small.schema.dict().size(), c.schema.dict().size());
+  for (const char* path : {"user.name", "tags[*].t", "nope"}) {
+    std::vector<AdmValue> out;
+    Status st = GetValuesVector(c.view(), c.type, &small.schema, Paths({path}), &out);
+    EXPECT_TRUE(st.IsCorruption()) << path << ": " << st.ToString();
+    st = GetValuesVector(c.view(), c.type, nullptr, Paths({path}), &out);
+    EXPECT_TRUE(st.IsCorruption()) << path << ": " << st.ToString();
+  }
+}
+
+TEST(GetValues, DeclaredIndexWithoutDescriptorIsCorruption) {
+  DatasetType declared;
+  declared.primary_key_field = "id";
+  declared.root = TypeDescriptor::Object(true);
+  declared.root->AddField("id", TypeDescriptor::Scalar(AdmTag::kBigInt));
+  declared.root->AddField("title", TypeDescriptor::Scalar(AdmTag::kString));
+  Buffer vb;
+  ASSERT_TRUE(EncodeVectorRecord(R(R"({"id": 6, "title": "t"})"), declared, &vb).ok());
+  // Walked against a type that declares nothing.
+  std::vector<AdmValue> out;
+  Status st = GetValuesVector(VectorRecordView(vb.data(), vb.size()), PkType(), nullptr,
+                              Paths({"title"}), &out);
+  EXPECT_TRUE(st.IsCorruption()) << st.ToString();
+}
+
+// Flushed records are compacted (FieldNameIDs), memtable records are not
+// (inline names): GetValuesVector must agree with navigation over the
+// decoded record on both, under the partition's schema snapshot.
+TEST(GetValues, MemtableAndFlushedRecordsMatchDecodedOracle) {
+  testutil::DatasetFixture fx;
+  ASSERT_TRUE(fx.Open(testutil::SmallOptions(SchemaMode::kInferred, 1024), 1).ok());
+  Rng rng(1618);
+  for (int64_t id = 0; id < 160; ++id) {
+    ASSERT_TRUE(fx.dataset->Insert(testutil::RandomRecord(&rng, id, 4)).ok());
+    if (id == 99) {
+      ASSERT_TRUE(fx.dataset->FlushAll().ok());
+    }
+  }
+  DatasetPartition* p = fx.dataset->partition(0);
+  PartitionReadView view = p->AcquireReadView();
+  Schema schema = p->SchemaSnapshot();
+  const DatasetType& type = p->options().type;
+  std::vector<FieldPath> paths = Paths({"f0", "f1.f0_abc", "f2[*].f1", "f3[0]",
+                                        "f4.f2", "f1[*]", "absent", "f0.absent"});
+  size_t compacted = 0, inline_names = 0;
+  LsmTree::Iterator it(view.primary);
+  Status st = it.SeekToFirst();
+  for (; st.ok() && it.Valid(); st = it.Next()) {
+    std::string_view payload = it.payload();
+    VectorRecordView rec(reinterpret_cast<const uint8_t*>(payload.data()),
+                         payload.size());
+    ++(rec.compacted() ? compacted : inline_names);
+    AdmValue decoded;
+    ASSERT_TRUE(DecodeVectorRecord(rec, type, &schema, &decoded).ok());
+    std::vector<AdmValue> got;
+    ASSERT_TRUE(GetValuesVector(rec, type, &schema, paths, &got).ok());
+    for (size_t k = 0; k < paths.size(); ++k) {
+      AdmValue oracle = NavigateAdmValue(decoded, paths[k].steps);
+      if (paths[k].HasWildcard() && oracle.tag() == AdmTag::kMissing) {
+        oracle = AdmValue::Array();
+      }
+      EXPECT_EQ(PrintAdm(got[k]), PrintAdm(oracle)) << paths[k].ToString();
+    }
+  }
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(compacted, 100u);
+  EXPECT_EQ(inline_names, 60u);
+}
+
 }  // namespace
 }  // namespace tc

@@ -497,5 +497,159 @@ TEST(LoweredPredicateEquivalence, SensorsQ4DeepPushdownStats) {
   EXPECT_EQ(without.value().stats.rows_filtered_pre_assembly, 0u);
 }
 
+// ---------------------------------------------------------------------------
+// Field-name matching edge cases of the lowered walk (query/field_match.h).
+// ---------------------------------------------------------------------------
+
+// {"id": 5, "user": {"name": "Zoe"}, "tags": [{"t": "a"}]} compacted against
+// its own fresh schema.
+struct CompactedRecord {
+  DatasetType type = DatasetType::OpenWithPk("id");
+  Schema schema;
+  Buffer bytes;
+
+  explicit CompactedRecord(const AdmValue& rec) {
+    Buffer raw;
+    TC_CHECK(EncodeVectorRecord(rec, type, &raw).ok());
+    TC_CHECK(InferAndCompactVectorRecord(VectorRecordView(raw.data(), raw.size()),
+                                         type, &schema, &bytes)
+                 .ok());
+  }
+  VectorRecordView view() const { return VectorRecordView(bytes.data(), bytes.size()); }
+};
+
+AdmValue ZoeRecord() {
+  AdmValue user = AdmValue::Object();
+  user.AddField("name", AdmValue::String("Zoe"));
+  AdmValue tag = AdmValue::Object();
+  tag.AddField("t", AdmValue::String("a"));
+  AdmValue tags = AdmValue::Array();
+  tags.Append(std::move(tag));
+  AdmValue rec = AdmValue::Object();
+  rec.AddField("id", AdmValue::BigInt(5));
+  rec.AddField("user", std::move(user));
+  rec.AddField("tags", std::move(tags));
+  return rec;
+}
+
+TEST(LoweredMatcher, NameAbsentFromDictionaryReadsMissing) {
+  CompactedRecord c(ZoeRecord());
+  ASSERT_TRUE(c.view().compacted());
+  ASSERT_EQ(c.schema.dict().Lookup("nope"), FieldNameDictionary::kInvalidId);
+  auto match = [&c](std::vector<PredicateTerm> terms) {
+    return MatchVectorRecord(c.view(), c.type, &c.schema,
+                             *ScanPredicate::And(std::move(terms)));
+  };
+  auto zoe = ScanPredicate::Term("user.name", CompareOp::kEq, AdmValue::String("Zoe"));
+  auto yes = match({zoe});
+  ASSERT_TRUE(yes.ok()) << yes.status().ToString();
+  EXPECT_TRUE(yes.value());
+  // Missing never satisfies, whatever the operator.
+  for (const char* path : {"nope", "user.nope", "tags[*].nope"}) {
+    auto got = match({ScanPredicate::Term(path, CompareOp::kNe, AdmValue::String("x"))});
+    ASSERT_TRUE(got.ok()) << path << ": " << got.status().ToString();
+    EXPECT_FALSE(got.value()) << path;
+    got = match({zoe, ScanPredicate::Term(path, CompareOp::kNe, AdmValue::String("x"))});
+    ASSERT_TRUE(got.ok()) << path << ": " << got.status().ToString();
+    EXPECT_FALSE(got.value()) << path;
+  }
+}
+
+TEST(LoweredMatcher, UnknownFieldNameIdIsCorruption) {
+  CompactedRecord c(ZoeRecord());
+  AdmValue id_only = AdmValue::Object();
+  id_only.AddField("id", AdmValue::BigInt(1));
+  CompactedRecord small(id_only);  // knows "id" only
+  ASSERT_LT(small.schema.dict().size(), c.schema.dict().size());
+  for (const char* path : {"user.name", "tags[*].t", "nope"}) {
+    auto pred = ScanPredicate::And(
+        {ScanPredicate::Term(path, CompareOp::kEq, AdmValue::String("Zoe"))});
+    auto got = MatchVectorRecord(c.view(), c.type, &small.schema, *pred);
+    EXPECT_TRUE(!got.ok() && got.status().IsCorruption()) << path;
+    got = MatchVectorRecord(c.view(), c.type, nullptr, *pred);
+    EXPECT_TRUE(!got.ok() && got.status().IsCorruption()) << path;
+  }
+}
+
+// A matcher reused against one live schema whose dictionary grows between
+// calls: a step name absent at the first call must still match once a later
+// record brings it in.
+TEST(LoweredMatcher, ReusedMatcherSeesNamesAddedToTheSchema) {
+  DatasetType type = DatasetType::OpenWithPk("id");
+  Schema schema;
+  auto compact = [&](const AdmValue& rec, Buffer* out) {
+    Buffer raw;
+    ASSERT_TRUE(EncodeVectorRecord(rec, type, &raw).ok());
+    ASSERT_TRUE(InferAndCompactVectorRecord(VectorRecordView(raw.data(), raw.size()),
+                                            type, &schema, out)
+                    .ok());
+  };
+  AdmValue without_x = AdmValue::Object();
+  without_x.AddField("id", AdmValue::BigInt(1));
+  without_x.AddField("y", AdmValue::BigInt(1));
+  AdmValue with_x = AdmValue::Object();
+  with_x.AddField("id", AdmValue::BigInt(2));
+  with_x.AddField("x", AdmValue::BigInt(1));
+  Buffer a, b;
+  compact(without_x, &a);
+  auto pred = ScanPredicate::And(
+      {ScanPredicate::Term("x", CompareOp::kEq, AdmValue::BigInt(1))});
+  ScanPredicateMatcher matcher;
+  auto got = matcher.MatchVector(VectorRecordView(a.data(), a.size()), type, &schema,
+                                 *pred);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_FALSE(got.value());
+  ASSERT_EQ(schema.dict().Lookup("x"), FieldNameDictionary::kInvalidId);
+  compact(with_x, &b);  // assigns "x" its FieldNameID
+  ASSERT_NE(schema.dict().Lookup("x"), FieldNameDictionary::kInvalidId);
+  got = matcher.MatchVector(VectorRecordView(b.data(), b.size()), type, &schema, *pred);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_TRUE(got.value());
+}
+
+// Flushed (compacted) and memtable (inline-name) records in one partition:
+// a matcher reused across every record — and switched between two live
+// predicates — decides each record exactly as EvalPredicateRow over
+// GetValuesVector does.
+TEST(LoweredMatcher, MemtableAndFlushedRecordsMatchGetValuesVector) {
+  Rng rng(4242);
+  DatasetFixture fx;
+  ASSERT_TRUE(fx.Open(SmallOptions(SchemaMode::kInferred, 1024), 1).ok());
+  for (int64_t id = 0; id < 200; ++id) {
+    ASSERT_TRUE(fx.dataset->Insert(ChurnRecord(&rng, id)).ok());
+    if (id == 119) {
+      ASSERT_TRUE(fx.dataset->FlushAll().ok());
+    }
+  }
+  DatasetPartition* part = fx.dataset->partition(0);
+  PartitionReadView view = part->AcquireReadView();
+  Schema schema = part->SchemaSnapshot();
+  const DatasetType& type = part->options().type;
+  for (int round = 0; round < 16; ++round) {
+    std::shared_ptr<const ScanPredicate> preds[2] = {RandomPredicate(&rng),
+                                                     RandomPredicate(&rng)};
+    ScanPredicateMatcher shared;
+    size_t compacted = 0, inline_names = 0;
+    LsmTree::Iterator it(view.primary);
+    Status st = it.SeekToFirst();
+    for (size_t row = 0; st.ok() && it.Valid(); st = it.Next(), ++row) {
+      std::string_view payload = it.payload();
+      VectorRecordView rec(reinterpret_cast<const uint8_t*>(payload.data()),
+                           payload.size());
+      ++(rec.compacted() ? compacted : inline_names);
+      const ScanPredicate& pred = *preds[row % 2];
+      std::vector<AdmValue> cols;
+      ASSERT_TRUE(GetValuesVector(rec, type, &schema, pred.Paths(), &cols).ok());
+      auto got = shared.MatchVector(rec, type, &schema, pred);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      EXPECT_EQ(got.value(), EvalPredicateRow(cols, pred))
+          << "round " << round << " row " << row;
+    }
+    ASSERT_TRUE(st.ok()) << st.ToString();
+    EXPECT_EQ(compacted, 120u);
+    EXPECT_EQ(inline_names, 80u);
+  }
+}
+
 }  // namespace
 }  // namespace tc

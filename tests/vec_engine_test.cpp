@@ -295,15 +295,23 @@ TEST(VecRowEquivalence, VectorizedRunsReportOperatorCounters) {
   for (int i = 0; i < 30; ++i) ASSERT_TRUE(fx.dataset->Insert(gen->NextRecord()).ok());
   ASSERT_TRUE(fx.dataset->FlushAll().ok());
   auto res = TwitterQ2(fx.dataset.get(), QueryOptions{}).ValueOrDie();
-  bool saw_scan = false;
+  bool saw_scan = false, saw_sink = false;
   for (const QueryOpCounters& op : res.stats.operators) {
     if (op.name == "scan") {
       saw_scan = true;
       EXPECT_GT(op.batches, 0u);
       EXPECT_EQ(op.rows, 30u);
+    } else if (op.name == "sink") {
+      // The batch driver counts what reached the aggregate: every scanned
+      // batch and row, with no bridge in between.
+      saw_sink = true;
+      EXPECT_GT(op.batches, 0u);
+      EXPECT_EQ(op.rows, 30u);
     }
+    EXPECT_NE(op.name, "bridge");
   }
   EXPECT_TRUE(saw_scan);
+  EXPECT_TRUE(saw_sink);
 }
 
 // IN-list predicates with and without pushdown: the lowered vector matcher
@@ -515,6 +523,51 @@ TEST(VecFastPath, ExtractorMatchesGetValuesVector) {
   VecOpCounters oc = ScanAndCompare(p, {FieldPath::Parse("s")}, 64, "s");
   EXPECT_GT(oc.fallback_rows, 0u);
   EXPECT_LT(oc.fallback_rows, oc.rows);
+}
+
+// Field-name matching edge cases of the extractor (query/field_match.h), on
+// a partition holding compacted (flushed) and inline-name (memtable) records.
+TEST(VecFastPath, AbsentNamesReadMissingUnknownIdsAreCorruption) {
+  DatasetFixture fx;
+  ASSERT_TRUE(fx.Open(SmallOptions(SchemaMode::kInferred, 1024), 1).ok());
+  Rng rng(77);
+  for (int64_t id = 0; id < 120; ++id) {
+    ASSERT_TRUE(fx.dataset->Insert(WildcardRecord(&rng, id)).ok());
+    if (id == 69) {
+      ASSERT_TRUE(fx.dataset->FlushAll().ok());  // the rest stay in the memtable
+    }
+  }
+  DatasetPartition* p = fx.dataset->partition(0);
+  Schema snapshot = p->SchemaSnapshot();
+  for (const char* name : {"nope", "zz"}) {
+    ASSERT_EQ(snapshot.dict().Lookup(name), FieldNameDictionary::kInvalidId);
+  }
+
+  // Names the dictionary never assigned read as missing (exact paths) or an
+  // empty list (wildcard paths), on the fast path, in every row.
+  std::vector<FieldPath> absent = {FieldPath::Parse("nope"), FieldPath::Parse("s.zz"),
+                                   FieldPath::Parse("a[*].nope")};
+  VecOpCounters oc = ScanAndCompare(p, absent, 16, "absent");
+  EXPECT_EQ(oc.rows, 120u);
+  EXPECT_EQ(oc.fallback_rows, 0u);
+
+  // Every compacted record's FieldNameIDs are out of range for an empty
+  // dictionary: the scan fails with Corruption instead of misreading.
+  RecordAccessor blind(p->options().mode, &p->options().type, Schema(),
+                       /*consolidate=*/true);
+  ScanSpec spec;
+  spec.paths = {FieldPath::Parse("s")};
+  ScanCounters sc;
+  VecScanOperator scan(p, &blind, spec, 16, &sc);
+  ASSERT_TRUE(scan.Open().ok());
+  ColumnBatch batch;
+  Status st;
+  while (st.ok()) {
+    auto more = scan.Next(&batch);
+    if (!more.ok()) st = more.status();
+    if (more.ok() && !more.value()) break;
+  }
+  EXPECT_TRUE(st.IsCorruption()) << st.ToString();
 }
 
 TEST(VecFastPath, WildcardPaperQueriesReportNoFallbackRows) {
