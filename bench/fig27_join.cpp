@@ -104,7 +104,7 @@ JoinRun RunJoin(JoinData* d, int reps) {
     double secs = TimeIt([&] {
       auto stats = HashJoinDatasets(
           d->users->dataset.get(), d->tweets->dataset.get(), spec,
-          [&](int) -> JoinBatchSink {
+          [&](int) -> BatchSink {
             // Output cardinality comes from JoinStats; the sink just drains.
             return [](const ColumnBatch&) { return Status::OK(); };
           });

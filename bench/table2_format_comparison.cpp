@@ -60,12 +60,12 @@ int main() {
   };
 
   double vector_ms = 0;
-  struct Row {
+  struct FormatResult {
     const char* name;
     double mib;
     double ms;
   };
-  std::vector<Row> rows;
+  std::vector<FormatResult> rows;
   for (const Entry& e : entries) {
     Buffer out;
     out.reserve(1 << 20);
@@ -81,7 +81,7 @@ int main() {
     rows.push_back({e.name, MiB(bytes), secs * 1000});
     if (std::string(e.name) == "vector-based") vector_ms = secs * 1000;
   }
-  for (const Row& r : rows) {
+  for (const FormatResult& r : rows) {
     std::printf("%-14s %12.2f %12.1f %13.2fx\n", r.name, r.mib, r.ms,
                 r.ms / vector_ms);
   }

@@ -89,7 +89,7 @@ int main(int argc, char** argv) {
   spec.probe_paths = {"id"};
   std::vector<uint64_t> verified(tweets->partition_count(), 0);
   auto stats = HashJoinDatasets(
-      users.get(), tweets.get(), spec, [&](int partition) -> JoinBatchSink {
+      users.get(), tweets.get(), spec, [&](int partition) -> BatchSink {
         uint64_t* count = &verified[static_cast<size_t>(partition)];
         return [count](const ColumnBatch& b) {
           // Layout: [u.id, u.verified, t.user.id, t.id].

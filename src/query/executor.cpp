@@ -31,17 +31,10 @@ void MergeVecCounters(const VecCounterSet& partition_counters, QueryStats* stats
   }
 }
 
-namespace {
-
-/// Runs the pipeline of partition `index` (dataset->partition(index)) to
-/// completion on the calling thread.
-using PartitionBody = std::function<Status(const PartitionContext&, int index)>;
-
-/// The one per-partition driver behind both executor forms: pins the views,
-/// collects the schema registry, binds the accessors, runs `body` for every
-/// partition on the executor threads, and folds the counters into the stats.
-Result<QueryStats> RunEachPartition(Dataset* dataset, const QueryOptions& options,
-                                    const PartitionBody& body) {
+Result<QueryStats> RunPartitionedBatches(Dataset* dataset,
+                                         const QueryOptions& options,
+                                         const VecPipelineFactory& make_pipeline,
+                                         const BatchSinkFactory& make_sink) {
   auto start = std::chrono::steady_clock::now();
   size_t n = dataset->partition_count();
 
@@ -73,6 +66,22 @@ Result<QueryStats> RunEachPartition(Dataset* dataset, const QueryOptions& option
   std::vector<VecCounterSet> vec_counters(n);
   std::atomic<size_t> next{0};
 
+  // Runs partition `index`'s pipeline to completion on the calling thread.
+  auto run_partition = [&](const PartitionContext& ctx, int index) -> Status {
+    TC_ASSIGN_OR_RETURN(std::unique_ptr<VecOperator> op, make_pipeline(ctx));
+    BatchSink sink = make_sink(index);
+    VecOpCounters* sink_counters = ctx.vec_counters->For("sink");
+    TC_RETURN_IF_ERROR(op->Open());
+    ColumnBatch batch;
+    while (true) {
+      TC_ASSIGN_OR_RETURN(bool has, op->Next(&batch));
+      if (!has) return Status::OK();
+      ++sink_counters->batches;
+      sink_counters->rows += batch.ActiveRows();
+      TC_RETURN_IF_ERROR(sink(batch));
+    }
+  };
+
   auto worker = [&]() {
     while (true) {
       size_t i = next.fetch_add(1);
@@ -85,7 +94,7 @@ Result<QueryStats> RunEachPartition(Dataset* dataset, const QueryOptions& option
       ctx.view = &views[i];
       ctx.options = &options;
       ctx.vec_counters = &vec_counters[i];
-      statuses[i] = body(ctx, static_cast<int>(i));
+      statuses[i] = run_partition(ctx, static_cast<int>(i));
       if (!statuses[i].ok()) return;
     }
   };
@@ -119,47 +128,6 @@ Result<QueryStats> RunEachPartition(Dataset* dataset, const QueryOptions& option
     }
   }
   return stats;
-}
-
-}  // namespace
-
-Result<QueryStats> RunPartitioned(Dataset* dataset, const QueryOptions& options,
-                                  const PipelineFactory& make_pipeline,
-                                  const SinkFactory& make_sink) {
-  auto body = [&](const PartitionContext& ctx, int index) -> Status {
-    TC_ASSIGN_OR_RETURN(std::unique_ptr<Operator> op, make_pipeline(ctx));
-    RowSink sink = make_sink(index);
-    TC_RETURN_IF_ERROR(op->Open());
-    Row row;
-    while (true) {
-      TC_ASSIGN_OR_RETURN(bool has, op->Next(&row));
-      if (!has) return Status::OK();
-      TC_RETURN_IF_ERROR(sink(std::move(row)));
-      row = Row{};
-    }
-  };
-  return RunEachPartition(dataset, options, body);
-}
-
-Result<QueryStats> RunPartitionedBatches(Dataset* dataset,
-                                         const QueryOptions& options,
-                                         const VecPipelineFactory& make_pipeline,
-                                         const BatchSinkFactory& make_sink) {
-  auto body = [&](const PartitionContext& ctx, int index) -> Status {
-    TC_ASSIGN_OR_RETURN(std::unique_ptr<VecOperator> op, make_pipeline(ctx));
-    BatchSink sink = make_sink(index);
-    VecOpCounters* sink_counters = ctx.vec_counters->For("sink");
-    TC_RETURN_IF_ERROR(op->Open());
-    ColumnBatch batch;
-    while (true) {
-      TC_ASSIGN_OR_RETURN(bool has, op->Next(&batch));
-      if (!has) return Status::OK();
-      ++sink_counters->batches;
-      sink_counters->rows += batch.ActiveRows();
-      TC_RETURN_IF_ERROR(sink(batch));
-    }
-  };
-  return RunEachPartition(dataset, options, body);
 }
 
 }  // namespace tc

@@ -2,14 +2,11 @@
 // thread (the paper's per-partition query executors, §2.3) and feeds its
 // output to per-partition sinks, which the caller merges — the
 // local-aggregate / exchange / global-merge structure of the paper's Figure 5
-// plans. Two forms share one driver (view pinning, schema registry,
-// accessors, counters, the thread loop, the memory-arbiter tick):
-//   - RunPartitionedBatches: a VecOperator pipeline hands whole ColumnBatches
-//     to a BatchSink, which reads the typed columns in place. Every
-//     scan-shaped paper query runs this way, scan straight into aggregate.
-//   - RunPartitioned: a row Operator pipeline hands Rows to a RowSink. Only
-//     plans with a row-producing operator need it (LookupOperator, the
-//     un-consolidated Sensors Q4 plan's filter + map).
+// plans. RunPartitionedBatches pins the views, collects the schema registry,
+// binds the accessors and counters, runs every partition's VecOperator
+// pipeline on the executor threads, and hands whole ColumnBatches to a
+// BatchSink, which reads the typed columns in place: every plan, scans and
+// index probes alike, runs scan straight into aggregate.
 #ifndef TC_QUERY_EXECUTOR_H_
 #define TC_QUERY_EXECUTOR_H_
 
@@ -83,27 +80,13 @@ struct PartitionContext {
   /// Coherent snapshot of the partition's trees, pinned for the whole query:
   /// scans, secondary-index probes, and primary lookups of one pipeline all
   /// see the same LSM state, and concurrent flush/merge never blocks (or is
-  /// observed by) the query. Pass to the scan (MakeVecScan) and to
-  /// LookupOperator.
+  /// observed by) the query. MakeVecScan and MakeVecLookup read it.
   const PartitionReadView* view = nullptr;
   /// The query's options (batch size, pushdown inside pipeline factories).
   const QueryOptions* options = nullptr;
   /// This partition's per-operator counter registry (vectorized pipelines).
   VecCounterSet* vec_counters = nullptr;
 };
-
-using PipelineFactory =
-    std::function<Result<std::unique_ptr<Operator>>(const PartitionContext&)>;
-/// Consumes rows on the partition's thread; one sink per partition, so no
-/// synchronization is needed inside.
-using RowSink = std::function<Status(Row&&)>;
-using SinkFactory = std::function<RowSink(int partition)>;
-
-/// Runs the query; returns aggregate stats. Errors from any partition abort
-/// the query.
-Result<QueryStats> RunPartitioned(Dataset* dataset, const QueryOptions& options,
-                                  const PipelineFactory& make_pipeline,
-                                  const SinkFactory& make_sink);
 
 class VecOperator;   // query/vec/vec_operator.h
 struct ColumnBatch;  // query/vec/column_batch.h
@@ -117,10 +100,10 @@ using VecPipelineFactory =
 using BatchSink = std::function<Status(const ColumnBatch&)>;
 using BatchSinkFactory = std::function<BatchSink(int partition)>;
 
-/// The batch form of RunPartitioned: batches go to the sinks as the pipeline
-/// produces them, with no per-row materialization. The batches and live rows
-/// handed to each sink are counted as operator "sink" in
-/// QueryStats::operators.
+/// Runs the query; returns aggregate stats. Errors from any partition abort
+/// the query. Batches go to the sinks as the pipeline produces them, with no
+/// per-row materialization. The batches and live rows handed to each sink are
+/// counted as operator "sink" in QueryStats::operators.
 Result<QueryStats> RunPartitionedBatches(Dataset* dataset,
                                          const QueryOptions& options,
                                          const VecPipelineFactory& make_pipeline,

@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 
+#include "format/bson_format.h"
 #include "query/field_match.h"
 
 namespace tc {
@@ -284,16 +285,20 @@ Status GetValuesVectorUnconsolidated(const VectorRecordView& view,
 }
 
 // ---------------------------------------------------------------------------
-// ADM offset-based extraction
+// ADM offset-based extraction, and BSON over the decoded record
 // ---------------------------------------------------------------------------
 
-Status GetValuesAdm(const uint8_t* data, size_t size, const DatasetType& type,
-                    const std::vector<FieldPath>& paths, std::vector<AdmValue>* out) {
+namespace {
+
+/// Extracts `paths` given `resolve(prefix, &at)`, which finds the value a
+/// path's steps before its first wildcard lead to. The suffix after the
+/// wildcard navigates each decoded item; [*] over a non-array is empty.
+template <typename ResolvePrefix>
+Status GetValuesByPrefix(const std::vector<FieldPath>& paths, ResolvePrefix&& resolve,
+                         std::vector<AdmValue>* out) {
   out->clear();
   out->reserve(paths.size());
   for (const auto& p : paths) {
-    // Split at the first wildcard; the prefix descends via offsets, the
-    // suffix navigates each decoded item.
     size_t wc = p.steps.size();
     for (size_t i = 0; i < p.steps.size(); ++i) {
       if (p.steps[i].kind == PathStep::kWildcard) {
@@ -304,7 +309,7 @@ Status GetValuesAdm(const uint8_t* data, size_t size, const DatasetType& type,
     std::vector<PathStep> prefix(p.steps.begin(),
                                  p.steps.begin() + static_cast<ptrdiff_t>(wc));
     AdmValue at;
-    TC_RETURN_IF_ERROR(AdmGetPath(data, size, type, prefix, &at));
+    TC_RETURN_IF_ERROR(resolve(prefix, &at));
     if (wc == p.steps.size()) {
       out->push_back(std::move(at));
     } else if (!at.is_collection()) {
@@ -319,6 +324,33 @@ Status GetValuesAdm(const uint8_t* data, size_t size, const DatasetType& type,
     }
   }
   return Status::OK();
+}
+
+/// BSON keeps no offsets: the record decodes once, and every path navigates
+/// the decoded tree.
+Status GetValuesBson(const uint8_t* data, size_t size,
+                     const std::vector<FieldPath>& paths, std::vector<AdmValue>* out) {
+  AdmValue record;
+  TC_RETURN_IF_ERROR(DecodeBsonRecord(data, size, &record));
+  return GetValuesByPrefix(
+      paths,
+      [&record](const std::vector<PathStep>& prefix, AdmValue* at) {
+        *at = NavigateAdmValue(record, prefix);
+        return Status::OK();
+      },
+      out);
+}
+
+}  // namespace
+
+Status GetValuesAdm(const uint8_t* data, size_t size, const DatasetType& type,
+                    const std::vector<FieldPath>& paths, std::vector<AdmValue>* out) {
+  return GetValuesByPrefix(
+      paths,
+      [&](const std::vector<PathStep>& prefix, AdmValue* at) {
+        return AdmGetPath(data, size, type, prefix, at);
+      },
+      out);
 }
 
 Status RecordAccessor::GetValues(std::string_view payload,
@@ -337,7 +369,7 @@ Status RecordAccessor::GetValues(std::string_view payload,
                  : GetValuesVectorUnconsolidated(view, *type_, &schema_, paths, out);
     }
     case SchemaMode::kBson:
-      return Status::NotSupported("field access over BSON records");
+      return GetValuesBson(data, payload.size(), paths, out);
   }
   return Status::Internal("bad mode");
 }

@@ -4,7 +4,8 @@
 // For vector-based records all requested paths are extracted in ONE linear
 // scan of the record's vectors; disabling consolidation (the Figure 23
 // ablation) performs one full scan per path. For ADM records each path
-// descends through offset tables (the traditional constant/log-time access).
+// descends through offset tables (the traditional constant/log-time access);
+// BSON records, which keep no offsets, decode once per call.
 // Wildcard steps ("dependents[*].name") extract an array of the matched
 // values, which is also how the pushdown-through-unnest optimization shrinks
 // intermediate results (array of strings instead of array of objects).

@@ -1,38 +1,22 @@
-// Pull-based query operators (the Hyracks-like runtime of paper §2.3).
-// Pipelines are assembled per partition and run in parallel by the executor;
-// rows flow bottom-up through Next(). Field access is performed at the scan
-// via a RecordAccessor (consolidated getValues by default, §3.4.2); the scan
-// itself is batch-at-a-time (query/vec/vec_operator.h, bridged into rows by
-// VecToRowBridge), and LookupOperator is the one row-producing source.
+// Plan primitives the batch runtime (query/vec/vec_operator.h, executor.h)
+// shares: what a scan extracts (ScanSpec), what it read (ScanCounters), and
+// the aggregation cells per-partition sinks fill and the coordinator merges
+// (the local-aggregate / exchange / global-merge shape of the paper's
+// Figure 5 plans, §2.3). Field access happens at the scan through a
+// RecordAccessor (consolidated getValues by default, §3.4.2).
 #ifndef TC_QUERY_OPERATORS_H_
 #define TC_QUERY_OPERATORS_H_
 
 #include <functional>
 #include <memory>
+#include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "core/dataset.h"
 #include "query/field_access.h"
 
 namespace tc {
-
-/// A row flowing between operators: extracted columns plus (optionally) the
-/// raw record bytes and their source partition, which lets downstream
-/// consumers on other partitions decode the record against the right schema
-/// (§3.4.1).
-struct Row {
-  int32_t partition = -1;
-  std::shared_ptr<Buffer> record;  // attached only when the plan needs it
-  std::vector<AdmValue> cols;
-};
-
-class Operator {
- public:
-  virtual ~Operator() = default;
-  virtual Status Open() = 0;
-  /// Produces the next row; returns false when exhausted.
-  virtual Result<bool> Next(Row* row) = 0;
-};
 
 struct ScanPredicate;  // query/scan_predicate.h
 
@@ -50,75 +34,6 @@ struct ScanCounters {
   uint64_t rows = 0;   // rows read, INCLUDING pre-assembly-filtered ones
   uint64_t bytes = 0;  // payload bytes read, including filtered rows
   uint64_t filtered_pre_assembly = 0;  // rows rejected before assembly
-};
-
-class ScanPredicateMatcher;  // query/scan_predicate.h
-
-/// Point-lookup source: emits the records of the given primary keys (the
-/// secondary-index query path of §4.4.5). Lookups resolve against the
-/// query's pinned per-partition view, or a private snapshot pinned at Open
-/// when `view` is null: the same discipline as VecScanOperator.
-class LookupOperator final : public Operator {
- public:
-  LookupOperator(DatasetPartition* partition, const RecordAccessor* accessor,
-                 std::vector<int64_t> pks, ScanSpec spec, ScanCounters* counters,
-                 const PartitionReadView* view = nullptr);
-  ~LookupOperator() override;
-
-  Status Open() override;
-  Result<bool> Next(Row* row) override;
-
- private:
-  DatasetPartition* partition_;
-  const RecordAccessor* accessor_;
-  std::vector<int64_t> pks_;
-  ScanSpec spec_;
-  ScanCounters* counters_;
-  const PartitionReadView* shared_view_;  // not owned; may be null
-  LsmTree::ReadViewRef view_;             // pinned snapshot for the lookups
-  std::unique_ptr<ScanPredicateMatcher> matcher_;
-  size_t pos_ = 0;
-  std::vector<FieldPath> pred_paths_;  // pred->Paths(), precomputed at Open
-};
-
-class FilterOperator final : public Operator {
- public:
-  using Predicate = std::function<bool(const Row&)>;
-  FilterOperator(std::unique_ptr<Operator> child, Predicate pred)
-      : child_(std::move(child)), pred_(std::move(pred)) {}
-
-  Status Open() override { return child_->Open(); }
-  Result<bool> Next(Row* row) override {
-    while (true) {
-      TC_ASSIGN_OR_RETURN(bool ok, child_->Next(row));
-      if (!ok) return false;
-      if (pred_(*row)) return true;
-    }
-  }
-
- private:
-  std::unique_ptr<Operator> child_;
-  Predicate pred_;
-};
-
-/// Applies a function to each row (compute/replace columns).
-class MapOperator final : public Operator {
- public:
-  using Fn = std::function<Status(Row*)>;
-  MapOperator(std::unique_ptr<Operator> child, Fn fn)
-      : child_(std::move(child)), fn_(std::move(fn)) {}
-
-  Status Open() override { return child_->Open(); }
-  Result<bool> Next(Row* row) override {
-    TC_ASSIGN_OR_RETURN(bool ok, child_->Next(row));
-    if (!ok) return false;
-    TC_RETURN_IF_ERROR(fn_(row));
-    return true;
-  }
-
- private:
-  std::unique_ptr<Operator> child_;
-  Fn fn_;
 };
 
 // ---------------------------------------------------------------------------

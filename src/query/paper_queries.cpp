@@ -589,44 +589,43 @@ bool InSensorsQ4Window(int64_t ts) {
 }
 
 // Sensors Q4 with both optimizations disabled: the selective filter runs
-// before the reading access. The scan extracts only scalar columns, and a
-// post-filter map fetches the readings subtree from the raw record — the
-// row-shaped "Inferred (un-op)" plan of Figure 23.
+// before the reading access — the "Inferred (un-op)" plan of Figure 23. The
+// scan extracts only the scalar columns and attaches each record; the window
+// test runs first, and only rows inside the window fetch the readings
+// subtree from the raw record through the partition's (unconsolidated)
+// accessor.
 Result<QueryStats> RunUnoptimizedWindowPlan(Dataset* ds, const QueryOptions& o,
                                             std::vector<GroupMap>* maps) {
-  return RunPartitioned(
+  std::vector<const RecordAccessor*> accessors(ds->partition_count());
+  return RunPartitionedBatches(
       ds, o,
-      [](const PartitionContext& ctx) -> Result<std::unique_ptr<Operator>> {
+      [&accessors](const PartitionContext& ctx) {
+        accessors[static_cast<size_t>(ctx.partition->partition_id())] = ctx.accessor;
         std::vector<FieldPath> scan_paths = {FieldPath::Parse("sensor_id"),
                                              FieldPath::Parse("report_time")};
-        TC_ASSIGN_OR_RETURN(
-            std::unique_ptr<VecOperator> scan,
-            MakeScan(ctx, ScanSpec{scan_paths, /*attach=*/true, nullptr}));
-        auto filter = std::make_unique<FilterOperator>(
-            std::make_unique<VecToRowBridge>(std::move(scan),
-                                             ctx.vec_counters->For("bridge")),
-            [](const Row& row) { return InSensorsQ4Window(row.cols[1].int_value()); });
-        const RecordAccessor* accessor = ctx.accessor;
-        std::vector<FieldPath> late = {FieldPath::Parse("readings")};
-        return {std::make_unique<MapOperator>(
-            std::move(filter), [accessor, late](Row* row) -> Status {
-              std::vector<AdmValue> vals;
-              TC_RETURN_IF_ERROR(accessor->GetValues(
-                  std::string_view(reinterpret_cast<const char*>(row->record->data()),
-                                   row->record->size()),
-                  late, &vals));
-              row->cols = {row->cols[0], std::move(vals[0])};  // [sensor_id, readings]
-              return Status::OK();
-            })};
+        return MakeScan(ctx, ScanSpec{scan_paths, /*attach=*/true, nullptr});
       },
-      [maps](int pid) -> RowSink {
-        GroupMap* map = &(*maps)[static_cast<size_t>(pid)];
-        return [map](Row&& row) -> Status {
-          const AdmValue& arr = row.cols[1];
-          if (!arr.is_collection()) return Status::OK();
-          AggCell& cell = map->Cell(GroupKeyOf(row.cols[0]));
-          ForEachReading(arr, /*pushed=*/false, [&cell](double t) { cell.Add(t); });
-          return Status::OK();
+      [maps, &accessors](int pid) -> BatchSink {
+        size_t i = static_cast<size_t>(pid);
+        GroupMap* map = &(*maps)[i];
+        std::vector<FieldPath> late = {FieldPath::Parse("readings")};
+        return [map, &accessors, i, late](const ColumnBatch& batch) -> Status {
+          // Set by partition i's pipeline factory, before its first batch.
+          const RecordAccessor* accessor = accessors[i];
+          std::vector<AdmValue> vals;
+          Status st = Status::OK();
+          batch.ForEachActive([&](size_t r) {
+            if (!st.ok() || !InSensorsQ4Window(IntOf(batch.cols[1], r))) return;
+            const Buffer& record = *batch.records[r];
+            st = accessor->GetValues(
+                std::string_view(reinterpret_cast<const char*>(record.data()),
+                                 record.size()),
+                late, &vals);
+            if (!st.ok() || !vals[0].is_collection()) return;
+            AggCell& cell = map->Cell(GroupKeyAt(batch.cols[0], r));
+            ForEachReading(vals[0], /*pushed=*/false, [&cell](double t) { cell.Add(t); });
+          });
+          return st;
         };
       });
 }
@@ -731,7 +730,7 @@ Result<PaperQueryResult> TwitterJoinTopCountries(Dataset* users,
   // Output layout: [u.id, u.country, t.user.id]; country is column 1.
   TC_ASSIGN_OR_RETURN(
       JoinStats jstats,
-      HashJoinDatasets(users, tweets, spec, [&](int pid) -> JoinBatchSink {
+      HashJoinDatasets(users, tweets, spec, [&](int pid) -> BatchSink {
         GroupMap* map = &maps[static_cast<size_t>(pid)];
         return [map](const ColumnBatch& batch) -> Status {
           const ColumnVector& country = batch.cols[1];
@@ -773,10 +772,10 @@ Result<PaperQueryResult> TwitterWindowCount(Dataset* ds, int64_t lo, int64_t hi,
   std::vector<uint64_t> counts(n, 0);
   TC_ASSIGN_OR_RETURN(
       QueryStats stats,
-      RunPlannedScan(ds, opt, /*paths=*/{}, pred, [&](int pid) -> RowSink {
+      RunPlannedScan(ds, opt, /*paths=*/{}, pred, [&](int pid) -> BatchSink {
         uint64_t* count = &counts[static_cast<size_t>(pid)];
-        return [count](Row&&) -> Status {
-          ++*count;
+        return [count](const ColumnBatch& batch) -> Status {
+          *count += batch.ActiveRows();
           return Status::OK();
         };
       }));

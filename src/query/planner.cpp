@@ -229,7 +229,7 @@ PlanDecision ChooseAccessPath(const PlannerInputs& inputs,
 Result<QueryStats> RunPlannedScan(Dataset* dataset, const QueryOptions& options,
                                   const std::vector<std::string>& paths,
                                   std::shared_ptr<const ScanPredicate> pred,
-                                  const SinkFactory& make_sink,
+                                  const BatchSinkFactory& make_sink,
                                   PlanDecision* decision_out) {
   PlannerInputs inputs = CollectPlannerInputs(dataset);
   inputs.can_lower_predicate = options.pushdown_scan_predicates &&
@@ -241,48 +241,38 @@ Result<QueryStats> RunPlannedScan(Dataset* dataset, const QueryOptions& options,
   parsed.reserve(paths.size());
   for (const std::string& p : paths) parsed.push_back(FieldPath::Parse(p));
 
-  PipelineFactory factory =
-      [&, pred, parsed, decision](const PartitionContext& ctx)
-      -> Result<std::unique_ptr<Operator>> {
-    switch (decision.path) {
-      case AccessPath::kIndexProbe: {
-        std::vector<int64_t> pks;
-        for (const auto& range : decision.ranges) {
-          TC_ASSIGN_OR_RETURN(std::vector<int64_t> hits,
-                              ctx.partition->SecondaryRangeScan(
-                                  *ctx.view, range.first, range.second));
-          pks.insert(pks.end(), hits.begin(), hits.end());
-        }
-        std::sort(pks.begin(), pks.end());
-        pks.erase(std::unique(pks.begin(), pks.end()), pks.end());
-        ScanSpec spec;
-        spec.paths = parsed;
-        // The whole conjunction rides as residual: the indexed term passes by
-        // construction, the others must still be checked, and index entries
-        // can be stale towards the primary (delete handling aside).
-        spec.predicate = pred;
-        return std::unique_ptr<Operator>(
-            new LookupOperator(ctx.partition, ctx.accessor, std::move(pks),
-                               std::move(spec), ctx.counters, ctx.view));
-      }
-      case AccessPath::kFilteredScan:
-      case AccessPath::kFullScan: {
-        ScanSpec spec;
-        spec.paths = parsed;
-        spec.predicate = pred;
-        VecScanPipeline scan = MakeVecScan(
-            ctx, std::move(spec),
-            /*push_predicate=*/decision.path == AccessPath::kFilteredScan,
-            ctx.options->vec_batch_rows);
-        return std::unique_ptr<Operator>(new VecToRowBridge(
-            std::move(scan.op), ctx.vec_counters->For("bridge")));
-      }
+  VecPipelineFactory factory =
+      [pred, parsed, decision](const PartitionContext& ctx)
+      -> Result<std::unique_ptr<VecOperator>> {
+    ScanSpec spec;
+    spec.paths = parsed;
+    spec.predicate = pred;
+    if (decision.path != AccessPath::kIndexProbe) {
+      return MakeVecScan(ctx, std::move(spec),
+                         /*push_predicate=*/decision.path == AccessPath::kFilteredScan,
+                         ctx.options->vec_batch_rows)
+          .op;
     }
-    return Status::Internal("bad access path");
+    std::vector<int64_t> pks;
+    for (const auto& range : decision.ranges) {
+      TC_ASSIGN_OR_RETURN(std::vector<int64_t> hits,
+                          ctx.partition->SecondaryRangeScan(*ctx.view, range.first,
+                                                            range.second));
+      pks.insert(pks.end(), hits.begin(), hits.end());
+    }
+    std::sort(pks.begin(), pks.end());
+    pks.erase(std::unique(pks.begin(), pks.end()), pks.end());
+    // The whole conjunction rides as residual: the indexed term passes by
+    // construction, the others must still be checked, and index entries can
+    // be stale towards the primary (delete handling aside).
+    return MakeVecLookup(ctx, std::move(pks), std::move(spec),
+                         ctx.options->pushdown_scan_predicates,
+                         ctx.options->vec_batch_rows)
+        .op;
   };
 
   TC_ASSIGN_OR_RETURN(QueryStats stats,
-                      RunPartitioned(dataset, options, factory, make_sink));
+                      RunPartitionedBatches(dataset, options, factory, make_sink));
   stats.plan = AccessPathName(decision.path);
   stats.plan_selectivity = decision.selectivity;
   if (decision_out != nullptr) *decision_out = decision;

@@ -78,16 +78,17 @@ PlanDecision ChooseAccessPath(const PlannerInputs& inputs,
                               const std::string& secondary_field);
 
 /// Plans and runs a scan query: picks the access path for (dataset, pred),
-/// builds the per-partition pipelines (index probe → LookupOperator with the
-/// full predicate as residual; filtered scan → MakeVecScan with the predicate
-/// pushed; full scan → MakeVecScan with a batch filter), and runs them through
-/// RunPartitioned. Rows reaching the sinks carry exactly `paths` as columns
-/// under every access path. The decision is recorded in QueryStats::plan /
-/// plan_selectivity (and `decision_out` when given).
+/// builds the per-partition pipelines (index probe → MakeVecLookup over the
+/// probed pks, with the full predicate as residual; filtered scan →
+/// MakeVecScan with the predicate pushed; full scan → MakeVecScan with a
+/// batch filter), and runs them through RunPartitionedBatches. Batches
+/// reaching the sinks carry exactly `paths` as columns under every access
+/// path. The decision is recorded in QueryStats::plan / plan_selectivity (and
+/// `decision_out` when given).
 Result<QueryStats> RunPlannedScan(Dataset* dataset, const QueryOptions& options,
                                   const std::vector<std::string>& paths,
                                   std::shared_ptr<const ScanPredicate> pred,
-                                  const SinkFactory& make_sink,
+                                  const BatchSinkFactory& make_sink,
                                   PlanDecision* decision_out = nullptr);
 
 }  // namespace tc

@@ -41,13 +41,6 @@ bool EvalPredicateRow(const std::vector<AdmValue>& cols, const ScanPredicate& pr
   return true;
 }
 
-FilterOperator::Predicate MakeRowPredicate(
-    std::shared_ptr<const ScanPredicate> pred, size_t first_col) {
-  return [pred, first_col](const Row& row) {
-    return EvalPredicateRow(row.cols, *pred, first_col);
-  };
-}
-
 // ---------------------------------------------------------------------------
 // Lowered evaluation over the packed vectors.
 //

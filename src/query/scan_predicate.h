@@ -10,16 +10,16 @@
 // layer for the vector-based record format.
 //
 // A ScanPredicate is a conjunction of comparison terms over scalar-leaf
-// paths. FilterOperator-style predicates that fit this shape can be LOWERED
-// into the scan (ScanSpec::predicate): the LSM merged cursor evaluates the
-// terms against each surviving record's packed vectors — walking tags, not
-// building AdmValues — and positions that fail never reach record/Row
-// assembly. Paths with [*] steps are existential ("some item satisfies").
-// When lowering is impossible (BSON payloads, pushdown disabled), the same
-// terms run as a batch filter over the extracted columns (VecFilterOperator);
-// both paths share one semantic definition (EvalPredicateTerm over
-// AdmScalarSatisfies), and the scan-predicate tests assert they return the
-// result set of a row-level EvalPredicateRow reference.
+// paths. It can be LOWERED into the scan (ScanSpec::predicate): the LSM
+// merged cursor evaluates the terms against each surviving record's packed
+// vectors — walking tags, not building AdmValues — and positions that fail
+// never reach column extraction. Paths with [*] steps are existential
+// ("some item satisfies"). When lowering is impossible (BSON payloads,
+// pushdown disabled), the same terms run as a batch filter over the
+// extracted columns (VecFilterOperator); both paths share one semantic
+// definition (EvalPredicateTerm over AdmScalarSatisfies), and the
+// scan-predicate tests assert they return the result set of a row-level
+// EvalPredicateRow reference.
 #ifndef TC_QUERY_SCAN_PREDICATE_H_
 #define TC_QUERY_SCAN_PREDICATE_H_
 
@@ -30,7 +30,6 @@
 #include "adm/value.h"
 #include "query/field_access.h"
 #include "query/field_match.h"
-#include "query/operators.h"
 
 namespace tc {
 
@@ -89,15 +88,10 @@ bool TermScalarSatisfies(const AdmValue& v, const PredicateTerm& term);
 bool EvalPredicateTerm(const AdmValue& extracted, const PredicateTerm& term);
 
 /// Evaluates the conjunction over columns extracted for `pred.Paths()`,
-/// starting at `cols[first_col]`.
+/// starting at `cols[first_col]` — the row-level reference the lowered and
+/// batch-filter paths are tested against.
 bool EvalPredicateRow(const std::vector<AdmValue>& cols, const ScanPredicate& pred,
                       size_t first_col = 0);
-
-/// Builds the row-level FilterOperator form of the predicate (the reference
-/// the lowered paths are tested against). The child's columns must contain
-/// `pred->Paths()` at [first_col, ...).
-FilterOperator::Predicate MakeRowPredicate(
-    std::shared_ptr<const ScanPredicate> pred, size_t first_col);
 
 /// Reusable evaluation scratch for one scan's lowered predicate. The walk
 /// needs per-record state — term satisfaction flags, the scope stack with its

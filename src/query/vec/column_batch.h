@@ -1,7 +1,7 @@
 // The column-batch exchange format of the vectorized execution engine
 // (ROADMAP "Vectorized batch query execution"; after the authors' follow-up,
 // Columnar Formats for Schemaless LSM-based Document Stores, arXiv 2111.11517):
-// operators exchange batches of TC_VEC_BATCH_ROWS rows instead of one Row per
+// operators exchange batches of TC_VEC_BATCH_ROWS rows instead of one row per
 // virtual Next(), and each extracted path becomes a typed column vector.
 //
 // A ColumnVector adapts to the data it sees, because schemaless records give

@@ -84,7 +84,7 @@ PartitionContext SideContext(DatasetPartition* partition,
 
 Result<JoinStats> HashJoinDatasets(Dataset* build, Dataset* probe,
                                    const JoinSpec& spec,
-                                   const JoinSinkFactory& make_sink) {
+                                   const BatchSinkFactory& make_sink) {
   auto start = std::chrono::steady_clock::now();
   const size_t bn = build->partition_count();
   const size_t pn = probe->partition_count();
@@ -212,7 +212,7 @@ Result<JoinStats> HashJoinDatasets(Dataset* build, Dataset* probe,
       while (true) {
         size_t i = next_part.fetch_add(1);
         if (i >= pn) return;
-        JoinBatchSink sink = make_sink(static_cast<int>(i));
+        BatchSink sink = make_sink(static_cast<int>(i));
         VecScanPipeline scan = MakeVecScan(
             SideContext(probe->partition(i), probe_acc[i].get(), &probe_sc[i],
                         &probe_views[i], &probe_vc[i]),

@@ -82,20 +82,16 @@ struct JoinStats {
   std::vector<QueryOpCounters> operators;
 };
 
-/// Consumes joined batches on the probe partition's thread; one sink per
-/// probe partition, so no synchronization is needed inside. Column layout:
-/// [build_key, build_paths..., probe_key, probe_paths...]. A sink may see
-/// multiple batches per partition, and sees each partition once PER WAVE.
-using JoinBatchSink = std::function<Status(const ColumnBatch&)>;
-using JoinSinkFactory = std::function<JoinBatchSink(int probe_partition)>;
-
 /// Runs the join: pins read views over every partition of both datasets for
 /// the whole join, then executes the wave loop described above. The memory
 /// arbiter (taken from the datasets' options; they may share one) bounds the
-/// build tables when present.
+/// build tables when present. `make_sink` is called with the probe partition;
+/// its sink consumes joined batches on that partition's thread, with column
+/// layout [build_key, build_paths..., probe_key, probe_paths...]. A sink may
+/// see multiple batches per partition, and sees each partition once PER WAVE.
 Result<JoinStats> HashJoinDatasets(Dataset* build, Dataset* probe,
                                    const JoinSpec& spec,
-                                   const JoinSinkFactory& make_sink);
+                                   const BatchSinkFactory& make_sink);
 
 }  // namespace tc
 

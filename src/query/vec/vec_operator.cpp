@@ -1,6 +1,7 @@
 #include "query/vec/vec_operator.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "common/env_config.h"
 #include "format/vector_format.h"
@@ -10,9 +11,14 @@
 namespace tc {
 namespace {
 
-/// TC_VEC_BATCH_ROWS (default 1024, min 1); read only by MakeVecScan.
+/// TC_VEC_BATCH_ROWS (default 1024, min 1); read only by the source builders.
 size_t VecBatchRowsFromEnv() {
   return static_cast<size_t>(std::max<int64_t>(1, EnvInt64("TC_VEC_BATCH_ROWS", 1024)));
+}
+
+/// `ctx`'s counter cell for operator `name`, or null when it has none.
+VecOpCounters* OpCounters(const PartitionContext& ctx, const char* name) {
+  return ctx.vec_counters != nullptr ? ctx.vec_counters->For(name) : nullptr;
 }
 
 }  // namespace
@@ -68,7 +74,7 @@ class VecPathExtractor {
  public:
   /// `paths` and `schema` (the accessor's snapshot, which resolves the
   /// FieldNameIDs of compacted records) must outlive the extractor; every
-  /// path is non-empty — the eligibility check in VecScanOperator::Open.
+  /// path is non-empty — the eligibility check in OpenSource.
   VecPathExtractor(const std::vector<FieldPath>& paths, const Schema* schema)
       : paths_(&paths), items_(paths.size()), wildcard_(paths.size(), 0) {
     names_.Bind(paths.size(), [&paths](size_t p) -> const FieldPath& {
@@ -220,55 +226,34 @@ Result<bool> VecPathExtractor::Extract(const VectorRecordView& view,
 }
 
 // ---------------------------------------------------------------------------
-// VecScanOperator
+// The two primary-index sources
 // ---------------------------------------------------------------------------
 
-VecScanOperator::VecScanOperator(DatasetPartition* partition,
-                                 const RecordAccessor* accessor, ScanSpec spec,
-                                 size_t batch_rows, ScanCounters* counters,
-                                 const PartitionReadView* view,
-                                 VecOpCounters* op_counters)
+VecSourceOperator::VecSourceOperator(DatasetPartition* partition,
+                                     const RecordAccessor* accessor, ScanSpec spec,
+                                     size_t batch_rows, ScanCounters* counters,
+                                     const PartitionReadView* view,
+                                     VecOpCounters* op_counters)
     : partition_(partition), accessor_(accessor), spec_(std::move(spec)),
       batch_rows_(std::max<size_t>(1, batch_rows)), counters_(counters),
       shared_view_(view), op_counters_(op_counters) {}
 
-VecScanOperator::~VecScanOperator() = default;
+VecSourceOperator::~VecSourceOperator() = default;
 
-Status VecScanOperator::Open() {
-  // Pin the snapshot this scan runs against: the query's shared partition
-  // view when provided, a private one otherwise. The iterator holds the view
-  // alive, so merged-away components stay readable until the scan ends.
+Status VecSourceOperator::OpenSource() {
+  // Pin the snapshot this source reads: the query's shared partition view
+  // when provided, a private one otherwise.
   view_ = shared_view_ != nullptr ? shared_view_->primary
                                   : partition_->primary()->AcquireView();
-  it_ = std::make_unique<LsmTree::Iterator>(view_);
-  counts_in_filter_ = false;
+  matcher_.reset();
   if (spec_.predicate != nullptr) {
     if (!accessor_->SupportsScanPredicate()) {
       return Status::NotSupported("scan predicate on this storage format");
     }
-    // Lower the predicate into the merged LSM cursor: non-matching positions
-    // are rejected on the packed payload bytes and never assembled. They are
-    // still rows the scan read, so the filter callback owns the counters —
-    // and the reusable matcher, so the per-record evaluation state (term
-    // flags, scope stack) is allocated once per scan, not once per row.
+    // One reusable matcher per source: the per-record evaluation state (term
+    // flags, scope stack) is allocated once, not once per row.
     pred_paths_ = spec_.predicate->Paths();
     matcher_ = std::make_unique<ScanPredicateMatcher>();
-    const RecordAccessor* accessor = accessor_;
-    std::shared_ptr<const ScanPredicate> pred = spec_.predicate;
-    const std::vector<FieldPath>* paths = &pred_paths_;
-    ScanCounters* counters = counters_;
-    ScanPredicateMatcher* matcher = matcher_.get();
-    it_->set_payload_filter(
-        [accessor, pred, paths, counters,
-         matcher](std::string_view payload) -> Result<bool> {
-          ++counters->rows;
-          counters->bytes += payload.size();
-          TC_ASSIGN_OR_RETURN(bool match,
-                              matcher->Matches(*accessor, payload, *pred, *paths));
-          if (!match) ++counters->filtered_pre_assembly;
-          return match;
-        });
-    counts_in_filter_ = true;
   }
   // Columnar fast path: vector-based records with consolidated access extract
   // scalar and [*] paths without the generic builder machinery.
@@ -283,14 +268,99 @@ Status VecScanOperator::Open() {
   if (fast) {
     extractor_ = std::make_unique<VecPathExtractor>(spec_.paths, &accessor_->schema());
   }
+  return Status::OK();
+}
+
+Result<bool> VecSourceOperator::Admit(std::string_view payload) {
+  CountRead(payload);
+  if (matcher_ == nullptr) return true;
+  TC_ASSIGN_OR_RETURN(bool match, matcher_->Matches(*accessor_, payload,
+                                                    *spec_.predicate, pred_paths_));
+  if (!match) ++counters_->filtered_pre_assembly;
+  return match;
+}
+
+void VecSourceOperator::BeginBatch(ColumnBatch* batch) {
+  batch->Reset(spec_.paths.size());
+  batch->partition = partition_->partition_id();
+  fallback_rows_ = 0;
+}
+
+Status VecSourceOperator::Append(std::string_view payload, ColumnBatch* batch) {
+  if (!spec_.paths.empty()) {
+    bool fast_done = false;
+    if (extractor_ != nullptr) {
+      VectorRecordView view(reinterpret_cast<const uint8_t*>(payload.data()),
+                            payload.size());
+      TC_ASSIGN_OR_RETURN(fast_done, extractor_->Extract(view, *accessor_->type()));
+    }
+    if (fast_done) {
+      for (size_t c = 0; c < spec_.paths.size(); ++c) {
+        const std::vector<VectorRecordWalker::Item>& items = extractor_->items(c);
+        ColumnVector& col = batch->cols[c];
+        if (extractor_->wildcard(c)) {
+          ColumnVector& list = col.BeginList();
+          for (const VectorRecordWalker::Item& item : items) AppendItem(item, &list);
+          col.EndList();
+        } else if (items.empty()) {
+          col.AppendMissing();
+        } else {
+          AppendItem(items[0], &col);
+        }
+      }
+    } else {
+      ++fallback_rows_;
+      scratch_.clear();
+      TC_RETURN_IF_ERROR(accessor_->GetValues(payload, spec_.paths, &scratch_));
+      for (size_t c = 0; c < spec_.paths.size(); ++c) {
+        batch->cols[c].AppendValue(scratch_[c]);
+      }
+    }
+  }
+  if (spec_.attach_record) {
+    batch->records.push_back(std::make_shared<Buffer>(payload.begin(), payload.end()));
+  }
+  ++batch->rows;
+  return Status::OK();
+}
+
+bool VecSourceOperator::EndBatch(const ColumnBatch& batch) {
+  if (batch.rows == 0) return false;
+  if (op_counters_ != nullptr) {
+    ++op_counters_->batches;
+    op_counters_->rows += batch.rows;
+    op_counters_->bytes += batch.ByteSize();
+    op_counters_->fallback_rows += fallback_rows_;
+  }
+  return true;
+}
+
+VecScanOperator::VecScanOperator(DatasetPartition* partition,
+                                 const RecordAccessor* accessor, ScanSpec spec,
+                                 size_t batch_rows, ScanCounters* counters,
+                                 const PartitionReadView* view,
+                                 VecOpCounters* op_counters)
+    : VecSourceOperator(partition, accessor, std::move(spec), batch_rows, counters,
+                        view, op_counters) {}
+
+Status VecScanOperator::Open() {
+  TC_RETURN_IF_ERROR(OpenSource());
+  // The iterator holds the view alive, so merged-away components stay
+  // readable until the scan ends.
+  it_ = std::make_unique<LsmTree::Iterator>(view_);
+  if (spec_.predicate != nullptr) {
+    // Lower the predicate into the merged LSM cursor: non-matching positions
+    // are rejected on the packed payload bytes and never assembled. They are
+    // still rows the scan read, so the filter counts them.
+    it_->set_payload_filter(
+        [this](std::string_view payload) -> Result<bool> { return Admit(payload); });
+  }
   first_ = true;
   return Status::OK();
 }
 
 Result<bool> VecScanOperator::Next(ColumnBatch* batch) {
-  batch->Reset(spec_.paths.size());
-  batch->partition = partition_->partition_id();
-  uint64_t fallback_rows = 0;
+  BeginBatch(batch);
   while (batch->rows < batch_rows_) {
     if (first_) {
       TC_RETURN_IF_ERROR(it_->SeekToFirst());
@@ -300,54 +370,41 @@ Result<bool> VecScanOperator::Next(ColumnBatch* batch) {
     }
     if (!it_->Valid()) break;
     std::string_view payload = it_->payload();
-    if (!counts_in_filter_) {
-      ++counters_->rows;
-      counters_->bytes += payload.size();
-    }
-    if (!spec_.paths.empty()) {
-      bool fast_done = false;
-      if (extractor_ != nullptr) {
-        VectorRecordView view(reinterpret_cast<const uint8_t*>(payload.data()),
-                              payload.size());
-        TC_ASSIGN_OR_RETURN(fast_done, extractor_->Extract(view, *accessor_->type()));
-      }
-      if (fast_done) {
-        for (size_t c = 0; c < spec_.paths.size(); ++c) {
-          const std::vector<VectorRecordWalker::Item>& items = extractor_->items(c);
-          ColumnVector& col = batch->cols[c];
-          if (extractor_->wildcard(c)) {
-            ColumnVector& list = col.BeginList();
-            for (const VectorRecordWalker::Item& item : items) AppendItem(item, &list);
-            col.EndList();
-          } else if (items.empty()) {
-            col.AppendMissing();
-          } else {
-            AppendItem(items[0], &col);
-          }
-        }
-      } else {
-        ++fallback_rows;
-        scratch_.clear();
-        TC_RETURN_IF_ERROR(accessor_->GetValues(payload, spec_.paths, &scratch_));
-        for (size_t c = 0; c < spec_.paths.size(); ++c) {
-          batch->cols[c].AppendValue(scratch_[c]);
-        }
-      }
-    }
-    if (spec_.attach_record) {
-      batch->records.push_back(
-          std::make_shared<Buffer>(payload.begin(), payload.end()));
-    }
-    ++batch->rows;
+    if (spec_.predicate == nullptr) CountRead(payload);  // else the filter did
+    TC_RETURN_IF_ERROR(Append(payload, batch));
   }
-  if (batch->rows == 0) return false;
-  if (op_counters_ != nullptr) {
-    ++op_counters_->batches;
-    op_counters_->rows += batch->rows;
-    op_counters_->bytes += batch->ByteSize();
-    op_counters_->fallback_rows += fallback_rows;
+  return EndBatch(*batch);
+}
+
+VecLookupOperator::VecLookupOperator(DatasetPartition* partition,
+                                     const RecordAccessor* accessor,
+                                     std::vector<int64_t> pks, ScanSpec spec,
+                                     size_t batch_rows, ScanCounters* counters,
+                                     const PartitionReadView* view,
+                                     VecOpCounters* op_counters)
+    : VecSourceOperator(partition, accessor, std::move(spec), batch_rows, counters,
+                        view, op_counters),
+      pks_(std::move(pks)) {}
+
+Status VecLookupOperator::Open() {
+  pos_ = 0;
+  return OpenSource();
+}
+
+Result<bool> VecLookupOperator::Next(ColumnBatch* batch) {
+  BeginBatch(batch);
+  while (batch->rows < batch_rows_ && pos_ < pks_.size()) {
+    // Every lookup resolves against the pinned snapshot: the operator (and,
+    // with a shared view, the whole query) sees one LSM state.
+    TC_ASSIGN_OR_RETURN(std::optional<Buffer> record,
+                        view_->Get(BtreeKey{pks_[pos_++], 0}));
+    if (!record.has_value()) continue;  // deleted since indexed
+    std::string_view payload(reinterpret_cast<const char*>(record->data()),
+                             record->size());
+    TC_ASSIGN_OR_RETURN(bool admitted, Admit(payload));
+    if (admitted) TC_RETURN_IF_ERROR(Append(payload, batch));
   }
-  return true;
+  return EndBatch(*batch);
 }
 
 // ---------------------------------------------------------------------------
@@ -468,73 +525,63 @@ Result<bool> VecProjectOperator::Next(ColumnBatch* batch) {
 }
 
 // ---------------------------------------------------------------------------
-// Bridges
+// The source builders
 // ---------------------------------------------------------------------------
 
-VecToRowBridge::VecToRowBridge(std::unique_ptr<VecOperator> child,
-                               VecOpCounters* op_counters)
-    : child_(std::move(child)), op_counters_(op_counters) {}
+namespace {
 
-Status VecToRowBridge::Open() {
-  pos_ = 0;
-  have_ = false;
-  return child_->Open();
-}
-
-Result<bool> VecToRowBridge::Next(Row* row) {
-  while (true) {
-    if (have_ && pos_ < order_.size()) {
-      size_t r = order_[pos_++];
-      row->partition = batch_.partition;
-      row->cols.clear();
-      for (const ColumnVector& c : batch_.cols) row->cols.push_back(c.ValueAt(r));
-      row->record = r < batch_.records.size() ? batch_.records[r] : nullptr;
-      return true;
-    }
-    have_ = false;
-    TC_ASSIGN_OR_RETURN(bool ok, child_->Next(&batch_));
-    if (!ok) return false;
-    order_.clear();
-    batch_.ForEachActive(
-        [this](size_t r) { order_.push_back(static_cast<uint32_t>(r)); });
-    pos_ = 0;
-    have_ = true;
-    if (op_counters_ != nullptr) {
-      ++op_counters_->batches;
-      op_counters_->rows += order_.size();
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// The scan builder
-// ---------------------------------------------------------------------------
-
-VecScanPipeline MakeVecScan(const PartitionContext& ctx, ScanSpec spec,
-                            bool push_predicate, size_t batch_rows,
-                            const char* scan_name, const char* filter_name) {
-  auto counters = [&ctx](const char* name) -> VecOpCounters* {
-    return ctx.vec_counters != nullptr ? ctx.vec_counters->For(name) : nullptr;
-  };
+/// The one predicate-placement decision behind MakeVecScan and MakeVecLookup
+/// (see vec_operator.h). `make_source(spec, batch_rows)` builds the source.
+template <typename MakeSource>
+VecScanPipeline PlaceSourcePredicate(const PartitionContext& ctx, ScanSpec spec,
+                                     bool push_predicate, size_t batch_rows,
+                                     const char* filter_name,
+                                     MakeSource&& make_source) {
   VecScanPipeline out;
   out.batch_rows = batch_rows > 0 ? batch_rows : VecBatchRowsFromEnv();
   std::shared_ptr<const ScanPredicate> pred;
-  if (!push_predicate) std::swap(pred, spec.predicate);
+  if (!push_predicate || !ctx.accessor->SupportsScanPredicate()) {
+    std::swap(pred, spec.predicate);
+  }
   const size_t first_pred_col = spec.paths.size();
   if (pred != nullptr) {
     for (const FieldPath& p : pred->Paths()) spec.paths.push_back(p);
   }
-  out.op.reset(new VecScanOperator(ctx.partition, ctx.accessor, std::move(spec),
-                                   out.batch_rows, ctx.counters, ctx.view,
-                                   counters(scan_name)));
+  out.op = make_source(std::move(spec), out.batch_rows);
   if (pred != nullptr) {
     out.op.reset(new VecFilterOperator(std::move(out.op), pred, first_pred_col,
-                                       counters(filter_name)));
+                                       OpCounters(ctx, filter_name)));
     std::vector<size_t> keep(first_pred_col);
     for (size_t i = 0; i < first_pred_col; ++i) keep[i] = i;
     out.op.reset(new VecProjectOperator(std::move(out.op), std::move(keep)));
   }
   return out;
+}
+
+}  // namespace
+
+VecScanPipeline MakeVecScan(const PartitionContext& ctx, ScanSpec spec,
+                            bool push_predicate, size_t batch_rows,
+                            const char* scan_name, const char* filter_name) {
+  return PlaceSourcePredicate(
+      ctx, std::move(spec), push_predicate, batch_rows, filter_name,
+      [&](ScanSpec source_spec, size_t rows) -> std::unique_ptr<VecOperator> {
+        return std::make_unique<VecScanOperator>(
+            ctx.partition, ctx.accessor, std::move(source_spec), rows, ctx.counters,
+            ctx.view, OpCounters(ctx, scan_name));
+      });
+}
+
+VecScanPipeline MakeVecLookup(const PartitionContext& ctx, std::vector<int64_t> pks,
+                              ScanSpec spec, bool push_predicate,
+                              size_t batch_rows) {
+  return PlaceSourcePredicate(
+      ctx, std::move(spec), push_predicate, batch_rows, "filter",
+      [&](ScanSpec source_spec, size_t rows) -> std::unique_ptr<VecOperator> {
+        return std::make_unique<VecLookupOperator>(
+            ctx.partition, ctx.accessor, std::move(pks), std::move(source_spec),
+            rows, ctx.counters, ctx.view, OpCounters(ctx, "lookup"));
+      });
 }
 
 }  // namespace tc

@@ -1,18 +1,20 @@
-// Batch-at-a-time operators: the query engine's only scan tier. Operators
-// exchange TC_VEC_BATCH_ROWS rows at a time instead of paying a virtual
-// Next() and a fresh Row{}/AdmValue materialization per tuple: the scan fills
-// typed column vectors straight from the packed record payloads (no per-row
-// heap traffic on the fast path), and filters mark a selection vector instead
-// of copying. Pipelines end in batch sinks (RunPartitionedBatches in
-// executor.h), which read the typed columns in place. VecToRowBridge adapts a
-// pipeline into a row Operator only for the plans that stay row-shaped: the
-// planner's RunPlannedScan (whose index-probe arm is the row-producing
-// LookupOperator) and the un-consolidated Sensors Q4 plan's filter + map.
-// MakeVecScan is the one builder every scan goes through.
+// Batch-at-a-time operators: the query engine's only operator tier.
+// Operators exchange TC_VEC_BATCH_ROWS rows at a time instead of paying a
+// virtual Next() and a fresh AdmValue materialization per tuple: the sources
+// fill typed column vectors straight from the packed record payloads (no
+// per-row heap traffic on the fast path), and filters mark a selection vector
+// instead of copying. Two sources read the primary index — VecScanOperator
+// (full scan) and VecLookupOperator (point lookups of index-probe plans,
+// §4.4.5) — and share one per-record path: scan accounting, the lowered
+// predicate, and column extraction. Pipelines end in batch sinks
+// (RunPartitionedBatches in executor.h), which read the typed columns in
+// place. MakeVecScan and MakeVecLookup are the builders every source goes
+// through; they share one decision on where the predicate runs.
 #ifndef TC_QUERY_VEC_VEC_OPERATOR_H_
 #define TC_QUERY_VEC_VEC_OPERATOR_H_
 
 #include <memory>
+#include <string_view>
 #include <vector>
 
 #include "query/executor.h"
@@ -35,46 +37,99 @@ class VecOperator {
   virtual Result<bool> Next(ColumnBatch* batch) = 0;
 };
 
-/// Batch-producing full scan of one partition's primary LSM index. Scans run
-/// against a ReadView snapshot: pass the query's coherent per-partition view
-/// triple (the executor's PartitionContext provides one) so every operator of
-/// the pipeline reads ONE LSM state; with a null view the operator pins its
-/// own snapshot at Open. A lowered predicate runs as the merged cursor's
-/// payload filter, which owns the counters and a reusable matcher, so
-/// non-matching records are never assembled. Surviving records are extracted
-/// into column vectors — via a direct walk over the packed vectors when the
-/// format allows (vector-based records, consolidated access): exact paths
-/// into typed columns, [*] paths into list columns of typed items. A record
-/// whose path ends in a nested value, and every record of an ineligible
-/// format, goes through RecordAccessor::GetValues instead and counts in
+/// What the two primary-index sources share. Both read against a ReadView
+/// snapshot: pass the query's coherent per-partition view triple (the
+/// executor's PartitionContext provides one) so every operator of the
+/// pipeline reads ONE LSM state; with a null view the source pins its own
+/// snapshot at Open. Every record read counts in ScanCounters; a lowered
+/// predicate runs on the raw payload through one reusable matcher, and a
+/// record it rejects counts as filtered_pre_assembly and is never assembled.
+/// Surviving records are extracted into column vectors — via a direct walk
+/// over the packed vectors when the format allows (vector-based records,
+/// consolidated access): exact paths into typed columns, [*] paths into list
+/// columns of typed items. A record whose path ends in a nested value, and
+/// every record of an ineligible format, goes through
+/// RecordAccessor::GetValues instead and counts in
 /// VecOpCounters::fallback_rows.
-class VecScanOperator final : public VecOperator {
+class VecSourceOperator : public VecOperator {
+ public:
+  ~VecSourceOperator() override;
+
+ protected:
+  VecSourceOperator(DatasetPartition* partition, const RecordAccessor* accessor,
+                    ScanSpec spec, size_t batch_rows, ScanCounters* counters,
+                    const PartitionReadView* view, VecOpCounters* op_counters);
+
+  /// Pins the snapshot (view_) and prepares the matcher and the extractor.
+  Status OpenSource();
+  /// Counts one record read.
+  void CountRead(std::string_view payload) {
+    ++counters_->rows;
+    counters_->bytes += payload.size();
+  }
+  /// Counts one record read and tests the lowered predicate (if any) on it.
+  Result<bool> Admit(std::string_view payload);
+  /// Clears `batch` for refill.
+  void BeginBatch(ColumnBatch* batch);
+  /// Appends one admitted record as the next row of `batch`: its columns
+  /// and, when the spec asks, the record itself.
+  Status Append(std::string_view payload, ColumnBatch* batch);
+  /// Records the batch in the operator counters; false when it is empty.
+  bool EndBatch(const ColumnBatch& batch);
+
+  DatasetPartition* partition_;
+  const RecordAccessor* accessor_;
+  ScanSpec spec_;
+  size_t batch_rows_;
+  LsmTree::ReadViewRef view_;
+
+ private:
+  ScanCounters* counters_;
+  const PartitionReadView* shared_view_;  // not owned; may be null
+  VecOpCounters* op_counters_;            // may be null
+  std::unique_ptr<ScanPredicateMatcher> matcher_;  // null without a predicate
+  std::vector<FieldPath> pred_paths_;
+  std::unique_ptr<VecPathExtractor> extractor_;  // null when ineligible
+  std::vector<AdmValue> scratch_;                // fallback extraction reuse
+  uint64_t fallback_rows_ = 0;                   // in the current batch
+};
+
+/// Batch-producing full scan of one partition's primary LSM index. A lowered
+/// predicate runs as the merged cursor's payload filter, on the surviving
+/// version of each key.
+class VecScanOperator final : public VecSourceOperator {
  public:
   VecScanOperator(DatasetPartition* partition, const RecordAccessor* accessor,
                   ScanSpec spec, size_t batch_rows, ScanCounters* counters,
                   const PartitionReadView* view = nullptr,
                   VecOpCounters* op_counters = nullptr);
-  ~VecScanOperator() override;
 
   Status Open() override;
   Result<bool> Next(ColumnBatch* batch) override;
 
  private:
-  DatasetPartition* partition_;
-  const RecordAccessor* accessor_;
-  ScanSpec spec_;
-  size_t batch_rows_;
-  ScanCounters* counters_;
-  const PartitionReadView* shared_view_;  // not owned; may be null
-  VecOpCounters* op_counters_;            // may be null
-  LsmTree::ReadViewRef view_;
   std::unique_ptr<LsmTree::Iterator> it_;
-  std::unique_ptr<ScanPredicateMatcher> matcher_;
-  std::unique_ptr<VecPathExtractor> extractor_;  // null when ineligible
-  std::vector<AdmValue> scratch_;                // fallback extraction reuse
   bool first_ = true;
-  bool counts_in_filter_ = false;
-  std::vector<FieldPath> pred_paths_;
+};
+
+/// Batch-producing point lookups (the secondary-index query path of
+/// §4.4.5): emits the records of `pks`, in the given order, resolved against
+/// the pinned snapshot. A pk whose record was deleted since it was indexed
+/// yields nothing. Index-probe plans pass the probe's pks sorted and
+/// deduplicated.
+class VecLookupOperator final : public VecSourceOperator {
+ public:
+  VecLookupOperator(DatasetPartition* partition, const RecordAccessor* accessor,
+                    std::vector<int64_t> pks, ScanSpec spec, size_t batch_rows,
+                    ScanCounters* counters, const PartitionReadView* view = nullptr,
+                    VecOpCounters* op_counters = nullptr);
+
+  Status Open() override;
+  Result<bool> Next(ColumnBatch* batch) override;
+
+ private:
+  std::vector<int64_t> pks_;
+  size_t pos_ = 0;
 };
 
 /// Evaluates a conjunction over already-extracted columns by marking a
@@ -114,45 +169,30 @@ class VecProjectOperator final : public VecOperator {
   VecOpCounters* op_counters_;
 };
 
-/// Adapts a vectorized pipeline into a row Operator, for the row-shaped plans
-/// only (see the file comment): every column of every live row materializes
-/// as an AdmValue here, which is why batch plans hand batches to their sinks
-/// instead.
-class VecToRowBridge final : public Operator {
- public:
-  explicit VecToRowBridge(std::unique_ptr<VecOperator> child,
-                          VecOpCounters* op_counters = nullptr);
-
-  Status Open() override;
-  Result<bool> Next(Row* row) override;
-
- private:
-  std::unique_ptr<VecOperator> child_;
-  VecOpCounters* op_counters_;
-  ColumnBatch batch_;
-  std::vector<uint32_t> order_;  // live row indices of batch_
-  size_t pos_ = 0;
-  bool have_ = false;
-};
-
-/// A scan pipeline and the rows per batch its scan fills.
+/// A source pipeline and the rows per batch its source fills.
 struct VecScanPipeline {
   std::unique_ptr<VecOperator> op;
   size_t batch_rows = 0;
 };
 
-/// Builds the scan of `ctx.partition` around `spec.predicate`: the one place
-/// that decides how a scan handles its predicate. With `push_predicate` the
-/// predicate lowers into the VecScanOperator (§3.4.2-deep). Otherwise its
-/// paths ride as trailing columns, a VecFilterOperator tests them and a
-/// VecProjectOperator drops them. Either way the pipeline's columns are
-/// exactly `spec.paths`. `batch_rows` 0 means TC_VEC_BATCH_ROWS. Counters
-/// register in `ctx.vec_counters` (when set) as `scan_name` and
+/// Builds the scan of `ctx.partition` around `spec.predicate`. MakeVecScan
+/// and MakeVecLookup share the one decision on where a source's predicate
+/// runs: it lowers into the source (§3.4.2-deep) when `push_predicate` is set
+/// and the accessor can test raw payloads (every format but BSON).
+/// Otherwise its paths ride as trailing columns, a VecFilterOperator tests
+/// them and a VecProjectOperator drops them. Either way the pipeline's
+/// columns are exactly `spec.paths`. `batch_rows` 0 means TC_VEC_BATCH_ROWS.
+/// Counters register in `ctx.vec_counters` (when set) as `scan_name` and
 /// `filter_name`.
 VecScanPipeline MakeVecScan(const PartitionContext& ctx, ScanSpec spec,
                             bool push_predicate, size_t batch_rows,
                             const char* scan_name = "scan",
                             const char* filter_name = "filter");
+
+/// The point-lookup form of MakeVecScan: a VecLookupOperator over `pks`
+/// (counters "lookup" and "filter") with the same predicate placement.
+VecScanPipeline MakeVecLookup(const PartitionContext& ctx, std::vector<int64_t> pks,
+                              ScanSpec spec, bool push_predicate, size_t batch_rows);
 
 }  // namespace tc
 

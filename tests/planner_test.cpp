@@ -11,6 +11,7 @@
 
 #include "query/paper_queries.h"
 #include "query/planner.h"
+#include "query/vec/column_batch.h"
 #include "tests/test_util.h"
 #include "workload/workload.h"
 
@@ -149,12 +150,18 @@ TEST(ChooseAccessPath, CrossoverIsMonotone) {
 // End-to-end: a live dataset with secondary_index_field = timestamp_ms.
 // ---------------------------------------------------------------------------
 
+/// Row `r` of an int column, read from the typed storage when it has one.
+int64_t Int64Of(const ColumnVector& col, size_t r) {
+  return col.kind() == ColumnVector::Kind::kInt64 ? col.Int64At(r)
+                                                  : col.ValueAt(r).int_value();
+}
+
 struct PlannedFixture {
   DatasetFixture fx;
   std::vector<int64_t> timestamps;  // per inserted record
 
-  void Load(int n, size_t partitions) {
-    DatasetOptions o = SmallOptions(SchemaMode::kInferred, 128);
+  void Load(int n, size_t partitions, SchemaMode mode = SchemaMode::kInferred) {
+    DatasetOptions o = SmallOptions(mode, 128);
     o.secondary_index_field = "timestamp_ms";
     ASSERT_TRUE(fx.Open(std::move(o), partitions).ok());
     auto gen = MakeGenerator("twitter", 77);
@@ -200,7 +207,7 @@ TEST(PlannedScan, WindowCountSwitchesPlanWithSelectivity) {
   EXPECT_EQ(wide.value().stats.plan, "filtered-scan");
   EXPECT_EQ(wide.value().summary, "count=300");
 
-  // Lowering off: the wide window must run as full-scan with a row filter,
+  // Lowering off: the wide window must run as full-scan with a batch filter,
   // same count.
   QueryOptions no_push;
   no_push.pushdown_scan_predicates = false;
@@ -208,6 +215,21 @@ TEST(PlannedScan, WindowCountSwitchesPlanWithSelectivity) {
   ASSERT_TRUE(full.ok());
   EXPECT_EQ(full.value().stats.plan, "full-scan");
   EXPECT_EQ(full.value().summary, "count=300");
+}
+
+// BSON payloads cannot take a lowered predicate, so the probe's residual runs
+// as a batch filter over the looked-up records' extracted columns.
+TEST(PlannedScan, IndexProbeOnBsonFiltersResidualInBatches) {
+  PlannedFixture pf;
+  pf.Load(300, 2, SchemaMode::kBson);
+  int64_t lo = pf.timestamps.front() - 1;
+  int64_t hi = pf.timestamps[8];
+  auto narrow = TwitterWindowCount(pf.fx.dataset.get(), lo, hi, QueryOptions{});
+  ASSERT_TRUE(narrow.ok()) << narrow.status().ToString();
+  EXPECT_EQ(narrow.value().stats.plan, "index-probe");
+  EXPECT_EQ(narrow.value().summary, "count=" + std::to_string(pf.CountIn(lo, hi)));
+  EXPECT_EQ(narrow.value().stats.rows_filtered_pre_assembly, 0u);
+  EXPECT_GT(pf.CountIn(lo, hi), 0u);
 }
 
 // All three access paths deliver rows with identical column layout and
@@ -230,11 +252,13 @@ TEST(PlannedScan, AccessPathsAgreeOnRowsAndLayout) {
                  std::shared_ptr<const ScanPredicate> p) -> RunResult {
     RunResult out;
     std::vector<std::set<std::pair<int64_t, int64_t>>> per(2);
-    auto sink = [&](int pid) {
+    auto sink = [&](int pid) -> BatchSink {
       auto* mine = &per[pid];
-      return [mine](Row&& row) -> Status {
-        EXPECT_EQ(row.cols.size(), 2u);
-        mine->emplace(row.cols[0].int_value(), row.cols[1].int_value());
+      return [mine](const ColumnBatch& batch) -> Status {
+        EXPECT_EQ(batch.cols.size(), 2u);
+        batch.ForEachActive([&](size_t r) {
+          mine->emplace(Int64Of(batch.cols[0], r), Int64Of(batch.cols[1], r));
+        });
         return Status::OK();
       };
     };

@@ -78,9 +78,10 @@ TEST(AggCell, MinMaxMerge) {
 }
 
 // The summary each paper query returns over the QueryEquivalence data
-// (generator seed 42; 80 records, 40 for sensors). Recorded from the
-// row-at-a-time sinks that fed every query through VecToRowBridge, so a sink
-// bug that hits every storage configuration alike still fails here.
+// (generator seed 42; 80 records, 40 for sensors). Recorded from an earlier
+// row-at-a-time engine that fed every query's sink one materialized row at a
+// time, so a batch-sink bug that hits every storage configuration alike still
+// fails here.
 std::string GoldenSummary(const std::string& workload, int q) {
   static const std::map<std::pair<std::string, int>, std::string> kGolden = {
       {{"twitter", 1}, "count=80"},

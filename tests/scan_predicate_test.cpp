@@ -300,6 +300,18 @@ std::string RenderRow(const std::vector<AdmValue>& cols) {
   return s;
 }
 
+// The batch's live rows, rendered like RenderRow.
+std::vector<std::string> RenderRows(const ColumnBatch& batch) {
+  std::vector<std::string> rows;
+  std::vector<AdmValue> cols;
+  batch.ForEachActive([&](size_t r) {
+    cols.clear();
+    for (const ColumnVector& c : batch.cols) cols.push_back(c.ValueAt(r));
+    rows.push_back(RenderRow(cols));
+  });
+  return rows;
+}
+
 // Runs the scan over `fx` through MakeVecScan, with the predicate either
 // pushed into the scan or tested by a batch filter above it.
 ScanResult RunScan(DatasetFixture* fx, const QueryOptions& qo,
@@ -307,18 +319,17 @@ ScanResult RunScan(DatasetFixture* fx, const QueryOptions& qo,
   std::vector<FieldPath> paths = ScanPaths(*pred);
   ScanResult out;
   std::mutex mu;
-  auto stats = RunPartitioned(
+  auto stats = RunPartitionedBatches(
       fx->dataset.get(), qo,
-      [&](const PartitionContext& ctx) -> Result<std::unique_ptr<Operator>> {
-        VecScanPipeline scan =
-            MakeVecScan(ctx, ScanSpec{paths, false, pred}, push, /*batch_rows=*/7);
-        return std::unique_ptr<Operator>(new VecToRowBridge(std::move(scan.op)));
+      [&](const PartitionContext& ctx) -> Result<std::unique_ptr<VecOperator>> {
+        return MakeVecScan(ctx, ScanSpec{paths, false, pred}, push, /*batch_rows=*/7)
+            .op;
       },
-      [&](int) -> RowSink {
-        return [&](Row&& row) -> Status {
-          std::string s = RenderRow(row.cols);
+      [&](int) -> BatchSink {
+        return [&](const ColumnBatch& batch) -> Status {
+          std::vector<std::string> rendered = RenderRows(batch);
           std::lock_guard<std::mutex> lock(mu);
-          out.rows.push_back(std::move(s));
+          out.rows.insert(out.rows.end(), rendered.begin(), rendered.end());
           return Status::OK();
         };
       });
@@ -423,52 +434,91 @@ TEST(LoweredPredicateEquivalence, RandomizedAcrossModesAndChurn) {
   }
 }
 
-// The pre-assembly path must also hold for point-lookup sources (the
-// secondary-index query path).
-TEST(LoweredPredicateEquivalence, LookupOperatorHonorsPredicate) {
+// The point-lookup source (the secondary-index query path) places its
+// residual like the scan does: pushed into VecLookupOperator, or as a batch
+// filter above it. Both must return the EvalPredicateRow reference's rows,
+// over pks deleted since they were indexed and records still in the
+// memtable.
+TEST(LoweredPredicateEquivalence, VecLookupOperatorHonorsPredicate) {
   Rng rng(99);
   DatasetFixture fx;
   ASSERT_TRUE(fx.Open(SmallOptions(SchemaMode::kInferred, 32), 1).ok());
   std::vector<int64_t> pks;
-  for (int64_t i = 0; i < 60; ++i) {
+  for (int64_t i = 0; i < 80; ++i) {
     ASSERT_TRUE(fx.dataset->Insert(ChurnRecord(&rng, i)).ok());
     pks.push_back(i);
+    if (i == 59) {
+      ASSERT_TRUE(fx.dataset->FlushAll().ok());  // 60..79 stay in the memtable
+    }
   }
-  ASSERT_TRUE(fx.dataset->FlushAll().ok());
+  for (int64_t pk : {3, 17, 42, 65}) ASSERT_TRUE(fx.dataset->Delete(pk).ok());
   auto pred = ScanPredicate::And(
       {ScanPredicate::Term("a", CompareOp::kLe, AdmValue::BigInt(20))});
   std::vector<FieldPath> paths = {FieldPath::Parse("id"), FieldPath::Parse("a")};
 
   DatasetPartition* part = fx.dataset->partition(0);
+  ASSERT_GT(part->primary()->AcquireView()->memtable().entry_count(), 0u);
   RecordAccessor accessor(SchemaMode::kInferred, &part->options().type,
                           part->SchemaSnapshot(), true);
-  auto run = [&](bool lowered) {
-    ScanCounters counters;
-    ScanSpec spec;
-    spec.paths = paths;
-    if (lowered) spec.predicate = pred;
-    std::unique_ptr<Operator> op = std::make_unique<LookupOperator>(
-        part, &accessor, pks, std::move(spec), &counters);
-    if (!lowered) {
-      op = std::make_unique<FilterOperator>(std::move(op), MakeRowPredicate(pred, 1));
+
+  // Reference: every pk's live record, extracted and tested row by row.
+  std::vector<std::string> reference;
+  uint64_t live = 0;
+  {
+    PartitionReadView view = part->AcquireReadView();
+    std::vector<AdmValue> cols;
+    for (int64_t pk : pks) {
+      auto got = view.primary->Get(BtreeKey{pk, 0});
+      ASSERT_TRUE(got.ok());
+      if (!got.value().has_value()) continue;
+      ++live;
+      const Buffer& rec = *got.value();
+      cols.clear();
+      ASSERT_TRUE(accessor
+                      .GetValues(std::string_view(
+                                     reinterpret_cast<const char*>(rec.data()),
+                                     rec.size()),
+                                 paths, &cols)
+                      .ok());
+      if (EvalPredicateRow(cols, *pred, 1)) reference.push_back(RenderRow(cols));
     }
-    EXPECT_TRUE(op->Open().ok());
+  }
+  std::sort(reference.begin(), reference.end());
+  ASSERT_EQ(live, pks.size() - 4);
+
+  auto run = [&](bool push, ScanCounters* counters) {
+    PartitionContext ctx;
+    ctx.partition = part;
+    ctx.accessor = &accessor;
+    ctx.counters = counters;
+    VecScanPipeline lookup = MakeVecLookup(ctx, pks, ScanSpec{paths, false, pred},
+                                           push, /*batch_rows=*/7);
+    EXPECT_TRUE(lookup.op->Open().ok());
     std::vector<std::string> rows;
-    Row row;
+    ColumnBatch batch;
     while (true) {
-      auto ok = op->Next(&row);
-      EXPECT_TRUE(ok.ok());
-      if (!ok.ok() || !ok.value()) break;
-      rows.push_back(PrintAdm(row.cols[0]) + "|" + PrintAdm(row.cols[1]));
+      auto more = lookup.op->Next(&batch);
+      EXPECT_TRUE(more.ok()) << more.status().ToString();
+      if (!more.ok() || !more.value()) break;
+      EXPECT_EQ(batch.cols.size(), paths.size());
+      std::vector<std::string> got = RenderRows(batch);
+      rows.insert(rows.end(), got.begin(), got.end());
     }
     std::sort(rows.begin(), rows.end());
     return rows;
   };
-  auto lowered = run(true);
-  auto row_level = run(false);
-  EXPECT_EQ(lowered, row_level);
-  EXPECT_FALSE(lowered.empty());
-  EXPECT_LT(lowered.size(), pks.size());
+  ScanCounters pushed_counters, filtered_counters;
+  auto pushed = run(true, &pushed_counters);
+  auto filtered = run(false, &filtered_counters);
+  EXPECT_EQ(pushed, reference);
+  EXPECT_EQ(filtered, reference);
+  EXPECT_FALSE(reference.empty());
+  EXPECT_LT(reference.size(), live);
+  // Deleted pks are not reads; every live record is, filtered or not.
+  EXPECT_EQ(pushed_counters.rows, live);
+  EXPECT_EQ(filtered_counters.rows, live);
+  EXPECT_EQ(pushed_counters.filtered_pre_assembly, live - reference.size());
+  EXPECT_EQ(filtered_counters.filtered_pre_assembly, 0u);
 }
 
 // End-to-end: the deep-pushdown SensorsQ4 plan returns the same result as the

@@ -303,7 +303,7 @@ TEST(VecRowEquivalence, VectorizedRunsReportOperatorCounters) {
       EXPECT_EQ(op.rows, 30u);
     } else if (op.name == "sink") {
       // The batch driver counts what reached the aggregate: every scanned
-      // batch and row, with no bridge in between.
+      // batch and row.
       saw_sink = true;
       EXPECT_GT(op.batches, 0u);
       EXPECT_EQ(op.rows, 30u);
@@ -343,9 +343,9 @@ TEST(VecRowEquivalence, InListPredicateAllPathsAgree) {
     opt.pushdown_scan_predicates = pushdown;
     opt.vec_batch_rows = 5;
     std::vector<uint64_t> counts(2, 0);
-    auto sink = [&](int p) {
-      return [&counts, p](Row&&) {
-        ++counts[p];
+    auto sink = [&](int p) -> BatchSink {
+      return [&counts, p](const ColumnBatch& batch) {
+        counts[p] += batch.ActiveRows();
         return Status::OK();
       };
     };
@@ -606,21 +606,23 @@ TEST(VecFastPath, ObjectTerminalFallbackIsVisibleInQueryStats) {
   ASSERT_TRUE(fx.Open(SmallOptions(SchemaMode::kInferred, 128), 2).ok());
   for (int i = 0; i < 30; ++i) ASSERT_TRUE(fx.dataset->Insert(gen->NextRecord()).ok());
   ASSERT_TRUE(fx.dataset->FlushAll().ok());
-  auto stats = RunPartitioned(
+  auto stats = RunPartitionedBatches(
       fx.dataset.get(), QueryOptions{},
-      [](const PartitionContext& ctx) -> Result<std::unique_ptr<Operator>> {
+      [](const PartitionContext& ctx) -> Result<std::unique_ptr<VecOperator>> {
         ScanSpec spec;
         spec.paths = {FieldPath::Parse("user")};  // an object in every tweet
-        std::unique_ptr<VecOperator> scan(
+        return std::unique_ptr<VecOperator>(
             new VecScanOperator(ctx.partition, ctx.accessor, std::move(spec), 8,
                                 ctx.counters, ctx.view, ctx.vec_counters->For("scan")));
-        return std::unique_ptr<Operator>(new VecToRowBridge(std::move(scan)));
       },
-      [](int) -> RowSink { return [](Row&&) { return Status::OK(); }; });
+      [](int) -> BatchSink { return [](const ColumnBatch&) { return Status::OK(); }; });
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  ASSERT_EQ(stats.value().operators.size(), 1u);
+  // The scan, then the batch driver's own "sink" cell (no fallback there).
+  ASSERT_EQ(stats.value().operators.size(), 2u);
   EXPECT_EQ(stats.value().operators[0].name, "scan");
   EXPECT_EQ(stats.value().operators[0].fallback_rows, 30u);
+  EXPECT_EQ(stats.value().operators[1].name, "sink");
+  EXPECT_EQ(stats.value().operators[1].fallback_rows, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -777,7 +779,7 @@ TEST(HashJoin, StringKeysRejectedMissingKeysNeverMatch) {
     for (const auto& [u2, c2] : jf.country) reference += c1 == c2 ? 1 : 0;
   }
   ASSERT_GT(reference, 0u);
-  JoinSinkFactory sink = [](int) -> JoinBatchSink {
+  BatchSinkFactory sink = [](int) -> BatchSink {
     return [](const ColumnBatch&) { return Status::OK(); };
   };
   JoinSpec spec;
@@ -821,7 +823,7 @@ TEST(HashJoin, KeyTypeErrorReleasesArbiterCharge) {
     spec.build_key = "k";
     spec.probe_key = "id";
     auto got = HashJoinDatasets(
-        fx.dataset.get(), fx.dataset.get(), spec, [](int) -> JoinBatchSink {
+        fx.dataset.get(), fx.dataset.get(), spec, [](int) -> BatchSink {
           return [](const ColumnBatch&) { return Status::OK(); };
         });
     ASSERT_FALSE(got.ok());
