@@ -11,13 +11,14 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <memory>
 #include <string>
 
 #include "adm/printer.h"
-#include "common/env_config.h"
 #include "common/rng.h"
 #include "core/dataset.h"
 #include "query/paper_queries.h"
@@ -26,6 +27,22 @@
 
 namespace tc {
 namespace bench {
+
+/// Integer env var with default; returns `def` when unset or unparsable.
+/// Benches read only their own scale and assert gates this way; the engine
+/// is configured through DatasetOptions alone.
+inline int64_t EnvInt64(const char* name, int64_t def) {
+  const char* v = std::getenv(name);
+  if (v == nullptr || *v == '\0') return def;
+  char* end = nullptr;
+  long long parsed = std::strtoll(v, &end, 10);
+  if (end == v) return def;
+  return static_cast<int64_t>(parsed);
+}
+
+/// Target raw-data megabytes per dataset for figure benches (TC_BENCH_MB,
+/// default 12).
+inline int64_t BenchMegabytes() { return EnvInt64("TC_BENCH_MB", 12); }
 
 struct BenchConfig {
   std::string workload = "twitter";
@@ -40,9 +57,7 @@ struct BenchConfig {
   uint64_t max_mergeable_mb = 24;
   size_t tolerance = 5;
   /// Merge-policy name for this run ("prefix", "tiered", "lazy-leveled",
-  /// "none"); empty defers to TC_MERGE_POLICY / the prefix
-  /// default. An explicit name wins over the environment so the fig17/fig24
-  /// policy-axis sections stay comparable under any TC_MERGE_POLICY.
+  /// "none"); empty means prefix.
   std::string merge_policy;
   bool primary_key_index = false;
   std::string secondary_index_field;
@@ -55,12 +70,11 @@ struct BenchConfig {
   TaskPool* merge_pool = nullptr;
   /// Per-tree concurrent-merge cap when merge_pool is set (fig17 section e
   /// compares 1 — the old single-inflight scheduler — against higher caps).
-  /// 0 = defer to TC_MERGE_CONCURRENT / the FromEnv default, like the other
-  /// merge knobs.
+  /// 0 = the MergePolicyConfig default.
   size_t max_concurrent_merges = 0;
-  /// Per-component bloom-filter sizing for the fig24 filter axis: -1 defers
-  /// to TC_BLOOM_BITS_PER_KEY / the FromEnv default, 0 disables filters, any
-  /// other value is bits per key.
+  /// Per-component bloom-filter sizing for the fig24 filter axis: -1 = the
+  /// BloomFilterConfig default, 0 disables filters, any other value is bits
+  /// per key.
   int bloom_bits_per_key = -1;
 };
 
@@ -99,18 +113,13 @@ inline std::unique_ptr<BenchDataset> OpenBench(const BenchConfig& cfg) {
   o.page_size = cfg.page_size;
   o.memtable_budget_bytes =
       cfg.memtable_bytes != 0 ? cfg.memtable_bytes : cfg.memtable_mb << 20;
-  MergePolicyConfig merge_defaults;
-  merge_defaults.max_mergeable_bytes = cfg.max_mergeable_mb << 20;
-  merge_defaults.max_tolerance_count = cfg.tolerance;
-  o.merge = MergePolicyConfig::FromEnv(merge_defaults);
+  o.merge.max_mergeable_bytes = cfg.max_mergeable_mb << 20;
+  o.merge.max_tolerance_count = cfg.tolerance;
   if (!cfg.merge_policy.empty()) {
     TC_CHECK(ParseMergePolicyKind(cfg.merge_policy, &o.merge.kind));
   }
   o.merge_pool = cfg.merge_pool;
   if (cfg.max_concurrent_merges != 0) {
-    // An explicit bench axis (fig17 section e) wins over the environment so
-    // its single-vs-concurrent comparison stays meaningful under any
-    // TC_MERGE_CONCURRENT.
     o.merge.max_concurrent_merges = cfg.max_concurrent_merges;
   }
   if (cfg.bloom_bits_per_key >= 0) {

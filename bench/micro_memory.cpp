@@ -18,7 +18,6 @@
 // TC_MEMORY_ASSERT=1 exits non-zero unless the arbiter reaches >= 1.2x the
 // static ingest throughput at 16 partitions (the CI smoke; locally the gap
 // should clear 1.3x).
-#include <cstdlib>
 #include <thread>
 
 #include "bench/bench_util.h"
@@ -166,9 +165,6 @@ RunResult RunOne(size_t partitions, bool use_arbiter, uint64_t records_n,
 }  // namespace
 
 int main() {
-  // Both arms construct (or omit) their arbiter explicitly; a TC_MEMORY_BUDGET
-  // leaking in from the environment would silently arm the static baseline.
-  ::unsetenv("TC_MEMORY_BUDGET");
   PrintBanner("Memory arbiter", "partition scaling under one node budget");
   const size_t kBudget = 2ull << 20;  // total: memtables + cache, both arms
   const uint64_t records = static_cast<uint64_t>(BenchMegabytes()) * 1024 *

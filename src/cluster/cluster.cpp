@@ -17,15 +17,6 @@ Result<std::unique_ptr<ClusterHarness>> ClusterHarness::Create(
   // hardware, not the feed count.
   h->executor_ = std::make_unique<TaskPool>(topology.executor_threads);
   options.merge_pool = h->executor_.get();
-  if (options.arbiter == nullptr) {
-    // One node-level budget for all partitions' memtables plus the shared
-    // buffer cache, enabled by TC_MEMORY_BUDGET (> 0).
-    MemoryArbiter::Options ao = MemoryArbiter::FromEnv(options.cache);
-    if (ao.total_budget_bytes > 0) {
-      h->arbiter_ = std::make_unique<MemoryArbiter>(ao);
-      options.arbiter = h->arbiter_.get();
-    }
-  }
   TC_ASSIGN_OR_RETURN(
       h->dataset_,
       Dataset::Open(std::move(options),

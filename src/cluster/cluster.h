@@ -19,7 +19,6 @@
 #include <memory>
 #include <string>
 
-#include "common/memory_arbiter.h"
 #include "common/task_pool.h"
 #include "core/dataset.h"
 #include "workload/workload.h"
@@ -37,10 +36,8 @@ struct ClusterTopology {
 class ClusterHarness {
  public:
   /// Opens a dataset with nodes x partitions_per_node partitions, all wired
-  /// to the harness's shared merge executor. When `options.arbiter` is null
-  /// and TC_MEMORY_BUDGET is set (> 0), the harness creates ONE node-level
-  /// MemoryArbiter governing every partition's trees and the shared buffer
-  /// cache — the deployment shape: one box, one budget, many partitions.
+  /// to the harness's shared merge executor. A caller that wants one node-
+  /// level budget across every partition sets `options.arbiter`.
   static Result<std::unique_ptr<ClusterHarness>> Create(ClusterTopology topology,
                                                         DatasetOptions options);
 
@@ -54,8 +51,6 @@ class ClusterHarness {
 
   Dataset* dataset() { return dataset_.get(); }
   TaskPool* executor() { return executor_.get(); }
-  /// The harness-owned arbiter, or null (no TC_MEMORY_BUDGET and none passed).
-  MemoryArbiter* arbiter() { return arbiter_.get(); }
   const ClusterTopology& topology() const { return topology_; }
 
  private:
@@ -63,11 +58,9 @@ class ClusterHarness {
 
   ClusterTopology topology_;
   // Declaration order is destruction order in reverse: the dataset must be
-  // destroyed first (its trees wait out their scheduled merges and
-  // unregister from the arbiter), then the arbiter, then the executor joins
-  // its idle workers.
+  // destroyed first (its trees wait out their scheduled merges), then the
+  // executor joins its idle workers.
   std::unique_ptr<TaskPool> executor_;
-  std::unique_ptr<MemoryArbiter> arbiter_;
   std::unique_ptr<Dataset> dataset_;
 };
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/env_config.h"
 #include "common/status.h"
 #include "storage/buffer_cache.h"
 
@@ -12,20 +11,6 @@ namespace {
 int ClampPct(int pct, int lo, int hi) { return std::min(hi, std::max(lo, pct)); }
 
 }  // namespace
-
-MemoryArbiter::Options MemoryArbiter::FromEnv(BufferCache* cache) {
-  Options o;
-  o.total_budget_bytes =
-      static_cast<size_t>(std::max<int64_t>(0, EnvInt64("TC_MEMORY_BUDGET", 0)));
-  o.write_pct = static_cast<int>(EnvInt64("TC_WRITE_MEMORY_PCT", 50));
-  o.adaptive = EnvInt64("TC_MEMORY_ADAPT", 1) != 0;
-  o.victim = EnvString("TC_MEMORY_VICTIM", "largest") == "coldest"
-                 ? VictimPolicy::kColdest
-                 : VictimPolicy::kLargest;
-  o.traffic_adapt_interval_ms = EnvInt64("TC_MEMORY_ADAPT_MS", 1000);
-  o.cache = cache;
-  return o;
-}
 
 MemoryArbiter::MemoryArbiter(Options opts) : opts_(opts) {
   opts_.min_write_pct = ClampPct(opts_.min_write_pct, 1, 99);
@@ -83,13 +68,7 @@ MemoryArbiter::Registration* MemoryArbiter::PickVictimLocked() {
     // backlog to drain beats flushing crumbs.
     if (r->flush_requested || r->callback_inflight) continue;
     if (r->live_bytes < std::max<size_t>(1, r->floor_bytes)) continue;
-    if (best == nullptr) {
-      best = r.get();
-    } else if (opts_.victim == VictimPolicy::kLargest
-                   ? r->live_bytes > best->live_bytes
-                   : r->last_write_tick < best->last_write_tick) {
-      best = r.get();
-    }
+    if (best == nullptr || r->live_bytes > best->live_bytes) best = r.get();
   }
   return best;
 }
@@ -104,7 +83,6 @@ bool MemoryArbiter::OnPostWrite(Registration* reg, size_t live_bytes) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     reg->live_bytes = live_bytes;
-    reg->last_write_tick = ++tick_;
     // The trigger compares LIVE bytes only. Sealed generations are tracked
     // (stats, adaptation) but deliberately excluded here: counting them would
     // shrink the effective live budget while a build drains, cascading tiny

@@ -3,7 +3,8 @@
 // Walls", arXiv 2004.10360): one process-wide budget split between WRITE
 // memory (every registered tree's live and sealed memtable generations) and
 // READ memory (the BufferCache), replacing the static per-tree
-// memtable_budget_bytes carve-outs.
+// memtable_budget_bytes carve-outs. A dataset opts in by pointing
+// DatasetOptions::arbiter at one; without it the static carve-outs apply.
 //
 // Protocol, from a tree's point of view:
 //   * Register(name, floor, flush_fn) on open; Unregister on teardown (it
@@ -12,12 +13,11 @@
 //   * After every committed write, OnPostWrite(reg, live_bytes) reports the
 //     live generation's size. While total write memory stays under the write
 //     share, it returns false and the writer proceeds. Once over, the arbiter
-//     picks the flush victim GLOBALLY — the largest (or coldest, by
-//     last-write order) live generation across every registered tree that
-//     clears its floor. If the victim is the caller itself, OnPostWrite
-//     returns true and the caller flushes under its own writer lock; any
-//     other victim is flushed synchronously on the calling thread through its
-//     flush_fn.
+//     picks the flush victim GLOBALLY — the largest live generation across
+//     every registered tree that clears its floor. If the victim is the
+//     caller itself, OnPostWrite returns true and the caller flushes under
+//     its own writer lock; any other victim is flushed synchronously on the
+//     calling thread through its flush_fn.
 //   * OnSeal(reg, bytes) moves a generation from live to sealed accounting at
 //     the flush swap; OnFlushInstalled(reg, bytes, ...) releases it when the
 //     component build installs. Sealed bytes are observable (stats) and feed
@@ -42,7 +42,8 @@
 // reaches twice the write share, a writer whose dispatch was skipped flushes
 // itself (if it clears its own floor) rather than retrying the stuck victim —
 // live memory stays under 2x share plus the floors and in-flight records.
-// The TC_FLUSH_PENDING backpressure remains the hard bound on sealed memory.
+// The max_pending_flush_builds backpressure remains the hard bound on sealed
+// memory.
 //
 // Adaptation: when a BufferCache is attached, every adapt_interval_flushes
 // installed flushes the arbiter compares the observed mean flush size and the
@@ -69,17 +70,11 @@ class BufferCache;
 
 class MemoryArbiter {
  public:
-  enum class VictimPolicy {
-    kLargest,  // biggest live generation first (default)
-    kColdest,  // least-recently-written tree first
-  };
-
   struct Options {
     /// The one node-level budget: write memory + buffer cache together.
     size_t total_budget_bytes = 64ull << 20;
     /// Initial share of the budget owned by write memory, in percent.
     int write_pct = 50;
-    VictimPolicy victim = VictimPolicy::kLargest;
     /// Shift the split at runtime from flush-size and cache-traffic signals.
     bool adaptive = true;
     /// The read half of the budget (not owned; may be null — then the split
@@ -95,11 +90,6 @@ class MemoryArbiter {
     /// decide — tests use this).
     int64_t traffic_adapt_interval_ms = 1000;
   };
-
-  /// TC_MEMORY_BUDGET (bytes; 0 or unset = disabled — callers check
-  /// total_budget_bytes before constructing), TC_WRITE_MEMORY_PCT,
-  /// TC_MEMORY_ADAPT, TC_MEMORY_VICTIM ("largest" | "coldest").
-  static Options FromEnv(BufferCache* cache = nullptr);
 
   /// One registered tree. Owned by the arbiter; the pointer stays valid from
   /// Register until Unregister returns. The accessors are unsynchronized
@@ -119,7 +109,6 @@ class MemoryArbiter {
     std::function<bool()> flush_fn;
     size_t live_bytes = 0;
     size_t sealed_bytes = 0;
-    uint64_t last_write_tick = 0;
     bool flush_requested = false;   // victim dispatch pending/in flight
     bool callback_inflight = false;  // flush_fn executing right now
   };
@@ -187,9 +176,9 @@ class MemoryArbiter {
   void OnFlushInstalled(Registration* reg, size_t mem_bytes,
                         uint64_t physical_bytes);
 
-  /// The registration the arbiter would flush right now under its victim
-  /// policy, or null when no tree clears its floor. Exposed for the victim-
-  /// selection property tests; OnPostWrite uses the same selection.
+  /// The registration the arbiter would flush right now (the largest live
+  /// generation), or null when no tree clears its floor. Exposed for the
+  /// victim-selection property tests; OnPostWrite uses the same selection.
   Registration* SuggestFlushVictim();
 
   /// Query-side adaptation tick (ROADMAP "time/traffic-based adapt tick"):
@@ -216,7 +205,7 @@ class MemoryArbiter {
   /// against the READ share. Unlike query charges these always admit —
   /// flushes and merges are mandatory for the engine to make progress, so
   /// denial would deadlock the write path — but while held they shrink what
-  /// TryChargeQuery can admit, keeping TC_MEMORY_BUDGET an honest
+  /// TryChargeQuery can admit, keeping the total budget an honest
   /// approximation of the node's RSS. Charges are released when the build
   /// finishes (success or failure).
   void ChargeBackground(size_t bytes);
@@ -241,7 +230,6 @@ class MemoryArbiter {
   std::vector<std::unique_ptr<Registration>> regs_;
   size_t write_share_bytes_ = 0;
   int write_pct_ = 50;
-  uint64_t tick_ = 0;  // per-write logical clock for the coldest policy
   uint64_t flushes_installed_ = 0;
   uint64_t global_flushes_ = 0;
   uint64_t self_flushes_ = 0;

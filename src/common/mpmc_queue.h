@@ -2,11 +2,11 @@
 // handoff of the batched ingestion front end (alongside TaskPool, which plays
 // the same role for background flush/merge work). Producers block while the
 // queue is full, which is the backpressure that composes with the LSM layer's
-// own TC_FLUSH_PENDING stall: a slow partition writer fills its queue, and
+// own pending-flush-build stall: a slow partition writer fills its queue, and
 // the feeds producing for it wait instead of ballooning memory.
 //
 // Consumers can wait with a deadline (PopUntil) so a partially-formed commit
-// group still flushes when the TC_GROUP_COMMIT_USECS time cap expires even if
+// group still flushes when the GroupCommitConfig time cap expires even if
 // no further input arrives.
 #ifndef TC_COMMON_MPMC_QUEUE_H_
 #define TC_COMMON_MPMC_QUEUE_H_

@@ -118,8 +118,8 @@ class Result {
 #define TC_CHECK(cond)                                                          \
   do {                                                                          \
     if (!(cond)) {                                                              \
-      std::fprintf(stderr, "TC_CHECK failed at %s:%d: %s\n", __FILE__, __LINE__, \
-                   #cond);                                                      \
+      std::fprintf(stderr, "tc: check failed at %s:%d: %s\n", __FILE__,         \
+                   __LINE__, #cond);                                            \
       std::abort();                                                             \
     }                                                                           \
   } while (0)

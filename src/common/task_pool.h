@@ -25,10 +25,10 @@ namespace tc {
 
 /// Two-lane scheduling: every worker drains the high lane before touching the
 /// normal lane. Flush builds ride high (they gate writer admission — a full
-/// memtable backlog stalls every ingest thread behind TC_FLUSH_PENDING);
-/// merges ride normal (they only amortize read cost). Starvation the other way
-/// is not a concern: flush builds are short and bounded by the pending cap,
-/// so the high lane always drains.
+/// memtable backlog stalls every ingest thread behind
+/// max_pending_flush_builds); merges ride normal (they only amortize read
+/// cost). Starvation the other way is not a concern: flush builds are short
+/// and bounded by the pending cap, so the high lane always drains.
 enum class TaskPriority { kNormal = 0, kHigh = 1 };
 
 class TaskPool {

@@ -7,6 +7,15 @@
 #include "format/vector_format.h"
 
 namespace tc {
+namespace {
+
+// Memtable carve-outs of a partition's auxiliary trees, as divisors of
+// memtable_budget_bytes: the pk index stores keys only, the secondary index
+// key pairs.
+constexpr size_t kPkIndexBudgetDivisor = 16;
+constexpr size_t kSecondaryBudgetDivisor = 8;
+
+}  // namespace
 
 const char* SchemaModeName(SchemaMode mode) {
   switch (mode) {
@@ -34,18 +43,13 @@ Result<std::unique_ptr<DatasetPartition>> DatasetPartition::Open(
     p->compactor_ = std::make_unique<TupleCompactor>(&opts->type);
   }
 
-  // The auxiliary-tree carve-outs, once magic /16 and /8 constants here, now
-  // named (and env-tunable) DatasetOptions fields. With an arbiter they
-  // become the per-tree flush floors instead of budgets.
+  // The auxiliary-tree carve-outs. With an arbiter they become the per-tree
+  // flush floors instead of budgets.
   size_t min_budget = std::max<size_t>(1, opts->min_tree_budget_bytes);
   size_t pk_carve = std::max<size_t>(
-      min_budget,
-      opts->memtable_budget_bytes /
-          std::max<size_t>(1, opts->pk_index_budget_divisor));
+      min_budget, opts->memtable_budget_bytes / kPkIndexBudgetDivisor);
   size_t sk_carve = std::max<size_t>(
-      min_budget,
-      opts->memtable_budget_bytes /
-          std::max<size_t>(1, opts->secondary_budget_divisor));
+      min_budget, opts->memtable_budget_bytes / kSecondaryBudgetDivisor);
 
   std::string part_suffix = ".p" + std::to_string(partition_id);
   LsmTreeOptions lsm;

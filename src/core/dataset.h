@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "adm/value.h"
-#include "common/env_config.h"
 #include "common/span.h"
 #include "core/tuple_compactor.h"
 #include "format/adm_format.h"
@@ -69,42 +68,30 @@ struct DatasetOptions {
   bool compression = false;
   size_t page_size = 32 * 1024;
   size_t memtable_budget_bytes = 4 * 1024 * 1024;
-  /// Memtable carve-outs for a partition's auxiliary trees, as divisors of
-  /// memtable_budget_bytes (the pk index stores keys only; the secondary
-  /// index stores key pairs — neither earns a full budget). Each tree gets
-  /// max(min_tree_budget_bytes, memtable_budget_bytes / divisor). The same
-  /// carve-outs size the per-tree arbiter floors when an arbiter is attached.
-  size_t pk_index_budget_divisor =
-      static_cast<size_t>(EnvInt64("TC_PK_BUDGET_DIVISOR", 16));
-  size_t secondary_budget_divisor =
-      static_cast<size_t>(EnvInt64("TC_SK_BUDGET_DIVISOR", 8));
-  size_t min_tree_budget_bytes =
-      static_cast<size_t>(EnvInt64("TC_MIN_TREE_BUDGET", 64 * 1024));
+  /// Floor on the memtable carve-outs of a partition's auxiliary trees (the
+  /// pk index gets memtable_budget_bytes / 16, the secondary index / 8 —
+  /// neither stores whole records), and the primary tree's arbiter flush
+  /// floor.
+  size_t min_tree_budget_bytes = 64 * 1024;
   /// Node-level memory arbiter shared by every tree of every partition (not
   /// owned; must outlive the dataset). When set, flush triggering is global
   /// across all registered trees and the per-tree budgets above only define
-  /// floors; null = the historical static per-tree budgets. ClusterHarness
-  /// wires one from TC_MEMORY_BUDGET across all its partitions.
+  /// floors; null = the static per-tree budgets.
   MemoryArbiter* arbiter = nullptr;
   /// Merge-policy selection + knobs for every LSM tree of a partition
-  /// (primary, primary-key index, secondary index). Defaults honor the
-  /// TC_MERGE_POLICY / TC_MERGE_* environment knobs so every bench, example,
-  /// and cluster node can switch the merge schedule without recompiling.
-  MergePolicyConfig merge = MergePolicyConfig::FromEnv();
+  /// (primary, primary-key index, secondary index).
+  MergePolicyConfig merge = {};
   /// Bloom-filter + lookup fast-path policy for every tree of a partition.
-  /// Defaults honor TC_BLOOM_BITS_PER_KEY / TC_FILTER_CACHE.
-  BloomFilterConfig filter = BloomFilterConfig::FromEnv();
-  /// Merge transformation pipeline knobs (all honor environment overrides so
-  /// benches and cluster nodes flip them without recompiling):
-  ///  * merge_transform (TC_MERGE_TRANSFORM, default on): inferred-mode
-  ///    partitions re-compact surviving records against the newest schema
-  ///    during merge rewrites instead of splicing bytes through.
-  ///  * merge_recompress (TC_MERGE_RECOMPRESS: none|snappy|heavy|zstd|lz4,
-  ///    default none): bottom-level merge outputs switch to this heavier
-  ///    codec; unavailable codecs fall back to the built-in heavy tier.
-  bool merge_transform = EnvInt64("TC_MERGE_TRANSFORM", 1) != 0;
-  CompressionKind merge_recompress =
-      CompressionKindFromEnv("TC_MERGE_RECOMPRESS", CompressionKind::kNone);
+  BloomFilterConfig filter = {};
+  /// Merge transformation pipeline:
+  ///  * merge_transform: inferred-mode partitions re-compact surviving
+  ///    records against the newest schema during merge rewrites instead of
+  ///    splicing bytes through.
+  ///  * merge_recompress: bottom-level merge outputs switch to this heavier
+  ///    codec; a codec not compiled into this build makes Open fail with
+  ///    NotSupported.
+  bool merge_transform = true;
+  CompressionKind merge_recompress = CompressionKind::kNone;
   bool use_wal = true;
   size_t wal_sync_every = 64;
   /// Primary-key index for upsert existence checks (paper §3.2.2, Fig. 17b).
@@ -117,8 +104,7 @@ struct DatasetOptions {
   /// them — deterministic, what unit tests use. ClusterHarness wires its
   /// nproc-sized pool here. The per-tree merge
   /// concurrency cap and the pooled-flush backpressure bound ride in
-  /// `merge.max_concurrent_merges` / `merge.max_pending_flush_builds`
-  /// (TC_MERGE_CONCURRENT / TC_FLUSH_PENDING).
+  /// `merge.max_concurrent_merges` / `merge.max_pending_flush_builds`.
   TaskPool* merge_pool = nullptr;
 
   std::shared_ptr<FileSystem> fs;   // required

@@ -2,21 +2,7 @@
 
 #include <algorithm>
 
-#include "common/env_config.h"
-
 namespace tc {
-
-GroupCommitConfig GroupCommitConfig::FromEnv() {
-  GroupCommitConfig cfg;
-  cfg.max_bytes = static_cast<size_t>(std::max<int64_t>(
-      1, EnvInt64("TC_GROUP_COMMIT_BYTES", static_cast<int64_t>(cfg.max_bytes))));
-  cfg.max_records = static_cast<size_t>(std::max<int64_t>(
-      1,
-      EnvInt64("TC_GROUP_COMMIT_RECORDS", static_cast<int64_t>(cfg.max_records))));
-  cfg.max_usecs = std::max<int64_t>(1, EnvInt64("TC_GROUP_COMMIT_USECS",
-                                                cfg.max_usecs));
-  return cfg;
-}
 
 Status IngestTicket::Wait() {
   if (state_ == nullptr) return Status::OK();

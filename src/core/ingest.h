@@ -3,8 +3,8 @@
 // per-partition writer threads through bounded MPMC queues instead of calling
 // the dataset record-at-a-time. Each writer accumulates queued chunks into a
 // commit group until a size / record-count / time cap fires
-// (TC_GROUP_COMMIT_{BYTES,RECORDS,USECS}), then applies the whole group with
-// ONE partition writer-lock acquisition and ONE WAL write + fdatasync — so
+// (GroupCommitConfig), then applies the whole group with ONE partition
+// writer-lock acquisition and ONE WAL write + fdatasync — so
 // records/sec scales with group size, not fsync latency, at unchanged
 // durability for acknowledged work.
 //
@@ -16,10 +16,10 @@
 // acknowledged may vanish in a crash, exactly like un-synced single-record
 // appends.
 //
-// Backpressure composes: a stalled partition (TC_FLUSH_PENDING flush-build
-// backpressure in the LSM below) blocks its writer in InsertEncodedBatch,
-// its queue fills, and Submit() blocks the producing feed — memory stays
-// bounded end to end.
+// Backpressure composes: a stalled partition (max_pending_flush_builds
+// flush-build backpressure in the LSM below) blocks its writer in
+// InsertEncodedBatch, its queue fills, and Submit() blocks the producing
+// feed — memory stays bounded end to end.
 #ifndef TC_CORE_INGEST_H_
 #define TC_CORE_INGEST_H_
 
@@ -43,10 +43,6 @@ struct GroupCommitConfig {
   size_t max_bytes = 1 << 20;  // encoded payload bytes per group
   size_t max_records = 1024;   // records per group
   int64_t max_usecs = 2000;    // age of the group's oldest chunk at commit
-
-  /// TC_GROUP_COMMIT_BYTES / TC_GROUP_COMMIT_RECORDS / TC_GROUP_COMMIT_USECS
-  /// over the defaults above (values are clamped to >= 1).
-  static GroupCommitConfig FromEnv();
 };
 
 /// Completion token of one async submission. Value type; cheap to copy
@@ -88,7 +84,7 @@ class IngestFrontEnd {
   /// `queue_capacity` bounds the chunks queued per partition before Submit
   /// blocks (0 = default). The dataset must outlive the front end.
   explicit IngestFrontEnd(Dataset* dataset,
-                          GroupCommitConfig config = GroupCommitConfig::FromEnv(),
+                          GroupCommitConfig config = GroupCommitConfig{},
                           size_t queue_capacity = 0);
 
   /// Drains every queue (remaining groups commit), then joins the writers.

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/env_config.h"
-
 namespace tc {
 namespace {
 
@@ -18,15 +16,6 @@ constexpr uint8_t kFilterVersion = 1;
 constexpr size_t kFilterHeader = 12;
 
 }  // namespace
-
-BloomFilterConfig BloomFilterConfig::FromEnv(BloomFilterConfig defaults) {
-  BloomFilterConfig c = defaults;
-  int64_t bits = EnvInt64("TC_BLOOM_BITS_PER_KEY",
-                          static_cast<int64_t>(c.bits_per_key));
-  if (bits >= 0) c.bits_per_key = static_cast<size_t>(bits);
-  c.pin_lookup_pages = EnvInt64("TC_FILTER_CACHE", c.pin_lookup_pages ? 1 : 0) != 0;
-  return c;
-}
 
 uint32_t BloomFilter::ProbesForBitsPerKey(size_t bits_per_key) {
   uint32_t k = static_cast<uint32_t>(bits_per_key * 0.69);  // ln 2 ≈ 0.693

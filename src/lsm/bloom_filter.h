@@ -33,11 +33,6 @@ struct BloomFilterConfig {
   /// a hot point lookup costs at most one disk read — the leaf. Filters are
   /// always memory-resident once loaded.
   bool pin_lookup_pages = true;
-
-  /// Applies the TC_BLOOM_BITS_PER_KEY and TC_FILTER_CACHE environment knobs
-  /// on top of `defaults` (a knob is applied only when set and parsable).
-  static BloomFilterConfig FromEnv(BloomFilterConfig defaults);
-  static BloomFilterConfig FromEnv() { return FromEnv(BloomFilterConfig{}); }
 };
 
 /// 64-bit digest of a 128-bit component key (splitmix64 finalization over the

@@ -23,7 +23,7 @@ inline uint64_t ElapsedUsecs(std::chrono::steady_clock::time_point t0) {
 // the bloom filter under construction) against the arbiter's read share.
 // Background work always admits — denial would wedge the write path — but
 // while the build runs, query scratch admission shrinks correspondingly, so
-// TC_MEMORY_BUDGET tracks the node's real RSS.
+// the arbiter's total budget tracks the node's real RSS.
 class ScopedBackgroundCharge {
  public:
   ScopedBackgroundCharge(MemoryArbiter* arbiter, size_t bytes)
@@ -778,9 +778,10 @@ Status LsmTree::FlushLocked() {
       opts_.arbiter->OnSeal(arbiter_reg_, sealed_bytes);
     }
     if (submit) {
-      // High lane: a flush build gates writer admission (TC_FLUSH_PENDING
-      // backpressure), so it must never queue behind a storm of merges.
-      // Caller-runs builds, installs and cascades every merge right here.
+      // High lane: a flush build gates writer admission
+      // (max_pending_flush_builds backpressure), so it must never queue
+      // behind a storm of merges. Caller-runs builds, installs and cascades
+      // every merge right here.
       flush_jobs_->Submit([this](bool canceled) { FlushBuildJob(canceled); },
                           TaskPriority::kHigh);
     }

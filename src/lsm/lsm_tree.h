@@ -148,11 +148,11 @@ struct LsmTreeOptions {
   /// Merge-time transformation hook (not owned; null = splice semantics,
   /// payloads copied byte-for-byte as before).
   MergeTransformer* merge_transformer = nullptr;
-  /// Cold-level recompression (TC_MERGE_RECOMPRESS): components produced by
-  /// BOTTOM merges — plans covering the oldest component, whose output is
-  /// read-mostly from then on — are written with this heavier codec instead
-  /// of `compression`. kNone disables; readers are unaffected either way
-  /// (components self-describe their codec via the LAF v2 sidecar).
+  /// Cold-level recompression: components produced by BOTTOM merges — plans
+  /// covering the oldest component, whose output is read-mostly from then
+  /// on — are written with this heavier codec instead of `compression`.
+  /// kNone disables; readers are unaffected either way (components
+  /// self-describe their codec via the LAF v2 sidecar).
   CompressionKind merge_recompress = CompressionKind::kNone;
   /// Optional fast existence filter (the primary-key index of §3.2.2): when it
   /// returns false the expensive old-version point lookup is skipped. Invoked

@@ -2,10 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdio>
 #include <string>
-
-#include "common/env_config.h"
 
 namespace tc {
 namespace {
@@ -233,35 +230,6 @@ bool ParseMergePolicyKind(std::string_view text, MergePolicyKind* out) {
     return false;
   }
   return true;
-}
-
-MergePolicyConfig MergePolicyConfig::FromEnv() { return FromEnv(MergePolicyConfig()); }
-
-MergePolicyConfig MergePolicyConfig::FromEnv(MergePolicyConfig defaults) {
-  MergePolicyConfig c = defaults;
-  std::string kind = EnvString("TC_MERGE_POLICY", "");
-  if (!kind.empty() && !ParseMergePolicyKind(kind, &c.kind)) {
-    std::fprintf(stderr,
-                 "warning: unknown TC_MERGE_POLICY '%s'; keeping '%s'\n",
-                 kind.c_str(), MergePolicyKindName(c.kind));
-  }
-  // Applied only when set: a sub-MiB default must not round-trip through the
-  // MiB conversion (512 KiB >> 20 << 20 would silently become 0 = never merge).
-  int64_t max_mb = EnvInt64("TC_MERGE_MAX_MB", -1);
-  if (max_mb >= 0) c.max_mergeable_bytes = static_cast<uint64_t>(max_mb) << 20;
-  c.max_tolerance_count = static_cast<size_t>(EnvInt64(
-      "TC_MERGE_TOLERANCE", static_cast<int64_t>(defaults.max_tolerance_count)));
-  c.size_ratio = static_cast<size_t>(
-      EnvInt64("TC_MERGE_SIZE_RATIO", static_cast<int64_t>(defaults.size_ratio)));
-  c.min_merge_width = static_cast<size_t>(EnvInt64(
-      "TC_MERGE_MIN_WIDTH", static_cast<int64_t>(defaults.min_merge_width)));
-  c.max_concurrent_merges = static_cast<size_t>(std::max<int64_t>(
-      1, EnvInt64("TC_MERGE_CONCURRENT",
-                  static_cast<int64_t>(defaults.max_concurrent_merges))));
-  c.max_pending_flush_builds = static_cast<size_t>(std::max<int64_t>(
-      1, EnvInt64("TC_FLUSH_PENDING",
-                  static_cast<int64_t>(defaults.max_pending_flush_builds))));
-  return c;
 }
 
 std::unique_ptr<MergePolicy> MakeMergePolicy(const MergePolicyConfig& config) {

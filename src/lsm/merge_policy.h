@@ -110,14 +110,6 @@ struct MergePolicyConfig {
   // stall). Both >= 1.
   size_t max_concurrent_merges = kDefaultMaxConcurrentMerges;
   size_t max_pending_flush_builds = kDefaultMaxPendingFlushBuilds;
-
-  /// Overlays the TC_MERGE_POLICY / TC_MERGE_MAX_MB / TC_MERGE_TOLERANCE /
-  /// TC_MERGE_SIZE_RATIO / TC_MERGE_MIN_WIDTH / TC_MERGE_CONCURRENT /
-  /// TC_FLUSH_PENDING environment knobs onto
-  /// `defaults`; unset knobs keep their defaults. An unknown TC_MERGE_POLICY
-  /// value warns on stderr and keeps the default.
-  static MergePolicyConfig FromEnv(MergePolicyConfig defaults);
-  static MergePolicyConfig FromEnv();
 };
 
 std::unique_ptr<MergePolicy> MakeMergePolicy(const MergePolicyConfig& config);

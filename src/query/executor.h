@@ -21,6 +21,9 @@
 
 namespace tc {
 
+/// Rows per ColumnBatch when a plan leaves its batch size at 0.
+inline constexpr size_t kDefaultVecBatchRows = 1024;
+
 struct QueryOptions {
   /// The §3.4.2 consolidation + pushdown optimization; Figure 23 disables it.
   bool consolidate_field_access = true;
@@ -34,7 +37,7 @@ struct QueryOptions {
   bool has_nonlocal_exchange = false;
   /// Cap on executor threads (0 = one per partition).
   size_t max_threads = 0;
-  /// Rows per ColumnBatch; 0 = TC_VEC_BATCH_ROWS (default 1024).
+  /// Rows per ColumnBatch; 0 = kDefaultVecBatchRows.
   size_t vec_batch_rows = 0;
 };
 

@@ -1,8 +1,8 @@
 // The column-batch exchange format of the vectorized execution engine
 // (ROADMAP "Vectorized batch query execution"; after the authors' follow-up,
 // Columnar Formats for Schemaless LSM-based Document Stores, arXiv 2111.11517):
-// operators exchange batches of TC_VEC_BATCH_ROWS rows instead of one row per
-// virtual Next(), and each extracted path becomes a typed column vector.
+// operators exchange batches of kDefaultVecBatchRows rows instead of one row
+// per virtual Next(), and each extracted path becomes a typed column vector.
 //
 // A ColumnVector adapts to the data it sees, because schemaless records give
 // no static column type: the first typed value picks the storage family

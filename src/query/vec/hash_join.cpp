@@ -6,18 +6,10 @@
 #include <unordered_map>
 #include <utility>
 
-#include "common/env_config.h"
 #include "common/memory_arbiter.h"
 #include "query/vec/vec_operator.h"
 
 namespace tc {
-
-size_t JoinBuildBudgetFromEnv() {
-  int64_t v = EnvInt64("TC_JOIN_BUILD_BUDGET", 32ll << 20);
-  if (v < 1) v = 1;
-  return static_cast<size_t>(v);
-}
-
 namespace {
 
 /// The int64 join key of row `r`, or false: missing/null keys never match
@@ -88,8 +80,9 @@ Result<JoinStats> HashJoinDatasets(Dataset* build, Dataset* probe,
   auto start = std::chrono::steady_clock::now();
   const size_t bn = build->partition_count();
   const size_t pn = probe->partition_count();
-  const size_t budget = spec.build_budget_bytes > 0 ? spec.build_budget_bytes
-                                                    : JoinBuildBudgetFromEnv();
+  const size_t budget = spec.build_budget_bytes > 0
+                            ? spec.build_budget_bytes
+                            : kDefaultJoinBuildBudgetBytes;
   MemoryArbiter* arbiter = build->options().arbiter != nullptr
                                ? build->options().arbiter
                                : probe->options().arbiter;

@@ -6,8 +6,8 @@
 // Memory discipline (grace-style waves): the build tables are query scratch
 // charged against the memory arbiter's READ share (MemoryArbiter::
 // TryChargeQuery) and additionally capped by an explicit budget
-// (TC_JOIN_BUILD_BUDGET). When the next build partition does not fit, the
-// wave closes: the loaded subset is probed by a FULL probe-side pass (rows
+// (JoinSpec::build_budget_bytes). When the next build partition does not fit,
+// the wave closes: the loaded subset is probed by a FULL probe-side pass (rows
 // hashing to out-of-wave build partitions are skipped), the tables are freed,
 // and the next wave loads the remaining build partitions from the SAME pinned
 // read views. LSM read snapshots make the re-scan coherent — the classic
@@ -40,9 +40,9 @@
 
 namespace tc {
 
-/// TC_JOIN_BUILD_BUDGET (bytes; default 32 MiB): cap on in-memory build-table
-/// bytes per wave when JoinSpec::build_budget_bytes is 0.
-size_t JoinBuildBudgetFromEnv();
+/// Cap on in-memory build-table bytes per wave when
+/// JoinSpec::build_budget_bytes is 0.
+inline constexpr size_t kDefaultJoinBuildBudgetBytes = 32ull << 20;
 
 struct JoinSpec {
   /// Equi-join key paths (top-level or dotted; must resolve to int64 values,
@@ -55,11 +55,11 @@ struct JoinSpec {
   /// Optional pre-join filters, lowered into the respective scans.
   std::shared_ptr<const ScanPredicate> build_predicate;
   std::shared_ptr<const ScanPredicate> probe_predicate;
-  /// Build-table byte cap per wave; 0 = TC_JOIN_BUILD_BUDGET. The arbiter's
-  /// read share (when the datasets have one attached) is charged on top and
-  /// can close a wave earlier.
+  /// Build-table byte cap per wave; 0 = kDefaultJoinBuildBudgetBytes. The
+  /// arbiter's read share (when the datasets have one attached) is charged
+  /// on top and can close a wave earlier.
   size_t build_budget_bytes = 0;
-  /// Rows per output/probe batch; 0 = TC_VEC_BATCH_ROWS.
+  /// Rows per output/probe batch; 0 = kDefaultVecBatchRows.
   size_t batch_rows = 0;
   /// Probe-side parallelism (0 = one thread per probe partition). The build
   /// loads sequentially: it is budget-accounted and usually much smaller.

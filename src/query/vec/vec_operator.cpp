@@ -3,18 +3,12 @@
 #include <algorithm>
 #include <optional>
 
-#include "common/env_config.h"
 #include "format/vector_format.h"
 #include "query/field_match.h"
 #include "query/scan_predicate.h"
 
 namespace tc {
 namespace {
-
-/// TC_VEC_BATCH_ROWS (default 1024, min 1); read only by the source builders.
-size_t VecBatchRowsFromEnv() {
-  return static_cast<size_t>(std::max<int64_t>(1, EnvInt64("TC_VEC_BATCH_ROWS", 1024)));
-}
 
 /// `ctx`'s counter cell for operator `name`, or null when it has none.
 VecOpCounters* OpCounters(const PartitionContext& ctx, const char* name) {
@@ -538,7 +532,7 @@ VecScanPipeline PlaceSourcePredicate(const PartitionContext& ctx, ScanSpec spec,
                                      const char* filter_name,
                                      MakeSource&& make_source) {
   VecScanPipeline out;
-  out.batch_rows = batch_rows > 0 ? batch_rows : VecBatchRowsFromEnv();
+  out.batch_rows = batch_rows > 0 ? batch_rows : kDefaultVecBatchRows;
   std::shared_ptr<const ScanPredicate> pred;
   if (!push_predicate || !ctx.accessor->SupportsScanPredicate()) {
     std::swap(pred, spec.predicate);

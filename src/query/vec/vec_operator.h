@@ -1,5 +1,5 @@
 // Batch-at-a-time operators: the query engine's only operator tier.
-// Operators exchange TC_VEC_BATCH_ROWS rows at a time instead of paying a
+// Operators exchange kDefaultVecBatchRows rows at a time instead of paying a
 // virtual Next() and a fresh AdmValue materialization per tuple: the sources
 // fill typed column vectors straight from the packed record payloads (no
 // per-row heap traffic on the fast path), and filters mark a selection vector
@@ -181,7 +181,7 @@ struct VecScanPipeline {
 /// and the accessor can test raw payloads (every format but BSON).
 /// Otherwise its paths ride as trailing columns, a VecFilterOperator tests
 /// them and a VecProjectOperator drops them. Either way the pipeline's
-/// columns are exactly `spec.paths`. `batch_rows` 0 means TC_VEC_BATCH_ROWS.
+/// columns are exactly `spec.paths`. `batch_rows` 0 means kDefaultVecBatchRows.
 /// Counters register in `ctx.vec_counters` (when set) as `scan_name` and
 /// `filter_name`.
 VecScanPipeline MakeVecScan(const PartitionContext& ctx, ScanSpec spec,

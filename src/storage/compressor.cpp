@@ -1,8 +1,5 @@
 #include "storage/compressor.h"
 
-#include <cctype>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <vector>
 
@@ -472,43 +469,6 @@ const char* CompressionKindName(CompressionKind kind) {
       return "lz4";
   }
   return "unknown";
-}
-
-bool ParseCompressionKind(std::string_view text, CompressionKind* out) {
-  std::string lower(text);
-  for (char& c : lower) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  if (lower == "none" || lower == "off" || lower == "0") {
-    *out = CompressionKind::kNone;
-  } else if (lower == "snappy") {
-    *out = CompressionKind::kSnappy;
-  } else if (lower == "heavy") {
-    *out = CompressionKind::kHeavy;
-  } else if (lower == "zstd") {
-    *out = CompressionKind::kZstd;
-  } else if (lower == "lz4") {
-    *out = CompressionKind::kLz4;
-  } else {
-    return false;
-  }
-  return true;
-}
-
-CompressionKind CompressionKindFromEnv(const char* name, CompressionKind def) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr || raw[0] == '\0') return def;
-  CompressionKind parsed;
-  if (!ParseCompressionKind(raw, &parsed)) {
-    std::fprintf(stderr, "[tc] %s=%s: unknown codec, keeping %s\n", name, raw,
-                 CompressionKindName(def));
-    return def;
-  }
-  if (!CompressorAvailable(parsed)) {
-    std::fprintf(stderr,
-                 "[tc] %s=%s: codec not compiled in, falling back to heavy\n",
-                 name, raw);
-    return CompressionKind::kHeavy;
-  }
-  return parsed;
 }
 
 }  // namespace tc

@@ -2,18 +2,18 @@
 // Snappy; this repo implements a from-scratch LZ77 codec with Snappy-style
 // literal/copy tagging (offline environment, no third-party code), a heavier
 // hash-chain variant of it for the cold-component recompression tier
-// (TC_MERGE_RECOMPRESS), and a noop codec. Real zstd / lz4 wrappers are
-// compiled in when CMake finds the libraries (TC_HAVE_ZSTD / TC_HAVE_LZ4) —
-// never a hard dependency. Pages are compressed on write at the buffer-cache
-// boundary and decompressed to their fixed configured size on read; the codec
-// a file was written with is persisted in its LAF sidecar (v2), so components
-// recompressed at merge stay readable by a tree configured with any codec.
+// (DatasetOptions::merge_recompress), and a noop codec. Real zstd / lz4
+// wrappers are compiled in when CMake finds the libraries (TC_HAVE_ZSTD /
+// TC_HAVE_LZ4) — never a hard dependency. Pages are compressed on write at
+// the buffer-cache boundary and decompressed to their fixed configured size
+// on read; the codec a file was written with is persisted in its LAF
+// sidecar (v2), so components recompressed at merge stay readable by a tree
+// configured with any codec.
 #ifndef TC_STORAGE_COMPRESSOR_H_
 #define TC_STORAGE_COMPRESSOR_H_
 
 #include <memory>
 #include <string>
-#include <string_view>
 
 #include "common/bytes.h"
 #include "common/status.h"
@@ -53,15 +53,6 @@ std::shared_ptr<const Compressor> GetCompressor(CompressionKind kind);
 bool CompressorAvailable(CompressionKind kind);
 
 const char* CompressionKindName(CompressionKind kind);
-
-/// Parses "none", "snappy", "heavy", "zstd", "lz4" (case-insensitive).
-/// Returns false on unknown names.
-bool ParseCompressionKind(std::string_view text, CompressionKind* out);
-
-/// Reads env var `name` as a codec selection: unset keeps `def`; an unknown
-/// name warns on stderr and keeps `def`; a known but not-compiled-in codec
-/// warns and falls back to kHeavy (the always-available recompression tier).
-CompressionKind CompressionKindFromEnv(const char* name, CompressionKind def);
 
 }  // namespace tc
 

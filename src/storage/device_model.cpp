@@ -3,24 +3,20 @@
 #include <chrono>
 #include <thread>
 
-#include "common/env_config.h"
-
 namespace tc {
 namespace {
 
-double Slowdown() {
-  static const double v = static_cast<double>(EnvInt64("TC_DEVICE_SLOWDOWN", 32));
-  return v > 0 ? v : 1.0;
-}
+/// Bandwidth divisor matching the ~10^3x data scale-down (header comment).
+constexpr double kSlowdown = 32;
 
 }  // namespace
 
 DeviceProfile DeviceProfile::SataSsd() {
-  return {"sata-ssd", 550.0 / Slowdown(), 520.0 / Slowdown(), 60.0};
+  return {"sata-ssd", 550.0 / kSlowdown, 520.0 / kSlowdown, 60.0};
 }
 
 DeviceProfile DeviceProfile::NvmeSsd() {
-  return {"nvme-ssd", 3400.0 / Slowdown(), 2500.0 / Slowdown(), 15.0};
+  return {"nvme-ssd", 3400.0 / kSlowdown, 2500.0 / kSlowdown, 15.0};
 }
 
 void DeviceModel::OnRead(size_t bytes) {

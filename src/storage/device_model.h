@@ -1,8 +1,8 @@
 // Storage device model: reproduces the SATA-SSD vs NVMe-SSD axis of the
 // paper's evaluation (§4, "Experiment Setup") by throttling file I/O to a
 // profile's sequential bandwidth. Since the reproduced datasets are scaled
-// down ~10^3x from the paper's, bandwidths are divided by TC_DEVICE_SLOWDOWN
-// (default 64) so the IO-bound-vs-CPU-bound crossovers stay visible.
+// down ~10^3x from the paper's, bandwidths are divided by a fixed slowdown of
+// 32 so the IO-bound-vs-CPU-bound crossovers stay visible.
 #ifndef TC_STORAGE_DEVICE_MODEL_H_
 #define TC_STORAGE_DEVICE_MODEL_H_
 

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
-#include <cstdlib>
 
 #include "common/rng.h"
 #include "storage/compressor.h"
@@ -204,20 +203,7 @@ TEST(Heavy, SnappyDecoderRejectsLongCopyStreams) {
                    .ok());
 }
 
-TEST(CompressionKindHelpers, ParseNameAvailable) {
-  CompressionKind k;
-  EXPECT_TRUE(ParseCompressionKind("heavy", &k));
-  EXPECT_EQ(k, CompressionKind::kHeavy);
-  EXPECT_TRUE(ParseCompressionKind("SNAPPY", &k));
-  EXPECT_EQ(k, CompressionKind::kSnappy);
-  EXPECT_TRUE(ParseCompressionKind("none", &k));
-  EXPECT_EQ(k, CompressionKind::kNone);
-  EXPECT_TRUE(ParseCompressionKind("zstd", &k));
-  EXPECT_EQ(k, CompressionKind::kZstd);
-  EXPECT_TRUE(ParseCompressionKind("lz4", &k));
-  EXPECT_EQ(k, CompressionKind::kLz4);
-  EXPECT_FALSE(ParseCompressionKind("gzip", &k));
-
+TEST(CompressionKindHelpers, NameAndAvailability) {
   EXPECT_STREQ(CompressionKindName(CompressionKind::kHeavy), "heavy");
   EXPECT_TRUE(CompressorAvailable(CompressionKind::kNone));
   EXPECT_TRUE(CompressorAvailable(CompressionKind::kSnappy));
@@ -227,18 +213,6 @@ TEST(CompressionKindHelpers, ParseNameAvailable) {
             GetCompressor(CompressionKind::kZstd) != nullptr);
   EXPECT_EQ(CompressorAvailable(CompressionKind::kLz4),
             GetCompressor(CompressionKind::kLz4) != nullptr);
-}
-
-TEST(CompressionKindHelpers, FromEnv) {
-  ::setenv("TC_TEST_CODEC", "heavy", 1);
-  EXPECT_EQ(CompressionKindFromEnv("TC_TEST_CODEC", CompressionKind::kSnappy),
-            CompressionKind::kHeavy);
-  ::setenv("TC_TEST_CODEC", "not-a-codec", 1);
-  EXPECT_EQ(CompressionKindFromEnv("TC_TEST_CODEC", CompressionKind::kSnappy),
-            CompressionKind::kSnappy);
-  ::unsetenv("TC_TEST_CODEC");
-  EXPECT_EQ(CompressionKindFromEnv("TC_TEST_CODEC", CompressionKind::kNone),
-            CompressionKind::kNone);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 
 #include "adm/parser.h"
 #include "adm/printer.h"
+#include "cluster/cluster.h"
 #include "core/ingest.h"
 #include "tests/test_util.h"
 #include "workload/workload.h"
@@ -217,24 +218,13 @@ TEST(Dataset, PrimaryKeyIndexReducesLookups) {
   EXPECT_LT(with_index, without_index);
 }
 
-// Restores an env var on scope exit even when an ASSERT_* returns early —
-// a leaked TC_MERGE_POLICY would silently re-policy every later test, since
-// DatasetOptions reads the environment in its default member initializer.
-struct ScopedEnv {
-  const char* name;
-  ScopedEnv(const char* n, const char* value) : name(n) {
-    ::setenv(n, value, 1);
-  }
-  ~ScopedEnv() { ::unsetenv(name); }
-};
-
-TEST(Dataset, MergePolicySelectedByEnvEndToEnd) {
-  // TC_MERGE_POLICY must reach every LSM tree of a partition: the primary,
-  // the primary-key index, and the secondary-index tree.
+TEST(Dataset, MergePolicyReachesEveryTree) {
+  // DatasetOptions::merge must reach every LSM tree of a partition: the
+  // primary, the primary-key index, and the secondary-index tree.
   {
-    ScopedEnv env("TC_MERGE_POLICY", "tiered");
     DatasetFixture fx;
-    DatasetOptions o;  // default options re-read the environment
+    DatasetOptions o;
+    o.merge.kind = MergePolicyKind::kTiered;
     o.memtable_budget_bytes = 64 * 1024;
     o.wal_sync_every = 0;
     o.primary_key_index = true;
@@ -254,6 +244,43 @@ TEST(Dataset, MergePolicySelectedByEnvEndToEnd) {
     ASSERT_TRUE(fx.Open(DatasetOptions{}, 1).ok());
     EXPECT_STREQ(fx.dataset->partition(0)->primary()->merge_policy_name(),
                  "prefix");
+  }
+}
+
+// Restores an env var on scope exit even when an ASSERT_* returns early.
+struct ScopedEnv {
+  const char* name;
+  ScopedEnv(const char* n, const char* value) : name(n) {
+    ::setenv(n, value, 1);
+  }
+  ~ScopedEnv() { ::unsetenv(name); }
+};
+
+TEST(EngineConfig, IgnoresEnvironment) {
+  // The option structs are the engine's only configuration channel: TC_*
+  // variables in the environment must change nothing.
+  ScopedEnv policy("TC_MERGE_POLICY", "tiered");
+  ScopedEnv bloom("TC_BLOOM_BITS_PER_KEY", "0");
+  ScopedEnv budget("TC_MEMORY_BUDGET", "1048576");
+  {
+    DatasetFixture fx;
+    ASSERT_TRUE(fx.Open(DatasetOptions{}, 1).ok());
+    EXPECT_STREQ(fx.dataset->partition(0)->primary()->merge_policy_name(),
+                 "prefix");
+    EXPECT_EQ(fx.dataset->options().filter.bits_per_key, 10u);
+  }
+  {
+    DatasetOptions o;
+    BufferCache cache(o.page_size, 256);
+    o.dir = "mem";
+    o.fs = MakeMemFileSystem();
+    o.cache = &cache;
+    ClusterTopology topology;
+    topology.executor_threads = 1;
+    auto harness = ClusterHarness::Create(topology, std::move(o));
+    ASSERT_TRUE(harness.ok());
+    EXPECT_EQ(harness.value()->dataset()->partition(0)->options().arbiter,
+              nullptr);
   }
 }
 

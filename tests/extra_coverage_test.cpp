@@ -1,15 +1,15 @@
 // Additional edge-case and property coverage on top of the per-module suites:
 // walker structure invariants, iterator seeks, single-thread executor
-// equivalence, bulk-load index maintenance, environment knobs, and
-// failure-injection around the flush transformer.
+// equivalence, bulk-load index maintenance, the benches' environment reader,
+// and failure-injection around the flush transformer.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 
 #include "adm/parser.h"
 #include "adm/printer.h"
+#include "bench/bench_util.h"
 #include "cluster/cluster.h"
-#include "common/env_config.h"
 #include "format/vector_format.h"
 #include "query/field_access.h"
 #include "query/paper_queries.h"
@@ -25,13 +25,13 @@ using testutil::SmallOptions;
 AdmValue R(const std::string& text) { return ParseAdm(text).ValueOrDie(); }
 
 TEST(EnvConfig, ParsesAndDefaults) {
+  using bench::EnvInt64;
   ::setenv("TC_TEST_KNOB", "123", 1);
   EXPECT_EQ(EnvInt64("TC_TEST_KNOB", 7), 123);
   ::setenv("TC_TEST_KNOB", "garbage", 1);
   EXPECT_EQ(EnvInt64("TC_TEST_KNOB", 7), 7);
   ::unsetenv("TC_TEST_KNOB");
   EXPECT_EQ(EnvInt64("TC_TEST_KNOB", 7), 7);
-  EXPECT_EQ(EnvString("TC_TEST_KNOB", "dflt"), "dflt");
 }
 
 TEST(Walker, EventStructureMatchesValueTree) {

@@ -65,25 +65,6 @@ TEST(MemoryArbiter, VictimIsAlwaysAMaximalEligibleLiveGeneration) {
   for (auto* r : regs) arb.Unregister(r);
 }
 
-TEST(MemoryArbiter, ColdestPolicyPicksLeastRecentlyWrittenTree) {
-  MemoryArbiter::Options o = BigBudget();
-  o.victim = MemoryArbiter::VictimPolicy::kColdest;
-  MemoryArbiter arb(o);
-  auto* a = arb.Register("a", 1, [] { return true; });
-  auto* b = arb.Register("b", 1, [] { return true; });
-  auto* c = arb.Register("c", 1, [] { return true; });
-  EXPECT_FALSE(arb.OnPostWrite(a, 1024));
-  EXPECT_FALSE(arb.OnPostWrite(b, 8192));
-  EXPECT_FALSE(arb.OnPostWrite(c, 4096));
-  // a wrote longest ago — coldest wins regardless of size.
-  EXPECT_EQ(arb.SuggestFlushVictim(), a);
-  EXPECT_FALSE(arb.OnPostWrite(a, 1025));
-  EXPECT_EQ(arb.SuggestFlushVictim(), b);
-  arb.Unregister(a);
-  arb.Unregister(b);
-  arb.Unregister(c);
-}
-
 TEST(MemoryArbiter, SelfVictimAndCrossTreeDispatch) {
   MemoryArbiter::Options o;
   o.total_budget_bytes = 100 * 1024;

@@ -567,7 +567,7 @@ TEST(MergeConcurrency, TeardownDrainsFlushBuildsOfWalLessTrees) {
 
 // Flush builds must never starve behind queued merges: they ride the task
 // pool's HIGH lane because a stalled flush build is writer backpressure
-// (TC_FLUSH_PENDING). One worker thread makes the discrimination
+// (max_pending_flush_builds). One worker thread makes the discrimination
 // deterministic — gate the FIRST flush build until the writer has queued
 // four flushes, then watch the drain order. With the priority lane the
 // worker builds every queued flush before touching the merge the second

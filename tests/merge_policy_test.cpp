@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "common/rng.h"
 #include "lsm/merge_policy.h"
@@ -163,28 +162,6 @@ TEST(EnvConfig, ParseAndFactoryCoverEveryKind) {
     ASSERT_TRUE(ParseMergePolicyKind(MergePolicyKindName(kind), &parsed));
     EXPECT_EQ(parsed, kind);
   }
-}
-
-TEST(EnvConfig, FromEnvOverlaysKnobs) {
-  ::setenv("TC_MERGE_POLICY", "lazy-leveled", 1);
-  ::setenv("TC_MERGE_SIZE_RATIO", "7", 1);
-  ::setenv("TC_MERGE_TOLERANCE", "9", 1);
-  MergePolicyConfig defaults;
-  defaults.max_mergeable_bytes = 3 * kMB;
-  MergePolicyConfig c = MergePolicyConfig::FromEnv(defaults);
-  EXPECT_EQ(c.kind, MergePolicyKind::kLazyLeveled);
-  EXPECT_EQ(c.size_ratio, 7u);
-  EXPECT_EQ(c.max_tolerance_count, 9u);
-  EXPECT_EQ(c.max_mergeable_bytes, 3 * kMB);  // unset knob keeps the default
-  // Regression: an unset TC_MERGE_MAX_MB must not round-trip a sub-MiB
-  // default through the MiB conversion (512 KiB would become 0 = never merge).
-  defaults.max_mergeable_bytes = 512 * 1024;
-  EXPECT_EQ(MergePolicyConfig::FromEnv(defaults).max_mergeable_bytes,
-            512u * 1024);
-  ::unsetenv("TC_MERGE_POLICY");
-  ::unsetenv("TC_MERGE_SIZE_RATIO");
-  ::unsetenv("TC_MERGE_TOLERANCE");
-  EXPECT_EQ(MergePolicyConfig::FromEnv().kind, MergePolicyKind::kPrefix);
 }
 
 // Randomized invariant check: simulate the flush/decide/apply loop the tree

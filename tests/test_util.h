@@ -110,12 +110,8 @@ inline DatasetOptions SmallOptions(SchemaMode mode, size_t memtable_kb = 64) {
   // encoding, small enough that multi-record tests build multi-page trees.
   o.page_size = 16384;
   o.memtable_budget_bytes = memtable_kb * 1024;
-  o.merge = MergePolicyConfig();  // env-independent: tests pin the schedule
   o.merge.max_mergeable_bytes = 1 << 20;
   o.merge.max_tolerance_count = 4;
-  // Pin the merge-pipeline knobs too (their defaults read TC_MERGE_* env).
-  o.merge_transform = true;
-  o.merge_recompress = CompressionKind::kNone;
   o.wal_sync_every = 0;
   return o;
 }
