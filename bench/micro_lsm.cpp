@@ -408,9 +408,9 @@ BENCHMARK(BM_IngestScaling)
     ->UseRealTime();
 
 // ---------------------------------------------------------------------------
-// BM_BatchIngest: LsmTree::InsertBatch at varying batch sizes with the WAL on
-// and sync cadence 1 — one sync per batch. Batch size 1 is the delegated
-// single-record path (Insert -> InsertBatch of one), so the axis isolates
+// BM_BatchIngest: LsmTree::Write(kInsert) at varying batch sizes with the WAL
+// on and sync cadence 1 — one sync per batch. Batch size 1 is what the
+// single-record Insert runs (a Write batch of one), so the axis isolates
 // exactly what group commit buys: fewer WAL writes/syncs and one
 // writer-lock + memtable round per batch. MemFS keeps the numbers about code
 // path cost, not disk latency; fig17's batch axis covers real fsyncs.
@@ -449,7 +449,7 @@ void BM_BatchIngest(benchmark::State& state) {
               std::string_view(reinterpret_cast<const char*>(p.data()),
                                p.size())});
         }
-        TC_CHECK(tree->InsertBatch(batch).ok());
+        TC_CHECK(tree->Write(WriteOp::kInsert, batch).ok());
       }
       state.PauseTiming();
       total_records += kRecords;

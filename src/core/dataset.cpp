@@ -15,6 +15,25 @@ namespace {
 constexpr size_t kPkIndexBudgetDivisor = 16;
 constexpr size_t kSecondaryBudgetDivisor = 8;
 
+// An integer (tinyint .. bigint) key field: the only key type the primary
+// and secondary indexes take. `what` names the key in error messages.
+Result<int64_t> IntegerKey(const AdmValue& record, const std::string& field,
+                           const char* what) {
+  const AdmValue* v = record.FindField(field);
+  if (v == nullptr) {
+    return Status::InvalidArgument(std::string("record missing ") + what);
+  }
+  switch (v->tag()) {
+    case AdmTag::kTinyInt:
+    case AdmTag::kSmallInt:
+    case AdmTag::kInt:
+    case AdmTag::kBigInt:
+      return v->int_value();
+    default:
+      return Status::InvalidArgument(std::string(what) + " must be an integer");
+  }
+}
+
 }  // namespace
 
 const char* SchemaModeName(SchemaMode mode) {
@@ -87,7 +106,11 @@ Result<std::unique_ptr<DatasetPartition>> DatasetPartition::Open(
     pk.transformer = nullptr;
     pk.merge_transformer = nullptr;  // key-only payloads: nothing to re-encode
     pk.capture_old_versions = false;
-    pk.use_wal = false;  // rebuilt through primary WAL replay on recovery
+    // No WAL, and recovery does not rebuild it: primary WAL replay restores
+    // only the primary, so keys still in this tree's memtable at a restart
+    // are lost and their later upserts skip the old-version capture (an
+    // open bug, see the ROADMAP's crash-anywhere item).
+    pk.use_wal = false;
     pk.memtable_budget_bytes = pk_carve;
     pk.arbiter_floor_bytes = pk_carve;
     TC_ASSIGN_OR_RETURN(p->pk_index_, LsmTree::Open(std::move(pk)));
@@ -116,6 +139,8 @@ Result<std::unique_ptr<DatasetPartition>> DatasetPartition::Open(
     sk.merge_pool = opts->merge_pool;
     sk.max_concurrent_merges = lsm.max_concurrent_merges;
     sk.max_pending_flush_builds = lsm.max_pending_flush_builds;
+    // No WAL either, with the pk index's recovery gap: entries still in
+    // this tree's memtable at a restart are lost.
     sk.use_wal = false;
     sk.arbiter = opts->arbiter;
     sk.arbiter_floor_bytes = sk_carve;
@@ -177,77 +202,25 @@ Schema DatasetPartition::SchemaSnapshot() const {
   return Schema();
 }
 
-Result<int64_t> DatasetPartition::ExtractSecondaryKey(
-    const AdmValue& record) const {
-  const AdmValue* v = record.FindField(opts_->secondary_index_field);
-  if (v == nullptr || !IsScalar(v->tag()) || v->tag() == AdmTag::kString) {
-    return Status::InvalidArgument("secondary index field missing or non-numeric");
-  }
-  return v->int_value();
-}
-
-Status DatasetPartition::MaintainIndexesOnWrite(
-    int64_t pk, const AdmValue& record, const std::optional<Buffer>& old_payload,
-    bool is_delete) {
-  if (secondary_ == nullptr) return Status::OK();
+Status DatasetPartition::MaintainSecondary(
+    WriteOp op, const EncodedWrite& w, const std::optional<Buffer>& old_payload) {
   if (old_payload.has_value()) {
     AdmValue old_rec;
     TC_RETURN_IF_ERROR(DecodeRecord(
         std::string_view(reinterpret_cast<const char*>(old_payload->data()),
                          old_payload->size()),
         &old_rec));
-    TC_ASSIGN_OR_RETURN(int64_t old_sk, ExtractSecondaryKey(old_rec));
-    TC_RETURN_IF_ERROR(secondary_->Delete(old_sk, pk));
+    TC_ASSIGN_OR_RETURN(int64_t old_sk,
+                        IntegerKey(old_rec, opts_->secondary_index_field,
+                                   "secondary key"));
+    TC_RETURN_IF_ERROR(secondary_->Delete(old_sk, w.pk));
   }
-  if (!is_delete) {
-    TC_ASSIGN_OR_RETURN(int64_t sk, ExtractSecondaryKey(record));
-    TC_RETURN_IF_ERROR(secondary_->Insert(sk, pk));
-  }
-  return Status::OK();
+  if (op == WriteOp::kDelete) return Status::OK();
+  return secondary_->Insert(w.sk, w.pk);
 }
 
-Status DatasetPartition::Insert(const AdmValue& record) {
-  // A batch of one: the single-record path IS the batch path, so there is
-  // exactly one write-side code path to reason about (and to test).
-  return InsertBatch(SingletonSpan<const AdmValue>(record));
-}
-
-Status DatasetPartition::InsertBatch(Span<const AdmValue> records,
-                                     BatchErrors* errors) {
-  // Encode outside the writer lock — pure per-record work that concurrent
-  // feed threads can overlap; only the apply step serializes.
-  std::vector<EncodedWrite> writes;
-  writes.reserve(records.size());
-  Status first_error;
-  for (size_t i = 0; i < records.size(); ++i) {
-    EncodedWrite w;
-    w.index = i;
-    w.record = &records[i];
-    const AdmValue* pk_field = records[i].FindField(opts_->type.primary_key_field);
-    Status st = pk_field == nullptr
-                    ? Status::InvalidArgument("record missing primary key")
-                    : EncodeRecord(records[i], &w.payload);
-    if (!st.ok()) {
-      if (errors != nullptr) errors->emplace_back(i, st);
-      if (first_error.ok()) first_error = st;
-      continue;
-    }
-    w.pk = pk_field->int_value();
-    writes.push_back(std::move(w));
-  }
-  BatchErrors apply_errors;
-  Status st = InsertEncodedBatch(writes, &apply_errors);
-  for (auto& [pos, rec_st] : apply_errors) {
-    if (errors != nullptr) errors->emplace_back(writes[pos].index, rec_st);
-    if (first_error.ok()) first_error = rec_st;
-  }
-  if (first_error.ok()) first_error = st;
-  return first_error;
-}
-
-Status DatasetPartition::InsertEncodedBatch(Span<EncodedWrite> writes,
-                                            BatchErrors* errors,
-                                            bool* batch_failed) {
+Status DatasetPartition::Write(WriteOp op, Span<const EncodedWrite> writes,
+                               BatchErrors* errors, bool* batch_failed) {
   if (batch_failed != nullptr) *batch_failed = false;
   if (writes.empty()) return Status::OK();
   std::lock_guard<std::mutex> lock(write_mu_);
@@ -269,169 +242,35 @@ Status DatasetPartition::InsertEncodedBatch(Span<EncodedWrite> writes,
     if (batch_failed != nullptr) *batch_failed = true;
     return st;
   };
-  // One group-committed append + one memtable lock round for the whole batch.
-  Status st = primary_->InsertBatch(ops);
-  if (!st.ok()) return fail_batch(st);
-  if (pk_index_ != nullptr) {
-    for (MemPutOp& op : ops) op.payload = {};
-    Status pk_st = pk_index_->InsertBatch(ops);
-    if (!pk_st.ok()) return fail_batch(pk_st);
-  }
-  // Secondary maintenance stays per-record (it decodes old versions), but
-  // runs inside the same critical section so a concurrent reader never sees
-  // a batch half-indexed relative to another writer's interleaving.
-  Status first_error;
-  for (size_t i = 0; i < writes.size(); ++i) {
-    Status rec_st = MaintainIndexesOnWrite(writes[i].pk, *writes[i].record,
-                                           std::nullopt, /*is_delete=*/false);
-    if (!rec_st.ok()) {
-      if (errors != nullptr) errors->emplace_back(i, rec_st);
-      if (first_error.ok()) first_error = rec_st;
-    }
-  }
-  return first_error;
-}
-
-Status DatasetPartition::UpsertBatch(Span<const AdmValue> records,
-                                     BatchErrors* errors) {
-  // InsertBatch's shape: encode outside the writer lock, apply in one
-  // critical section through the encoded back end.
-  std::vector<EncodedWrite> writes;
-  writes.reserve(records.size());
-  Status first_error;
-  for (size_t i = 0; i < records.size(); ++i) {
-    EncodedWrite w;
-    w.index = i;
-    w.record = &records[i];
-    const AdmValue* pk_field = records[i].FindField(opts_->type.primary_key_field);
-    Status st = pk_field == nullptr
-                    ? Status::InvalidArgument("record missing primary key")
-                    : EncodeRecord(records[i], &w.payload);
-    if (!st.ok()) {
-      if (errors != nullptr) errors->emplace_back(i, st);
-      if (first_error.ok()) first_error = st;
-      continue;
-    }
-    w.pk = pk_field->int_value();
-    writes.push_back(std::move(w));
-  }
-  BatchErrors apply_errors;
-  Status st = UpsertEncodedBatch(writes, &apply_errors);
-  for (auto& [pos, rec_st] : apply_errors) {
-    if (errors != nullptr) errors->emplace_back(writes[pos].index, rec_st);
-    if (first_error.ok()) first_error = rec_st;
-  }
-  if (first_error.ok()) first_error = st;
-  return first_error;
-}
-
-Status DatasetPartition::UpsertEncodedBatch(Span<EncodedWrite> writes,
-                                            BatchErrors* errors,
-                                            bool* batch_failed) {
-  if (batch_failed != nullptr) *batch_failed = false;
-  if (writes.empty()) return Status::OK();
-  std::lock_guard<std::mutex> lock(write_mu_);
-  std::vector<MemPutOp> ops;
-  ops.reserve(writes.size());
-  for (const EncodedWrite& w : writes) {
-    ops.push_back(MemPutOp{
-        BtreeKey{w.pk, 0},
-        std::string_view(reinterpret_cast<const char*>(w.payload.data()),
-                         w.payload.size())});
-  }
-  auto fail_batch = [&](const Status& st) {
-    if (errors != nullptr) {
-      for (size_t i = 0; i < writes.size(); ++i) errors->emplace_back(i, st);
-    }
-    if (batch_failed != nullptr) *batch_failed = true;
-    return st;
-  };
-  // One group-committed WAL append; the per-record old-version captures run
-  // inside UpsertBatch, feeding the secondary maintenance below.
+  // Only the secondary maintenance below consumes the replaced versions, and
+  // inserts assume new keys: the feed path asks for none.
   std::vector<std::optional<Buffer>> olds;
-  Status st = primary_->UpsertBatch(ops, &olds);
+  Status st = primary_->Write(
+      op, ops, secondary_ != nullptr && op != WriteOp::kInsert ? &olds : nullptr);
   if (!st.ok()) return fail_batch(st);
   if (pk_index_ != nullptr) {
     // Key presence is all the pk index stores, so a blind batched put covers
-    // first-writes and overwrites alike.
-    for (MemPutOp& op : ops) op.payload = {};
-    Status pk_st = pk_index_->InsertBatch(ops);
+    // first writes and overwrites alike.
+    for (MemPutOp& m : ops) m.payload = {};
+    Status pk_st = pk_index_->Write(
+        op == WriteOp::kDelete ? WriteOp::kDelete : WriteOp::kInsert, ops);
     if (!pk_st.ok()) return fail_batch(pk_st);
   }
+  if (secondary_ == nullptr) return Status::OK();
+  // Secondary maintenance stays per-record (it decodes old versions), but
+  // runs inside the same critical section so a concurrent reader never sees
+  // a batch half-indexed relative to another writer's interleaving.
+  const std::optional<Buffer> none;
   Status first_error;
   for (size_t i = 0; i < writes.size(); ++i) {
-    Status rec_st = MaintainIndexesOnWrite(writes[i].pk, *writes[i].record,
-                                           olds[i], /*is_delete=*/false);
-    if (!rec_st.ok()) {
-      if (errors != nullptr) errors->emplace_back(i, rec_st);
-      if (first_error.ok()) first_error = rec_st;
-    }
-  }
-  return first_error;
-}
-
-Status DatasetPartition::DeleteBatch(Span<const int64_t> pks, BatchErrors* errors,
-                                     bool* batch_failed) {
-  if (batch_failed != nullptr) *batch_failed = false;
-  if (pks.empty()) return Status::OK();
-  std::lock_guard<std::mutex> lock(write_mu_);
-  std::vector<BtreeKey> keys;
-  keys.reserve(pks.size());
-  for (int64_t pk : pks) keys.push_back(BtreeKey{pk, 0});
-  auto fail_batch = [&](const Status& st) {
-    if (errors != nullptr) {
-      for (size_t i = 0; i < pks.size(); ++i) errors->emplace_back(i, st);
-    }
-    if (batch_failed != nullptr) *batch_failed = true;
-    return st;
-  };
-  std::vector<std::optional<Buffer>> olds;
-  Status st = primary_->DeleteBatch(keys, &olds);
-  if (!st.ok()) return fail_batch(st);
-  if (pk_index_ != nullptr) {
-    Status pk_st = pk_index_->DeleteBatch(keys);
-    if (!pk_st.ok()) return fail_batch(pk_st);
-  }
-  Status first_error;
-  const AdmValue empty = AdmValue::Object();
-  for (size_t i = 0; i < pks.size(); ++i) {
     Status rec_st =
-        MaintainIndexesOnWrite(pks[i], empty, olds[i], /*is_delete=*/true);
+        MaintainSecondary(op, writes[i], olds.empty() ? none : olds[i]);
     if (!rec_st.ok()) {
       if (errors != nullptr) errors->emplace_back(i, rec_st);
       if (first_error.ok()) first_error = rec_st;
     }
   }
   return first_error;
-}
-
-Status DatasetPartition::Upsert(const AdmValue& record) {
-  std::lock_guard<std::mutex> lock(write_mu_);
-  const AdmValue* pk_field = record.FindField(opts_->type.primary_key_field);
-  if (pk_field == nullptr) return Status::InvalidArgument("record missing primary key");
-  int64_t pk = pk_field->int_value();
-  Buffer payload;
-  TC_RETURN_IF_ERROR(EncodeRecord(record, &payload));
-  std::optional<Buffer> old;
-  TC_RETURN_IF_ERROR(primary_->Upsert(
-      BtreeKey{pk, 0},
-      std::string_view(reinterpret_cast<const char*>(payload.data()),
-                       payload.size()),
-      &old));
-  if (pk_index_ != nullptr) {
-    TC_RETURN_IF_ERROR(pk_index_->Upsert(BtreeKey{pk, 0}, {}, nullptr));
-  }
-  return MaintainIndexesOnWrite(pk, record, old, /*is_delete=*/false);
-}
-
-Status DatasetPartition::Delete(int64_t pk) {
-  std::lock_guard<std::mutex> lock(write_mu_);
-  std::optional<Buffer> old;
-  TC_RETURN_IF_ERROR(primary_->Delete(BtreeKey{pk, 0}, &old));
-  if (pk_index_ != nullptr) {
-    TC_RETURN_IF_ERROR(pk_index_->Delete(BtreeKey{pk, 0}, nullptr));
-  }
-  return MaintainIndexesOnWrite(pk, AdmValue::Object(), old, /*is_delete=*/true);
 }
 
 PartitionReadView DatasetPartition::AcquireReadView() const {
@@ -509,17 +348,7 @@ Result<std::unique_ptr<Dataset>> Dataset::Open(DatasetOptions options,
 }
 
 Result<int64_t> Dataset::PrimaryKeyOf(const AdmValue& record) const {
-  const AdmValue* pk = record.FindField(opts_.type.primary_key_field);
-  if (pk == nullptr) return Status::InvalidArgument("record missing primary key");
-  switch (pk->tag()) {
-    case AdmTag::kTinyInt:
-    case AdmTag::kSmallInt:
-    case AdmTag::kInt:
-    case AdmTag::kBigInt:
-      return pk->int_value();
-    default:
-      return Status::InvalidArgument("primary key must be an integer");
-  }
+  return IntegerKey(record, opts_.type.primary_key_field, "primary key");
 }
 
 size_t Dataset::PartitionOf(int64_t pk) const {
@@ -530,109 +359,96 @@ size_t Dataset::PartitionOf(int64_t pk) const {
   return static_cast<size_t>((h >> 32) % partitions_.size());
 }
 
+Result<size_t> Dataset::EncodeWrite(WriteOp op, const AdmValue& record,
+                                    EncodedWrite* out) const {
+  TC_ASSIGN_OR_RETURN(out->pk, PrimaryKeyOf(record));
+  size_t p = PartitionOf(out->pk);
+  if (op == WriteOp::kDelete) return p;
+  // The secondary key is checked before anything is applied: a record the
+  // index cannot take must not land in the primary either.
+  if (!opts_.secondary_index_field.empty()) {
+    TC_ASSIGN_OR_RETURN(out->sk, IntegerKey(record, opts_.secondary_index_field,
+                                            "secondary key"));
+  }
+  TC_RETURN_IF_ERROR(partitions_[p]->EncodeRecord(record, &out->payload));
+  return p;
+}
+
+Result<size_t> Dataset::EncodeWrite(WriteOp /*op*/, int64_t pk,
+                                    EncodedWrite* out) const {
+  // A delete by key: nothing to check or encode.
+  out->pk = pk;
+  return PartitionOf(pk);
+}
+
+template <typename Item>
+Status Dataset::Route(WriteOp op, Span<const Item> items, RoutedWrites* routed,
+                      BatchErrors* errors) const {
+  routed->resize(partitions_.size());
+  Status first_error;
+  for (size_t i = 0; i < items.size(); ++i) {
+    EncodedWrite w;
+    w.index = i;
+    Result<size_t> p = EncodeWrite(op, items[i], &w);
+    if (!p.ok()) {
+      if (errors != nullptr) errors->emplace_back(i, p.status());
+      if (first_error.ok()) first_error = p.status();
+      continue;
+    }
+    (*routed)[p.value()].push_back(std::move(w));
+  }
+  return first_error;
+}
+
+template Status Dataset::Route(WriteOp, Span<const AdmValue>, RoutedWrites*,
+                               BatchErrors*) const;
+template Status Dataset::Route(WriteOp, Span<const int64_t>, RoutedWrites*,
+                               BatchErrors*) const;
+
+template <typename Item>
+Status Dataset::WriteOne(WriteOp op, const Item& item) {
+  EncodedWrite w;
+  TC_ASSIGN_OR_RETURN(size_t p, EncodeWrite(op, item, &w));
+  return partitions_[p]->Write(op, SingletonSpan<const EncodedWrite>(w));
+}
+
+template <typename Item>
+Status Dataset::WriteBatch(WriteOp op, Span<const Item> items,
+                           BatchErrors* errors) {
+  RoutedWrites routed;
+  Status first_error = Route(op, items, &routed, errors);
+  for (size_t p = 0; p < routed.size(); ++p) {
+    if (routed[p].empty()) continue;
+    BatchErrors part_errors;
+    Status st = partitions_[p]->Write(op, routed[p], &part_errors);
+    for (auto& [pos, rec_st] : part_errors) {
+      if (errors != nullptr) errors->emplace_back(routed[p][pos].index, rec_st);
+    }
+    if (first_error.ok() && !st.ok()) first_error = st;
+  }
+  return first_error;
+}
+
 Status Dataset::Insert(const AdmValue& record) {
-  TC_ASSIGN_OR_RETURN(int64_t pk, PrimaryKeyOf(record));
-  return partitions_[PartitionOf(pk)]->Insert(record);
-}
-
-Status Dataset::InsertBatch(Span<const AdmValue> records, BatchErrors* errors) {
-  // Hash-partition + encode up front (no locks), then one apply round per
-  // touched partition. Per-partition buckets keep submission order, so
-  // records for the same key apply in the order the caller gave them.
-  std::vector<std::vector<EncodedWrite>> buckets(partitions_.size());
-  Status first_error;
-  for (size_t i = 0; i < records.size(); ++i) {
-    EncodedWrite w;
-    w.index = i;
-    w.record = &records[i];
-    auto pk = PrimaryKeyOf(records[i]);
-    Status st = pk.ok() ? Status::OK() : pk.status();
-    if (st.ok()) {
-      w.pk = pk.value();
-      st = partitions_[PartitionOf(w.pk)]->EncodeRecord(records[i], &w.payload);
-    }
-    if (!st.ok()) {
-      if (errors != nullptr) errors->emplace_back(i, st);
-      if (first_error.ok()) first_error = st;
-      continue;
-    }
-    buckets[PartitionOf(w.pk)].push_back(std::move(w));
-  }
-  for (size_t p = 0; p < buckets.size(); ++p) {
-    if (buckets[p].empty()) continue;
-    BatchErrors part_errors;
-    Status st = partitions_[p]->InsertEncodedBatch(buckets[p], &part_errors);
-    for (auto& [pos, rec_st] : part_errors) {
-      if (errors != nullptr) errors->emplace_back(buckets[p][pos].index, rec_st);
-    }
-    if (first_error.ok() && !st.ok()) first_error = st;
-  }
-  return first_error;
-}
-
-Status Dataset::UpsertBatch(Span<const AdmValue> records, BatchErrors* errors) {
-  // InsertBatch's front end with the upsert back end: hash-partition +
-  // encode without locks, one apply round per touched partition.
-  std::vector<std::vector<EncodedWrite>> buckets(partitions_.size());
-  Status first_error;
-  for (size_t i = 0; i < records.size(); ++i) {
-    EncodedWrite w;
-    w.index = i;
-    w.record = &records[i];
-    auto pk = PrimaryKeyOf(records[i]);
-    Status st = pk.ok() ? Status::OK() : pk.status();
-    if (st.ok()) {
-      w.pk = pk.value();
-      st = partitions_[PartitionOf(w.pk)]->EncodeRecord(records[i], &w.payload);
-    }
-    if (!st.ok()) {
-      if (errors != nullptr) errors->emplace_back(i, st);
-      if (first_error.ok()) first_error = st;
-      continue;
-    }
-    buckets[PartitionOf(w.pk)].push_back(std::move(w));
-  }
-  for (size_t p = 0; p < buckets.size(); ++p) {
-    if (buckets[p].empty()) continue;
-    BatchErrors part_errors;
-    Status st = partitions_[p]->UpsertEncodedBatch(buckets[p], &part_errors);
-    for (auto& [pos, rec_st] : part_errors) {
-      if (errors != nullptr) errors->emplace_back(buckets[p][pos].index, rec_st);
-    }
-    if (first_error.ok() && !st.ok()) first_error = st;
-  }
-  return first_error;
-}
-
-Status Dataset::DeleteBatch(Span<const int64_t> pks, BatchErrors* errors) {
-  std::vector<std::vector<int64_t>> buckets(partitions_.size());
-  // Original batch positions, parallel to `buckets`, for error remapping.
-  std::vector<std::vector<size_t>> indices(partitions_.size());
-  for (size_t i = 0; i < pks.size(); ++i) {
-    size_t p = PartitionOf(pks[i]);
-    buckets[p].push_back(pks[i]);
-    indices[p].push_back(i);
-  }
-  Status first_error;
-  for (size_t p = 0; p < buckets.size(); ++p) {
-    if (buckets[p].empty()) continue;
-    BatchErrors part_errors;
-    Status st = partitions_[p]->DeleteBatch(buckets[p], &part_errors);
-    for (auto& [pos, rec_st] : part_errors) {
-      if (errors != nullptr) errors->emplace_back(indices[p][pos], rec_st);
-    }
-    if (first_error.ok() && !st.ok()) first_error = st;
-  }
-  return first_error;
+  return WriteOne(WriteOp::kInsert, record);
 }
 
 Status Dataset::Upsert(const AdmValue& record) {
-  TC_ASSIGN_OR_RETURN(int64_t pk, PrimaryKeyOf(record));
-  return partitions_[PartitionOf(pk)]->Upsert(record);
+  return WriteOne(WriteOp::kUpsert, record);
 }
 
-Status Dataset::Delete(int64_t pk) {
-  return partitions_[PartitionOf(pk)]->Delete(pk);
+Status Dataset::Delete(int64_t pk) { return WriteOne(WriteOp::kDelete, pk); }
+
+Status Dataset::InsertBatch(Span<const AdmValue> records, BatchErrors* errors) {
+  return WriteBatch(WriteOp::kInsert, records, errors);
+}
+
+Status Dataset::UpsertBatch(Span<const AdmValue> records, BatchErrors* errors) {
+  return WriteBatch(WriteOp::kUpsert, records, errors);
+}
+
+Status Dataset::DeleteBatch(Span<const int64_t> pks, BatchErrors* errors) {
+  return WriteBatch(WriteOp::kDelete, pks, errors);
 }
 
 Result<std::optional<AdmValue>> Dataset::Get(int64_t pk) {
@@ -660,30 +476,26 @@ Status Dataset::FlushAll() {
 }
 
 Status Dataset::BulkLoad(std::vector<AdmValue> records) {
-  // Partition, then sort each partition by primary key (the paper: bulk load
-  // sorts the records and builds a single component bottom-up).
-  std::vector<std::vector<std::pair<int64_t, const AdmValue*>>> buckets(
-      partitions_.size());
-  for (const AdmValue& r : records) {
-    TC_ASSIGN_OR_RETURN(int64_t pk, PrimaryKeyOf(r));
-    buckets[PartitionOf(pk)].emplace_back(pk, &r);
-  }
+  // Route and encode every record first, with the checks every write makes,
+  // so a bad record fails the load before any tree is touched. Then sort
+  // each partition by primary key (the paper: bulk load sorts the records
+  // and builds a single component bottom-up).
+  RoutedWrites routed;
+  TC_RETURN_IF_ERROR(Route(WriteOp::kInsert, Span<const AdmValue>(records),
+                           &routed, nullptr));
   for (size_t i = 0; i < partitions_.size(); ++i) {
-    auto& bucket = buckets[i];
+    auto& bucket = routed[i];
     std::sort(bucket.begin(), bucket.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
+              [](const EncodedWrite& a, const EncodedWrite& b) { return a.pk < b.pk; });
     DatasetPartition* part = partitions_[i].get();
-    Buffer payload;
     TC_RETURN_IF_ERROR(part->primary()->BulkLoad(
         [&](std::function<Status(const BtreeKey&, std::string_view)> add)
             -> Status {
-          for (const auto& [pk, rec] : bucket) {
-            payload.clear();
-            TC_RETURN_IF_ERROR(part->EncodeRecord(*rec, &payload));
+          for (const EncodedWrite& w : bucket) {
             TC_RETURN_IF_ERROR(
-                add(BtreeKey{pk, 0},
-                    std::string_view(reinterpret_cast<const char*>(payload.data()),
-                                     payload.size())));
+                add(BtreeKey{w.pk, 0},
+                    std::string_view(reinterpret_cast<const char*>(w.payload.data()),
+                                     w.payload.size())));
           }
           return Status::OK();
         }));
@@ -691,17 +503,15 @@ Status Dataset::BulkLoad(std::vector<AdmValue> records) {
       TC_RETURN_IF_ERROR(part->pk_index()->BulkLoad(
           [&](std::function<Status(const BtreeKey&, std::string_view)> add)
               -> Status {
-            for (const auto& [pk, rec] : bucket) {
-              TC_RETURN_IF_ERROR(add(BtreeKey{pk, 0}, {}));
+            for (const EncodedWrite& w : bucket) {
+              TC_RETURN_IF_ERROR(add(BtreeKey{w.pk, 0}, {}));
             }
             return Status::OK();
           }));
     }
     if (part->secondary() != nullptr) {
-      for (const auto& [pk, rec] : bucket) {
-        const AdmValue* v = rec->FindField(opts_.secondary_index_field);
-        if (v == nullptr) continue;
-        TC_RETURN_IF_ERROR(part->secondary()->Insert(v->int_value(), pk));
+      for (const EncodedWrite& w : bucket) {
+        TC_RETURN_IF_ERROR(part->secondary()->Insert(w.sk, w.pk));
       }
       TC_RETURN_IF_ERROR(part->secondary()->Flush());
     }

@@ -30,22 +30,22 @@
 
 namespace tc {
 
-/// Per-record failures of a batched insert: (record position, status). For
-/// the public InsertBatch APIs the position is the index into the submitted
-/// batch; for the lower-level InsertEncodedBatch it is the position within
-/// the passed span (callers owning a wider batch remap via EncodedWrite's
-/// `index`).
+/// Per-record failures of a batched write: (record position, status). For
+/// the Dataset batch APIs the position is the index into the submitted batch;
+/// for DatasetPartition::Write it is the position within the passed span
+/// (callers owning a wider batch remap via EncodedWrite's `index`).
 using BatchErrors = std::vector<std::pair<size_t, Status>>;
 
-/// One pre-encoded record of a batch — the handoff unit between the
-/// partitioning front ends (Dataset::InsertBatch, IngestFrontEnd's
-/// per-partition writers) and DatasetPartition::InsertEncodedBatch. `record`
-/// is viewed, not owned; `index` is the caller's batch offset, carried along
-/// so a bad record deep in a 10k-record feed stays locatable.
+/// One routed, pre-encoded write — the handoff unit between the
+/// route-and-encode step (Dataset::Route) and DatasetPartition::Write.
+/// `index` is the caller's batch offset, carried along so a bad record deep
+/// in a 10k-record feed stays locatable. Deletes carry only the pk.
 struct EncodedWrite {
   size_t index = 0;
   int64_t pk = 0;
-  const AdmValue* record = nullptr;
+  /// Secondary-index key of the new version (inserts and upserts on a
+  /// dataset with a secondary index).
+  int64_t sk = 0;
   Buffer payload;
 };
 
@@ -96,7 +96,8 @@ struct DatasetOptions {
   size_t wal_sync_every = 64;
   /// Primary-key index for upsert existence checks (paper §3.2.2, Fig. 17b).
   bool primary_key_index = false;
-  /// Name of a top-level bigint field to index (paper §4.4.5), empty = none.
+  /// Name of a top-level integer field to index (paper §4.4.5), empty =
+  /// none. Inserted and upserted records must carry it as tinyint .. bigint.
   std::string secondary_index_field;
   /// Executor for LSM merges AND flush builds across every partition's trees
   /// (not owned; must outlive the dataset). Null = caller-runs: the same
@@ -129,47 +130,21 @@ class DatasetPartition {
   static Result<std::unique_ptr<DatasetPartition>> Open(const DatasetOptions* opts,
                                                         int partition_id);
 
-  Status Insert(const AdmValue& record);
-  Status Upsert(const AdmValue& record);
-  Status Delete(int64_t pk);
+  /// The partition's one write path; single-record writes are batches of
+  /// one. Applies writes the route-and-encode step accepted under ONE
+  /// writer-lock acquisition: one group-committed primary LsmTree::Write
+  /// (single WAL write + fsync per group; upserts and deletes capture the
+  /// versions they replace), one pk-index Write, then secondary-index
+  /// maintenance from the replaced versions — all inside the same critical
+  /// section, so concurrent feeds interleave at batch granularity. `errors`
+  /// entries are positions within `writes`. A batch-level failure (primary or
+  /// pk-index write) marks every record failed, is returned, and sets
+  /// `*batch_failed` when provided; a per-record failure (secondary
+  /// maintenance) leaves it false.
+  Status Write(WriteOp op, Span<const EncodedWrite> writes,
+               BatchErrors* errors = nullptr, bool* batch_failed = nullptr);
+
   Result<std::optional<AdmValue>> Get(int64_t pk);
-
-  /// Batched insert into THIS partition (every record must hash here when
-  /// routed through a Dataset; direct callers just own the whole batch).
-  /// Encodes outside the partition writer lock, then applies everything in
-  /// one critical section. Per-record encode/pk failures go to `errors` (by
-  /// batch index) and the remaining records still apply; the first error also
-  /// comes back as the return status.
-  Status InsertBatch(Span<const AdmValue> records, BatchErrors* errors = nullptr);
-
-  /// The batch back end: applies pre-encoded records under ONE writer-lock
-  /// acquisition — one group-committed primary InsertBatch (single WAL write
-  /// + fsync per group), one pk-index InsertBatch, then the secondary-index
-  /// maintenance loop, all inside the same critical section so concurrent
-  /// feeds interleave at batch granularity. `errors` entries are positions
-  /// within `writes` (remap via writes[pos].index); a batch-level failure
-  /// (WAL/LSM primary or pk-index write) marks every record failed, is
-  /// returned, and sets `*batch_failed` when provided — per-record rejections
-  /// (secondary-index maintenance) leave it false.
-  Status InsertEncodedBatch(Span<EncodedWrite> writes,
-                            BatchErrors* errors = nullptr,
-                            bool* batch_failed = nullptr);
-
-  /// Batched upsert into THIS partition: encode outside the writer lock,
-  /// then one group-committed primary UpsertBatch (old versions captured
-  /// per-record inside), one pk-index round, and the secondary maintenance
-  /// loop — the InsertBatch shape with upsert semantics (fig17 §(f)).
-  Status UpsertBatch(Span<const AdmValue> records, BatchErrors* errors = nullptr);
-
-  /// The upsert batch back end (see InsertEncodedBatch for the errors /
-  /// batch_failed contract).
-  Status UpsertEncodedBatch(Span<EncodedWrite> writes,
-                            BatchErrors* errors = nullptr,
-                            bool* batch_failed = nullptr);
-
-  /// Batched delete by primary key; error positions index into `pks`.
-  Status DeleteBatch(Span<const int64_t> pks, BatchErrors* errors = nullptr,
-                     bool* batch_failed = nullptr);
 
   /// Pins a coherent snapshot of every tree in this partition (primary, and
   /// the pk/secondary indexes when configured).
@@ -212,10 +187,10 @@ class DatasetPartition {
  private:
   DatasetPartition() = default;
 
-  Status MaintainIndexesOnWrite(int64_t pk, const AdmValue& record,
-                                const std::optional<Buffer>& old_payload,
-                                bool is_delete);
-  Result<int64_t> ExtractSecondaryKey(const AdmValue& record) const;
+  // Moves the secondary-index entry of one applied write: drops the
+  // replaced version's entry, adds the new version's.
+  Status MaintainSecondary(WriteOp op, const EncodedWrite& w,
+                           const std::optional<Buffer>& old_payload);
 
   const DatasetOptions* opts_ = nullptr;
   int id_ = 0;
@@ -242,26 +217,42 @@ class Dataset {
   static Result<std::unique_ptr<Dataset>> Open(DatasetOptions options,
                                                size_t num_partitions);
 
+  /// Single-record writes: each is a batch of one, routed and encoded like
+  /// a batch record and handed straight to the owning partition's Write.
   Status Insert(const AdmValue& record);
   Status Upsert(const AdmValue& record);
   Status Delete(int64_t pk);
   Result<std::optional<AdmValue>> Get(int64_t pk);
 
-  /// Batched insert across partitions: records are hash-partitioned, encoded,
-  /// and applied with one writer-lock/WAL/memtable round per touched
-  /// partition. Per-record failures (bad pk, encode errors, index
-  /// maintenance) are reported in `errors` by submitted-batch index while the
-  /// healthy records still apply; the first error doubles as the return
-  /// status. Within a partition, records apply in submission order.
+  /// Batched writes across partitions: the batch is routed and encoded
+  /// (Route), then applied with one DatasetPartition::Write — one
+  /// writer-lock/WAL/memtable round — per touched partition. Per-record
+  /// failures (bad primary or secondary key, encode errors, index
+  /// maintenance) are reported in `errors` by submitted-batch index while
+  /// the healthy records still apply; the first error doubles as the return
+  /// status. Within a partition, records apply in submission order. Upserts
+  /// and deletes capture the versions they replace and move their index
+  /// entries.
   Status InsertBatch(Span<const AdmValue> records, BatchErrors* errors = nullptr);
-
-  /// Batched upsert across partitions: InsertBatch's hash-partition + encode
-  /// front end over the group-committed upsert back end (old-version capture
-  /// and index maintenance included).
   Status UpsertBatch(Span<const AdmValue> records, BatchErrors* errors = nullptr);
-
-  /// Batched delete across partitions; error positions index into `pks`.
+  /// Error positions index into `pks`.
   Status DeleteBatch(Span<const int64_t> pks, BatchErrors* errors = nullptr);
+
+  /// Writes routed to each partition, indexed by partition.
+  using RoutedWrites = std::vector<std::vector<EncodedWrite>>;
+
+  /// The route-and-encode step every write shares. Each item — a record, or
+  /// a pk for a delete by key — gets its primary key checked and is routed
+  /// to its owning partition. Unless `op` is kDelete (deletes carry only the
+  /// pk), its payload is encoded and, on a dataset with a secondary index,
+  /// its secondary key extracted; both keys must be integers (tinyint ..
+  /// bigint). Accepted writes are appended to `(*routed)[partition]` in
+  /// submission order; rejected ones go to `errors` by item index and reach
+  /// no tree. Returns the first rejection. Instantiated for AdmValue and
+  /// int64_t.
+  template <typename Item>
+  Status Route(WriteOp op, Span<const Item> items, RoutedWrites* routed,
+               BatchErrors* errors) const;
 
   /// Parses ADM text and inserts (convenience for examples). When
   /// `batch_offset` is given (multi-record feeds), any error message is
@@ -299,6 +290,17 @@ class Dataset {
 
  private:
   Dataset() = default;
+
+  // Route's per-item step; returns the owning partition.
+  Result<size_t> EncodeWrite(WriteOp op, const AdmValue& record,
+                             EncodedWrite* out) const;
+  Result<size_t> EncodeWrite(WriteOp op, int64_t pk, EncodedWrite* out) const;
+  // A single-record write: one EncodedWrite, no per-partition buckets.
+  template <typename Item>
+  Status WriteOne(WriteOp op, const Item& item);
+  // A batched write: Route, then one partition Write per touched partition.
+  template <typename Item>
+  Status WriteBatch(WriteOp op, Span<const Item> items, BatchErrors* errors);
 
   DatasetOptions opts_;
   std::vector<std::unique_ptr<DatasetPartition>> partitions_;

@@ -48,52 +48,27 @@ void IngestFrontEnd::CompleteChunk(
   if (--state->outstanding_chunks == 0) state->cv.notify_all();
 }
 
-IngestTicket IngestFrontEnd::Submit(std::vector<AdmValue> records, IngestOp op) {
+IngestTicket IngestFrontEnd::Submit(std::vector<AdmValue> records, WriteOp op) {
   IngestTicket ticket;
   ticket.state_ = std::make_shared<IngestTicket::State>();
-  // Move the records behind a shared_ptr FIRST, then encode: the
-  // EncodedWrites alias the AdmValues, so they must point at their final
-  // resting place.
-  auto owned = std::make_shared<std::vector<AdmValue>>(std::move(records));
-  std::vector<Chunk> chunks(queues_.size());
-  for (Chunk& c : chunks) c.op = op;
-  for (size_t i = 0; i < owned->size(); ++i) {
-    const AdmValue& rec = (*owned)[i];
-    EncodedWrite w;
-    w.index = i;
-    w.record = &rec;
-    auto pk = dataset_->PrimaryKeyOf(rec);
-    Status st = pk.ok() ? Status::OK() : pk.status();
-    size_t p = 0;
-    if (st.ok()) {
-      w.pk = pk.value();
-      p = dataset_->PartitionOf(w.pk);
-      if (op == IngestOp::kDelete) {
-        // Deletes carry no payload; only the pk travels.
-        w.record = nullptr;
-      } else {
-        st = dataset_->partition(p)->EncodeRecord(rec, &w.payload);
-      }
-    }
-    if (!st.ok()) {
-      // Rejected before it ever reaches a queue: report on the ticket now.
-      std::lock_guard<std::mutex> lock(ticket.state_->mu);
-      if (ticket.state_->first_error.ok()) ticket.state_->first_error = st;
-      ticket.state_->errors.emplace_back(i, std::move(st));
-      continue;
-    }
-    Chunk& c = chunks[p];
-    c.payload_bytes += op == IngestOp::kDelete ? sizeof(int64_t) : w.payload.size();
-    c.writes.push_back(std::move(w));
-  }
+  // Rejected records never reach a queue: they are on the ticket before any
+  // chunk is, so no writer races these assignments.
+  Dataset::RoutedWrites routed;
+  ticket.state_->first_error =
+      dataset_->Route(op, Span<const AdmValue>(records), &routed,
+                      &ticket.state_->errors);
   size_t outstanding = 0;
-  for (const Chunk& c : chunks) outstanding += c.writes.empty() ? 0 : 1;
+  for (const auto& writes : routed) outstanding += writes.empty() ? 0 : 1;
   ticket.state_->outstanding_chunks = outstanding;
   if (outstanding == 0) return ticket;  // everything rejected (or empty batch)
-  for (size_t p = 0; p < chunks.size(); ++p) {
-    if (chunks[p].writes.empty()) continue;
-    Chunk c = std::move(chunks[p]);
-    c.owned = owned;
+  for (size_t p = 0; p < routed.size(); ++p) {
+    if (routed[p].empty()) continue;
+    Chunk c;
+    c.writes = std::move(routed[p]);
+    for (const EncodedWrite& w : c.writes) {
+      c.payload_bytes += op == WriteOp::kDelete ? sizeof(int64_t) : w.payload.size();
+    }
+    c.op = op;
     c.ticket = ticket.state_;
     {
       std::lock_guard<std::mutex> lock(drain_mu_);
@@ -170,8 +145,8 @@ void IngestFrontEnd::WriterLoop(size_t partition) {
 }
 
 void IngestFrontEnd::CommitGroup(size_t partition, std::vector<Chunk>* group) {
-  // Concatenate the chunks into one span — ONE InsertEncodedBatch call is
-  // what turns N chunks into one WAL write + one fsync.
+  // Concatenate the chunks into one span — ONE DatasetPartition::Write call
+  // is what turns N chunks into one WAL write + one fsync.
   std::vector<EncodedWrite>* writes;
   std::vector<EncodedWrite> combined;
   std::vector<size_t> chunk_of;  // position -> owning chunk (multi-chunk only)
@@ -192,27 +167,8 @@ void IngestFrontEnd::CommitGroup(size_t partition, std::vector<Chunk>* group) {
   }
   BatchErrors errors;
   bool batch_failed = false;
-  Status st;
-  switch ((*group)[0].op) {
-    case IngestOp::kInsert:
-      st = dataset_->partition(partition)->InsertEncodedBatch(*writes, &errors,
-                                                              &batch_failed);
-      break;
-    case IngestOp::kUpsert:
-      st = dataset_->partition(partition)->UpsertEncodedBatch(*writes, &errors,
-                                                              &batch_failed);
-      break;
-    case IngestOp::kDelete: {
-      std::vector<int64_t> pks;
-      pks.reserve(writes->size());
-      for (const EncodedWrite& w : *writes) pks.push_back(w.pk);
-      // DeleteBatch error positions index into pks, which is position-aligned
-      // with `writes` — the attribution loop below works unchanged.
-      st = dataset_->partition(partition)->DeleteBatch(pks, &errors,
-                                                       &batch_failed);
-      break;
-    }
-  }
+  Status st = dataset_->partition(partition)->Write((*group)[0].op, *writes,
+                                                    &errors, &batch_failed);
   // Attribute per-record errors back to their tickets (positions are into the
   // combined span; EncodedWrite::index is the ticket-local submission index).
   std::vector<std::vector<std::pair<size_t, Status>>> per_chunk(group->size());

@@ -11,14 +11,14 @@
 // Durability semantics of the ack token (IngestTicket): Wait() returning OK
 // means every record of the submission was applied AND its WAL group was
 // written (synced, at cadence 1) — a crash after the ack cannot lose those
-// records. Records rejected per-record (bad pk, encode failure, index
-// maintenance) are reported with their submission index; records never
-// acknowledged may vanish in a crash, exactly like un-synced single-record
-// appends.
+// records. Records rejected per-record (bad primary or secondary key, encode
+// failure, index maintenance) are reported with their submission index;
+// records never acknowledged may vanish in a crash, exactly like un-synced
+// single-record appends.
 //
 // Backpressure composes: a stalled partition (max_pending_flush_builds
 // flush-build backpressure in the LSM below) blocks its writer in
-// InsertEncodedBatch, its queue fills, and Submit() blocks the producing
+// DatasetPartition::Write, its queue fills, and Submit() blocks the producing
 // feed — memory stays bounded end to end.
 #ifndef TC_CORE_INGEST_H_
 #define TC_CORE_INGEST_H_
@@ -73,12 +73,6 @@ class IngestTicket {
   std::shared_ptr<State> state_;
 };
 
-/// Operation carried by one Submit call. A feed can interleave all three on
-/// one front end; chunks of different ops never share a commit group (the
-/// writer closes the open group when the op changes), so within a partition
-/// the submitted operation order is preserved.
-enum class IngestOp : uint8_t { kInsert, kUpsert, kDelete };
-
 class IngestFrontEnd {
  public:
   /// `queue_capacity` bounds the chunks queued per partition before Submit
@@ -93,14 +87,18 @@ class IngestFrontEnd {
   IngestFrontEnd(const IngestFrontEnd&) = delete;
   IngestFrontEnd& operator=(const IngestFrontEnd&) = delete;
 
-  /// Hash-partitions and encodes `records` on the calling thread (so feed
-  /// threads parallelize the CPU-bound encode), enqueues one chunk per
-  /// touched partition, and returns the completion token. Blocks only when a
-  /// target partition's queue is full (backpressure). Thread-safe.
-  /// For IngestOp::kDelete each record only needs its primary-key field; no
-  /// payload is encoded.
+  /// Routes and encodes `records` on the calling thread (Dataset::Route, so
+  /// feed threads parallelize the CPU-bound encode), enqueues one chunk per
+  /// touched partition, and returns the completion token. Records Route
+  /// rejects are reported on the ticket at once. Blocks only when a target
+  /// partition's queue is full (backpressure). Thread-safe. For
+  /// WriteOp::kDelete each record only needs its primary-key field; no
+  /// payload is encoded. A feed can interleave all three ops on one front
+  /// end: chunks of different ops never share a commit group (the writer
+  /// closes the open group when the op changes), so within a partition the
+  /// submitted operation order is preserved.
   IngestTicket Submit(std::vector<AdmValue> records,
-                      IngestOp op = IngestOp::kInsert);
+                      WriteOp op = WriteOp::kInsert);
 
   /// Blocks until every submitted chunk has been applied (the front end
   /// stays usable). Returns the first batch-level commit failure ever hit by
@@ -111,13 +109,12 @@ class IngestFrontEnd {
   const GroupCommitConfig& config() const { return config_; }
 
  private:
-  // One partition's share of a submission: the encoded writes plus the
-  // records vector keeping their AdmValues alive and the ticket to complete.
+  // One partition's share of a submission: the encoded writes and the
+  // ticket to complete.
   struct Chunk {
-    std::shared_ptr<std::vector<AdmValue>> owned;
     std::vector<EncodedWrite> writes;
     size_t payload_bytes = 0;
-    IngestOp op = IngestOp::kInsert;
+    WriteOp op = WriteOp::kInsert;
     std::shared_ptr<IngestTicket::State> ticket;
   };
 

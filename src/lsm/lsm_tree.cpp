@@ -68,6 +68,17 @@ bool ParseComponentName(const std::string& file, const std::string& name,
   return std::sscanf(middle.c_str(), "%" PRIu64 "-%" PRIu64, cid_min, cid_max) == 2;
 }
 
+// The single-record calls: a Write batch of one.
+Status WriteOne(LsmTree* tree, WriteOp op, const BtreeKey& key,
+                std::string_view payload, std::optional<Buffer>* old_out) {
+  MemPutOp one{key, payload};
+  std::vector<std::optional<Buffer>> olds;
+  TC_RETURN_IF_ERROR(tree->Write(op, SingletonSpan<const MemPutOp>(one),
+                                 old_out != nullptr ? &olds : nullptr));
+  if (old_out != nullptr) *old_out = std::move(olds[0]);
+  return Status::OK();
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -502,29 +513,8 @@ Result<std::optional<Buffer>> LsmTree::CaptureOldVersion(const BtreeKey& key) {
   return View().GetDiskVersion(key);
 }
 
-Status LsmTree::Insert(const BtreeKey& key, std::string_view payload) {
-  MemPutOp one{key, payload};
-  return InsertBatch(SingletonSpan<const MemPutOp>(one));
-}
-
-Status LsmTree::InsertBatch(Span<const MemPutOp> ops) {
-  if (ops.empty()) return Status::OK();
-  std::lock_guard<std::mutex> wlock(write_mu_);
-  TC_RETURN_IF_ERROR(BackgroundError());
-  if (wal_ != nullptr) {
-    wal_batch_.clear();
-    wal_batch_.reserve(ops.size());
-    for (const MemPutOp& op : ops) {
-      wal_batch_.push_back(WalAppendOp{WalOp::kPut, op.key, op.payload});
-    }
-    TC_RETURN_IF_ERROR(wal_->AppendBatch(wal_batch_));
-  }
-  mem_->InsertBatch(ops);
-  return MaybeFlushPostWrite();
-}
-
-Status LsmTree::UpsertBatch(Span<const MemPutOp> ops,
-                            std::vector<std::optional<Buffer>>* old_out) {
+Status LsmTree::Write(WriteOp op, Span<const MemPutOp> ops,
+                      std::vector<std::optional<Buffer>>* old_out) {
   if (old_out != nullptr) {
     old_out->clear();
     old_out->resize(ops.size());
@@ -537,112 +527,56 @@ Status LsmTree::UpsertBatch(Span<const MemPutOp> ops,
   if (wal_ != nullptr) {
     wal_batch_.clear();
     wal_batch_.reserve(ops.size());
-    for (const MemPutOp& op : ops) {
-      wal_batch_.push_back(WalAppendOp{WalOp::kPut, op.key, op.payload});
+    for (const MemPutOp& m : ops) {
+      wal_batch_.push_back(op == WriteOp::kDelete
+                               ? WalAppendOp{WalOp::kDelete, m.key, {}}
+                               : WalAppendOp{WalOp::kPut, m.key, m.payload});
     }
     TC_RETURN_IF_ERROR(wal_->AppendBatch(wal_batch_));
+  }
+  if (op == WriteOp::kInsert) {
+    mem_->InsertBatch(ops);
+    return MaybeFlushPostWrite();
   }
   for (size_t i = 0; i < ops.size(); ++i) {
-    const MemPutOp& op = ops[i];
+    const BtreeKey& key = ops[i].key;
     std::optional<Buffer> old;
-    const MemTable::Entry* mem_hit = mem_->Get(op.key);  // writer-side, no copy
+    // Writer-side pointer read (no copy): we hold write_mu_, so nothing else
+    // mutates the live generation — the same reasoning the flush swap uses.
+    const MemTable::Entry* mem_hit = mem_->Get(key);
     if (mem_hit == nullptr) {
+      // Old-version capture is gated on capture_old_versions wherever the
+      // previous version lives — pending flush queue or disk — so the old_out
+      // contract does not depend on build timing. Trees that never capture
+      // (e.g. the pk index) skip both probes entirely.
       if (opts_.capture_old_versions) {
-        TC_ASSIGN_OR_RETURN(old, CaptureOldVersion(op.key));
+        TC_ASSIGN_OR_RETURN(old, CaptureOldVersion(key));
       }
-      if (old_out != nullptr && old.has_value()) (*old_out)[i] = old;
-    } else if (old_out != nullptr && !mem_hit->anti && !mem_hit->payload.empty()) {
-      (*old_out)[i] = mem_hit->payload;
-    }
-    mem_->Put(op.key, Buffer(op.payload.begin(), op.payload.end()),
-              std::move(old));
-  }
-  return MaybeFlushPostWrite();
-}
-
-Status LsmTree::DeleteBatch(Span<const BtreeKey> keys,
-                            std::vector<std::optional<Buffer>>* old_out) {
-  if (old_out != nullptr) {
-    old_out->clear();
-    old_out->resize(keys.size());
-  }
-  if (keys.empty()) return Status::OK();
-  std::lock_guard<std::mutex> wlock(write_mu_);
-  TC_RETURN_IF_ERROR(BackgroundError());
-  if (wal_ != nullptr) {
-    wal_batch_.clear();
-    wal_batch_.reserve(keys.size());
-    for (const BtreeKey& key : keys) {
-      wal_batch_.push_back(WalAppendOp{WalOp::kDelete, key, {}});
-    }
-    TC_RETURN_IF_ERROR(wal_->AppendBatch(wal_batch_));
-  }
-  for (size_t i = 0; i < keys.size(); ++i) {
-    std::optional<Buffer> old;
-    const MemTable::Entry* mem_hit = mem_->Get(keys[i]);
-    if (mem_hit == nullptr) {
-      if (opts_.capture_old_versions) {
-        TC_ASSIGN_OR_RETURN(old, CaptureOldVersion(keys[i]));
-      }
-      // Delete's miss path ALWAYS assigns (nullopt included), as Delete does.
       if (old_out != nullptr) (*old_out)[i] = old;
     } else if (old_out != nullptr && !mem_hit->anti && !mem_hit->payload.empty()) {
       (*old_out)[i] = mem_hit->payload;
     }
-    mem_->Delete(keys[i], std::move(old));
+    if (op == WriteOp::kDelete) {
+      mem_->Delete(key, std::move(old));
+    } else {
+      mem_->Put(key, Buffer(ops[i].payload.begin(), ops[i].payload.end()),
+                std::move(old));
+    }
   }
   return MaybeFlushPostWrite();
+}
+
+Status LsmTree::Insert(const BtreeKey& key, std::string_view payload) {
+  return WriteOne(this, WriteOp::kInsert, key, payload, nullptr);
 }
 
 Status LsmTree::Upsert(const BtreeKey& key, std::string_view payload,
                        std::optional<Buffer>* old_out) {
-  std::lock_guard<std::mutex> wlock(write_mu_);
-  TC_RETURN_IF_ERROR(BackgroundError());
-  if (wal_ != nullptr) {
-    auto lsn = wal_->Append(WalOp::kPut, key, payload);
-    if (!lsn.ok()) return lsn.status();
-  }
-  std::optional<Buffer> old;
-  // Writer-side pointer read (no copy): we hold write_mu_, so nothing else
-  // mutates the live generation — the same reasoning the flush swap uses.
-  const MemTable::Entry* mem_hit = mem_->Get(key);
-  if (mem_hit == nullptr) {
-    // Old-version capture is gated on capture_old_versions wherever the
-    // previous version lives — pending flush queue or disk — so the old_out
-    // contract does not depend on build timing. Trees that never capture
-    // (e.g. the pk index) skip both probes entirely.
-    if (opts_.capture_old_versions) {
-      TC_ASSIGN_OR_RETURN(old, CaptureOldVersion(key));
-    }
-    if (old_out != nullptr && old.has_value()) *old_out = old;
-  } else if (old_out != nullptr && !mem_hit->anti && !mem_hit->payload.empty()) {
-    *old_out = mem_hit->payload;
-  }
-  mem_->Put(key, Buffer(payload.begin(), payload.end()), std::move(old));
-  return MaybeFlushPostWrite();
+  return WriteOne(this, WriteOp::kUpsert, key, payload, old_out);
 }
 
 Status LsmTree::Delete(const BtreeKey& key, std::optional<Buffer>* old_out) {
-  std::lock_guard<std::mutex> wlock(write_mu_);
-  TC_RETURN_IF_ERROR(BackgroundError());
-  if (wal_ != nullptr) {
-    auto lsn = wal_->Append(WalOp::kDelete, key, {});
-    if (!lsn.ok()) return lsn.status();
-  }
-  std::optional<Buffer> old;
-  const MemTable::Entry* mem_hit = mem_->Get(key);  // writer-side, no copy
-  if (mem_hit == nullptr) {
-    if (opts_.capture_old_versions) {
-      TC_ASSIGN_OR_RETURN(old, CaptureOldVersion(key));
-    }
-    // Unlike Upsert, Delete's miss path ALWAYS assigns *old_out (nullopt
-    // included) — the historical contract.
-    if (old_out != nullptr) *old_out = old;
-  } else if (old_out != nullptr && !mem_hit->anti && !mem_hit->payload.empty()) {
-    *old_out = mem_hit->payload;
-  }
-  mem_->Delete(key, std::move(old));
-  return MaybeFlushPostWrite();
+  return WriteOne(this, WriteOp::kDelete, key, {}, old_out);
 }
 
 Status LsmTree::MaybeFlushPostWrite() {

@@ -68,6 +68,10 @@
 
 namespace tc {
 
+/// Kind of a write: every layer's one write path (LsmTree, DatasetPartition,
+/// IngestFrontEnd) takes a batch of ops of one kind.
+enum class WriteOp : uint8_t { kInsert, kUpsert, kDelete };
+
 /// Flush-lifecycle hook (paper §3.1): the tuple compactor implements this to
 /// piggyback schema inference and record compaction on flush operations.
 class FlushTransformer {
@@ -389,7 +393,8 @@ class LsmTree {
   /// releases the tree's own pins and reclaims whatever no view still holds.
   /// Queued flush builds are canceled only when a WAL backs the tree (the
   /// sealed generations keep their WAL segments on disk for the next Open to
-  /// replay); WAL-less trees drain them so clean teardown stays lossless.
+  /// replay); WAL-less trees drain them. The live generation is never
+  /// flushed here, so a WAL-less tree loses its unflushed entries.
   ~LsmTree();
 
   /// Snapshot acquisition: O(components) pointer copies under `mu_`.
@@ -398,40 +403,32 @@ class LsmTree {
   /// consumers (query pipelines, iterators).
   ReadViewRef AcquireView() const;
 
-  /// Inserts a record assumed new (no old-version lookup) — the insert-only
-  /// feed path of Figure 17a. A batch of one: delegates to InsertBatch.
-  Status Insert(const BtreeKey& key, std::string_view payload);
-
-  /// Batched insert: ONE writer-lock acquisition, ONE group-committed WAL
-  /// append (a single buffered write + at most one fdatasync per the sync
-  /// cadence), and ONE memtable lock round for the whole batch — the
-  /// amortization that lifts records/sec/core in fig17's batch axis. The
-  /// memtable budget is checked once, after the batch, so a flush triggers at
-  /// batch granularity. All-or-nothing durability: when this returns OK the
-  /// whole batch is logged (and synced, at cadence 1); on error none of it is
+  /// The tree's one write path: applies a batch of ops of one kind under ONE
+  /// writer-lock acquisition, with ONE group-committed WAL append (a single
+  /// buffered write + at most one fdatasync per the sync cadence), then
+  /// checks the memtable budget once, so a flush triggers at batch
+  /// granularity. All-or-nothing durability: when this returns OK the whole
+  /// batch is logged (and synced, at cadence 1); on error none of it is
   /// acknowledged.
-  Status InsertBatch(Span<const MemPutOp> ops);
+  ///  * kInsert assumes new keys: one memtable lock round for the batch, no
+  ///    old-version lookup — the insert-only feed path of Figure 17a.
+  ///  * kUpsert (delete-if-exists + insert, §2.2) and kDelete (anti-matter)
+  ///    apply per op, in order. On a memtable miss each captures the old
+  ///    on-disk version when capture_old_versions is set, so the flush can
+  ///    process its anti-schema (§3.2.2). A kDelete op's payload is ignored.
+  /// `old_out`, if non-null, is resized to ops.size(): slot i holds the
+  /// version ops[i] replaced — the live memtable's entry, or the captured
+  /// on-disk version on a miss — and nullopt when there was none (always,
+  /// for kInsert).
+  Status Write(WriteOp op, Span<const MemPutOp> ops,
+               std::vector<std::optional<Buffer>>* old_out = nullptr);
 
-  /// Upsert = delete-if-exists + insert (§2.2). Captures the old on-disk
-  /// version when configured; `old_out`, if non-null, receives it.
+  /// Single-record calls: each is a Write batch of one, `old_out` receiving
+  /// slot 0.
+  Status Insert(const BtreeKey& key, std::string_view payload);
   Status Upsert(const BtreeKey& key, std::string_view payload,
                 std::optional<Buffer>* old_out = nullptr);
-
-  /// Deletes by key (inserts an anti-matter entry).
   Status Delete(const BtreeKey& key, std::optional<Buffer>* old_out = nullptr);
-
-  /// Batched upsert: ONE writer-lock acquisition and ONE group-committed WAL
-  /// append for the whole batch (the InsertBatch amortization), then the
-  /// per-record old-version capture of Upsert. `old_out`, if non-null, is
-  /// resized to ops.size(); slot i follows Upsert's old_out contract for
-  /// ops[i] (assigned only when an old version existed).
-  Status UpsertBatch(Span<const MemPutOp> ops,
-                     std::vector<std::optional<Buffer>>* old_out = nullptr);
-
-  /// Batched delete; slot i of `old_out` follows Delete's contract for
-  /// keys[i] (always assigned on the memtable-miss path, nullopt included).
-  Status DeleteBatch(Span<const BtreeKey> keys,
-                     std::vector<std::optional<Buffer>>* old_out = nullptr);
 
   /// Point lookup through a fresh snapshot (thin wrapper over ReadView::Get).
   Result<std::optional<Buffer>> Get(const BtreeKey& key);
@@ -649,9 +646,9 @@ class LsmTree {
   MergeTransformer identity_merge_;
   MergeTransformer* merge_transformer_ = nullptr;
 
-  // Serializes writers (Insert/Upsert/Delete/Flush/BulkLoad/DestroyAll) end
-  // to end: WAL append, memtable update, generation swaps. Readers and pool
-  // jobs never take it.
+  // Serializes writers (Write/Flush/BulkLoad/DestroyAll) end to end: WAL
+  // append, memtable update, generation swaps. Readers and pool jobs never
+  // take it.
   std::mutex write_mu_;
 
   // Guards the STRUCTURE only — the component vector, the live memtable
@@ -679,8 +676,8 @@ class LsmTree {
   // the destructor always cancels queued MERGE jobs (their inputs stay live
   // in the tree), but cancels queued FLUSH builds only when a WAL backs the
   // tree — without one, a sealed generation has no segment to replay, so
-  // teardown must drain its build to stay lossless (the pk/secondary index
-  // trees run WAL-less). Caller-runs groups without a pool.
+  // teardown drains its build (the pk/secondary index trees run WAL-less;
+  // their live generation is still lost). Caller-runs groups without a pool.
   std::unique_ptr<TaskGroup> flush_jobs_;
   std::unique_ptr<TaskGroup> merge_jobs_;
 

@@ -37,10 +37,11 @@
 
 namespace tc {
 
-/// One record of a batched insertion: a key plus its encoded payload (viewed,
-/// not owned — alive until the batch call returns). Insert-only, so batch
-/// entries never carry old versions; updates that must capture the previous
-/// on-disk version go through the per-record Put/Delete path.
+/// One op of a batched tree write (LsmTree::Write): a key plus its encoded
+/// payload (viewed, not owned — alive until the batch call returns; empty for
+/// deletes). Ops never carry old versions: for upserts and deletes the tree
+/// captures the previous on-disk version per op and hands it to Put/Delete;
+/// inserts go through InsertBatch, which captures nothing.
 struct MemPutOp {
   BtreeKey key;
   std::string_view payload;

@@ -47,7 +47,6 @@ Result<PaperQueryResult> RunPaperQuery(const std::string& dataset, int q,
 
 /// Cross-dataset join: tweets-per-country via users ⋈ tweets on user id
 /// (users build side, tweets probe side; see query/vec/hash_join.h).
-/// QueryOptions::vectorized picks the probe arm.
 Result<PaperQueryResult> TwitterJoinTopCountries(Dataset* users,
                                                  Dataset* tweets,
                                                  const QueryOptions& opt);

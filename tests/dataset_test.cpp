@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <cstdlib>
 
 #include "adm/parser.h"
@@ -427,6 +429,116 @@ TEST(Dataset, DeleteBatchRemovesRecordsAndIndexEntries) {
   }
 }
 
+DatasetOptions ScoreIndexedOptions() {
+  DatasetOptions o = SmallOptions(SchemaMode::kInferred);
+  o.primary_key_index = true;
+  o.secondary_index_field = "score";
+  return o;
+}
+
+// The secondary key must be an integer (tinyint .. bigint), like the primary
+// key, and a record whose key the index cannot take reaches no tree: not the
+// primary, not its WAL, not the pk index — whichever entry point it came in.
+TEST(Dataset, NonIntegerSecondaryKeyRejectedBeforeApply) {
+  DatasetFixture fx;
+  ASSERT_TRUE(fx.Open(ScoreIndexedOptions(), 2).ok());
+  ASSERT_TRUE(fx.dataset->Insert(R(R"({"id": 1, "score": 10})")).ok());
+  Status st = fx.dataset->Insert(R(R"({"id": 2, "score": "x"})"));
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+  EXPECT_FALSE(fx.dataset->Insert(R(R"({"id": 3, "score": 3.7})")).ok());
+  EXPECT_FALSE(fx.dataset->Insert(R(R"({"id": 4})")).ok());
+  EXPECT_FALSE(fx.dataset->Upsert(R(R"({"id": 5, "score": null})")).ok());
+  EXPECT_FALSE(fx.dataset->Upsert(R(R"({"id": 1, "score": true})")).ok());
+  BatchErrors errors;
+  std::vector<AdmValue> batch = {R(R"({"id": 6, "score": 6})"),
+                                 R(R"({"id": 7, "score": "7"})")};
+  EXPECT_FALSE(fx.dataset->InsertBatch(batch, &errors).ok());
+  ASSERT_EQ(errors.size(), 1u);
+  EXPECT_EQ(errors[0].first, 1u);
+  {
+    IngestFrontEnd fe(fx.dataset.get());
+    std::vector<AdmValue> feed;
+    feed.push_back(R(R"({"id": 8, "score": 1.5})"));
+    IngestTicket ticket = fe.Submit(std::move(feed), WriteOp::kUpsert);
+    EXPECT_FALSE(ticket.Wait().ok());
+    ASSERT_EQ(ticket.errors().size(), 1u);
+    EXPECT_EQ(ticket.errors()[0].first, 0u);
+    EXPECT_TRUE(fe.Drain().ok());  // a rejection is not a batch failure
+  }
+  auto check_primary = [&] {
+    for (int64_t pk : {2, 3, 4, 5, 7, 8}) {
+      EXPECT_FALSE(fx.dataset->Get(pk).ValueOrDie().has_value()) << pk;
+    }
+    auto one = fx.dataset->Get(1).ValueOrDie();
+    ASSERT_TRUE(one.has_value());
+    EXPECT_EQ(one->FindField("score")->int_value(), 10);
+    EXPECT_TRUE(fx.dataset->Get(6).ValueOrDie().has_value());
+  };
+  check_primary();
+  auto all = fx.dataset->SecondaryRangeScan(INT64_MIN, INT64_MAX).ValueOrDie();
+  std::sort(all.begin(), all.end());
+  EXPECT_EQ(all, (std::vector<int64_t>{1, 6}));
+  for (DatasetPartition* p : {fx.dataset->partition(0), fx.dataset->partition(1)}) {
+    for (int64_t pk : {2, 3, 4, 5, 7, 8}) {
+      EXPECT_FALSE(p->pk_index()->Get(BtreeKey{pk, 0}).ValueOrDie().has_value())
+          << pk;
+    }
+  }
+  // Restart without a flush: the primary WAL replays, and it never logged
+  // the rejected records.
+  ASSERT_TRUE(fx.Reopen(ScoreIndexedOptions(), 2).ok());
+  check_primary();
+}
+
+TEST(Dataset, UpsertBatchKeepsOldVersionOfBadSecondaryKey) {
+  DatasetFixture fx;
+  ASSERT_TRUE(fx.Open(ScoreIndexedOptions(), 2).ok());
+  std::vector<AdmValue> batch = {R(R"({"id": 1, "score": 10})"),
+                                 R(R"({"id": 2, "score": 20})"),
+                                 R(R"({"id": 3, "score": 30})")};
+  ASSERT_TRUE(fx.dataset->InsertBatch(batch).ok());
+  ASSERT_TRUE(fx.dataset->FlushAll().ok());
+  batch = {R(R"({"id": 1, "score": 11})"), R(R"({"id": 2, "score": "bad"})"),
+           R(R"({"id": 3, "score": 31})")};
+  BatchErrors errors;
+  EXPECT_FALSE(fx.dataset->UpsertBatch(batch, &errors).ok());
+  ASSERT_EQ(errors.size(), 1u);
+  EXPECT_EQ(errors[0].first, 1u);
+  EXPECT_EQ(errors[0].second.code(), StatusCode::kInvalidArgument);
+  for (bool flushed : {false, true}) {
+    EXPECT_EQ(fx.dataset->Get(1).ValueOrDie()->FindField("score")->int_value(), 11)
+        << flushed;
+    EXPECT_EQ(fx.dataset->Get(2).ValueOrDie()->FindField("score")->int_value(), 20)
+        << flushed;
+    EXPECT_EQ(fx.dataset->Get(3).ValueOrDie()->FindField("score")->int_value(), 31)
+        << flushed;
+    EXPECT_EQ(fx.dataset->SecondaryRangeScan(20, 20).ValueOrDie(),
+              (std::vector<int64_t>{2}));
+    EXPECT_TRUE(fx.dataset->SecondaryRangeScan(10, 10).ValueOrDie().empty());
+    EXPECT_TRUE(fx.dataset->SecondaryRangeScan(30, 30).ValueOrDie().empty());
+    auto all = fx.dataset->SecondaryRangeScan(INT64_MIN, INT64_MAX).ValueOrDie();
+    EXPECT_EQ(all.size(), 3u);
+    ASSERT_TRUE(fx.dataset->FlushAll().ok());
+  }
+}
+
+TEST(Dataset, BulkLoadRejectsNonIntegerSecondaryKey) {
+  for (const char* bad : {R"({"id": 2, "score": "x"})", R"({"id": 2})"}) {
+    DatasetFixture fx;
+    ASSERT_TRUE(fx.Open(ScoreIndexedOptions(), 2).ok());
+    std::vector<AdmValue> records = {R(R"({"id": 1, "score": 1})"), R(bad),
+                                     R(R"({"id": 3, "score": 3})")};
+    Status st = fx.dataset->BulkLoad(std::move(records));
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << bad;
+    // Rejected before any tree was built.
+    EXPECT_FALSE(fx.dataset->Get(1).ValueOrDie().has_value()) << bad;
+    EXPECT_TRUE(fx.dataset->SecondaryRangeScan(INT64_MIN, INT64_MAX)
+                    .ValueOrDie()
+                    .empty())
+        << bad;
+  }
+}
+
 /// Filesystem wrapper that (once armed) fails component creation for the
 /// pk-index tree only — forces a batch-level pk-index failure while the
 /// primary keeps working.
@@ -565,9 +677,9 @@ TEST(Dataset, IngestFrontEndMixedOperations) {
   for (int64_t id = 0; id < 25; ++id) {
     deletes.push_back(R(R"({"id": )" + std::to_string(id) + "}"));
   }
-  IngestTicket t1 = fe.Submit(std::move(inserts), IngestOp::kInsert);
-  IngestTicket t2 = fe.Submit(std::move(upserts), IngestOp::kUpsert);
-  IngestTicket t3 = fe.Submit(std::move(deletes), IngestOp::kDelete);
+  IngestTicket t1 = fe.Submit(std::move(inserts), WriteOp::kInsert);
+  IngestTicket t2 = fe.Submit(std::move(upserts), WriteOp::kUpsert);
+  IngestTicket t3 = fe.Submit(std::move(deletes), WriteOp::kDelete);
   EXPECT_TRUE(t1.Wait().ok());
   EXPECT_TRUE(t2.Wait().ok());
   EXPECT_TRUE(t3.Wait().ok());
@@ -584,6 +696,147 @@ TEST(Dataset, IngestFrontEndMixedOperations) {
     const AdmValue* v = got.value()->FindField("v");
     ASSERT_NE(v, nullptr);
     EXPECT_EQ(v->int_value(), id < 50 ? 1 : 2) << "id " << id;
+  }
+}
+
+// One write path: the same seeded mix of inserts, upserts and deletes gives
+// the same dataset whether it goes in record at a time, as *Batch chunks, or
+// through the ingest front end — records, secondary index, inferred schemas
+// (anti-schema processing included) and old-version lookups alike.
+TEST(Dataset, WriteEntryPointsAgreeOnMixedOps) {
+  constexpr int64_t kKeys = 300;
+  constexpr int64_t kBaseKeys = 200;
+  struct Op {
+    WriteOp kind;
+    AdmValue record;  // pk only for deletes
+  };
+  auto scored = [](Rng* rng, int64_t id) {
+    AdmValue rec = testutil::RandomRecord(rng, id, /*depth=*/3);
+    rec.AddField("score", AdmValue::BigInt(rng->Range(0, 40)));
+    return rec;
+  };
+  Rng rng(20260417);
+  std::vector<AdmValue> base;
+  std::vector<bool> live(kKeys, false);
+  for (int64_t id = 0; id < kBaseKeys; ++id) {
+    base.push_back(scored(&rng, id));
+    live[id] = true;
+  }
+  // Runs of one op kind, so the batched paths see repeated keys per batch;
+  // inserts only target keys that are not live.
+  std::vector<std::vector<Op>> chunks;
+  for (int c = 0; c < 60; ++c) {
+    WriteOp kind = static_cast<WriteOp>(rng.Uniform(3));
+    std::vector<Op> chunk;
+    size_t n = 1 + rng.Uniform(12);
+    for (size_t i = 0; i < n; ++i) {
+      int64_t id = rng.Range(0, kKeys - 1);
+      if (kind == WriteOp::kInsert) {
+        if (live[id]) continue;
+        live[id] = true;
+        chunk.push_back({kind, scored(&rng, id)});
+      } else if (kind == WriteOp::kUpsert) {
+        live[id] = true;
+        chunk.push_back({kind, scored(&rng, id)});
+      } else {
+        live[id] = false;
+        AdmValue pk_only = AdmValue::Object();
+        pk_only.AddField("id", AdmValue::BigInt(id));
+        chunk.push_back({kind, std::move(pk_only)});
+      }
+    }
+    if (!chunk.empty()) chunks.push_back(std::move(chunk));
+  }
+
+  struct Outcome {
+    std::vector<std::string> records;
+    std::vector<int64_t> secondary;
+    std::vector<Schema> schemas;
+    uint64_t old_version_lookups = 0;
+  };
+  enum class Path { kSingle, kBatch, kFrontEnd };
+  auto run = [&](Path path, Outcome* out) {
+    DatasetFixture fx;
+    DatasetOptions o = ScoreIndexedOptions();
+    o.memtable_budget_bytes = 16 << 20;  // only the explicit flushes below
+    ASSERT_TRUE(fx.Open(o, 2).ok());
+    Dataset* ds = fx.dataset.get();
+    ASSERT_TRUE(ds->InsertBatch(base).ok());
+    ASSERT_TRUE(ds->FlushAll().ok());
+    std::unique_ptr<IngestFrontEnd> fe;
+    if (path == Path::kFrontEnd) {
+      GroupCommitConfig gc;
+      gc.max_records = 16;
+      gc.max_usecs = 200;
+      fe = std::make_unique<IngestFrontEnd>(ds, gc, /*queue_capacity=*/4);
+    }
+    std::vector<IngestTicket> tickets;
+    for (const std::vector<Op>& chunk : chunks) {
+      WriteOp kind = chunk.front().kind;
+      std::vector<AdmValue> records;
+      std::vector<int64_t> pks;
+      for (const Op& op : chunk) {
+        records.push_back(op.record);
+        pks.push_back(op.record.FindField("id")->int_value());
+      }
+      switch (path) {
+        case Path::kSingle:
+          for (size_t i = 0; i < records.size(); ++i) {
+            Status st = kind == WriteOp::kInsert   ? ds->Insert(records[i])
+                        : kind == WriteOp::kUpsert ? ds->Upsert(records[i])
+                                                   : ds->Delete(pks[i]);
+            ASSERT_TRUE(st.ok()) << st.ToString();
+          }
+          break;
+        case Path::kBatch: {
+          Status st = kind == WriteOp::kInsert   ? ds->InsertBatch(records)
+                      : kind == WriteOp::kUpsert ? ds->UpsertBatch(records)
+                                                 : ds->DeleteBatch(pks);
+          ASSERT_TRUE(st.ok()) << st.ToString();
+          break;
+        }
+        case Path::kFrontEnd:
+          tickets.push_back(fe->Submit(std::move(records), kind));
+          break;
+      }
+    }
+    for (IngestTicket& t : tickets) ASSERT_TRUE(t.Wait().ok());
+    if (fe != nullptr) {
+      ASSERT_TRUE(fe->Drain().ok());
+      fe.reset();
+    }
+    ASSERT_TRUE(ds->FlushAll().ok());
+    for (int64_t id = 0; id < kKeys; ++id) {
+      auto got = ds->Get(id).ValueOrDie();
+      out->records.push_back(got.has_value() ? PrintAdm(*got) : "<absent>");
+    }
+    out->secondary = ds->SecondaryRangeScan(INT64_MIN, INT64_MAX).ValueOrDie();
+    for (size_t p = 0; p < ds->partition_count(); ++p) {
+      out->schemas.push_back(ds->partition(p)->SchemaSnapshot());
+    }
+    out->old_version_lookups = ds->AggregateStats().old_version_lookups;
+  };
+  Outcome single, batch, front_end;
+  run(Path::kSingle, &single);
+  run(Path::kBatch, &batch);
+  run(Path::kFrontEnd, &front_end);
+  ASSERT_FALSE(HasFatalFailure());
+  for (int64_t id = 0; id < kKeys; ++id) {
+    EXPECT_EQ(live[id], single.records[id] != "<absent>") << id;
+  }
+  EXPECT_FALSE(single.secondary.empty());
+  EXPECT_GT(single.old_version_lookups, 0u);
+  for (const Outcome* other : {&batch, &front_end}) {
+    EXPECT_EQ(other->records, single.records);
+    EXPECT_EQ(other->secondary, single.secondary);
+    ASSERT_EQ(other->schemas.size(), single.schemas.size());
+    for (size_t p = 0; p < single.schemas.size(); ++p) {
+      EXPECT_TRUE(other->schemas[p].Equals(single.schemas[p]))
+          << "partition " << p << "\n"
+          << other->schemas[p].ToString() << "\nvs\n"
+          << single.schemas[p].ToString();
+    }
+    EXPECT_EQ(other->old_version_lookups, single.old_version_lookups);
   }
 }
 

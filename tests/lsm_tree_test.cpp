@@ -141,6 +141,85 @@ TEST(LsmTree, UpsertCapturesOldDiskVersionOnce) {
   EXPECT_EQ(S(*old), "v2");  // previous visible (in-memory) version
 }
 
+// A batched Write(kUpsert / kDelete) with repeated keys reports, slot by
+// slot, the same replaced versions as the same ops issued one at a time, and
+// leaves the same memtable (captured on-disk versions included).
+TEST(LsmTree, BatchWriteReportsOldVersionsLikeSingleOps) {
+  auto open = [](LsmFixture* fx) {
+    LsmTreeOptions o;
+    o.fs = fx->fs;
+    o.cache = &fx->cache;
+    o.dir = "lsm";
+    o.name = "ops";
+    o.page_size = 4096;
+    o.memtable_budget_bytes = 1 << 20;
+    o.capture_old_versions = true;
+    o.wal_sync_every = 0;
+    return LsmTree::Open(std::move(o)).ValueOrDie();
+  };
+  LsmFixture batch_fx, single_fx;
+  auto batched = open(&batch_fx);
+  auto single = open(&single_fx);
+  for (LsmTree* t : {batched.get(), single.get()}) {
+    for (int64_t k = 1; k <= 4; ++k) {
+      ASSERT_TRUE(t->Insert(BtreeKey{k, 0}, "disk" + std::to_string(k)).ok());
+    }
+    ASSERT_TRUE(t->Flush().ok());
+  }
+  auto op = [](int64_t k, std::string_view payload) {
+    return MemPutOp{BtreeKey{k, 0}, payload};
+  };
+  const std::vector<std::pair<WriteOp, std::vector<MemPutOp>>> rounds = {
+      {WriteOp::kUpsert,
+       {op(1, "u1a"), op(2, "u2"), op(1, "u1b"), op(5, "u5a"), op(5, "u5b")}},
+      {WriteOp::kDelete, {op(2, {}), op(1, {}), op(6, {}), op(2, {}), op(3, {})}},
+      {WriteOp::kUpsert, {op(3, "u3"), op(2, "u2c"), op(4, "u4"), op(4, "u4b")}},
+      {WriteOp::kDelete, {op(4, {}), op(4, {})}},
+  };
+  for (const auto& [kind, ops] : rounds) {
+    std::vector<std::optional<Buffer>> batch_old;
+    ASSERT_TRUE(batched->Write(kind, ops, &batch_old).ok());
+    ASSERT_EQ(batch_old.size(), ops.size());
+    for (size_t i = 0; i < ops.size(); ++i) {
+      std::optional<Buffer> one;
+      Status st = kind == WriteOp::kDelete
+                      ? single->Delete(ops[i].key, &one)
+                      : single->Upsert(ops[i].key, ops[i].payload, &one);
+      ASSERT_TRUE(st.ok());
+      EXPECT_EQ(batch_old[i], one) << "op " << i << " key " << ops[i].key.a;
+    }
+  }
+  // Spot-check the first round's contract: disk versions on a miss, the
+  // memtable's version on a repeat, nothing for a new key.
+  {
+    LsmFixture fx;
+    auto t = open(&fx);
+    ASSERT_TRUE(t->Insert(BtreeKey{1, 0}, "disk1").ok());
+    ASSERT_TRUE(t->Flush().ok());
+    std::vector<std::optional<Buffer>> old;
+    ASSERT_TRUE(t->Write(WriteOp::kUpsert, rounds[0].second, &old).ok());
+    ASSERT_EQ(old.size(), 5u);
+    EXPECT_EQ(S(*old[0]), "disk1");
+    EXPECT_EQ(S(*old[2]), "u1a");
+    EXPECT_FALSE(old[3].has_value());
+    EXPECT_EQ(S(*old[4]), "u5a");
+  }
+  EXPECT_EQ(batched->stats().old_version_lookups,
+            single->stats().old_version_lookups);
+  LsmTree::ReadView batch_view = batched->View();
+  LsmTree::ReadView single_view = single->View();
+  const MemTable& bm = batch_view.memtable();
+  const MemTable& sm = single_view.memtable();
+  ASSERT_EQ(bm.entry_count(), sm.entry_count());
+  for (auto b = bm.begin(), s = sm.begin(); b != bm.end(); ++b, ++s) {
+    EXPECT_EQ(b->first.a, s->first.a);
+    EXPECT_EQ(b->second.anti, s->second.anti) << b->first.a;
+    EXPECT_EQ(b->second.payload, s->second.payload) << b->first.a;
+    EXPECT_EQ(b->second.has_old, s->second.has_old) << b->first.a;
+    EXPECT_EQ(b->second.old_payload, s->second.old_payload) << b->first.a;
+  }
+}
+
 TEST(LsmTree, KeyMayExistFilterSkipsLookups) {
   LsmFixture fx;
   LsmTreeOptions o;

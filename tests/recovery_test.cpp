@@ -276,12 +276,12 @@ TEST(Recovery, AckedBatchSurvivesTornFollowingBatch) {
     auto t = LsmTree::Open(BaseOptions(fs, &cache)).ValueOrDie();
     std::vector<MemPutOp> batch_a;
     for (int64_t k = 1; k <= 4; ++k) batch_a.push_back({BtreeKey{k, 0}, "acked"});
-    ASSERT_TRUE(t->InsertBatch(batch_a).ok());
+    ASSERT_TRUE(t->Write(WriteOp::kInsert, batch_a).ok());
     // Everything up to here was synced (cadence 1): the ack point.
     uint64_t acked_bytes = fs->FileSize("rec/t.wal").ValueOrDie();
     std::vector<MemPutOp> batch_b;
     for (int64_t k = 10; k <= 13; ++k) batch_b.push_back({BtreeKey{k, 0}, "torn"});
-    ASSERT_TRUE(t->InsertBatch(batch_b).ok());
+    ASSERT_TRUE(t->Write(WriteOp::kInsert, batch_b).ok());
     // "Crash" between batch B's buffered write and its sync reaching the
     // platter: keep only a 7-byte sliver of B's first record header.
     torn_wal = ReadFileBytes(fs.get(), "rec/t.wal");
