@@ -64,8 +64,8 @@ FilterAxisResult RunFilterAxis(int64_t mb, int bits_per_key) {
   // vs GBs of RAM), or every leaf is resident after a few hundred probes and
   // an unfiltered descent costs CPU only. 1.5 MB of cache against >= 8 MB of
   // components keeps the modeled I/O in the picture at bench scale. Interior
-  // pages are pinned on top of this (pin_lookup_pages), exactly as a real
-  // deployment would hold them.
+  // pages are pinned on top of this (every component pins them at open),
+  // exactly as a real deployment would hold them.
   cfg.cache_pages = 48;
   auto bd = OpenBench(cfg);
 

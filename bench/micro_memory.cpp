@@ -1,19 +1,20 @@
-// Memory-arbiter microbench (ROADMAP "one memory budget for all memtables +
-// the buffer cache"; after Luo & Carey, arXiv 2004.10360): partition scaling
-// under ONE fixed node-level budget. For 1/4/16 partitions the same record
-// volume is ingested twice —
-//   static   the historical configuration: the write share divided evenly
-//            into per-tree memtable_budget_bytes carve-outs, cache fixed
-//   arbiter  one MemoryArbiter owning the write share and the cache: global
-//            largest-first victim selection + adaptive write/read split
-// Both arms get exactly the same total memory. The feed is SKEWED — a couple
-// of hot partitions take most of the traffic, as tenant or time-correlated
-// key distributions do in practice — because that is precisely the case a
-// node-level budget exists for: the static 1/P carve-out makes the hot trees
-// flush tiny components over and over while the cold trees' reservations sit
-// idle, whereas the arbiter lets the hot memtables absorb the idle share and
-// flush a few large components instead. With one partition the arms are
-// identical by construction, which pins the arbiter's bookkeeping overhead.
+// Memory-arbiter microbench (after Luo & Carey, arXiv 2004.10360): partition
+// scaling under ONE fixed node-level write budget. For 1/4/16 partitions the
+// same record volume is ingested twice —
+//   static   the default configuration: each partition's own arbiter with
+//            memtable_budget_bytes = write budget / P
+//   arbiter  one node-level MemoryArbiter of the whole write budget, shared
+//            by every partition through DatasetOptions::arbiter: global
+//            largest-first victim selection
+// Both arms get exactly the same write memory and the same fixed cache. The
+// feed is SKEWED — a couple of hot partitions take most of the traffic, as
+// tenant or time-correlated key distributions do in practice — because that
+// is precisely the case a node-level budget exists for: the static 1/P
+// carve-out makes the hot trees flush tiny components over and over while
+// the cold trees' reservations sit idle, whereas the shared arbiter lets the
+// hot memtables absorb the idle share and flush a few large components
+// instead. With one partition the arms are identical by construction, which
+// pins the shared arbiter's bookkeeping overhead.
 //
 // TC_MEMORY_ASSERT=1 exits non-zero unless the arbiter reaches >= 1.2x the
 // static ingest throughput at 16 partitions (the CI smoke; locally the gap
@@ -74,16 +75,16 @@ struct RunResult {
   MemoryArbiter::Stats stats;  // zeroed for the static arm
 };
 
-RunResult RunOne(size_t partitions, bool use_arbiter, uint64_t records_n,
-                 size_t budget) {
+// Write memory and buffer cache, the same in both arms.
+constexpr size_t kWriteBudget = 1ull << 20;
+constexpr size_t kCacheBytes = 1ull << 20;
+
+RunResult RunOne(size_t partitions, bool use_arbiter, uint64_t records_n) {
   BenchConfig cfg;
   cfg.workload = "twitter";
   cfg.mode = SchemaMode::kInferred;
   cfg.device = DeviceProfile::SataSsd();
-  const size_t write_share = budget / 2;
-  // Fairness: both arms start from the same 50/50 split; only the arbiter arm
-  // may shift it at runtime.
-  cfg.cache_pages = std::max<size_t>(8, (budget - write_share) / cfg.page_size);
+  cfg.cache_pages = std::max<size_t>(8, kCacheBytes / cfg.page_size);
   auto bd = OpenBench(cfg);
   bd->dataset.reset();  // replaced by the cluster-managed dataset
 
@@ -95,21 +96,13 @@ RunResult RunOne(size_t partitions, bool use_arbiter, uint64_t records_n,
   o.wal_sync_every = 0;
   o.fs = bd->fs;
   o.cache = bd->cache.get();
-  // Small floors so victim eligibility never degenerates into the static
-  // carve-out at high partition counts.
-  o.min_tree_budget_bytes = 16 * 1024;
 
   std::unique_ptr<MemoryArbiter> arb;  // must outlive the harness below
   if (use_arbiter) {
-    MemoryArbiter::Options ao;
-    ao.total_budget_bytes = budget;
-    ao.write_pct = 50;
-    ao.cache = bd->cache.get();
-    arb = std::make_unique<MemoryArbiter>(ao);
+    arb = std::make_unique<MemoryArbiter>(kWriteBudget);
     o.arbiter = arb.get();
   } else {
-    o.memtable_budget_bytes =
-        std::max<size_t>(o.min_tree_budget_bytes, write_share / partitions);
+    o.memtable_budget_bytes = kWriteBudget / partitions;
   }
 
   ClusterTopology topo;
@@ -144,8 +137,7 @@ RunResult RunOne(size_t partitions, bool use_arbiter, uint64_t records_n,
     TC_CHECK(ds->WaitForBackgroundWork().ok());
   });
 
-  // Read phase: a full scan of every partition, exercising whatever cache
-  // capacity the split left (or moved) to the read side.
+  // Read phase: a full scan of every partition through the fixed cache.
   uint64_t rows = 0;
   r.scan_s = TimeIt([&] {
     for (size_t p = 0; p < ds->partition_count(); ++p) {
@@ -166,39 +158,31 @@ RunResult RunOne(size_t partitions, bool use_arbiter, uint64_t records_n,
 
 int main() {
   PrintBanner("Memory arbiter", "partition scaling under one node budget");
-  const size_t kBudget = 2ull << 20;  // total: memtables + cache, both arms
   const uint64_t records = static_cast<uint64_t>(BenchMegabytes()) * 1024 *
                            1024 / 2700;  // ~2.7 KB/tweet
-  std::printf("(%llu records, %zu KiB total budget, skewed feed, SATA profile)\n\n",
-              static_cast<unsigned long long>(records), kBudget >> 10);
+  std::printf("(%llu records, %zu KiB write budget + %zu KiB cache, skewed "
+              "feed, SATA profile)\n\n",
+              static_cast<unsigned long long>(records), kWriteBudget >> 10,
+              kCacheBytes >> 10);
   std::printf("%-11s %12s %12s %9s %11s %11s\n", "partitions", "static(s)",
               "arbiter(s)", "speedup", "st-scan(s)", "arb-scan(s)");
 
   double speedup_at_16 = 0;
   double speedup_at_1 = 0;
   for (size_t partitions : {1, 4, 16}) {
-    RunResult st = RunOne(partitions, /*use_arbiter=*/false, records, kBudget);
-    RunResult ar = RunOne(partitions, /*use_arbiter=*/true, records, kBudget);
+    RunResult st = RunOne(partitions, /*use_arbiter=*/false, records);
+    RunResult ar = RunOne(partitions, /*use_arbiter=*/true, records);
     double speedup = st.ingest_s / ar.ingest_s;
     if (partitions == 16) speedup_at_16 = speedup;
     if (partitions == 1) speedup_at_1 = speedup;
     std::printf("%-11zu %12.2f %12.2f %8.2fx %11.2f %11.2f\n", partitions,
                 st.ingest_s, ar.ingest_s, speedup, st.scan_s, ar.scan_s);
     const MemoryArbiter::Stats& s = ar.stats;
-    std::printf("  arbiter: %llu flushes (%llu global, %llu self, %llu skips), "
-                "%llu adapt shifts, final split %d/%d, cache %zu KiB\n",
+    std::printf("  arbiter: %llu flushes (%llu global, %llu self, %llu skips)\n",
                 static_cast<unsigned long long>(s.flushes_installed),
                 static_cast<unsigned long long>(s.global_flushes_triggered),
                 static_cast<unsigned long long>(s.self_flushes_triggered),
-                static_cast<unsigned long long>(s.victim_skips),
-                static_cast<unsigned long long>(s.adapt_shifts), s.write_pct,
-                100 - s.write_pct, s.cache_capacity_bytes >> 10);
-    std::printf("  split history:");
-    for (const MemoryArbiter::SplitEvent& e : s.split_history) {
-      std::printf(" %llu:%d%%", static_cast<unsigned long long>(e.flush_seq),
-                  e.write_pct);
-    }
-    std::printf("\n");
+                static_cast<unsigned long long>(s.victim_skips));
   }
 
   std::printf("\n1-partition speedup %.2fx (want ~1.0: no arbiter overhead), "

@@ -36,8 +36,9 @@ struct ClusterTopology {
 class ClusterHarness {
  public:
   /// Opens a dataset with nodes x partitions_per_node partitions, all wired
-  /// to the harness's shared merge executor. A caller that wants one node-
-  /// level budget across every partition sets `options.arbiter`.
+  /// to the harness's shared merge executor. Each partition gets its own
+  /// write budget of `options.memtable_budget_bytes`; a caller that wants one
+  /// budget across every partition sets `options.arbiter`.
   static Result<std::unique_ptr<ClusterHarness>> Create(ClusterTopology topology,
                                                         DatasetOptions options);
 

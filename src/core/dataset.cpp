@@ -9,12 +9,6 @@
 namespace tc {
 namespace {
 
-// Memtable carve-outs of a partition's auxiliary trees, as divisors of
-// memtable_budget_bytes: the pk index stores keys only, the secondary index
-// key pairs.
-constexpr size_t kPkIndexBudgetDivisor = 16;
-constexpr size_t kSecondaryBudgetDivisor = 8;
-
 // An integer (tinyint .. bigint) key field: the only key type the primary
 // and secondary indexes take. `what` names the key in error messages.
 Result<int64_t> IntegerKey(const AdmValue& record, const std::string& field,
@@ -62,13 +56,13 @@ Result<std::unique_ptr<DatasetPartition>> DatasetPartition::Open(
     p->compactor_ = std::make_unique<TupleCompactor>(&opts->type);
   }
 
-  // The auxiliary-tree carve-outs. With an arbiter they become the per-tree
-  // flush floors instead of budgets.
-  size_t min_budget = std::max<size_t>(1, opts->min_tree_budget_bytes);
-  size_t pk_carve = std::max<size_t>(
-      min_budget, opts->memtable_budget_bytes / kPkIndexBudgetDivisor);
-  size_t sk_carve = std::max<size_t>(
-      min_budget, opts->memtable_budget_bytes / kSecondaryBudgetDivisor);
+  // The partition's trees share one write budget: the caller's arbiter, or
+  // one of memtable_budget_bytes owned by the partition.
+  MemoryArbiter* arbiter = opts->arbiter;
+  if (arbiter == nullptr) {
+    p->arbiter_ = std::make_unique<MemoryArbiter>(opts->memtable_budget_bytes);
+    arbiter = p->arbiter_.get();
+  }
 
   std::string part_suffix = ".p" + std::to_string(partition_id);
   LsmTreeOptions lsm;
@@ -77,7 +71,6 @@ Result<std::unique_ptr<DatasetPartition>> DatasetPartition::Open(
   lsm.dir = opts->dir;
   lsm.name = opts->name + part_suffix;
   lsm.page_size = opts->page_size;
-  lsm.memtable_budget_bytes = opts->memtable_budget_bytes;
   lsm.compression = opts->compression ? CompressionKind::kSnappy
                                       : CompressionKind::kNone;
   lsm.filter = opts->filter;
@@ -96,8 +89,7 @@ Result<std::unique_ptr<DatasetPartition>> DatasetPartition::Open(
   lsm.merge_recompress = opts->merge_recompress;
   lsm.capture_old_versions = opts->mode == SchemaMode::kInferred ||
                              !opts->secondary_index_field.empty();
-  lsm.arbiter = opts->arbiter;
-  lsm.arbiter_floor_bytes = min_budget;
+  lsm.arbiter = arbiter;
 
   // Optional primary-key index for upsert existence checks (§3.2.2).
   if (opts->primary_key_index) {
@@ -111,8 +103,6 @@ Result<std::unique_ptr<DatasetPartition>> DatasetPartition::Open(
     // are lost and their later upserts skip the old-version capture (an
     // open bug, see the ROADMAP's crash-anywhere item).
     pk.use_wal = false;
-    pk.memtable_budget_bytes = pk_carve;
-    pk.arbiter_floor_bytes = pk_carve;
     TC_ASSIGN_OR_RETURN(p->pk_index_, LsmTree::Open(std::move(pk)));
     LsmTree* pk_tree = p->pk_index_.get();
     lsm.key_may_exist = [pk_tree](const BtreeKey& key) {
@@ -130,7 +120,6 @@ Result<std::unique_ptr<DatasetPartition>> DatasetPartition::Open(
     sk.dir = opts->dir;
     sk.name = opts->name + part_suffix + ".sidx";
     sk.page_size = opts->page_size;
-    sk.memtable_budget_bytes = sk_carve;
     sk.compression = opts->compression ? CompressionKind::kSnappy
                                        : CompressionKind::kNone;
     sk.filter = opts->filter;
@@ -142,8 +131,7 @@ Result<std::unique_ptr<DatasetPartition>> DatasetPartition::Open(
     // No WAL either, with the pk index's recovery gap: entries still in
     // this tree's memtable at a restart are lost.
     sk.use_wal = false;
-    sk.arbiter = opts->arbiter;
-    sk.arbiter_floor_bytes = sk_carve;
+    sk.arbiter = arbiter;
     TC_ASSIGN_OR_RETURN(p->secondary_, SecondaryIndex::Open(std::move(sk)));
   }
 

@@ -67,21 +67,19 @@ struct DatasetOptions {
   DatasetType type = DatasetType::OpenWithPk("id");
   bool compression = false;
   size_t page_size = 32 * 1024;
+  /// Write budget of each partition, shared by its primary, pk-index and
+  /// secondary trees: once their live memtables together reach it, the
+  /// largest one flushes.
   size_t memtable_budget_bytes = 4 * 1024 * 1024;
-  /// Floor on the memtable carve-outs of a partition's auxiliary trees (the
-  /// pk index gets memtable_budget_bytes / 16, the secondary index / 8 —
-  /// neither stores whole records), and the primary tree's arbiter flush
-  /// floor.
-  size_t min_tree_budget_bytes = 64 * 1024;
-  /// Node-level memory arbiter shared by every tree of every partition (not
-  /// owned; must outlive the dataset). When set, flush triggering is global
-  /// across all registered trees and the per-tree budgets above only define
-  /// floors; null = the static per-tree budgets.
+  /// Write-memory arbiter shared by every tree of every partition (not
+  /// owned; must outlive the dataset), so one budget spans partitions and
+  /// datasets; memtable_budget_bytes is then ignored. Null = one arbiter of
+  /// memtable_budget_bytes per partition.
   MemoryArbiter* arbiter = nullptr;
   /// Merge-policy selection + knobs for every LSM tree of a partition
   /// (primary, primary-key index, secondary index).
   MergePolicyConfig merge = {};
-  /// Bloom-filter + lookup fast-path policy for every tree of a partition.
+  /// Bloom-filter policy for every tree of a partition.
   BloomFilterConfig filter = {};
   /// Merge transformation pipeline:
   ///  * merge_transform: inferred-mode partitions re-compact surviving
@@ -203,6 +201,9 @@ class DatasetPartition {
   mutable std::mutex decode_mu_;
   mutable Schema decode_schema_;
   mutable uint64_t decode_schema_version_ = UINT64_MAX;
+  // The partition's write budget when opts_->arbiter is null. Declared
+  // before the trees, so it outlives them: they unregister on destruction.
+  std::unique_ptr<MemoryArbiter> arbiter_;
   std::unique_ptr<TupleCompactor> compactor_;  // kInferred only
   std::unique_ptr<LsmTree> primary_;
   std::unique_ptr<LsmTree> pk_index_;          // optional

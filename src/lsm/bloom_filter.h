@@ -22,17 +22,12 @@
 
 namespace tc {
 
-/// Filter policy for components built by a tree (flush, merge, bulk load),
-/// plus the memory-residency knob for the point-lookup fast path.
+/// Filter policy for components built by a tree (flush, merge, bulk load).
 struct BloomFilterConfig {
   /// Bits per key for filters built at flush/merge/bulk-load time. 0 disables
   /// building new filters; components that already carry one still load it
   /// and serve filtered lookups. 10 bits/key ≈ 0.8% false positives.
   size_t bits_per_key = 10;
-  /// Pin B-tree interior pages in the BufferCache (outside its LRU budget) so
-  /// a hot point lookup costs at most one disk read — the leaf. Filters are
-  /// always memory-resident once loaded.
-  bool pin_lookup_pages = true;
 };
 
 /// 64-bit digest of a 128-bit component key (splitmix64 finalization over the

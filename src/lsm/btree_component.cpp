@@ -256,8 +256,7 @@ Status BtreeComponentBuilder::MarkValid() {
 
 Result<std::shared_ptr<BtreeComponent>> BtreeComponent::Open(
     std::shared_ptr<FileSystem> fs, BufferCache* cache, const std::string& path,
-    size_t page_size, std::shared_ptr<const Compressor> compressor,
-    BloomFilterConfig filter) {
+    size_t page_size, std::shared_ptr<const Compressor> compressor) {
   auto c = std::shared_ptr<BtreeComponent>(new BtreeComponent());
   c->fs_ = fs;
   c->cache_ = cache;
@@ -343,7 +342,7 @@ Result<std::shared_ptr<BtreeComponent>> BtreeComponent::Open(
   // Point-lookup fast path: pin interior pages [leaf_count_, root_page_] so a
   // descent touches disk only for the leaf. Skipped for empty or single-leaf
   // trees (the root IS the leaf then).
-  if (filter.pin_lookup_pages && cache != nullptr && c->root_page_ != kNoPage &&
+  if (cache != nullptr && c->root_page_ != kNoPage &&
       c->root_page_ >= c->leaf_count_) {
     c->pinned_interior_.reserve(c->root_page_ - c->leaf_count_ + 1);
     for (uint32_t page_no = c->leaf_count_; page_no <= c->root_page_; ++page_no) {

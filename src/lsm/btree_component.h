@@ -109,15 +109,15 @@ class BtreeComponentBuilder {
 /// buffer cache.
 class BtreeComponent {
  public:
-  /// `filter.pin_lookup_pages` controls whether interior pages are pinned in
-  /// the cache at open time (the point-lookup fast path); the on-disk filter,
-  /// if any, is always loaded. A filter whose CRC or header does not check
-  /// out is dropped — the component still opens and serves correct (if
-  /// slower) lookups, with filter_degraded() set.
+  /// With a cache, interior pages are pinned in it at open time (outside its
+  /// LRU budget), so a hot point lookup costs at most one disk read — the
+  /// leaf. The on-disk filter, if any, is always loaded and stays
+  /// memory-resident. A filter whose CRC or header does not check out is
+  /// dropped — the component still opens and serves correct (if slower)
+  /// lookups, with filter_degraded() set.
   static Result<std::shared_ptr<BtreeComponent>> Open(
       std::shared_ptr<FileSystem> fs, BufferCache* cache, const std::string& path,
-      size_t page_size, std::shared_ptr<const Compressor> compressor,
-      BloomFilterConfig filter = {});
+      size_t page_size, std::shared_ptr<const Compressor> compressor);
 
   ~BtreeComponent();
 

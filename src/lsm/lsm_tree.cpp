@@ -19,35 +19,6 @@ inline uint64_t ElapsedUsecs(std::chrono::steady_clock::time_point t0) {
           .count());
 }
 
-// RAII charge of a component build's scratch memory (builder page buffers +
-// the bloom filter under construction) against the arbiter's read share.
-// Background work always admits — denial would wedge the write path — but
-// while the build runs, query scratch admission shrinks correspondingly, so
-// the arbiter's total budget tracks the node's real RSS.
-class ScopedBackgroundCharge {
- public:
-  ScopedBackgroundCharge(MemoryArbiter* arbiter, size_t bytes)
-      : arbiter_(arbiter), bytes_(bytes) {
-    if (arbiter_ != nullptr) arbiter_->ChargeBackground(bytes_);
-  }
-  ~ScopedBackgroundCharge() {
-    if (arbiter_ != nullptr) arbiter_->ReleaseBackground(bytes_);
-  }
-  ScopedBackgroundCharge(const ScopedBackgroundCharge&) = delete;
-  ScopedBackgroundCharge& operator=(const ScopedBackgroundCharge&) = delete;
-
- private:
-  MemoryArbiter* arbiter_;
-  size_t bytes_;
-};
-
-// Scratch estimate for building a component over `entries` keyed records:
-// one page buffer plus the filter bits accumulated across every added key.
-size_t EstimateBuildScratch(size_t page_size, uint64_t entries,
-                            size_t bits_per_key) {
-  return page_size + static_cast<size_t>(entries) * bits_per_key / 8;
-}
-
 std::string JoinPath(const std::string& dir, const std::string& name) {
   if (dir.empty()) return name;
   return dir.back() == '/' ? dir + name : dir + "/" + name;
@@ -246,6 +217,14 @@ std::string LsmTree::WalSegmentPath(uint64_t seq) const {
 }
 
 Result<std::unique_ptr<LsmTree>> LsmTree::Open(LsmTreeOptions options) {
+  // Validated before the tree exists: from construction to its arbiter
+  // registration below nothing fails, so the destructor always unregisters.
+  if (options.merge_recompress != CompressionKind::kNone &&
+      !CompressorAvailable(options.merge_recompress)) {
+    return Status::NotSupported(
+        std::string("merge_recompress codec not compiled in: ") +
+        CompressionKindName(options.merge_recompress));
+  }
   auto tree = std::unique_ptr<LsmTree>(new LsmTree());
   tree->opts_ = std::move(options);
   // Null pool = caller-runs groups: the same jobs, run on the writer thread.
@@ -266,16 +245,23 @@ Result<std::unique_ptr<LsmTree>> LsmTree::Open(LsmTreeOptions options) {
   tree->merge_transformer_ = tree->opts_.merge_transformer != nullptr
                                  ? tree->opts_.merge_transformer
                                  : &tree->identity_merge_;
-  if (tree->opts_.merge_recompress != CompressionKind::kNone &&
-      !CompressorAvailable(tree->opts_.merge_recompress)) {
-    return Status::NotSupported(
-        std::string("merge_recompress codec not compiled in: ") +
-        CompressionKindName(tree->opts_.merge_recompress));
-  }
   tree->mem_ = std::make_shared<MemTable>();
   tree->reclaimer_ = std::make_shared<ComponentReclaimer>(tree->opts_.fs,
                                                           tree->opts_.cache);
   tree->counters_ = std::make_shared<LsmReadCounters>();
+  // Every tree flushes through an arbiter; without a shared one it owns one
+  // of its own memtable budget. Registering before recovery accounts the
+  // replay flush like any other; a cross-tree dispatch into the still-opening
+  // tree finds its live generation empty (or its writer lock held by the
+  // replay) and bails.
+  if (tree->opts_.arbiter == nullptr) {
+    tree->owned_arbiter_ =
+        std::make_unique<MemoryArbiter>(tree->opts_.memtable_budget_bytes);
+    tree->opts_.arbiter = tree->owned_arbiter_.get();
+  }
+  LsmTree* raw = tree.get();
+  tree->arbiter_reg_ =
+      tree->opts_.arbiter->Register([raw] { return raw->TryArbiterFlush(); });
   TC_RETURN_IF_ERROR(tree->opts_.fs->CreateDir(tree->opts_.dir));
   TC_RETURN_IF_ERROR(tree->RecoverComponents());
   // Reload the newest persisted schema BEFORE replaying the WAL: replayed
@@ -286,39 +272,35 @@ Result<std::unique_ptr<LsmTree>> LsmTree::Open(LsmTreeOptions options) {
   if (tree->opts_.use_wal) {
     TC_RETURN_IF_ERROR(tree->ReplayWal());
   }
-  if (tree->opts_.arbiter != nullptr) {
-    // Register AFTER recovery: the replay flush above ran unregistered, so a
-    // replaying tree never dispatches cross-tree victims.
-    LsmTree* raw = tree.get();
-    tree->arbiter_reg_ = tree->opts_.arbiter->Register(
-        tree->opts_.name, tree->opts_.arbiter_floor_bytes,
-        [raw] { return raw->TryArbiterFlush(); });
-  }
   return tree;
 }
 
 LsmTree::~LsmTree() {
-  // Leave the arbiter FIRST: Unregister blocks until any in-flight
-  // TryArbiterFlush dispatch on another writer's thread returns, so nothing
-  // below tears state out from under it.
-  if (arbiter_reg_ != nullptr) {
+  {
+    // The writer lock is held through the drain and the unregister: a
+    // cross-tree victim dispatch (TryArbiterFlush) try-locks it and bails,
+    // so no flush build can be submitted behind the waits below.
+    std::lock_guard<std::mutex> wlock(write_mu_);
+    // Cancel merge jobs that have not started (cheap skips — their inputs
+    // stay in the tree) and wait out the running ones; after the waits no
+    // pool thread touches this tree. Flush builds are canceled only when a
+    // WAL backs the tree: their sealed generations then survive as WAL
+    // segments for the next Open to replay. WAL-less trees (the pk/secondary
+    // indexes) instead DRAIN their queued builds, so a completed Flush() is
+    // never lost on clean teardown — exactly the pre-pipeline guarantee.
+    merge_jobs_->Cancel();
+    if (opts_.use_wal) flush_jobs_->Cancel();
+    // Drained flush builds may install and cascade-schedule merges; those
+    // land in the canceled merge group and run as skips, so wait for the
+    // flush group first and the merge group (which only ever shrinks after
+    // that) second.
+    flush_jobs_->Wait();
+    merge_jobs_->Wait();
+    // Leave the arbiter only now: a drained build reports its install
+    // through arbiter_reg_. Unregister also waits out any dispatch still
+    // inside TryArbiterFlush on another writer's thread.
     opts_.arbiter->Unregister(arbiter_reg_);
-    arbiter_reg_ = nullptr;
   }
-  // Cancel merge jobs that have not started (cheap skips — their inputs stay
-  // in the tree) and wait out the running ones; after the waits no pool
-  // thread touches this tree. Flush builds are canceled only when a WAL
-  // backs the tree: their sealed generations then survive as WAL segments
-  // for the next Open to replay. WAL-less trees (the pk/secondary indexes)
-  // instead DRAIN their queued builds, so a completed Flush() is never lost
-  // on clean teardown — exactly the pre-pipeline guarantee.
-  merge_jobs_->Cancel();
-  if (opts_.use_wal) flush_jobs_->Cancel();
-  // Drained flush builds may install and cascade-schedule merges; those land
-  // in the canceled merge group and run as skips, so wait for the flush group
-  // first and the merge group (which only ever shrinks after that) second.
-  flush_jobs_->Wait();
-  merge_jobs_->Wait();
   components_.clear();
   flush_queue_.clear();
   mem_.reset();
@@ -372,8 +354,7 @@ Status LsmTree::RecoverComponents() {
   for (const auto& c : keep) {
     TC_ASSIGN_OR_RETURN(auto comp,
                         BtreeComponent::Open(opts_.fs, opts_.cache, c.path,
-                                             opts_.page_size, compressor_,
-                                             opts_.filter));
+                                             opts_.page_size, compressor_));
     components_.push_back(std::move(comp));
     next_cid_ = std::max(next_cid_, c.cid_max + 1);
   }
@@ -580,16 +561,10 @@ Status LsmTree::Delete(const BtreeKey& key, std::optional<Buffer>* old_out) {
 }
 
 Status LsmTree::MaybeFlushPostWrite() {
-  if (arbiter_reg_ != nullptr) {
-    // Global arbitration: report the live generation, flush only when this
-    // tree is the node-wide victim. A cross-tree victim was already flushed
-    // inside OnPostWrite (on this thread, via its TryArbiterFlush).
-    if (opts_.arbiter->OnPostWrite(arbiter_reg_, mem_->approximate_bytes())) {
-      return FlushLocked();
-    }
-    return Status::OK();
-  }
-  if (mem_->approximate_bytes() >= opts_.memtable_budget_bytes) {
+  // Report the live generation; flush only when this tree is the arbiter's
+  // victim. A cross-tree victim was already flushed inside OnPostWrite (on
+  // this thread, via its TryArbiterFlush).
+  if (opts_.arbiter->OnPostWrite(arbiter_reg_, mem_->approximate_bytes())) {
     return FlushLocked();
   }
   return Status::OK();
@@ -705,12 +680,9 @@ Status LsmTree::FlushLocked() {
         submit = true;
       }
     }
-    if (arbiter_reg_ != nullptr) {
-      // live -> sealed: the generation keeps counting against the write
-      // share until its component installs, so a backlogged build pipeline
-      // backpressures global victim selection.
-      opts_.arbiter->OnSeal(arbiter_reg_, sealed_bytes);
-    }
+    // live -> sealed: the generation stays accounted (as sealed) until its
+    // component installs.
+    opts_.arbiter->OnSeal(arbiter_reg_, sealed_bytes);
     if (submit) {
       // High lane: a flush build gates writer admission
       // (max_pending_flush_builds backpressure), so it must never queue
@@ -734,10 +706,6 @@ Status LsmTree::FlushLocked() {
 Result<std::shared_ptr<BtreeComponent>> LsmTree::BuildFlushComponent(
     const MemTable& mem, uint64_t cid) {
   std::string path = ComponentPath(cid, cid);
-  ScopedBackgroundCharge charge(
-      opts_.arbiter,
-      EstimateBuildScratch(opts_.page_size, mem.entry_count(),
-                           opts_.filter.bits_per_key));
   TC_ASSIGN_OR_RETURN(auto builder,
                       BtreeComponentBuilder::Create(opts_.fs, path,
                                                     opts_.page_size, compressor_,
@@ -774,7 +742,7 @@ Result<std::shared_ptr<BtreeComponent>> LsmTree::BuildFlushComponent(
   TC_RETURN_IF_ERROR(builder->Finish(cid, cid, schema_blob));
   TC_RETURN_IF_ERROR(builder->MarkValid());
   return BtreeComponent::Open(opts_.fs, opts_.cache, path, opts_.page_size,
-                              compressor_, opts_.filter);
+                              compressor_);
 }
 
 void LsmTree::FlushBuildJob(bool canceled) {
@@ -794,7 +762,6 @@ void LsmTree::FlushBuildJob(bool canceled) {
   Result<std::shared_ptr<BtreeComponent>> built =
       BuildFlushComponent(*work.mem, work.cid);
   bool more = false;
-  uint64_t phys = 0;
   std::vector<MergePlan> plans;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -811,8 +778,7 @@ void LsmTree::FlushBuildJob(bool canceled) {
     TC_CHECK(!flush_queue_.empty() && flush_queue_.front().cid == work.cid);
     TC_CHECK(components_.empty() ||
              components_.front()->meta().cid_max < work.cid);
-    phys = comp->physical_bytes();
-    stats_.bytes_flushed += phys;
+    stats_.bytes_flushed += comp->physical_bytes();
     ++stats_.flush_count;
     components_.insert(components_.begin(), std::move(comp));
     stats_.component_count_high_water = std::max<uint64_t>(
@@ -824,12 +790,9 @@ void LsmTree::FlushBuildJob(bool canceled) {
     flush_cv_.notify_all();
   }
   SubmitMerges(std::move(plans));
-  if (arbiter_reg_ != nullptr) {
-    // Sealed accounting releases only now, when the memory is truly traded
-    // for a durable component (approximate_bytes is lock-free once sealed).
-    opts_.arbiter->OnFlushInstalled(arbiter_reg_, work.mem->approximate_bytes(),
-                                    phys);
-  }
+  // Sealed accounting releases only now, when the memory is truly traded
+  // for a durable component (approximate_bytes is lock-free once sealed).
+  opts_.arbiter->OnFlushInstalled(arbiter_reg_, work.mem->approximate_bytes());
   // The generation is durable as a component; its WAL segment can go.
   if (!work.wal_path.empty()) {
     Status st = opts_.fs->Delete(work.wal_path);
@@ -908,13 +871,6 @@ Result<std::shared_ptr<BtreeComponent>> LsmTree::BuildMergedComponent(
     TC_CHECK(codec != nullptr);  // validated at Open
     counters->recompressed = true;
   }
-  uint64_t input_entries = 0;
-  for (const auto& c : plan.inputs) {
-    input_entries += c->meta().n_entries + c->meta().n_anti;
-  }
-  ScopedBackgroundCharge charge(
-      opts_.arbiter, EstimateBuildScratch(opts_.page_size, input_entries,
-                                          opts_.filter.bits_per_key));
   TC_ASSIGN_OR_RETURN(auto builder,
                       BtreeComponentBuilder::Create(opts_.fs, path,
                                                     opts_.page_size, codec,
@@ -1007,7 +963,7 @@ Result<std::shared_ptr<BtreeComponent>> LsmTree::BuildMergedComponent(
           ? write_wall_usecs - counters->compress_usecs
           : 0;
   return BtreeComponent::Open(opts_.fs, opts_.cache, path, opts_.page_size,
-                              codec, opts_.filter);
+                              codec);
 }
 
 void LsmTree::InstallMergedLocked(const MergePlan& plan,
@@ -1255,8 +1211,7 @@ Status LsmTree::BulkLoad(
   TC_RETURN_IF_ERROR(builder->MarkValid());
   TC_ASSIGN_OR_RETURN(auto comp,
                       BtreeComponent::Open(opts_.fs, opts_.cache, path,
-                                           opts_.page_size, compressor_,
-                                           opts_.filter));
+                                           opts_.page_size, compressor_));
   std::lock_guard<std::mutex> lock(mu_);
   // Bulk loads get their own stat: folding them into flush_count /
   // bytes_flushed inflated WriteAmplification() (and the fig17 policy axis)

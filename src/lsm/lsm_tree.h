@@ -140,8 +140,7 @@ struct LsmTreeOptions {
   size_t page_size = 32 * 1024;
   size_t memtable_budget_bytes = 4 * 1024 * 1024;
   CompressionKind compression = CompressionKind::kNone;
-  /// Bloom filters built into every flushed/merged/bulk-loaded component, plus
-  /// the interior-page pinning knob for the point-lookup fast path.
+  /// Bloom filters built into every flushed/merged/bulk-loaded component.
   BloomFilterConfig filter;
   std::shared_ptr<MergePolicy> merge_policy;  // default: prefix(32 MiB, 5)
   bool use_wal = true;
@@ -179,16 +178,13 @@ struct LsmTreeOptions {
   /// generations await their component build (clamped to >= 1; never
   /// reached caller-runs, where each build finishes inside its flush).
   size_t max_pending_flush_builds = kDefaultMaxPendingFlushBuilds;
-  /// Node-level memory arbiter (not owned; must outlive the tree). When set,
-  /// flush triggering is GLOBAL: the tree registers on Open, reports its
-  /// live/sealed generation bytes, and flushes when the arbiter picks it as
-  /// the victim — `memtable_budget_bytes` is ignored. Null = the historical
-  /// per-tree threshold.
+  /// Write-memory arbiter shared with other trees (not owned; must outlive
+  /// the tree). The tree registers on Open, reports its live/sealed
+  /// generation bytes, and flushes when the arbiter picks it as the victim;
+  /// `memtable_budget_bytes` is then ignored. Null = the tree owns an arbiter
+  /// of `memtable_budget_bytes`, i.e. it flushes once its live generation
+  /// reaches that budget.
   MemoryArbiter* arbiter = nullptr;
-  /// Smallest live-generation size the arbiter may flush of this tree
-  /// (victims below their floor are skipped, so one tree's pressure cannot
-  /// shred another's memtable into page-sized components).
-  size_t arbiter_floor_bytes = 64 * 1024;
 };
 
 struct LsmStats {
@@ -563,9 +559,8 @@ class LsmTree {
 
   std::string ComponentPath(uint64_t cid_min, uint64_t cid_max) const;
   std::string WalSegmentPath(uint64_t seq) const;
-  // Writer-side (write_mu_ held), after every committed write: consults the
-  // arbiter (global victim selection) when one is attached, else the
-  // per-tree memtable_budget_bytes threshold, and flushes when told to.
+  // Writer-side (write_mu_ held), after every committed write: reports the
+  // live generation to the arbiter and flushes when told to.
   Status MaybeFlushPostWrite();
   // The arbiter's flush_fn: called on ANOTHER tree's writer thread when this
   // tree is the global flush victim. Never blocks — try-locks write_mu_ and
@@ -683,8 +678,11 @@ class LsmTree {
 
   std::shared_ptr<ComponentReclaimer> reclaimer_;
   std::shared_ptr<LsmReadCounters> counters_;
-  // Live from Open (after WAL replay) until the destructor unregisters; the
-  // arbiter keeps it valid while any TryArbiterFlush dispatch is in flight.
+  // Set when opts_.arbiter was null; opts_.arbiter then points at it.
+  std::unique_ptr<MemoryArbiter> owned_arbiter_;
+  // Live from Open until the destructor unregisters, after the flush builds
+  // drained; the arbiter keeps it valid while any TryArbiterFlush dispatch
+  // is in flight.
   MemoryArbiter::Registration* arbiter_reg_ = nullptr;
   // Batch→WAL op conversion scratch, reused across batches (writer-side,
   // guarded by write_mu_).

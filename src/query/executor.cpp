@@ -5,7 +5,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/memory_arbiter.h"
 #include "query/vec/vec_operator.h"
 
 namespace tc {
@@ -120,13 +119,6 @@ Result<QueryStats> RunPartitionedBatches(Dataset* dataset,
   }
   for (const auto& vc : vec_counters) MergeVecCounters(vc, &stats);
   stats.schema_broadcast_bytes = registry.broadcast_bytes();
-  // Query-side adaptation tick: queries are exactly the traffic the
-  // flush-count adapt window can't see (see MaybeAdaptFromTraffic).
-  if (n > 0) {
-    if (MemoryArbiter* arb = dataset->partition(0)->options().arbiter) {
-      arb->MaybeAdaptFromTraffic();
-    }
-  }
   return stats;
 }
 

@@ -6,7 +6,6 @@
 #include <unordered_map>
 #include <utility>
 
-#include "common/memory_arbiter.h"
 #include "query/vec/vec_operator.h"
 
 namespace tc {
@@ -83,9 +82,6 @@ Result<JoinStats> HashJoinDatasets(Dataset* build, Dataset* probe,
   const size_t budget = spec.build_budget_bytes > 0
                             ? spec.build_budget_bytes
                             : kDefaultJoinBuildBudgetBytes;
-  MemoryArbiter* arbiter = build->options().arbiter != nullptr
-                               ? build->options().arbiter
-                               : probe->options().arbiter;
 
   const std::vector<FieldPath> build_cols =
       ParseJoinPaths(spec.build_key, spec.build_paths);
@@ -127,7 +123,6 @@ Result<JoinStats> HashJoinDatasets(Dataset* build, Dataset* probe,
     ++stats.passes;
     std::vector<BuildTable> tables(bn);
     size_t wave_bytes = 0;
-    size_t charged = 0;
     size_t in_wave = 0;
     bool wave_full = false;
 
@@ -165,30 +160,17 @@ Result<JoinStats> HashJoinDatasets(Dataset* build, Dataset* probe,
           h = idx + 1;
         });
       }
-      if (!key_st.ok()) {
-        // Earlier partitions of this wave already charged the arbiter.
-        if (arbiter != nullptr && charged > 0) arbiter->ReleaseQuery(charged);
-        return key_st;
-      }
+      TC_RETURN_IF_ERROR(key_st);
 
       // Admission: the wave's FIRST partition always stays (progress
-      // guarantee), later ones stay only if both the explicit budget and the
-      // arbiter's read share admit them; a rejected partition is dropped and
-      // reloaded next wave.
+      // guarantee), later ones stay only if the budget admits them; a
+      // rejected partition is dropped and reloaded next wave.
       size_t tbytes = t.ByteSize();
-      bool arb_ok = true;
-      if (arbiter != nullptr) {
-        arb_ok = arbiter->TryChargeQuery(tbytes);
-        if (!arb_ok) ++stats.build_budget_denials;
-      }
-      bool fits = wave_bytes + tbytes <= budget;
-      if (in_wave > 0 && (!fits || !arb_ok)) {
-        if (arb_ok && arbiter != nullptr) arbiter->ReleaseQuery(tbytes);
+      if (in_wave > 0 && wave_bytes + tbytes > budget) {
         t = BuildTable{};
         wave_full = true;
         continue;
       }
-      if (arb_ok && arbiter != nullptr) charged += tbytes;
       wave_bytes += tbytes;
       t.in_wave = true;
       built[bp] = 1;
@@ -283,7 +265,6 @@ Result<JoinStats> HashJoinDatasets(Dataset* build, Dataset* probe,
     threads.reserve(n_threads);
     for (size_t t = 0; t < n_threads; ++t) threads.emplace_back(worker);
     for (auto& t : threads) t.join();
-    if (arbiter != nullptr && charged > 0) arbiter->ReleaseQuery(charged);
     for (const Status& st : statuses) {
       if (!st.ok()) return st;
     }
@@ -301,7 +282,6 @@ Result<JoinStats> HashJoinDatasets(Dataset* build, Dataset* probe,
   for (const QueryOpCounters& oc : stats.operators) {
     if (oc.name == "join_probe") stats.output_rows = oc.rows;
   }
-  if (arbiter != nullptr) arbiter->MaybeAdaptFromTraffic();
   return stats;
 }
 

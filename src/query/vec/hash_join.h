@@ -4,16 +4,14 @@
 // against them and emits joined ColumnBatches to per-partition sinks.
 //
 // Memory discipline (grace-style waves): the build tables are query scratch
-// charged against the memory arbiter's READ share (MemoryArbiter::
-// TryChargeQuery) and additionally capped by an explicit budget
-// (JoinSpec::build_budget_bytes). When the next build partition does not fit,
-// the wave closes: the loaded subset is probed by a FULL probe-side pass (rows
-// hashing to out-of-wave build partitions are skipped), the tables are freed,
-// and the next wave loads the remaining build partitions from the SAME pinned
-// read views. LSM read snapshots make the re-scan coherent — the classic
-// grace-join disk spill is replaced by re-reading immutable components, which
-// is exactly what an LSM gives us for free. `JoinStats::passes` counts waves;
-// a join that fits is one pass.
+// capped by an explicit budget (JoinSpec::build_budget_bytes). When the next
+// build partition does not fit, the wave closes: the loaded subset is probed
+// by a FULL probe-side pass (rows hashing to out-of-wave build partitions are
+// skipped), the tables are freed, and the next wave loads the remaining build
+// partitions from the SAME pinned read views. LSM read snapshots make the
+// re-scan coherent — the classic grace-join disk spill is replaced by
+// re-reading immutable components, which is exactly what an LSM gives us for
+// free. `JoinStats::passes` counts waves; a join that fits is one pass.
 //
 // Keys are int64 (the repo's primary-key/secondary-key domain): rows whose
 // key is missing or null never match, on either side — standard equi-join
@@ -55,9 +53,7 @@ struct JoinSpec {
   /// Optional pre-join filters, lowered into the respective scans.
   std::shared_ptr<const ScanPredicate> build_predicate;
   std::shared_ptr<const ScanPredicate> probe_predicate;
-  /// Build-table byte cap per wave; 0 = kDefaultJoinBuildBudgetBytes. The
-  /// arbiter's read share (when the datasets have one attached) is charged
-  /// on top and can close a wave earlier.
+  /// Build-table byte cap per wave; 0 = kDefaultJoinBuildBudgetBytes.
   size_t build_budget_bytes = 0;
   /// Rows per output/probe batch; 0 = kDefaultVecBatchRows.
   size_t batch_rows = 0;
@@ -76,19 +72,16 @@ struct JoinStats {
   /// Probe passes = waves. 1 means the whole build side fit in budget.
   uint64_t passes = 0;
   size_t build_bytes_peak = 0;
-  /// Arbiter TryChargeQuery denials that closed a wave early.
-  uint64_t build_budget_denials = 0;
   /// Per-operator batch/row/byte counters (same shape as QueryStats).
   std::vector<QueryOpCounters> operators;
 };
 
 /// Runs the join: pins read views over every partition of both datasets for
-/// the whole join, then executes the wave loop described above. The memory
-/// arbiter (taken from the datasets' options; they may share one) bounds the
-/// build tables when present. `make_sink` is called with the probe partition;
-/// its sink consumes joined batches on that partition's thread, with column
-/// layout [build_key, build_paths..., probe_key, probe_paths...]. A sink may
-/// see multiple batches per partition, and sees each partition once PER WAVE.
+/// the whole join, then executes the wave loop described above. `make_sink`
+/// is called with the probe partition; its sink consumes joined batches on
+/// that partition's thread, with column layout [build_key, build_paths...,
+/// probe_key, probe_paths...]. A sink may see multiple batches per partition,
+/// and sees each partition once PER WAVE.
 Result<JoinStats> HashJoinDatasets(Dataset* build, Dataset* probe,
                                    const JoinSpec& spec,
                                    const BatchSinkFactory& make_sink);

@@ -233,23 +233,6 @@ void BufferCache::InvalidateFile(uint64_t file_id) {
   }
 }
 
-void BufferCache::SetCapacity(size_t capacity_pages) {
-  std::lock_guard<std::mutex> lock(mu_);
-  capacity_ = capacity_pages;
-  // Same eviction rule as the GetPage insert path: pinned entries live
-  // outside the budget, the LRU tail goes first.
-  while (map_.size() - pinned_count_ > capacity_ && !lru_.empty()) {
-    Key victim = lru_.back();
-    lru_.pop_back();
-    map_.erase(victim);
-  }
-}
-
-size_t BufferCache::capacity_pages() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return capacity_;
-}
-
 size_t BufferCache::pinned_pages() const {
   std::lock_guard<std::mutex> lock(mu_);
   return pinned_count_;

@@ -108,13 +108,6 @@ class BufferCache {
   /// component is deleted or its last handle closes).
   void InvalidateFile(uint64_t file_id);
 
-  /// Rebudgets the cache at runtime (the MemoryArbiter's write/read split):
-  /// shrinking evicts LRU-tail pages down to the new capacity under the
-  /// existing lock; pinned pages stay exempt, exactly as in steady-state
-  /// eviction. In-flight PageRefs keep their buffers alive regardless.
-  void SetCapacity(size_t capacity_pages);
-  size_t capacity_pages() const;
-
   uint64_t hits() const { return hits_.load(); }
   uint64_t misses() const { return misses_.load(); }
   size_t page_size() const { return page_size_; }
@@ -140,8 +133,8 @@ class BufferCache {
     bool pinned = false;
   };
 
-  size_t page_size_;
-  size_t capacity_;
+  const size_t page_size_;
+  const size_t capacity_;
   mutable std::mutex mu_;
   std::unordered_map<Key, Entry, KeyHash> map_;
   std::list<Key> lru_;  // front = most recent; excludes pinned entries

@@ -36,8 +36,7 @@ struct FilterFixture {
     }
     EXPECT_TRUE(b->Finish(1, 1, {}).ok());
     EXPECT_TRUE(b->MarkValid().ok());
-    return BtreeComponent::Open(fs, &cache, path, 4096, nullptr, filter)
-        .ValueOrDie();
+    return BtreeComponent::Open(fs, &cache, path, 4096, nullptr).ValueOrDie();
   }
 };
 
@@ -84,7 +83,7 @@ TEST(BloomFilter, ZeroFalseNegativesAcross10kKeys) {
   Rng rng(20260808);
   FilterFixture fx;
   std::vector<int64_t> keys = RandomSortedKeys(&rng, 10000);
-  auto c = fx.Build(keys, BloomFilterConfig{/*bits_per_key=*/10, true});
+  auto c = fx.Build(keys, BloomFilterConfig{/*bits_per_key=*/10});
   ASSERT_TRUE(c->has_filter());
   for (int64_t k : keys) {
     // A filter may never exclude a present key — this is the correctness
@@ -99,7 +98,7 @@ TEST(BloomFilter, MeasuredFprWithinTwiceConfiguredTarget) {
   FilterFixture fx;
   std::vector<int64_t> keys = RandomSortedKeys(&rng, 10000);
   std::set<int64_t> present(keys.begin(), keys.end());
-  auto c = fx.Build(keys, BloomFilterConfig{/*bits_per_key=*/10, true});
+  auto c = fx.Build(keys, BloomFilterConfig{/*bits_per_key=*/10});
   ASSERT_TRUE(c->has_filter());
 
   size_t probes = 0, maybe = 0;
@@ -131,7 +130,7 @@ TEST(BloomFilter, FencePruningNeverExcludesPresentKey) {
 
 TEST(BloomFilter, AntiMatterKeysAreInTheFilter) {
   FilterFixture fx;
-  auto c = fx.Build({10, 20, 30}, BloomFilterConfig{10, true}, /*anti=*/{20});
+  auto c = fx.Build({10, 20, 30}, BloomFilterConfig{10}, /*anti=*/{20});
   // Skipping a component on its own tombstone would resurrect older
   // versions; anti-matter must probe positive.
   EXPECT_TRUE(c->MayContain(BtreeKey{20, 0}));
@@ -142,7 +141,7 @@ TEST(BloomFilter, AntiMatterKeysAreInTheFilter) {
 
 TEST(BloomFilter, BitsPerKeyZeroBuildsNoFilter) {
   FilterFixture fx;
-  auto c = fx.Build({1, 2, 3}, BloomFilterConfig{/*bits_per_key=*/0, false});
+  auto c = fx.Build({1, 2, 3}, BloomFilterConfig{/*bits_per_key=*/0});
   EXPECT_FALSE(c->has_filter());
   EXPECT_FALSE(c->filter_degraded());
   // MayContain degrades to "maybe" — always correct.
@@ -178,14 +177,13 @@ TEST(BloomFilter, FilterlessV1ComponentsStillLoadAndServe) {
   FilterFixture fx;
   std::vector<int64_t> keys = RandomSortedKeys(&rng, 500);
   {
-    auto built = fx.Build(keys, BloomFilterConfig{10, true}, {}, "legacy");
+    auto built = fx.Build(keys, BloomFilterConfig{10}, {}, "legacy");
     ASSERT_TRUE(built->has_filter());
   }
   RewriteFooterAsV1(fx.fs.get(), "legacy", 4096);
 
-  auto c = BtreeComponent::Open(fx.fs, &fx.cache, "legacy", 4096, nullptr,
-                                BloomFilterConfig{10, true})
-               .ValueOrDie();
+  auto c =
+      BtreeComponent::Open(fx.fs, &fx.cache, "legacy", 4096, nullptr).ValueOrDie();
   EXPECT_FALSE(c->has_filter());
   EXPECT_FALSE(c->filter_degraded());
   for (int64_t k : keys) {
@@ -200,20 +198,16 @@ TEST(BloomFilter, InteriorPagesPinnedForMultiLevelTrees) {
   Rng rng(3);
   FilterFixture fx;
   std::vector<int64_t> keys = RandomSortedKeys(&rng, 5000);
-  auto pinned = fx.Build(keys, BloomFilterConfig{10, /*pin=*/true}, {}, "p");
+  auto pinned = fx.Build(keys, BloomFilterConfig{10}, {}, "p");
   EXPECT_GT(pinned->pinned_interior_pages(), 0u);
   EXPECT_GE(fx.cache.pinned_pages(), pinned->pinned_interior_pages());
-
-  auto unpinned =
-      fx.Build(keys, BloomFilterConfig{10, /*pin=*/false}, {}, "u");
-  EXPECT_EQ(unpinned->pinned_interior_pages(), 0u);
 }
 
 TEST(BloomFilter, HotLookupCostsAtMostOneDiskRead) {
   Rng rng(5);
   FilterFixture fx;
   std::vector<int64_t> keys = RandomSortedKeys(&rng, 5000);
-  auto c = fx.Build(keys, BloomFilterConfig{10, true});
+  auto c = fx.Build(keys, BloomFilterConfig{10});
   ASSERT_GT(c->pinned_interior_pages(), 0u);
 
   int64_t hot = keys[keys.size() / 2];
@@ -233,7 +227,7 @@ TEST(BloomFilter, PinnedPagesReleasedWhenComponentCloses) {
   std::vector<int64_t> keys = RandomSortedKeys(&rng, 5000);
   size_t before = fx.cache.pinned_pages();
   {
-    auto c = fx.Build(keys, BloomFilterConfig{10, true}, {}, "scoped");
+    auto c = fx.Build(keys, BloomFilterConfig{10}, {}, "scoped");
     ASSERT_GT(fx.cache.pinned_pages(), before);
   }
   // Destroying the handle must unpin, or retired components would leak
@@ -264,7 +258,7 @@ struct TreeFixture {
 TEST(BloomFilterTree, MissesAnswerWithoutTouchingPages) {
   TreeFixture fx;
   auto o = fx.Options();
-  o.filter = BloomFilterConfig{10, true};
+  o.filter = BloomFilterConfig{10};
   auto t = LsmTree::Open(std::move(o)).ValueOrDie();
   // Several flushed components of EVEN keys, so an unfiltered in-fence miss
   // (odd key) would walk every component's B-tree.
@@ -298,7 +292,7 @@ TEST(BloomFilterTree, MissesAnswerWithoutTouchingPages) {
 TEST(BloomFilterTree, AllEntryPointsGoThroughTheFilterHelper) {
   TreeFixture fx;
   auto o = fx.Options();
-  o.filter = BloomFilterConfig{10, true};
+  o.filter = BloomFilterConfig{10};
   auto t = LsmTree::Open(std::move(o)).ValueOrDie();
   for (int64_t k = 0; k < 500; ++k) {
     ASSERT_TRUE(t->Insert(BtreeKey{k, 0}, "v").ok());
@@ -353,7 +347,7 @@ TEST(BloomFilterTree, FalsePositivesAreCountedNotWrong) {
   auto o = fx.Options();
   // 1 bit/key: a deliberately terrible filter, so false positives actually
   // occur and the counter path is exercised.
-  o.filter = BloomFilterConfig{1, true};
+  o.filter = BloomFilterConfig{1};
   auto t = LsmTree::Open(std::move(o)).ValueOrDie();
   for (int64_t k = 0; k < 2000; k += 2) {
     ASSERT_TRUE(t->Insert(BtreeKey{k, 0}, "v").ok());
@@ -372,7 +366,7 @@ TEST(BloomFilterTree, FiltersSurviveMergesAndRecovery) {
   TreeFixture fx;
   {
     auto o = fx.Options();
-    o.filter = BloomFilterConfig{10, true};
+    o.filter = BloomFilterConfig{10};
     o.merge_policy = MakePrefixMergePolicy(32ull << 20, 2);
     auto t = LsmTree::Open(std::move(o)).ValueOrDie();
     for (int64_t k = 0; k < 4000; ++k) {
@@ -383,9 +377,10 @@ TEST(BloomFilterTree, FiltersSurviveMergesAndRecovery) {
   }
   // Reopen: recovered components load their filters from disk.
   auto o = fx.Options();
-  o.filter = BloomFilterConfig{10, true};
+  o.filter = BloomFilterConfig{10};
   auto t = LsmTree::Open(std::move(o)).ValueOrDie();
-  for (const auto& comp : t->View().components()) {
+  LsmTree::ReadView view = t->View();  // outlives the loop over its vector
+  for (const auto& comp : view.components()) {
     EXPECT_TRUE(comp->has_filter()) << comp->path();
     EXPECT_FALSE(comp->filter_degraded());
   }

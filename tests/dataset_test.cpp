@@ -4,6 +4,8 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <map>
+#include <thread>
 
 #include "adm/parser.h"
 #include "adm/printer.h"
@@ -594,14 +596,15 @@ TEST(Dataset, InsertBatchPkIndexFailureMarksEveryRecord) {
   DatasetFixture fx;
   auto fail_fs = std::make_shared<PkIndexFailFs>(fx.fs);
   fx.fs = fail_fs;
-  DatasetOptions o = SmallOptions(SchemaMode::kOpen, /*memtable_kb=*/1024);
+  DatasetOptions o = SmallOptions(SchemaMode::kOpen, /*memtable_kb=*/64);
   o.primary_key_index = true;
   ASSERT_TRUE(fx.Open(std::move(o), 1).ok());
   fail_fs->fail_pkidx = true;
   constexpr size_t kBatch = 256;
   bool failed = false;
-  // The pk-index memtable budget is 64 KiB (~1024 entries): a few batches in,
-  // its caller-runs flush hits the injected failure.
+  // The partition's write budget (and flush floor) is 64 KiB: a few batches
+  // in, the pk index (~1024 entries) clears the floor as the largest live
+  // memtable and its caller-runs flush hits the injected failure.
   for (int64_t base = 0; base < 4096 && !failed; base += kBatch) {
     std::vector<AdmValue> batch = SequentialBatch(base, kBatch);
     BatchErrors errors;
@@ -628,7 +631,7 @@ TEST(Dataset, IngestFrontEndSurfacesPkIndexBatchFailure) {
   DatasetFixture fx;
   auto fail_fs = std::make_shared<PkIndexFailFs>(fx.fs);
   fx.fs = fail_fs;
-  DatasetOptions o = SmallOptions(SchemaMode::kOpen, /*memtable_kb=*/1024);
+  DatasetOptions o = SmallOptions(SchemaMode::kOpen, /*memtable_kb=*/64);
   o.primary_key_index = true;
   ASSERT_TRUE(fx.Open(std::move(o), 1).ok());
   fail_fs->fail_pkidx = true;
@@ -652,6 +655,90 @@ TEST(Dataset, IngestFrontEndSurfacesPkIndexBatchFailure) {
   }
   ASSERT_TRUE(failed) << "pk-index flush failure never surfaced";
   EXPECT_FALSE(front_end.Drain().ok());  // batch-level failures latch
+}
+
+// A partition's primary, pk-index and secondary trees share one write budget
+// (memtable_budget_bytes, owned by the partition): through a pooled upsert
+// feed their live memtables together stay within the arbiter's 2x ceiling,
+// the auxiliary trees flush when they grow largest, and nothing is lost.
+TEST(Dataset, PartitionTreesShareOneWriteBudget) {
+  constexpr size_t kBudget = 256 * 1024;
+  constexpr size_t kPartitions = 2;
+  TaskPool pool(2);
+  auto options = [&] {
+    DatasetOptions o = SmallOptions(SchemaMode::kInferred, kBudget / 1024);
+    o.primary_key_index = true;
+    o.secondary_index_field = "score";
+    o.merge_pool = &pool;
+    return o;
+  };
+  DatasetFixture fx;
+  ASSERT_TRUE(fx.Open(options(), kPartitions).ok());
+
+  auto live_bytes = [](const PartitionReadView& v) {
+    return v.primary->memtable().approximate_bytes() +
+           v.pk_index->memtable().approximate_bytes() +
+           v.secondary->memtable().approximate_bytes();
+  };
+  std::atomic<bool> done{false};
+  std::atomic<size_t> live_peak{0};
+  std::thread sampler([&] {
+    while (!done.load(std::memory_order_acquire)) {
+      for (size_t p = 0; p < kPartitions; ++p) {
+        size_t live = live_bytes(fx.dataset->partition(p)->AcquireReadView());
+        if (live > live_peak.load()) live_peak.store(live);
+      }
+      std::this_thread::yield();
+    }
+  });
+
+  constexpr int64_t kKeys = 6000;
+  constexpr size_t kBatch = 50;
+  const std::string text(120, 't');
+  std::map<int64_t, int64_t> score_of;  // the oracle: pk -> final score
+  Rng rng(19);
+  for (int round = 0; round < 2; ++round) {
+    for (int64_t base = 0; base < kKeys; base += kBatch) {
+      std::vector<AdmValue> batch;
+      for (int64_t k = base; k < base + static_cast<int64_t>(kBatch); ++k) {
+        int64_t score = static_cast<int64_t>(rng.Uniform(100000));
+        score_of[k] = score;
+        batch.push_back(R(R"({"id": )" + std::to_string(k) + R"(, "score": )" +
+                          std::to_string(score) + R"(, "text": ")" + text +
+                          R"("})"));
+      }
+      ASSERT_TRUE(fx.dataset->UpsertBatch(batch).ok());
+    }
+  }
+  done.store(true, std::memory_order_release);
+  sampler.join();
+  // Slack: one batch lands in all three trees between the arbiter's checks.
+  EXPECT_LE(live_peak.load(), 2 * kBudget + 64 * 1024);
+  for (size_t p = 0; p < kPartitions; ++p) {
+    DatasetPartition* part = fx.dataset->partition(p);
+    EXPECT_GT(part->primary()->stats().flush_count, 0u) << "partition " << p;
+    EXPECT_GT(part->pk_index()->stats().flush_count, 0u) << "partition " << p;
+    EXPECT_GT(part->secondary()->tree()->stats().flush_count, 0u)
+        << "partition " << p;
+  }
+
+  ASSERT_TRUE(fx.dataset->FlushAll().ok());
+  ASSERT_TRUE(fx.Reopen(options(), kPartitions).ok());
+  for (const auto& [pk, score] : score_of) {
+    auto got = fx.dataset->Get(pk).ValueOrDie();
+    ASSERT_TRUE(got.has_value()) << pk;
+    EXPECT_EQ(got->FindField("score")->int_value(), score) << pk;
+  }
+  for (int64_t lo : {int64_t{0}, int64_t{25000}, int64_t{70000}}) {
+    const int64_t hi = lo + 9999;
+    std::vector<int64_t> expected;
+    for (const auto& [pk, score] : score_of) {
+      if (score >= lo && score <= hi) expected.push_back(pk);
+    }
+    auto pks = fx.dataset->SecondaryRangeScan(lo, hi).ValueOrDie();
+    std::sort(pks.begin(), pks.end());
+    EXPECT_EQ(pks, expected) << "[" << lo << ", " << hi << "]";
+  }
 }
 
 // A feed interleaving inserts, upserts, and deletes through one front end:

@@ -1,10 +1,15 @@
 // MemoryArbiter: victim-selection properties (stub registrations), the
-// live/sealed accounting protocol, split adaptation, and the multi-tree
-// budget-respected invariant under concurrent ingest (the TSan stress for
-// cross-tree victim dispatch through LsmTree::TryArbiterFlush).
+// live/sealed accounting protocol, the 2x hard ceiling, the single-tree
+// threshold every tree gets by default, the teardown ordering, and the
+// multi-tree budget-respected invariant under concurrent ingest (the TSan
+// stress for cross-tree victim dispatch through LsmTree::TryArbiterFlush).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -17,46 +22,59 @@
 namespace tc {
 namespace {
 
-MemoryArbiter::Options BigBudget() {
-  // Large enough that OnPostWrite never crosses the write share: tests can
-  // set live sizes freely and probe SuggestFlushVictim without dispatches.
-  MemoryArbiter::Options o;
-  o.total_budget_bytes = 1ull << 30;
-  o.write_pct = 50;
-  o.adaptive = false;
-  return o;
+constexpr size_t kFloor = MemoryArbiter::kFlushFloorBytes;
+
+TEST(MemoryArbiter, FloorIsCappedAtTheBudget) {
+  {
+    // Budget above the floor: a generation below the floor is no victim.
+    MemoryArbiter arb(1 << 20);
+    auto* r = arb.Register([] { return true; });
+    EXPECT_FALSE(arb.OnPostWrite(r, kFloor - 1));
+    EXPECT_EQ(arb.SuggestFlushVictim(), nullptr);
+    EXPECT_FALSE(arb.OnPostWrite(r, kFloor));
+    EXPECT_EQ(arb.SuggestFlushVictim(), r);
+    arb.Unregister(r);
+  }
+  {
+    // Budget below the floor: a lone tree flushes itself exactly when its
+    // live generation reaches the budget.
+    MemoryArbiter arb(4096);
+    auto* r = arb.Register([] { return true; });
+    EXPECT_FALSE(arb.OnPostWrite(r, 4095));
+    EXPECT_TRUE(arb.OnPostWrite(r, 4096));
+    arb.Unregister(r);
+  }
 }
 
 TEST(MemoryArbiter, VictimIsAlwaysAMaximalEligibleLiveGeneration) {
-  MemoryArbiter arb(BigBudget());
+  // Large enough that OnPostWrite never crosses the budget: the test sets
+  // live sizes freely and probes SuggestFlushVictim without dispatches.
+  MemoryArbiter arb(1ull << 30);
   constexpr size_t kTrees = 6;
   std::vector<MemoryArbiter::Registration*> regs;
-  std::vector<size_t> floors = {1, 512, 4096, 1, 16384, 2048};
   for (size_t i = 0; i < kTrees; ++i) {
-    regs.push_back(arb.Register("t" + std::to_string(i), floors[i],
-                                [] { return true; }));
+    regs.push_back(arb.Register([] { return true; }));
   }
   Rng rng(7);
   for (int round = 0; round < 200; ++round) {
     std::vector<size_t> live(kTrees);
     for (size_t i = 0; i < kTrees; ++i) {
-      live[i] = rng.Uniform(64 * 1024);
+      live[i] = rng.Uniform(4 * kFloor);
       EXPECT_FALSE(arb.OnPostWrite(regs[i], live[i]));
     }
-    // Expected: the largest live generation among trees clearing their floor
+    // Expected: the largest live generation among trees clearing the floor
     // (first wins ties, matching the arbiter's strict comparison).
     MemoryArbiter::Registration* expected = nullptr;
     for (size_t i = 0; i < kTrees; ++i) {
-      if (live[i] < std::max<size_t>(1, floors[i])) continue;
+      if (live[i] < kFloor) continue;
       if (expected == nullptr || live[i] > expected->live()) expected = regs[i];
     }
     MemoryArbiter::Registration* got = arb.SuggestFlushVictim();
     EXPECT_EQ(got, expected) << "round " << round;
     if (got != nullptr) {
-      // The property the ISSUE names: no eligible tree holds MORE live bytes
-      // than the chosen victim.
+      // No eligible tree holds MORE live bytes than the chosen victim.
       for (size_t i = 0; i < kTrees; ++i) {
-        if (live[i] >= std::max<size_t>(1, floors[i])) {
+        if (live[i] >= kFloor) {
           EXPECT_LE(live[i], got->live());
         }
       }
@@ -66,20 +84,16 @@ TEST(MemoryArbiter, VictimIsAlwaysAMaximalEligibleLiveGeneration) {
 }
 
 TEST(MemoryArbiter, SelfVictimAndCrossTreeDispatch) {
-  MemoryArbiter::Options o;
-  o.total_budget_bytes = 100 * 1024;
-  o.write_pct = 50;  // share = 51200
-  o.adaptive = false;
-  MemoryArbiter arb(o);
+  MemoryArbiter arb(50 * 1024);  // floor = budget
   MemoryArbiter::Registration* a = nullptr;
   int a_flushes = 0;
-  a = arb.Register("a", 1, [&] {
+  a = arb.Register([&] {
     // A real flush_fn seals the generation before returning true.
     arb.OnSeal(a, a->live());
     ++a_flushes;
     return true;
   });
-  auto* b = arb.Register("b", 1, [] { return true; });
+  auto* b = arb.Register([] { return true; });
 
   // Caller == victim: OnPostWrite tells the caller to flush itself.
   EXPECT_TRUE(arb.OnPostWrite(a, 60 * 1024));
@@ -95,7 +109,7 @@ TEST(MemoryArbiter, SelfVictimAndCrossTreeDispatch) {
   EXPECT_EQ(s.write_bytes_sealed, 60 * 1024u);   // a, awaiting install
 
   // Install releases the sealed accounting.
-  arb.OnFlushInstalled(a, 60 * 1024, 12 * 1024);
+  arb.OnFlushInstalled(a, 60 * 1024);
   s = arb.stats();
   EXPECT_EQ(s.write_bytes_sealed, 0u);
   EXPECT_EQ(s.flushes_installed, 1u);
@@ -104,78 +118,28 @@ TEST(MemoryArbiter, SelfVictimAndCrossTreeDispatch) {
   arb.Unregister(b);
 }
 
-TEST(MemoryArbiter, SkippedVictimStaysACandidate) {
-  MemoryArbiter::Options o;
-  o.total_budget_bytes = 100 * 1024;
-  o.write_pct = 50;
-  o.adaptive = false;
-  MemoryArbiter arb(o);
-  auto* a = arb.Register("a", 1, [] { return false; });  // always busy
-  auto* b = arb.Register("b", 1, [] { return true; });
-  EXPECT_FALSE(arb.OnPostWrite(a, 40 * 1024));  // under share: no dispatch
-  EXPECT_FALSE(arb.OnPostWrite(b, 12 * 1024));  // over: dispatch to a, skipped
+TEST(MemoryArbiter, SkippedVictimStaysACandidateUntilTheHardCeiling) {
+  MemoryArbiter arb(2 * kFloor);
+  auto* a = arb.Register([] { return false; });  // always busy
+  auto* b = arb.Register([] { return true; });
+  const size_t kA = kFloor + kFloor / 2;
+  EXPECT_FALSE(arb.OnPostWrite(a, kA));  // under budget: no dispatch
+  EXPECT_FALSE(arb.OnPostWrite(b, kFloor / 2 + 1));  // over: a skipped
   EXPECT_EQ(arb.stats().victim_skips, 1u);
   // Still over budget and a still the largest: re-selected on the next write.
-  EXPECT_FALSE(arb.OnPostWrite(b, 13 * 1024));
+  EXPECT_FALSE(arb.OnPostWrite(b, kFloor / 2 + 2));
   EXPECT_EQ(arb.stats().victim_skips, 2u);
+  // a is told to flush itself but stays stuck; b, below the floor, never
+  // drains itself however far past 2x the budget live memory goes.
+  EXPECT_TRUE(arb.OnPostWrite(a, 4 * kFloor));
+  EXPECT_FALSE(arb.OnPostWrite(b, kFloor - 1));
+  // Past twice the budget, a writer that clears the floor flushes itself
+  // instead of waiting on the stuck victim.
+  EXPECT_TRUE(arb.OnPostWrite(b, kFloor));
+  EXPECT_EQ(arb.stats().victim_skips, 4u);
+  EXPECT_EQ(arb.stats().global_flushes_triggered, 0u);
   arb.Unregister(a);
   arb.Unregister(b);
-}
-
-TEST(MemoryArbiter, AdaptGrowsWriteShareOnTinyFlushesAndIdleCache) {
-  const size_t kPage = 4096;
-  BufferCache cache(kPage, 1024);
-  MemoryArbiter::Options o;
-  o.total_budget_bytes = 1 << 20;
-  o.write_pct = 50;
-  o.adaptive = true;
-  o.adapt_interval_flushes = 2;
-  o.cache = &cache;
-  MemoryArbiter arb(o);
-  // The ctor applied the initial split to the cache: 512 KiB / 4 KiB pages.
-  EXPECT_EQ(cache.capacity_pages(), 128u);
-  auto* a = arb.Register("a", 1, [] { return true; });
-  // Two tiny installed flushes, zero cache traffic: write memory is starved,
-  // the split shifts toward it and the cache shrinks.
-  arb.OnFlushInstalled(a, 1024, 1024);
-  arb.OnFlushInstalled(a, 1024, 1024);
-  MemoryArbiter::Stats s = arb.stats();
-  EXPECT_EQ(s.write_pct, 55);
-  EXPECT_EQ(s.adapt_shifts, 1u);
-  EXPECT_LT(cache.capacity_pages(), 128u);
-  EXPECT_GE(s.split_history.size(), 2u);  // initial split + the shift
-  arb.Unregister(a);
-}
-
-TEST(MemoryArbiter, AdaptShrinksWriteShareWhenMissRateClimbs) {
-  auto fs = MakeMemFileSystem();
-  const size_t kPage = 4096;
-  auto pf = PagedFile::Create(fs, "adapt", kPage, nullptr).ValueOrDie();
-  Buffer page(kPage);
-  for (int i = 0; i < 100; ++i) ASSERT_TRUE(pf->AppendPage(page.data()).ok());
-  ASSERT_TRUE(pf->Finish().ok());
-
-  BufferCache cache(kPage, 1024);
-  MemoryArbiter::Options o;
-  o.total_budget_bytes = 1 << 20;
-  o.write_pct = 50;
-  o.adaptive = true;
-  o.adapt_interval_flushes = 2;
-  o.cache = &cache;
-  MemoryArbiter arb(o);
-  size_t before = cache.capacity_pages();
-  auto* a = arb.Register("a", 1, [] { return true; });
-  // A working set larger than the cache: every access misses.
-  for (uint32_t i = 0; i < 100; ++i) (void)cache.GetPage(pf.get(), i).ValueOrDie();
-  // Healthy flush sizes (>= half the static per-tree share), so the only
-  // signal firing is the miss rate — the split shifts toward the cache.
-  size_t share = arb.write_share_bytes();
-  arb.OnFlushInstalled(a, share, share);
-  arb.OnFlushInstalled(a, share, share);
-  MemoryArbiter::Stats s = arb.stats();
-  EXPECT_EQ(s.write_pct, 45);
-  EXPECT_GT(cache.capacity_pages(), before);
-  arb.Unregister(a);
 }
 
 // --- Multi-tree arbitration over real LSM trees ----------------------------
@@ -184,8 +148,8 @@ struct ArbiterTreesFixture {
   std::shared_ptr<FileSystem> fs = MakeMemFileSystem();
   BufferCache cache{4096, 2048};
 
-  std::unique_ptr<LsmTree> Open(MemoryArbiter* arb, const std::string& name,
-                                TaskPool* pool = nullptr) {
+  LsmTreeOptions Options(MemoryArbiter* arb, const std::string& name,
+                         TaskPool* pool = nullptr) {
     LsmTreeOptions o;
     o.fs = fs;
     o.cache = &cache;
@@ -196,18 +160,18 @@ struct ArbiterTreesFixture {
     o.use_wal = false;
     o.merge_pool = pool;
     o.arbiter = arb;
-    o.arbiter_floor_bytes = 1024;
-    return LsmTree::Open(std::move(o)).ValueOrDie();
+    return o;
+  }
+
+  std::unique_ptr<LsmTree> Open(MemoryArbiter* arb, const std::string& name,
+                                TaskPool* pool = nullptr) {
+    return LsmTree::Open(Options(arb, name, pool)).ValueOrDie();
   }
 };
 
 TEST(MemoryArbiter, MultiTreeBudgetRespectedUnderConcurrentIngest) {
-  MemoryArbiter::Options o;
-  o.total_budget_bytes = 256 * 1024;
-  o.write_pct = 50;  // share = 128 KiB
-  o.adaptive = false;
-  MemoryArbiter arb(o);
-  const size_t share = arb.write_share_bytes();
+  constexpr size_t budget = 4 * kFloor;
+  MemoryArbiter arb(budget);
 
   ArbiterTreesFixture fx;
   constexpr size_t kTrees = 4;
@@ -217,7 +181,7 @@ TEST(MemoryArbiter, MultiTreeBudgetRespectedUnderConcurrentIngest) {
   }
 
   // Caller-runs flushes (no pool): the enforced bound is the arbiter's hard
-  // ceiling — live memory under 2x the share (a skipped dispatch past that
+  // ceiling — live memory under 2x the budget (a skipped dispatch past that
   // makes the caller drain itself), plus slack for floors and records in
   // flight. Sealed bytes are transient here (a generation mid-build, drained
   // synchronously), so live + sealed gets extra headroom.
@@ -227,8 +191,8 @@ TEST(MemoryArbiter, MultiTreeBudgetRespectedUnderConcurrentIngest) {
   std::thread sampler([&] {
     while (!done.load(std::memory_order_acquire)) {
       MemoryArbiter::Stats s = arb.stats();
-      if (s.write_bytes_live > 2 * share + 64 * 1024 ||
-          s.write_bytes_live + s.write_bytes_sealed > 4 * share + 64 * 1024) {
+      if (s.write_bytes_live > 2 * budget + kFloor ||
+          s.write_bytes_live + s.write_bytes_sealed > 4 * budget + kFloor) {
         violated.store(true, std::memory_order_release);
       }
       std::this_thread::yield();
@@ -267,11 +231,7 @@ TEST(MemoryArbiter, MultiTreeBudgetRespectedUnderConcurrentIngest) {
 }
 
 TEST(MemoryArbiter, PooledFlushBuildsComposeWithGlobalVictims) {
-  MemoryArbiter::Options o;
-  o.total_budget_bytes = 128 * 1024;
-  o.write_pct = 50;
-  o.adaptive = false;
-  MemoryArbiter arb(o);
+  MemoryArbiter arb(3 * kFloor);
 
   TaskPool pool(2);
   ArbiterTreesFixture fx;
@@ -280,7 +240,7 @@ TEST(MemoryArbiter, PooledFlushBuildsComposeWithGlobalVictims) {
   for (size_t i = 0; i < kTrees; ++i) {
     trees.push_back(fx.Open(&arb, "p" + std::to_string(i), &pool));
   }
-  constexpr uint64_t kWrites = 2000;
+  constexpr uint64_t kWrites = 4000;
   std::vector<std::thread> writers;
   std::vector<Status> statuses(kTrees, Status::OK());
   for (size_t t = 0; t < kTrees; ++t) {
@@ -299,6 +259,7 @@ TEST(MemoryArbiter, PooledFlushBuildsComposeWithGlobalVictims) {
     ASSERT_TRUE(t->WaitForMerges().ok());
   }
   MemoryArbiter::Stats s = arb.stats();
+  EXPECT_GT(s.global_flushes_triggered + s.self_flushes_triggered, 0u);
   EXPECT_EQ(s.write_bytes_live + s.write_bytes_sealed, 0u);
   // Every record survived the arbitrated flush pipeline.
   for (size_t t = 0; t < kTrees; ++t) {
@@ -314,197 +275,106 @@ TEST(MemoryArbiter, PooledFlushBuildsComposeWithGlobalVictims) {
   trees.clear();
 }
 
-// --- Flush-free traffic adaptation (MaybeAdaptFromTraffic) -----------------
+// --- The default: one tree, one arbiter of its own -------------------------
 
-TEST(MemoryArbiter, TrafficTickShiftsTowardCacheOnMissStorm) {
-  auto fs = MakeMemFileSystem();
-  const size_t kPage = 4096;
-  auto pf = PagedFile::Create(fs, "adapt", kPage, nullptr).ValueOrDie();
-  Buffer page(kPage);
-  for (int i = 0; i < 100; ++i) ASSERT_TRUE(pf->AppendPage(page.data()).ok());
-  ASSERT_TRUE(pf->Finish().ok());
-
-  BufferCache cache(kPage, 1024);
-  MemoryArbiter::Options o;
-  o.total_budget_bytes = 1 << 20;
-  o.write_pct = 50;
-  o.adaptive = true;
-  o.traffic_adapt_interval_ms = 0;  // no time gate: deltas alone decide
-  o.cache = &cache;
-  MemoryArbiter arb(o);
-  size_t before = cache.capacity_pages();
-
-  // Query-only workload, no flushes at all: 100 cold reads are 100 misses,
-  // the miss share trips the shift-toward-cache signal.
-  for (uint32_t i = 0; i < 100; ++i) (void)cache.GetPage(pf.get(), i).ValueOrDie();
-  arb.MaybeAdaptFromTraffic();
-  MemoryArbiter::Stats s = arb.stats();
-  EXPECT_EQ(s.traffic_adapt_ticks, 1u);
-  EXPECT_EQ(s.write_pct, 45);
-  EXPECT_GT(cache.capacity_pages(), before);
-
-  // No new traffic: below the signal floor, no decision, no tick consumed.
-  arb.MaybeAdaptFromTraffic();
-  s = arb.stats();
-  EXPECT_EQ(s.traffic_adapt_ticks, 1u);
-  EXPECT_EQ(s.write_pct, 45);
-}
-
-TEST(MemoryArbiter, TrafficTickLeavesSplitAloneWhenHitsDominate) {
-  auto fs = MakeMemFileSystem();
-  const size_t kPage = 4096;
-  auto pf = PagedFile::Create(fs, "adapt2", kPage, nullptr).ValueOrDie();
-  Buffer page(kPage);
-  for (int i = 0; i < 8; ++i) ASSERT_TRUE(pf->AppendPage(page.data()).ok());
-  ASSERT_TRUE(pf->Finish().ok());
-
-  BufferCache cache(kPage, 1024);
-  MemoryArbiter::Options o;
-  o.total_budget_bytes = 1 << 20;
-  o.write_pct = 50;
-  o.adaptive = true;
-  o.traffic_adapt_interval_ms = 0;
-  o.cache = &cache;
-  MemoryArbiter arb(o);
-
-  // 8 cold misses then 92 hits on the resident pages: miss share 8% is far
-  // below the 40% shift threshold.
-  for (int round = 0; round < 100; ++round) {
-    (void)cache.GetPage(pf.get(), round % 8).ValueOrDie();
-  }
-  arb.MaybeAdaptFromTraffic();
-  MemoryArbiter::Stats s = arb.stats();
-  EXPECT_EQ(s.traffic_adapt_ticks, 1u);  // decided, but no shift warranted
-  EXPECT_EQ(s.write_pct, 50);
-  EXPECT_EQ(s.adapt_shifts, 0u);
-}
-
-TEST(MemoryArbiter, TrafficTickIsTimeGated) {
-  auto fs = MakeMemFileSystem();
-  const size_t kPage = 4096;
-  auto pf = PagedFile::Create(fs, "adapt3", kPage, nullptr).ValueOrDie();
-  Buffer page(kPage);
-  for (int i = 0; i < 100; ++i) ASSERT_TRUE(pf->AppendPage(page.data()).ok());
-  ASSERT_TRUE(pf->Finish().ok());
-
-  BufferCache cache(kPage, 1024);
-  MemoryArbiter::Options o;
-  o.total_budget_bytes = 1 << 20;
-  o.write_pct = 50;
-  o.adaptive = true;
-  o.traffic_adapt_interval_ms = 60 * 1000;  // far beyond the test's runtime
-  o.cache = &cache;
-  MemoryArbiter arb(o);
-
-  for (uint32_t i = 0; i < 100; ++i) (void)cache.GetPage(pf.get(), i).ValueOrDie();
-  arb.MaybeAdaptFromTraffic();
-  EXPECT_EQ(arb.stats().traffic_adapt_ticks, 1u);
-  // Another miss storm inside the window: gated, regardless of traffic.
-  for (uint32_t i = 0; i < 100; ++i) (void)cache.GetPage(pf.get(), i).ValueOrDie();
-  arb.MaybeAdaptFromTraffic();
-  EXPECT_EQ(arb.stats().traffic_adapt_ticks, 1u);
-  EXPECT_EQ(arb.stats().write_pct, 45);  // only the first tick shifted
-}
-
-// --- Query scratch charging (TryChargeQuery / ReleaseQuery) ----------------
-
-TEST(MemoryArbiter, QueryChargesBoundedByReadShare) {
-  MemoryArbiter::Options o;
-  o.total_budget_bytes = 100 * 1024;
-  o.write_pct = 60;  // read share = 40 KiB
-  o.adaptive = false;
-  MemoryArbiter arb(o);
-  ASSERT_EQ(arb.read_share_bytes(), 40 * 1024u);
-
-  EXPECT_TRUE(arb.TryChargeQuery(30 * 1024));
-  EXPECT_EQ(arb.stats().query_bytes_charged, 30 * 1024u);
-  // 30 + 20 > 40: denied and counted, charge unchanged.
-  EXPECT_FALSE(arb.TryChargeQuery(20 * 1024));
-  EXPECT_EQ(arb.stats().query_bytes_charged, 30 * 1024u);
-  EXPECT_EQ(arb.stats().query_charge_denials, 1u);
-  // Exactly to the cap is fine.
-  EXPECT_TRUE(arb.TryChargeQuery(10 * 1024));
-  EXPECT_FALSE(arb.TryChargeQuery(1));
-  EXPECT_EQ(arb.stats().query_charge_denials, 2u);
-
-  arb.ReleaseQuery(20 * 1024);
-  EXPECT_EQ(arb.stats().query_bytes_charged, 20 * 1024u);
-  EXPECT_TRUE(arb.TryChargeQuery(20 * 1024));
-  // Saturating release: over-release clamps to zero instead of wrapping.
-  arb.ReleaseQuery(1 << 30);
-  EXPECT_EQ(arb.stats().query_bytes_charged, 0u);
-  EXPECT_TRUE(arb.TryChargeQuery(40 * 1024));
-}
-
-// Flush-build / merge-rewrite scratch always admits (denial would wedge the
-// write path) but occupies the read share, shrinking what query scratch can
-// take while a build runs.
-TEST(MemoryArbiter, BackgroundChargesAlwaysAdmitButShrinkQueryAdmission) {
-  MemoryArbiter::Options o;
-  o.total_budget_bytes = 100 * 1024;
-  o.write_pct = 60;  // read share = 40 KiB
-  o.adaptive = false;
-  MemoryArbiter arb(o);
-
-  // A background charge larger than the whole read share still admits.
-  arb.ChargeBackground(50 * 1024);
-  EXPECT_EQ(arb.stats().background_bytes_charged, 50 * 1024u);
-  EXPECT_EQ(arb.stats().background_charges, 1u);
-  // ...but queries now see zero headroom.
-  EXPECT_FALSE(arb.TryChargeQuery(1));
-  EXPECT_EQ(arb.stats().query_charge_denials, 1u);
-
-  arb.ReleaseBackground(50 * 1024);
-  EXPECT_EQ(arb.stats().background_bytes_charged, 0u);
-
-  // Partial occupancy: build scratch and query scratch share the 40 KiB.
-  arb.ChargeBackground(25 * 1024);
-  EXPECT_FALSE(arb.TryChargeQuery(20 * 1024));  // 25 + 20 > 40
-  EXPECT_TRUE(arb.TryChargeQuery(15 * 1024));   // exactly to the cap
-  EXPECT_FALSE(arb.TryChargeQuery(1));
-  arb.ReleaseBackground(10 * 1024);
-  EXPECT_TRUE(arb.TryChargeQuery(10 * 1024));
-
-  // Saturating release: over-release clamps to zero instead of wrapping.
-  arb.ReleaseBackground(1 << 30);
-  EXPECT_EQ(arb.stats().background_bytes_charged, 0u);
-}
-
-// An LSM tree attached to an arbiter charges its component-build scratch
-// while the build runs and releases it at install: observable as a nonzero
-// background_charges count after a flush, with no residual charged bytes.
-TEST(MemoryArbiter, TreeBuildsChargeBackgroundScratch) {
-  MemoryArbiter::Options o;
-  o.total_budget_bytes = 4 << 20;
-  o.adaptive = false;
-  MemoryArbiter arb(o);
-  auto fs = MakeMemFileSystem();
-  BufferCache cache(4096, 512);
-  {
-    LsmTreeOptions t;
-    t.fs = fs;
-    t.cache = &cache;
-    t.dir = "arb";
-    t.name = "t";
-    t.page_size = 4096;
-    t.memtable_budget_bytes = 1 << 20;
-    t.merge_policy = MakePrefixMergePolicy(UINT64_MAX, 1);
-    t.arbiter = &arb;
-    t.wal_sync_every = 0;
-    auto tree = LsmTree::Open(std::move(t)).ValueOrDie();
-    for (int64_t k = 0; k < 32; ++k) {
-      ASSERT_TRUE(tree->Insert(BtreeKey{k, 0}, "vvvv").ok());
+// A tree opened without an arbiter owns one of memtable_budget_bytes and
+// flushes exactly when its live generation reaches that budget — the
+// per-tree threshold, through the one arbiter path.
+TEST(MemoryArbiter, TreeWithoutArbiterFlushesAtItsBudget) {
+  constexpr size_t kBudget = 16 * 1024;  // below the floor: floor = budget
+  ArbiterTreesFixture fx;
+  LsmTreeOptions o = fx.Options(nullptr, "own");
+  o.memtable_budget_bytes = kBudget;
+  auto tree = LsmTree::Open(std::move(o)).ValueOrDie();
+  const std::string payload(100, 'x');
+  size_t live = 0;       // live generation bytes after the previous write
+  size_t max_step = 0;   // largest growth of one write that did not flush
+  uint64_t flushes = 0;
+  for (int64_t k = 0; k < 2000; ++k) {
+    ASSERT_TRUE(tree->Insert(BtreeKey{k, 0}, payload).ok());
+    size_t now = tree->View().memtable().approximate_bytes();
+    uint64_t flush_count = tree->stats().flush_count;
+    if (flush_count > flushes) {
+      // Flushed on the write that reached the budget, not before.
+      EXPECT_EQ(now, 0u);
+      EXPECT_GE(live + max_step, kBudget) << "key " << k;
+      flushes = flush_count;
+    } else {
+      EXPECT_LT(now, kBudget) << "key " << k;
+      max_step = std::max(max_step, now - live);
     }
-    ASSERT_TRUE(tree->Flush().ok());
-    for (int64_t k = 32; k < 64; ++k) {
-      ASSERT_TRUE(tree->Insert(BtreeKey{k, 0}, "vvvv").ok());
-    }
-    ASSERT_TRUE(tree->Flush().ok());  // flush build + caller-runs merge
+    live = now;
   }
-  MemoryArbiter::Stats s = arb.stats();
-  EXPECT_GE(s.background_charges, 3u);  // two flush builds + one merge
-  EXPECT_EQ(s.background_bytes_charged, 0u);  // all released at build end
+  EXPECT_GT(flushes, 5u);
 }
 
+// --- Teardown ordering -------------------------------------------------------
+
+// Blocks every flush build in OnFlushBegin until the test releases it.
+class LatchedFlushTransformer : public FlushTransformer {
+ public:
+  Status OnFlushBegin() override {
+    std::unique_lock<std::mutex> lock(mu_);
+    entered_ = true;
+    cv_.notify_all();
+    cv_.wait(lock, [this] { return released_; });
+    return Status::OK();
+  }
+  void WaitEntered() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this] { return entered_; });
+  }
+  void Release() {
+    std::lock_guard<std::mutex> lock(mu_);
+    released_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool entered_ = false;
+  bool released_ = false;
+};
+
+// A WAL-less pooled tree drains its queued flush build on teardown, and that
+// build reports its install through the tree's registration — so the
+// destructor must unregister only after the build finished. Unregistering
+// first (and nulling the registration under the running build) is a data
+// race and a use-after-free of the registration.
+TEST(MemoryArbiter, TeardownUnregistersOnlyAfterTheFlushBuildDrains) {
+  MemoryArbiter arb(1 << 20);
+  TaskPool pool(1);
+  LatchedFlushTransformer latch;
+  ArbiterTreesFixture fx;
+  LsmTreeOptions o = fx.Options(&arb, "drain", &pool);
+  o.transformer = &latch;
+  auto tree = LsmTree::Open(std::move(o)).ValueOrDie();
+  for (int64_t k = 0; k < 100; ++k) {
+    ASSERT_TRUE(tree->Insert(BtreeKey{k, 0}, "payload").ok());
+  }
+  ASSERT_TRUE(tree->Flush().ok());
+  latch.WaitEntered();  // the build is running, parked on the latch
+  EXPECT_GT(arb.stats().write_bytes_sealed, 0u);
+
+  std::thread destroyer([&] { tree.reset(); });
+  // While the build is parked the tree must stay registered. Watch for a
+  // bounded while; a destructor that unregisters first is caught at once.
+  bool unregistered_early = false;
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::milliseconds(200);
+  while (std::chrono::steady_clock::now() < deadline) {
+    if (arb.stats().registered_trees == 0) {
+      unregistered_early = true;
+      break;
+    }
+    std::this_thread::yield();
+  }
+  latch.Release();
+  destroyer.join();
+  EXPECT_FALSE(unregistered_early);
+  MemoryArbiter::Stats s = arb.stats();
+  EXPECT_EQ(s.registered_trees, 0u);
+  EXPECT_EQ(s.flushes_installed, 1u);  // the drained build reported in
+}
 }  // namespace
 }  // namespace tc

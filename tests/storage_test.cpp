@@ -274,63 +274,6 @@ TEST(BufferCache, InvalidateFile) {
   EXPECT_EQ(cache.misses(), 2u);
 }
 
-TEST(BufferCache, SetCapacityShrinkEvictsLruTailButNotPinned) {
-  auto fs = MakeMemFileSystem();
-  const size_t kPage = 4096;
-  auto pf = PagedFile::Create(fs, "cap", kPage, nullptr).ValueOrDie();
-  Buffer page(kPage);
-  for (int i = 0; i < 8; ++i) {
-    page[0] = static_cast<uint8_t>(i);
-    ASSERT_TRUE(pf->AppendPage(page.data()).ok());
-  }
-  ASSERT_TRUE(pf->Finish().ok());
-
-  BufferCache cache(kPage, 8);
-  // Two pinned pages (outside the LRU budget), six plain entries.
-  auto pin0 = cache.GetPinnedPage(pf.get(), 0).ValueOrDie();
-  auto pin1 = cache.GetPinnedPage(pf.get(), 1).ValueOrDie();
-  for (uint32_t i = 2; i < 8; ++i) (void)cache.GetPage(pf.get(), i).ValueOrDie();
-  EXPECT_EQ(cache.misses(), 8u);
-  EXPECT_EQ(cache.capacity_pages(), 8u);
-
-  cache.SetCapacity(2);
-  EXPECT_EQ(cache.capacity_pages(), 2u);
-  EXPECT_EQ(cache.pinned_pages(), 2u);
-  uint64_t misses = cache.misses();
-  // Pinned entries survive the shrink without a re-read...
-  EXPECT_EQ((*cache.GetPinnedPage(pf.get(), 0).ValueOrDie())[0], 0);
-  EXPECT_EQ((*cache.GetPinnedPage(pf.get(), 1).ValueOrDie())[0], 1);
-  // ...as do the two most-recently-used plain pages.
-  (void)cache.GetPage(pf.get(), 6).ValueOrDie();
-  (void)cache.GetPage(pf.get(), 7).ValueOrDie();
-  EXPECT_EQ(cache.misses(), misses);
-  // The LRU tail was evicted by the shrink.
-  (void)cache.GetPage(pf.get(), 2).ValueOrDie();
-  EXPECT_EQ(cache.misses(), misses + 1);
-}
-
-TEST(BufferCache, SetCapacityGrowAdmitsMorePages) {
-  auto fs = MakeMemFileSystem();
-  const size_t kPage = 4096;
-  auto pf = PagedFile::Create(fs, "grow", kPage, nullptr).ValueOrDie();
-  Buffer page(kPage);
-  for (int i = 0; i < 6; ++i) ASSERT_TRUE(pf->AppendPage(page.data()).ok());
-  ASSERT_TRUE(pf->Finish().ok());
-
-  BufferCache cache(kPage, 2);
-  for (uint32_t i = 0; i < 6; ++i) (void)cache.GetPage(pf.get(), i).ValueOrDie();
-  EXPECT_EQ(cache.misses(), 6u);  // capacity 2: the first four evicted
-
-  cache.SetCapacity(6);
-  EXPECT_EQ(cache.capacity_pages(), 6u);
-  for (uint32_t i = 0; i < 6; ++i) (void)cache.GetPage(pf.get(), i).ValueOrDie();
-  // Pages 4 and 5 were still resident; 0-3 miss once, then everything fits.
-  EXPECT_EQ(cache.misses(), 10u);
-  uint64_t misses = cache.misses();
-  for (uint32_t i = 0; i < 6; ++i) (void)cache.GetPage(pf.get(), i).ValueOrDie();
-  EXPECT_EQ(cache.misses(), misses);
-}
-
 TEST(DeviceModel, CountsBytes) {
   DeviceModel dev(DeviceProfile::Unthrottled());
   dev.OnRead(100);

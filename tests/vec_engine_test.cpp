@@ -18,7 +18,6 @@
 #include <tuple>
 #include <vector>
 
-#include "common/memory_arbiter.h"
 #include "query/executor.h"
 #include "query/field_access.h"
 #include "query/paper_queries.h"
@@ -797,39 +796,6 @@ TEST(HashJoin, StringKeysRejectedMissingKeysNeverMatch) {
   ASSERT_TRUE(none.ok()) << none.status().ToString();
   EXPECT_EQ(none.value().output_rows, 0u);
   EXPECT_EQ(none.value().probe_rows, 40u);
-}
-
-// The build side meets its first string key in its second partition, after
-// the first one charged the memory arbiter: the failed join returns the charge.
-TEST(HashJoin, KeyTypeErrorReleasesArbiterCharge) {
-  MemoryArbiter::Options ao;
-  ao.total_budget_bytes = 64 << 20;
-  ao.adaptive = false;
-  MemoryArbiter arb(ao);
-  {
-    DatasetFixture fx;
-    DatasetOptions o = SmallOptions(SchemaMode::kInferred, 128);
-    o.arbiter = &arb;
-    ASSERT_TRUE(fx.Open(std::move(o), 2).ok());
-    for (int64_t id = 0; id < 40; ++id) {
-      AdmValue r = AdmValue::Object();
-      r.AddField("id", AdmValue::BigInt(id));
-      r.AddField("k", fx.dataset->PartitionOf(id) == 0 ? AdmValue::BigInt(id)
-                                                       : AdmValue::String("s"));
-      ASSERT_TRUE(fx.dataset->Insert(r).ok());
-    }
-    ASSERT_TRUE(fx.dataset->FlushAll().ok());
-    JoinSpec spec;
-    spec.build_key = "k";
-    spec.probe_key = "id";
-    auto got = HashJoinDatasets(
-        fx.dataset.get(), fx.dataset.get(), spec, [](int) -> BatchSink {
-          return [](const ColumnBatch&) { return Status::OK(); };
-        });
-    ASSERT_FALSE(got.ok());
-    EXPECT_EQ(got.status().code(), StatusCode::kNotSupported);
-    EXPECT_EQ(arb.stats().query_bytes_charged, 0u);
-  }
 }
 
 // Joins repeatedly while tweets ingest concurrently: each join pins read views
