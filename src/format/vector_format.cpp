@@ -240,7 +240,10 @@ Status VectorRecordWalker::Next(Item* item, bool* done) {
     return Status::Corruption("vb: walked past end of tags");
   }
   AdmTag tag = static_cast<AdmTag>(d[kVectorHeaderSize + tag_pos_++]);
-  if (static_cast<uint8_t>(tag) >= static_cast<uint8_t>(AdmTag::kNumTags)) {
+  // Missing values are never stored (fields drop them, collections reject
+  // them) and union is a schema-only kind.
+  if (static_cast<uint8_t>(tag) >= static_cast<uint8_t>(AdmTag::kNumTags) ||
+      tag == AdmTag::kMissing || tag == AdmTag::kUnion) {
     return Status::Corruption("vb: bad tag byte");
   }
   *item = Item{};
@@ -317,7 +320,7 @@ size_t VectorRecordWalker::TryFixedRun(AdmTag* tag, const uint8_t** base) {
   if (t0 >= static_cast<uint8_t>(AdmTag::kNumTags)) return 0;
   AdmTag t = static_cast<AdmTag>(t0);
   int width = FixedWidthOf(t);
-  if (!IsFixedLengthScalar(t) || width < 0) return 0;
+  if (!IsFixedLengthScalar(t) || width < 0 || t == AdmTag::kMissing) return 0;
   // Scalar tags open no scopes, so consecutive identical tags are by
   // construction consecutive items of the current collection scope.
   size_t count = 1;
@@ -493,7 +496,7 @@ namespace {
 /// Spells out the field name of a walker item given the enclosing object's
 /// declared descriptor (nullable) and the schema dictionary (nullable for
 /// uncompacted records). Only whole-record decoding needs the name itself;
-/// the query walks compare names without copying them (query/field_match.h).
+/// the query walks compare names without copying them (query/path_walk.h).
 Status ResolveVectorFieldName(const VectorRecordWalker::Item& it,
                               const TypeDescriptor* scope_decl,
                               const Schema* schema, std::string* out) {

@@ -3,7 +3,7 @@
 #include <cstdlib>
 
 #include "format/bson_format.h"
-#include "query/field_match.h"
+#include "query/path_walk.h"
 
 namespace tc {
 
@@ -99,29 +99,90 @@ AdmValue NavigateAdmValue(const AdmValue& v, const std::vector<PathStep>& steps,
 }
 
 // ---------------------------------------------------------------------------
-// Vector-based multi-path extraction: one linear walk serving all paths.
-// Two walks mirror this skeleton: ScanPredicateMatcher (scan_predicate.cpp),
-// with in-place compares instead of materialization, and the vectorized
-// scan's VecPathExtractor (vec/vec_operator.cpp), which collects scalar items
-// for typed columns. All three match field names through one
-// PathFieldMatcher (query/field_match.h). Keep structural changes to all
-// three in sync (the scan-predicate equivalence tests and
-// VecFastPath.ExtractorMatchesGetValuesVector pin them to this one).
+// Vector-based multi-path extraction: one PackedPathWalk (query/path_walk.h)
+// serving all paths, with hooks that materialise what the paths reach.
 // ---------------------------------------------------------------------------
 
 namespace {
 
-struct Active {
-  size_t path;  // index into paths
-  size_t step;  // the step this scope's children are matched against
-};
+class MaterialiseHooks : public PathWalkHooks {
+ public:
+  MaterialiseHooks(const std::vector<FieldPath>& paths, std::vector<AdmValue>* out)
+      : out_(out) {
+    for (const auto& p : paths) {
+      wildcard_.push_back(p.HasWildcard() ? 1 : 0);
+      if (wildcard_.back() != 0) {
+        any_wildcard_ = true;
+      } else if (!p.steps.empty()) {
+        ++unresolved_;
+      }
+    }
+  }
 
-struct WalkScope {
-  bool is_object = false;
-  size_t item_index = 0;                 // running index for collection scopes
-  const TypeDescriptor* decl = nullptr;  // object: own type; collection: item type
-  std::vector<Active> actives;
-  std::vector<AdmValue*> builders;       // subtree materialization targets
+  // Exact paths resolve at most once, so the walk stops as soon as every one
+  // has been extracted and no subtree is still being materialised. This is
+  // what makes access cost proportional to the value's *position* in the
+  // record (paper §4.4.4, Figure 22) rather than always linear in its size.
+  bool Stop() const { return !any_wildcard_ && unresolved_ == 0 && open_ == 0; }
+
+  bool Terminal(size_t path, const Item& it) {
+    AdmValue* target;
+    if (wildcard_[path] != 0) {
+      target = &(*out_)[path].Append(AdmValue::Missing());
+    } else {
+      target = &(*out_)[path];
+      --unresolved_;
+    }
+    Place(it, target);
+    return false;
+  }
+
+  bool Materialising(size_t depth) const {
+    return depth < builders_.size() && !builders_[depth].empty();
+  }
+
+  // Copies the item into every subtree under construction in its scope.
+  void Materialise(size_t depth, bool in_object, const Item& it,
+                   std::string_view name) {
+    for (AdmValue* b : builders_[depth]) {
+      Place(it, in_object ? &b->AddField(std::string(name), AdmValue())
+                          : &b->Append(AdmValue()));
+    }
+  }
+
+  void Enter(size_t depth) {
+    if (builders_.size() <= depth) builders_.resize(depth + 1);
+    builders_[depth].clear();
+    std::swap(builders_[depth], pending_);
+    open_ += builders_[depth].size();
+  }
+
+  void Leave(size_t depth) {
+    if (depth < builders_.size()) {
+      open_ -= builders_[depth].size();
+      builders_[depth].clear();
+    }
+  }
+
+ private:
+  // Scalars decode in place; a nested value starts empty and becomes a
+  // builder of the scope its item opens next.
+  void Place(const Item& it, AdmValue* slot) {
+    if (IsNested(it.tag)) {
+      *slot = AdmValue(it.tag);
+      pending_.push_back(slot);
+    } else {
+      *slot = DecodeVectorScalarItem(it);
+    }
+  }
+
+  std::vector<AdmValue>* out_;
+  std::vector<uint8_t> wildcard_;
+  bool any_wildcard_ = false;
+  size_t unresolved_ = 0;
+  size_t open_ = 0;                               // builders in open scopes
+  std::vector<std::vector<AdmValue*>> builders_;  // per scope depth
+  std::vector<AdmValue*> pending_;  // builders of the scope the item opens
 };
 
 }  // namespace
@@ -129,143 +190,18 @@ struct WalkScope {
 Status GetValuesVector(const VectorRecordView& view, const DatasetType& type,
                        const Schema* schema, const std::vector<FieldPath>& paths,
                        std::vector<AdmValue>* out) {
-  TC_RETURN_IF_ERROR(view.Validate());
   out->clear();
   out->reserve(paths.size());
   for (const auto& p : paths) {
     out->push_back(p.HasWildcard() ? AdmValue::Array() : AdmValue::Missing());
   }
-
-  VectorRecordWalker walker(view);
-  VectorRecordWalker::Item it;
-  bool done = false;
-  TC_RETURN_IF_ERROR(walker.Next(&it, &done));
-  if (done || it.tag != AdmTag::kObject) {
-    return Status::Corruption("vb: record root is not an object");
-  }
-
-  // Early-termination bookkeeping: paths without wildcards resolve at most
-  // once, so the walk can stop as soon as every such path has been extracted
-  // and no subtree is still being materialized. This is what makes access
-  // cost proportional to the value's *position* in the record (paper §4.4.4,
-  // Figure 22) rather than always linear in the record size.
-  size_t unresolved = 0;
-  bool any_wildcard = false;
-  for (const auto& p : paths) {
-    if (p.HasWildcard()) {
-      any_wildcard = true;
-    } else if (!p.steps.empty()) {
-      ++unresolved;
-    }
-  }
-  size_t open_builders = 0;
-
-  PathFieldMatcher names;
-  names.Bind(paths.size(), [&paths](size_t p) -> const FieldPath& { return paths[p]; },
-             schema);
-
-  std::vector<WalkScope> scopes;
-  scopes.push_back({});
-  {
-    WalkScope& root = scopes.back();
-    root.is_object = true;
-    root.decl = type.root.get();
-    for (size_t p = 0; p < paths.size(); ++p) {
-      if (!paths[p].steps.empty()) root.actives.push_back({p, 0});
-    }
-  }
-
-  std::vector<AdmValue*> child_builders;
-  while (true) {
-    if (!any_wildcard && unresolved == 0 && open_builders == 0) break;
-    TC_RETURN_IF_ERROR(walker.Next(&it, &done));
-    if (done) break;
-    if (it.tag == AdmTag::kEndNest) {
-      open_builders -= scopes.back().builders.size();
-      scopes.pop_back();
-      if (scopes.empty()) return Status::Corruption("vb: scope underflow");
-      if (!scopes.back().is_object) ++scopes.back().item_index;
-      continue;
-    }
-    WalkScope& scope = scopes.back();
-    bool need_name = scope.is_object &&
-                     (!scope.actives.empty() || !scope.builders.empty());
-    ItemFieldName name;
-    if (need_name) TC_RETURN_IF_ERROR(names.Resolve(it, scope.decl, &name));
-
-    // Which paths does this item advance or complete?
-    std::vector<Active> child_actives;
-    std::vector<AdmValue*> extraction_targets;
-    for (const Active& a : scope.actives) {
-      const PathStep& st = paths[a.path].steps[a.step];
-      bool match = false;
-      if (scope.is_object) {
-        match = names.Matches(name, a.path, a.step, st);
-      } else if (st.kind == PathStep::kWildcard) {
-        match = true;
-      } else if (st.kind == PathStep::kIndex) {
-        match = st.index == scope.item_index;
-      }
-      if (!match) continue;
-      if (a.step + 1 == paths[a.path].steps.size()) {
-        AdmValue* target;
-        if (paths[a.path].HasWildcard()) {
-          target = &(*out)[a.path].Append(AdmValue::Missing());
-        } else {
-          target = &(*out)[a.path];
-          if (unresolved > 0) --unresolved;
-        }
-        extraction_targets.push_back(target);
-      } else {
-        child_actives.push_back({a.path, a.step + 1});
-      }
-    }
-
-    // Declared type of this item (for descendant name resolution).
-    const TypeDescriptor* item_decl = nullptr;
-    if (scope.is_object) {
-      if (it.declared && scope.decl != nullptr &&
-          it.declared_index < scope.decl->field_count()) {
-        item_decl = scope.decl->field_type(it.declared_index).get();
-      }
-    } else {
-      item_decl = scope.decl;
-    }
-
-    // Materialize into parent builders and extraction targets.
-    child_builders.clear();
-    AdmValue scalar;
-    bool nested = IsNested(it.tag);
-    if (!nested) scalar = DecodeVectorScalarItem(it);
-    for (AdmValue* b : scope.builders) {
-      AdmValue placed = nested ? AdmValue(it.tag) : scalar;
-      AdmValue* slot =
-          scope.is_object
-              ? &b->AddField(std::string(names.Text(name)), std::move(placed))
-              : &b->Append(std::move(placed));
-      if (nested) child_builders.push_back(slot);
-    }
-    for (AdmValue* t : extraction_targets) {
-      *t = nested ? AdmValue(it.tag) : scalar;
-      if (nested) child_builders.push_back(t);
-    }
-
-    if (nested) {
-      WalkScope child;
-      child.is_object = it.tag == AdmTag::kObject;
-      child.decl = child.is_object
-                       ? item_decl
-                       : (item_decl != nullptr ? item_decl->item_type().get()
-                                               : nullptr);
-      child.actives = std::move(child_actives);
-      child.builders = child_builders;
-      open_builders += child.builders.size();
-      scopes.push_back(std::move(child));
-    } else if (!scope.is_object) {
-      ++scope.item_index;
-    }
-  }
-  return Status::OK();
+  PackedPathWalk walk;
+  walk.Bind(
+      paths.size(),
+      [&paths](size_t p) -> const std::vector<PathStep>& { return paths[p].steps; },
+      schema);
+  MaterialiseHooks hooks(paths, out);
+  return walk.Walk(view, type, &hooks);
 }
 
 Status GetValuesVectorUnconsolidated(const VectorRecordView& view,

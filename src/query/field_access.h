@@ -60,8 +60,6 @@ Status GetValuesVectorUnconsolidated(const VectorRecordView& view,
 Status GetValuesAdm(const uint8_t* data, size_t size, const DatasetType& type,
                     const std::vector<FieldPath>& paths, std::vector<AdmValue>* out);
 
-struct ScanPredicate;  // query/scan_predicate.h
-
 /// Mode-dispatching accessor bound to one partition's format and schema
 /// snapshot. `consolidate` mirrors QueryOptions::consolidate_field_access.
 class RecordAccessor {
@@ -74,18 +72,8 @@ class RecordAccessor {
   Status GetValues(std::string_view payload, const std::vector<FieldPath>& paths,
                    std::vector<AdmValue>* out) const;
 
-  /// Evaluates a lowered scan predicate against one raw payload WITHOUT
-  /// assembling the record (§3.4.2-deep); for vector-based records this is a
-  /// single early-terminating walk over the packed vectors. The three-arg
-  /// form takes `pred.Paths()` precomputed — the fallback modes extract the
-  /// term paths per record, and per-call path copies would dominate a hot
-  /// scan. Defined in scan_predicate.cpp.
-  Result<bool> Matches(std::string_view payload, const ScanPredicate& pred,
-                       const std::vector<FieldPath>& pred_paths) const;
-  Result<bool> Matches(std::string_view payload, const ScanPredicate& pred) const;
-
-  /// Whether Matches can evaluate payloads of this mode at all (everything
-  /// but BSON).
+  /// Whether ScanPredicateMatcher::Matches can evaluate payloads of this
+  /// mode at all (everything but BSON).
   bool SupportsScanPredicate() const { return mode_ != SchemaMode::kBson; }
 
   const Schema& schema() const { return schema_; }

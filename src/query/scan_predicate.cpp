@@ -42,24 +42,11 @@ bool EvalPredicateRow(const std::vector<AdmValue>& cols, const ScanPredicate& pr
 }
 
 // ---------------------------------------------------------------------------
-// Lowered evaluation over the packed vectors.
-//
-// The walk skeleton (scope stack, active-path matching, declared-type
-// propagation) deliberately mirrors GetValuesVector in field_access.cpp; the
-// terminal behavior differs enough — in-place compares with conjunction
-// short-circuits and term states here, subtree materialization with builder
-// fan-out there — that parameterizing one walker over both would bury the
-// §4.4.4 hot loop under callbacks. A structural change to either walk MUST be
-// mirrored in the other, and in the vectorized scan's VecPathExtractor
-// (vec/vec_operator.cpp), the third walk on this skeleton;
-// LoweredPredicateEquivalence.RandomizedAcrossModesAndChurn pins this one to
-// GetValuesVector.
-//
-// Field names match through the PathFieldMatcher shared with the other two
-// walks (query/field_match.h): compacted fields by FieldNameID, the rest as
-// string_views. The per-record state (term flags, scope stack) and the step
-// IDs live in the ScanPredicateMatcher so a scan evaluating millions of
-// records reuses them instead of rebuilding them per row.
+// Lowered evaluation over the packed vectors: the shared PackedPathWalk
+// (query/path_walk.h) with hooks that compare matched leaves in place. The
+// per-record state (term flags, scope stack) and the step IDs live in the
+// ScanPredicateMatcher, so a scan evaluating millions of records reuses them
+// instead of rebuilding them per row.
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -91,174 +78,102 @@ bool AnyPackedFixedTermSatisfies(AdmTag tag, const uint8_t* base, size_t count,
 
 }  // namespace
 
-ScanPredicateMatcher::Scope& ScanPredicateMatcher::PushScope() {
-  if (depth_ == scopes_.size()) scopes_.emplace_back();
-  Scope& s = scopes_[depth_++];
-  s.is_object = false;
-  s.item_index = 0;
-  s.decl = nullptr;
-  s.actives.clear();
-  return s;
-}
+struct ScanPredicateMatcher::Hooks : PathWalkHooks {
+  Hooks(const std::vector<PredicateTerm>& t, std::vector<uint8_t>* s)
+      : terms(t), satisfied(*s), undecided(t.size()) {}
+
+  bool Stop() const { return decided; }
+
+  bool Terminal(size_t t, const Item& it) {
+    const PredicateTerm& term = terms[t];
+    if (term.path.HasWildcard()) {
+      // Existential: a miss on one item is not a decision.
+      if (satisfied[t] || IsNested(it.tag) || !PackedTermLeafSatisfies(it, term)) {
+        return false;
+      }
+      return Satisfy(t);
+    }
+    // An exact path reaches its terminal once: a failed compare (or a nested
+    // value at the path) decides the conjunction.
+    if (IsNested(it.tag) || !PackedTermLeafSatisfies(it, term)) return Decide(false);
+    return Satisfy(t);
+  }
+
+  // A run of same-tag fixed-width scalars is consumed at once through the
+  // vectorized AnyPackedFixedSatisfies kernel when every active path is a
+  // terminal [*] compare: the run then needs no per-item bookkeeping.
+  size_t TryRun(VectorRecordWalker* walker,
+                const std::vector<PackedPathWalk::Active>& actives) {
+    for (const auto& a : actives) {
+      const auto& steps = terms[a.path].path.steps;
+      if (a.step + 1 != steps.size() || steps[a.step].kind != PathStep::kWildcard) {
+        return 0;
+      }
+    }
+    AdmTag run_tag;
+    const uint8_t* run_base = nullptr;
+    size_t run = walker->TryFixedRun(&run_tag, &run_base);
+    if (run == 0) return 0;
+    for (const auto& a : actives) {
+      if (!satisfied[a.path] &&
+          AnyPackedFixedTermSatisfies(run_tag, run_base, run, terms[a.path]) &&
+          Satisfy(a.path)) {
+        break;
+      }
+    }
+    return run;
+  }
+
+  // Satisfied terms only ever stay satisfied; the last one decides.
+  bool Satisfy(size_t t) {
+    satisfied[t] = 1;
+    return --undecided == 0 && Decide(true);
+  }
+  bool Decide(bool v) {
+    decided = true;
+    verdict = v;
+    return true;
+  }
+
+  const std::vector<PredicateTerm>& terms;
+  std::vector<uint8_t>& satisfied;
+  size_t undecided;
+  bool decided = false;
+  bool verdict = false;
+};
 
 Result<bool> ScanPredicateMatcher::MatchVector(const VectorRecordView& view,
                                                const DatasetType& type,
                                                const Schema* schema,
                                                const ScanPredicate& pred) {
-  TC_RETURN_IF_ERROR(view.Validate());
   const std::vector<PredicateTerm>& terms = pred.terms;
-  if (terms.empty()) return true;
-
-  // A term decided unsatisfiable short-circuits the whole conjunction, so
-  // satisfied_ only ever transitions 0 -> 1.
-  satisfied_.assign(terms.size(), 0);
-  size_t undecided = terms.size();
   for (const auto& t : terms) {
     // The empty path denotes the root object, which is never a scalar.
-    if (t.path.steps.empty()) return false;
+    if (t.path.steps.empty()) {
+      TC_RETURN_IF_ERROR(view.Validate());
+      return false;
+    }
   }
   // Dictionaries only grow, so a schema whose dictionary grew since the
   // last bind may now hold a step name that resolved to 0 then.
   uint32_t dict_size = schema != nullptr ? schema->dict().size() : 0;
   if (&pred != bound_pred_ || schema != bound_schema_ ||
       dict_size != bound_dict_size_) {
-    names_.Bind(terms.size(),
-                [&terms](size_t t) -> const FieldPath& { return terms[t].path; },
-                schema);
+    walk_.Bind(
+        terms.size(),
+        [&terms](size_t t) -> const std::vector<PathStep>& {
+          return terms[t].path.steps;
+        },
+        schema);
     bound_pred_ = &pred;
     bound_schema_ = schema;
     bound_dict_size_ = dict_size;
   }
-
-  /// The vectorized-run fast path applies when every active in a collection
-  /// scope is an undecidable-per-item-free terminal [*] compare: consuming a
-  /// whole scalar run at once then needs no per-item bookkeeping.
-  auto all_terminal_wildcards = [&terms](const Scope& scope) {
-    for (const Active& a : scope.actives) {
-      const auto& steps = terms[a.term].path.steps;
-      if (a.step + 1 != steps.size()) return false;
-      if (steps[a.step].kind != PathStep::kWildcard) return false;
-    }
-    return true;
-  };
-
-  VectorRecordWalker walker(view);
-  VectorRecordWalker::Item it;
-  bool done = false;
-  TC_RETURN_IF_ERROR(walker.Next(&it, &done));
-  if (done || it.tag != AdmTag::kObject) {
-    return Status::Corruption("vb: record root is not an object");
-  }
-
-  depth_ = 0;
-  {
-    Scope& root = PushScope();
-    root.is_object = true;
-    root.decl = type.root.get();
-    for (size_t t = 0; t < terms.size(); ++t) root.actives.push_back({t, 0});
-  }
-  while (true) {
-    {
-      Scope& scope = scopes_[depth_ - 1];
-      if (!scope.is_object && !scope.actives.empty() &&
-          all_terminal_wildcards(scope)) {
-        AdmTag run_tag;
-        const uint8_t* run_base = nullptr;
-        size_t run = walker.TryFixedRun(&run_tag, &run_base);
-        if (run > 0) {
-          for (const Active& a : scope.actives) {
-            if (satisfied_[a.term]) continue;
-            if (AnyPackedFixedTermSatisfies(run_tag, run_base, run,
-                                            terms[a.term])) {
-              satisfied_[a.term] = 1;
-              if (--undecided == 0) return true;
-            }
-          }
-          scope.item_index += run;
-          continue;
-        }
-      }
-    }
-    TC_RETURN_IF_ERROR(walker.Next(&it, &done));
-    if (done) break;
-    if (it.tag == AdmTag::kEndNest) {
-      if (--depth_ == 0) return Status::Corruption("vb: scope underflow");
-      if (!scopes_[depth_ - 1].is_object) ++scopes_[depth_ - 1].item_index;
-      continue;
-    }
-    Scope& scope = scopes_[depth_ - 1];
-    ItemFieldName name;
-    if (scope.is_object && !scope.actives.empty()) {
-      TC_RETURN_IF_ERROR(names_.Resolve(it, scope.decl, &name));
-    }
-
-    child_actives_.clear();
-    for (const Active& a : scope.actives) {
-      const PathStep& st = terms[a.term].path.steps[a.step];
-      bool match = false;
-      if (scope.is_object) {
-        match = names_.Matches(name, a.term, a.step, st);
-      } else if (st.kind == PathStep::kWildcard) {
-        match = true;
-      } else if (st.kind == PathStep::kIndex) {
-        match = st.index == scope.item_index;
-      }
-      if (!match) continue;
-      if (a.step + 1 < terms[a.term].path.steps.size()) {
-        child_actives_.push_back({a.term, a.step + 1});
-        continue;
-      }
-      // Terminal: compare this leaf in place.
-      const PredicateTerm& term = terms[a.term];
-      if (term.path.HasWildcard()) {
-        // Existential: a miss on one item is not a decision.
-        if (!satisfied_[a.term] && !IsNested(it.tag) &&
-            PackedTermLeafSatisfies(it, term)) {
-          satisfied_[a.term] = 1;
-          if (--undecided == 0) return true;
-        }
-      } else {
-        // Exact paths resolve at most once: a failed compare (or a nested
-        // value at the path) decides the conjunction. Records violating the
-        // unique-field-name contract take first-occurrence-wins here; don't
-        // let a duplicate re-decrement undecided or flip the verdict.
-        if (satisfied_[a.term]) continue;
-        if (IsNested(it.tag) || !PackedTermLeafSatisfies(it, term)) {
-          return false;
-        }
-        satisfied_[a.term] = 1;
-        if (--undecided == 0) return true;
-      }
-    }
-
-    // Declared type of this item (for descendant name resolution).
-    const TypeDescriptor* item_decl = nullptr;
-    if (scope.is_object) {
-      if (it.declared && scope.decl != nullptr &&
-          it.declared_index < scope.decl->field_count()) {
-        item_decl = scope.decl->field_type(it.declared_index).get();
-      }
-    } else {
-      item_decl = scope.decl;
-    }
-
-    if (IsNested(it.tag)) {
-      bool child_is_object = it.tag == AdmTag::kObject;
-      const TypeDescriptor* child_decl =
-          child_is_object ? item_decl
-                          : (item_decl != nullptr ? item_decl->item_type().get()
-                                                  : nullptr);
-      // `scope` may dangle after PushScope (vector growth); nothing below
-      // uses it.
-      Scope& child = PushScope();
-      child.is_object = child_is_object;
-      child.decl = child_decl;
-      std::swap(child.actives, child_actives_);  // capacities circulate
-    } else if (!scope.is_object) {
-      ++scope.item_index;
-    }
-  }
-  return undecided == 0;
+  satisfied_.assign(terms.size(), 0);
+  Hooks hooks(terms, &satisfied_);
+  if (terms.empty()) hooks.Decide(true);
+  TC_RETURN_IF_ERROR(walk_.Walk(view, type, &hooks));
+  return hooks.verdict;
 }
 
 Result<bool> MatchVectorRecord(const VectorRecordView& view, const DatasetType& type,
@@ -268,54 +183,29 @@ Result<bool> MatchVectorRecord(const VectorRecordView& view, const DatasetType& 
 }
 
 // ---------------------------------------------------------------------------
-// Mode dispatch: the pre-assembly fast path for vector-based records, the
-// extract-then-evaluate fallback elsewhere. Fallback semantics are identical
+// Mode dispatch: the pre-assembly fast path for consolidated vector-based
+// records, extract-then-evaluate elsewhere. Fallback semantics are identical
 // by construction: both end in EvalPredicateTerm-compatible comparisons.
 // ---------------------------------------------------------------------------
 
 Result<bool> ScanPredicateMatcher::Matches(
     const RecordAccessor& accessor, std::string_view payload,
     const ScanPredicate& pred, const std::vector<FieldPath>& pred_paths) {
-  const uint8_t* data = reinterpret_cast<const uint8_t*>(payload.data());
-  switch (accessor.mode()) {
-    case SchemaMode::kOpen:
-    case SchemaMode::kClosed: {
-      // ADM records navigate offset tables: extracting just the predicate
-      // paths is already cheap, so the "lowered" form is extract-and-test.
-      cols_.clear();
-      TC_RETURN_IF_ERROR(GetValuesAdm(data, payload.size(), *accessor.type(),
-                                      pred_paths, &cols_));
-      return EvalPredicateRow(cols_, pred, 0);
-    }
-    case SchemaMode::kInferred:
-    case SchemaMode::kSchemalessVB: {
-      VectorRecordView view(data, payload.size());
-      if (accessor.consolidate()) {
-        return MatchVector(view, *accessor.type(), &accessor.schema(), pred);
-      }
-      // Consolidation ablation: one full walk per term, mirroring
-      // GetValuesVectorUnconsolidated.
-      cols_.clear();
-      TC_RETURN_IF_ERROR(GetValuesVectorUnconsolidated(
-          view, *accessor.type(), &accessor.schema(), pred_paths, &cols_));
-      return EvalPredicateRow(cols_, pred, 0);
-    }
-    case SchemaMode::kBson:
-      return Status::NotSupported("scan predicates over BSON records");
+  if (!accessor.SupportsScanPredicate()) {
+    return Status::NotSupported("scan predicates over BSON records");
   }
-  return Status::Internal("bad mode");
-}
-
-Result<bool> RecordAccessor::Matches(std::string_view payload,
-                                     const ScanPredicate& pred,
-                                     const std::vector<FieldPath>& pred_paths) const {
-  ScanPredicateMatcher matcher;
-  return matcher.Matches(*this, payload, pred, pred_paths);
-}
-
-Result<bool> RecordAccessor::Matches(std::string_view payload,
-                                     const ScanPredicate& pred) const {
-  return Matches(payload, pred, pred.Paths());
+  if ((accessor.mode() == SchemaMode::kInferred ||
+       accessor.mode() == SchemaMode::kSchemalessVB) &&
+      accessor.consolidate()) {
+    VectorRecordView view(reinterpret_cast<const uint8_t*>(payload.data()),
+                          payload.size());
+    return MatchVector(view, *accessor.type(), &accessor.schema(), pred);
+  }
+  // ADM records navigate offset tables, so extracting just the predicate
+  // paths is already cheap; the consolidation ablation walks once per term.
+  cols_.clear();
+  TC_RETURN_IF_ERROR(accessor.GetValues(payload, pred_paths, &cols_));
+  return EvalPredicateRow(cols_, pred, 0);
 }
 
 }  // namespace tc

@@ -29,7 +29,7 @@
 
 #include "adm/value.h"
 #include "query/field_access.h"
-#include "query/field_match.h"
+#include "query/path_walk.h"
 
 namespace tc {
 
@@ -107,10 +107,10 @@ bool EvalPredicateRow(const std::vector<AdmValue>& cols, const ScanPredicate& pr
 /// query) creates its own.
 class ScanPredicateMatcher {
  public:
-  /// Evaluates `pred` against one raw payload exactly like
-  /// RecordAccessor::Matches (same dispatch, same semantics), reusing this
-  /// matcher's scratch. `pred_paths` is `pred.Paths()` precomputed by the
-  /// caller.
+  /// Evaluates `pred` against one raw payload of `accessor`'s format: the
+  /// lowered walk (MatchVector) for consolidated vector-based records,
+  /// extract-then-EvalPredicateRow for every other format but BSON.
+  /// `pred_paths` is `pred.Paths()` precomputed by the caller.
   Result<bool> Matches(const RecordAccessor& accessor, std::string_view payload,
                        const ScanPredicate& pred,
                        const std::vector<FieldPath>& pred_paths);
@@ -120,28 +120,12 @@ class ScanPredicateMatcher {
                            const Schema* schema, const ScanPredicate& pred);
 
  private:
-  // One path still being matched: which term, and which step of its path the
-  // current scope's children are compared against.
-  struct Active {
-    size_t term;
-    size_t step;
-  };
-  struct Scope {
-    bool is_object = false;
-    size_t item_index = 0;                 // running index for collection scopes
-    const TypeDescriptor* decl = nullptr;  // object: own type; collection: item
-    std::vector<Active> actives;           // capacity survives reuse
-  };
+  struct Hooks;  // the walk's terminal handling; scan_predicate.cpp
 
-  Scope& PushScope();
-
+  PackedPathWalk walk_;  // bound to the three bound_* values below
   // Term states: 0 = undecided, 1 = satisfied (an unsatisfiable exact term
   // short-circuits the conjunction instead).
   std::vector<uint8_t> satisfied_;
-  std::vector<Scope> scopes_;  // pooled stack; [0, depth_) is live
-  size_t depth_ = 0;
-  std::vector<Active> child_actives_;  // per-item scratch, swapped into scopes
-  PathFieldMatcher names_;  // bound to the three bound_* values below
   const ScanPredicate* bound_pred_ = nullptr;
   const Schema* bound_schema_ = nullptr;
   uint32_t bound_dict_size_ = 0;

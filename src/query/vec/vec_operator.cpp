@@ -4,7 +4,6 @@
 #include <optional>
 
 #include "format/vector_format.h"
-#include "query/field_match.h"
 #include "query/scan_predicate.h"
 
 namespace tc {
@@ -18,23 +17,10 @@ VecOpCounters* OpCounters(const PartitionContext& ctx, const char* name) {
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Columnar fast-path extraction: one walk over the record's packed vectors
+// Columnar fast-path extraction: the shared PackedPathWalk (query/path_walk.h)
 // collects, per requested path, the scalar walker items it matches — items
 // point into the payload, so nothing is decoded or allocated until the scan
-// appends them typed into the batch columns (AppendItem). The walk skeleton
-// mirrors GetValuesVector (field_access.cpp) and ScanPredicateMatcher's
-// MatchVector (scan_predicate.cpp): scope stack, active-path matching with
-// [*] matching every item of a collection scope, declared-type propagation,
-// and field names matched through the shared PathFieldMatcher
-// (query/field_match.h). A structural change to any of the three walks MUST
-// be mirrored in the others; VecFastPath.ExtractorMatchesGetValuesVector
-// pins this one to GetValuesVector. The terminal differs: exact paths keep
-// their first occurrence (and the walk stops once all of them resolved,
-// unless a wildcard path is requested), wildcard paths keep every match in
-// walk order (nested wildcards flatten into one list), and a NESTED value at
-// any terminal bails the whole record out to the generic GetValues fallback
-// (subtree materialization is exactly what this path avoids implementing
-// twice).
+// appends them typed into the batch columns (AppendItem).
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -64,159 +50,67 @@ void AppendItem(const VectorRecordWalker::Item& it, ColumnVector* col) {
 
 }  // namespace
 
-class VecPathExtractor {
- public:
-  /// `paths` and `schema` (the accessor's snapshot, which resolves the
-  /// FieldNameIDs of compacted records) must outlive the extractor; every
-  /// path is non-empty — the eligibility check in OpenSource.
-  VecPathExtractor(const std::vector<FieldPath>& paths, const Schema* schema)
-      : paths_(&paths), items_(paths.size()), wildcard_(paths.size(), 0) {
-    names_.Bind(paths.size(), [&paths](size_t p) -> const FieldPath& {
-      return paths[p];
-    }, schema);
-    for (size_t p = 0; p < paths.size(); ++p) {
-      if (paths[p].HasWildcard()) {
-        wildcard_[p] = 1;
-        any_wildcard_ = true;
-      } else {
-        ++exact_paths_;
-      }
+VecPathExtractor::VecPathExtractor(const std::vector<FieldPath>& paths,
+                                   const Schema* schema)
+    : items_(paths.size()), wildcard_(paths.size(), 0) {
+  walk_.Bind(
+      paths.size(),
+      [&paths](size_t p) -> const std::vector<PathStep>& { return paths[p].steps; },
+      schema);
+  for (size_t p = 0; p < paths.size(); ++p) {
+    if (paths[p].HasWildcard()) {
+      wildcard_[p] = 1;
+      any_wildcard_ = true;
+    } else {
+      ++exact_paths_;
     }
   }
+}
 
-  /// Attempts the direct extraction from one payload. Returns false (items
-  /// unspecified) when the record needs the GetValues fallback.
-  Result<bool> Extract(const VectorRecordView& view, const DatasetType& type);
+// The terminal: a wildcard path keeps every match in walk order (nested
+// wildcards flatten into one list), an exact path its one match, and the walk
+// stops once every exact path resolved unless a wildcard path is requested.
+// A NESTED value at any terminal bails the whole record out to the generic
+// GetValues fallback: subtree materialisation is exactly what this path
+// avoids implementing twice.
+struct VecPathExtractor::Hooks : PathWalkHooks {
+  explicit Hooks(VecPathExtractor* ex) : ex(ex), remaining(ex->exact_paths_) {}
 
-  /// The scalar items path `p` matched in the last Extract, in record order:
-  /// at most one for an exact path, the list's items for a wildcard path.
-  /// They point into the payload.
-  const std::vector<VectorRecordWalker::Item>& items(size_t p) const {
-    return items_[p];
-  }
-  bool wildcard(size_t p) const { return wildcard_[p] != 0; }
-
- private:
-  struct Active {
-    size_t path;
-    size_t step;
-  };
-  struct Scope {
-    bool is_object = false;
-    size_t item_index = 0;
-    const TypeDescriptor* decl = nullptr;
-    std::vector<Active> actives;
-  };
-
-  Scope& PushScope() {
-    if (depth_ == scopes_.size()) scopes_.emplace_back();
-    Scope& s = scopes_[depth_++];
-    s.is_object = false;
-    s.item_index = 0;
-    s.decl = nullptr;
-    s.actives.clear();
-    return s;
+  bool Terminal(size_t p, const Item& it) {
+    if (IsNested(it.tag)) {
+      fast = false;
+      return true;
+    }
+    ex->items_[p].push_back(it);
+    return ex->wildcard_[p] == 0 && --remaining == 0 && !ex->any_wildcard_;
   }
 
-  const std::vector<FieldPath>* paths_;
-  PathFieldMatcher names_;
-  std::vector<std::vector<VectorRecordWalker::Item>> items_;
-  std::vector<uint8_t> wildcard_;
-  size_t exact_paths_ = 0;
-  bool any_wildcard_ = false;
-  std::vector<Scope> scopes_;
-  size_t depth_ = 0;
-  std::vector<Active> child_actives_;
+  VecPathExtractor* ex;
+  size_t remaining;
+  bool fast = true;
 };
 
 Result<bool> VecPathExtractor::Extract(const VectorRecordView& view,
                                        const DatasetType& type) {
-  TC_RETURN_IF_ERROR(view.Validate());
-  const std::vector<FieldPath>& paths = *paths_;
   for (auto& got : items_) got.clear();
-  size_t remaining = exact_paths_;
+  Hooks hooks(this);
+  TC_RETURN_IF_ERROR(walk_.Walk(view, type, &hooks));
+  return hooks.fast;  // exact paths without an item are missing values
+}
 
-  VectorRecordWalker walker(view);
-  VectorRecordWalker::Item it;
-  bool done = false;
-  TC_RETURN_IF_ERROR(walker.Next(&it, &done));
-  if (done || it.tag != AdmTag::kObject) {
-    return Status::Corruption("vb: record root is not an object");
-  }
-
-  depth_ = 0;
-  {
-    Scope& root = PushScope();
-    root.is_object = true;
-    root.decl = type.root.get();
-    for (size_t p = 0; p < paths.size(); ++p) root.actives.push_back({p, 0});
-  }
-  while (true) {
-    TC_RETURN_IF_ERROR(walker.Next(&it, &done));
-    if (done) break;
-    if (it.tag == AdmTag::kEndNest) {
-      if (--depth_ == 0) return Status::Corruption("vb: scope underflow");
-      if (!scopes_[depth_ - 1].is_object) ++scopes_[depth_ - 1].item_index;
-      continue;
-    }
-    Scope& scope = scopes_[depth_ - 1];
-    ItemFieldName name;
-    if (scope.is_object && !scope.actives.empty()) {
-      TC_RETURN_IF_ERROR(names_.Resolve(it, scope.decl, &name));
-    }
-
-    child_actives_.clear();
-    for (const Active& a : scope.actives) {
-      const PathStep& st = paths[a.path].steps[a.step];
-      bool match = false;
-      if (scope.is_object) {
-        match = names_.Matches(name, a.path, a.step, st);
-      } else if (st.kind == PathStep::kWildcard) {
-        match = true;
-      } else if (st.kind == PathStep::kIndex) {
-        match = st.index == scope.item_index;
-      }
-      if (!match) continue;
-      if (a.step + 1 < paths[a.path].steps.size()) {
-        child_actives_.push_back({a.path, a.step + 1});
-        continue;
-      }
-      // Terminal. A wildcard path keeps every match; an exact path keeps its
-      // first (records violating the unique-field-name contract take
-      // first-occurrence-wins, matching GetValuesVector).
-      std::vector<VectorRecordWalker::Item>& got = items_[a.path];
-      bool exact = wildcard_[a.path] == 0;
-      if (exact && !got.empty()) continue;
-      if (IsNested(it.tag)) return false;  // subtree: generic fallback
-      got.push_back(it);
-      if (exact && --remaining == 0 && !any_wildcard_) return true;
-    }
-
-    const TypeDescriptor* item_decl = nullptr;
-    if (scope.is_object) {
-      if (it.declared && scope.decl != nullptr &&
-          it.declared_index < scope.decl->field_count()) {
-        item_decl = scope.decl->field_type(it.declared_index).get();
-      }
+void VecPathExtractor::AppendRow(ColumnVector* cols) const {
+  for (size_t c = 0; c < items_.size(); ++c) {
+    ColumnVector& col = cols[c];
+    if (wildcard_[c] != 0) {
+      ColumnVector& list = col.BeginList();
+      for (const VectorRecordWalker::Item& item : items_[c]) AppendItem(item, &list);
+      col.EndList();
+    } else if (items_[c].empty()) {
+      col.AppendMissing();
     } else {
-      item_decl = scope.decl;
-    }
-
-    if (IsNested(it.tag)) {
-      bool child_is_object = it.tag == AdmTag::kObject;
-      const TypeDescriptor* child_decl =
-          child_is_object ? item_decl
-                          : (item_decl != nullptr ? item_decl->item_type().get()
-                                                  : nullptr);
-      Scope& child = PushScope();
-      child.is_object = child_is_object;
-      child.decl = child_decl;
-      std::swap(child.actives, child_actives_);
-    } else if (!scope.is_object) {
-      ++scope.item_index;
+      AppendItem(items_[c][0], &col);
     }
   }
-  return true;  // exact paths without an item are missing values
 }
 
 // ---------------------------------------------------------------------------
@@ -289,19 +183,7 @@ Status VecSourceOperator::Append(std::string_view payload, ColumnBatch* batch) {
       TC_ASSIGN_OR_RETURN(fast_done, extractor_->Extract(view, *accessor_->type()));
     }
     if (fast_done) {
-      for (size_t c = 0; c < spec_.paths.size(); ++c) {
-        const std::vector<VectorRecordWalker::Item>& items = extractor_->items(c);
-        ColumnVector& col = batch->cols[c];
-        if (extractor_->wildcard(c)) {
-          ColumnVector& list = col.BeginList();
-          for (const VectorRecordWalker::Item& item : items) AppendItem(item, &list);
-          col.EndList();
-        } else if (items.empty()) {
-          col.AppendMissing();
-        } else {
-          AppendItem(items[0], &col);
-        }
-      }
+      extractor_->AppendRow(batch->cols.data());
     } else {
       ++fallback_rows_;
       scratch_.clear();

@@ -19,13 +19,44 @@
 
 #include "query/executor.h"
 #include "query/operators.h"
+#include "query/path_walk.h"
 #include "query/vec/column_batch.h"
 #include "query/vec/vec_counters.h"
 
 namespace tc {
 
 class ScanPredicateMatcher;  // query/scan_predicate.h
-class VecPathExtractor;      // vec_operator.cpp: columnar fast-path extraction
+
+/// The sources' columnar fast path for vector-based records with
+/// consolidated access: one PackedPathWalk (query/path_walk.h) per record
+/// collects, per path, the scalar items it matches — pointers into the
+/// payload, decoded only when appended to the batch columns.
+class VecPathExtractor {
+ public:
+  /// `paths` and `schema` (the accessor's snapshot, which resolves the
+  /// FieldNameIDs of compacted records) must outlive the extractor; every
+  /// path is non-empty.
+  VecPathExtractor(const std::vector<FieldPath>& paths, const Schema* schema);
+
+  /// Extracts the paths from one payload. Returns false (items unspecified)
+  /// when some path ends in a nested value: the record then needs the
+  /// RecordAccessor::GetValues fallback.
+  Result<bool> Extract(const VectorRecordView& view, const DatasetType& type);
+
+  /// Appends the last successful Extract as one row to `cols[0..paths)`: an
+  /// exact path as its value (missing when unmatched), a wildcard path as a
+  /// list of its matches in record order.
+  void AppendRow(ColumnVector* cols) const;
+
+ private:
+  struct Hooks;  // the walk's terminal handling; vec_operator.cpp
+
+  PackedPathWalk walk_;
+  std::vector<std::vector<VectorRecordWalker::Item>> items_;  // per path
+  std::vector<uint8_t> wildcard_;
+  size_t exact_paths_ = 0;
+  bool any_wildcard_ = false;
+};
 
 class VecOperator {
  public:

@@ -200,7 +200,7 @@ TEST(GetValues, DeclaredFieldAccessInVectorRecords) {
 }
 
 // ---------------------------------------------------------------------------
-// Field-name matching edge cases (query/field_match.h): compacted fields
+// Field-name matching edge cases (query/path_walk.h): compacted fields
 // match by FieldNameID, declared and inline fields by name.
 // ---------------------------------------------------------------------------
 
@@ -273,6 +273,36 @@ TEST(GetValues, DeclaredIndexWithoutDescriptorIsCorruption) {
   EXPECT_TRUE(st.IsCorruption()) << st.ToString();
 }
 
+// Records that break the unique-field-name contract read like the decoded
+// record's FindField: a field step matches the first field of its name only,
+// so an exact path keeps its first match and later paths still resolve.
+TEST(GetValues, DuplicateFieldNameFirstOccurrenceWins) {
+  const std::vector<std::string> paths = {"a", "b", "s.x", "s.y", "arr[*].x"};
+  Encoded e(R(R"({"id": 1, "a": 1, "a": 2, "b": 3,
+                 "s": {"x": 4}, "s": {"x": 5, "y": 6},
+                 "arr": [{"x": 7, "x": 8}, {"x": 9}]})"));
+  AdmValue decoded;
+  ASSERT_TRUE(
+      DecodeVectorRecord(VectorRecordView(e.vb.data(), e.vb.size()), e.type, nullptr,
+                         &decoded)
+          .ok());
+  for (bool consolidate : {true, false}) {
+    SCOPED_TRACE(consolidate ? "consolidated" : "unconsolidated");
+    std::vector<AdmValue> out = e.Vb(paths, consolidate);
+    ASSERT_EQ(out.size(), paths.size());
+    EXPECT_EQ(PrintAdm(out[0]), "1");
+    EXPECT_EQ(PrintAdm(out[1]), "3");
+    EXPECT_EQ(PrintAdm(out[2]), "4");
+    EXPECT_EQ(out[3].tag(), AdmTag::kMissing);  // the first "s" has no "y"
+    EXPECT_EQ(PrintAdm(out[4]), "[7, 9]");
+    for (size_t k = 0; k < paths.size(); ++k) {
+      EXPECT_EQ(PrintAdm(out[k]),
+                PrintAdm(testutil::DecodedPathValue(decoded, FieldPath::Parse(paths[k]))))
+          << paths[k];
+    }
+  }
+}
+
 // Flushed records are compacted (FieldNameIDs), memtable records are not
 // (inline names): GetValuesVector must agree with navigation over the
 // decoded record on both, under the partition's schema snapshot.
@@ -300,16 +330,12 @@ TEST(GetValues, MemtableAndFlushedRecordsMatchDecodedOracle) {
     VectorRecordView rec(reinterpret_cast<const uint8_t*>(payload.data()),
                          payload.size());
     ++(rec.compacted() ? compacted : inline_names);
-    AdmValue decoded;
-    ASSERT_TRUE(DecodeVectorRecord(rec, type, &schema, &decoded).ok());
+    std::vector<AdmValue> oracle;
+    ASSERT_TRUE(testutil::DecodedPathValues(rec, type, &schema, paths, &oracle).ok());
     std::vector<AdmValue> got;
     ASSERT_TRUE(GetValuesVector(rec, type, &schema, paths, &got).ok());
     for (size_t k = 0; k < paths.size(); ++k) {
-      AdmValue oracle = NavigateAdmValue(decoded, paths[k].steps);
-      if (paths[k].HasWildcard() && oracle.tag() == AdmTag::kMissing) {
-        oracle = AdmValue::Array();
-      }
-      EXPECT_EQ(PrintAdm(got[k]), PrintAdm(oracle)) << paths[k].ToString();
+      EXPECT_EQ(PrintAdm(got[k]), PrintAdm(oracle[k])) << paths[k].ToString();
     }
   }
   ASSERT_TRUE(st.ok()) << st.ToString();

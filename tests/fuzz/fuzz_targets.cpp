@@ -1,12 +1,19 @@
 #include "fuzz_targets.h"
 
+#include <algorithm>
 #include <string>
 #include <string_view>
 
 #include "adm/parser.h"
 #include "adm/printer.h"
 #include "common/status.h"
+#include "format/vector_format.h"
+#include "query/field_access.h"
+#include "query/scan_predicate.h"
+#include "query/vec/vec_operator.h"
 #include "schema/schema_io.h"
+#include "tests/test_util.h"
+#include "workload/workload.h"
 
 namespace tc {
 
@@ -42,6 +49,196 @@ int FuzzDeserializeSchema(const uint8_t* data, size_t size) {
   Buffer second;
   SerializeSchema(again.value(), &second);
   TC_CHECK(first == second);
+  return 0;
+}
+
+namespace {
+
+// Paths over the three workloads' fields plus the shapes the generators never
+// emit (duplicate names, nested wildcards). Those ending in a nested value
+// send the extractor to its fallback; kLeafPaths never do on generator data.
+const char* const kNestedPaths[] = {"user", "calibration", "s"};
+const char* const kLeafPaths[] = {
+    "id",
+    "a",
+    "b",
+    "s.y",
+    "arr[*].x",
+    "t[*][*]",
+    "user.screen_name",
+    "user.followers_count",
+    "entities.hashtags[*].text",
+    "entities.hashtags[0].indices[1]",
+    "readings[*].temp",
+    "readings[2].timestamp",
+    "calibration.temperature_gain",
+    "static_data.fullrecord_metadata.category_info.subjects.subject[*].value",
+    "static_data.summary.pub_info.pubyear",
+};
+
+std::vector<FieldPath> ParsePaths(bool with_nested) {
+  std::vector<FieldPath> paths;
+  for (const char* p : kLeafPaths) paths.push_back(FieldPath::Parse(p));
+  if (with_nested) {
+    for (const char* p : kNestedPaths) paths.push_back(FieldPath::Parse(p));
+  }
+  return paths;
+}
+
+// One-term predicates over every path with literals of each comparable
+// family, an IN list, and one conjunction across the workloads' paths.
+std::vector<std::shared_ptr<const ScanPredicate>> MakePredicates() {
+  std::vector<std::shared_ptr<const ScanPredicate>> preds;
+  for (const char* p : kLeafPaths) {
+    preds.push_back(ScanPredicate::And(
+        {ScanPredicate::Term(p, CompareOp::kGe, AdmValue::BigInt(0))}));
+    preds.push_back(ScanPredicate::And(
+        {ScanPredicate::Term(p, CompareOp::kLt, AdmValue::Double(25.0))}));
+    preds.push_back(ScanPredicate::And(
+        {ScanPredicate::Term(p, CompareOp::kNe, AdmValue::String("x"), true)}));
+    preds.push_back(ScanPredicate::And({ScanPredicate::In(
+        p, {AdmValue::BigInt(1), AdmValue::BigInt(3), AdmValue::String("a")})}));
+  }
+  for (const char* p : kNestedPaths) {
+    preds.push_back(ScanPredicate::And(
+        {ScanPredicate::Term(p, CompareOp::kNe, AdmValue::BigInt(0))}));
+  }
+  preds.push_back(ScanPredicate::And(
+      {ScanPredicate::Term("id", CompareOp::kGe, AdmValue::BigInt(0)),
+       ScanPredicate::Term("readings[*].temp", CompareOp::kLt, AdmValue::Double(25.0)),
+       ScanPredicate::Term("entities.hashtags[*].text", CompareOp::kNe,
+                           AdmValue::String("x")),
+       ScanPredicate::Term("a", CompareOp::kLe, AdmValue::BigInt(1))}));
+  return preds;
+}
+
+// Whether a path's value ends in a nested value: the value itself for an
+// exact path, any listed match for a wildcard path.
+bool EndsNested(const FieldPath& path, const AdmValue& v) {
+  if (!path.HasWildcard()) return IsNested(v.tag());
+  for (size_t i = 0; i < v.size(); ++i) {
+    if (IsNested(v.item(i).tag())) return true;
+  }
+  return false;
+}
+
+// Materialised and decoded values recurse per nesting level, so records
+// deeper than the ADM parser's limit are skipped.
+constexpr int kMaxFuzzNesting = 512;
+
+int MaxNesting(const VectorRecordView& view) {
+  int depth = 0;
+  int max_depth = 0;
+  for (uint32_t i = 0; i < view.tag_count(); ++i) {
+    AdmTag t = static_cast<AdmTag>(view.data()[kVectorHeaderSize + i]);
+    if (IsNested(t)) {
+      max_depth = std::max(max_depth, ++depth);
+    } else if (t == AdmTag::kEndNest) {
+      --depth;
+    }
+  }
+  return max_depth;
+}
+
+}  // namespace
+
+const std::vector<PathWalkFuzzContext>& PathWalkFuzzContexts() {
+  static const std::vector<PathWalkFuzzContext> contexts = [] {
+    std::vector<PathWalkFuzzContext> out;
+    for (const char* dataset : {"twitter", "wos", "sensors"}) {
+      for (bool closed : {false, true}) {
+        auto gen = MakeGenerator(dataset, /*seed=*/11);
+        PathWalkFuzzContext ctx;
+        ctx.name = std::string(dataset) + (closed ? "_closed" : "_open");
+        ctx.type = closed ? gen->ClosedType() : gen->OpenType();
+        // Inferred the way a flush infers: from the encoded records.
+        for (int i = 0; i < 16; ++i) {
+          ctx.records.push_back(gen->NextRecord());
+          Buffer vb;
+          TC_CHECK(EncodeVectorRecord(ctx.records.back(), ctx.type, &vb).ok());
+          TC_CHECK(InferVectorRecord(VectorRecordView(vb.data(), vb.size()), ctx.type,
+                                     &ctx.schema)
+                       .ok());
+        }
+        out.push_back(std::move(ctx));
+      }
+    }
+    return out;
+  }();
+  return contexts;
+}
+
+int FuzzVectorPathWalk(const uint8_t* data, size_t size) {
+  if (size < 1) return 0;
+  static const std::vector<FieldPath> all_paths = ParsePaths(/*with_nested=*/true);
+  static const std::vector<FieldPath> leaf_paths = ParsePaths(/*with_nested=*/false);
+  static const std::vector<std::shared_ptr<const ScanPredicate>> preds = MakePredicates();
+  const auto& contexts = PathWalkFuzzContexts();
+  const PathWalkFuzzContext& ctx = contexts[data[0] % contexts.size()];
+  const VectorRecordView view(data + 1, size - 1);
+  if (view.Validate().ok() && MaxNesting(view) > kMaxFuzzNesting) return 0;
+
+  // Every walk runs first: none may crash, whatever the bytes.
+  std::vector<AdmValue> got, got_unconsolidated;
+  Status got_st = GetValuesVector(view, ctx.type, &ctx.schema, all_paths, &got);
+  Status unconsolidated_st = GetValuesVectorUnconsolidated(view, ctx.type, &ctx.schema,
+                                                           all_paths,
+                                                           &got_unconsolidated);
+  struct Extracted {
+    Result<bool> fast = false;
+    std::vector<ColumnVector> cols;
+  };
+  Extracted extracted[2];
+  const std::vector<FieldPath>* extractor_paths[2] = {&all_paths, &leaf_paths};
+  for (int e = 0; e < 2; ++e) {
+    VecPathExtractor extractor(*extractor_paths[e], &ctx.schema);
+    extracted[e].fast = extractor.Extract(view, ctx.type);
+    extracted[e].cols.resize(extractor_paths[e]->size());
+    if (extracted[e].fast.ok() && extracted[e].fast.value()) {
+      extractor.AppendRow(extracted[e].cols.data());
+    }
+  }
+  ScanPredicateMatcher matcher;  // reused across predicates, as a scan does
+  std::vector<Result<bool>> matched;
+  for (const auto& pred : preds) {
+    matched.push_back(matcher.MatchVector(view, ctx.type, &ctx.schema, *pred));
+  }
+
+  // Whenever the decoder accepts the record, every walk agrees with it.
+  AdmValue record;
+  if (!DecodeVectorRecord(view, ctx.type, &ctx.schema, &record).ok()) return 0;
+  TC_CHECK(got_st.ok());
+  TC_CHECK(unconsolidated_st.ok());
+  std::vector<AdmValue> oracle;
+  for (const FieldPath& p : all_paths) {
+    oracle.push_back(testutil::DecodedPathValue(record, p));
+  }
+  for (size_t k = 0; k < all_paths.size(); ++k) {
+    const std::string want = PrintAdm(oracle[k]);
+    TC_CHECK(PrintAdm(got[k]) == want);
+    TC_CHECK(PrintAdm(got_unconsolidated[k]) == want);
+  }
+  for (int e = 0; e < 2; ++e) {
+    TC_CHECK(extracted[e].fast.ok());
+    bool nested = false;
+    for (size_t k = 0; k < extractor_paths[e]->size(); ++k) {
+      nested = nested || EndsNested((*extractor_paths[e])[k], oracle[k]);
+    }
+    // The extractor falls back exactly when some path ends in a nested value.
+    TC_CHECK(extracted[e].fast.value() == !nested);
+    if (nested) continue;
+    for (size_t k = 0; k < extractor_paths[e]->size(); ++k) {
+      TC_CHECK(PrintAdm(extracted[e].cols[k].ValueAt(0)) == PrintAdm(oracle[k]));
+    }
+  }
+  for (size_t i = 0; i < preds.size(); ++i) {
+    std::vector<AdmValue> cols;
+    for (const PredicateTerm& t : preds[i]->terms) {
+      cols.push_back(testutil::DecodedPathValue(record, t.path));
+    }
+    TC_CHECK(matched[i].ok());
+    TC_CHECK(matched[i].value() == EvalPredicateRow(cols, *preds[i]));
+  }
   return 0;
 }
 

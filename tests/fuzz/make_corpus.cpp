@@ -1,6 +1,7 @@
 // Regenerates the checked-in fuzz corpus under tests/fuzz/corpus/. Seeds come
 // from the workload generators (real record shapes for ParseAdm; their
-// inferred schemas, serialized, for DeserializeSchema) plus handwritten edge
+// inferred schemas, serialized, for DeserializeSchema; their vector-encoded
+// records, plain and compacted, for the path walks) plus handwritten edge
 // cases. Deterministic — rerunning produces identical files.
 //
 //   ./make_corpus <corpus_dir>
@@ -10,7 +11,10 @@
 #include <string>
 #include <vector>
 
+#include "adm/parser.h"
 #include "adm/printer.h"
+#include "format/vector_format.h"
+#include "fuzz_targets.h"
 #include "schema/inference.h"
 #include "schema/schema_io.h"
 #include "schema/schema_tree.h"
@@ -97,6 +101,54 @@ int main(int argc, char** argv) {
                 std::string(blob.begin(), blob.begin() + blob.size() / 2));
     }
     n += 2;
+  }
+
+  // FuzzVectorPathWalk seeds: byte 0 selects the context, the rest is the
+  // record — each context's first generator records, uncompacted and
+  // compacted against the context schema, plus records breaking the
+  // unique-field-name contract.
+  const auto& contexts = tc::PathWalkFuzzContexts();
+  auto write_record = [&](const std::string& name, size_t context,
+                          const tc::Buffer& vb) {
+    std::string bytes(1, static_cast<char>(context));
+    bytes.append(vb.begin(), vb.end());
+    WriteFile(dir + "/" + name, bytes);
+    ++n;
+  };
+  for (size_t c = 0; c < contexts.size(); ++c) {
+    const tc::PathWalkFuzzContext& ctx = contexts[c];
+    for (size_t i = 0; i < 2; ++i) {
+      tc::Buffer vb;
+      tc::Buffer compacted;
+      tc::Schema schema = ctx.schema.Clone();  // names are already in the dictionary
+      auto st = tc::EncodeVectorRecord(ctx.records[i], ctx.type, &vb);
+      if (st.ok()) {
+        st = tc::CompactVectorRecord(tc::VectorRecordView(vb.data(), vb.size()),
+                                     ctx.type, &schema, &compacted);
+      }
+      if (!st.ok()) {
+        std::fprintf(stderr, "encode failed: %s\n", st.ToString().c_str());
+        return 1;
+      }
+      write_record("vb_" + ctx.name + "_" + std::to_string(i), c, vb);
+      write_record("vbc_" + ctx.name + "_" + std::to_string(i), c, compacted);
+    }
+  }
+  const char* duplicates[] = {
+      R"({"id": 1, "a": 1, "a": 2, "b": 3})",
+      R"({"id": 2, "s": {"x": 4}, "s": {"x": 5, "y": 6},
+          "arr": [{"x": 7, "x": 8}, {"x": 9}], "t": [[1, 2], [], [3]]})",
+  };
+  int d = 0;
+  for (const char* text : duplicates) {
+    tc::Buffer vb;
+    auto st = tc::EncodeVectorRecord(tc::ParseAdm(text).ValueOrDie(),
+                                     contexts[0].type, &vb);
+    if (!st.ok()) {
+      std::fprintf(stderr, "encode failed: %s\n", st.ToString().c_str());
+      return 1;
+    }
+    write_record("vb_duplicate_names_" + std::to_string(d++), 0, vb);
   }
 
   std::printf("wrote %d corpus files to %s\n", n, dir.c_str());

@@ -1,7 +1,7 @@
-// Always-on corpus replay: every checked-in fuzz input runs through both fuzz
-// targets under the normal test harness, so the parser/schema invariants the
-// fuzzers enforce are exercised in every CI run — clang and libFuzzer are
-// only needed to EXTEND the corpus, not to check it.
+// Always-on corpus replay: every checked-in fuzz input runs through every fuzz
+// target under the normal test harness, so the parser, schema and path-walk
+// invariants the fuzzers enforce are exercised in every CI run — clang and
+// libFuzzer are only needed to EXTEND the corpus, not to check it.
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include "format/vector_format.h"
 #include "fuzz/fuzz_targets.h"
 
 namespace tc {
@@ -53,6 +54,36 @@ TEST(FuzzCorpusTest, DeserializeSchemaReplaysClean) {
     std::vector<uint8_t> bytes = ReadAll(path);
     EXPECT_EQ(0, FuzzDeserializeSchema(bytes.data(), bytes.size()));
   }
+}
+
+TEST(FuzzCorpusTest, VectorPathWalkReplaysClean) {
+  for (const auto& path : CorpusFiles()) {
+    SCOPED_TRACE(path.string());
+    std::vector<uint8_t> bytes = ReadAll(path);
+    EXPECT_EQ(0, FuzzVectorPathWalk(bytes.data(), bytes.size()));
+  }
+}
+
+TEST(FuzzCorpusTest, VectorPathWalkSeedsDecode) {
+  // The walks are checked against the decoded record only when the decoder
+  // accepts it, so every vector-encoded seed must decode under its context.
+  const auto& contexts = PathWalkFuzzContexts();
+  size_t seeds = 0;
+  for (const auto& path : CorpusFiles()) {
+    if (path.filename().string().rfind("vb", 0) != 0) continue;
+    SCOPED_TRACE(path.string());
+    std::vector<uint8_t> bytes = ReadAll(path);
+    ASSERT_GE(bytes.size(), 2u);
+    const PathWalkFuzzContext& ctx = contexts[bytes[0] % contexts.size()];
+    AdmValue record;
+    EXPECT_TRUE(DecodeVectorRecord(VectorRecordView(bytes.data() + 1, bytes.size() - 1),
+                                   ctx.type, &ctx.schema, &record)
+                    .ok());
+    ++seeds;
+  }
+  // Two records per context, plain and compacted, plus the duplicate-name
+  // records.
+  EXPECT_EQ(seeds, 4 * contexts.size() + 2);
 }
 
 TEST(FuzzCorpusTest, DeepNestingRejectedCleanly) {

@@ -548,7 +548,7 @@ TEST(LoweredPredicateEquivalence, SensorsQ4DeepPushdownStats) {
 }
 
 // ---------------------------------------------------------------------------
-// Field-name matching edge cases of the lowered walk (query/field_match.h).
+// Field-name matching edge cases of the lowered walk (query/path_walk.h).
 // ---------------------------------------------------------------------------
 
 // {"id": 5, "user": {"name": "Zoe"}, "tags": [{"t": "a"}]} compacted against
@@ -659,8 +659,8 @@ TEST(LoweredMatcher, ReusedMatcherSeesNamesAddedToTheSchema) {
 
 // Flushed (compacted) and memtable (inline-name) records in one partition:
 // a matcher reused across every record — and switched between two live
-// predicates — decides each record exactly as EvalPredicateRow over
-// GetValuesVector does.
+// predicates — decides each record exactly as EvalPredicateRow over the
+// decoded-record oracle (DecodeVectorRecord + NavigateAdmValue) does.
 TEST(LoweredMatcher, MemtableAndFlushedRecordsMatchGetValuesVector) {
   Rng rng(4242);
   DatasetFixture fx;
@@ -689,7 +689,8 @@ TEST(LoweredMatcher, MemtableAndFlushedRecordsMatchGetValuesVector) {
       ++(rec.compacted() ? compacted : inline_names);
       const ScanPredicate& pred = *preds[row % 2];
       std::vector<AdmValue> cols;
-      ASSERT_TRUE(GetValuesVector(rec, type, &schema, pred.Paths(), &cols).ok());
+      ASSERT_TRUE(
+          testutil::DecodedPathValues(rec, type, &schema, pred.Paths(), &cols).ok());
       auto got = shared.MatchVector(rec, type, &schema, pred);
       ASSERT_TRUE(got.ok()) << got.status().ToString();
       EXPECT_EQ(got.value(), EvalPredicateRow(cols, pred))

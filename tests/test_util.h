@@ -5,10 +5,12 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "adm/value.h"
 #include "common/rng.h"
 #include "core/dataset.h"
+#include "query/field_access.h"
 #include "storage/buffer_cache.h"
 #include "storage/file.h"
 
@@ -73,6 +75,49 @@ inline AdmValue RandomRecord(Rng* rng, int64_t id, int depth = 4) {
     rec.AddField("f" + std::to_string(i), RandomValue(rng, depth - 1));
   }
   return rec;
+}
+
+/// Appends to `list` every value `steps[from..]` reaches from `v`, in record
+/// order; a missing result contributes nothing.
+inline void CollectPathMatches(const AdmValue& v, const std::vector<PathStep>& steps,
+                               size_t from, AdmValue* list) {
+  size_t wc = from;
+  while (wc < steps.size() && steps[wc].kind != PathStep::kWildcard) ++wc;
+  if (wc == steps.size()) {
+    AdmValue got = NavigateAdmValue(v, steps, from);
+    if (got.tag() != AdmTag::kMissing) list->Append(std::move(got));
+    return;
+  }
+  std::vector<PathStep> prefix(steps.begin() + static_cast<ptrdiff_t>(from),
+                               steps.begin() + static_cast<ptrdiff_t>(wc));
+  AdmValue at = NavigateAdmValue(v, prefix);
+  if (!at.is_collection()) return;
+  for (size_t k = 0; k < at.size(); ++k) {
+    CollectPathMatches(at.item(k), steps, wc + 1, list);
+  }
+}
+
+/// The decoded-record oracle of the packed-vector path walks: `path`
+/// navigated over a record decoded with DecodeVectorRecord. An exact path is
+/// NavigateAdmValue itself; a wildcard path is the flat list of everything it
+/// reaches (a missing wildcard counts as [], nested wildcards flatten).
+inline AdmValue DecodedPathValue(const AdmValue& record, const FieldPath& path) {
+  if (!path.HasWildcard()) return NavigateAdmValue(record, path.steps);
+  AdmValue list = AdmValue::Array();
+  CollectPathMatches(record, path.steps, 0, &list);
+  return list;
+}
+
+/// DecodedPathValue for every path of `paths`, over the decoded `view`.
+inline Status DecodedPathValues(const VectorRecordView& view, const DatasetType& type,
+                                const Schema* schema,
+                                const std::vector<FieldPath>& paths,
+                                std::vector<AdmValue>* out) {
+  AdmValue record;
+  TC_RETURN_IF_ERROR(DecodeVectorRecord(view, type, schema, &record));
+  out->clear();
+  for (const FieldPath& p : paths) out->push_back(DecodedPathValue(record, p));
+  return Status::OK();
 }
 
 /// In-memory dataset fixture: owns the filesystem and buffer cache.

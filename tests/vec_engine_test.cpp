@@ -442,8 +442,8 @@ AdmValue WildcardRecord(Rng* rng, int64_t id) {
 }
 
 // Scans partition 0 with `paths` through VecScanOperator and checks every
-// row against GetValuesVector on the same payload; returns the scan's
-// counters.
+// row against the decoded-record oracle (DecodeVectorRecord +
+// NavigateAdmValue) on the same payload; returns the scan's counters.
 VecOpCounters ScanAndCompare(DatasetPartition* p, const std::vector<FieldPath>& paths,
                              size_t batch_rows, const std::string& label) {
   RecordAccessor accessor(p->options().mode, &p->options().type, p->SchemaSnapshot(),
@@ -465,8 +465,8 @@ VecOpCounters ScanAndCompare(DatasetPartition* p, const std::vector<FieldPath>& 
     for (size_t r = 0; r < batch.rows; ++r) {
       const Buffer& rec = *batch.records[r];
       VectorRecordView view(rec.data(), rec.size());
-      EXPECT_TRUE(GetValuesVector(view, *accessor.type(), &accessor.schema(), paths,
-                                  &want)
+      EXPECT_TRUE(testutil::DecodedPathValues(view, *accessor.type(), &accessor.schema(),
+                                              paths, &want)
                       .ok());
       for (size_t c = 0; c < paths.size(); ++c) {
         EXPECT_EQ(batch.cols[c].ValueAt(r), want[c])
@@ -524,7 +524,7 @@ TEST(VecFastPath, ExtractorMatchesGetValuesVector) {
   EXPECT_LT(oc.fallback_rows, oc.rows);
 }
 
-// Field-name matching edge cases of the extractor (query/field_match.h), on
+// Field-name matching edge cases of the extractor (query/path_walk.h), on
 // a partition holding compacted (flushed) and inline-name (memtable) records.
 TEST(VecFastPath, AbsentNamesReadMissingUnknownIdsAreCorruption) {
   DatasetFixture fx;

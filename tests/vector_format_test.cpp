@@ -212,6 +212,39 @@ TEST(VectorFormat, ValidateRejectsCorruption) {
   EXPECT_FALSE(VectorRecordView(bad.data(), bad.size()).Validate().ok());
 }
 
+// Missing is never stored (fields drop it, collections reject it) and union
+// is a schema-only kind: a tag byte holding either is Corruption for the
+// walker, its fixed-run fast path and the decoder alike.
+TEST(VectorFormat, StoredMissingOrUnionTagIsCorruption) {
+  DatasetType type = PkType();
+  // Tags: object, bigint, array, null, null, end-nest, EOV.
+  Buffer b = Encode(R(R"({"id": 1, "r": [null, null]})"), type);
+  ASSERT_EQ(VectorRecordView(b.data(), b.size()).tag_count(), 7u);
+  for (AdmTag bad : {AdmTag::kMissing, AdmTag::kUnion}) {
+    SCOPED_TRACE(AdmTagName(bad));
+    Buffer field = b;  // the id field's value
+    field[kVectorHeaderSize + 1] = static_cast<uint8_t>(bad);
+    Buffer items = b;  // both collection items
+    items[kVectorHeaderSize + 3] = static_cast<uint8_t>(bad);
+    items[kVectorHeaderSize + 4] = static_cast<uint8_t>(bad);
+    for (const Buffer* corrupt : {&field, &items}) {
+      VectorRecordView view(corrupt->data(), corrupt->size());
+      ASSERT_TRUE(view.Validate().ok());
+      AdmValue out;
+      EXPECT_TRUE(DecodeVectorRecord(view, type, nullptr, &out).IsCorruption());
+    }
+    VectorRecordWalker walker(VectorRecordView(items.data(), items.size()));
+    VectorRecordWalker::Item it;
+    bool done = false;
+    for (int i = 0; i < 3; ++i) ASSERT_TRUE(walker.Next(&it, &done).ok());
+    ASSERT_EQ(it.tag, AdmTag::kArray);
+    AdmTag run_tag;
+    const uint8_t* run_base = nullptr;
+    EXPECT_EQ(walker.TryFixedRun(&run_tag, &run_base), 0u);
+    EXPECT_TRUE(walker.Next(&it, &done).IsCorruption());
+  }
+}
+
 TEST(VectorFormat, AnalyzeRegions) {
   DatasetType type = PkType();
   Buffer b = Encode(R(R"({"id": 6, "name": "Ann", "salaries": [70000, 90000], "age": 26})"),
