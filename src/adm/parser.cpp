@@ -87,10 +87,8 @@ class Parser {
   // Nesting cap: deeply nested input ("[[[[...") would otherwise recurse once
   // per level and overflow the stack — a parser must fail cleanly on any
   // byte sequence.
-  static constexpr int kMaxDepth = 512;
-
   Status ParseValue(AdmValue* out) {
-    if (++depth_ > kMaxDepth) {
+    if (++depth_ > kMaxNestingDepth) {
       --depth_;
       return Err("value nesting exceeds depth limit");
     }

@@ -15,6 +15,13 @@
 
 namespace tc {
 
+/// The deepest nesting a value may have, counted as AdmValue::Depth counts it:
+/// a top-level value is level 1, its fields or items level 2, and so on. The
+/// ADM parser refuses deeper text, the vector-based encoder deeper values and
+/// its decoder deeper bytes, so no stored record is one the engine would
+/// refuse to read, and no reader recurses or allocates per level past it.
+inline constexpr int kMaxNestingDepth = 512;
+
 /// Tagged tree value. Scalars hold their payload inline; objects hold ordered
 /// (name, value) pairs; collections hold ordered items.
 class AdmValue {

@@ -1,6 +1,7 @@
 #include "format/vector_format.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "schema/inference.h"
 
@@ -127,8 +128,13 @@ void AppendFixedScalar(const AdmValue& v, Buffer* out) {
   }
 }
 
-Status EncodeValue(const AdmValue& v, const TypeDescriptor* decl, bool is_root,
+/// `level` is the value's nesting level (the root object is level 1).
+Status EncodeValue(const AdmValue& v, const TypeDescriptor* decl, int level,
                    Parts* p) {
+  if (level > kMaxNestingDepth) {
+    return Status::InvalidArgument("value nesting exceeds depth limit");
+  }
+  const bool is_root = level == 1;
   p->tags.push_back(static_cast<uint8_t>(v.tag()));
   switch (v.tag()) {
     case AdmTag::kObject: {
@@ -147,7 +153,7 @@ Status EncodeValue(const AdmValue& v, const TypeDescriptor* decl, bool is_root,
           slot.name = fname;
         }
         p->names.push_back(slot);
-        TC_RETURN_IF_ERROR(EncodeValue(fv, child_decl, false, p));
+        TC_RETURN_IF_ERROR(EncodeValue(fv, child_decl, level + 1, p));
       }
       p->tags.push_back(static_cast<uint8_t>(is_root ? AdmTag::kEov : AdmTag::kEndNest));
       return Status::OK();
@@ -161,7 +167,7 @@ Status EncodeValue(const AdmValue& v, const TypeDescriptor* decl, bool is_root,
         if (v.item(i).tag() == AdmTag::kMissing) {
           return Status::InvalidArgument("missing is not a legal collection item");
         }
-        TC_RETURN_IF_ERROR(EncodeValue(v.item(i), item_decl, false, p));
+        TC_RETURN_IF_ERROR(EncodeValue(v.item(i), item_decl, level + 1, p));
       }
       p->tags.push_back(static_cast<uint8_t>(AdmTag::kEndNest));
       return Status::OK();
@@ -191,7 +197,7 @@ Status EncodeVectorRecord(const AdmValue& record, const DatasetType& type,
     return Status::InvalidArgument("vector format encodes object records");
   }
   Parts p;
-  TC_RETURN_IF_ERROR(EncodeValue(record, type.root.get(), /*is_root=*/true, &p));
+  TC_RETURN_IF_ERROR(EncodeValue(record, type.root.get(), /*level=*/1, &p));
   Assemble(p, out);
   return Status::OK();
 }
@@ -262,6 +268,10 @@ Status VectorRecordWalker::Next(Item* item, bool* done) {
     return Status::OK();
   }
 
+  // Item depth d is nesting level d + 1: the bound every reader relies on.
+  if (stack_.size() >= static_cast<size_t>(kMaxNestingDepth)) {
+    return Status::Corruption("vb: nesting exceeds depth limit");
+  }
   item->tag = tag;
   item->depth = static_cast<int>(stack_.size());
   bool in_object = !stack_.empty() && stack_.back() == AdmTag::kObject;
@@ -286,6 +296,9 @@ Status VectorRecordWalker::Next(Item* item, bool* done) {
   }
 
   if (IsNested(tag)) {
+    if (tag == AdmTag::kObject && !in_object && !stack_.empty()) {
+      last_object_item_ = {tag_pos_ - 1, name_slot_reader_, true};
+    }
     stack_.push_back(tag);
     return Status::OK();
   }
@@ -312,8 +325,12 @@ Status VectorRecordWalker::Next(Item* item, bool* done) {
 
 size_t VectorRecordWalker::TryFixedRun(AdmTag* tag, const uint8_t** base) {
   // Only legal inside a collection scope: object fields consume name slots,
-  // which a wholesale tag-run consume would leave behind.
-  if (stack_.empty() || stack_.back() == AdmTag::kObject) return 0;
+  // which a wholesale tag-run consume would leave behind. Items past the
+  // depth bound are Next's to reject.
+  if (stack_.empty() || stack_.back() == AdmTag::kObject ||
+      stack_.size() >= static_cast<size_t>(kMaxNestingDepth)) {
+    return 0;
+  }
   if (tag_pos_ >= view_.tag_count()) return 0;
   const uint8_t* d = view_.data();
   uint8_t t0 = d[kVectorHeaderSize + tag_pos_];
@@ -338,6 +355,80 @@ size_t VectorRecordWalker::TryFixedRun(AdmTag* tag, const uint8_t** base) {
   return count;
 }
 
+bool VectorRecordWalker::LoadShapeTemplate(size_t* tag_len, size_t* stride) {
+  // The template is the object item last opened in a collection scope, if
+  // it is also the scope just closed: only fixed-width scalar tags between
+  // its kObject and the kEndNest before the cursor. Next validated all of
+  // them (tags, name slots, payload bounds, depth) on the way.
+  const ObjectItemStart& start = last_object_item_;
+  if (!start.set || tag_pos_ < start.tag_pos + 2) return false;
+  const uint8_t* tags = view_.data() + kVectorHeaderSize;
+  if (tags[tag_pos_ - 1] != static_cast<uint8_t>(AdmTag::kEndNest)) return false;
+  const bool inline_names = !view_.compacted();
+  BitReader slots = start.name_slots;
+  shape_fields_.clear();
+  uint32_t offset = 0;
+  for (size_t i = start.tag_pos + 1; i + 1 < tag_pos_; ++i) {
+    AdmTag t = static_cast<AdmTag>(tags[i]);
+    if (!IsFixedLengthScalar(t) || t == AdmTag::kMissing) return false;
+    uint64_t slot = slots.Read(view_.name_len_bits());
+    ShapeField f;
+    f.tag = t;
+    f.offset = offset;
+    f.declared = (slot & 1) != 0;
+    f.name = static_cast<uint32_t>(slot >> 1);
+    if (inline_names && !f.declared) return false;  // the name is in name_values
+    shape_fields_.push_back(f);
+    offset += static_cast<uint32_t>(FixedWidthOf(t));
+  }
+  *tag_len = tag_pos_ - start.tag_pos;
+  *stride = offset;
+  return true;
+}
+
+size_t VectorRecordWalker::TryShapeRun(ShapeRun* run) {
+  if (stack_.empty() || stack_.back() == AdmTag::kObject) return 0;
+  const uint8_t* tags = view_.data() + kVectorHeaderSize;
+  if (tag_pos_ >= view_.tag_count() ||
+      tags[tag_pos_] != static_cast<uint8_t>(AdmTag::kObject)) {
+    return 0;
+  }
+  size_t tag_len = 0;
+  size_t stride = 0;
+  if (!LoadShapeTemplate(&tag_len, &stride)) return 0;
+  const uint8_t* tmpl = tags + last_object_item_.tag_pos;
+  const int slot_bits = view_.name_len_bits();
+  const size_t fixed_start = view_.offset(0) + fixed_pos_;
+  size_t count = 0;
+  BitReader slots = name_slot_reader_;
+  while (tag_pos_ + (count + 1) * tag_len <= view_.tag_count() &&
+         fixed_start + (count + 1) * stride <= view_.offset(1) &&
+         std::memcmp(tags + tag_pos_ + count * tag_len, tmpl, tag_len) == 0) {
+    BitReader item_slots = slots;
+    bool same = true;
+    for (const ShapeField& f : shape_fields_) {
+      uint64_t want = (static_cast<uint64_t>(f.name) << 1) | (f.declared ? 1 : 0);
+      if (item_slots.Read(slot_bits) != want) {
+        same = false;
+        break;
+      }
+    }
+    if (!same) break;
+    slots = item_slots;
+    ++count;
+  }
+  if (count == 0) return 0;
+  run->count = count;
+  run->base = stride > 0 ? view_.data() + fixed_start : nullptr;
+  run->stride = stride;
+  run->fields = shape_fields_.data();
+  run->field_count = shape_fields_.size();
+  tag_pos_ += count * tag_len;
+  fixed_pos_ += count * stride;
+  name_slot_reader_ = slots;
+  return count;
+}
+
 // ---------------------------------------------------------------------------
 // Packed-leaf comparator kernels (§3.4.2-deep)
 // ---------------------------------------------------------------------------
@@ -348,11 +439,11 @@ namespace {
 /// branch-free accumulate over contiguous packed values, which the compiler
 /// can vectorize.
 template <typename LitT, typename LoadFn>
-bool AnyRunSatisfies(const uint8_t* base, size_t count, size_t width,
+bool AnyRunSatisfies(const uint8_t* base, size_t count, size_t stride,
                      CompareOp op, LitT lit, LoadFn load) {
   auto any = [&](auto pred) {
     bool hit = false;
-    for (size_t i = 0; i < count; ++i) hit |= pred(load(base + i * width));
+    for (size_t i = 0; i < count; ++i) hit |= pred(load(base + i * stride));
     return hit;
   };
   switch (op) {
@@ -407,27 +498,25 @@ bool PackedLeafSatisfies(const VectorRecordWalker::Item& item, CompareOp op,
 }
 
 bool AnyPackedFixedSatisfies(AdmTag tag, const uint8_t* base, size_t count,
-                             CompareOp op, const AdmValue& literal) {
+                             size_t stride, CompareOp op, const AdmValue& literal) {
   if (count == 0 || !LiteralComparable(literal)) return false;
-  int width = FixedWidthOf(tag);
-  if (width <= 0) return false;  // null/missing runs never satisfy
+  if (FixedWidthOf(tag) <= 0) return false;  // null/missing runs never satisfy
   AdmTag lt = literal.tag();
-  size_t w = static_cast<size_t>(width);
   if (IsIntFamily(tag) && IsIntFamily(lt)) {
-    return AnyRunSatisfies(base, count, w, op, literal.int_value(),
+    return AnyRunSatisfies(base, count, stride, op, literal.int_value(),
                            [tag](const uint8_t* p) { return PackedIntOf(tag, p); });
   }
   if (IsNumericTag(tag) && IsNumericTag(lt)) {
     double b = IsIntFamily(lt) ? static_cast<double>(literal.int_value())
                                : literal.double_value();
-    return AnyRunSatisfies(base, count, w, op, b, [tag](const uint8_t* p) {
+    return AnyRunSatisfies(base, count, stride, op, b, [tag](const uint8_t* p) {
       return PackedDoubleOf(tag, p);
     });
   }
   if (tag != lt) return false;
   if (tag == AdmTag::kBoolean) {
     if (op != CompareOp::kEq && op != CompareOp::kNe) return false;
-    return AnyRunSatisfies(base, count, w, op,
+    return AnyRunSatisfies(base, count, stride, op,
                            static_cast<int64_t>(literal.bool_value()),
                            [](const uint8_t* p) {
                              return static_cast<int64_t>(p[0] != 0);
@@ -436,7 +525,7 @@ bool AnyPackedFixedSatisfies(AdmTag tag, const uint8_t* base, size_t count,
   if (tag == AdmTag::kUuid) {
     for (size_t i = 0; i < count; ++i) {
       if (StringSatisfies(
-              std::string_view(reinterpret_cast<const char*>(base + i * w), 16),
+              std::string_view(reinterpret_cast<const char*>(base + i * stride), 16),
               op, literal.string_value(), false)) {
         return true;
       }

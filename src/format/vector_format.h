@@ -44,6 +44,7 @@ inline constexpr size_t kVectorHeaderSize = 30;
 /// Encodes `record` (an object) in uncompacted vector-based form. Fields whose
 /// value is `missing` are dropped (ADM semantics: missing == absent). Fields
 /// declared in `type` store their declared index instead of their name.
+/// InvalidArgument for a value nested deeper than kMaxNestingDepth.
 Status EncodeVectorRecord(const AdmValue& record, const DatasetType& type,
                           Buffer* out);
 
@@ -90,7 +91,8 @@ class VectorRecordWalker {
   };
 
   /// Advances to the next tag. Sets `*done` when the record's kEov is reached
-  /// (kEov itself is not emitted as an item).
+  /// (kEov itself is not emitted as an item). Corruption for a value nested
+  /// deeper than kMaxNestingDepth (the root object is level 1).
   Status Next(Item* item, bool* done);
 
   /// Position-selective fast path for predicate evaluation (§3.4.2-deep): when
@@ -103,9 +105,51 @@ class VectorRecordWalker {
   /// cursor consistent.
   size_t TryFixedRun(AdmTag* tag, const uint8_t** base);
 
+  /// One field of a shape run's template, in field order.
+  struct ShapeField {
+    AdmTag tag = AdmTag::kNull;  // fixed-width scalar tag
+    uint32_t offset = 0;         // payload offset within one item
+    bool declared = false;       // `name` is a declared-field index
+    uint32_t name = 0;           // declared index, else FieldNameID
+  };
+  /// A run of collection items that repeat one object shape: item i's field
+  /// f has tag fields[f].tag and its payload at base + i * stride +
+  /// fields[f].offset (base is null when stride is 0).
+  struct ShapeRun {
+    size_t count = 0;
+    const uint8_t* base = nullptr;
+    size_t stride = 0;
+    const ShapeField* fields = nullptr;
+    size_t field_count = 0;
+  };
+
+  /// The object-array fast path (§3.4.2): when the item Next visited last
+  /// was an object of the current collection scope whose fields are all
+  /// fixed-width scalars named by FieldNameID or declared index, its tag
+  /// bytes and name slots are a template, and this consumes the following
+  /// items while they repeat it byte for byte. Returns the run length (the
+  /// run in `*run`), or 0 (cursor unmoved) when there is no template or the
+  /// next item differs: a missing, extra, renamed or reordered field, a type
+  /// change, a nested or variable-length value, or the scope's end. Records
+  /// with inline (uncompacted) field names take runs only over declared
+  /// fields.
+  size_t TryShapeRun(ShapeRun* run);
+
   int depth() const { return static_cast<int>(stack_.size()); }
 
  private:
+  /// Where the walk stood when it opened an object item of a collection
+  /// scope: the candidate template for TryShapeRun once the object closes.
+  struct ObjectItemStart {
+    size_t tag_pos = 0;    // the item's kObject tag
+    BitReader name_slots;  // at its first field's slot
+    bool set = false;
+  };
+
+  /// Fills shape_fields_ from the object item just closed; false when there
+  /// is none or it does not qualify as a template.
+  bool LoadShapeTemplate(size_t* tag_len, size_t* stride);
+
   VectorRecordView view_;
   size_t tag_pos_ = 0;          // index into the tag vector
   size_t fixed_pos_ = 0;        // byte offset into fixed_values
@@ -114,6 +158,8 @@ class VectorRecordWalker {
   BitReader var_len_reader_;
   BitReader name_slot_reader_;
   std::vector<AdmTag> stack_;   // open nesting scopes
+  ObjectItemStart last_object_item_;
+  std::vector<ShapeField> shape_fields_;  // the current template
 };
 
 /// Decodes a record to an AdmValue tree. `schema` resolves FieldNameIDs of
@@ -162,13 +208,14 @@ inline double PackedDoubleOf(AdmTag tag, const uint8_t* p) {
 bool PackedLeafSatisfies(const VectorRecordWalker::Item& item, CompareOp op,
                          const AdmValue& literal, bool fold_case = false);
 
-/// Vectorized kernel over a contiguous run of `count` packed fixed-width
-/// scalars of type `tag` (as returned by VectorRecordWalker::TryFixedRun):
-/// returns whether ANY element satisfies `op` against `literal` — the
-/// existential [*] predicate over an array of scalars, evaluated as one tight
-/// typed loop over the packed bytes.
+/// Vectorized kernel over a run of `count` packed fixed-width scalars of type
+/// `tag`, `stride` bytes apart from `base` — the tag's width for a
+/// VectorRecordWalker::TryFixedRun run, the item stride for one field of a
+/// TryShapeRun run: returns whether ANY element satisfies `op` against
+/// `literal` — the existential [*] predicate over an array, evaluated as one
+/// tight typed loop over the packed bytes.
 bool AnyPackedFixedSatisfies(AdmTag tag, const uint8_t* base, size_t count,
-                             CompareOp op, const AdmValue& literal);
+                             size_t stride, CompareOp op, const AdmValue& literal);
 
 /// Flush-path inference (paper §3.3.2): folds the record into `schema` by
 /// scanning only the tag and name vectors. Equivalent to InferRecord on the

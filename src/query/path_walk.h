@@ -12,7 +12,7 @@
 // The walk owns everything else: the root-object check, the pooled scope
 // stack with its active paths, step matching, declared-type propagation, and
 // the Corruption errors for a broken scope structure. A structural change
-// (a new step kind, a new run fast path such as shape runs) goes here, once.
+// (a new step kind, a new run fast path) goes here, once.
 //
 // Step matching:
 //   - a field step matches an object field by name. Compacted fields carry a
@@ -83,6 +83,51 @@ class PackedPathWalk {
   template <typename Hooks>
   Status Walk(const VectorRecordView& view, const DatasetType& type, Hooks* hooks);
 
+  /// For run hooks (PathWalkHooks::TryRun): when every active path of the
+  /// current collection scope is `a[*].b` — [*] plus one terminal field
+  /// step — takes a shape run from `walker` (VectorRecordWalker::TryShapeRun)
+  /// into `*run` and calls `fn(path, field)` for each active path whose field
+  /// step matches a template field (the first of its name, as in an object
+  /// scope) until `fn` returns true. Returns the run length; 0 (nothing
+  /// called) when there is no run.
+  template <typename Fn>
+  size_t TakeShapeRun(VectorRecordWalker* walker, const std::vector<Active>& actives,
+                      VectorRecordWalker::ShapeRun* run, Fn&& fn) const {
+    for (const Active& a : actives) {
+      const BoundPath& path = paths_[a.path];
+      if (a.step + 2 != path.size || path.steps[a.step].kind != PathStep::kWildcard ||
+          path.steps[a.step + 1].kind != PathStep::kField) {
+        return 0;
+      }
+    }
+    const size_t n = walker->TryShapeRun(run);
+    if (n == 0) return 0;
+    // The template item went through the walk with at least these actives,
+    // so every name resolved here resolved there.
+    const TypeDescriptor* item_decl = scopes_[depth_ - 1].decl;
+    for (const Active& a : actives) {
+      const Active field_step{a.path, a.step + 1};
+      const PathStep& st = paths_[a.path].steps[field_step.step];
+      for (size_t f = 0; f < run->field_count; ++f) {
+        const VectorRecordWalker::ShapeField& field = run->fields[f];
+        Item it;
+        it.declared = field.declared;
+        if (field.declared) {
+          it.declared_index = field.name;
+        } else {
+          it.name_id = field.name;
+        }
+        FieldName name;
+        if (!ResolveName(it, item_decl, &name).ok()) break;
+        if (FieldStepMatches(field_step, st, name)) {
+          if (fn(a.path, field)) return n;
+          break;
+        }
+      }
+    }
+    return n;
+  }
+
  private:
   struct BoundPath {
     const PathStep* steps;
@@ -141,13 +186,15 @@ class PackedPathWalk {
   /// an object scope, by position in a collection scope.
   bool StepMatches(const Scope& scope, const Active& a, const PathStep& st,
                    const FieldName& name) const {
-    if (scope.is_object) {
-      if (st.kind != PathStep::kField) return false;
-      if (name.id != 0) return ids_[paths_[a.path].first_id + a.step] == name.id;
-      return name.text == st.name;
-    }
+    if (scope.is_object) return FieldStepMatches(a, st, name);
     return st.kind == PathStep::kWildcard ||
            (st.kind == PathStep::kIndex && st.index == scope.item_index);
+  }
+  bool FieldStepMatches(const Active& a, const PathStep& st,
+                        const FieldName& name) const {
+    if (st.kind != PathStep::kField) return false;
+    if (name.id != 0) return ids_[paths_[a.path].first_id + a.step] == name.id;
+    return name.text == st.name;
   }
 
   std::string_view NameText(const FieldName& name) const {
@@ -176,7 +223,10 @@ struct PathWalkHooks {
   bool Terminal(size_t /*path*/, const Item& /*it*/) { return false; }
   /// The collection-scope run hook: called before each item of a collection
   /// scope that has active paths; it may consume a run of items from
-  /// `walker` (VectorRecordWalker::TryFixedRun) and returns how many.
+  /// `walker` and returns how many. Two runs exist: a run of same-tag
+  /// scalars (VectorRecordWalker::TryFixedRun) for paths whose [*] is the
+  /// last step, and a shape run of same-shape objects for `a[*].b` paths
+  /// (PackedPathWalk::TakeShapeRun).
   size_t TryRun(VectorRecordWalker* /*walker*/,
                 const std::vector<PackedPathWalk::Active>& /*actives*/) {
     return 0;

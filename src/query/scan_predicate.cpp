@@ -66,12 +66,12 @@ bool PackedTermLeafSatisfies(const VectorRecordWalker::Item& item,
 }
 
 bool AnyPackedFixedTermSatisfies(AdmTag tag, const uint8_t* base, size_t count,
-                                 const PredicateTerm& term) {
+                                 size_t stride, const PredicateTerm& term) {
   if (term.in_list.empty()) {
-    return AnyPackedFixedSatisfies(tag, base, count, term.op, term.literal);
+    return AnyPackedFixedSatisfies(tag, base, count, stride, term.op, term.literal);
   }
   for (const AdmValue& l : term.in_list) {
-    if (AnyPackedFixedSatisfies(tag, base, count, term.op, l)) return true;
+    if (AnyPackedFixedSatisfies(tag, base, count, stride, term.op, l)) return true;
   }
   return false;
 }
@@ -79,8 +79,9 @@ bool AnyPackedFixedTermSatisfies(AdmTag tag, const uint8_t* base, size_t count,
 }  // namespace
 
 struct ScanPredicateMatcher::Hooks : PathWalkHooks {
-  Hooks(const std::vector<PredicateTerm>& t, std::vector<uint8_t>* s)
-      : terms(t), satisfied(*s), undecided(t.size()) {}
+  Hooks(const PackedPathWalk& w, const std::vector<PredicateTerm>& t,
+        std::vector<uint8_t>* s)
+      : walk(w), terms(t), satisfied(*s), undecided(t.size()) {}
 
   bool Stop() const { return decided; }
 
@@ -99,24 +100,35 @@ struct ScanPredicateMatcher::Hooks : PathWalkHooks {
     return Satisfy(t);
   }
 
-  // A run of same-tag fixed-width scalars is consumed at once through the
-  // vectorized AnyPackedFixedSatisfies kernel when every active path is a
-  // terminal [*] compare: the run then needs no per-item bookkeeping.
+  // Runs go through the vectorized AnyPackedFixedSatisfies kernel and need
+  // no per-item bookkeeping: a run of same-tag fixed-width scalars when every
+  // active path is a terminal [*] compare, a shape run of same-shape objects
+  // when every active path is an existential `a[*].b` compare.
   size_t TryRun(VectorRecordWalker* walker,
                 const std::vector<PackedPathWalk::Active>& actives) {
+    bool leaf = true;
     for (const auto& a : actives) {
       const auto& steps = terms[a.path].path.steps;
-      if (a.step + 1 != steps.size() || steps[a.step].kind != PathStep::kWildcard) {
-        return 0;
-      }
+      leaf = leaf && a.step + 1 == steps.size() && steps[a.step].kind == PathStep::kWildcard;
+    }
+    if (!leaf) {
+      VectorRecordWalker::ShapeRun run;
+      return walk.TakeShapeRun(
+          walker, actives, &run, [&](size_t t, const VectorRecordWalker::ShapeField& f) {
+            return !satisfied[t] && run.base != nullptr &&
+                   AnyPackedFixedTermSatisfies(f.tag, run.base + f.offset, run.count,
+                                               run.stride, terms[t]) &&
+                   Satisfy(t);
+          });
     }
     AdmTag run_tag;
     const uint8_t* run_base = nullptr;
     size_t run = walker->TryFixedRun(&run_tag, &run_base);
     if (run == 0) return 0;
+    size_t width = static_cast<size_t>(FixedWidthOf(run_tag));  // >= 0 in a run
     for (const auto& a : actives) {
       if (!satisfied[a.path] &&
-          AnyPackedFixedTermSatisfies(run_tag, run_base, run, terms[a.path]) &&
+          AnyPackedFixedTermSatisfies(run_tag, run_base, run, width, terms[a.path]) &&
           Satisfy(a.path)) {
         break;
       }
@@ -135,6 +147,7 @@ struct ScanPredicateMatcher::Hooks : PathWalkHooks {
     return true;
   }
 
+  const PackedPathWalk& walk;
   const std::vector<PredicateTerm>& terms;
   std::vector<uint8_t>& satisfied;
   size_t undecided;
@@ -170,7 +183,7 @@ Result<bool> ScanPredicateMatcher::MatchVector(const VectorRecordView& view,
     bound_dict_size_ = dict_size;
   }
   satisfied_.assign(terms.size(), 0);
-  Hooks hooks(terms, &satisfied_);
+  Hooks hooks(walk_, terms, &satisfied_);
   if (terms.empty()) hooks.Decide(true);
   TC_RETURN_IF_ERROR(walk_.Walk(view, type, &hooks));
   return hooks.verdict;

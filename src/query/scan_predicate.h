@@ -120,7 +120,7 @@ class ScanPredicateMatcher {
                            const Schema* schema, const ScanPredicate& pred);
 
  private:
-  struct Hooks;  // the walk's terminal handling; scan_predicate.cpp
+  struct Hooks;  // the walk's terminal and run handling; scan_predicate.cpp
 
   PackedPathWalk walk_;  // bound to the three bound_* values below
   // Term states: 0 = undecided, 1 = satisfied (an unsatisfiable exact term
@@ -134,8 +134,9 @@ class ScanPredicateMatcher {
 
 /// Lowered evaluation: one early-terminating walk over the record's packed
 /// vectors, comparing leaves in place via the comparator kernels of
-/// vector_format.h (contiguous scalar runs inside collections go through the
-/// vectorized AnyPackedFixedSatisfies kernel). No AdmValue is materialized.
+/// vector_format.h (contiguous scalar runs and shape runs of same-shape
+/// objects inside collections go through the vectorized
+/// AnyPackedFixedSatisfies kernel). No AdmValue is materialized.
 /// Returns as soon as the conjunction is decided — for a predicate on an
 /// early top-level field, non-matching records cost a handful of tag reads.
 /// Convenience wrapper over a fresh ScanPredicateMatcher; hot scans hold a

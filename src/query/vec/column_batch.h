@@ -53,6 +53,26 @@ class ColumnVector {
   void AppendDouble(AdmTag tag, double v);
   /// `tag` must be kString, kBinary, or kUuid; bytes are copied into the arena.
   void AppendString(AdmTag tag, std::string_view bytes);
+  /// `n` values of one tag at once, the i-th being `load(i)`: one storage
+  /// decision for the whole run (a shape run's field). Tags as above.
+  template <typename Load>
+  void AppendInt64Run(AdmTag tag, size_t n, Load&& load) {
+    if (Adopt(Kind::kInt64) != Kind::kInt64) {
+      for (size_t i = 0; i < n; ++i) AppendInt64(tag, load(i));
+      return;
+    }
+    tags_.insert(tags_.end(), n, tag);
+    for (size_t i = 0; i < n; ++i) ints_.push_back(load(i));
+  }
+  template <typename Load>
+  void AppendDoubleRun(AdmTag tag, size_t n, Load&& load) {
+    if (Adopt(Kind::kDouble) != Kind::kDouble) {
+      for (size_t i = 0; i < n; ++i) AppendDouble(tag, load(i));
+      return;
+    }
+    tags_.insert(tags_.end(), n, tag);
+    for (size_t i = 0; i < n; ++i) doubles_.push_back(load(i));
+  }
   /// Generic append: dispatches to the typed paths for scalar families,
   /// demotes the column for everything else (points, nested values).
   void AppendValue(const AdmValue& v);

@@ -18,9 +18,10 @@ VecOpCounters* OpCounters(const PartitionContext& ctx, const char* name) {
 
 // ---------------------------------------------------------------------------
 // Columnar fast-path extraction: the shared PackedPathWalk (query/path_walk.h)
-// collects, per requested path, the scalar walker items it matches — items
-// point into the payload, so nothing is decoded or allocated until the scan
-// appends them typed into the batch columns (AppendItem).
+// collects, per requested path, the scalar walker items and shape-run fields
+// it matches — both point into the payload, so nothing is decoded or
+// allocated until the scan appends them typed into the batch columns
+// (AppendItem, AppendStrided).
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -48,11 +49,32 @@ void AppendItem(const VectorRecordWalker::Item& it, ColumnVector* col) {
   }
 }
 
+/// Appends `count` values of `first`'s tag whose payloads lie `stride` bytes
+/// apart from `first`'s: a shape run's int and float fields as one typed
+/// run, anything else item by item.
+void AppendStrided(const VectorRecordWalker::Item& first, size_t count, size_t stride,
+                   ColumnVector* col) {
+  const AdmTag t = first.tag;
+  const uint8_t* p = first.fixed;
+  if (count > 1 && IsIntFamily(t)) {
+    col->AppendInt64Run(t, count, [&](size_t i) { return PackedIntOf(t, p + i * stride); });
+  } else if (count > 1 && IsFloatFamily(t)) {
+    col->AppendDoubleRun(t, count,
+                         [&](size_t i) { return PackedDoubleOf(t, p + i * stride); });
+  } else {
+    VectorRecordWalker::Item it = first;
+    for (size_t i = 0; i < count; ++i) {
+      if (p != nullptr) it.fixed = p + i * stride;  // null: zero-width tags
+      AppendItem(it, col);
+    }
+  }
+}
+
 }  // namespace
 
 VecPathExtractor::VecPathExtractor(const std::vector<FieldPath>& paths,
                                    const Schema* schema)
-    : items_(paths.size()), wildcard_(paths.size(), 0) {
+    : matches_(paths.size()), wildcard_(paths.size(), 0) {
   walk_.Bind(
       paths.size(),
       [&paths](size_t p) -> const std::vector<PathStep>& { return paths[p].steps; },
@@ -81,8 +103,23 @@ struct VecPathExtractor::Hooks : PathWalkHooks {
       fast = false;
       return true;
     }
-    ex->items_[p].push_back(it);
+    ex->matches_[p].push_back({it, 1, 0});
     return ex->wildcard_[p] == 0 && --remaining == 0 && !ex->any_wildcard_;
+  }
+
+  // A shape run adds each `a[*].b` path's field as one match: the run's
+  // items hold scalars only, so none bails out.
+  size_t TryRun(VectorRecordWalker* walker,
+                const std::vector<PackedPathWalk::Active>& actives) {
+    VectorRecordWalker::ShapeRun run;
+    return ex->walk_.TakeShapeRun(
+        walker, actives, &run, [&](size_t p, const VectorRecordWalker::ShapeField& f) {
+          Item first;
+          first.tag = f.tag;
+          first.fixed = run.base != nullptr ? run.base + f.offset : nullptr;
+          ex->matches_[p].push_back({first, run.count, run.stride});
+          return false;
+        });
   }
 
   VecPathExtractor* ex;
@@ -92,23 +129,23 @@ struct VecPathExtractor::Hooks : PathWalkHooks {
 
 Result<bool> VecPathExtractor::Extract(const VectorRecordView& view,
                                        const DatasetType& type) {
-  for (auto& got : items_) got.clear();
+  for (auto& got : matches_) got.clear();
   Hooks hooks(this);
   TC_RETURN_IF_ERROR(walk_.Walk(view, type, &hooks));
   return hooks.fast;  // exact paths without an item are missing values
 }
 
 void VecPathExtractor::AppendRow(ColumnVector* cols) const {
-  for (size_t c = 0; c < items_.size(); ++c) {
+  for (size_t c = 0; c < matches_.size(); ++c) {
     ColumnVector& col = cols[c];
     if (wildcard_[c] != 0) {
       ColumnVector& list = col.BeginList();
-      for (const VectorRecordWalker::Item& item : items_[c]) AppendItem(item, &list);
+      for (const Match& m : matches_[c]) AppendStrided(m.item, m.count, m.stride, &list);
       col.EndList();
-    } else if (items_[c].empty()) {
+    } else if (matches_[c].empty()) {
       col.AppendMissing();
     } else {
-      AppendItem(items_[c][0], &col);
+      AppendItem(matches_[c][0].item, &col);
     }
   }
 }

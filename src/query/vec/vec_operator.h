@@ -30,7 +30,9 @@ class ScanPredicateMatcher;  // query/scan_predicate.h
 /// The sources' columnar fast path for vector-based records with
 /// consolidated access: one PackedPathWalk (query/path_walk.h) per record
 /// collects, per path, the scalar items it matches — pointers into the
-/// payload, decoded only when appended to the batch columns.
+/// payload, decoded only when appended to the batch columns. An `a[*].b`
+/// path over an array of same-shape objects collects whole shape runs
+/// (VectorRecordWalker::TryShapeRun) instead of one item per object.
 class VecPathExtractor {
  public:
   /// `paths` and `schema` (the accessor's snapshot, which resolves the
@@ -49,10 +51,19 @@ class VecPathExtractor {
   void AppendRow(ColumnVector* cols) const;
 
  private:
-  struct Hooks;  // the walk's terminal handling; vec_operator.cpp
+  struct Hooks;  // the walk's terminal and run handling; vec_operator.cpp
+
+  /// One match of a path, in record order: `count` values of `item`'s tag
+  /// whose payloads lie `stride` bytes apart from `item`'s — one walker item
+  /// (count 1), or one field of a shape run.
+  struct Match {
+    VectorRecordWalker::Item item;
+    size_t count = 1;
+    size_t stride = 0;
+  };
 
   PackedPathWalk walk_;
-  std::vector<std::vector<VectorRecordWalker::Item>> items_;  // per path
+  std::vector<std::vector<Match>> matches_;  // per path
   std::vector<uint8_t> wildcard_;
   size_t exact_paths_ = 0;
   bool any_wildcard_ = false;

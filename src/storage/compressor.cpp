@@ -30,7 +30,7 @@ class NoneCompressor final : public Compressor {
   Status Decompress(const uint8_t* in, size_t n, uint8_t* out, size_t out_cap,
                     size_t* out_size) const override {
     if (n > out_cap) return Status::Corruption("none: output buffer too small");
-    std::memcpy(out, in, n);
+    if (n > 0) std::memcpy(out, in, n);  // an empty page may have no buffer
     *out_size = n;
     return Status::OK();
   }
@@ -161,9 +161,18 @@ Status DecodeLz77(const char* who, bool allow_long, const uint8_t* in, size_t n,
       if (offset == 0 || offset > pos || pos + len > expected) {
         return Status::Corruption(std::string(who) + ": bad copy");
       }
-      for (size_t i = 0; i < len; ++i) {  // byte-wise: offsets may overlap
-        out[pos + i] = out[pos + i - offset];
+      uint8_t* dst = out + pos;
+      const uint8_t* src = dst - offset;
+      size_t i = 0;
+      if (offset >= 8) {
+        // A word never reads bytes this copy has yet to write: the source
+        // trails the destination by at least its width. Where the output
+        // has room, the last word may run past the match; the bytes it
+        // spills are rewritten by the ops that follow and never read first.
+        const size_t words_end = expected - pos >= len + 7 ? len : len & ~size_t{7};
+        for (; i < words_end; i += 8) std::memcpy(dst + i, src + i, 8);
       }
+      for (; i < len; ++i) dst[i] = src[i];  // tail, or an overlap under 8
       pos += len;
     } else {
       return Status::Corruption(std::string(who) + ": unknown tag");

@@ -127,6 +127,50 @@ TEST(Crc32, KnownVector) {
   EXPECT_EQ(Crc32c("123456789", 9), 0xE3069283u);
 }
 
+/// The byte-at-a-time definition of CRC32-C, bit by bit: what the sliced
+/// table code must equal.
+uint32_t ReferenceCrc32c(const uint8_t* p, size_t n, uint32_t seed) {
+  uint32_t crc = ~seed;
+  for (size_t i = 0; i < n; ++i) {
+    crc ^= p[i];
+    for (int k = 0; k < 8; ++k) crc = (crc >> 1) ^ ((crc & 1) ? 0x82f63b78u : 0);
+  }
+  return ~crc;
+}
+
+TEST(Crc32, SlicedMatchesByteWiseAtEveryAlignment) {
+  Rng rng(21);
+  std::vector<uint8_t> buf(4096 + 8);
+  for (auto& b : buf) b = static_cast<uint8_t>(rng.Next());
+  for (int iter = 0; iter < 400; ++iter) {
+    size_t len = rng.Uniform(4097);
+    for (size_t align = 0; align < 8; ++align) {
+      const uint8_t* p = buf.data() + align;
+      ASSERT_EQ(Crc32c(p, len), ReferenceCrc32c(p, len, 0))
+          << "len=" << len << " align=" << align;
+    }
+  }
+  for (size_t len = 0; len <= 64; ++len) {  // every tail length, exhaustively
+    ASSERT_EQ(Crc32c(buf.data() + 3, len), ReferenceCrc32c(buf.data() + 3, len, 0));
+  }
+}
+
+TEST(Crc32, SeededChainingEqualsOneChecksum) {
+  Rng rng(22);
+  std::vector<uint8_t> buf(4096);
+  for (auto& b : buf) b = static_cast<uint8_t>(rng.Next());
+  for (int iter = 0; iter < 200; ++iter) {
+    size_t total = rng.Uniform(buf.size() + 1);
+    size_t split = rng.Uniform(total + 1);
+    uint32_t whole = Crc32c(buf.data(), total);
+    ASSERT_EQ(Crc32c(buf.data() + split, total - split, Crc32c(buf.data(), split)),
+              whole)
+        << "total=" << total << " split=" << split;
+    uint32_t seed = static_cast<uint32_t>(rng.Next());
+    ASSERT_EQ(Crc32c(buf.data(), total, seed), ReferenceCrc32c(buf.data(), total, seed));
+  }
+}
+
 TEST(Crc32, DetectsCorruption) {
   std::string data = "hello world, this is a checksum test";
   uint32_t crc = Crc32c(data.data(), data.size());

@@ -1,6 +1,5 @@
 #include "fuzz_targets.h"
 
-#include <algorithm>
 #include <string>
 #include <string_view>
 
@@ -122,24 +121,6 @@ bool EndsNested(const FieldPath& path, const AdmValue& v) {
   return false;
 }
 
-// Materialised and decoded values recurse per nesting level, so records
-// deeper than the ADM parser's limit are skipped.
-constexpr int kMaxFuzzNesting = 512;
-
-int MaxNesting(const VectorRecordView& view) {
-  int depth = 0;
-  int max_depth = 0;
-  for (uint32_t i = 0; i < view.tag_count(); ++i) {
-    AdmTag t = static_cast<AdmTag>(view.data()[kVectorHeaderSize + i]);
-    if (IsNested(t)) {
-      max_depth = std::max(max_depth, ++depth);
-    } else if (t == AdmTag::kEndNest) {
-      --depth;
-    }
-  }
-  return max_depth;
-}
-
 }  // namespace
 
 const std::vector<PathWalkFuzzContext>& PathWalkFuzzContexts() {
@@ -176,7 +157,6 @@ int FuzzVectorPathWalk(const uint8_t* data, size_t size) {
   const auto& contexts = PathWalkFuzzContexts();
   const PathWalkFuzzContext& ctx = contexts[data[0] % contexts.size()];
   const VectorRecordView view(data + 1, size - 1);
-  if (view.Validate().ok() && MaxNesting(view) > kMaxFuzzNesting) return 0;
 
   // Every walk runs first: none may crash, whatever the bytes.
   std::vector<AdmValue> got, got_unconsolidated;

@@ -32,8 +32,6 @@ int FuzzDeserializeSchema(const uint8_t* data, size_t size);
 /// is the record. Invariants: no walk ever crashes, and whenever
 /// DecodeVectorRecord accepts the record, every walk returns OK and agrees
 /// with the decoded record (NavigateAdmValue; a missing wildcard is []).
-/// Records nested deeper than the ADM parser's 512 levels are skipped:
-/// materialised and decoded values recurse per level.
 int FuzzVectorPathWalk(const uint8_t* data, size_t size);
 
 /// What FuzzVectorPathWalk reads a record against: one workload dataset

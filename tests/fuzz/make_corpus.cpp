@@ -1,7 +1,8 @@
 // Regenerates the checked-in fuzz corpus under tests/fuzz/corpus/. Seeds come
 // from the workload generators (real record shapes for ParseAdm; their
 // inferred schemas, serialized, for DeserializeSchema; their vector-encoded
-// records, plain and compacted, for the path walks) plus handwritten edge
+// records, plain and compacted, for the path walks, some with a readings
+// object changed to break the shape of the others) plus handwritten edge
 // cases. Deterministic — rerunning produces identical files.
 //
 //   ./make_corpus <corpus_dir>
@@ -9,6 +10,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "adm/parser.h"
@@ -25,6 +27,33 @@ namespace {
 void WriteFile(const std::string& path, const std::string& bytes) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/// A Sensors reading {temp, timestamp} changed so that it no longer has the
+/// shape of the other readings, in the way `how` names.
+tc::AdmValue BreakReading(const tc::AdmValue& reading, const std::string& how) {
+  const tc::AdmValue& temp = *reading.FindField("temp");
+  const tc::AdmValue& ts = *reading.FindField("timestamp");
+  tc::AdmValue out = tc::AdmValue::Object();
+  if (how == "reordered") out.AddField("timestamp", ts);
+  if (how == "bigint") {
+    out.AddField("temp", tc::AdmValue::BigInt(static_cast<int64_t>(temp.double_value())));
+  } else if (how == "string") {
+    out.AddField("temp", tc::AdmValue::String("hot"));
+  } else {
+    out.AddField("temp", temp);
+  }
+  if (how == "nested") {
+    tc::AdmValue arr = tc::AdmValue::Array();
+    arr.Append(ts);
+    out.AddField("timestamp", std::move(arr));
+  } else if (how == "renamed") {  // same tags, another name slot
+    out.AddField("sensor_id", ts);
+  } else if (how != "missing" && how != "reordered") {
+    out.AddField("timestamp", ts);
+  }
+  if (how == "extra") out.AddField("sensor_id", tc::AdmValue::BigInt(7));
+  return out;
 }
 
 }  // namespace
@@ -132,6 +161,46 @@ int main(int argc, char** argv) {
       }
       write_record("vb_" + ctx.name + "_" + std::to_string(i), c, vb);
       write_record("vbc_" + ctx.name + "_" + std::to_string(i), c, compacted);
+    }
+  }
+  // Sensors records whose readings break the shape of the other readings
+  // objects, each kind at another position, so the path walks' shape runs
+  // stop at every kind of difference: compacted under both types, and
+  // uncompacted (memtable) under the closed type, whose declared reading
+  // fields take runs too.
+  const std::pair<const char*, size_t> breaks[] = {
+      {"missing", 0}, {"extra", 1},   {"reordered", 57}, {"renamed", 86},
+      {"bigint", 115}, {"nested", 116}, {"string", 30},
+  };
+  for (size_t c = 0; c < contexts.size(); ++c) {
+    const tc::PathWalkFuzzContext& ctx = contexts[c];
+    if (ctx.name.rfind("sensors_", 0) != 0) continue;
+    for (const auto& [how, at] : breaks) {
+      tc::AdmValue rec = ctx.records[0];
+      for (size_t f = 0; f < rec.field_count(); ++f) {
+        if (rec.field_name(f) != "readings") continue;
+        tc::AdmValue& item = rec.field_value(f).item(at);
+        item = BreakReading(item, how);
+      }
+      tc::Buffer vb;
+      tc::Buffer compacted;
+      tc::Schema schema = ctx.schema.Clone();
+      auto st = tc::EncodeVectorRecord(rec, ctx.type, &vb);
+      if (st.ok()) {
+        st = tc::CompactVectorRecord(tc::VectorRecordView(vb.data(), vb.size()),
+                                     ctx.type, &schema, &compacted);
+      }
+      if (!st.ok()) {
+        std::fprintf(stderr, "encode failed: %s\n", st.ToString().c_str());
+        return 1;
+      }
+      std::string suffix = "_break_" + std::string(how);
+      // A name the context's schema lacks would make the record undecodable
+      // (the closed type declares sensor_id at the top level only).
+      if (schema.dict().size() == ctx.schema.dict().size()) {
+        write_record("vbc_" + ctx.name + suffix, c, compacted);
+      }
+      if (ctx.name == "sensors_closed") write_record("vb_" + ctx.name + suffix, c, vb);
     }
   }
   const char* duplicates[] = {

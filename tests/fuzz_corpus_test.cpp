@@ -6,6 +6,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -69,8 +70,10 @@ TEST(FuzzCorpusTest, VectorPathWalkSeedsDecode) {
   // accepts it, so every vector-encoded seed must decode under its context.
   const auto& contexts = PathWalkFuzzContexts();
   size_t seeds = 0;
+  size_t shape_breaks = 0;
   for (const auto& path : CorpusFiles()) {
-    if (path.filename().string().rfind("vb", 0) != 0) continue;
+    const std::string name = path.filename().string();
+    if (name.rfind("vb", 0) != 0) continue;
     SCOPED_TRACE(path.string());
     std::vector<uint8_t> bytes = ReadAll(path);
     ASSERT_GE(bytes.size(), 2u);
@@ -79,11 +82,16 @@ TEST(FuzzCorpusTest, VectorPathWalkSeedsDecode) {
     EXPECT_TRUE(DecodeVectorRecord(VectorRecordView(bytes.data() + 1, bytes.size() - 1),
                                    ctx.type, &ctx.schema, &record)
                     .ok());
-    ++seeds;
+    ++(name.find("_break_") != std::string::npos ? shape_breaks : seeds);
   }
   // Two records per context, plain and compacted, plus the duplicate-name
   // records.
   EXPECT_EQ(seeds, 4 * contexts.size() + 2);
+  // Sensors records whose readings break the shape runs seven ways: compacted
+  // under the open type; under the closed type plain, and compacted where the
+  // closed schema's dictionary holds the names (not for the extra and renamed
+  // sensor_id fields).
+  EXPECT_EQ(shape_breaks, 7u + 7u + 5u);
 }
 
 TEST(FuzzCorpusTest, DeepNestingRejectedCleanly) {

@@ -177,9 +177,9 @@ TEST(PackedKernels, WalkerFixedRunOnlyInsideCollections) {
   ASSERT_EQ(walker.TryFixedRun(&run_tag, &base), 5u);
   EXPECT_EQ(run_tag, AdmTag::kDouble);
   ASSERT_NE(base, nullptr);
-  EXPECT_TRUE(AnyPackedFixedSatisfies(run_tag, base, 5, CompareOp::kEq,
+  EXPECT_TRUE(AnyPackedFixedSatisfies(run_tag, base, 5, 8, CompareOp::kEq,
                                       AdmValue::Double(3)));
-  EXPECT_FALSE(AnyPackedFixedSatisfies(run_tag, base, 5, CompareOp::kGt,
+  EXPECT_FALSE(AnyPackedFixedSatisfies(run_tag, base, 5, 8, CompareOp::kGt,
                                        AdmValue::Double(4)));
   ASSERT_TRUE(walker.Next(&it, &done).ok());  // end-nest: run consumed cleanly
   EXPECT_EQ(it.tag, AdmTag::kEndNest);

@@ -1,8 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <memory>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "adm/parser.h"
 #include "adm/printer.h"
 #include "format/vector_format.h"
+#include "query/field_access.h"
+#include "query/scan_predicate.h"
+#include "query/vec/vec_operator.h"
 #include "schema/inference.h"
 #include "tests/test_util.h"
 
@@ -309,6 +318,351 @@ TEST(VectorFormat, LongStringsUseWiderLengthBits) {
   AdmValue out;
   ASSERT_TRUE(DecodeVectorRecord(view, type, nullptr, &out).ok());
   EXPECT_EQ(out, rec);
+}
+
+// ---------------------------------------------------------------------------
+// The nesting-depth bound (kMaxNestingDepth) and shape runs
+// ---------------------------------------------------------------------------
+
+/// {"a": [[...[]...]]} with its deepest value at nesting level `levels`,
+/// encoded uncompacted: the root object (level 1), then `levels - 1` arrays.
+/// Built as bytes, so no AdmValue of that depth ever exists.
+Buffer NestedArrayRecord(size_t levels) {
+  Buffer shallow = Encode(R(R"({"a": []})"), PkType());  // object array end EOV
+  const size_t extra = levels - 2;                       // arrays to add
+  const uint8_t* h = shallow.data();
+  Buffer tags(extra + 2, static_cast<uint8_t>(AdmTag::kArray));
+  tags.resize(2 * extra + 3, static_cast<uint8_t>(AdmTag::kEndNest));
+  tags.front() = static_cast<uint8_t>(AdmTag::kObject);
+  tags.push_back(static_cast<uint8_t>(AdmTag::kEov));
+  Buffer out(shallow.begin(), shallow.begin() + kVectorHeaderSize);
+  out.insert(out.end(), tags.begin(), tags.end());
+  out.insert(out.end(), shallow.begin() + kVectorHeaderSize + 4,
+             shallow.end());  // the name slot and "a"
+  OverwriteFixed32(&out, 0, static_cast<uint32_t>(out.size()));
+  OverwriteFixed32(&out, 4, static_cast<uint32_t>(4 + 2 * extra));
+  for (int i = 0; i < 5; ++i) {
+    size_t at = 10 + 4 * static_cast<size_t>(i);
+    OverwriteFixed32(&out, at, static_cast<uint32_t>(GetFixed32(h + at) + 2 * extra));
+  }
+  return out;
+}
+
+/// {"a": [[...[1]...]]} whose scalar sits at nesting level `levels`.
+AdmValue NestedArrayValue(size_t levels) {
+  AdmValue v = AdmValue::BigInt(1);
+  for (size_t l = levels; l > 2; --l) {
+    AdmValue arr = AdmValue::Array();
+    arr.Append(std::move(v));
+    v = std::move(arr);
+  }
+  AdmValue rec = AdmValue::Object();
+  rec.AddField("a", std::move(v));
+  return rec;
+}
+
+TEST(VectorFormat, NestingDepthBoundIsCorruptionForEveryReader) {
+  DatasetType type = PkType();
+  Schema schema;
+  const std::vector<FieldPath> paths = {FieldPath::Parse("b"), FieldPath::Parse("a[*]")};
+  const std::vector<FieldPath> unmatched = {paths[0]};
+  auto pred = ScanPredicate::And({ScanPredicate::Term("b", CompareOp::kEq,
+                                                      AdmValue::BigInt(1))});
+  for (size_t levels : {size_t{513}, size_t{100000}}) {
+    SCOPED_TRACE(levels);
+    Buffer b = NestedArrayRecord(levels);
+    VectorRecordView view(b.data(), b.size());
+    ASSERT_TRUE(view.Validate().ok());
+    AdmValue decoded;
+    EXPECT_TRUE(DecodeVectorRecord(view, type, &schema, &decoded).IsCorruption());
+    std::vector<AdmValue> got;
+    EXPECT_TRUE(GetValuesVector(view, type, &schema, paths, &got).IsCorruption());
+    VecPathExtractor extractor(unmatched, &schema);  // walks the whole record
+    EXPECT_TRUE(extractor.Extract(view, type).status().IsCorruption());
+    ScanPredicateMatcher matcher;
+    EXPECT_TRUE(matcher.MatchVector(view, type, &schema, *pred).status().IsCorruption());
+    EXPECT_TRUE(InferVectorRecord(view, type, &schema).IsCorruption());
+  }
+  // The deepest record the parser accepts is exactly as deep as the deepest
+  // one the format stores and reads back.
+  for (size_t levels : {size_t{512}, size_t{513}}) {
+    SCOPED_TRACE(levels);
+    const bool fits = levels <= static_cast<size_t>(kMaxNestingDepth);
+    AdmValue rec = NestedArrayValue(levels);
+    ASSERT_EQ(rec.Depth(), levels);
+    EXPECT_EQ(ParseAdm(PrintAdm(rec)).ok(), fits);
+    Buffer b;
+    Status st = EncodeVectorRecord(rec, type, &b);
+    if (!fits) {
+      EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+      continue;
+    }
+    ASSERT_TRUE(st.ok()) << st.ToString();
+    AdmValue out;
+    ASSERT_TRUE(DecodeVectorRecord(VectorRecordView(b.data(), b.size()), type, nullptr,
+                                   &out)
+                    .ok());
+    EXPECT_EQ(out, rec);
+    Buffer empty_innermost = NestedArrayRecord(levels);
+    ASSERT_TRUE(DecodeVectorRecord(
+                    VectorRecordView(empty_innermost.data(), empty_innermost.size()),
+                    type, nullptr, &out)
+                    .ok());
+  }
+}
+
+// Sensors-like records: `readings` holds `n` {temp: double, timestamp:
+// bigint} objects, and item `at` (when < n) breaks that shape one way. A
+// renamed field keeps the tag bytes: only the name slots differ.
+enum class ShapeBreak { kMissingField, kExtraField, kReordered, kRenamed, kTypeChange,
+                        kNested, kString, kNone };
+constexpr ShapeBreak kShapeBreaks[] = {
+    ShapeBreak::kMissingField, ShapeBreak::kExtraField, ShapeBreak::kReordered,
+    ShapeBreak::kRenamed,      ShapeBreak::kTypeChange, ShapeBreak::kNested,
+    ShapeBreak::kString};
+
+AdmValue Reading(double temp, int64_t ts, ShapeBreak how) {
+  AdmValue r = AdmValue::Object();
+  switch (how) {
+    case ShapeBreak::kMissingField:
+      r.AddField("temp", AdmValue::Double(temp));
+      break;
+    case ShapeBreak::kReordered:
+      r.AddField("timestamp", AdmValue::BigInt(ts));
+      r.AddField("temp", AdmValue::Double(temp));
+      break;
+    case ShapeBreak::kRenamed:
+      r.AddField("temp", AdmValue::Double(temp));
+      r.AddField("sensor_id", AdmValue::BigInt(ts));
+      break;
+    case ShapeBreak::kTypeChange:
+      r.AddField("temp", AdmValue::BigInt(static_cast<int64_t>(temp)));
+      r.AddField("timestamp", AdmValue::BigInt(ts));
+      break;
+    case ShapeBreak::kNested: {
+      AdmValue at = AdmValue::Array();
+      at.Append(AdmValue::BigInt(ts));
+      r.AddField("temp", AdmValue::Double(temp));
+      r.AddField("timestamp", std::move(at));
+      break;
+    }
+    case ShapeBreak::kString:
+      r.AddField("temp", AdmValue::String("hot"));
+      r.AddField("timestamp", AdmValue::BigInt(ts));
+      break;
+    default:  // kNone, kExtraField
+      r.AddField("temp", AdmValue::Double(temp));
+      r.AddField("timestamp", AdmValue::BigInt(ts));
+      if (how == ShapeBreak::kExtraField) r.AddField("sensor_id", AdmValue::BigInt(7));
+      break;
+  }
+  return r;
+}
+
+AdmValue SensorsLikeRecord(Rng* rng, int64_t id, size_t n,
+                           const std::vector<std::pair<size_t, ShapeBreak>>& breaks) {
+  AdmValue rec = AdmValue::Object();
+  rec.AddField("id", AdmValue::BigInt(id));
+  rec.AddField("sensor_id", AdmValue::BigInt(id % 5));
+  AdmValue readings = AdmValue::Array();
+  for (size_t i = 0; i < n; ++i) {
+    ShapeBreak how = ShapeBreak::kNone;
+    for (const auto& b : breaks) {
+      if (b.first == i) how = b.second;
+    }
+    double temp = 15.0 + 20.0 * rng->NextDouble();
+    readings.Append(Reading(temp, 1000 * static_cast<int64_t>(i), how));
+  }
+  rec.AddField("readings", std::move(readings));
+  return rec;
+}
+
+/// The Sensors closed type's shape: every reading field declared.
+DatasetType SensorsLikeClosedType() {
+  DatasetType d;
+  d.primary_key_field = "id";
+  d.root = TypeDescriptor::Object(false);
+  d.root->AddField("id", TypeDescriptor::Scalar(AdmTag::kBigInt));
+  d.root->AddField("sensor_id", TypeDescriptor::Scalar(AdmTag::kBigInt));
+  auto reading = TypeDescriptor::Object(false);
+  reading->AddField("temp", TypeDescriptor::Scalar(AdmTag::kDouble));
+  reading->AddField("timestamp", TypeDescriptor::Scalar(AdmTag::kBigInt));
+  d.root->AddField("readings", TypeDescriptor::Collection(AdmTag::kArray, reading));
+  return d;
+}
+
+/// One stored form of a record: uncompacted as in the memtable, or
+/// compacted as a flush writes it (FieldNameIDs from `schema`).
+Buffer StoredForm(const AdmValue& rec, const DatasetType& type, bool compacted,
+                  Schema* schema) {
+  Buffer b = Encode(rec, type);
+  if (!compacted) return b;
+  Buffer c;
+  Status st = InferAndCompactVectorRecord(VectorRecordView(b.data(), b.size()), type,
+                                          schema, &c);
+  EXPECT_TRUE(st.ok()) << st.ToString();
+  return c;
+}
+
+/// Walks `readings` (the record's last field) the way the path walk does —
+/// one item through Next, then shape runs while they last — and returns how
+/// many items Next visited; `*items` gets the total.
+size_t ReadingsVisitedByNext(const VectorRecordView& view, size_t* items) {
+  VectorRecordWalker walker(view);
+  VectorRecordWalker::Item it;
+  bool done = false;
+  do {
+    if (!walker.Next(&it, &done).ok() || done) return 0;
+  } while (!(it.tag == AdmTag::kArray && it.depth == 1));
+  size_t visited = 0;
+  *items = 0;
+  while (true) {
+    VectorRecordWalker::ShapeRun run;
+    size_t n = walker.TryShapeRun(&run);
+    if (n > 0) {
+      EXPECT_EQ(run.count, n);
+      *items += n;
+      continue;
+    }
+    if (!walker.Next(&it, &done).ok()) return visited;
+    if (it.tag == AdmTag::kEndNest && it.depth == 1) return visited;
+    ++visited;
+    ++*items;
+    while (walker.depth() > 2) {  // to the item's end, inside the array
+      if (!walker.Next(&it, &done).ok()) return visited;
+    }
+  }
+}
+
+TEST(VectorFormat, ShapeRunStopsAtFirstDifference) {
+  Rng rng(5);
+  const size_t n = 8;
+  for (bool closed : {false, true}) {
+    DatasetType type = closed ? SensorsLikeClosedType() : PkType();
+    for (bool compacted : {false, true}) {
+      // Inline names decline runs; declared and FieldNameID names take them.
+      const bool runs = closed || compacted;
+      for (ShapeBreak how : kShapeBreaks) {
+        for (size_t at = 0; at <= n; ++at) {
+          SCOPED_TRACE(::testing::Message() << "closed=" << closed << " compacted="
+                                            << compacted << " break="
+                                            << static_cast<int>(how) << " at=" << at);
+          Schema schema;
+          AdmValue rec = SensorsLikeRecord(&rng, 1, n, {{at, how}});
+          Buffer b = StoredForm(rec, type, compacted, &schema);
+          size_t items = 0;
+          size_t visited = ReadingsVisitedByNext(VectorRecordView(b.data(), b.size()),
+                                                 &items);
+          EXPECT_EQ(items, n);
+          // Next visits the first item, the break and the item after it;
+          // runs cover the rest.
+          size_t want = at >= n ? 1 : (at == 0 ? 2 : (at + 1 < n ? 3 : 2));
+          EXPECT_EQ(visited, runs ? want : n);
+        }
+      }
+    }
+  }
+}
+
+// The extractor and the matcher take shape runs; the decoded record stays
+// their oracle on arrays that break the run at every position, one way or
+// several, in the memtable's and a flush's record forms, under an open and a
+// closed type.
+TEST(VectorFormat, ShapeRunWalksMatchDecodedRecord) {
+  Rng rng(2024);
+  const std::vector<std::vector<FieldPath>> path_sets = {
+      {FieldPath::Parse("readings[*].temp")},
+      {FieldPath::Parse("readings[*].temp"), FieldPath::Parse("readings[*].timestamp")},
+      {FieldPath::Parse("sensor_id"), FieldPath::Parse("readings[*].sensor_id"),
+       FieldPath::Parse("readings[*].timestamp")},
+      {FieldPath::Parse("readings[*].temp"), FieldPath::Parse("readings[2].timestamp")},
+  };
+  auto preds = [](double lit, int64_t ts) {
+    return std::vector<std::shared_ptr<const ScanPredicate>>{
+        ScanPredicate::And({ScanPredicate::Term("readings[*].temp", CompareOp::kGt,
+                                                AdmValue::Double(lit))}),
+        ScanPredicate::And({ScanPredicate::Term("readings[*].timestamp", CompareOp::kEq,
+                                                AdmValue::BigInt(ts))}),
+        ScanPredicate::And({ScanPredicate::Term("sensor_id", CompareOp::kGe,
+                                                AdmValue::BigInt(0)),
+                            ScanPredicate::Term("readings[*].temp", CompareOp::kLt,
+                                                AdmValue::Double(lit))}),
+        ScanPredicate::And({ScanPredicate::In("readings[*].temp",
+                                              {AdmValue::BigInt(20), AdmValue::String("hot")}),
+                            ScanPredicate::Term("readings[*].sensor_id", CompareOp::kEq,
+                                                AdmValue::BigInt(7))}),
+    };
+  };
+  // The matcher binds a predicate by address: every one stays alive.
+  std::vector<std::shared_ptr<const ScanPredicate>> all_preds;
+  size_t checked = 0;
+  for (bool closed : {false, true}) {
+    DatasetType type = closed ? SensorsLikeClosedType() : PkType();
+    for (bool compacted : {false, true}) {
+      Schema schema;
+      std::vector<AdmValue> records;
+      std::vector<Buffer> stored;
+      for (int r = 0; r < 150; ++r) {
+        size_t n = r == 0 ? 117 : 1 + rng.Uniform(12);
+        std::vector<std::pair<size_t, ShapeBreak>> breaks;
+        size_t nbreaks = rng.Uniform(3);
+        for (size_t k = 0; k < nbreaks; ++k) {
+          breaks.push_back({rng.Uniform(n), kShapeBreaks[rng.Uniform(std::size(kShapeBreaks))]});
+        }
+        records.push_back(SensorsLikeRecord(&rng, r, n, breaks));
+        stored.push_back(StoredForm(records.back(), type, compacted, &schema));
+      }
+      ScanPredicateMatcher matcher;
+      for (size_t r = 0; r < records.size(); ++r) {
+        SCOPED_TRACE(::testing::Message() << "closed=" << closed
+                                          << " compacted=" << compacted << " r=" << r);
+        VectorRecordView view(stored[r].data(), stored[r].size());
+        AdmValue decoded;
+        ASSERT_TRUE(DecodeVectorRecord(view, type, &schema, &decoded).ok());
+        for (const auto& paths : path_sets) {
+          VecPathExtractor extractor(paths, &schema);
+          Result<bool> fast = extractor.Extract(view, type);
+          ASSERT_TRUE(fast.ok()) << fast.status().ToString();
+          bool nested = false;
+          std::vector<AdmValue> want;
+          for (const FieldPath& p : paths) {
+            want.push_back(testutil::DecodedPathValue(decoded, p));
+            const AdmValue& w = want.back();
+            for (size_t i = 0; p.HasWildcard() && i < w.size(); ++i) {
+              nested = nested || IsNested(w.item(i).tag());
+            }
+            nested = nested || (!p.HasWildcard() && IsNested(w.tag()));
+          }
+          ASSERT_EQ(fast.value(), !nested);
+          if (nested) continue;
+          std::vector<ColumnVector> cols(paths.size());
+          extractor.AppendRow(cols.data());
+          for (size_t k = 0; k < paths.size(); ++k) {
+            EXPECT_EQ(PrintAdm(cols[k].ValueAt(0)), PrintAdm(want[k])) << k;
+          }
+          ++checked;
+        }
+        const AdmValue& readings = *decoded.FindField("readings");
+        const AdmValue& some = readings.item(rng.Uniform(readings.size()));
+        const AdmValue* ts = some.FindField("timestamp");
+        for (const auto& pred : preds(15.0 + 20.0 * rng.NextDouble(),
+                                      ts != nullptr && ts->tag() == AdmTag::kBigInt
+                                          ? ts->int_value()
+                                          : -1)) {
+          all_preds.push_back(pred);
+          std::vector<AdmValue> cols;
+          for (const PredicateTerm& t : pred->terms) {
+            cols.push_back(testutil::DecodedPathValue(decoded, t.path));
+          }
+          Result<bool> got = matcher.MatchVector(view, type, &schema, *pred);
+          ASSERT_TRUE(got.ok()) << got.status().ToString();
+          EXPECT_EQ(got.value(), EvalPredicateRow(cols, *pred));
+          ++checked;
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked, 4000u);
 }
 
 }  // namespace
