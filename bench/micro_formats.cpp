@@ -9,7 +9,6 @@
 #include "format/pax_page.h"
 #include "format/vector_format.h"
 #include "query/field_access.h"
-#include "schema/inference.h"
 #include "workload/workload.h"
 
 namespace tc {

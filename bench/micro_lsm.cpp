@@ -15,7 +15,6 @@
 #include "core/tuple_compactor.h"
 #include "format/vector_format.h"
 #include "lsm/lsm_tree.h"
-#include "schema/inference.h"
 #include "storage/device_model.h"
 #include "workload/workload.h"
 
@@ -54,12 +53,10 @@ BENCHMARK(BM_MemtableInsert);
 void BM_MemtableInsertEagerInference(benchmark::State& state) {
   auto gen = MakeTwitterGenerator(5);
   DatasetType type = DatasetType::OpenWithPk("id");
-  std::vector<AdmValue> records;
   std::vector<Buffer> payloads;
   for (int i = 0; i < 256; ++i) {
-    records.push_back(gen->NextRecord());
     Buffer b;
-    TC_CHECK(EncodeVectorRecord(records.back(), type, &b).ok());
+    TC_CHECK(EncodeVectorRecord(gen->NextRecord(), type, &b).ok());
     payloads.push_back(std::move(b));
   }
   MemTable mem;
@@ -67,7 +64,9 @@ void BM_MemtableInsertEagerInference(benchmark::State& state) {
   int64_t key = 0;
   for (auto _ : state) {
     size_t i = static_cast<size_t>(key) % payloads.size();
-    TC_CHECK(InferRecord(&schema, records[i], type.root.get()).ok());
+    TC_CHECK(InferVectorRecord(VectorRecordView(payloads[i].data(), payloads[i].size()),
+                               type, &schema)
+                 .ok());
     mem.Put(BtreeKey{key, 0}, payloads[i], std::nullopt);
     ++key;
     if (mem.approximate_bytes() > (64 << 20)) {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "schema/inference.h"
 
 namespace tc {
 namespace {
@@ -580,231 +579,315 @@ AdmValue DecodeVectorScalarItem(const VectorRecordWalker::Item& it) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// Whole-record walks: decoding, flush-time inference and compaction, and the
+// anti-schema share one scope-stack walk over the tag and name vectors.
+// ---------------------------------------------------------------------------
+
 namespace {
 
-/// Spells out the field name of a walker item given the enclosing object's
-/// declared descriptor (nullable) and the schema dictionary (nullable for
-/// uncompacted records). Only whole-record decoding needs the name itself;
-/// the query walks compare names without copying them (query/path_walk.h).
-Status ResolveVectorFieldName(const VectorRecordWalker::Item& it,
-                              const TypeDescriptor* scope_decl,
-                              const Schema* schema, std::string* out) {
-  if (it.declared) {
-    if (scope_decl == nullptr ||
-        it.declared_index >= scope_decl->field_count()) {
-      return Status::Corruption("vb: declared index without matching descriptor");
-    }
-    *out = scope_decl->field_name(it.declared_index);
-    return Status::OK();
-  }
-  if (!it.name.empty() || it.name_id == 0) {
-    *out = std::string(it.name);
-    return Status::OK();
-  }
-  if (schema == nullptr || !schema->dict().Contains(it.name_id)) {
-    return Status::Corruption("vb: FieldNameID not found in schema dictionary");
-  }
-  *out = schema->dict().NameOf(it.name_id);
-  return Status::OK();
+/// Whether an object field's name slot spells the name inline: always in
+/// uncompacted records, and for a compacted slot holding ID 0, which every
+/// reader (query/path_walk.h too) takes as the empty name.
+bool HasInlineName(const VectorRecordWalker::Item& it) {
+  return !it.name.empty() || it.name_id == 0;
 }
 
-/// Declared type of the item itself, given its enclosing scope's descriptor.
-const TypeDescriptor* ChildDescriptor(const VectorRecordWalker::Item& it,
-                                      const TypeDescriptor* scope_decl,
-                                      bool scope_is_object) {
-  if (scope_is_object) {
-    if (!it.declared || scope_decl == nullptr) return nullptr;
-    if (it.declared_index >= scope_decl->field_count()) return nullptr;
-    return scope_decl->field_type(it.declared_index).get();
+/// The one scope-stack walk over a whole record. It checks what decoding
+/// needs from the tag and name vectors (a root object, balanced scopes, a
+/// declared index inside its scope's descriptor, a FieldNameID inside the
+/// schema dictionary), so every consumer accepts exactly the records the
+/// decoder accepts. The visitor `V` supplies:
+///   V::Scope                 what it keeps per open object or collection
+///   Root()                   the root object's scope
+///   Item(it, parent, parent_decl, &child)
+///                            one value of `parent`'s scope (`parent_decl`:
+///                            its declared type, nullable); `child` is the
+///                            scope the value opens when it is nested
+///   Close(&scope)            a nested value's kEndNest, in post-order
+/// The root object has no Close: the walk returns at the record's kEov.
+template <typename V>
+Status WalkRecordScopes(const VectorRecordView& view, const DatasetType& type,
+                        const Schema* schema, V* v) {
+  TC_RETURN_IF_ERROR(view.Validate());
+  VectorRecordWalker walker(view);
+  struct Frame {
+    typename V::Scope scope;
+    const TypeDescriptor* decl;  // object: own type; collection: item type
+  };
+  std::vector<Frame> frames;
+
+  VectorRecordWalker::Item it;
+  bool done = false;
+  TC_RETURN_IF_ERROR(walker.Next(&it, &done));
+  if (done || it.tag != AdmTag::kObject) {
+    return Status::Corruption("vb: record root is not an object");
   }
-  return scope_decl;  // collection scopes store their item descriptor directly
+  frames.push_back({v->Root(), type.root.get()});
+
+  while (true) {
+    TC_RETURN_IF_ERROR(walker.Next(&it, &done));
+    if (done) return Status::OK();
+    if (it.tag == AdmTag::kEndNest) {
+      if (frames.size() == 1) return Status::Corruption("vb: scope underflow");
+      v->Close(&frames.back().scope);
+      frames.pop_back();
+      continue;
+    }
+    const TypeDescriptor* scope_decl = frames.back().decl;
+    const TypeDescriptor* decl = scope_decl;  // the item's declared type
+    if (it.named) {
+      decl = nullptr;
+      if (it.declared) {
+        if (scope_decl == nullptr || it.declared_index >= scope_decl->field_count()) {
+          return Status::Corruption("vb: declared index without matching descriptor");
+        }
+        decl = scope_decl->field_type(it.declared_index).get();
+      } else if (!HasInlineName(it) &&
+                 (schema == nullptr || !schema->dict().Contains(it.name_id))) {
+        return Status::Corruption("vb: FieldNameID not found in schema dictionary");
+      }
+    }
+    typename V::Scope child{};
+    TC_RETURN_IF_ERROR(v->Item(it, frames.back().scope, scope_decl, &child));
+    if (IsNested(it.tag)) {
+      if (it.tag != AdmTag::kObject && decl != nullptr) decl = decl->item_type().get();
+      frames.push_back({child, decl});
+    }
+  }
 }
+
+/// Builds the AdmValue tree: every item lands in its parent container.
+struct DecodeVisitor {
+  using Scope = AdmValue*;
+  AdmValue* out;
+  const Schema* schema;
+
+  Scope Root() {
+    *out = AdmValue::Object();
+    return out;
+  }
+  Status Item(const VectorRecordWalker::Item& it, Scope parent,
+              const TypeDescriptor* parent_decl, Scope* child) {
+    AdmValue value = IsNested(it.tag) ? AdmValue(it.tag) : DecodeVectorScalarItem(it);
+    if (!it.named) {
+      *child = &parent->Append(std::move(value));
+      return Status::OK();
+    }
+    std::string name = it.declared      ? parent_decl->field_name(it.declared_index)
+                       : HasInlineName(it) ? std::string(it.name)
+                                           : schema->dict().NameOf(it.name_id);
+    *child = &parent->AddField(std::move(name), std::move(value));
+    return Status::OK();
+  }
+  void Close(Scope*) {}
+};
 
 }  // namespace
 
 Status DecodeVectorRecord(const VectorRecordView& view, const DatasetType& type,
                           const Schema* schema, AdmValue* out) {
-  TC_RETURN_IF_ERROR(view.Validate());
-  VectorRecordWalker walker(view);
-
-  struct Scope {
-    AdmValue* container;
-    const TypeDescriptor* decl;  // object: own type; collection: item type
-    bool is_object;
-  };
-  std::vector<Scope> scopes;
-
-  // Root object.
-  VectorRecordWalker::Item it;
-  bool done = false;
-  TC_RETURN_IF_ERROR(walker.Next(&it, &done));
-  if (done || it.tag != AdmTag::kObject) {
-    return Status::Corruption("vb: record root is not an object");
-  }
-  *out = AdmValue::Object();
-  scopes.push_back({out, type.root.get(), true});
-
-  while (true) {
-    TC_RETURN_IF_ERROR(walker.Next(&it, &done));
-    if (done) break;
-    if (it.tag == AdmTag::kEndNest) {
-      scopes.pop_back();
-      if (scopes.empty()) return Status::Corruption("vb: scope underflow");
-      continue;
-    }
-    Scope& scope = scopes.back();
-    std::string name;
-    if (scope.is_object) {
-      TC_RETURN_IF_ERROR(ResolveVectorFieldName(it, scope.decl, schema, &name));
-    }
-    const TypeDescriptor* child_decl = ChildDescriptor(it, scope.decl, scope.is_object);
-
-    AdmValue value = IsNested(it.tag) ? AdmValue(it.tag) : DecodeVectorScalarItem(it);
-    AdmValue* placed = scope.is_object
-                           ? &scope.container->AddField(std::move(name), std::move(value))
-                           : &scope.container->Append(std::move(value));
-    if (IsNested(it.tag)) {
-      bool is_object = it.tag == AdmTag::kObject;
-      const TypeDescriptor* scope_decl = nullptr;
-      if (child_decl != nullptr) {
-        scope_decl = is_object ? child_decl
-                               : (child_decl->item_type() != nullptr
-                                      ? child_decl->item_type().get()
-                                      : nullptr);
-      }
-      scopes.push_back({placed, scope_decl, is_object});
-    }
-  }
-  return Status::OK();
+  DecodeVisitor decode{out, schema};
+  return WalkRecordScopes(view, type, schema, &decode);
 }
-
-// ---------------------------------------------------------------------------
-// Flush path: inference, compaction, and the combined single pass
-// ---------------------------------------------------------------------------
 
 namespace {
 
-enum class FlushMode { kInferOnly, kCompactOnly, kInferAndCompact };
+/// Flush-time inference (paper §3.3.2), compacting into `parts` when set:
+/// tags and values carry over, and each inline name becomes its FieldNameID.
+/// Declared fields are catalog metadata, so their subtrees infer nothing;
+/// the names inside them still enter the dictionary, which is what the
+/// compacted record names them by.
+struct FlushVisitor {
+  using Scope = SchemaNode*;  // null inside a declared field's subtree
+  Schema* schema;
+  Parts* parts;  // null: inference only
 
-Status FlushWalk(const VectorRecordView& view, const DatasetType& /*type*/,
-                 Schema* schema, FlushMode mode, Buffer* out) {
-  TC_RETURN_IF_ERROR(view.Validate());
-  const bool infer = mode != FlushMode::kCompactOnly;
-  const bool compact = mode != FlushMode::kInferOnly;
-  if (compact && view.compacted()) {
-    return Status::InvalidArgument("vb: record is already compacted");
+  Scope Root() {
+    if (parts != nullptr) parts->tags.push_back(static_cast<uint8_t>(AdmTag::kObject));
+    schema->root()->Increment();
+    return schema->root();
   }
-
-  VectorRecordWalker walker(view);
-  Parts parts;
-  parts.compacted = true;
-
-  // Schema scope stack; node == nullptr inside skipped (declared) subtrees.
-  struct Scope {
-    SchemaNode* node;
-    bool is_object;
-  };
-  std::vector<Scope> scopes;
-
-  VectorRecordWalker::Item it;
-  bool done = false;
-  TC_RETURN_IF_ERROR(walker.Next(&it, &done));
-  if (done || it.tag != AdmTag::kObject) {
-    return Status::Corruption("vb: record root is not an object");
-  }
-  if (compact) parts.tags.push_back(static_cast<uint8_t>(AdmTag::kObject));
-  if (infer) schema->root()->Increment();
-  scopes.push_back({infer ? schema->root() : nullptr, true});
-
-  while (true) {
-    TC_RETURN_IF_ERROR(walker.Next(&it, &done));
-    if (done) {
-      if (compact) parts.tags.push_back(static_cast<uint8_t>(AdmTag::kEov));
-      break;
-    }
-    if (it.tag == AdmTag::kEndNest) {
-      if (compact) parts.tags.push_back(static_cast<uint8_t>(AdmTag::kEndNest));
-      scopes.pop_back();
-      if (scopes.empty()) return Status::Corruption("vb: scope underflow");
-      continue;
-    }
-    if (compact) parts.tags.push_back(static_cast<uint8_t>(it.tag));
-
-    Scope& scope = scopes.back();
-    SchemaNode* child_node = nullptr;
-    if (scope.is_object) {
-      if (it.declared) {
-        if (compact) {
-          parts.names.push_back({/*declared=*/true, it.declared_index, {}});
-        }
-        // Declared fields are catalog metadata: skip their subtree in inference.
-      } else {
-        uint32_t id = schema->dict().GetOrAdd(it.name);
-        if (compact) parts.names.push_back({/*declared=*/false, id, {}});
-        if (infer && scope.node != nullptr) {
-          SchemaNode::Ptr* slot = scope.node->FindFieldSlot(id);
-          if (slot == nullptr) slot = scope.node->AddFieldSlot(id);
-          SchemaNode* uni = nullptr;
-          child_node = AdaptSlot(slot, it.tag, &uni);
-          if (uni != nullptr) uni->Increment();
-          child_node->Increment();
-        }
-      }
+  Status Item(const VectorRecordWalker::Item& it, Scope parent,
+              const TypeDescriptor* /*parent_decl*/, Scope* child) {
+    if (parts != nullptr) parts->tags.push_back(static_cast<uint8_t>(it.tag));
+    SchemaNode::Ptr* slot = nullptr;
+    if (!it.named) {
+      if (parent != nullptr) slot = parent->ItemSlot();
+    } else if (it.declared) {
+      if (parts != nullptr) parts->names.push_back({true, it.declared_index, {}});
     } else {
-      // Collection item.
-      if (infer && scope.node != nullptr) {
-        SchemaNode* uni = nullptr;
-        child_node = AdaptSlot(scope.node->ItemSlot(), it.tag, &uni);
-        if (uni != nullptr) uni->Increment();
-        child_node->Increment();
+      uint32_t id = HasInlineName(it) ? schema->dict().GetOrAdd(it.name) : it.name_id;
+      if (parts != nullptr) parts->names.push_back({false, id, {}});
+      if (parent != nullptr) {
+        slot = parent->FindFieldSlot(id);
+        if (slot == nullptr) slot = parent->AddFieldSlot(id);
       }
     }
-
-    if (IsNested(it.tag)) {
-      scopes.push_back({child_node, it.tag == AdmTag::kObject});
-      continue;
+    if (slot != nullptr) {
+      SchemaNode* uni = nullptr;
+      *child = AdaptSlot(slot, it.tag, &uni);
+      if (uni != nullptr) uni->Increment();
+      (*child)->Increment();
     }
-    if (!compact) continue;
+    if (parts == nullptr || IsNested(it.tag)) return Status::OK();
     if (IsVariableLengthScalar(it.tag)) {
-      parts.var_lens.push_back(static_cast<uint32_t>(it.var.size()));
-      PutString(&parts.var_bytes, it.var);
+      parts->var_lens.push_back(static_cast<uint32_t>(it.var.size()));
+      PutString(&parts->var_bytes, it.var);
     } else {
       int width = FixedWidthOf(it.tag);
-      if (width > 0) PutBytes(&parts.fixed, it.fixed, static_cast<size_t>(width));
+      if (width > 0) PutBytes(&parts->fixed, it.fixed, static_cast<size_t>(width));
+    }
+    return Status::OK();
+  }
+  void Close(Scope*) {
+    if (parts != nullptr) parts->tags.push_back(static_cast<uint8_t>(AdmTag::kEndNest));
+  }
+};
+
+/// Infers the record into `schema`, and writes its compacted form to `out`
+/// when `out` is set.
+Status FlushWalk(const VectorRecordView& view, const DatasetType& type,
+                 Schema* schema, Buffer* out) {
+  Parts parts;
+  parts.compacted = true;
+  if (out != nullptr) {
+    TC_RETURN_IF_ERROR(view.Validate());
+    if (view.compacted()) {
+      return Status::InvalidArgument("vb: record is already compacted");
     }
   }
-
-  if (infer) schema->BumpVersion();
-  if (compact) Assemble(parts, out);
+  FlushVisitor flush{schema, out != nullptr ? &parts : nullptr};
+  TC_RETURN_IF_ERROR(WalkRecordScopes(view, type, schema, &flush));
+  schema->BumpVersion();
+  if (out != nullptr) {
+    parts.tags.push_back(static_cast<uint8_t>(AdmTag::kEov));
+    Assemble(parts, out);
+  }
   return Status::OK();
 }
+
+/// Accepts what the walk accepts and changes nothing.
+struct CheckVisitor {
+  struct Scope {};
+  Scope Root() { return {}; }
+  Status Item(const VectorRecordWalker::Item&, Scope, const TypeDescriptor*, Scope*) {
+    return Status::OK();
+  }
+  void Close(Scope*) {}
+};
+
+/// The anti-schema (paper §3.2.2, Figure 11), the inverse of FlushVisitor's
+/// inference: each value finds its node on the way down and gives back its
+/// occurrence on the way up (a scalar at once, a nested value at its
+/// kEndNest), pruning a node whose counter reaches zero and collapsing a
+/// union left with one variant.
+struct RemoveVisitor {
+  struct Scope {
+    SchemaNode* node = nullptr;        // null inside a declared field's subtree
+    SchemaNode::Ptr* slot = nullptr;   // the cell holding `node` or its union
+    SchemaNode* uni = nullptr;         // the union `node` is a variant of
+    SchemaNode* parent = nullptr;      // the object `node` is a field of
+    uint32_t id = 0;                   // the field's FieldNameID there
+  };
+  Schema* schema;
+
+  Scope Root() { return {schema->root()}; }
+  Status Item(const VectorRecordWalker::Item& it, const Scope& parent,
+              const TypeDescriptor* /*parent_decl*/, Scope* child) {
+    if (parent.node == nullptr || it.declared) return Status::OK();
+    Scope s;
+    if (it.named) {
+      std::string_view name = it.name;
+      if (HasInlineName(it)) {
+        s.id = schema->dict().Lookup(it.name);
+        if (s.id == FieldNameDictionary::kInvalidId) {
+          return Status::Corruption("anti-schema references unknown field '" +
+                                    std::string(name) + "'");
+        }
+      } else {
+        s.id = it.name_id;
+        name = schema->dict().NameOf(s.id);
+      }
+      s.slot = parent.node->FindFieldSlot(s.id);
+      if (s.slot == nullptr || *s.slot == nullptr) {
+        return Status::Corruption("anti-schema references absent field '" +
+                                  std::string(name) + "'");
+      }
+      s.parent = parent.node;
+    } else {
+      if (parent.node->item() == nullptr) {
+        return Status::Corruption("anti-schema item type missing from collection");
+      }
+      s.slot = parent.node->ItemSlot();
+    }
+    s.node = s.slot->get();
+    if (s.node->tag() == AdmTag::kUnion) {
+      s.uni = s.node;
+      s.node = s.uni->FindVariant(it.tag);
+      if (s.node == nullptr) {
+        return Status::Corruption("anti-schema type not present in union");
+      }
+    } else if (s.node->tag() != it.tag) {
+      return Status::Corruption(std::string("anti-schema type mismatch: schema has ") +
+                                AdmTagName(s.node->tag()) + ", record has " +
+                                AdmTagName(it.tag));
+    }
+    if (IsNested(it.tag)) {
+      *child = s;
+    } else {
+      Close(&s);
+    }
+    return Status::OK();
+  }
+  void Close(Scope* s) {
+    if (s->node == nullptr) return;
+    const AdmTag tag = s->node->tag();
+    s->node->Decrement();
+    if (s->uni != nullptr) {
+      s->uni->Decrement();
+      if (s->node->count() == 0) s->uni->RemoveVariant(tag);
+      if (s->uni->count() == 0) {
+        s->slot->reset();
+      } else if (s->uni->variant_count() == 1) {
+        *s->slot = s->uni->TakeVariant(0);  // collapse union(T) -> T
+      }
+    } else if (s->node->count() == 0) {
+      s->slot->reset();
+    }
+    if (s->parent != nullptr && *s->slot == nullptr) s->parent->RemoveField(s->id);
+  }
+};
 
 }  // namespace
 
 Status InferVectorRecord(const VectorRecordView& view, const DatasetType& type,
                          Schema* schema) {
-  return FlushWalk(view, type, schema, FlushMode::kInferOnly, nullptr);
+  return FlushWalk(view, type, schema, nullptr);
 }
 
 Status InferAndCompactVectorRecord(const VectorRecordView& view,
                                    const DatasetType& type, Schema* schema,
                                    Buffer* out) {
-  return FlushWalk(view, type, schema, FlushMode::kInferAndCompact, out);
-}
-
-Status CompactVectorRecord(const VectorRecordView& view, const DatasetType& type,
-                           Schema* schema, Buffer* out) {
-  return FlushWalk(view, type, schema, FlushMode::kCompactOnly, out);
+  return FlushWalk(view, type, schema, out);
 }
 
 Status RemoveVectorRecord(const VectorRecordView& view, const DatasetType& type,
                           Schema* schema) {
-  // The anti-schema is extracted from the old record (paper §3.2.2); decoding
-  // resolves compacted FieldNameIDs through the current schema, which is a
-  // superset of the schema the record was compacted under (IDs are stable).
-  AdmValue decoded;
-  TC_RETURN_IF_ERROR(DecodeVectorRecord(view, type, schema, &decoded));
-  return RemoveRecord(schema, decoded, type.root.get());
+  // Checking the whole record first leaves the schema untouched by bytes the
+  // decoder rejects. A compacted record's FieldNameIDs resolve through the
+  // current schema, a superset of the one it was compacted under (IDs are
+  // stable).
+  CheckVisitor check;
+  TC_RETURN_IF_ERROR(WalkRecordScopes(view, type, schema, &check));
+  if (schema->root()->count() == 0) {
+    return Status::Corruption("anti-schema applied to empty schema");
+  }
+  RemoveVisitor remove{schema};
+  TC_RETURN_IF_ERROR(WalkRecordScopes(view, type, schema, &remove));
+  schema->root()->Decrement();
+  schema->BumpVersion();
+  return Status::OK();
 }
 
 Result<VectorRecordStats> AnalyzeVectorRecord(const VectorRecordView& view) {

@@ -73,7 +73,7 @@ class VectorRecordView {
 
 /// Streaming cursor over a record's values — the linear-time navigation the
 /// paper describes in §3.3.1/§3.4.2. One walker instance powers decoding,
-/// schema inference, compaction, and query field access.
+/// schema inference, compaction, the anti-schema and query field access.
 class VectorRecordWalker {
  public:
   explicit VectorRecordWalker(const VectorRecordView& view);
@@ -218,8 +218,10 @@ bool AnyPackedFixedSatisfies(AdmTag tag, const uint8_t* base, size_t count,
                              size_t stride, CompareOp op, const AdmValue& literal);
 
 /// Flush-path inference (paper §3.3.2): folds the record into `schema` by
-/// scanning only the tag and name vectors. Equivalent to InferRecord on the
-/// decoded value (tests assert this).
+/// scanning only the tag and name vectors. Declared fields and their
+/// subtrees are catalog metadata and infer nothing; the inline names inside
+/// them still enter the dictionary, which the compacted record names them by.
+/// A compacted record's FieldNameIDs are taken as they are.
 Status InferVectorRecord(const VectorRecordView& view, const DatasetType& type,
                          Schema* schema);
 
@@ -230,13 +232,13 @@ Status InferAndCompactVectorRecord(const VectorRecordView& view,
                                    const DatasetType& type, Schema* schema,
                                    Buffer* out);
 
-/// Compacts without touching counters (names must already be in the dict).
-/// Used when re-writing a record whose schema contribution was already made.
-Status CompactVectorRecord(const VectorRecordView& view, const DatasetType& type,
-                           Schema* schema, Buffer* out);
-
-/// Anti-schema processing from record bytes (paper §3.2.2): decrements every
-/// schema node the record touches and prunes empty ones.
+/// Anti-schema processing from record bytes (paper §3.2.2, Figure 11), the
+/// inverse of InferVectorRecord over the same walk of the tag and name
+/// vectors, for compacted and uncompacted records alike: decrements every
+/// schema node the record touches, prunes the nodes whose counter reaches
+/// zero and collapses a union left with one variant. No value is decoded.
+/// Bytes DecodeVectorRecord rejects leave `schema` unchanged; Corruption
+/// when the record reaches a field or type the schema lacks.
 Status RemoveVectorRecord(const VectorRecordView& view, const DatasetType& type,
                           Schema* schema);
 

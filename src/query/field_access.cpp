@@ -1,5 +1,6 @@
 #include "query/field_access.h"
 
+#include <algorithm>
 #include <cstdlib>
 
 #include "format/bson_format.h"
@@ -65,37 +66,44 @@ std::string FieldPath::ToString() const {
   return s;
 }
 
+namespace {
+
+/// Appends to `list`, in record order, every value `steps[from..]` reaches
+/// from `v`; a [*] ranges over the items of a collection and over nothing
+/// else.
+void AppendMatches(const AdmValue& v, const std::vector<PathStep>& steps,
+                   size_t from, AdmValue* list) {
+  if (from == steps.size()) {
+    list->Append(v);
+    return;
+  }
+  const PathStep& st = steps[from];
+  if (st.kind == PathStep::kWildcard) {
+    for (size_t k = 0; v.is_collection() && k < v.size(); ++k) {
+      AppendMatches(v.item(k), steps, from + 1, list);
+    }
+    return;
+  }
+  const AdmValue* next = nullptr;
+  if (st.kind == PathStep::kField) {
+    if (v.is_object()) next = v.FindField(st.name);
+  } else if (v.is_collection() && st.index < v.size()) {
+    next = &v.item(st.index);
+  }
+  if (next != nullptr) AppendMatches(*next, steps, from + 1, list);
+}
+
+}  // namespace
+
 AdmValue NavigateAdmValue(const AdmValue& v, const std::vector<PathStep>& steps,
                           size_t from) {
-  const AdmValue* cur = &v;
-  for (size_t i = from; i < steps.size(); ++i) {
-    const PathStep& st = steps[i];
-    switch (st.kind) {
-      case PathStep::kField: {
-        if (!cur->is_object()) return AdmValue::Missing();
-        const AdmValue* next = cur->FindField(st.name);
-        if (next == nullptr) return AdmValue::Missing();
-        cur = next;
-        break;
-      }
-      case PathStep::kIndex:
-        if (!cur->is_collection() || st.index >= cur->size()) {
-          return AdmValue::Missing();
-        }
-        cur = &cur->item(st.index);
-        break;
-      case PathStep::kWildcard: {
-        if (!cur->is_collection()) return AdmValue::Missing();
-        AdmValue out = AdmValue::Array();
-        for (size_t k = 0; k < cur->size(); ++k) {
-          AdmValue sub = NavigateAdmValue(cur->item(k), steps, i + 1);
-          if (sub.tag() != AdmTag::kMissing) out.Append(std::move(sub));
-        }
-        return out;
-      }
-    }
+  AdmValue list = AdmValue::Array();
+  AppendMatches(v, steps, from, &list);
+  if (std::any_of(steps.begin() + static_cast<ptrdiff_t>(from), steps.end(),
+                  [](const PathStep& st) { return st.kind == PathStep::kWildcard; })) {
+    return list;
   }
-  return *cur;
+  return list.size() == 0 ? AdmValue::Missing() : std::move(list.item(0));
 }
 
 // ---------------------------------------------------------------------------
@@ -224,43 +232,26 @@ Status GetValuesVectorUnconsolidated(const VectorRecordView& view,
 // ADM offset-based extraction, and BSON over the decoded record
 // ---------------------------------------------------------------------------
 
-namespace {
-
-/// Extracts `paths` given `resolve(prefix, &at)`, which finds the value a
-/// path's steps before its first wildcard lead to. The suffix after the
-/// wildcard navigates each decoded item; [*] over a non-array is empty.
-template <typename ResolvePrefix>
-Status GetValuesByPrefix(const std::vector<FieldPath>& paths, ResolvePrefix&& resolve,
-                         std::vector<AdmValue>* out) {
+Status GetValuesAdm(const uint8_t* data, size_t size, const DatasetType& type,
+                    const std::vector<FieldPath>& paths, std::vector<AdmValue>* out) {
   out->clear();
   out->reserve(paths.size());
+  std::vector<PathStep> prefix;
   for (const auto& p : paths) {
-    size_t wc = p.steps.size();
-    for (size_t i = 0; i < p.steps.size(); ++i) {
-      if (p.steps[i].kind == PathStep::kWildcard) {
-        wc = i;
-        break;
-      }
-    }
-    std::vector<PathStep> prefix(p.steps.begin(),
-                                 p.steps.begin() + static_cast<ptrdiff_t>(wc));
+    // Offsets lead to the value the steps before the first [*] reach; the
+    // rest navigates that value decoded.
+    size_t wc = 0;
+    while (wc < p.steps.size() && p.steps[wc].kind != PathStep::kWildcard) ++wc;
+    prefix.assign(p.steps.begin(), p.steps.begin() + static_cast<ptrdiff_t>(wc));
     AdmValue at;
-    TC_RETURN_IF_ERROR(resolve(prefix, &at));
-    if (wc == p.steps.size()) {
-      out->push_back(std::move(at));
-    } else if (!at.is_collection()) {
-      out->push_back(AdmValue::Array());  // [*] over a non-array -> empty
-    } else {
-      AdmValue arr = AdmValue::Array();
-      for (size_t k = 0; k < at.size(); ++k) {
-        AdmValue sub = NavigateAdmValue(at.item(k), p.steps, wc + 1);
-        if (sub.tag() != AdmTag::kMissing) arr.Append(std::move(sub));
-      }
-      out->push_back(std::move(arr));
-    }
+    TC_RETURN_IF_ERROR(AdmGetPath(data, size, type, prefix, &at));
+    out->push_back(wc == p.steps.size() ? std::move(at)
+                                        : NavigateAdmValue(at, p.steps, wc));
   }
   return Status::OK();
 }
+
+namespace {
 
 /// BSON keeps no offsets: the record decodes once, and every path navigates
 /// the decoded tree.
@@ -268,26 +259,13 @@ Status GetValuesBson(const uint8_t* data, size_t size,
                      const std::vector<FieldPath>& paths, std::vector<AdmValue>* out) {
   AdmValue record;
   TC_RETURN_IF_ERROR(DecodeBsonRecord(data, size, &record));
-  return GetValuesByPrefix(
-      paths,
-      [&record](const std::vector<PathStep>& prefix, AdmValue* at) {
-        *at = NavigateAdmValue(record, prefix);
-        return Status::OK();
-      },
-      out);
+  out->clear();
+  out->reserve(paths.size());
+  for (const auto& p : paths) out->push_back(NavigateAdmValue(record, p.steps));
+  return Status::OK();
 }
 
 }  // namespace
-
-Status GetValuesAdm(const uint8_t* data, size_t size, const DatasetType& type,
-                    const std::vector<FieldPath>& paths, std::vector<AdmValue>* out) {
-  return GetValuesByPrefix(
-      paths,
-      [&](const std::vector<PathStep>& prefix, AdmValue* at) {
-        return AdmGetPath(data, size, type, prefix, at);
-      },
-      out);
-}
 
 Status RecordAccessor::GetValues(std::string_view payload,
                                  const std::vector<FieldPath>& paths,

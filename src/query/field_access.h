@@ -6,9 +6,12 @@
 // ablation) performs one full scan per path. For ADM records each path
 // descends through offset tables (the traditional constant/log-time access);
 // BSON records, which keep no offsets, decode once per call.
-// Wildcard steps ("dependents[*].name") extract an array of the matched
-// values, which is also how the pushdown-through-unnest optimization shrinks
-// intermediate results (array of strings instead of array of objects).
+// A wildcard path ("dependents[*].name") yields one flat array of every value
+// it reaches, in record order, in every record format: `[]` when nothing
+// matches, and the matches of nested [*] steps appended to the same list
+// ("t[*][*]" over [[1, 2], [3]] is [1, 2, 3]). This is also how the
+// pushdown-through-unnest optimization shrinks intermediate results (array of
+// strings instead of array of objects).
 #ifndef TC_QUERY_FIELD_ACCESS_H_
 #define TC_QUERY_FIELD_ACCESS_H_
 
@@ -36,8 +39,12 @@ struct FieldPath {
   }
 };
 
-/// Navigates a decoded value tree (used for post-wildcard suffixes on ADM
-/// records and as a test oracle for the byte-level accessors).
+/// The one path semantic over a decoded value tree, which every record
+/// format's GetValues answers: the value `steps[from..]` reaches (`missing`
+/// when none) for an exact path, and for a path with a [*] step the flat
+/// array described above. ADM records navigate from the value their offsets
+/// lead to; BSON records and the tests' decoded-record oracle navigate the
+/// whole record.
 AdmValue NavigateAdmValue(const AdmValue& v, const std::vector<PathStep>& steps,
                           size_t from = 0);
 

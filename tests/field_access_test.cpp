@@ -3,7 +3,10 @@
 #include "adm/parser.h"
 #include "adm/printer.h"
 #include "query/field_access.h"
+#include "query/scan_predicate.h"
+#include "tests/fuzz/fuzz_targets.h"
 #include "tests/test_util.h"
+#include "workload/workload.h"
 
 namespace tc {
 namespace {
@@ -37,6 +40,20 @@ TEST(NavigateAdmValue, AllStepKinds) {
   ASSERT_EQ(wc.tag(), AdmTag::kArray);
   ASSERT_EQ(wc.size(), 2u);  // third item has no "c"
   EXPECT_EQ(wc.item(1).int_value(), 2);
+  // A wildcard path always yields an array, [] when [*] has nothing to range
+  // over, and the matches of nested [*] steps land in one flat list.
+  EXPECT_EQ(PrintAdm(NavigateAdmValue(v, FieldPath::Parse("a[*].c").steps)), "[]");
+  EXPECT_EQ(PrintAdm(NavigateAdmValue(v, FieldPath::Parse("x.y[*]").steps)), "[]");
+  AdmValue nested = R(R"({"t": [[1, 2], 7, [], [3]],
+                          "u": [{"v": [{"w": 1}, {"w": 2}]}, {"v": [{"w": 3}]}]})");
+  EXPECT_EQ(PrintAdm(NavigateAdmValue(nested, FieldPath::Parse("t[*][*]").steps)),
+            "[1, 2, 3]");
+  EXPECT_EQ(PrintAdm(NavigateAdmValue(nested, FieldPath::Parse("t[*]").steps)),
+            "[[1, 2], 7, [], [3]]");
+  EXPECT_EQ(PrintAdm(NavigateAdmValue(nested, FieldPath::Parse("u[*].v[*].w").steps)),
+            "[1, 2, 3]");
+  EXPECT_EQ(PrintAdm(NavigateAdmValue(nested, FieldPath::Parse("u[*].v[1].w").steps)),
+            "[2]");
 }
 
 struct Encoded {
@@ -150,11 +167,6 @@ TEST(GetValues, VectorMatchesAdmOracle) {
     auto adm = e.Adm(paths);
     for (size_t k = 0; k < paths.size(); ++k) {
       AdmValue oracle = NavigateAdmValue(rec, fps[k].steps);
-      // Wildcard paths over non-arrays: accessors return empty arrays while
-      // tree navigation returns missing; normalize for comparison.
-      if (fps[k].HasWildcard() && oracle.tag() == AdmTag::kMissing) {
-        oracle = AdmValue::Array();
-      }
       EXPECT_EQ(PrintAdm(vb[k]), PrintAdm(oracle)) << i << " path " << paths[k];
       EXPECT_EQ(PrintAdm(adm[k]), PrintAdm(oracle)) << i << " path " << paths[k];
     }
@@ -297,7 +309,7 @@ TEST(GetValues, DuplicateFieldNameFirstOccurrenceWins) {
     EXPECT_EQ(PrintAdm(out[4]), "[7, 9]");
     for (size_t k = 0; k < paths.size(); ++k) {
       EXPECT_EQ(PrintAdm(out[k]),
-                PrintAdm(testutil::DecodedPathValue(decoded, FieldPath::Parse(paths[k]))))
+                PrintAdm(NavigateAdmValue(decoded, FieldPath::Parse(paths[k]).steps)))
           << paths[k];
     }
   }
@@ -341,6 +353,110 @@ TEST(GetValues, MemtableAndFlushedRecordsMatchDecodedOracle) {
   ASSERT_TRUE(st.ok()) << st.ToString();
   EXPECT_EQ(compacted, 100u);
   EXPECT_EQ(inline_names, 60u);
+}
+
+// What one partition's primary answers, in key order: every path's GetValues
+// and every predicate's match per record, each line naming its row and
+// path or predicate. The predicate result is ScanPredicateMatcher::Matches,
+// the lowered walk for consolidated vector records; BSON, which takes no
+// scan predicate, filters on its extracted values (EvalPredicateRow).
+std::vector<std::string> PartitionAnswers(DatasetPartition* p, bool consolidate,
+                                          const std::vector<FieldPath>& paths) {
+  PartitionReadView view = p->AcquireReadView();
+  RecordAccessor accessor(p->options().mode, &p->options().type, p->SchemaSnapshot(),
+                          consolidate);
+  ScanPredicateMatcher matcher;
+  std::vector<std::string> out;
+  LsmTree::Iterator it(view.primary);
+  Status st = it.SeekToFirst();
+  for (size_t row = 0; st.ok() && it.Valid(); st = it.Next(), ++row) {
+    const std::string where = "row " + std::to_string(row) + " ";
+    std::vector<AdmValue> values;
+    EXPECT_TRUE(accessor.GetValues(it.payload(), paths, &values).ok());
+    for (size_t k = 0; k < values.size(); ++k) {
+      out.push_back(where + paths[k].ToString() + " = " + PrintAdm(values[k]));
+    }
+    const auto& preds = PathWalkPredicates();
+    for (size_t i = 0; i < preds.size(); ++i) {
+      const std::vector<FieldPath> pred_paths = preds[i]->Paths();
+      bool match = false;
+      if (accessor.SupportsScanPredicate()) {
+        auto got = matcher.Matches(accessor, it.payload(), *preds[i], pred_paths);
+        EXPECT_TRUE(got.ok()) << got.status().ToString();
+        match = got.ok() && got.value();
+      } else {
+        EXPECT_TRUE(accessor.GetValues(it.payload(), pred_paths, &values).ok());
+        match = EvalPredicateRow(values, *preds[i]);
+      }
+      out.push_back(where + "predicate " + std::to_string(i) + " on " +
+                    pred_paths[0].ToString() + " = " + (match ? "true" : "false"));
+    }
+  }
+  EXPECT_TRUE(st.ok()) << st.ToString();
+  return out;
+}
+
+// One answer per question, whatever the record format: GetValues and the
+// scan predicates read each record alike as ADM (open and closed types),
+// BSON and vector-based records (consolidated and unconsolidated access),
+// in the memtable and flushed. Nested [*] steps flatten into one list.
+TEST(GetValues, EveryRecordFormatAnswersAlike) {
+  std::vector<FieldPath> paths;
+  for (const char* p : kPathWalkLeafPaths) paths.push_back(FieldPath::Parse(p));
+  struct RecordSet {
+    std::string name;
+    std::vector<AdmValue> records;
+    DatasetType closed_type;  // unset: no closed form
+  };
+  std::vector<RecordSet> sets;
+  for (const char* dataset : {"twitter", "wos", "sensors"}) {
+    auto gen = MakeGenerator(dataset, /*seed=*/5);
+    sets.push_back({dataset, {}, gen->ClosedType()});
+    for (int i = 0; i < 6; ++i) sets.back().records.push_back(gen->NextRecord());
+  }
+  sets.push_back({"handwritten",
+                  {R(R"({"id": 1, "t": [[1, 2], [3]],
+                         "u": [{"v": [{"w": 1}, {"w": 2}]}, {"v": [{"w": 3}]}]})")},
+                  {}});
+  struct Form {
+    const char* name;
+    SchemaMode mode;
+    bool closed;
+  };
+  const Form forms[] = {{"vector", SchemaMode::kInferred, false},
+                        {"adm_open", SchemaMode::kOpen, false},
+                        {"adm_closed", SchemaMode::kClosed, true},
+                        {"bson", SchemaMode::kBson, false}};
+  for (const RecordSet& set : sets) {
+    std::vector<std::string> want;  // vector records, consolidated, memtable
+    for (const Form& form : forms) {
+      if (form.closed && set.closed_type.root == nullptr) continue;
+      testutil::DatasetFixture fx;
+      DatasetOptions options = testutil::SmallOptions(form.mode, 1024);
+      if (form.closed) options.type = set.closed_type;
+      ASSERT_TRUE(fx.Open(options, 1).ok());
+      for (const AdmValue& r : set.records) {
+        ASSERT_TRUE(fx.dataset->Insert(r).ok());
+      }
+      for (bool flushed : {false, true}) {
+        if (flushed) {
+          ASSERT_TRUE(fx.dataset->FlushAll().ok());
+        }
+        for (bool consolidate : {true, false}) {
+          if (!consolidate && form.mode != SchemaMode::kInferred) continue;
+          SCOPED_TRACE(set.name + " " + form.name + (flushed ? " flushed" : " memtable") +
+                       (consolidate ? "" : " unconsolidated"));
+          std::vector<std::string> got =
+              PartitionAnswers(fx.dataset->partition(0), consolidate, paths);
+          if (want.empty()) want = got;
+          ASSERT_EQ(got.size(), want.size());
+          for (size_t i = 0; i < got.size(); ++i) EXPECT_EQ(got[i], want[i]);
+        }
+      }
+    }
+    EXPECT_EQ(want.size(),
+              set.records.size() * (paths.size() + PathWalkPredicates().size()));
+  }
 }
 
 }  // namespace

@@ -11,7 +11,6 @@
 #include "query/scan_predicate.h"
 #include "query/vec/vec_operator.h"
 #include "schema/schema_io.h"
-#include "tests/test_util.h"
 #include "workload/workload.h"
 
 namespace tc {
@@ -53,62 +52,16 @@ int FuzzDeserializeSchema(const uint8_t* data, size_t size) {
 
 namespace {
 
-// Paths over the three workloads' fields plus the shapes the generators never
-// emit (duplicate names, nested wildcards). Those ending in a nested value
-// send the extractor to its fallback; kLeafPaths never do on generator data.
+// Paths ending in a nested value send the extractor to its fallback.
 const char* const kNestedPaths[] = {"user", "calibration", "s"};
-const char* const kLeafPaths[] = {
-    "id",
-    "a",
-    "b",
-    "s.y",
-    "arr[*].x",
-    "t[*][*]",
-    "user.screen_name",
-    "user.followers_count",
-    "entities.hashtags[*].text",
-    "entities.hashtags[0].indices[1]",
-    "readings[*].temp",
-    "readings[2].timestamp",
-    "calibration.temperature_gain",
-    "static_data.fullrecord_metadata.category_info.subjects.subject[*].value",
-    "static_data.summary.pub_info.pubyear",
-};
 
 std::vector<FieldPath> ParsePaths(bool with_nested) {
   std::vector<FieldPath> paths;
-  for (const char* p : kLeafPaths) paths.push_back(FieldPath::Parse(p));
+  for (const char* p : kPathWalkLeafPaths) paths.push_back(FieldPath::Parse(p));
   if (with_nested) {
     for (const char* p : kNestedPaths) paths.push_back(FieldPath::Parse(p));
   }
   return paths;
-}
-
-// One-term predicates over every path with literals of each comparable
-// family, an IN list, and one conjunction across the workloads' paths.
-std::vector<std::shared_ptr<const ScanPredicate>> MakePredicates() {
-  std::vector<std::shared_ptr<const ScanPredicate>> preds;
-  for (const char* p : kLeafPaths) {
-    preds.push_back(ScanPredicate::And(
-        {ScanPredicate::Term(p, CompareOp::kGe, AdmValue::BigInt(0))}));
-    preds.push_back(ScanPredicate::And(
-        {ScanPredicate::Term(p, CompareOp::kLt, AdmValue::Double(25.0))}));
-    preds.push_back(ScanPredicate::And(
-        {ScanPredicate::Term(p, CompareOp::kNe, AdmValue::String("x"), true)}));
-    preds.push_back(ScanPredicate::And({ScanPredicate::In(
-        p, {AdmValue::BigInt(1), AdmValue::BigInt(3), AdmValue::String("a")})}));
-  }
-  for (const char* p : kNestedPaths) {
-    preds.push_back(ScanPredicate::And(
-        {ScanPredicate::Term(p, CompareOp::kNe, AdmValue::BigInt(0))}));
-  }
-  preds.push_back(ScanPredicate::And(
-      {ScanPredicate::Term("id", CompareOp::kGe, AdmValue::BigInt(0)),
-       ScanPredicate::Term("readings[*].temp", CompareOp::kLt, AdmValue::Double(25.0)),
-       ScanPredicate::Term("entities.hashtags[*].text", CompareOp::kNe,
-                           AdmValue::String("x")),
-       ScanPredicate::Term("a", CompareOp::kLe, AdmValue::BigInt(1))}));
-  return preds;
 }
 
 // Whether a path's value ends in a nested value: the value itself for an
@@ -122,6 +75,35 @@ bool EndsNested(const FieldPath& path, const AdmValue& v) {
 }
 
 }  // namespace
+
+const std::vector<std::shared_ptr<const ScanPredicate>>& PathWalkPredicates() {
+  static const std::vector<std::shared_ptr<const ScanPredicate>> preds = [] {
+    std::vector<std::shared_ptr<const ScanPredicate>> preds;
+    for (const char* p : kPathWalkLeafPaths) {
+      preds.push_back(ScanPredicate::And(
+          {ScanPredicate::Term(p, CompareOp::kGe, AdmValue::BigInt(0))}));
+      preds.push_back(ScanPredicate::And(
+          {ScanPredicate::Term(p, CompareOp::kLt, AdmValue::Double(25.0))}));
+      preds.push_back(ScanPredicate::And(
+          {ScanPredicate::Term(p, CompareOp::kNe, AdmValue::String("x"), true)}));
+      preds.push_back(ScanPredicate::And({ScanPredicate::In(
+          p, {AdmValue::BigInt(1), AdmValue::BigInt(3), AdmValue::String("a")})}));
+    }
+    for (const char* p : kNestedPaths) {
+      preds.push_back(ScanPredicate::And(
+          {ScanPredicate::Term(p, CompareOp::kNe, AdmValue::BigInt(0))}));
+    }
+    preds.push_back(ScanPredicate::And(
+        {ScanPredicate::Term("id", CompareOp::kGe, AdmValue::BigInt(0)),
+         ScanPredicate::Term("readings[*].temp", CompareOp::kLt,
+                             AdmValue::Double(25.0)),
+         ScanPredicate::Term("entities.hashtags[*].text", CompareOp::kNe,
+                             AdmValue::String("x")),
+         ScanPredicate::Term("a", CompareOp::kLe, AdmValue::BigInt(1))}));
+    return preds;
+  }();
+  return preds;
+}
 
 const std::vector<PathWalkFuzzContext>& PathWalkFuzzContexts() {
   static const std::vector<PathWalkFuzzContext> contexts = [] {
@@ -153,7 +135,7 @@ int FuzzVectorPathWalk(const uint8_t* data, size_t size) {
   if (size < 1) return 0;
   static const std::vector<FieldPath> all_paths = ParsePaths(/*with_nested=*/true);
   static const std::vector<FieldPath> leaf_paths = ParsePaths(/*with_nested=*/false);
-  static const std::vector<std::shared_ptr<const ScanPredicate>> preds = MakePredicates();
+  const auto& preds = PathWalkPredicates();
   const auto& contexts = PathWalkFuzzContexts();
   const PathWalkFuzzContext& ctx = contexts[data[0] % contexts.size()];
   const VectorRecordView view(data + 1, size - 1);
@@ -184,14 +166,26 @@ int FuzzVectorPathWalk(const uint8_t* data, size_t size) {
     matched.push_back(matcher.MatchVector(view, ctx.type, &ctx.schema, *pred));
   }
 
-  // Whenever the decoder accepts the record, every walk agrees with it.
+  // The anti-schema walk undoes inference on every record the decoder
+  // accepts, and changes nothing on one it rejects.
   AdmValue record;
-  if (!DecodeVectorRecord(view, ctx.type, &ctx.schema, &record).ok()) return 0;
+  const bool decodes = DecodeVectorRecord(view, ctx.type, &ctx.schema, &record).ok();
+  Schema schema = ctx.schema.Clone();
+  if (!decodes) {
+    TC_CHECK(!RemoveVectorRecord(view, ctx.type, &schema).ok());
+    TC_CHECK(schema.Equals(ctx.schema));
+    return 0;
+  }
+  TC_CHECK(InferVectorRecord(view, ctx.type, &schema).ok());
+  TC_CHECK(RemoveVectorRecord(view, ctx.type, &schema).ok());
+  TC_CHECK(schema.ToString() == ctx.schema.ToString());
+
+  // Whenever the decoder accepts the record, every path walk agrees with it.
   TC_CHECK(got_st.ok());
   TC_CHECK(unconsolidated_st.ok());
   std::vector<AdmValue> oracle;
   for (const FieldPath& p : all_paths) {
-    oracle.push_back(testutil::DecodedPathValue(record, p));
+    oracle.push_back(NavigateAdmValue(record, p.steps));
   }
   for (size_t k = 0; k < all_paths.size(); ++k) {
     const std::string want = PrintAdm(oracle[k]);
@@ -214,7 +208,7 @@ int FuzzVectorPathWalk(const uint8_t* data, size_t size) {
   for (size_t i = 0; i < preds.size(); ++i) {
     std::vector<AdmValue> cols;
     for (const PredicateTerm& t : preds[i]->terms) {
-      cols.push_back(testutil::DecodedPathValue(record, t.path));
+      cols.push_back(NavigateAdmValue(record, t.path.steps));
     }
     TC_CHECK(matched[i].ok());
     TC_CHECK(matched[i].value() == EvalPredicateRow(cols, *preds[i]));

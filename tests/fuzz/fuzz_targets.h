@@ -7,10 +7,12 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "adm/value.h"
+#include "query/scan_predicate.h"
 #include "schema/schema_tree.h"
 #include "schema/type_descriptor.h"
 
@@ -25,14 +27,45 @@ int FuzzParseAdm(const uint8_t* data, size_t size);
 /// form that deserializes to the same bytes again.
 int FuzzDeserializeSchema(const uint8_t* data, size_t size);
 
-/// The packed-vector path walks over arbitrary bytes: GetValuesVector (and
-/// its unconsolidated form), the scan's VecPathExtractor and
-/// ScanPredicateMatcher, with a fixed set of scalar, nested, [i] and [*]
-/// paths. Byte 0 picks a PathWalkFuzzContext (modulo their count); the rest
-/// is the record. Invariants: no walk ever crashes, and whenever
-/// DecodeVectorRecord accepts the record, every walk returns OK and agrees
-/// with the decoded record (NavigateAdmValue; a missing wildcard is []).
+/// The packed-vector path walks and the anti-schema walk over arbitrary
+/// bytes: GetValuesVector (and its unconsolidated form), the scan's
+/// VecPathExtractor and ScanPredicateMatcher, with kPathWalkLeafPaths plus
+/// three paths ending in nested values, and RemoveVectorRecord. Byte 0 picks
+/// a PathWalkFuzzContext (modulo their count); the rest is the record.
+/// Invariants: no walk ever crashes; whenever DecodeVectorRecord accepts the
+/// record, every path walk returns OK and agrees with the decoded record
+/// (NavigateAdmValue), and inferring the record into a clone of the context
+/// schema and then removing it gives back the context schema's rendering;
+/// whenever the decoder rejects it, RemoveVectorRecord fails and leaves the
+/// schema unchanged.
 int FuzzVectorPathWalk(const uint8_t* data, size_t size);
+
+/// The leaf paths FuzzVectorPathWalk reads: the three workloads' fields plus
+/// the shapes the generators never emit (duplicate names, nested wildcards).
+/// None ends in a nested value on generator records.
+inline constexpr const char* kPathWalkLeafPaths[] = {
+    "id",
+    "a",
+    "b",
+    "s.y",
+    "arr[*].x",
+    "t[*][*]",
+    "u[*].v[*].w",
+    "user.screen_name",
+    "user.followers_count",
+    "entities.hashtags[*].text",
+    "entities.hashtags[0].indices[1]",
+    "readings[*].temp",
+    "readings[2].timestamp",
+    "calibration.temperature_gain",
+    "static_data.fullrecord_metadata.category_info.subjects.subject[*].value",
+    "static_data.summary.pub_info.pubyear",
+};
+
+/// The predicates FuzzVectorPathWalk matches: one-term predicates over
+/// every leaf path with literals of each comparable family and an IN list,
+/// one per nested path, and one conjunction across the workloads' paths.
+const std::vector<std::shared_ptr<const ScanPredicate>>& PathWalkPredicates();
 
 /// What FuzzVectorPathWalk reads a record against: one workload dataset
 /// under its open (primary key only) or closed (every declarable field)

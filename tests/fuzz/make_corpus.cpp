@@ -17,7 +17,6 @@
 #include "adm/printer.h"
 #include "format/vector_format.h"
 #include "fuzz_targets.h"
-#include "schema/inference.h"
 #include "schema/schema_io.h"
 #include "schema/schema_tree.h"
 #include "workload/workload.h"
@@ -107,7 +106,12 @@ int main(int argc, char** argv) {
     tc::DatasetType declared = gen->OpenType();
     tc::Schema schema;
     for (int i = 0; i < 16; ++i) {
-      auto st = tc::InferRecord(&schema, gen->NextRecord(), declared.root.get());
+      tc::Buffer vb;
+      auto st = tc::EncodeVectorRecord(gen->NextRecord(), declared, &vb);
+      if (st.ok()) {
+        st = tc::InferVectorRecord(tc::VectorRecordView(vb.data(), vb.size()),
+                                   declared, &schema);
+      }
       if (!st.ok()) {
         std::fprintf(stderr, "infer failed: %s\n", st.ToString().c_str());
         return 1;
@@ -149,11 +153,12 @@ int main(int argc, char** argv) {
     for (size_t i = 0; i < 2; ++i) {
       tc::Buffer vb;
       tc::Buffer compacted;
-      tc::Schema schema = ctx.schema.Clone();  // names are already in the dictionary
+      // Compacting into a clone leaves the context schema as it is.
+      tc::Schema schema = ctx.schema.Clone();
       auto st = tc::EncodeVectorRecord(ctx.records[i], ctx.type, &vb);
       if (st.ok()) {
-        st = tc::CompactVectorRecord(tc::VectorRecordView(vb.data(), vb.size()),
-                                     ctx.type, &schema, &compacted);
+        st = tc::InferAndCompactVectorRecord(
+            tc::VectorRecordView(vb.data(), vb.size()), ctx.type, &schema, &compacted);
       }
       if (!st.ok()) {
         std::fprintf(stderr, "encode failed: %s\n", st.ToString().c_str());
@@ -187,8 +192,8 @@ int main(int argc, char** argv) {
       tc::Schema schema = ctx.schema.Clone();
       auto st = tc::EncodeVectorRecord(rec, ctx.type, &vb);
       if (st.ok()) {
-        st = tc::CompactVectorRecord(tc::VectorRecordView(vb.data(), vb.size()),
-                                     ctx.type, &schema, &compacted);
+        st = tc::InferAndCompactVectorRecord(
+            tc::VectorRecordView(vb.data(), vb.size()), ctx.type, &schema, &compacted);
       }
       if (!st.ok()) {
         std::fprintf(stderr, "encode failed: %s\n", st.ToString().c_str());

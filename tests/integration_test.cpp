@@ -5,7 +5,6 @@
 #include "adm/parser.h"
 #include "adm/printer.h"
 #include "cluster/cluster.h"
-#include "schema/inference.h"
 #include "query/paper_queries.h"
 #include "tests/test_util.h"
 #include "workload/workload.h"
@@ -59,7 +58,7 @@ TEST(Integration, UpdateHeavyFeedKeepsSchemaExact) {
   DatasetType type = DatasetType::OpenWithPk("id");
   Schema expected;
   for (const auto& [pk, rec] : model) {
-    ASSERT_TRUE(InferRecord(&expected, rec, type.root.get()).ok());
+    ASSERT_TRUE(testutil::EncodeAndApply(&expected, rec, type).ok());
   }
   Schema actual = fx.dataset->partition(0)->SchemaSnapshot();
   EXPECT_EQ(actual.ToString(), expected.ToString());

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "adm/parser.h"
-#include "schema/inference.h"
 #include "schema/schema_io.h"
 #include "schema/schema_tree.h"
 #include "tests/test_util.h"
@@ -13,65 +12,9 @@ AdmValue R(const std::string& text) { return ParseAdm(text).ValueOrDie(); }
 
 DatasetType PkType() { return DatasetType::OpenWithPk("id"); }
 
-// Order-insensitive rendering: object fields sorted by name, union variants
-// sorted by rendered form.
-void RenderCanonical(const SchemaNode* n, const FieldNameDictionary& dict,
-                     std::string* out) {
-  if (n == nullptr) {
-    *out += "<null>";
-    return;
-  }
-  switch (n->tag()) {
-    case AdmTag::kObject: {
-      std::vector<std::string> fields;
-      for (size_t i = 0; i < n->field_count(); ++i) {
-        std::string f = dict.NameOf(n->field_id(i)) + ":";
-        RenderCanonical(n->field_node(i), dict, &f);
-        fields.push_back(std::move(f));
-      }
-      std::sort(fields.begin(), fields.end());
-      *out += "{";
-      for (size_t i = 0; i < fields.size(); ++i) {
-        if (i > 0) *out += ", ";
-        *out += fields[i];
-      }
-      *out += "}(" + std::to_string(n->count()) + ")";
-      return;
-    }
-    case AdmTag::kArray:
-    case AdmTag::kMultiset:
-      *out += AdmTagName(n->tag());
-      *out += "(" + std::to_string(n->count()) + ")<";
-      RenderCanonical(n->item(), dict, out);
-      *out += ">";
-      return;
-    case AdmTag::kUnion: {
-      std::vector<std::string> variants;
-      for (size_t i = 0; i < n->variant_count(); ++i) {
-        std::string v;
-        RenderCanonical(n->variant(i), dict, &v);
-        variants.push_back(std::move(v));
-      }
-      std::sort(variants.begin(), variants.end());
-      *out += "union(" + std::to_string(n->count()) + ")<";
-      for (size_t i = 0; i < variants.size(); ++i) {
-        if (i > 0) *out += "|";
-        *out += variants[i];
-      }
-      *out += ">";
-      return;
-    }
-    default:
-      *out += AdmTagName(n->tag());
-      *out += "(" + std::to_string(n->count()) + ")";
-  }
-}
-
-std::string CanonicalSchemaString(const Schema& s) {
-  std::string out;
-  RenderCanonical(s.root(), s.dict(), &out);
-  return out;
-}
+using testutil::CanonicalSchemaString;
+using testutil::EncodeAndApply;
+using testutil::SchemaOp;
 
 TEST(Dictionary, AssignsStableIds) {
   FieldNameDictionary d;
@@ -102,21 +45,16 @@ TEST(Inference, PaperFigure9Flow) {
   // Figure 9a: two records {id, name, age:int} -> name:string, age:int.
   DatasetType type = PkType();
   Schema schema;
-  ASSERT_TRUE(InferRecord(&schema, R(R"({"id": 0, "name": "Kim", "age": 26})"),
-                          type.root.get())
-                  .ok());
-  ASSERT_TRUE(InferRecord(&schema, R(R"({"id": 1, "name": "John", "age": 22})"),
-                          type.root.get())
-                  .ok());
+  ASSERT_TRUE(
+      EncodeAndApply(&schema, R(R"({"id": 0, "name": "Kim", "age": 26})"), type).ok());
+  ASSERT_TRUE(
+      EncodeAndApply(&schema, R(R"({"id": 1, "name": "John", "age": 22})"), type).ok());
   EXPECT_EQ(schema.ToString(), "{name:string(2), age:bigint(2)}(2)");
 
   // Figure 9b: age missing, then age:string -> age becomes union(int,string).
-  ASSERT_TRUE(InferRecord(&schema, R(R"({"id": 2, "name": "Ann"})"),
-                          type.root.get())
-                  .ok());
-  ASSERT_TRUE(InferRecord(&schema, R(R"({"id": 3, "name": "Bob", "age": "old"})"),
-                          type.root.get())
-                  .ok());
+  ASSERT_TRUE(EncodeAndApply(&schema, R(R"({"id": 2, "name": "Ann"})"), type).ok());
+  ASSERT_TRUE(
+      EncodeAndApply(&schema, R(R"({"id": 3, "name": "Bob", "age": "old"})"), type).ok());
   EXPECT_EQ(schema.ToString(),
             "{name:string(4), age:union(3)<bigint(2)|string(1)>}(4)");
 }
@@ -124,8 +62,7 @@ TEST(Inference, PaperFigure9Flow) {
 TEST(Inference, DeclaredFieldsExcluded) {
   DatasetType type = PkType();
   Schema schema;
-  ASSERT_TRUE(
-      InferRecord(&schema, R(R"({"id": 7, "x": 1})"), type.root.get()).ok());
+  ASSERT_TRUE(EncodeAndApply(&schema, R(R"({"id": 7, "x": 1})"), type).ok());
   // "id" must not appear in the inferred schema (paper §3.1.1).
   EXPECT_EQ(schema.ToString(), "{x:bigint(1)}(1)");
 }
@@ -133,20 +70,20 @@ TEST(Inference, DeclaredFieldsExcluded) {
 TEST(Inference, NestedCountersMatchPaperFigure10) {
   DatasetType type = PkType();
   Schema schema;
-  ASSERT_TRUE(InferRecord(&schema, R(R"({
+  ASSERT_TRUE(EncodeAndApply(&schema, R(R"({
     "id": 1, "name": "Ann",
     "dependents": {{ {"name": "Bob", "age": 6}, {"name": "Carol", "age": 10} }},
     "employment_date": date("2018-09-20"),
     "branch_location": point(24.0, -56.12),
     "working_shifts": [[8, 16], [9, 17], [10, 18], "on_call"]
   })"),
-                          type.root.get())
+                             type)
                   .ok());
   for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE(InferRecord(&schema,
-                            R(R"({"id": )" + std::to_string(10 + i) +
-                              R"(, "name": "n"})"),
-                            type.root.get())
+    ASSERT_TRUE(EncodeAndApply(&schema,
+                               R(R"({"id": )" + std::to_string(10 + i) +
+                                 R"(, "name": "n"})"),
+                               type)
                     .ok());
   }
   // Counters from Figure 10b: name(6), dependents(1) with object(2) items
@@ -186,16 +123,16 @@ TEST(AntiSchema, DeleteShrinksSchemaLikeFigure11) {
     "dependents": {{ {"name": "Bob", "age": 6} }},
     "branch_location": point(1.0, 2.0)
   })");
-  ASSERT_TRUE(InferRecord(&schema, big, type.root.get()).ok());
+  ASSERT_TRUE(EncodeAndApply(&schema, big, type).ok());
   for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE(InferRecord(&schema,
-                            R(R"({"id": )" + std::to_string(10 + i) +
-                              R"(, "name": "x"})"),
-                            type.root.get())
+    ASSERT_TRUE(EncodeAndApply(&schema,
+                               R(R"({"id": )" + std::to_string(10 + i) +
+                                 R"(, "name": "x"})"),
+                               type)
                     .ok());
   }
   // Deleting the rich record leaves only name(5) (paper Figure 11).
-  ASSERT_TRUE(RemoveRecord(&schema, big, type.root.get()).ok());
+  ASSERT_TRUE(EncodeAndApply(&schema, big, type, SchemaOp::kRemove).ok());
   EXPECT_EQ(schema.ToString(), "{name:string(5)}(5)");
 }
 
@@ -204,24 +141,25 @@ TEST(AntiSchema, UnionCollapsesWhenVariantDies) {
   Schema schema;
   AdmValue int_rec = R(R"({"id": 1, "age": 26})");
   AdmValue str_rec = R(R"({"id": 2, "age": "old"})");
-  ASSERT_TRUE(InferRecord(&schema, int_rec, type.root.get()).ok());
-  ASSERT_TRUE(InferRecord(&schema, str_rec, type.root.get()).ok());
+  ASSERT_TRUE(EncodeAndApply(&schema, int_rec, type).ok());
+  ASSERT_TRUE(EncodeAndApply(&schema, str_rec, type).ok());
   EXPECT_EQ(schema.ToString(), "{age:union(2)<bigint(1)|string(1)>}(2)");
   // Deleting the only string-typed age collapses union(int,string) -> int
   // (paper §3.2.2's motivating example).
-  ASSERT_TRUE(RemoveRecord(&schema, str_rec, type.root.get()).ok());
+  ASSERT_TRUE(EncodeAndApply(&schema, str_rec, type, SchemaOp::kRemove).ok());
   EXPECT_EQ(schema.ToString(), "{age:bigint(1)}(1)");
-  ASSERT_TRUE(RemoveRecord(&schema, int_rec, type.root.get()).ok());
+  ASSERT_TRUE(EncodeAndApply(&schema, int_rec, type, SchemaOp::kRemove).ok());
   EXPECT_EQ(schema.ToString(), "{}(0)");
 }
 
 TEST(AntiSchema, MismatchIsCorruption) {
   DatasetType type = PkType();
   Schema schema;
-  ASSERT_TRUE(InferRecord(&schema, R(R"({"id": 1, "a": 5})"), type.root.get()).ok());
-  Status st = RemoveRecord(&schema, R(R"({"id": 1, "b": 5})"), type.root.get());
+  ASSERT_TRUE(EncodeAndApply(&schema, R(R"({"id": 1, "a": 5})"), type).ok());
+  Status st =
+      EncodeAndApply(&schema, R(R"({"id": 1, "b": 5})"), type, SchemaOp::kRemove);
   EXPECT_TRUE(st.IsCorruption());
-  st = RemoveRecord(&schema, R(R"({"id": 1, "a": "str"})"), type.root.get());
+  st = EncodeAndApply(&schema, R(R"({"id": 1, "a": "str"})"), type, SchemaOp::kRemove);
   EXPECT_TRUE(st.IsCorruption());
 }
 
@@ -233,12 +171,12 @@ TEST(AntiSchema, PropertyAddRemoveReturnsToEmpty) {
     std::vector<AdmValue> records;
     for (int i = 0; i < 30; ++i) {
       records.push_back(testutil::RandomRecord(&rng, i));
-      ASSERT_TRUE(InferRecord(&schema, records.back(), type.root.get()).ok());
+      ASSERT_TRUE(EncodeAndApply(&schema, records.back(), type).ok());
     }
     // Remove in random order; schema must return to empty.
     while (!records.empty()) {
       size_t i = rng.Uniform(records.size());
-      ASSERT_TRUE(RemoveRecord(&schema, records[i], type.root.get()).ok());
+      ASSERT_TRUE(EncodeAndApply(&schema, records[i], type, SchemaOp::kRemove).ok());
       records.erase(records.begin() + static_cast<ptrdiff_t>(i));
     }
     EXPECT_EQ(schema.ToString(), "{}(0)");
@@ -255,18 +193,16 @@ TEST(AntiSchema, PartialRemovalMatchesFreshInference) {
 
   Schema full;
   for (const auto& r : records) {
-    ASSERT_TRUE(InferRecord(&full, r, type.root.get()).ok());
+    ASSERT_TRUE(EncodeAndApply(&full, r, type).ok());
   }
   for (int i = 0; i < 20; ++i) {
-    ASSERT_TRUE(RemoveRecord(&full, records[static_cast<size_t>(i)],
-                             type.root.get())
+    ASSERT_TRUE(EncodeAndApply(&full, records[static_cast<size_t>(i)], type,
+                               SchemaOp::kRemove)
                     .ok());
   }
   Schema fresh;
   for (int i = 20; i < 40; ++i) {
-    ASSERT_TRUE(InferRecord(&fresh, records[static_cast<size_t>(i)],
-                            type.root.get())
-                    .ok());
+    ASSERT_TRUE(EncodeAndApply(&fresh, records[static_cast<size_t>(i)], type).ok());
   }
   // Tree structure and counters agree up to ordering: union variants and
   // object fields are kept in first-seen order, which differs between the
@@ -279,9 +215,7 @@ TEST(SchemaIo, SerializeRoundTrip) {
   Rng rng(5);
   Schema schema;
   for (int i = 0; i < 50; ++i) {
-    ASSERT_TRUE(InferRecord(&schema, testutil::RandomRecord(&rng, i),
-                            type.root.get())
-                    .ok());
+    ASSERT_TRUE(EncodeAndApply(&schema, testutil::RandomRecord(&rng, i), type).ok());
   }
   Buffer blob;
   SerializeSchema(schema, &blob);
@@ -297,7 +231,7 @@ TEST(SchemaIo, SerializeRoundTrip) {
 TEST(SchemaIo, CorruptionDetected) {
   Schema schema;
   DatasetType type = PkType();
-  ASSERT_TRUE(InferRecord(&schema, R(R"({"id":1,"a":2})"), type.root.get()).ok());
+  ASSERT_TRUE(EncodeAndApply(&schema, R(R"({"id":1,"a":2})"), type).ok());
   Buffer blob;
   SerializeSchema(schema, &blob);
   size_t consumed;
@@ -312,14 +246,12 @@ TEST(SchemaIo, CorruptionDetected) {
 TEST(SchemaTree, CloneIsDeepAndEqual) {
   DatasetType type = PkType();
   Schema schema;
-  ASSERT_TRUE(InferRecord(&schema,
-                          R(R"({"id":1,"a":{"b":[1,"x"]},"c":2.5})"),
-                          type.root.get())
-                  .ok());
+  ASSERT_TRUE(
+      EncodeAndApply(&schema, R(R"({"id":1,"a":{"b":[1,"x"]},"c":2.5})"), type).ok());
   Schema copy = schema.Clone();
   EXPECT_TRUE(copy.Equals(schema));
   // Mutating the copy must not affect the original.
-  ASSERT_TRUE(InferRecord(&copy, R(R"({"id":2,"zzz":1})"), type.root.get()).ok());
+  ASSERT_TRUE(EncodeAndApply(&copy, R(R"({"id":2,"zzz":1})"), type).ok());
   EXPECT_FALSE(copy.Equals(schema));
 }
 

@@ -1,8 +1,10 @@
 // Shared helpers for the test suite: random ADM value generation for property
-// tests and an in-memory dataset fixture.
+// tests, schema inference and anti-schema over encoded records, the
+// decoded-record path oracle and an in-memory dataset fixture.
 #ifndef TC_TESTS_TEST_UTIL_H_
 #define TC_TESTS_TEST_UTIL_H_
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -10,6 +12,7 @@
 #include "adm/value.h"
 #include "common/rng.h"
 #include "core/dataset.h"
+#include "format/vector_format.h"
 #include "query/field_access.h"
 #include "storage/buffer_cache.h"
 #include "storage/file.h"
@@ -77,38 +80,98 @@ inline AdmValue RandomRecord(Rng* rng, int64_t id, int depth = 4) {
   return rec;
 }
 
-/// Appends to `list` every value `steps[from..]` reaches from `v`, in record
-/// order; a missing result contributes nothing.
-inline void CollectPathMatches(const AdmValue& v, const std::vector<PathStep>& steps,
-                               size_t from, AdmValue* list) {
-  size_t wc = from;
-  while (wc < steps.size() && steps[wc].kind != PathStep::kWildcard) ++wc;
-  if (wc == steps.size()) {
-    AdmValue got = NavigateAdmValue(v, steps, from);
-    if (got.tag() != AdmTag::kMissing) list->Append(std::move(got));
+/// How EncodeAndApply folds a record into a schema.
+enum class SchemaOp {
+  kInfer,            // InferVectorRecord, as a flush does
+  kRemove,           // RemoveVectorRecord on the uncompacted (memtable) bytes
+  kRemoveCompacted,  // RemoveVectorRecord on the compacted (on-disk) bytes
+};
+
+/// Encodes `record` under `type` and applies `op` to `schema`. The compacted
+/// bytes are compacted against a clone of `schema`, whose dictionary already
+/// holds the names of every record inferred into it.
+inline Status EncodeAndApply(Schema* schema, const AdmValue& record,
+                             const DatasetType& type, SchemaOp op = SchemaOp::kInfer) {
+  Buffer vb;
+  TC_RETURN_IF_ERROR(EncodeVectorRecord(record, type, &vb));
+  if (op == SchemaOp::kInfer) {
+    return InferVectorRecord(VectorRecordView(vb.data(), vb.size()), type, schema);
+  }
+  if (op == SchemaOp::kRemoveCompacted) {
+    Schema names = schema->Clone();
+    Buffer compacted;
+    TC_RETURN_IF_ERROR(InferAndCompactVectorRecord(VectorRecordView(vb.data(), vb.size()),
+                                                   type, &names, &compacted));
+    vb.swap(compacted);
+  }
+  return RemoveVectorRecord(VectorRecordView(vb.data(), vb.size()), type, schema);
+}
+
+/// Order-insensitive rendering of `n`: object fields sorted by name, union
+/// variants sorted by rendered form.
+inline void RenderCanonical(const SchemaNode* n, const FieldNameDictionary& dict,
+                            std::string* out) {
+  if (n == nullptr) {
+    *out += "<null>";
     return;
   }
-  std::vector<PathStep> prefix(steps.begin() + static_cast<ptrdiff_t>(from),
-                               steps.begin() + static_cast<ptrdiff_t>(wc));
-  AdmValue at = NavigateAdmValue(v, prefix);
-  if (!at.is_collection()) return;
-  for (size_t k = 0; k < at.size(); ++k) {
-    CollectPathMatches(at.item(k), steps, wc + 1, list);
+  switch (n->tag()) {
+    case AdmTag::kObject: {
+      std::vector<std::string> fields;
+      for (size_t i = 0; i < n->field_count(); ++i) {
+        std::string f = dict.NameOf(n->field_id(i)) + ":";
+        RenderCanonical(n->field_node(i), dict, &f);
+        fields.push_back(std::move(f));
+      }
+      std::sort(fields.begin(), fields.end());
+      *out += "{";
+      for (size_t i = 0; i < fields.size(); ++i) {
+        if (i > 0) *out += ", ";
+        *out += fields[i];
+      }
+      *out += "}(" + std::to_string(n->count()) + ")";
+      return;
+    }
+    case AdmTag::kArray:
+    case AdmTag::kMultiset:
+      *out += AdmTagName(n->tag());
+      *out += "(" + std::to_string(n->count()) + ")<";
+      RenderCanonical(n->item(), dict, out);
+      *out += ">";
+      return;
+    case AdmTag::kUnion: {
+      std::vector<std::string> variants;
+      for (size_t i = 0; i < n->variant_count(); ++i) {
+        std::string v;
+        RenderCanonical(n->variant(i), dict, &v);
+        variants.push_back(std::move(v));
+      }
+      std::sort(variants.begin(), variants.end());
+      *out += "union(" + std::to_string(n->count()) + ")<";
+      for (size_t i = 0; i < variants.size(); ++i) {
+        if (i > 0) *out += "|";
+        *out += variants[i];
+      }
+      *out += ">";
+      return;
+    }
+    default:
+      *out += AdmTagName(n->tag());
+      *out += "(" + std::to_string(n->count()) + ")";
   }
 }
 
-/// The decoded-record oracle of the packed-vector path walks: `path`
-/// navigated over a record decoded with DecodeVectorRecord. An exact path is
-/// NavigateAdmValue itself; a wildcard path is the flat list of everything it
-/// reaches (a missing wildcard counts as [], nested wildcards flatten).
-inline AdmValue DecodedPathValue(const AdmValue& record, const FieldPath& path) {
-  if (!path.HasWildcard()) return NavigateAdmValue(record, path.steps);
-  AdmValue list = AdmValue::Array();
-  CollectPathMatches(record, path.steps, 0, &list);
-  return list;
+/// The schema tree rendered order-insensitively: schemas whose fields or
+/// union variants were first seen in another order render the same.
+inline std::string CanonicalSchemaString(const Schema& s) {
+  std::string out;
+  RenderCanonical(s.root(), s.dict(), &out);
+  return out;
 }
 
-/// DecodedPathValue for every path of `paths`, over the decoded `view`.
+/// The decoded-record oracle of the packed-vector path walks: every path of
+/// `paths` navigated (NavigateAdmValue) over `view` decoded with
+/// DecodeVectorRecord.
 inline Status DecodedPathValues(const VectorRecordView& view, const DatasetType& type,
                                 const Schema* schema,
                                 const std::vector<FieldPath>& paths,
@@ -116,7 +179,7 @@ inline Status DecodedPathValues(const VectorRecordView& view, const DatasetType&
   AdmValue record;
   TC_RETURN_IF_ERROR(DecodeVectorRecord(view, type, schema, &record));
   out->clear();
-  for (const FieldPath& p : paths) out->push_back(DecodedPathValue(record, p));
+  for (const FieldPath& p : paths) out->push_back(NavigateAdmValue(record, p.steps));
   return Status::OK();
 }
 

@@ -12,8 +12,8 @@
 #include "query/field_access.h"
 #include "query/scan_predicate.h"
 #include "query/vec/vec_operator.h"
-#include "schema/inference.h"
 #include "tests/test_util.h"
+#include "workload/workload.h"
 
 namespace tc {
 namespace {
@@ -123,21 +123,60 @@ TEST(VectorFormat, CompactionShrinksAndRoundTrips) {
   EXPECT_EQ(schema.dict().Lookup("id"), FieldNameDictionary::kInvalidId);
 }
 
-TEST(VectorFormat, InferMatchesAdmValueInference) {
-  // Flush-path inference over bytes must equal inference over the tree.
-  DatasetType type = PkType();
+TEST(VectorFormat, RemovingASubsetMatchesFreshInference) {
+  // The anti-schema undoes inference exactly: inferring records and then
+  // removing a subset leaves what inferring only the survivors gives, when
+  // the removed versions are memtable (uncompacted) bytes and when they are
+  // on-disk (compacted) bytes, under open and closed types.
+  struct Case {
+    std::string name;
+    DatasetType type;
+    std::vector<AdmValue> records;
+  };
+  std::vector<Case> cases;
   Rng rng(31337);
-  Schema from_bytes, from_tree;
-  for (int i = 0; i < 200; ++i) {
-    AdmValue rec = testutil::RandomRecord(&rng, i, 4);
-    Buffer b;
-    ASSERT_TRUE(EncodeVectorRecord(rec, type, &b).ok());
-    ASSERT_TRUE(
-        InferVectorRecord(VectorRecordView(b.data(), b.size()), type, &from_bytes)
-            .ok());
-    ASSERT_TRUE(InferRecord(&from_tree, rec, type.root.get()).ok());
+  cases.push_back({"random_open", PkType(), {}});
+  for (int i = 0; i < 120; ++i) {
+    cases.back().records.push_back(testutil::RandomRecord(&rng, i, 4));
   }
-  EXPECT_EQ(from_bytes.ToString(), from_tree.ToString());
+  for (const char* dataset : {"twitter", "wos", "sensors"}) {
+    for (bool closed : {false, true}) {
+      auto gen = MakeGenerator(dataset, /*seed=*/3);
+      cases.push_back({std::string(dataset) + (closed ? "_closed" : "_open"),
+                       closed ? gen->ClosedType() : gen->OpenType(),
+                       {}});
+      for (int i = 0; i < 40; ++i) cases.back().records.push_back(gen->NextRecord());
+    }
+  }
+  for (const Case& c : cases) {
+    for (testutil::SchemaOp op :
+         {testutil::SchemaOp::kRemove, testutil::SchemaOp::kRemoveCompacted}) {
+      SCOPED_TRACE(c.name + (op == testutil::SchemaOp::kRemove ? " uncompacted"
+                                                              : " compacted"));
+      Schema full;
+      for (const AdmValue& r : c.records) {
+        ASSERT_TRUE(testutil::EncodeAndApply(&full, r, c.type).ok());
+      }
+      // Remove about half of the records, in a random order.
+      std::vector<size_t> order(c.records.size());
+      for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+      for (size_t i = order.size(); i > 1; --i) {
+        std::swap(order[i - 1], order[rng.Uniform(i)]);
+      }
+      Schema fresh;
+      for (size_t k = 0; k < order.size(); ++k) {
+        const AdmValue& r = c.records[order[k]];
+        if (k % 2 == 0) {
+          Status st = testutil::EncodeAndApply(&full, r, c.type, op);
+          ASSERT_TRUE(st.ok()) << st.ToString();
+        } else {
+          ASSERT_TRUE(testutil::EncodeAndApply(&fresh, r, c.type).ok());
+        }
+      }
+      EXPECT_EQ(testutil::CanonicalSchemaString(full),
+                testutil::CanonicalSchemaString(fresh));
+    }
+  }
 }
 
 TEST(VectorFormat, PropertyCompactionRoundTrip) {
@@ -185,6 +224,48 @@ TEST(VectorFormat, RemoveVectorRecordMirrorsInference) {
         RemoveVectorRecord(VectorRecordView(b.data(), b.size()), type, &schema).ok());
   }
   EXPECT_EQ(schema.ToString(), "{}(0)");
+}
+
+TEST(VectorFormat, RemoveLeavesSchemaUntouchedOnUndecodableBytes) {
+  // The anti-schema walk decrements as it goes, so it checks the whole record
+  // first: bytes the decoder rejects late in the record must not have given
+  // back the occurrences of the fields before the damage.
+  DatasetType type = PkType();
+  Schema schema;
+  AdmValue rec = R(R"({"id": 1, "a": 1, "b": {"c": "x"}, "d": [1, 2]})");
+  Buffer raw = Encode(rec, type);
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_TRUE(InferVectorRecord(VectorRecordView(raw.data(), raw.size()), type,
+                                  &schema)
+                    .ok());
+  }
+  const Schema before = schema.Clone();
+  auto expect_rejected = [&](const Buffer& bytes) {
+    VectorRecordView view(bytes.data(), bytes.size());
+    AdmValue decoded;
+    EXPECT_TRUE(DecodeVectorRecord(view, type, &schema, &decoded).IsCorruption());
+    EXPECT_TRUE(RemoveVectorRecord(view, type, &schema).IsCorruption());
+    EXPECT_TRUE(schema.Equals(before)) << schema.ToString();
+  };
+  // A bad tag byte on the last item of "d".
+  Buffer bad_tag = raw;
+  const VectorRecordView view(raw.data(), raw.size());
+  bad_tag[kVectorHeaderSize + view.tag_count() - 3] = 0xEE;
+  expect_rejected(bad_tag);
+  // A compacted record whose last field's FieldNameID the schema never
+  // assigned (it was compacted against a schema that had seen "zz").
+  Schema other = schema.Clone();
+  Buffer with_zz = Encode(R(R"({"id": 1, "a": 1, "b": {"c": "x"}, "zz": 2})"), type);
+  Buffer compacted;
+  ASSERT_TRUE(InferAndCompactVectorRecord(
+                  VectorRecordView(with_zz.data(), with_zz.size()), type, &other,
+                  &compacted)
+                  .ok());
+  expect_rejected(compacted);
+  // The undamaged record still removes.
+  ASSERT_TRUE(RemoveVectorRecord(view, type, &schema).ok());
+  EXPECT_EQ(schema.ToString(),
+            "{a:bigint(1), b:{c:string(1)}(1), d:array(1)<bigint(2)>}(1)");
 }
 
 TEST(VectorFormat, CompactedSavesVersusAdmNames) {
@@ -626,7 +707,7 @@ TEST(VectorFormat, ShapeRunWalksMatchDecodedRecord) {
           bool nested = false;
           std::vector<AdmValue> want;
           for (const FieldPath& p : paths) {
-            want.push_back(testutil::DecodedPathValue(decoded, p));
+            want.push_back(NavigateAdmValue(decoded, p.steps));
             const AdmValue& w = want.back();
             for (size_t i = 0; p.HasWildcard() && i < w.size(); ++i) {
               nested = nested || IsNested(w.item(i).tag());
@@ -652,7 +733,7 @@ TEST(VectorFormat, ShapeRunWalksMatchDecodedRecord) {
           all_preds.push_back(pred);
           std::vector<AdmValue> cols;
           for (const PredicateTerm& t : pred->terms) {
-            cols.push_back(testutil::DecodedPathValue(decoded, t.path));
+            cols.push_back(NavigateAdmValue(decoded, t.path.steps));
           }
           Result<bool> got = matcher.MatchVector(view, type, &schema, *pred);
           ASSERT_TRUE(got.ok()) << got.status().ToString();
