@@ -11,8 +11,8 @@
 // dataset without a pool does). A feed thread
 // pays only the WAL append + memtable update + generation swap; each tree
 // runs up to DatasetOptions::merge.max_concurrent_merges disjoint merges
-// concurrently, with max_pending_flush_builds bounding the queued builds
-// (backpressure).
+// concurrently, with kDefaultMaxPendingFlushBuilds bounding each tree's
+// queued builds (backpressure).
 #ifndef TC_CLUSTER_CLUSTER_H_
 #define TC_CLUSTER_CLUSTER_H_
 

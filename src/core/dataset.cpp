@@ -77,15 +77,12 @@ Result<std::unique_ptr<DatasetPartition>> DatasetPartition::Open(
   lsm.merge_policy = MakeMergePolicy(opts->merge);
   lsm.merge_pool = opts->merge_pool;
   lsm.max_concurrent_merges = opts->merge.max_concurrent_merges;
-  lsm.max_pending_flush_builds = opts->merge.max_pending_flush_builds;
   lsm.use_wal = opts->use_wal;
   lsm.wal_sync_every = opts->wal_sync_every;
+  // Inferred-mode partitions infer and compact at every component write —
+  // flush, bulk load and merge; every tree may recompress bottom-level merge
+  // outputs.
   lsm.transformer = p->compactor_.get();
-  // Merge transformation pipeline: inferred-mode partitions re-compact
-  // surviving records during merges (the compactor doubles as the tree's
-  // MergeTransformer); every tree may recompress bottom-level merge outputs.
-  lsm.merge_transformer =
-      opts->merge_transform ? p->compactor_.get() : nullptr;
   lsm.merge_recompress = opts->merge_recompress;
   lsm.capture_old_versions = opts->mode == SchemaMode::kInferred ||
                              !opts->secondary_index_field.empty();
@@ -95,8 +92,7 @@ Result<std::unique_ptr<DatasetPartition>> DatasetPartition::Open(
   if (opts->primary_key_index) {
     LsmTreeOptions pk = lsm;
     pk.name = opts->name + part_suffix + ".pkidx";
-    pk.transformer = nullptr;
-    pk.merge_transformer = nullptr;  // key-only payloads: nothing to re-encode
+    pk.transformer = nullptr;  // key-only payloads: nothing to re-encode
     pk.capture_old_versions = false;
     // No WAL, and recovery does not rebuild it: primary WAL replay restores
     // only the primary, so keys still in this tree's memtable at a restart
@@ -127,7 +123,6 @@ Result<std::unique_ptr<DatasetPartition>> DatasetPartition::Open(
     sk.merge_recompress = opts->merge_recompress;
     sk.merge_pool = opts->merge_pool;
     sk.max_concurrent_merges = lsm.max_concurrent_merges;
-    sk.max_pending_flush_builds = lsm.max_pending_flush_builds;
     // No WAL either, with the pk index's recovery gap: entries still in
     // this tree's memtable at a restart are lost.
     sk.use_wal = false;
@@ -136,7 +131,7 @@ Result<std::unique_ptr<DatasetPartition>> DatasetPartition::Open(
   }
 
   // Crash recovery: the compactor reloaded the newest valid component's
-  // schema via FlushTransformer::OnRecoveredSchema during LsmTree::Open.
+  // schema via ComponentTransformer::OnRecoveredSchema during LsmTree::Open.
   return p;
 }
 

@@ -81,14 +81,10 @@ struct DatasetOptions {
   MergePolicyConfig merge = {};
   /// Bloom-filter policy for every tree of a partition.
   BloomFilterConfig filter = {};
-  /// Merge transformation pipeline:
-  ///  * merge_transform: inferred-mode partitions re-compact surviving
-  ///    records against the newest schema during merge rewrites instead of
-  ///    splicing bytes through.
-  ///  * merge_recompress: bottom-level merge outputs switch to this heavier
-  ///    codec; a codec not compiled into this build makes Open fail with
-  ///    NotSupported.
-  bool merge_transform = true;
+  /// Bottom-level merge outputs switch to this heavier codec; a codec not
+  /// compiled into this build makes Open fail with NotSupported. (Inferred-
+  /// mode merges always re-compact surviving uncompacted records against the
+  /// newest schema: the tuple compactor transforms every component write.)
   CompressionKind merge_recompress = CompressionKind::kNone;
   bool use_wal = true;
   size_t wal_sync_every = 64;
@@ -101,9 +97,10 @@ struct DatasetOptions {
   /// (not owned; must outlive the dataset). Null = caller-runs: the same
   /// jobs run on the writer thread and finish inside the flush that started
   /// them — deterministic, what unit tests use. ClusterHarness wires its
-  /// nproc-sized pool here. The per-tree merge
-  /// concurrency cap and the pooled-flush backpressure bound ride in
-  /// `merge.max_concurrent_merges` / `merge.max_pending_flush_builds`.
+  /// nproc-sized pool here. The per-tree merge concurrency cap rides in
+  /// `merge.max_concurrent_merges`; each tree lets
+  /// kDefaultMaxPendingFlushBuilds sealed generations queue for their build
+  /// before writers stall.
   TaskPool* merge_pool = nullptr;
 
   std::shared_ptr<FileSystem> fs;   // required

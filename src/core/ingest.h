@@ -16,10 +16,10 @@
 // records never acknowledged may vanish in a crash, exactly like un-synced
 // single-record appends.
 //
-// Backpressure composes: a stalled partition (max_pending_flush_builds
-// flush-build backpressure in the LSM below) blocks its writer in
-// DatasetPartition::Write, its queue fills, and Submit() blocks the producing
-// feed — memory stays bounded end to end.
+// Backpressure composes: a stalled partition (the LSM trees' flush-build
+// backpressure, kDefaultMaxPendingFlushBuilds queued builds per tree) blocks
+// its writer in DatasetPartition::Write, its queue fills, and Submit() blocks
+// the producing feed — memory stays bounded end to end.
 #ifndef TC_CORE_INGEST_H_
 #define TC_CORE_INGEST_H_
 

@@ -2,39 +2,11 @@
 
 namespace tc {
 
-Status TupleCompactor::TransformLive(std::string_view payload, Buffer* out) {
-  std::lock_guard<std::mutex> lock(mu_);
+Status TupleCompactor::Transform(std::string_view payload, Buffer* out,
+                                 bool* rewritten) {
   VectorRecordView view(reinterpret_cast<const uint8_t*>(payload.data()),
                         payload.size());
-  return InferAndCompactVectorRecord(view, *type_, &schema_, out);
-}
-
-Status TupleCompactor::OnRemovedVersion(std::string_view old_payload) {
-  std::lock_guard<std::mutex> lock(mu_);
-  VectorRecordView view(reinterpret_cast<const uint8_t*>(old_payload.data()),
-                        old_payload.size());
-  return RemoveVectorRecord(view, *type_, &schema_);
-}
-
-Status TupleCompactor::OnFlushEnd(Buffer* schema_blob) {
-  std::lock_guard<std::mutex> lock(mu_);
-  SerializeSchema(schema_, schema_blob);
-  return Status::OK();
-}
-
-Status TupleCompactor::OnRecoveredSchema(const Buffer& blob) {
-  return LoadSchema(blob);
-}
-
-Status TupleCompactor::TransformMerged(std::string_view payload, Buffer* out,
-                                       bool* rewritten) {
-  return ReEncode(payload, out, rewritten);
-}
-
-Status TupleCompactor::ReEncode(std::string_view payload, Buffer* out,
-                                bool* rewritten) {
-  VectorRecordView view(reinterpret_cast<const uint8_t*>(payload.data()),
-                        payload.size());
+  TC_RETURN_IF_ERROR(view.Validate());
   if (view.compacted()) {
     // Already on dictionary IDs. IDs are globally stable once assigned
     // (never reused, never renumbered), so the bytes are correct under every
@@ -50,15 +22,21 @@ Status TupleCompactor::ReEncode(std::string_view payload, Buffer* out,
   return Status::OK();
 }
 
-Status TupleCompactor::OnMergeEnd(const Buffer& newest_input_blob,
-                                  Buffer* schema_blob) {
-  // Persist the LIVE schema, not the newest input's: merge-time inference
-  // above may have assigned fresh FieldNameIDs that the merged component's
-  // records reference, and those assignments must be durable with them.
-  (void)newest_input_blob;
+Status TupleCompactor::OnRemovedVersion(std::string_view old_payload) {
   std::lock_guard<std::mutex> lock(mu_);
-  SerializeSchema(schema_, schema_blob);
+  VectorRecordView view(reinterpret_cast<const uint8_t*>(old_payload.data()),
+                        old_payload.size());
+  return RemoveVectorRecord(view, *type_, &schema_);
+}
+
+Status TupleCompactor::SchemaBlob(Buffer* out) {
+  std::lock_guard<std::mutex> lock(mu_);
+  SerializeSchema(schema_, out);
   return Status::OK();
+}
+
+Status TupleCompactor::OnRecoveredSchema(const Buffer& blob) {
+  return LoadSchema(blob);
 }
 
 Status TupleCompactor::LoadSchema(const Buffer& blob) {

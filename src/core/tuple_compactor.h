@@ -1,9 +1,10 @@
-// The tuple compactor (paper §3): a FlushTransformer that piggybacks on LSM
-// flush operations to (1) infer the schema of every flushed record by scanning
-// its vector-based tag/name vectors, (2) rewrite the record in compacted form
+// The tuple compactor (paper §3): the ComponentTransformer that piggybacks on
+// every component the LSM tree writes (flush, bulk load and merge) to
+// (1) infer the schema of every uncompacted record by scanning its
+// vector-based tag/name vectors, (2) rewrite the record in compacted form
 // with field names replaced by dictionary IDs, (3) process anti-schemas of
 // removed record versions, and (4) persist the inferred schema into the
-// flushed component's metadata page.
+// written component's metadata page.
 #ifndef TC_CORE_TUPLE_COMPACTOR_H_
 #define TC_CORE_TUPLE_COMPACTOR_H_
 
@@ -17,37 +18,29 @@
 
 namespace tc {
 
-class TupleCompactor final : public FlushTransformer, public MergeTransformer {
+class TupleCompactor final : public ComponentTransformer {
  public:
   /// `type` must outlive the compactor (it lives in DatasetOptions).
   explicit TupleCompactor(const DatasetType* type) : type_(type) {}
 
-  Status OnFlushBegin() override { return Status::OK(); }
-
   // The virtual overrides below are defined out of line in
-  // tuple_compactor.cpp; TransformLive is the class's key function, so the
+  // tuple_compactor.cpp; Transform is the class's key function, so the
   // vtable is emitted exactly once, in the tc library.
-  Status TransformLive(std::string_view payload, Buffer* out) override;
+
+  /// Compacted records pass through byte-identical (FieldNameIDs are
+  /// globally stable, so no decode is needed); uncompacted records — every
+  /// memtable payload, and legacy payloads a merge rewrites (§3.1.1 extended
+  /// to merges) — are inferred into the live schema and compacted, with
+  /// `*rewritten` set. Thread-safe: concurrent merges and flush builds
+  /// serialize on the schema mutex per record.
+  Status Transform(std::string_view payload, Buffer* out,
+                   bool* rewritten) override;
+  /// All or nothing: a version the schema does not cover leaves it untouched.
   Status OnRemovedVersion(std::string_view old_payload) override;
-  Status OnFlushEnd(Buffer* schema_blob) override;
+  /// The live schema, so FieldNameIDs assigned while writing the component
+  /// are durable with the records that use them.
+  Status SchemaBlob(Buffer* out) override;
   Status OnRecoveredSchema(const Buffer& blob) override;
-
-  // MergeTransformer side (paper §3.1.1 extended to merges): surviving
-  // records are re-encoded against the newest inferred schema while the
-  // merge rewrites them anyway, so a dataset that ingested schemaless (or
-  // evolved mid-stream) converges to fully-compacted storage without a
-  // dedicated rewrite pass.
-  Status TransformMerged(std::string_view payload, Buffer* out,
-                         bool* rewritten) override;
-  Status OnMergeEnd(const Buffer& newest_input_blob,
-                    Buffer* schema_blob) override;
-
-  /// The merge pipeline's re-encode entry point: compacted records pass
-  /// through byte-identical (FieldNameIDs are globally stable, so no decode
-  /// is needed); uncompacted records are inferred into the live schema and
-  /// compacted, with `*rewritten` set. Thread-safe — concurrent merges and
-  /// flush builds serialize on the schema mutex per record.
-  Status ReEncode(std::string_view payload, Buffer* out, bool* rewritten);
 
   /// Crash recovery (paper §3.1.2): reload the newest valid component's
   /// persisted schema as the in-memory schema.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <functional>
 
 
 namespace tc {
@@ -767,22 +768,16 @@ Status FlushWalk(const VectorRecordView& view, const DatasetType& type,
   return Status::OK();
 }
 
-/// Accepts what the walk accepts and changes nothing.
-struct CheckVisitor {
-  struct Scope {};
-  Scope Root() { return {}; }
-  Status Item(const VectorRecordWalker::Item&, Scope, const TypeDescriptor*, Scope*) {
-    return Status::OK();
-  }
-  void Close(Scope*) {}
-};
-
 /// The anti-schema (paper §3.2.2, Figure 11), the inverse of FlushVisitor's
 /// inference: each value finds its node on the way down and gives back its
 /// occurrence on the way up (a scalar at once, a nested value at its
 /// kEndNest), pruning a node whose counter reaches zero and collapsing a
-/// union left with one variant.
-struct RemoveVisitor {
+/// union left with one variant. With `demand` set it is the check pass over
+/// the untouched schema instead: it only resolves, listing each node (and
+/// union) once per occurrence the record would give back — except nodes
+/// counting at least `max_demand`, the record's tag count, which no record
+/// this size can exhaust.
+struct AntiSchemaVisitor {
   struct Scope {
     SchemaNode* node = nullptr;        // null inside a declared field's subtree
     SchemaNode::Ptr* slot = nullptr;   // the cell holding `node` or its union
@@ -791,6 +786,8 @@ struct RemoveVisitor {
     uint32_t id = 0;                   // the field's FieldNameID there
   };
   Schema* schema;
+  std::vector<const SchemaNode*>* demand;  // null: the removal pass
+  uint64_t max_demand = 0;
 
   Scope Root() { return {schema->root()}; }
   Status Item(const VectorRecordWalker::Item& it, const Scope& parent,
@@ -833,6 +830,10 @@ struct RemoveVisitor {
                                 AdmTagName(s.node->tag()) + ", record has " +
                                 AdmTagName(it.tag));
     }
+    if (demand != nullptr) {
+      if (s.node->count() < max_demand) demand->push_back(s.node);
+      if (s.uni != nullptr && s.uni->count() < max_demand) demand->push_back(s.uni);
+    }
     if (IsNested(it.tag)) {
       *child = s;
     } else {
@@ -841,7 +842,7 @@ struct RemoveVisitor {
     return Status::OK();
   }
   void Close(Scope* s) {
-    if (s->node == nullptr) return;
+    if (s->node == nullptr || demand != nullptr) return;
     const AdmTag tag = s->node->tag();
     s->node->Decrement();
     if (s->uni != nullptr) {
@@ -874,16 +875,28 @@ Status InferAndCompactVectorRecord(const VectorRecordView& view,
 
 Status RemoveVectorRecord(const VectorRecordView& view, const DatasetType& type,
                           Schema* schema) {
-  // Checking the whole record first leaves the schema untouched by bytes the
-  // decoder rejects. A compacted record's FieldNameIDs resolve through the
-  // current schema, a superset of the one it was compacted under (IDs are
-  // stable).
-  CheckVisitor check;
+  // All or nothing: the check pass resolves the whole record against the
+  // untouched schema, and every node must count at least the occurrences the
+  // record gives back to it, so bytes the decoder rejects, a value the schema
+  // lacks and an over-removal all fail before the first decrement. A
+  // compacted record's FieldNameIDs resolve through the current schema, a
+  // superset of the one it was compacted under (IDs are stable).
+  TC_RETURN_IF_ERROR(view.Validate());
+  std::vector<const SchemaNode*> demand;
+  AntiSchemaVisitor check{schema, &demand, view.tag_count()};
   TC_RETURN_IF_ERROR(WalkRecordScopes(view, type, schema, &check));
   if (schema->root()->count() == 0) {
     return Status::Corruption("anti-schema applied to empty schema");
   }
-  RemoveVisitor remove{schema};
+  std::sort(demand.begin(), demand.end(), std::less<const SchemaNode*>());
+  for (size_t i = 0, j = 0; i < demand.size(); i = j) {
+    while (j < demand.size() && demand[j] == demand[i]) ++j;
+    if (demand[i]->count() < j - i) {
+      return Status::Corruption(
+          "anti-schema removes more occurrences than the schema counts");
+    }
+  }
+  AntiSchemaVisitor remove{schema, nullptr};
   TC_RETURN_IF_ERROR(WalkRecordScopes(view, type, schema, &remove));
   schema->root()->Decrement();
   schema->BumpVersion();

@@ -237,8 +237,9 @@ Status InferAndCompactVectorRecord(const VectorRecordView& view,
 /// vectors, for compacted and uncompacted records alike: decrements every
 /// schema node the record touches, prunes the nodes whose counter reaches
 /// zero and collapses a union left with one variant. No value is decoded.
-/// Bytes DecodeVectorRecord rejects leave `schema` unchanged; Corruption
-/// when the record reaches a field or type the schema lacks.
+/// All or nothing: Corruption, with `schema` unchanged, for bytes
+/// DecodeVectorRecord rejects, a record reaching a field or type the schema
+/// lacks, or one giving back more occurrences than a node counts.
 Status RemoveVectorRecord(const VectorRecordView& view, const DatasetType& type,
                           Schema* schema);
 

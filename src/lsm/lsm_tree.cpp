@@ -240,11 +240,6 @@ Result<std::unique_ptr<LsmTree>> LsmTree::Open(LsmTreeOptions options) {
   tree->opts_.max_pending_flush_builds =
       std::max<size_t>(1, tree->opts_.max_pending_flush_builds);
   tree->compressor_ = GetCompressor(tree->opts_.compression);
-  tree->transformer_ = tree->opts_.transformer != nullptr ? tree->opts_.transformer
-                                                          : &tree->identity_;
-  tree->merge_transformer_ = tree->opts_.merge_transformer != nullptr
-                                 ? tree->opts_.merge_transformer
-                                 : &tree->identity_merge_;
   tree->mem_ = std::make_shared<MemTable>();
   tree->reclaimer_ = std::make_shared<ComponentReclaimer>(tree->opts_.fs,
                                                           tree->opts_.cache);
@@ -267,8 +262,10 @@ Result<std::unique_ptr<LsmTree>> LsmTree::Open(LsmTreeOptions options) {
   // Reload the newest persisted schema BEFORE replaying the WAL: replayed
   // records must be compacted against the schema their on-disk siblings used,
   // keeping FieldNameIDs stable (§3.1.2).
-  TC_RETURN_IF_ERROR(
-      tree->transformer_->OnRecoveredSchema(tree->newest_schema_blob()));
+  if (tree->opts_.transformer != nullptr) {
+    TC_RETURN_IF_ERROR(
+        tree->opts_.transformer->OnRecoveredSchema(tree->newest_schema_blob()));
+  }
   if (tree->opts_.use_wal) {
     TC_RETURN_IF_ERROR(tree->ReplayWal());
   }
@@ -703,46 +700,108 @@ Status LsmTree::FlushLocked() {
   return BackgroundError();
 }
 
+// The one way a component is written, shared by flush, bulk load and merge.
+// Add passes each live payload through the tree's transformer (copying it
+// through without one) into the builder; Finish persists the transformer's
+// schema blob (`inherited_blob` without one), then finishes, marks valid and
+// opens the component. The stage clocks feed `counters` — transform, compress
+// and write; the merge times its own reads — or, for flush and bulk load,
+// nothing.
+class LsmTree::ComponentWriter {
+ public:
+  ComponentWriter(const LsmTree* tree, std::shared_ptr<const Compressor> codec,
+                  MergePipelineCounters* counters)
+      : tree_(tree),
+        codec_(std::move(codec)),
+        counters_(counters != nullptr ? counters : &untimed_) {}
+
+  Status Start(uint64_t cid_min, uint64_t cid_max) {
+    cid_min_ = cid_min;
+    cid_max_ = cid_max;
+    path_ = tree_->ComponentPath(cid_min, cid_max);
+    TC_ASSIGN_OR_RETURN(builder_, BtreeComponentBuilder::Create(
+                                      tree_->opts_.fs, path_,
+                                      tree_->opts_.page_size, codec_,
+                                      tree_->opts_.filter));
+    return Status::OK();
+  }
+
+  Status Add(const BtreeKey& key, bool anti, std::string_view payload) {
+    ComponentTransformer* transformer = tree_->opts_.transformer;
+    if (anti) {
+      payload = {};
+    } else if (transformer != nullptr) {
+      auto transform_t0 = std::chrono::steady_clock::now();
+      bool rewritten = false;
+      TC_RETURN_IF_ERROR(transformer->Transform(payload, &transformed_, &rewritten));
+      counters_->transform_usecs += ElapsedUsecs(transform_t0);
+      if (rewritten) {
+        ++counters_->records_recompacted;
+        counters_->bytes_recompacted += payload.size();
+      }
+      payload = std::string_view(reinterpret_cast<const char*>(transformed_.data()),
+                                 transformed_.size());
+    }
+    auto write_t0 = std::chrono::steady_clock::now();
+    TC_RETURN_IF_ERROR(builder_->Add(key, anti, payload));
+    write_wall_usecs_ += ElapsedUsecs(write_t0);
+    return Status::OK();
+  }
+
+  Result<std::shared_ptr<BtreeComponent>> Finish(const Buffer& inherited_blob) {
+    Buffer schema_blob;
+    if (tree_->opts_.transformer != nullptr) {
+      TC_RETURN_IF_ERROR(tree_->opts_.transformer->SchemaBlob(&schema_blob));
+    } else {
+      schema_blob = inherited_blob;
+    }
+    auto finish_t0 = std::chrono::steady_clock::now();
+    TC_RETURN_IF_ERROR(builder_->Finish(cid_min_, cid_max_, schema_blob));
+    TC_RETURN_IF_ERROR(builder_->MarkValid());
+    write_wall_usecs_ += ElapsedUsecs(finish_t0);
+    // Split the builder's wall time into its codec share and the rest.
+    counters_->compress_usecs = builder_->compress_nanos() / 1000;
+    counters_->write_usecs += write_wall_usecs_ > counters_->compress_usecs
+                                  ? write_wall_usecs_ - counters_->compress_usecs
+                                  : 0;
+    return BtreeComponent::Open(tree_->opts_.fs, tree_->opts_.cache, path_,
+                                tree_->opts_.page_size, codec_);
+  }
+
+ private:
+  const LsmTree* tree_;
+  std::shared_ptr<const Compressor> codec_;
+  MergePipelineCounters untimed_;
+  MergePipelineCounters* counters_;
+  uint64_t cid_min_ = 0;
+  uint64_t cid_max_ = 0;
+  std::string path_;
+  std::unique_ptr<BtreeComponentBuilder> builder_;
+  Buffer transformed_;
+  uint64_t write_wall_usecs_ = 0;
+};
+
 Result<std::shared_ptr<BtreeComponent>> LsmTree::BuildFlushComponent(
     const MemTable& mem, uint64_t cid) {
-  std::string path = ComponentPath(cid, cid);
-  TC_ASSIGN_OR_RETURN(auto builder,
-                      BtreeComponentBuilder::Create(opts_.fs, path,
-                                                    opts_.page_size, compressor_,
-                                                    opts_.filter));
-  TC_RETURN_IF_ERROR(transformer_->OnFlushBegin());
+  ComponentWriter writer(this, compressor_, /*counters=*/nullptr);
+  TC_RETURN_IF_ERROR(writer.Start(cid, cid));
   // Iteration needs no lock: `mem` is a sealed generation nothing mutates.
   // Transformer calls are serialized in generation order — at most one
   // flush build per tree at a time — because schema inference is stateful
   // and order-dependent (§3.1.1).
-  Buffer transformed;
   for (auto it = mem.begin(); it != mem.end(); ++it) {
     const MemTable::Entry& e = it->second;
-    if (e.has_old) {
-      TC_RETURN_IF_ERROR(transformer_->OnRemovedVersion(
+    if (e.has_old && opts_.transformer != nullptr) {
+      TC_RETURN_IF_ERROR(opts_.transformer->OnRemovedVersion(
           std::string_view(reinterpret_cast<const char*>(e.old_payload.data()),
                            e.old_payload.size())));
     }
-    if (e.anti) {
-      TC_RETURN_IF_ERROR(builder->Add(it->first, true, {}));
-    } else {
-      transformed.clear();
-      TC_RETURN_IF_ERROR(transformer_->TransformLive(
-          std::string_view(reinterpret_cast<const char*>(e.payload.data()),
-                           e.payload.size()),
-          &transformed));
-      TC_RETURN_IF_ERROR(builder->Add(
-          it->first, false,
-          std::string_view(reinterpret_cast<const char*>(transformed.data()),
-                           transformed.size())));
-    }
+    TC_RETURN_IF_ERROR(writer.Add(
+        it->first, e.anti,
+        std::string_view(reinterpret_cast<const char*>(e.payload.data()),
+                         e.payload.size())));
   }
-  Buffer schema_blob;
-  TC_RETURN_IF_ERROR(transformer_->OnFlushEnd(&schema_blob));
-  TC_RETURN_IF_ERROR(builder->Finish(cid, cid, schema_blob));
-  TC_RETURN_IF_ERROR(builder->MarkValid());
-  return BtreeComponent::Open(opts_.fs, opts_.cache, path, opts_.page_size,
-                              compressor_);
+  return writer.Finish(/*inherited_blob=*/{});
 }
 
 void LsmTree::FlushBuildJob(bool canceled) {
@@ -858,7 +917,6 @@ Result<LsmTree::MergePlan> LsmTree::DecideMergeLocked() {
 
 Result<std::shared_ptr<BtreeComponent>> LsmTree::BuildMergedComponent(
     const MergePlan& plan, MergePipelineCounters* counters) {
-  std::string path = ComponentPath(plan.cid_min, plan.cid_max);
   // Cold-level recompression: a bottom merge (tombstones dropping means this
   // component has nothing beneath it) is the tree's coldest, most-read-stable
   // data, so it can afford a heavier codec than the flush path. Readers are
@@ -871,15 +929,13 @@ Result<std::shared_ptr<BtreeComponent>> LsmTree::BuildMergedComponent(
     TC_CHECK(codec != nullptr);  // validated at Open
     counters->recompressed = true;
   }
-  TC_ASSIGN_OR_RETURN(auto builder,
-                      BtreeComponentBuilder::Create(opts_.fs, path,
-                                                    opts_.page_size, codec,
-                                                    opts_.filter));
+  ComponentWriter writer(this, codec, counters);
+  TC_RETURN_IF_ERROR(writer.Start(plan.cid_min, plan.cid_max));
   // Staged transformation pipeline over the k-way merge, newest component
   // winning on key ties: READ (cursor selection/advance) -> TRANSFORM (the
-  // merge transformer re-compacts each surviving live record against the
-  // newest inferred schema, §3.1.1) -> COMPRESS/WRITE (builder; the codec
-  // share is the builder's compress_nanos, subtracted from write wall time).
+  // transformer re-compacts each surviving live record against the newest
+  // inferred schema, §3.1.1) -> COMPRESS/WRITE (builder; the codec share is
+  // the builder's compress_nanos, subtracted from write wall time).
   // Per-stage wall time feeds LsmStats so the merge-pipeline CPU share is
   // observable (paper fig. 17's compaction-overhead axis).
   struct Cursor {
@@ -892,8 +948,6 @@ Result<std::shared_ptr<BtreeComponent>> LsmTree::BuildMergedComponent(
     TC_RETURN_IF_ERROR(it->SeekToFirst());
     if (it->Valid()) cursors.push_back({std::move(it), i});
   }
-  Buffer transformed;
-  uint64_t write_wall_usecs = 0;
   while (!cursors.empty()) {
     auto read_t0 = std::chrono::steady_clock::now();
     // Find the minimal key; among equals, the lowest rank (newest) wins.
@@ -907,29 +961,10 @@ Result<std::shared_ptr<BtreeComponent>> LsmTree::BuildMergedComponent(
     bool anti = cursors[best].it->anti();
     std::string_view payload = cursors[best].it->payload();
     counters->read_usecs += ElapsedUsecs(read_t0);
-    if (anti && plan.drop_tombstones) {
-      // Annihilated: the anti-matter entry and any older record both vanish.
-    } else if (anti) {
-      auto write_t0 = std::chrono::steady_clock::now();
-      TC_RETURN_IF_ERROR(builder->Add(key, true, {}));
-      write_wall_usecs += ElapsedUsecs(write_t0);
-    } else {
-      auto transform_t0 = std::chrono::steady_clock::now();
-      bool rewritten = false;
-      TC_RETURN_IF_ERROR(
-          merge_transformer_->TransformMerged(payload, &transformed,
-                                              &rewritten));
-      counters->transform_usecs += ElapsedUsecs(transform_t0);
-      if (rewritten) {
-        ++counters->records_recompacted;
-        counters->bytes_recompacted += payload.size();
-      }
-      auto write_t0 = std::chrono::steady_clock::now();
-      TC_RETURN_IF_ERROR(builder->Add(
-          key, false,
-          std::string_view(reinterpret_cast<const char*>(transformed.data()),
-                           transformed.size())));
-      write_wall_usecs += ElapsedUsecs(write_t0);
+    // Dropping tombstones annihilates the anti-matter entry and any older
+    // record alike.
+    if (!(anti && plan.drop_tombstones)) {
+      TC_RETURN_IF_ERROR(writer.Add(key, anti, payload));
     }
     auto adv_t0 = std::chrono::steady_clock::now();
     // Advance every cursor positioned at this key.
@@ -945,25 +980,11 @@ Result<std::shared_ptr<BtreeComponent>> LsmTree::BuildMergedComponent(
     }
     counters->read_usecs += ElapsedUsecs(adv_t0);
   }
-  // Persist the schema covering the merged set: by default the newest input's
-  // (superset) blob, but a live transformer substitutes its current in-memory
-  // schema so a full cascade leaves every component on the final schema even
-  // when the newest INPUT predates the last evolution (§3.1.1).
-  Buffer schema_blob;
-  TC_RETURN_IF_ERROR(merge_transformer_->OnMergeEnd(
-      plan.inputs.front()->meta().schema_blob, &schema_blob));
-  auto finish_t0 = std::chrono::steady_clock::now();
-  TC_RETURN_IF_ERROR(builder->Finish(plan.cid_min, plan.cid_max, schema_blob));
-  TC_RETURN_IF_ERROR(builder->MarkValid());
-  write_wall_usecs += ElapsedUsecs(finish_t0);
-  // Split the builder's wall time into its codec share and the rest.
-  counters->compress_usecs = builder->compress_nanos() / 1000;
-  counters->write_usecs +=
-      write_wall_usecs > counters->compress_usecs
-          ? write_wall_usecs - counters->compress_usecs
-          : 0;
-  return BtreeComponent::Open(opts_.fs, opts_.cache, path, opts_.page_size,
-                              codec);
+  // The schema covering the merged set: the transformer's live schema, so a
+  // full cascade leaves every component on the final schema even when the
+  // newest INPUT predates the last evolution (§3.1.1); without a transformer
+  // the newest input's (superset) blob.
+  return writer.Finish(plan.inputs.front()->meta().schema_blob);
 }
 
 void LsmTree::InstallMergedLocked(const MergePlan& plan,
@@ -1042,11 +1063,11 @@ double LsmTree::ScoreMergePlanLocked(const MergePlan& plan) const {
   uint64_t recompressible = 0;
   // "Newest schema" = the newest component in the whole tree, not the plan:
   // a merge whose inputs agree with each other but lag the tree still
-  // rewrites onto the in-memory schema via OnMergeEnd.
+  // persists the transformer's live schema.
   const Buffer* newest_schema = components_.empty()
                                     ? nullptr
                                     : &components_.front()->meta().schema_blob;
-  bool transforming = merge_transformer_ != &identity_merge_;
+  bool transforming = opts_.transformer != nullptr;
   bool recompressing = plan.drop_tombstones &&
                        opts_.merge_recompress != CompressionKind::kNone;
   for (const auto& c : plan.inputs) {
@@ -1190,28 +1211,12 @@ Status LsmTree::BulkLoad(
     }
   }
   uint64_t cid = next_cid_++;
-  std::string path = ComponentPath(cid, cid);
-  TC_ASSIGN_OR_RETURN(auto builder,
-                      BtreeComponentBuilder::Create(opts_.fs, path,
-                                                    opts_.page_size, compressor_,
-                                                    opts_.filter));
-  TC_RETURN_IF_ERROR(transformer_->OnFlushBegin());
-  Buffer transformed;
+  ComponentWriter writer(this, compressor_, /*counters=*/nullptr);
+  TC_RETURN_IF_ERROR(writer.Start(cid, cid));
   TC_RETURN_IF_ERROR(feed([&](const BtreeKey& key, std::string_view payload) {
-    transformed.clear();
-    TC_RETURN_IF_ERROR(transformer_->TransformLive(payload, &transformed));
-    return builder->Add(
-        key, false,
-        std::string_view(reinterpret_cast<const char*>(transformed.data()),
-                         transformed.size()));
+    return writer.Add(key, /*anti=*/false, payload);
   }));
-  Buffer schema_blob;
-  TC_RETURN_IF_ERROR(transformer_->OnFlushEnd(&schema_blob));
-  TC_RETURN_IF_ERROR(builder->Finish(cid, cid, schema_blob));
-  TC_RETURN_IF_ERROR(builder->MarkValid());
-  TC_ASSIGN_OR_RETURN(auto comp,
-                      BtreeComponent::Open(opts_.fs, opts_.cache, path,
-                                           opts_.page_size, compressor_));
+  TC_ASSIGN_OR_RETURN(auto comp, writer.Finish(/*inherited_blob=*/{}));
   std::lock_guard<std::mutex> lock(mu_);
   // Bulk loads get their own stat: folding them into flush_count /
   // bytes_flushed inflated WriteAmplification() (and the fig17 policy axis)

@@ -1,9 +1,11 @@
 // One partition's LSM index (paper §2.2): an in-memory component plus a list
 // of immutable on-disk components, with flush, merge (selectable policy),
-// anti-matter deletes, WAL-backed recovery, and the flush-time transformer
-// hook the tuple compactor plugs into (§3.1). The LSM tree itself is
-// format-agnostic: payloads are opaque bytes; the transformer decides whether
-// flushes infer schemas and compact records.
+// anti-matter deletes, WAL-backed recovery, and the transformer hook the
+// tuple compactor plugs into (§3.1). The LSM tree itself is format-agnostic:
+// payloads are opaque bytes. Flush, bulk load and merge write every component
+// through one build tail (ComponentWriter) that passes each live payload
+// through the one ComponentTransformer, which decides whether records are
+// inferred and compacted and which schema blob the component persists.
 //
 // Concurrency model (snapshot reads + concurrent background work, ROADMAP
 // "Parallelism"):
@@ -72,64 +74,34 @@ namespace tc {
 /// IngestFrontEnd) takes a batch of ops of one kind.
 enum class WriteOp : uint8_t { kInsert, kUpsert, kDelete };
 
-/// Flush-lifecycle hook (paper §3.1): the tuple compactor implements this to
-/// piggyback schema inference and record compaction on flush operations.
-class FlushTransformer {
+/// The one hook on every component the tree writes (paper §3.1): flush,
+/// bulk load and merge stream each live payload through Transform, so the
+/// tuple compactor piggybacks schema inference and record compaction on
+/// every rewrite (after Mycelium's transformation-embedded LSM-tree). Calls
+/// may come from a flush build and several merges at once, so an
+/// implementation must be thread-safe.
+class ComponentTransformer {
  public:
-  virtual ~FlushTransformer() = default;
-  /// Called before the first entry of a flush/bulk-load streams through.
-  virtual Status OnFlushBegin() { return Status::OK(); }
-  /// Rewrites a live record for on-disk storage (e.g., infer + compact).
-  virtual Status TransformLive(std::string_view payload, Buffer* out) {
-    out->assign(payload.begin(), payload.end());
-    return Status::OK();
-  }
-  /// Processes the anti-schema of a removed on-disk record version (§3.2.2).
-  virtual Status OnRemovedVersion(std::string_view /*old_payload*/) {
-    return Status::OK();
-  }
-  /// Produces the schema blob persisted in the component's metadata page;
-  /// leave empty for datasets without inferred schemas.
-  virtual Status OnFlushEnd(Buffer* /*schema_blob*/) { return Status::OK(); }
+  virtual ~ComponentTransformer() = default;
+  /// Rewrites one live payload for the component being written into `out`.
+  /// `*rewritten` (when non-null) is set iff `out` differs from `payload` —
+  /// merges count those records as re-compacted.
+  virtual Status Transform(std::string_view payload, Buffer* out,
+                           bool* rewritten) = 0;
+  /// Processes the anti-schema of a removed on-disk record version (§3.2.2);
+  /// the flush build calls it before transforming the entry's new version.
+  virtual Status OnRemovedVersion(std::string_view old_payload) = 0;
+  /// The schema blob persisted in the metadata page of the component just
+  /// written (empty for datasets without inferred schemas). A crash between a
+  /// merge's write and a concurrently-inferring flush build's install can
+  /// persist counters for records that replay re-infers — counter inflation
+  /// (pruning runs later than ideal), never a decode error.
+  virtual Status SchemaBlob(Buffer* out) = 0;
   /// Called during startup after on-disk components are recovered and before
   /// the WAL is replayed: `blob` is the newest valid component's schema
   /// (paper §3.1.2 — recovery reloads the schema, then replays the log, and
-  /// the replayed memtable flushes through the compactor normally).
-  virtual Status OnRecoveredSchema(const Buffer& /*blob*/) { return Status::OK(); }
-};
-
-/// Merge-lifecycle hook (FlushTransformer's sibling): lets the tuple
-/// compactor piggyback on the read+rewrite a merge already pays (ROADMAP
-/// "Transformation-embedded merges", after Mycelium) — surviving tuples are
-/// re-encoded against the NEWEST inferred schema instead of keeping whatever
-/// stale layout their source component flushed with. Implementations must be
-/// thread-safe: several merges (and flush builds) may transform concurrently.
-class MergeTransformer {
- public:
-  virtual ~MergeTransformer() = default;
-  /// Rewrites one surviving record for the merged component. `*rewritten`
-  /// (when non-null) is set true iff `out` differs from `payload` — feeds the
-  /// bytes-recompacted stat. The default is splice semantics: bytes through,
-  /// untouched.
-  virtual Status TransformMerged(std::string_view payload, Buffer* out,
-                                 bool* rewritten) {
-    out->assign(payload.begin(), payload.end());
-    if (rewritten != nullptr) *rewritten = false;
-    return Status::OK();
-  }
-  /// Produces the merged component's schema blob. `newest_input_blob` is the
-  /// newest input component's blob (what a splice merge would persist); the
-  /// compactor overrides it with its LIVE schema so field-name IDs assigned
-  /// by merge-time inference are durable. A crash between this write and a
-  /// concurrently-inferring flush build's install can persist counters for
-  /// records that replay re-infers — pure counter inflation (pruning runs
-  /// later than ideal), never a decode error: queries resolve against the
-  /// partition-wide live schema.
-  virtual Status OnMergeEnd(const Buffer& newest_input_blob,
-                            Buffer* schema_blob) {
-    *schema_blob = newest_input_blob;
-    return Status::OK();
-  }
+  /// the replayed memtable flushes through the transformer normally).
+  virtual Status OnRecoveredSchema(const Buffer& blob) = 0;
 };
 
 struct LsmTreeOptions {
@@ -146,11 +118,10 @@ struct LsmTreeOptions {
   bool use_wal = true;
   /// fdatasync cadence for the WAL; 0 disables syncing (bulk loads, benches).
   size_t wal_sync_every = 0;
-  /// Not owned; identity behaviour when null.
-  FlushTransformer* transformer = nullptr;
-  /// Merge-time transformation hook (not owned; null = splice semantics,
-  /// payloads copied byte-for-byte as before).
-  MergeTransformer* merge_transformer = nullptr;
+  /// Hook on every component write (not owned). Null copies payloads
+  /// through byte for byte; flushes and bulk loads then persist an empty
+  /// schema blob, and merges the newest input's.
+  ComponentTransformer* transformer = nullptr;
   /// Cold-level recompression: components produced by BOTTOM merges — plans
   /// covering the oldest component, whose output is read-mostly from then
   /// on — are written with this heavier codec instead of `compression`.
@@ -224,16 +195,16 @@ struct LsmStats {
   /// by max_pending_flush_builds; 1 once a caller-runs tree has flushed).
   uint64_t flush_queue_high_water = 0;
 
-  // Merge transformation pipeline (ISSUE 10): per-stage CPU inside the merge
-  // rewrite loop, attributable instead of one opaque number. read = cursor
-  // advance over the inputs; transform = MergeTransformer re-encoding;
+  // Merge transformation pipeline: per-stage CPU inside the merge rewrite
+  // loop, attributable instead of one opaque number. read = cursor advance
+  // over the inputs; transform = the ComponentTransformer's re-encoding;
   // compress = codec time inside the builder's page writes; write = builder
   // Add/Finish minus the codec time.
   uint64_t merge_read_usecs = 0;
   uint64_t merge_transform_usecs = 0;
   uint64_t merge_compress_usecs = 0;
   uint64_t merge_write_usecs = 0;
-  /// Surviving records whose payload the merge transformer actually rewrote
+  /// Surviving records whose payload the transformer actually rewrote
   /// (re-compacted against a newer schema), and their input payload bytes.
   uint64_t merge_records_recompacted = 0;
   uint64_t merge_bytes_recompacted = 0;
@@ -574,10 +545,14 @@ class LsmTree {
   // submits its build and schedules merges; returns the sticky background
   // error (caller-runs jobs have finished by then).
   Status FlushLocked();
-  // Streams one sealed generation through the transformer into a component
-  // file. Runs inside FlushBuildJob — at most one flush build per tree at a
-  // time, in generation order, because the transformer is stateful and
-  // schema evolution is order-dependent.
+  // The one way a component is written — flush, bulk load and merge each
+  // stream their entries through one, which passes every live payload
+  // through the transformer (defined in lsm_tree.cpp).
+  class ComponentWriter;
+  // Streams one sealed generation into a component file, processing the
+  // anti-schema of each replaced on-disk version first. Runs inside
+  // FlushBuildJob — at most one flush build per tree at a time, in
+  // generation order, because schema evolution is order-dependent.
   Result<std::shared_ptr<BtreeComponent>> BuildFlushComponent(
       const MemTable& mem, uint64_t cid);
   // Flush job: builds the oldest queued generation, installs it, reschedules
@@ -636,10 +611,6 @@ class LsmTree {
 
   LsmTreeOptions opts_;
   std::shared_ptr<const Compressor> compressor_;
-  FlushTransformer identity_;
-  FlushTransformer* transformer_ = nullptr;
-  MergeTransformer identity_merge_;
-  MergeTransformer* merge_transformer_ = nullptr;
 
   // Serializes writers (Write/Flush/BulkLoad/DestroyAll) end to end: WAL
   // append, memtable update, generation swaps. Readers and pool jobs never

@@ -240,10 +240,9 @@ std::unique_ptr<MergePolicy> MakeMergePolicy(const MergePolicyConfig& config) {
       return MakePrefixMergePolicy(config.max_mergeable_bytes,
                                    config.max_tolerance_count);
     case MergePolicyKind::kTiered:
-      return MakeTieredMergePolicy(config.size_ratio, config.min_merge_width);
+      return MakeTieredMergePolicy(/*size_ratio=*/4, /*min_merge_width=*/4);
     case MergePolicyKind::kLazyLeveled:
-      return MakeLazyLeveledMergePolicy(config.size_ratio,
-                                        config.min_merge_width);
+      return MakeLazyLeveledMergePolicy(/*size_ratio=*/4, /*min_merge_width=*/4);
   }
   return MakePrefixMergePolicy(config.max_mergeable_bytes,
                                config.max_tolerance_count);

@@ -81,9 +81,10 @@ enum class MergePolicyKind {
   kLazyLeveled,
 };
 
-/// Background-scheduling defaults, shared by MergePolicyConfig (the
-/// dataset-level knob bag) and LsmTreeOptions (directly-opened trees) so the
-/// two entry points cannot silently drift apart.
+/// Background-scheduling defaults. kDefaultMaxConcurrentMerges is shared by
+/// MergePolicyConfig (the dataset-level knob bag) and LsmTreeOptions
+/// (directly-opened trees) so the two entry points cannot silently drift
+/// apart; every dataset tree queues kDefaultMaxPendingFlushBuilds.
 inline constexpr size_t kDefaultMaxConcurrentMerges = 4;
 inline constexpr size_t kDefaultMaxPendingFlushBuilds = 2;
 
@@ -97,19 +98,14 @@ bool ParseMergePolicyKind(std::string_view text, MergePolicyKind* out);
 /// tree of a partition (primary, primary-key index, secondary index).
 struct MergePolicyConfig {
   MergePolicyKind kind = MergePolicyKind::kPrefix;
-  // Prefix knobs (paper Figure 17 configuration).
+  // Prefix knobs (paper Figure 17 configuration). Tiered and lazy-leveled
+  // run with size ratio 4 and merge width 4.
   uint64_t max_mergeable_bytes = 32ull << 20;
   size_t max_tolerance_count = 5;
-  // Tiered / lazy-leveled knobs.
-  size_t size_ratio = 4;
-  size_t min_merge_width = 4;
-  // Background-scheduling (not policy) knobs, carried here because this
+  // Background-scheduling (not policy) knob, carried here because this
   // config already reaches every LSM tree: cap on merges of one tree
-  // scheduled at once, and the flush-build backpressure bound (sealed
-  // generations that may queue for their component build before writers
-  // stall). Both >= 1.
+  // scheduled at once (>= 1).
   size_t max_concurrent_merges = kDefaultMaxConcurrentMerges;
-  size_t max_pending_flush_builds = kDefaultMaxPendingFlushBuilds;
 };
 
 std::unique_ptr<MergePolicy> MakeMergePolicy(const MergePolicyConfig& config);

@@ -1,7 +1,7 @@
 // Additional edge-case and property coverage on top of the per-module suites:
 // walker structure invariants, iterator seeks, single-thread executor
 // equivalence, bulk-load index maintenance, the benches' environment reader,
-// and failure-injection around the flush transformer.
+// and failure-injection around the component transformer.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -159,7 +159,7 @@ TEST(Dataset, SchemaCountersStayExactUnderBulkThenMutate) {
             "{tag:string(10)}(10)");
 }
 
-TEST(FlushTransformer, CorruptPayloadFailsFlushSafely) {
+TEST(ComponentTransformer, CorruptPayloadFailsFlushSafely) {
   // A corrupt record payload must fail the flush with a Status (never abort),
   // and the dataset must remain usable.
   DatasetFixture fx;

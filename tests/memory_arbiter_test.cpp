@@ -310,16 +310,25 @@ TEST(MemoryArbiter, TreeWithoutArbiterFlushesAtItsBudget) {
 
 // --- Teardown ordering -------------------------------------------------------
 
-// Blocks every flush build in OnFlushBegin until the test releases it.
-class LatchedFlushTransformer : public FlushTransformer {
+// Parks the flush build at its first Transform call until the test releases
+// it; copies payloads through.
+class LatchedFlushTransformer : public ComponentTransformer {
  public:
-  Status OnFlushBegin() override {
-    std::unique_lock<std::mutex> lock(mu_);
-    entered_ = true;
-    cv_.notify_all();
-    cv_.wait(lock, [this] { return released_; });
+  Status Transform(std::string_view payload, Buffer* out,
+                   bool* rewritten) override {
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      entered_ = true;
+      cv_.notify_all();
+      cv_.wait(lock, [this] { return released_; });
+    }
+    out->assign(payload.begin(), payload.end());
+    if (rewritten != nullptr) *rewritten = false;
     return Status::OK();
   }
+  Status OnRemovedVersion(std::string_view) override { return Status::OK(); }
+  Status SchemaBlob(Buffer*) override { return Status::OK(); }
+  Status OnRecoveredSchema(const Buffer&) override { return Status::OK(); }
   void WaitEntered() {
     std::unique_lock<std::mutex> lock(mu_);
     cv_.wait(lock, [this] { return entered_; });

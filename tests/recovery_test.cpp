@@ -446,7 +446,7 @@ TEST(Recovery, CrashMidMergeRewriteRecoversTransformedHeavyComponent) {
     return b;
   };
   // Phase 1: two components of UNCOMPACTED vector records (schemaless
-  // ingest: no flush transformer), plain codec, no merging.
+  // ingest: no transformer), plain codec, no merging.
   {
     auto opts = BaseOptions(fs, &cache);
     opts.merge_policy = MakeNoMergePolicy();
@@ -467,13 +467,14 @@ TEST(Recovery, CrashMidMergeRewriteRecoversTransformedHeavyComponent) {
   }
   ASSERT_FALSE(snapshot.empty());
   // Phase 2: one more flush triggers the full-cascade merge, with the tuple
-  // compactor as merge transformer and heavy recompression of the bottom
-  // output. The merge re-encodes every schemaless survivor.
+  // compactor as the tree's transformer and heavy recompression of the
+  // bottom output. The flush compacts record 8 itself; the merge re-encodes
+  // the eight schemaless survivors.
   {
     TupleCompactor compactor(&type);
     auto opts = BaseOptions(fs, &cache);
     opts.merge_policy = MakePrefixMergePolicy(UINT64_MAX, 1);
-    opts.merge_transformer = &compactor;
+    opts.transformer = &compactor;
     opts.merge_recompress = CompressionKind::kHeavy;
     auto t = LsmTree::Open(std::move(opts)).ValueOrDie();
     Buffer p = payload_for(8);
@@ -481,7 +482,7 @@ TEST(Recovery, CrashMidMergeRewriteRecoversTransformedHeavyComponent) {
     ASSERT_TRUE(t->Flush().ok());  // caller-runs: flush then merge [0..8]
     LsmStats s = t->stats();
     ASSERT_EQ(s.merge_count, 1u);
-    EXPECT_EQ(s.merge_records_recompacted, 9u);
+    EXPECT_EQ(s.merge_records_recompacted, 8u);
     EXPECT_EQ(s.merge_components_recompressed, 1u);
   }
   // Simulate the crash: resurrect the (already deleted) merge inputs next to

@@ -24,9 +24,11 @@ struct CompactorFixture {
   Buffer FlushOne(const AdmValue& rec) {
     Buffer raw = EncodeRaw(rec);
     Buffer out;
-    Status st = compactor.TransformLive(
+    bool rewritten = false;
+    Status st = compactor.Transform(
         std::string_view(reinterpret_cast<const char*>(raw.data()), raw.size()),
-        &out);
+        &out, &rewritten);
+    EXPECT_TRUE(rewritten);
     EXPECT_TRUE(st.ok()) << st.ToString();
     return out;
   }
@@ -34,11 +36,10 @@ struct CompactorFixture {
 
 TEST(TupleCompactor, Figure9FlushFlow) {
   CompactorFixture fx;
-  ASSERT_TRUE(fx.compactor.OnFlushBegin().ok());
   (void)fx.FlushOne(R(R"({"id": 0, "name": "Kim", "age": 26})"));
   (void)fx.FlushOne(R(R"({"id": 1, "name": "John", "age": 22})"));
   Buffer s0;
-  ASSERT_TRUE(fx.compactor.OnFlushEnd(&s0).ok());
+  ASSERT_TRUE(fx.compactor.SchemaBlob(&s0).ok());
   EXPECT_EQ(fx.compactor.Snapshot().ToString(),
             "{name:string(2), age:bigint(2)}(2)");
 
@@ -46,7 +47,7 @@ TEST(TupleCompactor, Figure9FlushFlow) {
   (void)fx.FlushOne(R(R"({"id": 2, "name": "Ann"})"));
   (void)fx.FlushOne(R(R"({"id": 3, "name": "Bob", "age": "old"})"));
   Buffer s1;
-  ASSERT_TRUE(fx.compactor.OnFlushEnd(&s1).ok());
+  ASSERT_TRUE(fx.compactor.SchemaBlob(&s1).ok());
   EXPECT_EQ(fx.compactor.Snapshot().ToString(),
             "{name:string(4), age:union(3)<bigint(2)|string(1)>}(4)");
   EXPECT_GT(s1.size(), 0u);
@@ -84,11 +85,30 @@ TEST(TupleCompactor, AntiSchemaOnRemovedVersion) {
   EXPECT_EQ(fx.compactor.Snapshot().ToString(), "{shared:bigint(1)}(1)");
 }
 
+TEST(TupleCompactor, FailedRemovedVersionLeavesSchemaUnchanged) {
+  // An old version the live schema does not cover (here: a field it never
+  // saw, after fields it did) fails the flush's anti-schema step without
+  // giving back the occurrences of the fields before the mismatch.
+  CompactorFixture fx;
+  (void)fx.FlushOne(R(R"({"id": 1, "a": 1, "x": [1]})"));
+  const Schema before = fx.compactor.Snapshot();
+  for (const char* old : {R"({"id": 1, "a": 1, "b": 2})",
+                          R"({"id": 1, "a": 1, "x": [1, 2, 3]})"}) {
+    SCOPED_TRACE(old);
+    Buffer raw = fx.EncodeRaw(R(old));
+    Status st = fx.compactor.OnRemovedVersion(
+        std::string_view(reinterpret_cast<const char*>(raw.data()), raw.size()));
+    EXPECT_TRUE(st.IsCorruption()) << st.ToString();
+    EXPECT_TRUE(fx.compactor.Snapshot().Equals(before))
+        << fx.compactor.Snapshot().ToString();
+  }
+}
+
 TEST(TupleCompactor, LoadSchemaRestoresState) {
   CompactorFixture fx;
   (void)fx.FlushOne(R(R"({"id": 1, "x": 1.5, "y": [true]})"));
   Buffer blob;
-  ASSERT_TRUE(fx.compactor.OnFlushEnd(&blob).ok());
+  ASSERT_TRUE(fx.compactor.SchemaBlob(&blob).ok());
 
   DatasetType type2 = DatasetType::OpenWithPk("id");
   TupleCompactor restored(&type2);
@@ -101,10 +121,10 @@ TEST(TupleCompactor, LoadSchemaRestoresState) {
                   .ok());
   Buffer out;
   ASSERT_TRUE(restored
-                  .TransformLive(std::string_view(
-                                     reinterpret_cast<const char*>(raw.data()),
-                                     raw.size()),
-                                 &out)
+                  .Transform(std::string_view(
+                                 reinterpret_cast<const char*>(raw.data()),
+                                 raw.size()),
+                             &out, nullptr)
                   .ok());
   EXPECT_EQ(restored.Snapshot().ToString(), "{x:double(2), y:array(2)<boolean(2)>}(2)");
 }

@@ -268,6 +268,63 @@ TEST(VectorFormat, RemoveLeavesSchemaUntouchedOnUndecodableBytes) {
             "{a:bigint(1), b:{c:string(1)}(1), d:array(1)<bigint(2)>}(1)");
 }
 
+TEST(VectorFormat, RemoveIsAllOrNothingOnSchemaMismatch) {
+  // A decodable record the schema does not cover fails the anti-schema
+  // before its first decrement: neither the fields before a field the
+  // schema lacks nor the items an array holds beyond the schema's counter
+  // may have been given back.
+  DatasetType type = PkType();
+  struct Case {
+    std::vector<const char*> inferred;  // builds the schema
+    const char* removed_first;          // removed before the mismatch
+    const char* mismatch;
+  };
+  const Case cases[] = {
+      // "b" was never seen (compacted, its FieldNameID is not the schema's).
+      {{R"({"id": 1, "a": 1})"}, nullptr, R"({"id": 2, "a": 1, "b": 2})"},
+      // "b" is in the dictionary (compacted IDs resolve) but not the schema.
+      {{R"({"id": 1, "a": 1, "b": 2})", R"({"id": 1, "a": 1})"},
+       R"({"id": 1, "a": 1, "b": 2})",
+       R"({"id": 2, "a": 1, "b": 2})"},
+      // Three items against a counter of one.
+      {{R"({"id": 1, "x": [1]})"}, nullptr, R"({"id": 1, "x": [1, 2, 3]})"},
+  };
+  for (const Case& c : cases) {
+    for (bool compacted : {false, true}) {
+      SCOPED_TRACE(std::string(c.mismatch) + (compacted ? " compacted" : ""));
+      Schema schema;
+      for (const char* text : c.inferred) {
+        Buffer raw = Encode(R(text), type);
+        ASSERT_TRUE(
+            InferVectorRecord(VectorRecordView(raw.data(), raw.size()), type, &schema)
+                .ok());
+      }
+      if (c.removed_first != nullptr) {
+        Buffer raw = Encode(R(c.removed_first), type);
+        ASSERT_TRUE(
+            RemoveVectorRecord(VectorRecordView(raw.data(), raw.size()), type, &schema)
+                .ok());
+      }
+      Buffer bytes = Encode(R(c.mismatch), type);
+      if (compacted) {
+        // Compacted against a copy, so the FieldNameIDs are the schema's own.
+        Schema other = schema.Clone();
+        Buffer out;
+        ASSERT_TRUE(InferAndCompactVectorRecord(
+                        VectorRecordView(bytes.data(), bytes.size()), type, &other,
+                        &out)
+                        .ok());
+        bytes = std::move(out);
+      }
+      const Schema before = schema.Clone();
+      Status st =
+          RemoveVectorRecord(VectorRecordView(bytes.data(), bytes.size()), type, &schema);
+      EXPECT_TRUE(st.IsCorruption()) << st.ToString();
+      EXPECT_TRUE(schema.Equals(before)) << schema.ToString();
+    }
+  }
+}
+
 TEST(VectorFormat, CompactedSavesVersusAdmNames) {
   // A record dominated by field names must shrink substantially on compaction
   // (the "semantic" savings of §4.2).
