@@ -93,11 +93,6 @@ Status ComponentReclaimer::sticky_error() const {
   return sticky_error_;
 }
 
-size_t ComponentReclaimer::pending_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return retired_.size();
-}
-
 // ---------------------------------------------------------------------------
 // ReadView
 // ---------------------------------------------------------------------------
@@ -454,31 +449,13 @@ Status LsmTree::BackgroundError() const {
   return BackgroundErrorLocked();
 }
 
-std::optional<MemTable::ScanEntry> LsmTree::FindPendingFlushEntry(
-    const BtreeKey& key) const {
-  std::vector<std::shared_ptr<MemTable>> pending;  // newest first
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (flush_queue_.empty()) return std::nullopt;
-    pending.reserve(flush_queue_.size());
-    for (auto it = flush_queue_.rbegin(); it != flush_queue_.rend(); ++it) {
-      pending.push_back(it->mem);
-    }
-  }
-  for (const auto& mem : pending) {
-    std::optional<MemTable::ScanEntry> hit = mem->Find(key);
-    if (hit.has_value()) return hit;
-  }
-  return std::nullopt;
-}
-
 Result<std::optional<Buffer>> LsmTree::CaptureOldVersion(const BtreeKey& key) {
-  std::optional<MemTable::ScanEntry> pending = FindPendingFlushEntry(key);
-  if (pending.has_value()) {
-    if (pending->anti || pending->payload.empty()) {
-      return std::optional<Buffer>{};
-    }
-    return std::optional<Buffer>{std::move(pending->payload)};
+  ReadView view = View();
+  for (const auto& mem : view.pending_memtables()) {  // newest first
+    std::optional<MemTable::ScanEntry> hit = mem->Find(key);
+    if (!hit.has_value()) continue;
+    if (hit->anti || hit->payload.empty()) return std::optional<Buffer>{};
+    return std::optional<Buffer>{std::move(hit->payload)};
   }
   // Every old-version capture consults the existence filter (the pk index):
   // a false answer proves there is no on-disk version, so the B-tree probes
@@ -488,7 +465,7 @@ Result<std::optional<Buffer>> LsmTree::CaptureOldVersion(const BtreeKey& key) {
     return std::optional<Buffer>{};
   }
   counters_->old_version_lookups.fetch_add(1, std::memory_order_relaxed);
-  return View().GetDiskVersion(key);
+  return view.GetDiskVersion(key);
 }
 
 Status LsmTree::Write(WriteOp op, Span<const MemPutOp> ops,
@@ -931,54 +908,26 @@ Result<std::shared_ptr<BtreeComponent>> LsmTree::BuildMergedComponent(
   }
   ComponentWriter writer(this, codec, counters);
   TC_RETURN_IF_ERROR(writer.Start(plan.cid_min, plan.cid_max));
-  // Staged transformation pipeline over the k-way merge, newest component
-  // winning on key ties: READ (cursor selection/advance) -> TRANSFORM (the
-  // transformer re-compacts each surviving live record against the newest
-  // inferred schema, §3.1.1) -> COMPRESS/WRITE (builder; the codec share is
-  // the builder's compress_nanos, subtracted from write wall time).
-  // Per-stage wall time feeds LsmStats so the merge-pipeline CPU share is
-  // observable (paper fig. 17's compaction-overhead axis).
-  struct Cursor {
-    std::unique_ptr<BtreeComponent::Iterator> it;
-    size_t rank;  // lower == newer
-  };
-  std::vector<Cursor> cursors;
-  for (size_t i = 0; i < plan.inputs.size(); ++i) {
-    auto it = std::make_unique<BtreeComponent::Iterator>(plan.inputs[i].get());
-    TC_RETURN_IF_ERROR(it->SeekToFirst());
-    if (it->Valid()) cursors.push_back({std::move(it), i});
-  }
-  while (!cursors.empty()) {
-    auto read_t0 = std::chrono::steady_clock::now();
-    // Find the minimal key; among equals, the lowest rank (newest) wins.
-    size_t best = 0;
-    for (size_t i = 1; i < cursors.size(); ++i) {
-      const BtreeKey& k = cursors[i].it->key();
-      const BtreeKey& bk = cursors[best].it->key();
-      if (k < bk || (k == bk && cursors[i].rank < cursors[best].rank)) best = i;
-    }
-    BtreeKey key = cursors[best].it->key();
-    bool anti = cursors[best].it->anti();
-    std::string_view payload = cursors[best].it->payload();
-    counters->read_usecs += ElapsedUsecs(read_t0);
+  // Staged transformation pipeline over the newest-version cursor: READ
+  // (positioning and advancing it) -> TRANSFORM (the transformer re-compacts
+  // each surviving live record against the newest inferred schema, §3.1.1)
+  // -> COMPRESS/WRITE (builder; the codec share is the builder's
+  // compress_nanos, subtracted from write wall time). Per-stage wall time
+  // feeds LsmStats so the merge-pipeline CPU share is observable (paper fig.
+  // 17's compaction-overhead axis).
+  Cursor cursor({}, plan.inputs, std::nullopt);
+  auto read_t0 = std::chrono::steady_clock::now();
+  TC_RETURN_IF_ERROR(cursor.SeekToFirst());
+  counters->read_usecs += ElapsedUsecs(read_t0);
+  while (cursor.Valid()) {
     // Dropping tombstones annihilates the anti-matter entry and any older
     // record alike.
-    if (!(anti && plan.drop_tombstones)) {
-      TC_RETURN_IF_ERROR(writer.Add(key, anti, payload));
+    if (!(cursor.anti() && plan.drop_tombstones)) {
+      TC_RETURN_IF_ERROR(writer.Add(cursor.key(), cursor.anti(), cursor.payload()));
     }
-    auto adv_t0 = std::chrono::steady_clock::now();
-    // Advance every cursor positioned at this key.
-    for (size_t i = 0; i < cursors.size();) {
-      if (cursors[i].it->key() == key) {
-        TC_RETURN_IF_ERROR(cursors[i].it->Next());
-        if (!cursors[i].it->Valid()) {
-          cursors.erase(cursors.begin() + static_cast<ptrdiff_t>(i));
-          continue;
-        }
-      }
-      ++i;
-    }
-    counters->read_usecs += ElapsedUsecs(adv_t0);
+    auto next_t0 = std::chrono::steady_clock::now();
+    TC_RETURN_IF_ERROR(cursor.Next());
+    counters->read_usecs += ElapsedUsecs(next_t0);
   }
   // The schema covering the merged set: the transformer's live schema, so a
   // full cascade leaves every component on the final schema even when the
@@ -1266,8 +1215,85 @@ Status LsmTree::DestroyAll() {
 }
 
 // ---------------------------------------------------------------------------
-// Merged iterator
+// Newest-version cursor and the merged iterator
 // ---------------------------------------------------------------------------
+
+LsmTree::Cursor::Cursor(const std::vector<const MemTable*>& mems,
+                        const std::vector<std::shared_ptr<BtreeComponent>>& comps,
+                        const std::optional<BtreeKey>& upper)
+    : sources_(mems.size() + comps.size()), upper_(upper) {
+  for (size_t i = 0; i < mems.size(); ++i) sources_[i].mem = mems[i];
+  for (size_t i = 0; i < comps.size(); ++i) {
+    sources_[mems.size() + i].it =
+        std::make_unique<BtreeComponent::Iterator>(comps[i].get());
+  }
+}
+
+void LsmTree::Cursor::Source::Load() {
+  if (mem != nullptr) {
+    if (pos == run.size()) {
+      key = nullptr;
+      return;
+    }
+    const MemTable::ScanEntry& e = run[pos];
+    key = &e.key;
+    anti = e.anti;
+    payload = std::string_view(reinterpret_cast<const char*>(e.payload.data()),
+                               e.payload.size());
+  } else if (it->Valid()) {
+    key = &it->key();
+    anti = it->anti();
+    payload = it->payload();
+  } else {
+    key = nullptr;
+  }
+}
+
+Status LsmTree::Cursor::Source::Advance() {
+  if (mem != nullptr) {
+    ++pos;
+  } else {
+    TC_RETURN_IF_ERROR(it->Next());
+  }
+  Load();
+  return Status::OK();
+}
+
+Status LsmTree::Cursor::Position(const BtreeKey* from) {
+  // The live generation may still receive writes: a private copy of each
+  // (budget-bounded) generation makes the scan a stable snapshot of seek
+  // time, and the upper-bound hint keeps narrow range scans O(range).
+  const BtreeKey* to = upper_.has_value() ? &*upper_ : nullptr;
+  for (Source& s : sources_) {
+    if (s.mem != nullptr) {
+      s.mem->Snapshot(from, to, &s.run);
+      s.pos = 0;
+    } else if (from != nullptr) {
+      TC_RETURN_IF_ERROR(s.it->Seek(*from));
+    } else {
+      TC_RETURN_IF_ERROR(s.it->SeekToFirst());
+    }
+    s.Load();
+  }
+  Settle();
+  return Status::OK();
+}
+
+Status LsmTree::Cursor::Next() {
+  BtreeKey at = key();
+  for (Source& s : sources_) {
+    if (s.key != nullptr && *s.key == at) TC_RETURN_IF_ERROR(s.Advance());
+  }
+  Settle();
+  return Status::OK();
+}
+
+void LsmTree::Cursor::Settle() {
+  top_ = nullptr;
+  for (Source& s : sources_) {
+    if (s.key != nullptr && (top_ == nullptr || *s.key < *top_->key)) top_ = &s;
+  }
+}
 
 LsmTree::Iterator::Iterator(LsmTree* tree) : tree_(tree) {}
 
@@ -1279,50 +1305,14 @@ Status LsmTree::Iterator::Position(const BtreeKey* seek_key) {
   // several cursors can share one coherent state.
   if (tree_ != nullptr) view_ = tree_->AcquireView();
   TC_CHECK(view_ != nullptr);
-  // Copy the (budget-bounded) in-memory entries: the live generation may
-  // still receive writes, and a private copy makes the scan a stable snapshot
-  // of seek time. An upper-bound hint keeps narrow range scans O(range).
-  // With pooled flush builds the view may pin several generations; merge
-  // their snapshots newest-first (a newer generation's entry — anti-matter
-  // included — shadows an older generation's under the same key).
-  const BtreeKey* to = upper_bound_.has_value() ? &*upper_bound_ : nullptr;
-  view_->memtable().Snapshot(seek_key, to, &mem_entries_);
-  const auto& pending = view_->pending_memtables();
-  if (!pending.empty()) {
-    std::vector<MemTable::ScanEntry> older;
-    std::vector<MemTable::ScanEntry> merged;
-    for (const auto& gen : pending) {
-      gen->Snapshot(seek_key, to, &older);
-      if (older.empty()) continue;
-      merged.clear();
-      merged.reserve(mem_entries_.size() + older.size());
-      size_t a = 0, b = 0;
-      while (a < mem_entries_.size() || b < older.size()) {
-        if (b >= older.size() ||
-            (a < mem_entries_.size() && mem_entries_[a].key < older[b].key)) {
-          merged.push_back(std::move(mem_entries_[a++]));
-        } else if (a >= mem_entries_.size() ||
-                   older[b].key < mem_entries_[a].key) {
-          merged.push_back(std::move(older[b++]));
-        } else {
-          merged.push_back(std::move(mem_entries_[a++]));  // newer shadows
-          ++b;
-        }
-      }
-      mem_entries_.swap(merged);
-    }
-  }
-  mem_pos_ = 0;
-  cursors_.clear();
-  for (const auto& c : view_->components()) {
-    cursors_.push_back(std::make_unique<BtreeComponent::Iterator>(c.get()));
-    if (seek_key != nullptr) {
-      TC_RETURN_IF_ERROR(cursors_.back()->Seek(*seek_key));
-    } else {
-      TC_RETURN_IF_ERROR(cursors_.back()->SeekToFirst());
-    }
-  }
-  return FindNext(/*include_current=*/true);
+  // Every pinned generation is one source: the live one, then the sealed
+  // ones queued for their pooled flush builds.
+  std::vector<const MemTable*> mems{&view_->memtable()};
+  for (const auto& gen : view_->pending_memtables()) mems.push_back(gen.get());
+  cursor_ = Cursor(mems, view_->components(), upper_bound_);
+  TC_RETURN_IF_ERROR(seek_key != nullptr ? cursor_.Seek(*seek_key)
+                                         : cursor_.SeekToFirst());
+  return SkipRejected();
 }
 
 Status LsmTree::Iterator::SeekToFirst() { return Position(nullptr); }
@@ -1330,89 +1320,23 @@ Status LsmTree::Iterator::SeekToFirst() { return Position(nullptr); }
 Status LsmTree::Iterator::Seek(const BtreeKey& key) { return Position(&key); }
 
 Status LsmTree::Iterator::Next() {
-  TC_CHECK(valid_);
-  return FindNext(/*include_current=*/false);
+  TC_CHECK(Valid());
+  TC_RETURN_IF_ERROR(cursor_.Next());
+  return SkipRejected();
 }
 
-Status LsmTree::Iterator::FindNext(bool include_current) {
-  // On each round: find the smallest key across the memtable snapshot and all
-  // component cursors; the newest source (memtable, then components in order)
-  // wins; anti-matter entries annihilate.
-  if (!include_current) {
-    // Skip past the previously returned key on all sources.
-    BtreeKey prev = key_;
-    if (mem_pos_ < mem_entries_.size() && mem_entries_[mem_pos_].key == prev) {
-      ++mem_pos_;
+Status LsmTree::Iterator::SkipRejected() {
+  // Anti-matter annihilates the key; the payload filter sees the surviving
+  // version only, while its bytes are still pinned.
+  while (cursor_.Valid()) {
+    if (!cursor_.anti()) {
+      if (filter_ == nullptr) return Status::OK();
+      TC_ASSIGN_OR_RETURN(bool keep, filter_(cursor_.payload()));
+      if (keep) return Status::OK();
     }
-    for (auto& cur : cursors_) {
-      if (cur->Valid() && cur->key() == prev) TC_RETURN_IF_ERROR(cur->Next());
-    }
+    TC_RETURN_IF_ERROR(cursor_.Next());
   }
-  while (true) {
-    bool have = false;
-    BtreeKey min_key{};
-    if (mem_pos_ < mem_entries_.size()) {
-      min_key = mem_entries_[mem_pos_].key;
-      have = true;
-    }
-    for (auto& cur : cursors_) {
-      if (cur->Valid() && (!have || cur->key() < min_key)) {
-        min_key = cur->key();
-        have = true;
-      }
-    }
-    if (!have) {
-      valid_ = false;
-      return Status::OK();
-    }
-    // Winner: memtable first, then components newest-first.
-    bool anti = false;
-    bool from_mem = false;
-    std::string_view payload;
-    if (mem_pos_ < mem_entries_.size() && mem_entries_[mem_pos_].key == min_key) {
-      from_mem = true;
-      anti = mem_entries_[mem_pos_].anti;
-      payload = std::string_view(
-          reinterpret_cast<const char*>(mem_entries_[mem_pos_].payload.data()),
-          mem_entries_[mem_pos_].payload.size());
-    } else {
-      for (auto& cur : cursors_) {
-        if (cur->Valid() && cur->key() == min_key) {
-          anti = cur->anti();
-          payload = cur->payload();
-          break;  // cursors_ are ordered newest first
-        }
-      }
-    }
-    // The payload filter sees the surviving version only, while its bytes are
-    // still pinned — rejected entries skip the copy below entirely.
-    bool skip = anti;
-    if (!skip && filter_ != nullptr) {
-      TC_ASSIGN_OR_RETURN(bool keep, filter_(payload));
-      skip = !keep;
-    }
-    if (!skip) {
-      key_ = min_key;
-      if (from_mem) {
-        payload_ = payload;  // entry copy is owned by this iterator
-      } else {
-        // Copy: advancing sibling cursors below may release the pinned page.
-        payload_copy_.assign(payload.begin(), payload.end());
-        payload_ = std::string_view(
-            reinterpret_cast<const char*>(payload_copy_.data()),
-            payload_copy_.size());
-      }
-      valid_ = true;
-      return Status::OK();
-    }
-    // Annihilated or filtered key: advance all sources past it and continue.
-    if (mem_pos_ < mem_entries_.size() && mem_entries_[mem_pos_].key == min_key) {
-      ++mem_pos_;
-    }
-    for (auto& cur : cursors_) {
-      if (cur->Valid() && cur->key() == min_key) TC_RETURN_IF_ERROR(cur->Next());
-    }
-  }
+  return Status::OK();
 }
 
 }  // namespace tc

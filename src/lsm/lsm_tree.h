@@ -6,6 +6,8 @@
 // through one build tail (ComponentWriter) that passes each live payload
 // through the one ComponentTransformer, which decides whether records are
 // inferred and compacted and which schema blob the component persists.
+// Scans and merges read through one newest-version k-way merge (Cursor) over
+// the pinned memtable generations and the components, newest first.
 //
 // Concurrency model (snapshot reads + concurrent background work, ROADMAP
 // "Parallelism"):
@@ -196,8 +198,8 @@ struct LsmStats {
   uint64_t flush_queue_high_water = 0;
 
   // Merge transformation pipeline: per-stage CPU inside the merge rewrite
-  // loop, attributable instead of one opaque number. read = cursor advance
-  // over the inputs; transform = the ComponentTransformer's re-encoding;
+  // loop, attributable instead of one opaque number. read = positioning and
+  // advancing the newest-version cursor over the inputs; transform = the ComponentTransformer's re-encoding;
   // compress = codec time inside the builder's page writes; write = builder
   // Add/Finish minus the codec time.
   uint64_t merge_read_usecs = 0;
@@ -223,8 +225,8 @@ struct LsmStats {
   }
 
   /// Share of merge-rewrite CPU spent on the transformation stages (transform
-  /// + compress) rather than data movement (read + write) — how much the
-  /// pipeline embeds on top of the splice it replaced. 0.0 when no merge ran.
+  /// + compress) rather than data movement (read + write). 0.0 when no merge
+  /// ran.
   double MergePipelineCpuShare() const {
     uint64_t total = merge_read_usecs + merge_transform_usecs +
                      merge_compress_usecs + merge_write_usecs;
@@ -266,8 +268,6 @@ class ComponentReclaimer {
 
   /// Lock-free fast path for the per-view release check.
   bool has_pending() const { return pending_.load(std::memory_order_acquire); }
-
-  size_t pending_count() const;
 
  private:
   std::shared_ptr<FileSystem> fs_;
@@ -423,6 +423,62 @@ class LsmTree {
       const std::function<Status(std::function<Status(const BtreeKey&,
                                                       std::string_view)>)>& feed);
 
+ private:
+  // The one newest-version k-way merge (paper §2.2): the read side of every
+  // scan (Iterator) and every merge (BuildMergedComponent). Its sources rank
+  // newest first — one in-memory run per pinned generation, then one
+  // iterator per component — and it yields each key once, as that key's
+  // newest version, anti-matter included: the caller decides what a
+  // tombstone means. Each step takes a linear minimum over the sources; on a
+  // key tie the newer source wins.
+  class Cursor {
+   public:
+    Cursor() = default;
+    /// Ranks `mems` before `comps`, each newest first; both must outlive the
+    /// cursor. Every positioning copies the in-memory generations from the
+    /// seek key up to the inclusive `upper` (to the end when absent).
+    Cursor(const std::vector<const MemTable*>& mems,
+           const std::vector<std::shared_ptr<BtreeComponent>>& comps,
+           const std::optional<BtreeKey>& upper);
+
+    Status SeekToFirst() { return Position(nullptr); }
+    Status Seek(const BtreeKey& key) { return Position(&key); }
+    bool Valid() const { return top_ != nullptr; }
+    /// Advances every source positioned at key().
+    Status Next();
+    const BtreeKey& key() const { return *top_->key; }
+    bool anti() const { return top_->anti; }
+    /// Valid until the next Next or positioning: the winning source is not
+    /// advanced before then, and it owns the bytes — a component iterator
+    /// keeps its page pinned, a run its copied entry.
+    std::string_view payload() const { return top_->payload; }
+
+   private:
+    struct Source {
+      const MemTable* mem = nullptr;  // an in-memory generation, copied to run
+      std::vector<MemTable::ScanEntry> run;
+      size_t pos = 0;
+      std::unique_ptr<BtreeComponent::Iterator> it;  // or a component's
+      // The current entry; key is null once the source is exhausted.
+      const BtreeKey* key = nullptr;
+      bool anti = false;
+      std::string_view payload;
+
+      void Load();
+      Status Advance();
+    };
+
+    Status Position(const BtreeKey* from);
+    // Points top_ at the source holding the smallest key (null when all are
+    // exhausted); the first — newest — source wins a tie.
+    void Settle();
+
+    std::vector<Source> sources_;
+    std::optional<BtreeKey> upper_;
+    Source* top_ = nullptr;
+  };
+
+ public:
   /// Merged forward scan with anti-matter annihilation over one snapshot.
   /// Readers get snapshot isolation: Seek/SeekToFirst pins the tree structure
   /// (tree-constructed iterators acquire a fresh view per seek; view-
@@ -441,10 +497,10 @@ class LsmTree {
     /// itself. The predicate runs on the SURVIVING version of each key, after
     /// anti-matter annihilation across components — evaluating it inside the
     /// per-component cursors would be unsound, since a non-matching newer
-    /// version must still shadow an older matching one. Rejected entries skip
-    /// the pinned-page payload copy and never surface to the operator tree.
-    /// The callback is format-aware (the LSM tree itself stays format-
-    /// agnostic) and may count scanned/filtered rows.
+    /// version must still shadow an older matching one. Rejected entries
+    /// never surface to the operator tree. The callback is format-aware (the
+    /// LSM tree itself stays format-agnostic) and may count scanned/filtered
+    /// rows.
     using PayloadFilter = std::function<Result<bool>(std::string_view)>;
     void set_payload_filter(PayloadFilter filter) { filter_ = std::move(filter); }
 
@@ -458,26 +514,23 @@ class LsmTree {
 
     Status SeekToFirst();
     Status Seek(const BtreeKey& key);
-    bool Valid() const { return valid_; }
+    bool Valid() const { return cursor_.Valid(); }
     Status Next();
-    const BtreeKey& key() const { return key_; }
-    std::string_view payload() const { return payload_; }
+    const BtreeKey& key() const { return cursor_.key(); }
+    /// A view, not a copy: valid until the next Next/Seek/SeekToFirst (a
+    /// component's page stays pinned until then). Copy what must outlive it.
+    std::string_view payload() const { return cursor_.payload(); }
 
    private:
     Status Position(const BtreeKey* seek_key);
-    Status FindNext(bool include_current);
+    // Steps the cursor past anti-matter and filter-rejected versions.
+    Status SkipRejected();
 
     LsmTree* tree_ = nullptr;  // null for view-constructed iterators
     ReadViewRef view_;
     std::optional<BtreeKey> upper_bound_;
-    std::vector<MemTable::ScanEntry> mem_entries_;  // snapshot, key order
-    size_t mem_pos_ = 0;
-    std::vector<std::unique_ptr<BtreeComponent::Iterator>> cursors_;
     PayloadFilter filter_;
-    bool valid_ = false;
-    BtreeKey key_;
-    std::string_view payload_;
-    Buffer payload_copy_;
+    Cursor cursor_;
   };
 
   /// Coherent component count via a snapshot (cheap; safe under concurrency).
@@ -579,17 +632,13 @@ class LsmTree {
   // it. Takes mu_ itself.
   Status BackgroundError() const;
   Status BackgroundErrorLocked() const;
-  // Writer-side: newest entry for `key` among the sealed generations queued
-  // for flush builds (newer shadows older), or nullopt.
-  std::optional<MemTable::ScanEntry> FindPendingFlushEntry(
-      const BtreeKey& key) const;
   // Writer-side old-version capture for a live-memtable miss (requires
-  // capture_old_versions): a sealed generation queued for its pooled flush
-  // build shadows the disk — the version surviving in it is exactly what the
-  // disk will hold once that build installs (its tombstone means "no
-  // previous version") — otherwise the current on-disk version is looked up,
-  // always guarded by the key_may_exist filter (every point-lookup entry
-  // point consults it; a false from the pk index proves absence).
+  // capture_old_versions), over one View(): a sealed generation queued for
+  // its pooled flush build shadows the disk — the version surviving in it is
+  // exactly what the disk will hold once that build installs (its tombstone
+  // means "no previous version") — otherwise the current on-disk version is
+  // looked up, always guarded by the key_may_exist filter (every point-lookup
+  // entry point consults it; a false from the pk index proves absence).
   Result<std::optional<Buffer>> CaptureOldVersion(const BtreeKey& key);
   // Rewrites the plan's pinned inputs into one component through the staged
   // transformation pipeline (read -> transform -> compress -> write), filling

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <condition_variable>
+#include <functional>
 #include <map>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <utility>
@@ -592,6 +595,189 @@ TEST(LsmTree, BulkLoadBuildsSingleComponent) {
   EXPECT_EQ(S(*t->Get(BtreeKey{42, 0}).ValueOrDie()), "blk42");
   // Bulk load requires an empty tree.
   EXPECT_FALSE(t->BulkLoad([](auto) { return Status::OK(); }).ok());
+}
+
+
+// Copies payloads through; once armed, parks every Transform until released,
+// which holds the flush build running and later generations queued.
+class ParkingTransformer : public ComponentTransformer {
+ public:
+  Status Transform(std::string_view payload, Buffer* out,
+                   bool* rewritten) override {
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      if (armed_) {
+        entered_ = true;
+        cv_.notify_all();
+        cv_.wait(lock, [this] { return released_; });
+      }
+    }
+    out->assign(payload.begin(), payload.end());
+    if (rewritten != nullptr) *rewritten = false;
+    return Status::OK();
+  }
+  Status OnRemovedVersion(std::string_view) override { return Status::OK(); }
+  Status SchemaBlob(Buffer*) override { return Status::OK(); }
+  Status OnRecoveredSchema(const Buffer&) override { return Status::OK(); }
+  void Arm() {
+    std::lock_guard<std::mutex> lock(mu_);
+    armed_ = true;
+  }
+  void WaitEntered() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this] { return entered_; });
+  }
+  void Release() {
+    std::lock_guard<std::mutex> lock(mu_);
+    released_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool armed_ = false;
+  bool entered_ = false;
+  bool released_ = false;
+};
+
+// Walks a positioned iterator against the model's entries in [from, to] that
+// pass `keep`, comparing each payload view just before Next.
+void ExpectScanMatchesModel(LsmTree::Iterator* it,
+                            const std::map<int64_t, std::string>& model,
+                            int64_t from, int64_t to,
+                            const std::function<bool(std::string_view)>& keep) {
+  std::vector<std::pair<int64_t, std::string>> want;
+  for (auto m = model.lower_bound(from); m != model.end() && m->first <= to; ++m) {
+    if (keep(m->second)) want.push_back(*m);
+  }
+  size_t i = 0;
+  for (; it->Valid() && it->key().a <= to; ++i) {
+    ASSERT_LT(i, want.size()) << it->key().a;
+    EXPECT_EQ(it->key().a, want[i].first);
+    EXPECT_EQ(std::string(it->payload()), want[i].second) << want[i].first;
+    ASSERT_TRUE(it->Next().ok());
+  }
+  EXPECT_EQ(i, want.size());
+}
+
+// A scan while sealed generations wait for their pooled flush builds reads
+// one source per pinned generation and one per component. Keys overwritten
+// and deleted across the disk, the queued generations and the live one must
+// surface once, as their newest version — through SeekToFirst, a mid-range
+// Seek, an upper bound and a payload filter — while the cache, far smaller
+// than the tree, evicts pages under the scan. Old-version capture reads the
+// same layers. Once the builds run, the merged tree scans the same.
+TEST(LsmTree, ScanWhileGenerationsQueuedMatchesModel) {
+  constexpr size_t kCachePages = 4;
+  constexpr int64_t kKeys = 600;
+  auto fs = MakeMemFileSystem();
+  BufferCache cache(4096, kCachePages);
+  TaskPool pool(1);
+  ParkingTransformer parking;
+  LsmTreeOptions o;
+  o.fs = fs;
+  o.cache = &cache;
+  o.dir = "lsm";
+  o.name = "q";
+  o.page_size = 4096;
+  o.memtable_budget_bytes = 64 << 20;  // flushes only when the test says so
+  o.merge_policy = MakeTieredMergePolicy(3, 3);
+  o.transformer = &parking;
+  o.capture_old_versions = true;
+  o.merge_pool = &pool;
+  o.max_pending_flush_builds = 8;
+  auto t = LsmTree::Open(std::move(o)).ValueOrDie();
+
+  std::map<int64_t, std::string> model;
+  Rng rng(2525);
+  int op = 0;
+  auto write_round = [&](int n) {
+    for (int i = 0; i < n; ++i, ++op) {
+      int64_t key = static_cast<int64_t>(rng.Uniform(kKeys));
+      auto prev = model.find(key);
+      std::optional<std::string> want_old;
+      if (prev != model.end()) want_old = prev->second;
+      std::optional<Buffer> old;
+      if (rng.Bernoulli(0.75)) {
+        // The first letter is what the payload filter below keys on.
+        std::string v = std::string(1, static_cast<char>('a' + rng.Uniform(26))) +
+                        std::to_string(op) + "_" +
+                        rng.AlphaString(rng.Uniform(200));
+        ASSERT_TRUE(t->Upsert(BtreeKey{key, 0}, v, &old).ok());
+        model[key] = v;
+      } else {
+        ASSERT_TRUE(t->Delete(BtreeKey{key, 0}, &old).ok());
+        model.erase(key);
+      }
+      ASSERT_EQ(old.has_value(), want_old.has_value()) << "op " << op;
+      if (old.has_value()) {
+        EXPECT_EQ(S(*old), *want_old) << "op " << op;
+      }
+    }
+  };
+
+  // Disk: several flushed (and merged) components.
+  for (int round = 0; round < 4; ++round) {
+    write_round(500);
+    ASSERT_TRUE(t->Flush().ok());
+    ASSERT_TRUE(t->WaitForMerges().ok());
+  }
+  // Queued: the first build parks inside the transformer, so every later
+  // sealed generation waits behind it.
+  parking.Arm();
+  write_round(400);
+  ASSERT_TRUE(t->Flush().ok());
+  parking.WaitEntered();
+  for (int round = 0; round < 2; ++round) {
+    write_round(400);
+    ASSERT_TRUE(t->Flush().ok());
+  }
+  // Live: the generation still taking writes.
+  write_round(300);
+
+  LsmTree::ReadViewRef view = t->AcquireView();
+  ASSERT_GE(view->pending_memtables().size(), 2u);
+  ASSERT_GE(view->component_count(), 2u);
+  ASSERT_FALSE(view->memtable().empty());
+
+  auto all = [](std::string_view) { return true; };
+  uint64_t misses_before = cache.misses();
+  {
+    LsmTree::Iterator it(view);
+    ASSERT_TRUE(it.SeekToFirst().ok());
+    ExpectScanMatchesModel(&it, model, INT64_MIN, INT64_MAX, all);
+  }
+  EXPECT_GT(cache.misses() - misses_before, kCachePages);  // pages evicted
+  {
+    LsmTree::Iterator it(view);
+    ASSERT_TRUE(it.Seek(BtreeKey{kKeys / 3, 0}).ok());
+    ExpectScanMatchesModel(&it, model, kKeys / 3, INT64_MAX, all);
+  }
+  {
+    LsmTree::Iterator it(view);
+    it.set_upper_bound(BtreeKey{kKeys / 2, 0});
+    ASSERT_TRUE(it.Seek(BtreeKey{kKeys / 4, 0}).ok());
+    ExpectScanMatchesModel(&it, model, kKeys / 4, kKeys / 2, all);
+  }
+  {
+    auto first_half = [](std::string_view p) { return p[0] <= 'm'; };
+    LsmTree::Iterator it(view);
+    it.set_payload_filter(
+        [&](std::string_view p) -> Result<bool> { return first_half(p); });
+    ASSERT_TRUE(it.SeekToFirst().ok());
+    ExpectScanMatchesModel(&it, model, INT64_MIN, INT64_MAX, first_half);
+  }
+  view.reset();
+
+  parking.Release();
+  ASSERT_TRUE(t->Flush().ok());
+  ASSERT_TRUE(t->WaitForMerges().ok());
+  EXPECT_GT(t->stats().merge_count, 0u);
+  EXPECT_TRUE(t->View().pending_memtables().empty());
+  LsmTree::Iterator it(t.get());
+  ASSERT_TRUE(it.SeekToFirst().ok());
+  ExpectScanMatchesModel(&it, model, INT64_MIN, INT64_MAX, all);
 }
 
 }  // namespace
