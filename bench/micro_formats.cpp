@@ -6,7 +6,6 @@
 #include "adm/printer.h"
 #include "format/adm_format.h"
 #include "format/bson_format.h"
-#include "format/pax_page.h"
 #include "format/vector_format.h"
 #include "query/field_access.h"
 #include "workload/workload.h"
@@ -144,61 +143,6 @@ BENCHMARK_CAPTURE(BM_FieldAccess, vector_pos68, true, 67);
 BENCHMARK_CAPTURE(BM_FieldAccess, vector_pos135, true, 135);
 BENCHMARK_CAPTURE(BM_FieldAccess, adm_pos1, false, 0);
 BENCHMARK_CAPTURE(BM_FieldAccess, adm_pos135, false, 135);
-
-// PAX future-work prototype (paper §6): summing one column over a page of
-// records, columnar layout vs row-wise vector format. The PAX layout reads
-// one contiguous minipage; the vector format walks every record linearly.
-void BM_PaxColumnScan(benchmark::State& state, bool pax) {
-  const int kRecords = 1000;
-  Rng rng(12);
-  std::vector<AdmValue> records;
-  for (int i = 0; i < kRecords; ++i) {
-    AdmValue rec = AdmValue::Object();
-    rec.AddField("id", AdmValue::BigInt(i));
-    for (int f = 0; f < 20; ++f) {
-      rec.AddField("m" + std::to_string(f), AdmValue::Double(rng.NextDouble()));
-    }
-    rec.AddField("target", AdmValue::Double(rng.NextDouble()));
-    records.push_back(std::move(rec));
-  }
-  if (pax) {
-    std::vector<std::pair<std::string, AdmTag>> cols = {{"id", AdmTag::kBigInt},
-                                                        {"target", AdmTag::kDouble}};
-    for (int f = 0; f < 20; ++f) cols.emplace_back("m" + std::to_string(f), AdmTag::kDouble);
-    PaxPageBuilder builder(cols);
-    for (const auto& r : records) TC_CHECK(builder.Add(r).ok());
-    Buffer page;
-    builder.Finish(&page);
-    PaxPageView view(page.data(), page.size());
-    int col = view.FindColumn("target");
-    for (auto _ : state) {
-      auto sum = view.SumColumn(col);
-      TC_CHECK(sum.ok());
-      benchmark::DoNotOptimize(sum.value());
-    }
-  } else {
-    DatasetType type = DatasetType::OpenWithPk("id");
-    std::vector<Buffer> rows(records.size());
-    for (size_t i = 0; i < records.size(); ++i) {
-      TC_CHECK(EncodeVectorRecord(records[i], type, &rows[i]).ok());
-    }
-    std::vector<FieldPath> paths = {FieldPath::Parse("target")};
-    std::vector<AdmValue> out;
-    for (auto _ : state) {
-      double sum = 0;
-      for (const Buffer& b : rows) {
-        TC_CHECK(GetValuesVector(VectorRecordView(b.data(), b.size()), type,
-                                 nullptr, paths, &out)
-                     .ok());
-        sum += out[0].double_value();
-      }
-      benchmark::DoNotOptimize(sum);
-    }
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * kRecords);
-}
-BENCHMARK_CAPTURE(BM_PaxColumnScan, pax_columnar, true);
-BENCHMARK_CAPTURE(BM_PaxColumnScan, vector_rowwise, false);
 
 // Consolidated vs unconsolidated multi-path access (micro Figure 23).
 void BM_GetValues3Paths(benchmark::State& state, bool consolidate) {

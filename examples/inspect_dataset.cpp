@@ -14,7 +14,6 @@
 #include "lsm/btree_component.h"
 #include "schema/schema_io.h"
 #include "storage/file.h"
-#include "storage/laf.h"
 
 using namespace tc;
 
@@ -48,31 +47,20 @@ int main(int argc, char** argv) {
       if (f.size() < 6 || f.compare(f.size() - 6, 6, ".btree") != 0) continue;
       std::string path = dir + "/" + f;
       bool valid = BtreeComponent::IsValid(fs.get(), path);
-      // The LAF names the codec the pages were written with (a v1 LAF
-      // predates every codec but snappy); a file without one is uncompressed.
-      CompressionKind codec = CompressionKind::kNone;
-      std::string laf_path = path + ".laf";
-      if (fs->Exists(laf_path)) {
-        auto laf = LoadLaf(fs.get(), laf_path);
-        if (!laf.ok()) {
-          std::printf("  %-44s  (unreadable LAF: %s)\n", f.c_str(),
-                      laf.status().ToString().c_str());
-          continue;
-        }
-        codec = laf.value().codec.value_or(CompressionKind::kSnappy);
-      }
-      auto opened =
-          BtreeComponent::Open(fs, &cache, path, page_size, GetCompressor(codec));
+      // The component's files say how to read it: its LAF names the page
+      // codec, and a file without one is uncompressed.
+      auto opened = BtreeComponent::Open(fs, &cache, path, page_size);
       if (!opened.ok()) {
-        std::printf("  %-44s %-6s  (unreadable: %s)\n", f.c_str(),
-                    CompressionKindName(codec), opened.status().ToString().c_str());
+        std::printf("  %-44s  (unreadable: %s)\n", f.c_str(),
+                    opened.status().ToString().c_str());
         continue;
       }
       std::shared_ptr<BtreeComponent> comp = std::move(opened).value();
       const ComponentMeta& m = comp->meta();
       std::printf("  %-44s %s %-6s [C%" PRIu64 ",C%" PRIu64 "]  %8" PRIu64
                   " recs %5" PRIu64 " anti  keys [%lld..%lld]  %6.2f MiB%s\n",
-                  f.c_str(), valid ? "VALID  " : "INVALID", CompressionKindName(codec),
+                  f.c_str(), valid ? "VALID  " : "INVALID",
+                  CompressionKindName(comp->compression()),
                   m.cid_min, m.cid_max,
                   m.n_entries, m.n_anti, static_cast<long long>(m.min_key.a),
                   static_cast<long long>(m.max_key.a),

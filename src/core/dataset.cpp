@@ -547,6 +547,9 @@ LsmStats Dataset::AggregateStats() const {
     agg.merge_transform_usecs += s.merge_transform_usecs;
     agg.merge_compress_usecs += s.merge_compress_usecs;
     agg.merge_write_usecs += s.merge_write_usecs;
+    agg.flush_transform_usecs += s.flush_transform_usecs;
+    agg.flush_compress_usecs += s.flush_compress_usecs;
+    agg.flush_write_usecs += s.flush_write_usecs;
     agg.merge_records_recompacted += s.merge_records_recompacted;
     agg.merge_bytes_recompacted += s.merge_bytes_recompacted;
     agg.merge_components_recompressed += s.merge_components_recompressed;

@@ -2,8 +2,8 @@
 // filter/fence discussion in the LSM compaction-design-space literature).
 // A filter is built over EVERY key a component stores — anti-matter entries
 // included, because skipping a component on its tombstone would resurrect an
-// older version — and persisted after the data pages, CRC-guarded, in the
-// component's v2 footer. Lookups probe the memory-resident filter with k
+// older version — and persisted after the data pages, CRC-guarded, and
+// located by the component's footer. Lookups probe the memory-resident filter with k
 // cache-line touches and no I/O; a negative answer proves the key is absent,
 // so a point-lookup miss never opens a B-tree page.
 //

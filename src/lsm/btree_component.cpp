@@ -1,5 +1,6 @@
 #include "lsm/btree_component.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/crc32.h"
@@ -10,15 +11,14 @@ namespace {
 constexpr uint8_t kLeafPage = 1;
 constexpr uint8_t kInteriorPage = 2;
 constexpr uint8_t kMetaBlobPage = 3;
-// v1 footer: fixed fields + CRC, no filter. Still readable (filterless).
-constexpr uint32_t kFooterMagic = 0x54434254;  // "TCBT"
-// v2 footer: v1 fields, then filter_start/filter_len/filter_crc, then CRC.
-// Filter pages sit between the schema-blob pages and the footer.
-constexpr uint32_t kFooterMagicV2 = 0x32424354;  // "TCB2"
+// Footer: root/leaf/schema-blob locators, counts, fences and CID range, then
+// the filter locator (filter pages sit between the schema-blob pages and the
+// footer), then a CRC over everything before it.
+constexpr uint32_t kFooterMagic = 0x32424354;  // "TCB2"
 constexpr uint32_t kNoPage = UINT32_MAX;
-// Byte offsets of the footer fields shared by both versions (magic at 0).
-constexpr size_t kFooterFixedV1 = 4 + 4 + 4 + 4 + 4 + 8 + 8 + 16 + 16 + 8 + 8;
-constexpr size_t kFooterFixedV2 = kFooterFixedV1 + 4 + 4 + 4;
+constexpr size_t kFooterFixed =
+    4 + 4 + 4 + 4 + 4 + 8 + 8 + 16 + 16 + 8 + 8 + 4 + 4 + 4;
+constexpr size_t kMinPageSize = kFooterFixed + 4;  // the footer fits a page
 
 constexpr size_t kLeafHeader = 7;       // type + n + next_leaf
 constexpr size_t kInteriorHeader = 3;   // type + n
@@ -37,6 +37,19 @@ BtreeKey GetKey(const uint8_t* p) {
 
 std::string ValidPath(const std::string& path) { return path + ".valid"; }
 
+// Reads the `len`-byte blob stored in whole pages from page `start` on.
+Status ReadBlobPages(const PagedFile& file, uint32_t start, uint32_t len,
+                     Buffer* out) {
+  const size_t page_size = file.page_size();
+  out->resize(len);
+  Buffer page(page_size);
+  for (size_t pos = 0; pos < len; pos += page_size) {
+    TC_RETURN_IF_ERROR(file.ReadPage(start++, page.data()));
+    std::memcpy(out->data() + pos, page.data(), std::min<size_t>(page_size, len - pos));
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -46,6 +59,9 @@ std::string ValidPath(const std::string& path) { return path + ".valid"; }
 Result<std::unique_ptr<BtreeComponentBuilder>> BtreeComponentBuilder::Create(
     std::shared_ptr<FileSystem> fs, const std::string& path, size_t page_size,
     std::shared_ptr<const Compressor> compressor, BloomFilterConfig filter) {
+  if (page_size < kMinPageSize) {
+    return Status::InvalidArgument("page size cannot hold the component footer");
+  }
   auto b = std::unique_ptr<BtreeComponentBuilder>(new BtreeComponentBuilder());
   b->fs_ = fs;
   b->path_ = path;
@@ -176,49 +192,23 @@ Status BtreeComponentBuilder::Finish(uint64_t cid_min, uint64_t cid_max,
   TC_RETURN_IF_ERROR(FlushLeaf());
   TC_RETURN_IF_ERROR(BuildInterior());
 
-  // Metadata blob pages.
-  uint32_t meta_start = kNoPage;
-  if (!schema_blob.empty()) {
-    meta_start = next_page_;
-    Buffer page(page_size_, 0);
-    size_t pos = 0;
-    while (pos < schema_blob.size()) {
-      size_t chunk = std::min(page_size_, schema_blob.size() - pos);
-      std::memset(page.data(), 0, page_size_);
-      std::memcpy(page.data(), schema_blob.data() + pos, chunk);
-      TC_RETURN_IF_ERROR(file_->AppendPage(page.data()));
-      ++next_page_;
-      pos += chunk;
-    }
-  }
+  uint32_t meta_start = schema_blob.empty() ? kNoPage : next_page_;
+  TC_RETURN_IF_ERROR(AppendBlobPages(schema_blob));
 
   // Bloom filter pages, between the schema blob and the footer. The filter
   // blob carries its own CRC in the footer so a torn/corrupted filter can be
   // dropped at open time without condemning the component.
   Buffer filter_blob;
   filter_builder_.Finish(&filter_blob);
-  uint32_t filter_start = kNoPage;
-  uint32_t filter_crc = 0;
-  if (!filter_blob.empty()) {
-    filter_crc = Crc32c(filter_blob.data(), filter_blob.size());
-    filter_start = next_page_;
-    Buffer page(page_size_, 0);
-    size_t pos = 0;
-    while (pos < filter_blob.size()) {
-      size_t chunk = std::min(page_size_, filter_blob.size() - pos);
-      std::memset(page.data(), 0, page_size_);
-      std::memcpy(page.data(), filter_blob.data() + pos, chunk);
-      TC_RETURN_IF_ERROR(file_->AppendPage(page.data()));
-      ++next_page_;
-      pos += chunk;
-    }
-  }
+  uint32_t filter_start = filter_blob.empty() ? kNoPage : next_page_;
+  uint32_t filter_crc =
+      filter_blob.empty() ? 0 : Crc32c(filter_blob.data(), filter_blob.size());
+  TC_RETURN_IF_ERROR(AppendBlobPages(filter_blob));
 
-  // Footer (v2). Field layout matches v1 through the CID range, then the
-  // filter locator; the CRC covers everything before it.
+  // Footer; the CRC covers everything before it.
   Buffer footer;
   footer.reserve(page_size_);
-  PutFixed32(&footer, kFooterMagicV2);
+  PutFixed32(&footer, kFooterMagic);
   PutFixed32(&footer, root_page_);
   PutFixed32(&footer, leaf_count_);
   PutFixed32(&footer, meta_start);
@@ -242,6 +232,18 @@ Status BtreeComponentBuilder::Finish(uint64_t cid_min, uint64_t cid_max,
   return Status::OK();
 }
 
+Status BtreeComponentBuilder::AppendBlobPages(const Buffer& blob) {
+  Buffer page(page_size_);
+  for (size_t pos = 0; pos < blob.size(); pos += page_size_) {
+    size_t chunk = std::min(page_size_, blob.size() - pos);
+    std::fill(page.begin(), page.end(), 0);
+    std::memcpy(page.data(), blob.data() + pos, chunk);
+    TC_RETURN_IF_ERROR(file_->AppendPage(page.data()));
+    ++next_page_;
+  }
+  return Status::OK();
+}
+
 Status BtreeComponentBuilder::MarkValid() {
   TC_CHECK(finished_);
   TC_ASSIGN_OR_RETURN(auto f, fs_->Create(ValidPath(path_)));
@@ -256,32 +258,27 @@ Status BtreeComponentBuilder::MarkValid() {
 
 Result<std::shared_ptr<BtreeComponent>> BtreeComponent::Open(
     std::shared_ptr<FileSystem> fs, BufferCache* cache, const std::string& path,
-    size_t page_size, std::shared_ptr<const Compressor> compressor) {
+    size_t page_size) {
+  if (page_size < kMinPageSize) {
+    return Status::InvalidArgument("page size cannot hold the component footer");
+  }
   auto c = std::shared_ptr<BtreeComponent>(new BtreeComponent());
   c->fs_ = fs;
   c->cache_ = cache;
   c->path_ = path;
   c->page_size_ = page_size;
-  TC_ASSIGN_OR_RETURN(c->file_, PagedFile::Open(std::move(fs), path, page_size,
-                                                std::move(compressor)));
+  TC_ASSIGN_OR_RETURN(c->file_, PagedFile::Open(std::move(fs), path, page_size));
   if (c->file_->page_count() == 0) {
     return Status::Corruption("component has no footer: " + path);
   }
+  const uint32_t footer_page = c->file_->page_count() - 1;
   Buffer footer(page_size);
-  TC_RETURN_IF_ERROR(c->file_->ReadPage(c->file_->page_count() - 1, footer.data()));
+  TC_RETURN_IF_ERROR(c->file_->ReadPage(footer_page, footer.data()));
   const uint8_t* p = footer.data();
-  uint32_t magic = GetFixed32(p);
-  // v1 footers (pre-filter) load filterless and keep serving.
-  size_t fixed;
-  if (magic == kFooterMagic) {
-    fixed = kFooterFixedV1;
-  } else if (magic == kFooterMagicV2) {
-    fixed = kFooterFixedV2;
-  } else {
+  if (GetFixed32(p) != kFooterMagic) {
     return Status::Corruption("bad footer magic: " + path);
   }
-  uint32_t stored_crc = GetFixed32(p + fixed);
-  if (Crc32c(p, fixed) != stored_crc) {
+  if (Crc32c(p, kFooterFixed) != GetFixed32(p + kFooterFixed)) {
     return Status::Corruption("footer checksum mismatch: " + path);
   }
   c->root_page_ = GetFixed32(p + 4);
@@ -294,50 +291,43 @@ Result<std::shared_ptr<BtreeComponent>> BtreeComponent::Open(
   c->meta_.max_key = GetKey(p + 52);
   c->meta_.cid_min = GetFixed64(p + 68);
   c->meta_.cid_max = GetFixed64(p + 76);
-  if (meta_start != kNoPage && meta_len > 0) {
-    c->meta_.schema_blob.resize(meta_len);
-    Buffer page(page_size);
-    size_t pos = 0;
-    uint32_t page_no = meta_start;
-    while (pos < meta_len) {
-      TC_RETURN_IF_ERROR(c->file_->ReadPage(page_no++, page.data()));
-      size_t chunk = std::min(page_size, static_cast<size_t>(meta_len) - pos);
-      std::memcpy(c->meta_.schema_blob.data() + pos, page.data(), chunk);
-      pos += chunk;
-    }
+  uint32_t filter_start = GetFixed32(p + 84);
+  uint32_t filter_len = GetFixed32(p + 88);
+  uint32_t filter_crc = GetFixed32(p + 92);
+  // A CRC-clean footer can still locate pages the file does not have: check
+  // every locator against the page count before sizing anything from it. A
+  // blob of `len` bytes from page `start` must end before the footer.
+  auto blob_in_file = [&](uint32_t start, uint32_t len) {
+    return start + (uint64_t{len} + page_size - 1) / page_size <= footer_page;
+  };
+  if (c->leaf_count_ > footer_page ||
+      (c->root_page_ == kNoPage) != (c->leaf_count_ == 0) ||
+      (c->root_page_ != kNoPage && c->root_page_ >= footer_page)) {
+    return Status::Corruption("footer tree locator out of range: " + path);
   }
-  if (magic == kFooterMagicV2) {
-    uint32_t filter_start = GetFixed32(p + kFooterFixedV1);
-    uint32_t filter_len = GetFixed32(p + kFooterFixedV1 + 4);
-    uint32_t filter_crc = GetFixed32(p + kFooterFixedV1 + 8);
-    if (filter_start != kNoPage && filter_len > 0) {
-      // A filter that fails its CRC or header check is dropped, not fatal:
-      // the component still answers lookups correctly, just without pruning.
-      Buffer blob(filter_len);
-      Buffer page(page_size);
-      size_t pos = 0;
-      uint32_t page_no = filter_start;
-      bool read_ok = true;
-      while (pos < filter_len) {
-        if (!c->file_->ReadPage(page_no++, page.data()).ok()) {
-          read_ok = false;
-          break;
-        }
-        size_t chunk = std::min(page_size, static_cast<size_t>(filter_len) - pos);
-        std::memcpy(blob.data() + pos, page.data(), chunk);
-        pos += chunk;
-      }
-      if (read_ok && Crc32c(blob.data(), blob.size()) == filter_crc) {
-        auto loaded = BloomFilter::Load(blob.data(), blob.size());
-        if (loaded.ok()) {
-          c->filter_ = std::move(loaded).value();
-        } else {
-          c->filter_degraded_ = true;
-        }
-      } else {
-        c->filter_degraded_ = true;
-      }
+  bool has_meta = meta_start != kNoPage && meta_len > 0;
+  if (has_meta && !blob_in_file(meta_start, meta_len)) {
+    return Status::Corruption("footer schema-blob range out of range: " + path);
+  }
+  bool has_filter = filter_start != kNoPage && filter_len > 0;
+  if (has_filter && !blob_in_file(filter_start, filter_len)) {
+    return Status::Corruption("footer filter range out of range: " + path);
+  }
+  if (has_meta) {
+    TC_RETURN_IF_ERROR(
+        ReadBlobPages(*c->file_, meta_start, meta_len, &c->meta_.schema_blob));
+  }
+  if (has_filter) {
+    // A filter that fails its read, CRC or header check is dropped, not
+    // fatal: the component still answers lookups correctly, just without
+    // pruning.
+    Buffer blob;
+    if (ReadBlobPages(*c->file_, filter_start, filter_len, &blob).ok() &&
+        Crc32c(blob.data(), blob.size()) == filter_crc) {
+      auto loaded = BloomFilter::Load(blob.data(), blob.size());
+      if (loaded.ok()) c->filter_ = std::move(loaded).value();
     }
+    c->filter_degraded_ = c->filter_ == nullptr;
   }
   // Point-lookup fast path: pin interior pages [leaf_count_, root_page_] so a
   // descent touches disk only for the leaf. Skipped for empty or single-leaf

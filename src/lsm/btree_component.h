@@ -2,10 +2,11 @@
 // entries (paper §2.2). Leaf pages are chained for range scans; the last page
 // is a footer locating the root and the component metadata (component ID,
 // entry counts, key range / fences, and — for inferred datasets — the
-// serialized schema persisted at flush time, §3.1.1). Components built since
-// the v2 footer also carry a per-component bloom filter (CRC-guarded filter
-// pages between the schema blob and the footer); v1 footers load filterless
-// and keep serving, so old component files stay readable. A sidecar ".valid"
+// serialized schema persisted at flush time, §3.1.1) and a per-component
+// bloom filter (CRC-guarded filter pages between the schema blob and the
+// footer). There is one footer layout, and the component's files are the
+// only source of truth for reading it: the page codec comes from the LAF
+// sidecar (storage/laf.h), and no LAF means uncompressed. A sidecar ".valid"
 // marker file plays the role of the paper's validity bit: it is written only
 // after the component is fully durable, so crash recovery can identify and
 // remove INVALID components.
@@ -71,8 +72,8 @@ class BtreeComponentBuilder {
   Status MarkValid();
 
   uint64_t added() const { return n_entries_ + n_anti_; }
-  /// Codec CPU spent by page writes so far (the merge pipeline's compress
-  /// stage; subtracted from wall-clock write time for the write stage).
+  /// Codec CPU spent by page writes so far (the build's compress stage;
+  /// subtracted from wall-clock write time for the write stage).
   uint64_t compress_nanos() const { return file_->compress_nanos(); }
 
  private:
@@ -80,6 +81,8 @@ class BtreeComponentBuilder {
 
   Status FlushLeaf();
   Status BuildInterior();
+  // Appends `blob` as zero-padded whole pages (none when it is empty).
+  Status AppendBlobPages(const Buffer& blob);
 
   std::shared_ptr<FileSystem> fs_;
   std::unique_ptr<PagedFile> file_;
@@ -114,10 +117,11 @@ class BtreeComponent {
   /// leaf. The on-disk filter, if any, is always loaded and stays
   /// memory-resident. A filter whose CRC or header does not check out is
   /// dropped — the component still opens and serves correct (if slower)
-  /// lookups, with filter_degraded() set.
+  /// lookups, with filter_degraded() set. A footer with a bad magic or CRC,
+  /// or one that locates pages outside the file, fails with Corruption.
   static Result<std::shared_ptr<BtreeComponent>> Open(
       std::shared_ptr<FileSystem> fs, BufferCache* cache, const std::string& path,
-      size_t page_size, std::shared_ptr<const Compressor> compressor);
+      size_t page_size);
 
   ~BtreeComponent();
 
@@ -186,9 +190,9 @@ class BtreeComponent {
 
   const ComponentMeta& meta() const { return meta_; }
   uint64_t physical_bytes() const { return file_->physical_bytes(); }
-  /// The codec this component's pages are stored with (self-described by the
-  /// LAF v2 sidecar) — what the merge scheduler's recompressible-bytes
-  /// estimate keys on.
+  /// The codec this component's pages are stored with (named by its LAF
+  /// sidecar; kNone without one) — what the merge scheduler's
+  /// recompressible-bytes estimate keys on.
   CompressionKind compression() const { return file_->compression(); }
   const std::string& path() const { return path_; }
   uint64_t file_id() const { return file_->file_id(); }

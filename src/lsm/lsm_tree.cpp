@@ -12,9 +12,9 @@ namespace {
 
 constexpr const char* kComponentSuffix = ".btree";
 
-inline uint64_t ElapsedUsecs(std::chrono::steady_clock::time_point t0) {
+inline uint64_t ElapsedNanos(std::chrono::steady_clock::time_point t0) {
   return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - t0)
           .count());
 }
@@ -346,7 +346,7 @@ Status LsmTree::RecoverComponents() {
   for (const auto& c : keep) {
     TC_ASSIGN_OR_RETURN(auto comp,
                         BtreeComponent::Open(opts_.fs, opts_.cache, c.path,
-                                             opts_.page_size, compressor_));
+                                             opts_.page_size));
     components_.push_back(std::move(comp));
     next_cid_ = std::max(next_cid_, c.cid_max + 1);
   }
@@ -682,15 +682,12 @@ Status LsmTree::FlushLocked() {
 // through without one) into the builder; Finish persists the transformer's
 // schema blob (`inherited_blob` without one), then finishes, marks valid and
 // opens the component. The stage clocks feed `counters` — transform, compress
-// and write; the merge times its own reads — or, for flush and bulk load,
-// nothing.
+// and write; the merge times its own reads.
 class LsmTree::ComponentWriter {
  public:
   ComponentWriter(const LsmTree* tree, std::shared_ptr<const Compressor> codec,
-                  MergePipelineCounters* counters)
-      : tree_(tree),
-        codec_(std::move(codec)),
-        counters_(counters != nullptr ? counters : &untimed_) {}
+                  StageCounters* counters)
+      : tree_(tree), codec_(std::move(codec)), counters_(counters) {}
 
   Status Start(uint64_t cid_min, uint64_t cid_max) {
     cid_min_ = cid_min;
@@ -711,7 +708,7 @@ class LsmTree::ComponentWriter {
       auto transform_t0 = std::chrono::steady_clock::now();
       bool rewritten = false;
       TC_RETURN_IF_ERROR(transformer->Transform(payload, &transformed_, &rewritten));
-      counters_->transform_usecs += ElapsedUsecs(transform_t0);
+      counters_->transform_nanos += ElapsedNanos(transform_t0);
       if (rewritten) {
         ++counters_->records_recompacted;
         counters_->bytes_recompacted += payload.size();
@@ -721,7 +718,7 @@ class LsmTree::ComponentWriter {
     }
     auto write_t0 = std::chrono::steady_clock::now();
     TC_RETURN_IF_ERROR(builder_->Add(key, anti, payload));
-    write_wall_usecs_ += ElapsedUsecs(write_t0);
+    write_wall_nanos_ += ElapsedNanos(write_t0);
     return Status::OK();
   }
 
@@ -735,32 +732,31 @@ class LsmTree::ComponentWriter {
     auto finish_t0 = std::chrono::steady_clock::now();
     TC_RETURN_IF_ERROR(builder_->Finish(cid_min_, cid_max_, schema_blob));
     TC_RETURN_IF_ERROR(builder_->MarkValid());
-    write_wall_usecs_ += ElapsedUsecs(finish_t0);
+    write_wall_nanos_ += ElapsedNanos(finish_t0);
     // Split the builder's wall time into its codec share and the rest.
-    counters_->compress_usecs = builder_->compress_nanos() / 1000;
-    counters_->write_usecs += write_wall_usecs_ > counters_->compress_usecs
-                                  ? write_wall_usecs_ - counters_->compress_usecs
-                                  : 0;
+    uint64_t compress_nanos = builder_->compress_nanos();
+    counters_->compress_nanos += compress_nanos;
+    counters_->write_nanos +=
+        write_wall_nanos_ > compress_nanos ? write_wall_nanos_ - compress_nanos : 0;
     return BtreeComponent::Open(tree_->opts_.fs, tree_->opts_.cache, path_,
-                                tree_->opts_.page_size, codec_);
+                                tree_->opts_.page_size);
   }
 
  private:
   const LsmTree* tree_;
   std::shared_ptr<const Compressor> codec_;
-  MergePipelineCounters untimed_;
-  MergePipelineCounters* counters_;
+  StageCounters* counters_;
   uint64_t cid_min_ = 0;
   uint64_t cid_max_ = 0;
   std::string path_;
   std::unique_ptr<BtreeComponentBuilder> builder_;
   Buffer transformed_;
-  uint64_t write_wall_usecs_ = 0;
+  uint64_t write_wall_nanos_ = 0;
 };
 
 Result<std::shared_ptr<BtreeComponent>> LsmTree::BuildFlushComponent(
-    const MemTable& mem, uint64_t cid) {
-  ComponentWriter writer(this, compressor_, /*counters=*/nullptr);
+    const MemTable& mem, uint64_t cid, StageCounters* counters) {
+  ComponentWriter writer(this, compressor_, counters);
   TC_RETURN_IF_ERROR(writer.Start(cid, cid));
   // Iteration needs no lock: `mem` is a sealed generation nothing mutates.
   // Transformer calls are serialized in generation order — at most one
@@ -795,8 +791,9 @@ void LsmTree::FlushBuildJob(bool canceled) {
     }
     work = flush_queue_.front();  // stays queued: views must keep pinning it
   }
+  StageCounters counters;
   Result<std::shared_ptr<BtreeComponent>> built =
-      BuildFlushComponent(*work.mem, work.cid);
+      BuildFlushComponent(*work.mem, work.cid, &counters);
   bool more = false;
   std::vector<MergePlan> plans;
   {
@@ -816,6 +813,7 @@ void LsmTree::FlushBuildJob(bool canceled) {
              components_.front()->meta().cid_max < work.cid);
     stats_.bytes_flushed += comp->physical_bytes();
     ++stats_.flush_count;
+    FoldFlushCountersLocked(counters);
     components_.insert(components_.begin(), std::move(comp));
     stats_.component_count_high_water = std::max<uint64_t>(
         stats_.component_count_high_water, components_.size());
@@ -893,11 +891,11 @@ Result<LsmTree::MergePlan> LsmTree::DecideMergeLocked() {
 }
 
 Result<std::shared_ptr<BtreeComponent>> LsmTree::BuildMergedComponent(
-    const MergePlan& plan, MergePipelineCounters* counters) {
+    const MergePlan& plan, StageCounters* counters) {
   // Cold-level recompression: a bottom merge (tombstones dropping means this
   // component has nothing beneath it) is the tree's coldest, most-read-stable
   // data, so it can afford a heavier codec than the flush path. Readers are
-  // unaffected — the LAF v2 sidecar makes every component self-describing.
+  // unaffected — the LAF sidecar makes every component self-describing.
   std::shared_ptr<const Compressor> codec = compressor_;
   if (plan.drop_tombstones &&
       opts_.merge_recompress != CompressionKind::kNone &&
@@ -918,7 +916,7 @@ Result<std::shared_ptr<BtreeComponent>> LsmTree::BuildMergedComponent(
   Cursor cursor({}, plan.inputs, std::nullopt);
   auto read_t0 = std::chrono::steady_clock::now();
   TC_RETURN_IF_ERROR(cursor.SeekToFirst());
-  counters->read_usecs += ElapsedUsecs(read_t0);
+  counters->read_nanos += ElapsedNanos(read_t0);
   while (cursor.Valid()) {
     // Dropping tombstones annihilates the anti-matter entry and any older
     // record alike.
@@ -927,7 +925,7 @@ Result<std::shared_ptr<BtreeComponent>> LsmTree::BuildMergedComponent(
     }
     auto next_t0 = std::chrono::steady_clock::now();
     TC_RETURN_IF_ERROR(cursor.Next());
-    counters->read_usecs += ElapsedUsecs(next_t0);
+    counters->read_nanos += ElapsedNanos(next_t0);
   }
   // The schema covering the merged set: the transformer's live schema, so a
   // full cascade leaves every component on the final schema even when the
@@ -968,18 +966,24 @@ void LsmTree::InstallMergedLocked(const MergePlan& plan,
   for (const auto& c : plan.inputs) reclaimer_->Retire(c);
 }
 
-void LsmTree::FoldMergeCountersLocked(const MergePipelineCounters& counters,
+void LsmTree::FoldMergeCountersLocked(const StageCounters& counters,
                                       uint64_t merged_physical_bytes) {
-  stats_.merge_read_usecs += counters.read_usecs;
-  stats_.merge_transform_usecs += counters.transform_usecs;
-  stats_.merge_compress_usecs += counters.compress_usecs;
-  stats_.merge_write_usecs += counters.write_usecs;
+  stats_.merge_read_usecs += counters.read_nanos / 1000;
+  stats_.merge_transform_usecs += counters.transform_nanos / 1000;
+  stats_.merge_compress_usecs += counters.compress_nanos / 1000;
+  stats_.merge_write_usecs += counters.write_nanos / 1000;
   stats_.merge_records_recompacted += counters.records_recompacted;
   stats_.merge_bytes_recompacted += counters.bytes_recompacted;
   if (counters.recompressed) {
     ++stats_.merge_components_recompressed;
     stats_.merge_bytes_recompressed += merged_physical_bytes;
   }
+}
+
+void LsmTree::FoldFlushCountersLocked(const StageCounters& counters) {
+  stats_.flush_transform_usecs += counters.transform_nanos / 1000;
+  stats_.flush_compress_usecs += counters.compress_nanos / 1000;
+  stats_.flush_write_usecs += counters.write_nanos / 1000;
 }
 
 void LsmTree::ReleaseMergePlanLocked(const MergePlan& plan) {
@@ -1103,7 +1107,7 @@ void LsmTree::MergeJob(MergePlan plan, bool canceled) {
     stats_.concurrent_merges_high_water = std::max<uint64_t>(
         stats_.concurrent_merges_high_water, merges_building_);
   }
-  MergePipelineCounters counters;
+  StageCounters counters;
   Result<std::shared_ptr<BtreeComponent>> merged =
       BuildMergedComponent(plan, &counters);
   uint64_t phys = merged.ok() ? merged.value()->physical_bytes() : 0;
@@ -1160,7 +1164,8 @@ Status LsmTree::BulkLoad(
     }
   }
   uint64_t cid = next_cid_++;
-  ComponentWriter writer(this, compressor_, /*counters=*/nullptr);
+  StageCounters counters;
+  ComponentWriter writer(this, compressor_, &counters);
   TC_RETURN_IF_ERROR(writer.Start(cid, cid));
   TC_RETURN_IF_ERROR(feed([&](const BtreeKey& key, std::string_view payload) {
     return writer.Add(key, /*anti=*/false, payload);
@@ -1172,6 +1177,7 @@ Status LsmTree::BulkLoad(
   // for bulk-loaded datasets.
   stats_.bytes_bulk_loaded += comp->physical_bytes();
   ++stats_.bulk_load_count;
+  FoldFlushCountersLocked(counters);
   components_.insert(components_.begin(), std::move(comp));
   stats_.component_count_high_water = std::max<uint64_t>(
       stats_.component_count_high_water, components_.size());

@@ -128,7 +128,7 @@ struct LsmTreeOptions {
   /// covering the oldest component, whose output is read-mostly from then
   /// on — are written with this heavier codec instead of `compression`.
   /// kNone disables; readers are unaffected either way (components
-  /// self-describe their codec via the LAF v2 sidecar).
+  /// self-describe their codec via the LAF sidecar).
   CompressionKind merge_recompress = CompressionKind::kNone;
   /// Optional fast existence filter (the primary-key index of §3.2.2): when it
   /// returns false the expensive old-version point lookup is skipped. Invoked
@@ -206,6 +206,12 @@ struct LsmStats {
   uint64_t merge_transform_usecs = 0;
   uint64_t merge_compress_usecs = 0;
   uint64_t merge_write_usecs = 0;
+  /// The same transform/compress/write stage clocks for flush and bulk-load
+  /// builds (the merge's read stage has no flush counterpart: a flush
+  /// iterates its sealed memtable).
+  uint64_t flush_transform_usecs = 0;
+  uint64_t flush_compress_usecs = 0;
+  uint64_t flush_write_usecs = 0;
   /// Surviving records whose payload the transformer actually rewrote
   /// (re-compacted against a newer schema), and their input payload bytes.
   uint64_t merge_records_recompacted = 0;
@@ -560,13 +566,14 @@ class LsmTree {
     uint64_t cid_max = 0;
   };
 
-  /// Per-stage pipeline accounting accumulated lock-free during one merge
-  /// rewrite, folded into stats_ under mu_ at install.
-  struct MergePipelineCounters {
-    uint64_t read_usecs = 0;
-    uint64_t transform_usecs = 0;
-    uint64_t compress_usecs = 0;
-    uint64_t write_usecs = 0;
+  /// Per-stage accounting accumulated lock-free during one component build
+  /// (flush, bulk load or merge), folded into stats_ under mu_ at install.
+  /// Nanoseconds, so the per-record stage clocks do not truncate to zero.
+  struct StageCounters {
+    uint64_t read_nanos = 0;  // merge only: the cursor over the inputs
+    uint64_t transform_nanos = 0;
+    uint64_t compress_nanos = 0;
+    uint64_t write_nanos = 0;
     uint64_t records_recompacted = 0;
     uint64_t bytes_recompacted = 0;
     bool recompressed = false;  // output written with the heavy tier
@@ -607,7 +614,7 @@ class LsmTree {
   // FlushBuildJob — at most one flush build per tree at a time, in
   // generation order, because schema evolution is order-dependent.
   Result<std::shared_ptr<BtreeComponent>> BuildFlushComponent(
-      const MemTable& mem, uint64_t cid);
+      const MemTable& mem, uint64_t cid, StageCounters* counters);
   // Flush job: builds the oldest queued generation, installs it, reschedules
   // itself while generations remain queued.
   void FlushBuildJob(bool canceled);
@@ -645,15 +652,18 @@ class LsmTree {
   // `counters`. Lock-free: inputs are immutable files read through the
   // (thread-safe) buffer cache.
   Result<std::shared_ptr<BtreeComponent>> BuildMergedComponent(
-      const MergePlan& plan, MergePipelineCounters* counters);
+      const MergePlan& plan, StageCounters* counters);
   // Requires mu_: EstimateMergeRewriteValue over the plan's inputs, using the
   // newest component's schema blob to spot stale-schema bytes.
   double ScoreMergePlanLocked(const MergePlan& plan) const;
   // Requires mu_: folds one rewrite's pipeline counters into stats_;
   // `merged_physical_bytes` is the freshly installed component's on-disk size
   // (the recompressed-bytes figure when the rewrite switched codecs).
-  void FoldMergeCountersLocked(const MergePipelineCounters& counters,
+  void FoldMergeCountersLocked(const StageCounters& counters,
                                uint64_t merged_physical_bytes);
+  // Requires mu_: folds one flush or bulk-load build's stage clocks into
+  // stats_.
+  void FoldFlushCountersLocked(const StageCounters& counters);
   // Executes one scheduled merge, then re-decides (cascade); short-circuits
   // when canceled or an error is latched.
   void MergeJob(MergePlan plan, bool canceled);

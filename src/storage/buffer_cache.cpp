@@ -31,39 +31,29 @@ Result<std::unique_ptr<PagedFile>> PagedFile::Create(
 }
 
 Result<std::unique_ptr<PagedFile>> PagedFile::Open(
-    std::shared_ptr<FileSystem> fs, const std::string& path, size_t page_size,
-    std::shared_ptr<const Compressor> compressor) {
+    std::shared_ptr<FileSystem> fs, const std::string& path, size_t page_size) {
   auto pf = std::unique_ptr<PagedFile>(new PagedFile());
   pf->fs_ = std::move(fs);
   pf->path_ = path;
   pf->page_size_ = page_size;
-  pf->compressor_ = compressor != nullptr
-                        ? std::move(compressor)
-                        : GetCompressor(CompressionKind::kNone);
+  pf->compressor_ = GetCompressor(CompressionKind::kNone);
   pf->file_id_ = NextFileId();
   pf->finished_ = true;
   TC_ASSIGN_OR_RETURN(pf->file_, pf->fs_->Open(path));
-  // The LAF's presence, not the caller's codec, decides whether the file is
-  // compressed: components may be recompressed at merge with a codec other
-  // than the tree's configured one.
+  // The file alone says how to read it: a LAF names the codec, no LAF means
+  // uncompressed.
   if (pf->fs_->Exists(LafPath(path))) {
     TC_ASSIGN_OR_RETURN(LafData laf, LoadLaf(pf->fs_.get(), LafPath(path)));
     pf->entries_ = std::move(laf.entries);
-    if (laf.codec.has_value()) {  // v2: the sidecar names the codec
-      pf->compressor_ = GetCompressor(*laf.codec);
-      if (pf->compressor_ == nullptr) {
-        return Status::NotSupported(
-            std::string("paged file codec not compiled in: ") +
-            CompressionKindName(*laf.codec) + ": " + path);
-      }
-    } else if (!pf->compressed()) {
-      // v1 sidecar with no caller codec: snappy was the only v1-era codec.
-      pf->compressor_ = GetCompressor(CompressionKind::kSnappy);
+    pf->compressor_ = GetCompressor(laf.codec);
+    if (pf->compressor_ == nullptr) {
+      return Status::NotSupported(
+          std::string("paged file codec not compiled in: ") +
+          CompressionKindName(laf.codec) + ": " + path);
     }
     TC_ASSIGN_OR_RETURN(pf->laf_bytes_, pf->fs_->FileSize(LafPath(path)));
     pf->append_offset_ = pf->file_->Size();
   } else {
-    pf->compressor_ = GetCompressor(CompressionKind::kNone);
     uint64_t size = pf->file_->Size();
     if (size % page_size != 0) {
       return Status::Corruption("paged file size not page-aligned: " + path);

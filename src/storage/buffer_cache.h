@@ -31,16 +31,13 @@ class PagedFile {
       std::shared_ptr<FileSystem> fs, const std::string& path, size_t page_size,
       std::shared_ptr<const Compressor> compressor);
 
-  /// Opens an existing, finished page file for reading. The file is
-  /// self-describing: a LAF sidecar means compressed (v2 LAFs carry the codec
-  /// the pages were written with, which overrides `compressor`; v1 LAFs fall
-  /// back to `compressor`, or the snappy tier when none was passed — snappy
-  /// was the only v1-era codec), no LAF means uncompressed. This is what lets
-  /// a merge recompress a component with a heavier codec than the tree's
-  /// configured one and still have every reader open it correctly.
+  /// Opens an existing, finished page file for reading. The file describes
+  /// itself: a LAF sidecar means compressed with the codec the LAF names, no
+  /// LAF means uncompressed. This is what lets a merge recompress a component
+  /// with a heavier codec than the tree's configured one and still have
+  /// every reader open it correctly.
   static Result<std::unique_ptr<PagedFile>> Open(
-      std::shared_ptr<FileSystem> fs, const std::string& path, size_t page_size,
-      std::shared_ptr<const Compressor> compressor);
+      std::shared_ptr<FileSystem> fs, const std::string& path, size_t page_size);
 
   /// Deletes the data file and its LAF (if any).
   static Status Remove(FileSystem* fs, const std::string& path);
@@ -64,7 +61,7 @@ class PagedFile {
   bool compressed() const { return compressor_->kind() != CompressionKind::kNone; }
   CompressionKind compression() const { return compressor_->kind(); }
   /// CPU nanoseconds spent inside the codec by AppendPage (write side only;
-  /// feeds the merge pipeline's per-stage compress counter).
+  /// feeds the flush and merge compress-stage counters).
   uint64_t compress_nanos() const { return compress_nanos_; }
 
  private:

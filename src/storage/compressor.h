@@ -7,7 +7,7 @@
 // TC_HAVE_LZ4) — never a hard dependency. Pages are compressed on write at
 // the buffer-cache boundary and decompressed to their fixed configured size
 // on read; the codec a file was written with is persisted in its LAF
-// sidecar (v2), so components recompressed at merge stay readable by a tree
+// sidecar, so components recompressed at merge stay readable by a tree
 // configured with any codec.
 #ifndef TC_STORAGE_COMPRESSOR_H_
 #define TC_STORAGE_COMPRESSOR_H_
@@ -20,7 +20,7 @@
 
 namespace tc {
 
-/// Numeric values are persisted in LAF v2 sidecars — append only, never
+/// Numeric values are persisted in LAF sidecars — append only, never
 /// renumber.
 enum class CompressionKind {
   kNone = 0,

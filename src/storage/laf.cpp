@@ -5,15 +5,15 @@
 
 namespace tc {
 namespace {
-constexpr uint32_t kLafMagicV1 = 0x54434c41;  // "TCLA": entries only
-constexpr uint32_t kLafMagicV2 = 0x54434c32;  // "TCL2": + codec field
-constexpr uint32_t kMaxCodecValue = 255;      // sanity bound for the field
+constexpr uint32_t kLafMagic = 0x54434c32;  // "TCL2"
+constexpr uint64_t kHeader = 12;            // magic + codec + count
+constexpr uint32_t kMaxCodecValue = 255;    // sanity bound for the field
 }  // namespace
 
 Status WriteLaf(FileSystem* fs, const std::string& path,
                 const std::vector<LafEntry>& entries, CompressionKind codec) {
   Buffer buf;
-  PutFixed32(&buf, kLafMagicV2);
+  PutFixed32(&buf, kLafMagic);
   PutFixed32(&buf, static_cast<uint32_t>(codec));
   PutFixed32(&buf, static_cast<uint32_t>(entries.size()));
   for (const LafEntry& e : entries) {
@@ -29,34 +29,25 @@ Status WriteLaf(FileSystem* fs, const std::string& path,
 Result<LafData> LoadLaf(FileSystem* fs, const std::string& path) {
   TC_ASSIGN_OR_RETURN(auto file, fs->Open(path));
   uint64_t size = file->Size();
-  if (size < 12) return Status::Corruption("laf: file too small");
+  if (size < kHeader + 4) return Status::Corruption("laf: file too small");
   Buffer buf(size);
   TC_RETURN_IF_ERROR(file->Read(0, size, buf.data()));
-  uint32_t magic = GetFixed32(buf.data());
-  uint64_t header = 0;  // bytes before the entry array
-  LafData data;
-  if (magic == kLafMagicV1) {
-    header = 8;
-  } else if (magic == kLafMagicV2) {
-    if (size < 16) return Status::Corruption("laf: v2 file too small");
-    uint32_t codec = GetFixed32(buf.data() + 4);
-    if (codec > kMaxCodecValue) return Status::Corruption("laf: bad codec field");
-    data.codec = static_cast<CompressionKind>(codec);
-    header = 12;
-  } else {
-    return Status::Corruption("laf: bad magic");
-  }
-  uint32_t count = GetFixed32(buf.data() + header - 4);
-  if (size != header + static_cast<uint64_t>(count) * 12 + 4) {
+  if (GetFixed32(buf.data()) != kLafMagic) return Status::Corruption("laf: bad magic");
+  uint32_t codec = GetFixed32(buf.data() + 4);
+  if (codec > kMaxCodecValue) return Status::Corruption("laf: bad codec field");
+  uint32_t count = GetFixed32(buf.data() + 8);
+  if (size != kHeader + static_cast<uint64_t>(count) * 12 + 4) {
     return Status::Corruption("laf: size mismatch");
   }
   uint32_t stored_crc = GetFixed32(buf.data() + size - 4);
   if (Crc32c(buf.data(), size - 4) != stored_crc) {
     return Status::Corruption("laf: checksum mismatch");
   }
+  LafData data;
+  data.codec = static_cast<CompressionKind>(codec);
   data.entries.resize(count);
   for (uint32_t i = 0; i < count; ++i) {
-    const uint8_t* p = buf.data() + header + 12 * static_cast<size_t>(i);
+    const uint8_t* p = buf.data() + kHeader + 12 * static_cast<size_t>(i);
     data.entries[i].offset = GetFixed64(p);
     data.entries[i].length = GetFixed32(p + 8);
   }

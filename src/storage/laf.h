@@ -3,15 +3,13 @@
 // engine's fixed-size page abstraction survives compression. Entries are 12
 // bytes (u64 offset + u32 length), exactly as in the paper.
 //
-// v2 adds the codec the data file was written with, making compressed files
-// self-describing: a component recompressed with the heavy tier at merge time
-// stays readable by a tree configured for any codec. v1 files (no codec
-// field) still load; their codec is reported as "unknown" and resolved by the
-// caller (snappy was the only v1-era codec).
+// The header names the codec the data file was written with, so a compressed
+// file describes itself: a component recompressed with the heavy tier at
+// merge time stays readable by a tree configured for any codec. A file
+// without a LAF is uncompressed.
 #ifndef TC_STORAGE_LAF_H_
 #define TC_STORAGE_LAF_H_
 
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -28,17 +26,16 @@ struct LafEntry {
 
 struct LafData {
   std::vector<LafEntry> entries;
-  /// Codec the data file's pages were compressed with; nullopt for v1 files,
-  /// which predate the field.
-  std::optional<CompressionKind> codec;
+  /// Codec the data file's pages were compressed with.
+  CompressionKind codec = CompressionKind::kNone;
 };
 
-/// Writes `entries` plus the data file's codec to `path` (v2 format) with a
-/// checksum trailer.
+/// Writes `entries` plus the data file's codec to `path` with a checksum
+/// trailer.
 Status WriteLaf(FileSystem* fs, const std::string& path,
                 const std::vector<LafEntry>& entries, CompressionKind codec);
 
-/// Loads a v1 or v2 LAF; verifies the checksum.
+/// Loads a LAF; verifies the magic, the size and the checksum.
 Result<LafData> LoadLaf(FileSystem* fs, const std::string& path);
 
 }  // namespace tc

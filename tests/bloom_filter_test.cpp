@@ -1,7 +1,7 @@
 // Randomized property tests for the per-component bloom filters and the
 // point-lookup fast path: zero false negatives, in-tolerance false-positive
-// rate, fence soundness, v1 (filterless) backward compatibility, and the
-// unified filter-aware lookup helper (every entry point consults the filters
+// rate, fence soundness, rejection of the retired v1 (filterless) footer, and
+// the unified filter-aware lookup helper (every entry point consults the filters
 // and the key_may_exist hook).
 #include <gtest/gtest.h>
 
@@ -36,7 +36,7 @@ struct FilterFixture {
     }
     EXPECT_TRUE(b->Finish(1, 1, {}).ok());
     EXPECT_TRUE(b->MarkValid().ok());
-    return BtreeComponent::Open(fs, &cache, path, 4096, nullptr).ValueOrDie();
+    return BtreeComponent::Open(fs, &cache, path, 4096).ValueOrDie();
   }
 };
 
@@ -149,12 +149,11 @@ TEST(BloomFilter, BitsPerKeyZeroBuildsNoFilter) {
   EXPECT_TRUE(c->Get(BtreeKey{2, 0}).ValueOrDie().has_value());
 }
 
-// --- Backward compatibility (v1 footers) ------------------------------------
+// --- Retired v1 footers -------------------------------------------------------
 
-// Rewrites a v2 component footer in place as the pre-filter v1 layout: same
+// Rewrites a component footer in place as the pre-filter v1 layout: same
 // fields through the CID range, v1 magic, CRC over the v1 prefix. This is
-// byte-for-byte what pre-filter builds wrote, so the load path under test is
-// the real legacy path.
+// byte-for-byte what pre-filter builds wrote.
 void RewriteFooterAsV1(FileSystem* fs, const std::string& path,
                        size_t page_size) {
   auto file = fs->Open(path).ValueOrDie();
@@ -172,7 +171,9 @@ void RewriteFooterAsV1(FileSystem* fs, const std::string& path,
   ASSERT_TRUE(file->Sync().ok());
 }
 
-TEST(BloomFilter, FilterlessV1ComponentsStillLoadAndServe) {
+TEST(BloomFilter, V1FooterFailsOpenWithCorruption) {
+  // The engine has one footer layout; a v1 footer is not a component it
+  // wrote, so it is rejected rather than loaded filterless.
   Rng rng(99);
   FilterFixture fx;
   std::vector<int64_t> keys = RandomSortedKeys(&rng, 500);
@@ -182,14 +183,9 @@ TEST(BloomFilter, FilterlessV1ComponentsStillLoadAndServe) {
   }
   RewriteFooterAsV1(fx.fs.get(), "legacy", 4096);
 
-  auto c =
-      BtreeComponent::Open(fx.fs, &fx.cache, "legacy", 4096, nullptr).ValueOrDie();
-  EXPECT_FALSE(c->has_filter());
-  EXPECT_FALSE(c->filter_degraded());
-  for (int64_t k : keys) {
-    ASSERT_TRUE(c->Get(BtreeKey{k, 0}).ValueOrDie().has_value()) << k;
-  }
-  EXPECT_EQ(c->meta().n_entries, keys.size());
+  auto opened = BtreeComponent::Open(fx.fs, &fx.cache, "legacy", 4096);
+  ASSERT_FALSE(opened.ok());
+  EXPECT_TRUE(opened.status().IsCorruption()) << opened.status().ToString();
 }
 
 // --- The memory-resident fast path ------------------------------------------

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "common/crc32.h"
 #include "common/rng.h"
 #include "lsm/btree_component.h"
 
@@ -22,7 +23,7 @@ struct BtreeFixture {
     }
     EXPECT_TRUE(b->Finish(1, 1, {}).ok());
     EXPECT_TRUE(b->MarkValid().ok());
-    return BtreeComponent::Open(fs, &cache, "comp", 4096, compressor).ValueOrDie();
+    return BtreeComponent::Open(fs, &cache, "comp", 4096).ValueOrDie();
   }
 };
 
@@ -150,7 +151,7 @@ TEST(Btree, CompositeKeyOrdering) {
   ASSERT_TRUE(b->Add(BtreeKey{11, 0}, false, "").ok());
   ASSERT_TRUE(b->Finish(1, 1, {}).ok());
   ASSERT_TRUE(b->MarkValid().ok());
-  auto c = BtreeComponent::Open(fs, &fx.cache, "comp2", 4096, nullptr).ValueOrDie();
+  auto c = BtreeComponent::Open(fs, &fx.cache, "comp2", 4096).ValueOrDie();
   BtreeComponent::Iterator it(c.get());
   ASSERT_TRUE(it.Seek(BtreeKey{10, INT64_MIN}).ok());
   ASSERT_TRUE(it.Valid());
@@ -167,7 +168,7 @@ TEST(Btree, SchemaBlobPersistsAcrossPages) {
   for (size_t i = 0; i < blob.size(); ++i) blob[i] = static_cast<uint8_t>(i * 7);
   ASSERT_TRUE(b->Finish(3, 7, blob).ok());
   ASSERT_TRUE(b->MarkValid().ok());
-  auto c = BtreeComponent::Open(fx.fs, &fx.cache, "blob", 4096, nullptr).ValueOrDie();
+  auto c = BtreeComponent::Open(fx.fs, &fx.cache, "blob", 4096).ValueOrDie();
   EXPECT_EQ(c->meta().cid_min, 3u);
   EXPECT_EQ(c->meta().cid_max, 7u);
   EXPECT_EQ(c->meta().schema_blob, blob);
@@ -197,8 +198,95 @@ TEST(Btree, FooterCorruptionDetected) {
   ASSERT_TRUE(f->Read(size - 4096 + 6, 1, &byte).ok());
   byte ^= 0x40;
   ASSERT_TRUE(f->Write(size - 4096 + 6, &byte, 1).ok());
-  EXPECT_FALSE(BtreeComponent::Open(fx.fs, &fx.cache, "comp", 4096, nullptr).ok());
+  EXPECT_FALSE(BtreeComponent::Open(fx.fs, &fx.cache, "comp", 4096).ok());
 }
+
+TEST(Btree, PageTooSmallForFooterRejected) {
+  // The footer is one page; a page size that cannot hold it is refused by
+  // both the builder and the reader instead of truncating or over-reading it.
+  auto fs = MakeMemFileSystem();
+  BufferCache cache(64, 4);
+  auto built = BtreeComponentBuilder::Create(fs, "tiny", 64, nullptr);
+  ASSERT_FALSE(built.ok());
+  EXPECT_EQ(built.status().code(), StatusCode::kInvalidArgument);
+  auto opened = BtreeComponent::Open(fs, &cache, "tiny", 64);
+  ASSERT_FALSE(opened.ok());
+  EXPECT_EQ(opened.status().code(), StatusCode::kInvalidArgument);
+}
+
+// A footer whose CRC checks out can still locate pages the file does not
+// have. Open must reject each such locator with Corruption before sizing any
+// allocation from it (a 4 GiB schema blob or pin vector used to abort the
+// process with std::bad_alloc).
+struct FooterField {
+  const char* name;
+  size_t offset;   // byte offset of the u32 field in the footer page
+  uint32_t value;  // the out-of-range value written there
+};
+
+void PrintTo(const FooterField& field, std::ostream* os) { *os << field.name; }
+
+class FooterLocatorOutOfRange : public ::testing::TestWithParam<FooterField> {};
+
+// Overwrites one u32 footer field of an uncompressed component and
+// recomputes the footer CRC (over the 96 bytes before it), so only the
+// field's range check can reject the result.
+void RewriteFooterField(FileSystem* fs, const std::string& path, size_t offset,
+                        uint32_t value) {
+  constexpr size_t kPage = 4096;
+  constexpr size_t kFooterFixed = 96;
+  auto f = fs->Open(path).ValueOrDie();
+  uint64_t footer_off = f->Size() - kPage;
+  Buffer page(kPage);
+  ASSERT_TRUE(f->Read(footer_off, kPage, page.data()).ok());
+  OverwriteFixed32(&page, offset, value);
+  OverwriteFixed32(&page, kFooterFixed, Crc32c(page.data(), kFooterFixed));
+  ASSERT_TRUE(f->Write(footer_off, page.data(), kPage).ok());
+}
+
+TEST_P(FooterLocatorOutOfRange, OpenFailsWithCorruption) {
+  const FooterField& field = GetParam();
+  auto fs = MakeMemFileSystem();
+  BufferCache cache(4096, 64);
+  // Every locator in use: a two-level tree, a schema blob and a filter.
+  {
+    auto b = BtreeComponentBuilder::Create(fs, "c", 4096, nullptr).ValueOrDie();
+    for (int64_t k = 0; k < 3000; ++k) {
+      ASSERT_TRUE(b->Add(BtreeKey{k, 0}, false, std::string(40, 'p')).ok());
+    }
+    ASSERT_TRUE(b->Finish(1, 1, Buffer(100, 7)).ok());
+    ASSERT_TRUE(b->MarkValid().ok());
+  }
+  {
+    auto c = BtreeComponent::Open(fs, &cache, "c", 4096).ValueOrDie();
+    ASSERT_GT(c->pinned_interior_pages(), 0u);
+    ASSERT_TRUE(c->has_filter());
+    ASSERT_EQ(c->meta().schema_blob.size(), 100u);
+  }
+  // Rewriting the field with its own value keeps the component readable, so
+  // the CRC recomputation is not what rejects the out-of-range value below.
+  {
+    auto f = fs->Open("c").ValueOrDie();
+    uint8_t raw[4];
+    ASSERT_TRUE(f->Read(f->Size() - 4096 + field.offset, 4, raw).ok());
+    RewriteFooterField(fs.get(), "c", field.offset, GetFixed32(raw));
+    ASSERT_TRUE(BtreeComponent::Open(fs, &cache, "c", 4096).ok());
+  }
+  RewriteFooterField(fs.get(), "c", field.offset, field.value);
+  auto opened = BtreeComponent::Open(fs, &cache, "c", 4096);
+  ASSERT_FALSE(opened.ok());
+  EXPECT_TRUE(opened.status().IsCorruption()) << opened.status().ToString();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Fields, FooterLocatorOutOfRange,
+    ::testing::Values(FooterField{"RootPage", 4, 0xFFFFFFF0u},
+                      FooterField{"LeafCount", 8, 0xFFFFFFF0u},
+                      FooterField{"SchemaBlobStart", 12, 0xFFFFFFF0u},
+                      FooterField{"SchemaBlobLength", 16, 0xFFFFFFF0u},
+                      FooterField{"FilterStart", 84, 0xFFFFFFF0u},
+                      FooterField{"FilterLength", 88, 0xFFFFFFF0u}),
+    [](const auto& info) { return std::string(info.param.name); });
 
 }  // namespace
 }  // namespace tc

@@ -139,6 +139,43 @@ TEST(Dataset, CompressionShrinksFootprint) {
   EXPECT_LT(compressed, raw);
 }
 
+TEST(Dataset, FlushStageClocksReportedApartFromMerge) {
+  // A compressed, transformed flush runs the transform/compress/write stage
+  // clocks a merge runs, and reports them as flush_*_usecs, summed over the
+  // partitions; the merge_*_usecs fields stay where they were.
+  DatasetFixture fx;
+  DatasetOptions o = SmallOptions(SchemaMode::kInferred, /*memtable_kb=*/8192);
+  o.compression = true;
+  ASSERT_TRUE(fx.Open(std::move(o), 2).ok());
+  auto gen = MakeTwitterGenerator(7);
+  for (int i = 0; i < 2000; ++i) {
+    ASSERT_TRUE(fx.dataset->Insert(gen->NextRecord()).ok());
+  }
+  const LsmStats before = fx.dataset->AggregateStats();
+  ASSERT_EQ(before.flush_count, 0u);
+  ASSERT_TRUE(fx.dataset->FlushAll().ok());
+  const LsmStats s = fx.dataset->AggregateStats();
+  EXPECT_EQ(s.flush_count, 2u);
+  EXPECT_EQ(s.merge_count, 0u);
+  EXPECT_EQ(s.merge_read_usecs, before.merge_read_usecs);
+  EXPECT_EQ(s.merge_transform_usecs, before.merge_transform_usecs);
+  EXPECT_EQ(s.merge_compress_usecs, before.merge_compress_usecs);
+  EXPECT_EQ(s.merge_write_usecs, before.merge_write_usecs);
+  uint64_t transform = 0, compress = 0, write = 0;
+  for (size_t p = 0; p < 2; ++p) {
+    const LsmStats ps = fx.dataset->partition(p)->primary()->stats();
+    EXPECT_GT(ps.flush_transform_usecs, 0u) << p;
+    EXPECT_GT(ps.flush_compress_usecs, 0u) << p;
+    EXPECT_GT(ps.flush_write_usecs, 0u) << p;
+    transform += ps.flush_transform_usecs;
+    compress += ps.flush_compress_usecs;
+    write += ps.flush_write_usecs;
+  }
+  EXPECT_EQ(s.flush_transform_usecs, transform);
+  EXPECT_EQ(s.flush_compress_usecs, compress);
+  EXPECT_EQ(s.flush_write_usecs, write);
+}
+
 TEST(Dataset, PartitionSchemasEvolveIndependently) {
   DatasetFixture fx;
   ASSERT_TRUE(fx.Open(SmallOptions(SchemaMode::kInferred), 4).ok());

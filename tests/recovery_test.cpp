@@ -300,7 +300,7 @@ TEST(Recovery, AckedBatchSurvivesTornFollowingBatch) {
 
 // ---------------------------------------------------------------------------
 // Filter crash matrix: a crash or corruption anywhere around the bloom-filter
-// pages and the v2 footer must never produce a wrong answer — the outcomes
+// pages and the footer must never produce a wrong answer — the outcomes
 // are (a) the unvalidated component is discarded, (b) the open fails with a
 // clean Corruption status, or (c) the component loads filterless and serves
 // correct (if slower) lookups.

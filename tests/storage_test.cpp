@@ -77,9 +77,8 @@ TEST(Laf, RoundTripAndChecksum) {
   ASSERT_EQ(loaded.entries.size(), 3u);
   EXPECT_EQ(loaded.entries[1].offset, 100u);
   EXPECT_EQ(loaded.entries[1].length, 57u);
-  ASSERT_TRUE(loaded.codec.has_value());
-  EXPECT_EQ(*loaded.codec, CompressionKind::kHeavy);
-  // Entries are 12 bytes each, exactly as the paper specifies (§2.4); the v2
+  EXPECT_EQ(loaded.codec, CompressionKind::kHeavy);
+  // Entries are 12 bytes each, exactly as the paper specifies (§2.4); the
   // header is magic + codec + count.
   EXPECT_EQ(fs->FileSize("x.laf").ValueOrDie(), 12u + 3 * 12 + 4);
 
@@ -92,24 +91,39 @@ TEST(Laf, RoundTripAndChecksum) {
   EXPECT_FALSE(LoadLaf(fs.get(), "x.laf").ok());
 }
 
-TEST(Laf, LoadsV1FilesWithoutCodec) {
-  // Hand-craft a v1 LAF (magic "TCLA", no codec field) and check it loads
-  // with codec reported absent.
+TEST(Laf, V1FileFailsOpenWithCorruption) {
+  // Hand-craft a v1 LAF (magic "TCLA", no codec field) beside a data file.
+  // The engine never writes one, and nothing but a LAF may name a file's
+  // codec, so both the LAF and the paged file fail with Corruption.
   auto fs = MakeMemFileSystem();
+  const size_t kPage = 4096;
+  {
+    auto pf = PagedFile::Create(fs, "v1", kPage,
+                                GetCompressor(CompressionKind::kSnappy))
+                  .ValueOrDie();
+    Buffer page(kPage, 'v');
+    ASSERT_TRUE(pf->AppendPage(page.data()).ok());
+    ASSERT_TRUE(pf->Finish().ok());
+  }
+  LafData v2 = LoadLaf(fs.get(), "v1.laf").ValueOrDie();
   Buffer buf;
   PutFixed32(&buf, 0x54434c41u);  // v1 magic
-  PutFixed32(&buf, 2u);           // count
-  PutFixed64(&buf, 0);
-  PutFixed32(&buf, 100);
-  PutFixed64(&buf, 100);
-  PutFixed32(&buf, 42);
+  PutFixed32(&buf, static_cast<uint32_t>(v2.entries.size()));
+  for (const LafEntry& e : v2.entries) {
+    PutFixed64(&buf, e.offset);
+    PutFixed32(&buf, e.length);
+  }
   PutFixed32(&buf, Crc32c(buf.data(), buf.size()));
+  ASSERT_TRUE(fs->Delete("v1.laf").ok());
   auto f = fs->Create("v1.laf").ValueOrDie();
   ASSERT_TRUE(f->Write(0, buf.data(), buf.size()).ok());
-  auto loaded = LoadLaf(fs.get(), "v1.laf").ValueOrDie();
-  ASSERT_EQ(loaded.entries.size(), 2u);
-  EXPECT_EQ(loaded.entries[1].length, 42u);
-  EXPECT_FALSE(loaded.codec.has_value());
+
+  auto laf = LoadLaf(fs.get(), "v1.laf");
+  ASSERT_FALSE(laf.ok());
+  EXPECT_TRUE(laf.status().IsCorruption()) << laf.status().ToString();
+  auto opened = PagedFile::Open(fs, "v1", kPage);
+  ASSERT_FALSE(opened.ok());
+  EXPECT_TRUE(opened.status().IsCorruption()) << opened.status().ToString();
 }
 
 class PagedFileTest : public ::testing::TestWithParam<CompressionKind> {};
@@ -135,7 +149,7 @@ TEST_P(PagedFileTest, WriteReadPages) {
   EXPECT_EQ(pf->page_count(), 20u);
 
   // Re-open and verify all pages.
-  auto rd = PagedFile::Open(fs, "data", kPage, compressor).ValueOrDie();
+  auto rd = PagedFile::Open(fs, "data", kPage).ValueOrDie();
   EXPECT_EQ(rd->page_count(), 20u);
   Buffer out(kPage);
   for (int i = 0; i < 20; ++i) {
@@ -174,8 +188,9 @@ INSTANTIATE_TEST_SUITE_P(Codecs, PagedFileTest,
                          });
 
 TEST(PagedFile, SelfDescribingOpenIgnoresCallerCodec) {
-  // A component written with the heavy codec must be readable by a reader
-  // configured with ANY codec (or none): the LAF v2 sidecar names the codec.
+  // A file written with the heavy codec opens as heavy whatever codec the
+  // reading tree is configured with: the reader passes none, and the LAF
+  // sidecar names it.
   auto fs = MakeMemFileSystem();
   const size_t kPage = 4096;
   auto pf = PagedFile::Create(fs, "sd", kPage,
@@ -186,19 +201,11 @@ TEST(PagedFile, SelfDescribingOpenIgnoresCallerCodec) {
   ASSERT_TRUE(pf->AppendPage(page.data()).ok());
   ASSERT_TRUE(pf->Finish().ok());
 
-  for (CompressionKind reader_kind :
-       {CompressionKind::kNone, CompressionKind::kSnappy,
-        CompressionKind::kHeavy}) {
-    auto rd =
-        PagedFile::Open(fs, "sd", kPage, GetCompressor(reader_kind)).ValueOrDie();
-    EXPECT_EQ(rd->compression(), CompressionKind::kHeavy);
-    Buffer out(kPage);
-    ASSERT_TRUE(rd->ReadPage(0, out.data()).ok());
-    EXPECT_EQ(out, page);
-  }
-  // And a nullptr compressor works too.
-  auto rd = PagedFile::Open(fs, "sd", kPage, nullptr).ValueOrDie();
+  auto rd = PagedFile::Open(fs, "sd", kPage).ValueOrDie();
   EXPECT_EQ(rd->compression(), CompressionKind::kHeavy);
+  Buffer out(kPage);
+  ASSERT_TRUE(rd->ReadPage(0, out.data()).ok());
+  EXPECT_EQ(out, page);
 }
 
 TEST(PagedFile, OpenWithoutLafIsUncompressedEvenIfCallerCompresses) {
@@ -208,10 +215,9 @@ TEST(PagedFile, OpenWithoutLafIsUncompressedEvenIfCallerCompresses) {
   Buffer page(kPage, 3);
   ASSERT_TRUE(pf->AppendPage(page.data()).ok());
   ASSERT_TRUE(pf->Finish().ok());
-  // Reader passes snappy, but there is no LAF: the file must open uncompressed.
-  auto rd = PagedFile::Open(fs, "plain", kPage,
-                            GetCompressor(CompressionKind::kSnappy))
-                .ValueOrDie();
+  // The tree may be configured for snappy, but there is no LAF: the file
+  // must open uncompressed.
+  auto rd = PagedFile::Open(fs, "plain", kPage).ValueOrDie();
   EXPECT_FALSE(rd->compressed());
   Buffer out(kPage);
   ASSERT_TRUE(rd->ReadPage(0, out.data()).ok());
