@@ -1,31 +1,47 @@
-// Micro-benchmarks for the snappy-like page compressor on realistic page
-// contents (packed workload records), the data that page-level compression
-// (§2.4) actually sees.
+// Micro-benchmarks for the homegrown page compressors on realistic page
+// contents, the data that page-level compression (§2.4) actually sees:
+// packed ADM records (the open and closed modes) and compacted vector-format
+// records (what kInferred flushes and merges write), at the snappy-like
+// tier every component write uses and the heavy merge-recompression tier.
 #include <benchmark/benchmark.h>
 
 #include "format/adm_format.h"
+#include "format/vector_format.h"
 #include "storage/compressor.h"
 #include "workload/workload.h"
 
 namespace tc {
 namespace {
 
-Buffer MakePage(const std::string& workload, size_t page_size) {
+enum class PageFormat { kAdm, kCompactedVector };
+
+Buffer MakePage(const std::string& workload, PageFormat format, size_t page_size) {
   auto gen = MakeGenerator(workload, 3);
   DatasetType type = DatasetType::OpenWithPk("id");
+  Schema schema;
   Buffer page;
+  Buffer raw;
   while (page.size() < page_size) {
-    Status st = EncodeAdmRecord(gen->NextRecord(), type, &page);
-    TC_CHECK(st.ok());
+    AdmValue rec = gen->NextRecord();
+    if (format == PageFormat::kAdm) {
+      TC_CHECK(EncodeAdmRecord(rec, type, &page).ok());
+      continue;
+    }
+    raw.clear();
+    TC_CHECK(EncodeVectorRecord(rec, type, &raw).ok());
+    TC_CHECK(InferAndCompactVectorRecord(VectorRecordView(raw.data(), raw.size()), type,
+                                         &schema, &page)
+                 .ok());
   }
   page.resize(page_size);
   return page;
 }
 
-void BM_Compress(benchmark::State& state, const std::string& workload) {
+void BM_Compress(benchmark::State& state, const std::string& workload,
+                 PageFormat format, CompressionKind kind) {
   size_t page_size = static_cast<size_t>(state.range(0));
-  Buffer page = MakePage(workload, page_size);
-  auto codec = GetCompressor(CompressionKind::kSnappy);
+  Buffer page = MakePage(workload, format, page_size);
+  auto codec = GetCompressor(kind);
   Buffer out;
   for (auto _ : state) {
     out.clear();
@@ -38,14 +54,25 @@ void BM_Compress(benchmark::State& state, const std::string& workload) {
   state.counters["ratio"] =
       static_cast<double>(page.size()) / static_cast<double>(out.size());
 }
-BENCHMARK_CAPTURE(BM_Compress, twitter, std::string("twitter"))
+BENCHMARK_CAPTURE(BM_Compress, twitter, std::string("twitter"), PageFormat::kAdm,
+                  CompressionKind::kSnappy)
     ->Arg(4096)->Arg(32768)->Arg(131072);
-BENCHMARK_CAPTURE(BM_Compress, sensors, std::string("sensors"))
+BENCHMARK_CAPTURE(BM_Compress, sensors, std::string("sensors"), PageFormat::kAdm,
+                  CompressionKind::kSnappy)
+    ->Arg(32768);
+BENCHMARK_CAPTURE(BM_Compress, twitter_vector, std::string("twitter"),
+                  PageFormat::kCompactedVector, CompressionKind::kSnappy)
+    ->Arg(32768);
+BENCHMARK_CAPTURE(BM_Compress, twitter_heavy, std::string("twitter"), PageFormat::kAdm,
+                  CompressionKind::kHeavy)
+    ->Arg(32768);
+BENCHMARK_CAPTURE(BM_Compress, twitter_vector_heavy, std::string("twitter"),
+                  PageFormat::kCompactedVector, CompressionKind::kHeavy)
     ->Arg(32768);
 
 void BM_Decompress(benchmark::State& state, const std::string& workload) {
   size_t page_size = static_cast<size_t>(state.range(0));
-  Buffer page = MakePage(workload, page_size);
+  Buffer page = MakePage(workload, PageFormat::kAdm, page_size);
   auto codec = GetCompressor(CompressionKind::kSnappy);
   Buffer compressed;
   TC_CHECK(codec->Compress(page.data(), page.size(), &compressed).ok());

@@ -15,18 +15,21 @@ using Buffer = std::vector<uint8_t>;
 
 inline void PutU8(Buffer* b, uint8_t v) { b->push_back(v); }
 
-inline void PutFixed16(Buffer* b, uint16_t v) {
-  b->push_back(static_cast<uint8_t>(v));
-  b->push_back(static_cast<uint8_t>(v >> 8));
+// The fixed-width writers assemble the little-endian bytes locally and append
+// them with one insert: a push_back per byte re-checks capacity per byte and
+// keeps the compiler from merging the stores.
+template <typename T>
+inline void PutFixedLE(Buffer* b, T v) {
+  uint8_t le[sizeof(T)];
+  for (size_t i = 0; i < sizeof(T); ++i) le[i] = static_cast<uint8_t>(v >> (8 * i));
+  b->insert(b->end(), le, le + sizeof(T));
 }
 
-inline void PutFixed32(Buffer* b, uint32_t v) {
-  for (int i = 0; i < 4; ++i) b->push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
+inline void PutFixed16(Buffer* b, uint16_t v) { PutFixedLE(b, v); }
 
-inline void PutFixed64(Buffer* b, uint64_t v) {
-  for (int i = 0; i < 8; ++i) b->push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
+inline void PutFixed32(Buffer* b, uint32_t v) { PutFixedLE(b, v); }
+
+inline void PutFixed64(Buffer* b, uint64_t v) { PutFixedLE(b, v); }
 
 inline void PutDouble(Buffer* b, double v) {
   uint64_t bits;
@@ -84,11 +87,14 @@ inline void OverwriteFixed32(Buffer* b, size_t pos, uint32_t v) {
 
 /// LEB128 unsigned varint (Protocol Buffers / Thrift Compact wire encoding).
 inline void PutVarint64(Buffer* b, uint64_t v) {
+  uint8_t bytes[10];
+  size_t n = 0;
   while (v >= 0x80) {
-    b->push_back(static_cast<uint8_t>(v) | 0x80);
+    bytes[n++] = static_cast<uint8_t>(v) | 0x80;
     v >>= 7;
   }
-  b->push_back(static_cast<uint8_t>(v));
+  bytes[n++] = static_cast<uint8_t>(v);
+  b->insert(b->end(), bytes, bytes + n);
 }
 
 inline void PutVarint32(Buffer* b, uint32_t v) { PutVarint64(b, v); }

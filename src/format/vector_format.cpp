@@ -19,6 +19,9 @@ struct NameSlotSpec {
   std::string_view name;      // inferred-field name (uncompacted output only)
 };
 
+/// Each encoding thread reuses one Parts per entry point (a function-local
+/// thread_local), so a record costs no vector allocations once the
+/// capacities have grown to the largest record seen.
 struct Parts {
   std::vector<uint8_t> tags;
   Buffer fixed;
@@ -26,6 +29,24 @@ struct Parts {
   Buffer var_bytes;
   std::vector<NameSlotSpec> names;
   bool compacted = false;
+
+  /// Empties every vector for the next record, keeping capacity unless the
+  /// last record was outsized: one huge record must not pin its buffers on
+  /// a long-lived thread.
+  void Reset(bool compact) {
+    constexpr size_t kMaxRetainedBytes = size_t{1} << 20;
+    if (tags.capacity() + fixed.capacity() + var_bytes.capacity() +
+            4 * var_lens.capacity() + sizeof(NameSlotSpec) * names.capacity() >
+        kMaxRetainedBytes) {
+      *this = Parts();
+    }
+    tags.clear();
+    fixed.clear();
+    var_lens.clear();
+    var_bytes.clear();
+    names.clear();
+    compacted = compact;
+  }
 };
 
 void Assemble(const Parts& p, Buffer* out) {
@@ -34,14 +55,25 @@ void Assemble(const Parts& p, Buffer* out) {
   int var_bits = BitsFor(max_var);
 
   uint64_t max_name_payload = 0;
+  size_t inline_name_bytes = 0;
   for (const auto& s : p.names) {
     uint64_t payload = s.declared ? s.payload
                        : (p.compacted ? s.payload : s.name.size());
     max_name_payload = std::max(max_name_payload, payload);
+    if (!s.declared && !p.compacted) inline_name_bytes += s.name.size();
   }
   int name_bits = p.names.empty() ? 0 : 1 + BitsFor(max_name_payload);
 
+  // The exact record size, so `out` grows at most once per record.
+  const size_t total_size =
+      kVectorHeaderSize + p.tags.size() + p.fixed.size() +
+      (p.var_lens.size() * static_cast<size_t>(var_bits) + 7) / 8 +
+      p.var_bytes.size() +
+      (p.names.size() * static_cast<size_t>(name_bits) + 7) / 8 + inline_name_bytes;
   size_t base = out->size();
+  if (out->capacity() < base + total_size) {
+    out->reserve(std::max(base + total_size, 2 * out->capacity()));
+  }
   out->resize(base + kVectorHeaderSize);
   PutBytes(out, p.tags.data(), p.tags.size());
   uint32_t off_fixed = static_cast<uint32_t>(out->size() - base);
@@ -73,8 +105,8 @@ void Assemble(const Parts& p, Buffer* out) {
   }
 
   uint8_t* h = out->data() + base;
-  uint32_t total = static_cast<uint32_t>(out->size() - base);
-  OverwriteFixed32(out, base + 0, total);
+  TC_CHECK(out->size() - base == total_size);
+  OverwriteFixed32(out, base + 0, static_cast<uint32_t>(total_size));
   OverwriteFixed32(out, base + 4, static_cast<uint32_t>(p.tags.size()));
   h[8] = static_cast<uint8_t>(var_bits);
   h[9] = static_cast<uint8_t>(name_bits);
@@ -196,7 +228,8 @@ Status EncodeVectorRecord(const AdmValue& record, const DatasetType& type,
   if (!record.is_object()) {
     return Status::InvalidArgument("vector format encodes object records");
   }
-  Parts p;
+  thread_local Parts p;
+  p.Reset(/*compact=*/false);
   TC_RETURN_IF_ERROR(EncodeValue(record, type.root.get(), /*level=*/1, &p));
   Assemble(p, out);
   return Status::OK();
@@ -750,13 +783,13 @@ struct FlushVisitor {
 /// when `out` is set.
 Status FlushWalk(const VectorRecordView& view, const DatasetType& type,
                  Schema* schema, Buffer* out) {
-  Parts parts;
-  parts.compacted = true;
+  thread_local Parts parts;
   if (out != nullptr) {
     TC_RETURN_IF_ERROR(view.Validate());
     if (view.compacted()) {
       return Status::InvalidArgument("vb: record is already compacted");
     }
+    parts.Reset(/*compact=*/true);
   }
   FlushVisitor flush{schema, out != nullptr ? &parts : nullptr};
   TC_RETURN_IF_ERROR(WalkRecordScopes(view, type, schema, &flush));

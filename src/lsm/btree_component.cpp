@@ -37,6 +37,44 @@ BtreeKey GetKey(const uint8_t* p) {
 
 std::string ValidPath(const std::string& path) { return path + ".valid"; }
 
+// Pages carry no CRC (an uncompressed component's leaf is read as stored),
+// so readers range-check every count, offset, length and page number they
+// follow against the page size: a corrupt page fails with Corruption instead
+// of reading outside its buffer. A leaf of `n` slots keeps its entries below
+// its slot table, which starts at page_size - 2n.
+
+// Checks a leaf page's type and slot count (each entry needs its fixed part
+// and a slot) and returns the count.
+Result<uint16_t> LeafSlotCount(const uint8_t* p, size_t page_size) {
+  if (p[0] != kLeafPage) return Status::Corruption("expected leaf page");
+  const uint16_t n = GetFixed16(p + 1);
+  if (kLeafHeader + size_t{n} * (kEntryFixed + 2) > page_size) {
+    return Status::Corruption("leaf slot count out of range");
+  }
+  return n;
+}
+
+// Reads the offset of slot `i` (< n); false when the entry's fixed part
+// would overrun the slot table.
+inline bool LeafEntryAt(const uint8_t* p, size_t page_size, size_t n, size_t i,
+                        size_t* off) {
+  *off = GetFixed16(p + page_size - 2 * (i + 1));
+  return *off + kEntryFixed <= page_size - 2 * n;
+}
+
+// Reads the payload of the entry at `off` (checked by LeafEntryAt); false
+// when its length would overrun the slot table.
+inline bool LeafPayloadAt(const uint8_t* p, size_t page_size, size_t n, size_t off,
+                          std::string_view* payload) {
+  const uint32_t len = GetFixed32(p + off + 17);
+  if (len > page_size - 2 * n - off - kEntryFixed) return false;
+  *payload = std::string_view(reinterpret_cast<const char*>(p + off + kEntryFixed), len);
+  return true;
+}
+
+Status BadLeafEntry() { return Status::Corruption("leaf entry offset out of range"); }
+Status BadLeafPayload() { return Status::Corruption("leaf payload length out of range"); }
+
 // Reads the `len`-byte blob stored in whole pages from page `start` on.
 Status ReadBlobPages(const PagedFile& file, uint32_t start, uint32_t len,
                      Buffer* out) {
@@ -385,6 +423,9 @@ Result<uint32_t> BtreeComponent::FindLeaf(const BtreeKey& key,
     }
     uint16_t n = GetFixed16(p + 1);
     if (n == 0) return Status::Corruption("empty interior page");
+    if (kInteriorHeader + size_t{n} * kInteriorEntry > page_size_) {
+      return Status::Corruption("interior slot count out of range");
+    }
     // Last child whose first_key <= key (or the first child).
     uint32_t lo = 0, hi = n;  // invariant: answer in [lo, hi)
     while (hi - lo > 1) {
@@ -396,7 +437,11 @@ Result<uint32_t> BtreeComponent::FindLeaf(const BtreeKey& key,
         hi = mid;
       }
     }
-    page_no = GetFixed32(p + kInteriorHeader + kInteriorEntry * lo + 16);
+    // Children precede their parent in the file, so a descent only moves
+    // toward page 0 and ends at a leaf.
+    const uint32_t child = GetFixed32(p + kInteriorHeader + kInteriorEntry * lo + 16);
+    if (child >= page_no) return Status::Corruption("interior child page out of range");
+    page_no = child;
   }
   return page_no;
 }
@@ -415,22 +460,24 @@ Result<std::optional<BtreeComponent::LookupResult>> BtreeComponent::Get(
   TC_ASSIGN_OR_RETURN(auto page, cache_->GetPage(file_.get(), leaf_no, &disk_read));
   if (disk_read && pages_read != nullptr) ++*pages_read;
   const uint8_t* p = page->data();
-  if (p[0] != kLeafPage) return Status::Corruption("expected leaf page");
-  uint16_t n = GetFixed16(p + 1);
+  TC_ASSIGN_OR_RETURN(uint16_t n, LeafSlotCount(p, page_size_));
   uint32_t lo = 0, hi = n;
   while (lo < hi) {
     uint32_t mid = (lo + hi) / 2;
-    uint16_t off = GetFixed16(p + page_size_ - 2 * (mid + 1));
+    size_t off;
+    if (!LeafEntryAt(p, page_size_, n, mid, &off)) return BadLeafEntry();
     BtreeKey mk = GetKey(p + off);
     if (mk < key) {
       lo = mid + 1;
     } else if (key < mk) {
       hi = mid;
     } else {
+      std::string_view payload;
+      if (!LeafPayloadAt(p, page_size_, n, off, &payload)) return BadLeafPayload();
       LookupResult r;
       r.anti = p[off + 16] != 0;
-      uint32_t len = GetFixed32(p + off + 17);
-      r.payload.assign(p + off + 21, p + off + 21 + len);
+      const uint8_t* data = p + off + kEntryFixed;
+      r.payload.assign(data, data + payload.size());
       return std::optional<LookupResult>{std::move(r)};
     }
   }
@@ -443,6 +490,7 @@ Status BtreeComponent::Iterator::SeekToFirst() {
   page_no_ = 0;
   slot_ = 0;
   TC_ASSIGN_OR_RETURN(page_, c_->cache_->GetPage(c_->file_.get(), page_no_));
+  TC_ASSIGN_OR_RETURN(n_, LeafSlotCount(page_->data(), c_->page_size_));
   return LoadEntry();
 }
 
@@ -455,12 +503,13 @@ Status BtreeComponent::Iterator::Seek(const BtreeKey& key) {
   page_no_ = leaf.value();
   TC_ASSIGN_OR_RETURN(page_, c_->cache_->GetPage(c_->file_.get(), page_no_));
   const uint8_t* p = page_->data();
-  uint16_t n = GetFixed16(p + 1);
+  TC_ASSIGN_OR_RETURN(n_, LeafSlotCount(p, c_->page_size_));
   // First slot with entry key >= key.
-  uint16_t lo = 0, hi = n;
+  uint16_t lo = 0, hi = n_;
   while (lo < hi) {
     uint16_t mid = static_cast<uint16_t>((lo + hi) / 2);
-    uint16_t off = GetFixed16(p + c_->page_size_ - 2 * (mid + 1));
+    size_t off;
+    if (!LeafEntryAt(p, c_->page_size_, n_, mid, &off)) return BadLeafEntry();
     if (GetKey(p + off) < key) {
       lo = static_cast<uint16_t>(mid + 1);
     } else {
@@ -468,15 +517,12 @@ Status BtreeComponent::Iterator::Seek(const BtreeKey& key) {
     }
   }
   slot_ = lo;
-  if (slot_ >= n) return AdvancePage();
   return LoadEntry();
 }
 
 Status BtreeComponent::Iterator::Next() {
   TC_CHECK(valid_);
   ++slot_;
-  const uint8_t* p = page_->data();
-  if (slot_ >= GetFixed16(p + 1)) return AdvancePage();
   return LoadEntry();
 }
 
@@ -487,21 +533,24 @@ Status BtreeComponent::Iterator::AdvancePage() {
     valid_ = false;
     return Status::OK();
   }
+  // Leaves are chained in file order; a link back would loop forever.
+  if (next <= page_no_) return Status::Corruption("leaf next page out of range");
   page_no_ = next;
   slot_ = 0;
   TC_ASSIGN_OR_RETURN(page_, c_->cache_->GetPage(c_->file_.get(), page_no_));
+  TC_ASSIGN_OR_RETURN(n_, LeafSlotCount(page_->data(), c_->page_size_));
   return LoadEntry();
 }
 
 Status BtreeComponent::Iterator::LoadEntry() {
+  valid_ = false;  // until the entry checks out
+  if (slot_ >= n_) return AdvancePage();
   const uint8_t* p = page_->data();
-  uint16_t n = GetFixed16(p + 1);
-  if (slot_ >= n) return AdvancePage();
-  uint16_t off = GetFixed16(p + c_->page_size_ - 2 * (slot_ + 1));
+  size_t off;
+  if (!LeafEntryAt(p, c_->page_size_, n_, slot_, &off)) return BadLeafEntry();
+  if (!LeafPayloadAt(p, c_->page_size_, n_, off, &payload_)) return BadLeafPayload();
   key_ = GetKey(p + off);
   anti_ = p[off + 16] != 0;
-  uint32_t len = GetFixed32(p + off + 17);
-  payload_ = std::string_view(reinterpret_cast<const char*>(p + off + 21), len);
   valid_ = true;
   return Status::OK();
 }

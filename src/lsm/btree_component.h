@@ -181,6 +181,7 @@ class BtreeComponent {
     const BtreeComponent* c_;
     BufferCache::PageRef page_;
     uint32_t page_no_ = 0;
+    uint16_t n_ = 0;  // the current leaf's slot count, range-checked
     uint16_t slot_ = 0;
     bool valid_ = false;
     BtreeKey key_;

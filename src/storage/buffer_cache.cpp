@@ -76,8 +76,7 @@ Status PagedFile::Remove(FileSystem* fs, const std::string& path) {
 Status PagedFile::AppendPage(const uint8_t* data) {
   TC_CHECK(!finished_);
   if (compressed()) {
-    Buffer out;
-    out.reserve(page_size_);
+    Buffer out;  // the codec sizes it to its own worst case
     auto t0 = std::chrono::steady_clock::now();
     TC_RETURN_IF_ERROR(compressor_->Compress(data, page_size_, &out));
     compress_nanos_ += static_cast<uint64_t>(

@@ -64,57 +64,113 @@ inline uint32_t Load32(const uint8_t* p) {
   return v;
 }
 
+inline uint64_t Load64(const uint8_t* p) {
+  uint64_t v;
+  std::memcpy(&v, p, 8);
+  return v;
+}
+
 inline uint32_t HashOf(uint32_t v) { return (v * 0x1e35a7bdu) >> (32 - kHashBits); }
 
-void EmitLiteral(const uint8_t* p, size_t len, Buffer* out) {
+// Worst-case body length (everything after the length varint) of either
+// homegrown stream for an `n`-byte input; compressor.h states the bound and
+// why it holds. Each compressor sizes its output to this once and trims.
+size_t MaxBodyLength(size_t n) { return n + n / 65 + 3 * ((n + kBlock - 1) / kBlock); }
+
+// The length of the common prefix of `a` and `b`, from `len` (already known
+// equal) up to `max_len`: 8 bytes per step, the first differing byte found
+// by the lowest set bit of the XOR (the highest on a big-endian host).
+inline size_t MatchLength(const uint8_t* a, const uint8_t* b, size_t len,
+                          size_t max_len) {
+  while (len + 8 <= max_len) {
+    uint64_t diff = Load64(a + len) ^ Load64(b + len);
+    if (diff != 0) {
+#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
+      return len + static_cast<size_t>(__builtin_clzll(diff)) / 8;
+#else
+      return len + static_cast<size_t>(__builtin_ctzll(diff)) / 8;
+#endif
+    }
+    len += 8;
+  }
+  while (len < max_len && a[len] == b[len]) ++len;
+  return len;
+}
+
+// The emitters write at `op`, which the caller sized by MaxBodyLength, and
+// return the position after what they wrote.
+uint8_t* EmitLiteral(const uint8_t* p, size_t len, uint8_t* op) {
   while (len > 0) {
     size_t chunk = len;
     if (chunk <= 60) {
-      out->push_back(static_cast<uint8_t>((chunk - 1) << 2));
+      *op++ = static_cast<uint8_t>((chunk - 1) << 2);
     } else if (chunk <= 256) {
-      out->push_back(60 << 2);
-      out->push_back(static_cast<uint8_t>(chunk - 1));
+      *op++ = 60 << 2;
+      *op++ = static_cast<uint8_t>(chunk - 1);
     } else {
       if (chunk > 65536) chunk = 65536;
-      out->push_back(61 << 2);
-      out->push_back(static_cast<uint8_t>((chunk - 1) & 0xff));
-      out->push_back(static_cast<uint8_t>((chunk - 1) >> 8));
+      *op++ = 61 << 2;
+      *op++ = static_cast<uint8_t>((chunk - 1) & 0xff);
+      *op++ = static_cast<uint8_t>((chunk - 1) >> 8);
     }
-    PutBytes(out, p, chunk);
+    std::memcpy(op, p, chunk);
+    op += chunk;
     p += chunk;
     len -= chunk;
   }
+  return op;
 }
 
-void EmitCopy(size_t offset, size_t len, Buffer* out) {
+inline uint8_t* EmitOffset(size_t offset, uint8_t* op) {
+  op[0] = static_cast<uint8_t>(offset & 0xff);
+  op[1] = static_cast<uint8_t>(offset >> 8);
+  return op + 2;
+}
+
+uint8_t* EmitCopy(size_t offset, size_t len, uint8_t* op) {
   while (len >= kMinMatch) {
     size_t chunk = len < kMaxCopyLen ? len : kMaxCopyLen;
     // Avoid leaving a sub-minimum tail: shrink this op so the tail is emittable.
     if (len - chunk > 0 && len - chunk < kMinMatch) chunk = len - kMinMatch;
-    out->push_back(static_cast<uint8_t>(((chunk - 4) << 2) | 2));
-    out->push_back(static_cast<uint8_t>(offset & 0xff));
-    out->push_back(static_cast<uint8_t>(offset >> 8));
+    *op++ = static_cast<uint8_t>(((chunk - 4) << 2) | 2);
+    op = EmitOffset(offset, op);
     len -= chunk;
   }
+  return op;
 }
 
 // Heavy-codec copy emitter: short copies keep the 3-byte snappy op, longer
 // matches use the 4-byte long-copy op instead of a run of 64-byte ops.
-void EmitLongCopy(size_t offset, size_t len, Buffer* out) {
+uint8_t* EmitLongCopy(size_t offset, size_t len, uint8_t* op) {
   while (len >= kMinMatch) {
     size_t chunk = len < kMaxLongCopyLen ? len : kMaxLongCopyLen;
     if (len - chunk > 0 && len - chunk < kMinMatch) chunk = len - kMinMatch;
     if (chunk <= kMaxCopyLen) {
-      out->push_back(static_cast<uint8_t>(((chunk - 4) << 2) | 2));
+      *op++ = static_cast<uint8_t>(((chunk - 4) << 2) | 2);
     } else {
       size_t v = chunk - 4;
-      out->push_back(static_cast<uint8_t>(((v & 0x3f) << 2) | 1));
-      out->push_back(static_cast<uint8_t>(v >> 6));
+      *op++ = static_cast<uint8_t>(((v & 0x3f) << 2) | 1);
+      *op++ = static_cast<uint8_t>(v >> 6);
     }
-    out->push_back(static_cast<uint8_t>(offset & 0xff));
-    out->push_back(static_cast<uint8_t>(offset >> 8));
+    op = EmitOffset(offset, op);
     len -= chunk;
   }
+  return op;
+}
+
+// Appends the length varint, sizes `out` for the worst-case body, runs
+// `compress_blocks(op)` (which returns the end of what it wrote) and trims
+// `out` to the bytes written.
+template <typename CompressBlocks>
+void WriteStream(const uint8_t* in, size_t n, Buffer* out,
+                 CompressBlocks compress_blocks) {
+  PutVarint64(out, n);
+  if (n == 0) return;
+  const size_t start = out->size();
+  out->resize(start + MaxBodyLength(n));
+  uint8_t* op = out->data() + start;
+  op = n < kMinMatch + 4 ? EmitLiteral(in, n, op) : compress_blocks(op);
+  out->resize(static_cast<size_t>(op - out->data()));
 }
 
 // One decoder for both homegrown streams; `allow_long` rejects the heavy
@@ -193,24 +249,20 @@ class SnappyLikeCompressor final : public Compressor {
   std::string name() const override { return "snappy-like"; }
 
   Status Compress(const uint8_t* in, size_t n, Buffer* out) const override {
-    PutVarint64(out, n);
-    if (n == 0) return Status::OK();
-    if (n < kMinMatch + 4) {
-      EmitLiteral(in, n, out);
-      return Status::OK();
-    }
-
-    uint16_t table[kHashTableSize];
-    std::memset(table, 0, sizeof(table));
-    // Positions are stored +1 so 0 means "empty"; works for inputs < 64 KiB.
-    // For larger inputs we compress in 60 KiB blocks sharing the table.
-    size_t block_start = 0;
-    while (block_start < n) {
-      size_t block_len = n - block_start < kBlock ? n - block_start : kBlock;
-      CompressBlock(in + block_start, block_len, table, out);
-      std::memset(table, 0, sizeof(table));
-      block_start += block_len;
-    }
+    WriteStream(in, n, out, [in, n](uint8_t* op) {
+      // Positions are stored +1 so 0 means "empty"; works for inputs < 64 KiB.
+      // For larger inputs we compress in 60 KiB blocks, each starting from an
+      // empty table.
+      uint16_t table[kHashTableSize];
+      size_t block_start = 0;
+      while (block_start < n) {
+        size_t block_len = n - block_start < kBlock ? n - block_start : kBlock;
+        std::memset(table, 0, sizeof(table));
+        op = CompressBlock(in + block_start, block_len, table, op);
+        block_start += block_len;
+      }
+      return op;
+    });
     return Status::OK();
   }
 
@@ -220,36 +272,38 @@ class SnappyLikeCompressor final : public Compressor {
   }
 
  private:
-  static void CompressBlock(const uint8_t* in, size_t n, uint16_t* table,
-                            Buffer* out) {
+  static uint8_t* CompressBlock(const uint8_t* in, size_t n, uint16_t* table,
+                                uint8_t* op) {
     size_t ip = 0;
     size_t literal_start = 0;
     if (n >= kMinMatch + 4) {
       size_t ip_limit = n - kMinMatch - 4;
       while (ip <= ip_limit) {
-        uint32_t h = HashOf(Load32(in + ip));
-        size_t candidate = table[h];
+        const uint32_t cur = Load32(in + ip);
+        const uint32_t h = HashOf(cur);
+        const size_t candidate = table[h];
         table[h] = static_cast<uint16_t>(ip + 1);
-        if (candidate != 0) {
-          size_t cpos = candidate - 1;
-          size_t offset = ip - cpos;
-          if (offset > 0 && offset <= kMaxOffset &&
-              Load32(in + cpos) == Load32(in + ip)) {
-            size_t len = kMinMatch;
-            size_t max_len = n - ip;
-            if (max_len > kMaxCopyLen) max_len = kMaxCopyLen;
-            while (len < max_len && in[cpos + len] == in[ip + len]) ++len;
-            EmitLiteral(in + literal_start, ip - literal_start, out);
-            EmitCopy(offset, len, out);
-            ip += len;
-            literal_start = ip;
-            continue;
-          }
+        // Whether a slot is still empty (0) is a coin flip while a block
+        // fills its table, so it takes no branch: an empty slot compares the
+        // current word against itself with one bit flipped, which never
+        // matches. A filled slot is an earlier position of this block, so its
+        // offset is in [1, kBlock) and always encodable.
+        const size_t empty = candidate == 0;
+        const size_t cpos = candidate - 1 + empty * (ip + 1);
+        if ((Load32(in + cpos) ^ static_cast<uint32_t>(empty)) == cur) {
+          size_t max_len = n - ip;
+          if (max_len > kMaxCopyLen) max_len = kMaxCopyLen;
+          size_t len = MatchLength(in + cpos, in + ip, kMinMatch, max_len);
+          op = EmitLiteral(in + literal_start, ip - literal_start, op);
+          op = EmitCopy(ip - cpos, len, op);
+          ip += len;
+          literal_start = ip;
+          continue;
         }
         ++ip;
       }
     }
-    EmitLiteral(in + literal_start, n - literal_start, out);
+    return EmitLiteral(in + literal_start, n - literal_start, op);
   }
 };
 
@@ -270,21 +324,18 @@ class HeavyCompressor final : public Compressor {
   std::string name() const override { return "heavy"; }
 
   Status Compress(const uint8_t* in, size_t n, Buffer* out) const override {
-    PutVarint64(out, n);
-    if (n == 0) return Status::OK();
-    if (n < kMinMatch + 4) {
-      EmitLiteral(in, n, out);
-      return Status::OK();
-    }
-    std::vector<uint16_t> head(kHashTableSize, 0);
-    std::vector<uint16_t> prev(kBlock, 0);
-    size_t block_start = 0;
-    while (block_start < n) {
-      size_t block_len = n - block_start < kBlock ? n - block_start : kBlock;
-      CompressBlock(in + block_start, block_len, head.data(), prev.data(), out);
-      std::fill(head.begin(), head.end(), 0);
-      block_start += block_len;
-    }
+    WriteStream(in, n, out, [in, n](uint8_t* op) {
+      std::vector<uint16_t> head(kHashTableSize);
+      std::vector<uint16_t> prev(kBlock, 0);
+      size_t block_start = 0;
+      while (block_start < n) {
+        size_t block_len = n - block_start < kBlock ? n - block_start : kBlock;
+        std::fill(head.begin(), head.end(), 0);
+        op = CompressBlock(in + block_start, block_len, head.data(), prev.data(), op);
+        block_start += block_len;
+      }
+      return op;
+    });
     return Status::OK();
   }
 
@@ -294,8 +345,8 @@ class HeavyCompressor final : public Compressor {
   }
 
  private:
-  static void CompressBlock(const uint8_t* in, size_t n, uint16_t* head,
-                            uint16_t* prev, Buffer* out) {
+  static uint8_t* CompressBlock(const uint8_t* in, size_t n, uint16_t* head,
+                                uint16_t* prev, uint8_t* op) {
     size_t ip = 0;
     size_t literal_start = 0;
     while (ip + kMinMatch <= n && ip + 4 <= n) {
@@ -304,15 +355,14 @@ class HeavyCompressor final : public Compressor {
       size_t best_off = 0;
       size_t candidate = head[h];
       size_t chain = 0;
+      size_t max_len = n - ip;
+      if (max_len > kMaxLongCopyLen) max_len = kMaxLongCopyLen;
       while (candidate != 0 && chain < kMaxChain) {
         size_t cpos = candidate - 1;
         size_t offset = ip - cpos;
         if (offset == 0) break;  // stale self-entry; chain ends here
         if (offset <= kMaxOffset && Load32(in + cpos) == Load32(in + ip)) {
-          size_t max_len = n - ip;
-          if (max_len > kMaxLongCopyLen) max_len = kMaxLongCopyLen;
-          size_t len = kMinMatch;
-          while (len < max_len && in[cpos + len] == in[ip + len]) ++len;
+          size_t len = MatchLength(in + cpos, in + ip, kMinMatch, max_len);
           if (len > best_len) {
             best_len = len;
             best_off = offset;
@@ -324,8 +374,8 @@ class HeavyCompressor final : public Compressor {
       prev[ip] = head[h];
       head[h] = static_cast<uint16_t>(ip + 1);
       if (best_len >= kMinMatch) {
-        EmitLiteral(in + literal_start, ip - literal_start, out);
-        EmitLongCopy(best_off, best_len, out);
+        op = EmitLiteral(in + literal_start, ip - literal_start, op);
+        op = EmitLongCopy(best_off, best_len, op);
         // Insert interior match positions so later data can reference them.
         size_t stop = ip + best_len;
         for (size_t j = ip + 1; j + 4 <= stop && j + 4 <= n; ++j) {
@@ -339,7 +389,7 @@ class HeavyCompressor final : public Compressor {
         ++ip;
       }
     }
-    EmitLiteral(in + literal_start, n - literal_start, out);
+    return EmitLiteral(in + literal_start, n - literal_start, op);
   }
 };
 

@@ -9,6 +9,20 @@
 // on read; the codec a file was written with is persisted in its LAF
 // sidecar, so components recompressed at merge stay readable by a tree
 // configured with any codec.
+//
+// The homegrown codecs' output bytes are a format contract, not just their
+// stream layout: the same input always compresses to the same bytes (same
+// hash, table, 60 KiB block, greedy match rules and no skip-ahead), so a
+// component rebuilt from the same records is byte-identical and its
+// stored size is reproducible. Tests pin hashes of compressed workload
+// pages; a faster compressor must reproduce them exactly.
+//
+// Worst case: an `n`-byte input compresses to at most
+//   10 + n + floor(n / 65) + 3 * ceil(n / 61440)
+// bytes at both tiers: a varint length of at most 10 bytes, then per 60 KiB
+// block the input bytes plus one byte per 65 (a literal over 60 bytes costs
+// two tag bytes, and the copy of at least 4 bytes that must follow it saves
+// at least one) plus the final literal's tag of at most 3 bytes.
 #ifndef TC_STORAGE_COMPRESSOR_H_
 #define TC_STORAGE_COMPRESSOR_H_
 

@@ -288,5 +288,88 @@ INSTANTIATE_TEST_SUITE_P(
                       FooterField{"FilterLength", 88, 0xFFFFFFF0u}),
     [](const auto& info) { return std::string(info.param.name); });
 
+// Pages carry no CRC either, so readers range-check every field they follow
+// on a page. Each case rewrites one field of an uncompressed component's
+// leaf 0 or root page and expects Corruption, not a crash or a hang, from
+// each read that follows the field.
+constexpr uint32_t kOwnPage = UINT32_MAX;  // the rewritten page's own number
+
+struct PageField {
+  const char* name;
+  bool root;         // on the root (interior) page, or on leaf 0
+  size_t offset;     // of the field within the page
+  int width;         // bytes: 2 or 4
+  uint32_t value;    // what is written there (kOwnPage: the page's number)
+  bool scan_reads;   // whether a full scan follows it (only descents read the root)
+};
+
+void PrintTo(const PageField& field, std::ostream* os) { *os << field.name; }
+
+class PageFieldOutOfRange : public ::testing::TestWithParam<PageField> {};
+
+TEST_P(PageFieldOutOfRange, ReadsFailWithCorruption) {
+  const PageField& field = GetParam();
+  constexpr size_t kPage = 4096;
+  auto fs = MakeMemFileSystem();
+  // A two-level tree: 3000 entries over ~47 leaves under one root.
+  {
+    auto b = BtreeComponentBuilder::Create(fs, "c", kPage, nullptr).ValueOrDie();
+    for (int64_t k = 0; k < 3000; ++k) {
+      ASSERT_TRUE(b->Add(BtreeKey{k, 0}, false, std::string(40, 'p')).ok());
+    }
+    ASSERT_TRUE(b->Finish(1, 1, {}).ok());
+    ASSERT_TRUE(b->MarkValid().ok());
+  }
+  auto f = fs->Open("c").ValueOrDie();
+  uint8_t footer[12];
+  ASSERT_TRUE(f->Read(f->Size() - kPage, sizeof(footer), footer).ok());
+  const uint32_t root = GetFixed32(footer + 4);
+  ASSERT_GT(root, 0u);  // not a single-leaf tree
+  const uint32_t page_no = field.root ? root : 0;
+  const uint32_t value = field.value == kOwnPage ? page_no : field.value;
+  uint8_t raw[4];
+  for (int i = 0; i < field.width; ++i) raw[i] = static_cast<uint8_t>(value >> (8 * i));
+  ASSERT_TRUE(f->Write(uint64_t{page_no} * kPage + field.offset, raw,
+                       static_cast<size_t>(field.width))
+                  .ok());
+
+  BufferCache cache(kPage, 64);
+  auto c = BtreeComponent::Open(fs, &cache, "c", kPage).ValueOrDie();
+  const BtreeKey first{0, 0};
+  auto got = c->Get(first);
+  ASSERT_FALSE(got.ok());
+  EXPECT_TRUE(got.status().IsCorruption()) << got.status().ToString();
+  BtreeComponent::Iterator seek(c.get());
+  Status st = seek.Seek(first);
+  EXPECT_TRUE(st.IsCorruption()) << st.ToString();
+  EXPECT_FALSE(seek.Valid());
+
+  BtreeComponent::Iterator scan(c.get());
+  st = scan.SeekToFirst();
+  size_t entries = 0;
+  while (st.ok() && scan.Valid()) {
+    ++entries;
+    st = scan.Next();
+  }
+  if (field.scan_reads) {
+    EXPECT_TRUE(st.IsCorruption()) << st.ToString();
+    EXPECT_FALSE(scan.Valid());
+  } else {
+    EXPECT_TRUE(st.ok()) << st.ToString();
+    EXPECT_EQ(entries, 3000u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Fields, PageFieldOutOfRange,
+    ::testing::Values(
+        PageField{"LeafSlotCount", false, 1, 2, 0xFFFF, true},
+        PageField{"LeafSlotOffset", false, 4096 - 2, 2, 0xFFF0, true},
+        // Unchecked, Get on the first entry copied 2 GiB past its page.
+        PageField{"LeafPayloadLength", false, 7 + 17, 4, 0x7FFFFFFF, true},
+        PageField{"InteriorSlotCount", true, 1, 2, 0xFFFF, false},
+        PageField{"InteriorChildPage", true, 3 + 16, 4, kOwnPage, false}),
+    [](const auto& info) { return std::string(info.param.name); });
+
 }  // namespace
 }  // namespace tc

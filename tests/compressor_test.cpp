@@ -7,7 +7,11 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "format/adm_format.h"
+#include "format/vector_format.h"
 #include "storage/compressor.h"
+#include "tests/test_util.h"
+#include "workload/workload.h"
 
 namespace tc {
 namespace {
@@ -384,6 +388,194 @@ TEST(CompressionKindHelpers, NameAndAvailability) {
   EXPECT_EQ(CompressorAvailable(CompressionKind::kLz4),
             GetCompressor(CompressionKind::kLz4) != nullptr);
 }
+
+// ---------------------------------------------------------------------------
+// The homegrown codecs' output bytes are a format contract (compressor.h).
+// ---------------------------------------------------------------------------
+
+/// A page as a component stores it: seeded workload records packed back to
+/// back up to `page_size`, either as ADM records (the open and closed modes)
+/// or as compacted vector records, which is what kInferred flushes and merges
+/// compress. The generators and encoders feed these pages, so a change there
+/// moves these hashes too; vector_format_test pins the encoder output alone,
+/// which tells the two apart.
+Buffer WorkloadPage(const std::string& workload, bool vector, size_t page_size) {
+  auto gen = MakeGenerator(workload, /*seed=*/7);
+  const DatasetType type = gen->OpenType();
+  Schema schema;
+  Buffer page;
+  Buffer raw;
+  while (page.size() < page_size) {
+    AdmValue rec = gen->NextRecord();
+    if (!vector) {
+      EXPECT_TRUE(EncodeAdmRecord(rec, type, &page).ok());
+      continue;
+    }
+    raw.clear();
+    EXPECT_TRUE(EncodeVectorRecord(rec, type, &raw).ok());
+    EXPECT_TRUE(InferAndCompactVectorRecord(VectorRecordView(raw.data(), raw.size()),
+                                            type, &schema, &page)
+                    .ok());
+  }
+  page.resize(page_size);
+  return page;
+}
+
+struct GoldenPage {
+  const char* workload;
+  bool vector;       // compacted vector records, or ADM records
+  size_t page_size;  // 131072 spans three 60 KiB compression blocks
+  uint64_t snappy;   // FNV-1a of the compressed page at each tier
+  uint64_t heavy;
+};
+
+void PrintTo(const GoldenPage& g, std::ostream* os) {
+  *os << g.workload << (g.vector ? "/vector/" : "/adm/") << g.page_size;
+}
+
+class CompressorGoldenBytes : public ::testing::TestWithParam<GoldenPage> {};
+
+TEST_P(CompressorGoldenBytes, CompressedPagesMatchPinnedHashes) {
+  const GoldenPage& g = GetParam();
+  const Buffer page = WorkloadPage(g.workload, g.vector, g.page_size);
+  for (auto [kind, want] : {std::pair{CompressionKind::kSnappy, g.snappy},
+                            std::pair{CompressionKind::kHeavy, g.heavy}}) {
+    auto c = GetCompressor(kind);
+    Buffer compressed;
+    ASSERT_TRUE(c->Compress(page.data(), page.size(), &compressed).ok());
+    const uint64_t got = testutil::Fnv1a(compressed);
+    EXPECT_EQ(got, want) << CompressionKindName(kind) << std::hex << " 0x" << got
+                         << std::dec << " (" << compressed.size() << " bytes)";
+    EXPECT_EQ(RoundTrip(*c, page), page) << CompressionKindName(kind);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Pages, CompressorGoldenBytes,
+    ::testing::Values(
+        GoldenPage{"twitter", false, 32768, 0x9b50b6e0542b8510ull, 0xbea671129c271f40ull},
+        GoldenPage{"twitter", true, 32768, 0x13e1ce6697d1ebe7ull, 0x3f165cb76b1d131eull},
+        GoldenPage{"twitter", true, 131072, 0xb3136d6ada236f12ull, 0x51bc6d0a6c6ef94bull},
+        GoldenPage{"wos", false, 32768, 0x544269a07c85f963ull, 0xa7224c151b73178ull},
+        GoldenPage{"wos", true, 32768, 0x526ee5363645e2a4ull, 0xc5ab1012edb3d016ull},
+        GoldenPage{"wos", false, 131072, 0xf8f88c86b936aa1full, 0x36d054b686150065ull},
+        GoldenPage{"sensors", false, 32768, 0x6d734dbb96a133aull, 0x7a99b55e07963513ull},
+        GoldenPage{"sensors", true, 32768, 0x58273150d42c2be6ull, 0x5d0f8c34b499caf2ull},
+        GoldenPage{"sensors", true, 131072, 0xd0df4eaf2879bf9dull, 0x451f5c1a5a1dcb83ull}),
+    [](const auto& info) {
+      return std::string(info.param.workload) + (info.param.vector ? "Vector" : "Adm") +
+             std::to_string(info.param.page_size);
+    });
+
+// ---------------------------------------------------------------------------
+// The worst-case bound: each compressor sizes its output to it once and
+// writes through a pointer, so no input may need more.
+// ---------------------------------------------------------------------------
+
+/// The bound compressor.h documents for both homegrown tiers.
+size_t DocumentedBound(size_t n) { return 10 + n + n / 65 + 3 * ((n + 61439) / 61440); }
+
+class Lz77Bound : public ::testing::TestWithParam<CompressionKind> {
+ protected:
+  /// Compresses `input` after a few bytes already in the output (Compress
+  /// appends), checks the stream against the bound, and round-trips it into
+  /// a buffer of exactly the input's size.
+  void Check(const Buffer& input, const std::string& what) {
+    auto c = GetCompressor(GetParam());
+    const Buffer prefix = {0xA5, 0x5A, 0xA5};
+    Buffer out = prefix;
+    ASSERT_TRUE(c->Compress(input.data(), input.size(), &out).ok()) << what;
+    ASSERT_TRUE(std::equal(prefix.begin(), prefix.end(), out.begin())) << what;
+    const size_t stream_len = out.size() - prefix.size();
+    EXPECT_LE(stream_len, DocumentedBound(input.size())) << what;
+    Buffer decoded(input.size());
+    size_t n = 0;
+    Status st = c->Decompress(out.data() + prefix.size(), stream_len, decoded.data(),
+                              decoded.size(), &n);
+    ASSERT_TRUE(st.ok()) << what << ": " << st.ToString();
+    EXPECT_EQ(n, input.size()) << what;
+    EXPECT_TRUE(decoded == input) << what;
+  }
+};
+
+TEST_P(Lz77Bound, RandomIncompressible) {
+  Rng rng(21);
+  for (size_t n : {8u, 9u, 100u, 4096u, 61440u, 61441u, 200000u}) {
+    Check(RandomBytes(&rng, n), "random n=" + std::to_string(n));
+  }
+}
+
+TEST_P(Lz77Bound, LiteralLengthsAtTagBoundaries) {
+  // A literal of exactly `len` random bytes, then a run its last bytes
+  // repeat (a copy), so the literal ends at a match as well as at the end.
+  Rng rng(22);
+  for (size_t len : {1u, 60u, 61u, 256u, 257u, 65536u, 65537u}) {
+    Buffer input = RandomBytes(&rng, len);
+    const Buffer ends_literal = input;
+    for (int i = 0; i < 8; ++i) input.push_back(input[input.size() - std::min<size_t>(len, 4)]);
+    Check(ends_literal, "literal only, len=" + std::to_string(len));
+    Check(input, "literal then copy, len=" + std::to_string(len));
+  }
+}
+
+TEST_P(Lz77Bound, AlternatingShortLiteralsAndMinimalCopies) {
+  // One fresh byte, then a 4-byte phrase seen before: every literal is one
+  // byte and every copy the minimum four.
+  Rng rng(23);
+  Buffer input = {'W', 'X', 'Y', 'Z'};
+  while (input.size() < 70000) {
+    input.push_back(static_cast<uint8_t>(rng.Next()));
+    input.insert(input.end(), {'W', 'X', 'Y', 'Z'});
+  }
+  Check(input, "1-byte literals, 4-byte copies");
+  // 61-byte literals (two tag bytes) between minimal copies: the one case
+  // that expands, by one byte in 65, which the bound's n/65 term covers.
+  Buffer worst = {'W', 'X', 'Y', 'Z'};
+  while (worst.size() < 70000) {
+    Buffer lit = RandomBytes(&rng, 61);
+    worst.insert(worst.end(), lit.begin(), lit.end());
+    worst.insert(worst.end(), {'W', 'X', 'Y', 'Z'});
+  }
+  Check(worst, "61-byte literals, 4-byte copies");
+  if (GetParam() != CompressionKind::kSnappy) return;
+  // The single-probe tier finds exactly those copies, so its output grows.
+  Buffer compressed;
+  ASSERT_TRUE(GetCompressor(GetParam())->Compress(worst.data(), worst.size(), &compressed).ok());
+  EXPECT_GT(compressed.size(), worst.size());
+}
+
+TEST_P(Lz77Bound, InputsStraddlingTheBlockBoundary) {
+  Rng rng(24);
+  for (size_t n : {61439u, 61440u, 61441u, 61447u, 122879u, 122880u, 122881u}) {
+    Check(RandomBytes(&rng, n), "random n=" + std::to_string(n));
+    Buffer text;
+    while (text.size() < n) {
+      std::string token = "k" + std::to_string(rng.Uniform(300)) + "=v;";
+      text.insert(text.end(), token.begin(), token.end());
+    }
+    text.resize(n);
+    Check(text, "text n=" + std::to_string(n));
+    // A match running up to the boundary: the block must end it there.
+    Check(Buffer(n, 'q'), "run n=" + std::to_string(n));
+  }
+}
+
+TEST_P(Lz77Bound, InputsShorterThanAWord) {
+  Rng rng(25);
+  for (size_t n = 0; n < 8; ++n) {
+    Check(RandomBytes(&rng, n), "random n=" + std::to_string(n));
+    Check(Buffer(n, 'a'), "run n=" + std::to_string(n));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(BothTiers, Lz77Bound,
+                         ::testing::Values(CompressionKind::kSnappy,
+                                           CompressionKind::kHeavy),
+                         [](const auto& info) {
+                           std::string n = CompressionKindName(info.param);
+                           n[0] = static_cast<char>(std::toupper(n[0]));
+                           return n;
+                         });
 
 }  // namespace
 }  // namespace tc

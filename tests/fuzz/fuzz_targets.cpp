@@ -1,5 +1,7 @@
 #include "fuzz_targets.h"
 
+#include <algorithm>
+#include <cstring>
 #include <string>
 #include <string_view>
 
@@ -11,6 +13,7 @@
 #include "query/scan_predicate.h"
 #include "query/vec/vec_operator.h"
 #include "schema/schema_io.h"
+#include "storage/compressor.h"
 #include "workload/workload.h"
 
 namespace tc {
@@ -129,6 +132,36 @@ const std::vector<PathWalkFuzzContext>& PathWalkFuzzContexts() {
     return out;
   }();
   return contexts;
+}
+
+int FuzzPageCodec(const uint8_t* data, size_t size) {
+  // Larger than any configured page, so a stream claiming a bigger page is
+  // the only length the decoder refuses for room.
+  constexpr size_t kMaxPage = size_t{1} << 17;
+  Buffer decoded(kMaxPage);
+  for (CompressionKind kind : {CompressionKind::kSnappy, CompressionKind::kHeavy}) {
+    auto codec = GetCompressor(kind);
+    size_t n = 0;
+    if (codec->Decompress(data, size, decoded.data(), decoded.size(), &n).ok()) {
+      TC_CHECK(n <= decoded.size());
+      Buffer again;
+      TC_CHECK(codec->Compress(decoded.data(), n, &again).ok());
+      Buffer back(n);
+      size_t m = 0;
+      TC_CHECK(codec->Decompress(again.data(), again.size(), back.data(), n, &m).ok());
+      TC_CHECK(m == n && std::equal(back.begin(), back.end(), decoded.begin()));
+    }
+    // The input as a raw page.
+    Buffer compressed;
+    TC_CHECK(codec->Compress(data, size, &compressed).ok());
+    TC_CHECK(compressed.size() <= 10 + size + size / 65 + 3 * ((size + 61439) / 61440));
+    Buffer back(size);
+    size_t m = 0;
+    TC_CHECK(codec->Decompress(compressed.data(), compressed.size(), back.data(), size, &m)
+                 .ok());
+    TC_CHECK(m == size && (size == 0 || std::memcmp(back.data(), data, size) == 0));
+  }
+  return 0;
 }
 
 int FuzzVectorPathWalk(const uint8_t* data, size_t size) {

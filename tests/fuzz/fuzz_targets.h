@@ -40,6 +40,14 @@ int FuzzDeserializeSchema(const uint8_t* data, size_t size);
 /// schema unchanged.
 int FuzzVectorPathWalk(const uint8_t* data, size_t size);
 
+/// Both homegrown page codecs over arbitrary bytes. Each decoder reads the
+/// bytes as a compressed page: it must return a Status and never crash or
+/// write past its output; a page it accepts re-compresses and decodes back
+/// to the same bytes. The bytes also round-trip as a raw page through
+/// Compress and Decompress at both tiers, within the worst-case bound
+/// compressor.h documents.
+int FuzzPageCodec(const uint8_t* data, size_t size);
+
 /// The leaf paths FuzzVectorPathWalk reads: the three workloads' fields plus
 /// the shapes the generators never emit (duplicate names, nested wildcards).
 /// None ends in a nested value on generator records.

@@ -2,8 +2,10 @@
 // from the workload generators (real record shapes for ParseAdm; their
 // inferred schemas, serialized, for DeserializeSchema; their vector-encoded
 // records, plain and compacted, for the path walks, some with a readings
-// object changed to break the shape of the others) plus handwritten edge
-// cases. Deterministic — rerunning produces identical files.
+// object changed to break the shape of the others; their compacted records
+// packed into a small page and compressed at both codec tiers, for the page
+// decoders) plus handwritten edge cases. Deterministic — rerunning produces
+// identical files.
 //
 //   ./make_corpus <corpus_dir>
 #include <cstdio>
@@ -19,6 +21,7 @@
 #include "fuzz_targets.h"
 #include "schema/schema_io.h"
 #include "schema/schema_tree.h"
+#include "storage/compressor.h"
 #include "workload/workload.h"
 
 namespace {
@@ -223,6 +226,38 @@ int main(int argc, char** argv) {
       return 1;
     }
     write_record("vb_duplicate_names_" + std::to_string(d++), 0, vb);
+  }
+
+  // FuzzPageCodec seeds: a 2 KiB page of each workload's compacted records,
+  // compressed at each homegrown tier.
+  for (const char* dataset : {"twitter", "wos", "sensors"}) {
+    auto gen = tc::MakeGenerator(dataset, /*seed=*/7);
+    tc::DatasetType declared = gen->OpenType();
+    tc::Schema schema;
+    tc::Buffer page;
+    while (page.size() < 2048) {
+      tc::Buffer vb;
+      auto st = tc::EncodeVectorRecord(gen->NextRecord(), declared, &vb);
+      if (st.ok()) {
+        st = tc::InferAndCompactVectorRecord(tc::VectorRecordView(vb.data(), vb.size()),
+                                             declared, &schema, &page);
+      }
+      if (!st.ok()) {
+        std::fprintf(stderr, "compact failed: %s\n", st.ToString().c_str());
+        return 1;
+      }
+    }
+    page.resize(2048);
+    for (auto kind : {tc::CompressionKind::kSnappy, tc::CompressionKind::kHeavy}) {
+      tc::Buffer compressed;
+      if (!tc::GetCompressor(kind)->Compress(page.data(), page.size(), &compressed).ok()) {
+        std::fprintf(stderr, "compress failed\n");
+        return 1;
+      }
+      WriteFile(dir + "/page_" + tc::CompressionKindName(kind) + "_" + dataset,
+                std::string(compressed.begin(), compressed.end()));
+      ++n;
+    }
   }
 
   std::printf("wrote %d corpus files to %s\n", n, dir.c_str());

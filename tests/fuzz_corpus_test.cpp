@@ -1,6 +1,6 @@
 // Always-on corpus replay: every checked-in fuzz input runs through every fuzz
-// target under the normal test harness, so the parser, schema and path-walk
-// invariants the fuzzers enforce are exercised in every CI run — clang and
+// target under the normal test harness, so the parser, schema, path-walk and
+// page-codec invariants the fuzzers enforce are exercised in every CI run — clang and
 // libFuzzer are only needed to EXTEND the corpus, not to check it.
 #include <algorithm>
 #include <filesystem>
@@ -13,6 +13,7 @@
 
 #include "format/vector_format.h"
 #include "fuzz/fuzz_targets.h"
+#include "storage/compressor.h"
 
 namespace tc {
 namespace {
@@ -92,6 +93,37 @@ TEST(FuzzCorpusTest, VectorPathWalkSeedsDecode) {
   // closed schema's dictionary holds the names (not for the extra and renamed
   // sensor_id fields).
   EXPECT_EQ(shape_breaks, 7u + 7u + 5u);
+}
+
+TEST(FuzzCorpusTest, PageCodecReplaysClean) {
+  for (const auto& path : CorpusFiles()) {
+    SCOPED_TRACE(path.string());
+    std::vector<uint8_t> bytes = ReadAll(path);
+    EXPECT_EQ(0, FuzzPageCodec(bytes.data(), bytes.size()));
+  }
+}
+
+TEST(FuzzCorpusTest, PageCodecSeedsDecode) {
+  // The page seeds must decode, or the codec target only ever sees streams
+  // its decoders reject at the first byte.
+  size_t seeds = 0;
+  for (const auto& path : CorpusFiles()) {
+    const std::string name = path.filename().string();
+    if (name.rfind("page_", 0) != 0) continue;
+    SCOPED_TRACE(name);
+    const CompressionKind kind = name.rfind("page_heavy_", 0) == 0
+                                     ? CompressionKind::kHeavy
+                                     : CompressionKind::kSnappy;
+    std::vector<uint8_t> bytes = ReadAll(path);
+    std::vector<uint8_t> page(2048);
+    size_t n = 0;
+    EXPECT_TRUE(GetCompressor(kind)
+                    ->Decompress(bytes.data(), bytes.size(), page.data(), page.size(), &n)
+                    .ok());
+    EXPECT_EQ(n, page.size());
+    ++seeds;
+  }
+  EXPECT_EQ(seeds, 6u);  // three workloads at two tiers
 }
 
 TEST(FuzzCorpusTest, DeepNestingRejectedCleanly) {

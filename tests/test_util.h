@@ -20,6 +20,15 @@
 namespace tc {
 namespace testutil {
 
+/// 64-bit FNV-1a over `n` bytes: the golden-bytes tests pin encoder and
+/// compressor output by this hash.
+inline uint64_t Fnv1a(const uint8_t* p, size_t n) {
+  uint64_t h = 1469598103934665603ull;
+  for (size_t i = 0; i < n; ++i) h = (h ^ p[i]) * 1099511628211ull;
+  return h;
+}
+inline uint64_t Fnv1a(const Buffer& b) { return Fnv1a(b.data(), b.size()); }
+
 /// Random scalar value drawn from the full set of ADM scalar types.
 inline AdmValue RandomScalar(Rng* rng) {
   switch (rng->Uniform(12)) {

@@ -3,6 +3,7 @@
 #include <iterator>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -801,6 +802,112 @@ TEST(VectorFormat, ShapeRunWalksMatchDecodedRecord) {
     }
   }
   EXPECT_GT(checked, 4000u);
+}
+
+// Golden bytes: hashes of the encoder's and the flush compactor's output for
+// seeded workload records, taken before the encoders reused per-thread
+// buffers. Both outputs are on-disk bytes (the encoder's in every kInferred
+// and schemaless memtable flush, the compactor's in every inferred
+// component), so a change that moves a hash changes the format.
+struct GoldenRecords {
+  const char* workload;
+  bool closed;  // the workload's closed type, or the pk-only open type
+  uint64_t encoded;
+  uint64_t compacted;
+};
+
+void PrintTo(const GoldenRecords& g, std::ostream* os) {
+  *os << g.workload << (g.closed ? "/closed" : "/open");
+}
+
+class VectorGoldenBytes : public ::testing::TestWithParam<GoldenRecords> {};
+
+TEST_P(VectorGoldenBytes, EncodeAndCompactMatchPinnedHashes) {
+  const GoldenRecords& g = GetParam();
+  auto gen = MakeGenerator(g.workload, /*seed=*/7);
+  const DatasetType type = g.closed ? gen->ClosedType() : gen->OpenType();
+  Schema schema;
+  Buffer encoded;    // every record appended to one buffer
+  Buffer compacted;
+  for (int i = 0; i < 64; ++i) {
+    const size_t at = encoded.size();
+    ASSERT_TRUE(EncodeVectorRecord(gen->NextRecord(), type, &encoded).ok());
+    ASSERT_TRUE(InferAndCompactVectorRecord(
+                    VectorRecordView(encoded.data() + at, encoded.size() - at), type,
+                    &schema, &compacted)
+                    .ok());
+  }
+  EXPECT_EQ(testutil::Fnv1a(encoded), g.encoded)
+      << std::hex << "encoded 0x" << testutil::Fnv1a(encoded);
+  EXPECT_EQ(testutil::Fnv1a(compacted), g.compacted)
+      << std::hex << "compacted 0x" << testutil::Fnv1a(compacted);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Workloads, VectorGoldenBytes,
+    ::testing::Values(
+        GoldenRecords{"twitter", false, 0x66f239cf244b264full, 0xdd8475978604d062ull},
+        GoldenRecords{"twitter", true, 0xbd8fd144aaa08e08ull, 0x6f04450ddcdd4fc7ull},
+        GoldenRecords{"wos", false, 0x7e3d20663f40e702ull, 0x1c0f4dfdac29ee22ull},
+        GoldenRecords{"wos", true, 0xc2203cafb27ec998ull, 0xb5301ae4ad341834ull},
+        GoldenRecords{"sensors", false, 0xb69034bc9c88d3a9ull, 0x61b1c4ff1b38605dull},
+        GoldenRecords{"sensors", true, 0x428d3b9380fd31d5ull, 0x69eaf886f96709ull}),
+    [](const auto& info) {
+      return std::string(info.param.workload) + (info.param.closed ? "Closed" : "Open");
+    });
+
+// Each thread reuses one set of encoder buffers. A record that fails
+// partway, with the buffers already holding most of its parts, must leave
+// nothing behind:
+// the next record on that thread encodes exactly as on a fresh thread.
+TEST(VectorFormat, FailedEncodeLeavesNothingBehind) {
+  auto gen = MakeGenerator("twitter", /*seed=*/7);
+  const DatasetType type = gen->OpenType();
+  const AdmValue good = gen->NextRecord();
+  Buffer fresh;
+  std::thread([&] { fresh = Encode(good, type); }).join();
+
+  AdmValue missing_item = AdmValue::Array();
+  missing_item.Append(AdmValue::BigInt(1));
+  missing_item.Append(AdmValue::Missing());
+  const AdmValue bad_fields[] = {
+      NestedArrayValue(static_cast<size_t>(kMaxNestingDepth) + 1).field_value(0),
+      missing_item};
+  for (const AdmValue& bad_field : bad_fields) {
+    AdmValue bad = good;
+    bad.AddField("zz_last", bad_field);
+    Buffer after;
+    std::thread([&] {
+      Buffer junk;
+      EXPECT_EQ(EncodeVectorRecord(bad, type, &junk).code(), StatusCode::kInvalidArgument);
+      after = Encode(good, type);
+    }).join();
+    EXPECT_EQ(after, fresh);
+  }
+
+  // The same for the flush compactor's buffers, failing on a stored record
+  // nested past the depth bound.
+  Buffer compact_fresh;
+  std::thread([&] {
+    Schema schema;
+    ASSERT_TRUE(InferAndCompactVectorRecord(VectorRecordView(fresh.data(), fresh.size()),
+                                            type, &schema, &compact_fresh)
+                    .ok());
+  }).join();
+  Buffer compact_after;
+  std::thread([&] {
+    const Buffer deep = NestedArrayRecord(static_cast<size_t>(kMaxNestingDepth) + 1);
+    Schema failed_schema;
+    Buffer junk;
+    EXPECT_TRUE(InferAndCompactVectorRecord(VectorRecordView(deep.data(), deep.size()),
+                                            type, &failed_schema, &junk)
+                    .IsCorruption());
+    Schema schema;
+    ASSERT_TRUE(InferAndCompactVectorRecord(VectorRecordView(fresh.data(), fresh.size()),
+                                            type, &schema, &compact_after)
+                    .ok());
+  }).join();
+  EXPECT_EQ(compact_after, compact_fresh);
 }
 
 }  // namespace
