@@ -3,12 +3,31 @@
 // underlying the figure benches.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <atomic>
+#include <cstdlib>
+#include <new>
+
 #include "adm/printer.h"
 #include "format/adm_format.h"
 #include "format/bson_format.h"
 #include "format/vector_format.h"
 #include "query/field_access.h"
 #include "workload/workload.h"
+
+// Every heap allocation this binary makes, counted by the replacement
+// operator new below so a benchmark can report allocations per operation.
+// The replacements stay out of line: inlined, the compiler pairs their
+// malloc() and free() with new and delete expressions and warns of a mismatch.
+std::atomic<uint64_t> g_allocations{0};
+
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace tc {
 namespace {
@@ -109,6 +128,39 @@ void BM_InferOnly(benchmark::State& state, const std::string& workload) {
   }
 }
 BENCHMARK_CAPTURE(BM_InferOnly, twitter, std::string("twitter"));
+
+// Point-lookup decode: one compacted record decoded into an AdmValue tree
+// and destroyed per iteration, cycling over 64 records. `allocs_per_record`
+// counts the heap allocations of both.
+void BM_DecodeVector(benchmark::State& state, const std::string& workload) {
+  auto records = SampleRecords(workload, 64);
+  DatasetType type = DatasetType::OpenWithPk("id");
+  Schema schema;
+  std::vector<Buffer> compacted(records.size());
+  for (size_t i = 0; i < records.size(); ++i) {
+    Buffer raw;
+    TC_CHECK(EncodeVectorRecord(records[i], type, &raw).ok());
+    TC_CHECK(InferAndCompactVectorRecord(VectorRecordView(raw.data(), raw.size()),
+                                         type, &schema, &compacted[i])
+                 .ok());
+  }
+  size_t i = 0;
+  const uint64_t allocs_before = g_allocations.load(std::memory_order_relaxed);
+  for (auto _ : state) {
+    const Buffer& b = compacted[i++ % compacted.size()];
+    AdmValue out;
+    Status st = DecodeVectorRecord(VectorRecordView(b.data(), b.size()), type,
+                                   &schema, &out);
+    TC_CHECK(st.ok());
+    benchmark::DoNotOptimize(out);
+  }
+  const uint64_t allocs = g_allocations.load(std::memory_order_relaxed) - allocs_before;
+  state.counters["allocs_per_record"] =
+      static_cast<double>(allocs) / static_cast<double>(std::max<size_t>(i, 1));
+}
+BENCHMARK_CAPTURE(BM_DecodeVector, twitter, std::string("twitter"));
+BENCHMARK_CAPTURE(BM_DecodeVector, wos, std::string("wos"));
+BENCHMARK_CAPTURE(BM_DecodeVector, sensors, std::string("sensors"));
 
 // Field access by position: the linear-scan cost of the vector-based format
 // vs the offset navigation of the ADM format (micro version of Figure 22).

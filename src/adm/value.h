@@ -96,12 +96,29 @@ class AdmValue {
   double point_x() const { return d_; }
   double point_y() const { return y_; }
 
+  // -- in-place scalar payload, for a value emplaced with its tag (the caller
+  //    must respect the tag, as with the accessors) ---------------------------
+  void set_int(int64_t v) { i_ = v; }  // boolean (0/1), integer, temporal
+  void set_double(double v) { d_ = v; }
+  void set_point(double x, double y) {
+    d_ = x;
+    y_ = y;
+  }
+  // string, binary, uuid
+  void set_bytes(std::string_view b) { s_.assign(b.data(), b.size()); }
+
   // -- object interface --------------------------------------------------------
   /// Appends a field; names are expected unique within one object.
   AdmValue& AddField(std::string name, AdmValue v) {
     field_names_.push_back(std::move(name));
     children_.push_back(std::move(v));
     return children_.back();
+  }
+  /// Appends a field holding an empty value of kind `tag` and returns it, so
+  /// a reader builds the value in its slot instead of moving it there.
+  AdmValue& EmplaceField(std::string_view name, AdmTag tag) {
+    field_names_.emplace_back(name);
+    return children_.emplace_back(tag);
   }
   size_t field_count() const { return field_names_.size(); }
   const std::string& field_name(size_t i) const { return field_names_[i]; }
@@ -133,7 +150,13 @@ class AdmValue {
     children_.push_back(std::move(v));
     return children_.back();
   }
-  void Reserve(size_t n) { children_.reserve(n); }
+  /// Appends an empty item of kind `tag` and returns it (see EmplaceField).
+  AdmValue& EmplaceItem(AdmTag tag) { return children_.emplace_back(tag); }
+  /// Room for `n` fields (names too) or items without regrowing.
+  void Reserve(size_t n) {
+    if (is_object()) field_names_.reserve(n);
+    children_.reserve(n);
+  }
   size_t size() const { return children_.size(); }
   const AdmValue& item(size_t i) const { return children_[i]; }
   AdmValue& item(size_t i) { return children_[i]; }

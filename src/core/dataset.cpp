@@ -169,13 +169,20 @@ Status DatasetPartition::DecodeWith(std::string_view payload, const Schema* sche
 Status DatasetPartition::DecodeRecord(std::string_view payload,
                                       AdmValue* out) const {
   if (opts_->mode == SchemaMode::kInferred) {
-    std::lock_guard<std::mutex> lock(decode_mu_);
-    uint64_t version = compactor_->SchemaVersion();
-    if (version != decode_schema_version_) {
-      decode_schema_ = compactor_->Snapshot();
-      decode_schema_version_ = version;
+    // The payload was read first, so the snapshot taken here already names
+    // every FieldNameID it holds (IDs are stable). Only the refresh is
+    // locked: the decode reads its own reference to an immutable snapshot.
+    std::shared_ptr<const Schema> schema;
+    {
+      std::lock_guard<std::mutex> lock(decode_mu_);
+      uint64_t version = compactor_->SchemaVersion();
+      if (version != decode_schema_version_) {
+        decode_schema_ = std::make_shared<const Schema>(compactor_->Snapshot());
+        decode_schema_version_ = version;
+      }
+      schema = decode_schema_;
     }
-    return DecodeWith(payload, &decode_schema_, out);
+    return DecodeWith(payload, schema.get(), out);
   }
   return DecodeWith(payload, nullptr, out);
 }

@@ -194,9 +194,10 @@ class DatasetPartition {
   std::mutex write_mu_;
   // Point-lookup decode cache: cloning the schema per Get() is wasteful, so
   // DecodeRecord keeps a snapshot and refreshes it only when the compactor's
-  // schema version moves.
+  // schema version moves. The mutex guards the pointer and the version, not
+  // the decodes, which each hold their own reference to the snapshot.
   mutable std::mutex decode_mu_;
-  mutable Schema decode_schema_;
+  mutable std::shared_ptr<const Schema> decode_schema_;
   mutable uint64_t decode_schema_version_ = UINT64_MAX;
   // The partition's write budget when opts_->arbiter is null. Declared
   // before the trees, so it outlives them: they unregister on destruction.

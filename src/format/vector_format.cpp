@@ -13,6 +13,18 @@ namespace {
 // the six vectors and emit them through here.
 // ---------------------------------------------------------------------------
 
+/// Per-thread scratch kept across records is dropped past this size: one huge
+/// record must not pin its buffers on a long-lived thread.
+constexpr size_t kMaxRetainedScratchBytes = size_t{1} << 20;
+
+/// Empties a per-thread scratch vector for the next record, keeping its
+/// capacity up to kMaxRetainedScratchBytes.
+template <typename T>
+void ResetScratch(std::vector<T>* v) {
+  if (v->capacity() * sizeof(T) > kMaxRetainedScratchBytes) *v = std::vector<T>();
+  v->clear();
+}
+
 struct NameSlotSpec {
   bool declared = false;
   uint32_t payload = 0;       // declared index, or FieldNameID when compacted
@@ -31,13 +43,11 @@ struct Parts {
   bool compacted = false;
 
   /// Empties every vector for the next record, keeping capacity unless the
-  /// last record was outsized: one huge record must not pin its buffers on
-  /// a long-lived thread.
+  /// last record was outsized (see kMaxRetainedScratchBytes).
   void Reset(bool compact) {
-    constexpr size_t kMaxRetainedBytes = size_t{1} << 20;
     if (tags.capacity() + fixed.capacity() + var_bytes.capacity() +
             4 * var_lens.capacity() + sizeof(NameSlotSpec) * names.capacity() >
-        kMaxRetainedBytes) {
+        kMaxRetainedScratchBytes) {
       *this = Parts();
     }
     tags.clear();
@@ -571,46 +581,54 @@ bool AnyPackedFixedSatisfies(AdmTag tag, const uint8_t* base, size_t count,
 // Decoding
 // ---------------------------------------------------------------------------
 
-AdmValue DecodeVectorScalarItem(const VectorRecordWalker::Item& it) {
+namespace {
+
+/// Sets a scalar item's payload on `v`, a value of the item's tag.
+void SetScalarPayload(const VectorRecordWalker::Item& it, AdmValue* v) {
   switch (it.tag) {
     case AdmTag::kMissing:
-      return AdmValue::Missing();
     case AdmTag::kNull:
-      return AdmValue::Null();
+      break;
     case AdmTag::kBoolean:
-      return AdmValue::Boolean(it.fixed[0] != 0);
+      v->set_int(it.fixed[0] != 0 ? 1 : 0);
+      break;
     case AdmTag::kTinyInt:
-      return AdmValue::TinyInt(static_cast<int8_t>(it.fixed[0]));
     case AdmTag::kSmallInt:
-      return AdmValue::SmallInt(static_cast<int16_t>(GetFixed16(it.fixed)));
     case AdmTag::kInt:
-      return AdmValue::Int(static_cast<int32_t>(GetFixed32(it.fixed)));
     case AdmTag::kDate:
-      return AdmValue::Date(static_cast<int32_t>(GetFixed32(it.fixed)));
     case AdmTag::kTime:
-      return AdmValue::Time(static_cast<int32_t>(GetFixed32(it.fixed)));
     case AdmTag::kBigInt:
-      return AdmValue::BigInt(static_cast<int64_t>(GetFixed64(it.fixed)));
     case AdmTag::kDateTime:
-      return AdmValue::DateTime(static_cast<int64_t>(GetFixed64(it.fixed)));
     case AdmTag::kDuration:
-      return AdmValue::Duration(static_cast<int64_t>(GetFixed64(it.fixed)));
+      v->set_int(PackedIntOf(it.tag, it.fixed));
+      break;
     case AdmTag::kFloat:
-      return AdmValue::Float(GetFloat(it.fixed));
+      v->set_double(GetFloat(it.fixed));
+      break;
     case AdmTag::kDouble:
-      return AdmValue::Double(GetDouble(it.fixed));
+      v->set_double(GetDouble(it.fixed));
+      break;
     case AdmTag::kUuid:
-      return AdmValue::Uuid(std::string(reinterpret_cast<const char*>(it.fixed), 16));
+      v->set_bytes(std::string_view(reinterpret_cast<const char*>(it.fixed), 16));
+      break;
     case AdmTag::kPoint:
-      return AdmValue::Point(GetDouble(it.fixed), GetDouble(it.fixed + 8));
+      v->set_point(GetDouble(it.fixed), GetDouble(it.fixed + 8));
+      break;
     case AdmTag::kString:
-      return AdmValue::String(std::string(it.var));
     case AdmTag::kBinary:
-      return AdmValue::Binary(std::string(it.var));
+      v->set_bytes(it.var);
+      break;
     default:
       TC_CHECK(false);
-      return AdmValue::Missing();
   }
+}
+
+}  // namespace
+
+AdmValue DecodeVectorScalarItem(const VectorRecordWalker::Item& it) {
+  AdmValue v(it.tag);
+  SetScalarPayload(it, &v);
+  return v;
 }
 
 // ---------------------------------------------------------------------------
@@ -649,7 +667,9 @@ Status WalkRecordScopes(const VectorRecordView& view, const DatasetType& type,
     typename V::Scope scope;
     const TypeDescriptor* decl;  // object: own type; collection: item type
   };
-  std::vector<Frame> frames;
+  // Reused per thread and instantiation; no visitor walks another record.
+  thread_local std::vector<Frame> frames;
+  ResetScratch(&frames);
 
   VectorRecordWalker::Item it;
   bool done = false;
@@ -691,27 +711,72 @@ Status WalkRecordScopes(const VectorRecordView& view, const DatasetType& type,
   }
 }
 
-/// Builds the AdmValue tree: every item lands in its parent container.
+/// Counts the direct children of every nested scope of a validated record,
+/// the root object first and the rest in the pre-order they open, as the
+/// walk would visit them. Rejects nothing: on tags the walk refuses (an
+/// unbalanced or unterminated scope, nesting past kMaxNestingDepth) it
+/// returns false and the decode reserves nothing, leaving the walk to report.
+bool CountScopeChildren(const VectorRecordView& view, std::vector<uint32_t>* counts) {
+  const uint8_t* tags = view.data() + kVectorHeaderSize;
+  const size_t n = view.tag_count();
+  if (tags[0] != static_cast<uint8_t>(AdmTag::kObject)) return false;
+  uint32_t open[kMaxNestingDepth];  // indexes into `counts` of the open scopes
+  size_t depth = 1;
+  open[0] = 0;
+  counts->push_back(0);
+  for (size_t i = 1; i < n; ++i) {
+    const uint8_t t = tags[i];
+    if (t == static_cast<uint8_t>(AdmTag::kEov)) return depth == 1;
+    if (t == static_cast<uint8_t>(AdmTag::kEndNest)) {
+      if (depth == 1) return false;
+      --depth;
+      continue;
+    }
+    ++(*counts)[open[depth - 1]];
+    if (IsNested(static_cast<AdmTag>(t))) {
+      if (depth == static_cast<size_t>(kMaxNestingDepth)) return false;
+      open[depth++] = static_cast<uint32_t>(counts->size());
+      counts->push_back(0);
+    }
+  }
+  return false;
+}
+
+/// Builds the AdmValue tree: every value is emplaced in its parent container,
+/// which was reserved to its child count when its scope opened.
 struct DecodeVisitor {
   using Scope = AdmValue*;
   AdmValue* out;
   const Schema* schema;
+  const std::vector<uint32_t>* counts;  // CountScopeChildren's; empty: no reserve
+  size_t next_scope = 0;                // the next scope to open, in pre-order
 
+  void Open(AdmValue* scope) {
+    if (next_scope < counts->size()) scope->Reserve((*counts)[next_scope++]);
+  }
   Scope Root() {
     *out = AdmValue::Object();
+    Open(out);
     return out;
   }
   Status Item(const VectorRecordWalker::Item& it, Scope parent,
               const TypeDescriptor* parent_decl, Scope* child) {
-    AdmValue value = IsNested(it.tag) ? AdmValue(it.tag) : DecodeVectorScalarItem(it);
+    AdmValue* v;
     if (!it.named) {
-      *child = &parent->Append(std::move(value));
-      return Status::OK();
+      v = &parent->EmplaceItem(it.tag);
+    } else if (it.declared) {
+      v = &parent->EmplaceField(parent_decl->field_name(it.declared_index), it.tag);
+    } else if (HasInlineName(it)) {
+      v = &parent->EmplaceField(it.name, it.tag);
+    } else {
+      v = &parent->EmplaceField(schema->dict().NameOf(it.name_id), it.tag);
     }
-    std::string name = it.declared      ? parent_decl->field_name(it.declared_index)
-                       : HasInlineName(it) ? std::string(it.name)
-                                           : schema->dict().NameOf(it.name_id);
-    *child = &parent->AddField(std::move(name), std::move(value));
+    if (IsNested(it.tag)) {
+      Open(v);
+      *child = v;
+    } else {
+      SetScalarPayload(it, v);
+    }
     return Status::OK();
   }
   void Close(Scope*) {}
@@ -721,7 +786,11 @@ struct DecodeVisitor {
 
 Status DecodeVectorRecord(const VectorRecordView& view, const DatasetType& type,
                           const Schema* schema, AdmValue* out) {
-  DecodeVisitor decode{out, schema};
+  TC_RETURN_IF_ERROR(view.Validate());
+  thread_local std::vector<uint32_t> counts;
+  ResetScratch(&counts);
+  if (!CountScopeChildren(view, &counts)) counts.clear();
+  DecodeVisitor decode{out, schema, &counts};
   return WalkRecordScopes(view, type, schema, &decode);
 }
 

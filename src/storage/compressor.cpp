@@ -325,8 +325,11 @@ class HeavyCompressor final : public Compressor {
 
   Status Compress(const uint8_t* in, size_t n, Buffer* out) const override {
     WriteStream(in, n, out, [in, n](uint8_t* op) {
-      std::vector<uint16_t> head(kHashTableSize);
-      std::vector<uint16_t> prev(kBlock, 0);
+      // Both tables are reused per thread (too big for the stack). `head` is
+      // cleared per block; `prev` needs no clearing, since the chain only
+      // reads entries of positions this block has already inserted.
+      thread_local std::vector<uint16_t> head(kHashTableSize);
+      thread_local std::vector<uint16_t> prev(kBlock);
       size_t block_start = 0;
       while (block_start < n) {
         size_t block_len = n - block_start < kBlock ? n - block_start : kBlock;

@@ -10,6 +10,7 @@
 #include "adm/parser.h"
 #include "adm/printer.h"
 #include "cluster/cluster.h"
+#include "common/rng.h"
 #include "core/ingest.h"
 #include "tests/test_util.h"
 #include "workload/workload.h"
@@ -200,6 +201,56 @@ TEST(Dataset, PartitionSchemasEvolveIndependently) {
           << "partition " << p << " leaked field of partition " << q;
     }
   }
+}
+
+// Point lookups decode outside the partition's lock, each against its own
+// reference to the schema snapshot: readers on one partition race a writer
+// whose flushes move the schema version, and every hit equals its input.
+TEST(Dataset, ConcurrentGetsDecodeWhileSchemaEvolves) {
+  DatasetFixture fx;
+  ASSERT_TRUE(fx.Open(SmallOptions(SchemaMode::kInferred, /*memtable_kb=*/32), 1).ok());
+  auto gen = MakeTwitterGenerator(5);
+  std::vector<AdmValue> records;
+  for (int i = 0; i < 240; ++i) {
+    records.push_back(gen->NextRecord());
+    // A field new to the schema every few records, so flushes keep widening it.
+    records.back().AddField("extra_" + std::to_string(i / 8), AdmValue::BigInt(i));
+  }
+  std::atomic<size_t> published{0};
+  std::atomic<bool> writing{true};
+  std::atomic<uint64_t> hits{0};
+  std::atomic<uint64_t> bad{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 4; ++r) {
+    readers.emplace_back([&, r] {
+      Rng rng(100 + static_cast<uint64_t>(r));
+      while (writing.load() || hits.load() == 0) {
+        const size_t n = published.load();
+        if (n == 0) {
+          std::this_thread::yield();
+          continue;
+        }
+        const AdmValue& want = records[rng.Uniform(n)];
+        auto got = fx.dataset->Get(want.FindField("id")->int_value());
+        if (!got.ok() || !got.value().has_value() || *got.value() != want) {
+          bad.fetch_add(1);
+        } else {
+          hits.fetch_add(1);
+        }
+      }
+    });
+  }
+  Status st;
+  for (size_t i = 0; i < records.size() && st.ok(); ++i) {
+    st = fx.dataset->Insert(records[i]);
+    if (st.ok() && i % 40 == 39) st = fx.dataset->FlushAll();
+    published.store(i + 1);
+  }
+  writing.store(false);
+  for (auto& t : readers) t.join();
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(bad.load(), 0u);
+  EXPECT_GT(hits.load(), 0u);
 }
 
 TEST(Dataset, RecoveryRestoresSchemaAndData) {

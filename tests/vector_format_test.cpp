@@ -856,6 +856,94 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(info.param.workload) + (info.param.closed ? "Closed" : "Open");
     });
 
+// The decoder reserves each container from the child counts of the tag
+// vector and builds every value in its slot: the tree must still equal the
+// input on every workload and storage form, decoding into one reused value.
+TEST(VectorFormat, DecodeMatchesInputOnEveryWorkload) {
+  for (const char* workload : {"twitter", "wos", "sensors"}) {
+    for (bool closed : {false, true}) {
+      for (bool compacted : {false, true}) {
+        SCOPED_TRACE(::testing::Message() << workload << " closed=" << closed
+                                          << " compacted=" << compacted);
+        auto gen = MakeGenerator(workload, /*seed=*/7);
+        const DatasetType type = closed ? gen->ClosedType() : gen->OpenType();
+        Schema schema;
+        AdmValue decoded;
+        for (int i = 0; i < 64; ++i) {
+          const AdmValue rec = gen->NextRecord();
+          Buffer stored = Encode(rec, type);
+          if (compacted) {
+            Buffer out;
+            ASSERT_TRUE(InferAndCompactVectorRecord(
+                            VectorRecordView(stored.data(), stored.size()), type,
+                            &schema, &out)
+                            .ok());
+            stored = std::move(out);
+          }
+          ASSERT_TRUE(DecodeVectorRecord(VectorRecordView(stored.data(), stored.size()),
+                                         type, &schema, &decoded)
+                          .ok());
+          EXPECT_EQ(decoded, rec) << i;
+        }
+      }
+    }
+  }
+}
+
+/// `rec` (uncompacted) with its tag vector replaced by `tags`, every region
+/// after it shifted to match.
+Buffer WithTags(const Buffer& rec, const std::vector<AdmTag>& tags) {
+  VectorRecordView view(rec.data(), rec.size());
+  const int64_t delta = static_cast<int64_t>(tags.size()) - view.tag_count();
+  Buffer out(rec.begin(), rec.begin() + kVectorHeaderSize);
+  for (AdmTag t : tags) out.push_back(static_cast<uint8_t>(t));
+  out.insert(out.end(), rec.begin() + view.offset(0), rec.end());
+  OverwriteFixed32(&out, 0, static_cast<uint32_t>(out.size()));
+  OverwriteFixed32(&out, 4, static_cast<uint32_t>(tags.size()));
+  for (int i = 0; i < 5; ++i) {
+    OverwriteFixed32(&out, 10 + 4 * static_cast<size_t>(i),
+                     static_cast<uint32_t>(view.offset(i) + delta));
+  }
+  return out;
+}
+
+// The decoder's child pre-count runs before the walk and rejects nothing:
+// malformed scopes fail with the walk's message, as before the pre-count.
+TEST(VectorFormat, DecodeRejectsMalformedScopesAsBefore) {
+  const DatasetType type = PkType();
+  const Buffer good = Encode(R(R"({"a": [1, 2]})"), type);
+  using T = AdmTag;
+  const Buffer extra_end_nest = WithTags(
+      good, {T::kObject, T::kArray, T::kBigInt, T::kBigInt, T::kEndNest, T::kEndNest,
+             T::kEov});
+  const Buffer unclosed =
+      WithTags(good, {T::kObject, T::kArray, T::kBigInt, T::kBigInt, T::kEov});
+  const Buffer eov_mid_scope = WithTags(
+      good, {T::kObject, T::kArray, T::kBigInt, T::kEov, T::kBigInt, T::kEndNest,
+             T::kEov});
+  const Buffer too_deep = NestedArrayRecord(static_cast<size_t>(kMaxNestingDepth) + 1);
+  const std::pair<const Buffer*, const char*> cases[] = {
+      {&extra_end_nest, "vb: scope underflow"},
+      {&unclosed, "vb: EOV inside open scope"},
+      {&eov_mid_scope, "vb: EOV inside open scope"},
+      {&too_deep, "vb: nesting exceeds depth limit"},
+  };
+  for (const auto& [bytes, message] : cases) {
+    SCOPED_TRACE(message);
+    VectorRecordView view(bytes->data(), bytes->size());
+    ASSERT_TRUE(view.Validate().ok());
+    AdmValue out;
+    Status st = DecodeVectorRecord(view, type, nullptr, &out);
+    EXPECT_TRUE(st.IsCorruption()) << st.ToString();
+    EXPECT_EQ(st.message(), message);
+  }
+  AdmValue out;
+  ASSERT_TRUE(DecodeVectorRecord(VectorRecordView(good.data(), good.size()), type,
+                                 nullptr, &out)
+                  .ok());
+  EXPECT_EQ(out, R(R"({"a": [1, 2]})"));
+}
+
 // Each thread reuses one set of encoder buffers. A record that fails
 // partway, with the buffers already holding most of its parts, must leave
 // nothing behind:
