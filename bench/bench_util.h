@@ -68,10 +68,6 @@ struct BenchConfig {
   /// dataset). Null = caller-runs: each flush finishes its build and merge
   /// cascade on the ingesting thread, the deterministic bench default.
   TaskPool* merge_pool = nullptr;
-  /// Per-tree concurrent-merge cap when merge_pool is set (fig17 section e
-  /// compares 1 — the old single-inflight scheduler — against higher caps).
-  /// 0 = the MergePolicyConfig default.
-  size_t max_concurrent_merges = 0;
   /// Per-component bloom-filter sizing for the fig24 filter axis: -1 = the
   /// BloomFilterConfig default, 0 disables filters, any other value is bits
   /// per key.
@@ -119,9 +115,6 @@ inline std::unique_ptr<BenchDataset> OpenBench(const BenchConfig& cfg) {
     TC_CHECK(ParseMergePolicyKind(cfg.merge_policy, &o.merge.kind));
   }
   o.merge_pool = cfg.merge_pool;
-  if (cfg.max_concurrent_merges != 0) {
-    o.merge.max_concurrent_merges = cfg.max_concurrent_merges;
-  }
   if (cfg.bloom_bits_per_key >= 0) {
     o.filter.bits_per_key = static_cast<size_t>(cfg.bloom_bits_per_key);
   }

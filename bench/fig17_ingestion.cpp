@@ -19,9 +19,8 @@
 // prefix (higher write-amp, fewer components); lazy-leveled sits between,
 // absorbing bursts in a tiered deck above one large leveled component.
 //
-//   (e) background-work concurrency axis: the same feed with flush builds
-//       and merges on a shared 4-thread pool, single-inflight merge cap (the
-//       pre-concurrency scheduler) vs. concurrent disjoint merges
+//   (e) background-work axis: the same feed with flush builds and merges
+//       (one at a time per tree) on a shared 4-thread pool, prefix vs. tiered
 //
 // TC_FIG17_ASSERT=1 (the CI smoke mode) runs only section (d) and exits
 // non-zero unless tiered beats prefix on ingestion write amplification AND
@@ -31,10 +30,10 @@
 // are exact, not tolerance-based.
 //
 // TC_MERGE_CONCURRENCY_ASSERT=1 runs only section (e) and exits non-zero
-// unless concurrent-merge scheduling preserves the policy-axis ordering
-// (tiered write-amp below prefix) — merge timing shifts WHEN rewrites
-// happen, so the write-amp values are not bit-identical to section (d), but
-// the tiering-vs-prefix trade-off must survive the scheduler change.
+// unless the pooled pipeline preserves the policy-axis ordering (tiered
+// write-amp below prefix) — background timing shifts WHEN rewrites happen,
+// so the write-amp values need not be bit-identical to section (d), but the
+// tiering-vs-prefix trade-off must survive the pool.
 //
 //   (f) batch axis: the same insert-only feed through Dataset::InsertBatch
 //       at batch sizes 1 / 64 / 1024 with wal_sync_every=1, i.e. one fsync
@@ -148,11 +147,9 @@ int RunPolicyAxis(bool assert_mode) {
   return ok ? 0 : 1;
 }
 
-PolicyResult RunPolicyConcurrent(const char* policy, int64_t mb, TaskPool* pool,
-                                 size_t max_merges) {
+PolicyResult RunPolicyPooled(const char* policy, int64_t mb, TaskPool* pool) {
   BenchConfig cfg = PolicyAxisConfig(policy);
   cfg.merge_pool = pool;
-  cfg.max_concurrent_merges = max_merges;
   auto bd = OpenBench(cfg);
   IngestResult in = IngestFeed(bd.get(), mb);
   LsmStats s = bd->dataset->AggregateStats();
@@ -161,43 +158,38 @@ PolicyResult RunPolicyConcurrent(const char* policy, int64_t mb, TaskPool* pool,
   r.merges = s.merge_count;
   r.comp_high_water = s.component_count_high_water;
   r.components = MaxPrimaryComponentsPerPartition(bd->dataset.get());
-  std::printf("%-13s %8zu %10.2f %10.2f %10.3f %8llu %12zu %10llu %10llu\n",
-              policy, max_merges, in.seconds, MiB(in.raw_bytes) / in.seconds,
-              r.write_amp, static_cast<unsigned long long>(r.merges),
-              r.components,
-              static_cast<unsigned long long>(s.concurrent_merges_high_water),
+  std::printf("%-13s %10.2f %10.2f %10.3f %8llu %12zu %10llu\n", policy,
+              in.seconds, MiB(in.raw_bytes) / in.seconds, r.write_amp,
+              static_cast<unsigned long long>(r.merges), r.components,
               static_cast<unsigned long long>(s.flush_queue_high_water));
   return r;
 }
 
 // Section (e): the same insert-only feed with the background-work pipeline on
-// a shared pool. max_merges=1 emulates the old single-inflight scheduler;
-// max_merges=4 lets disjoint merges overlap. Write amplification depends on
-// WHEN decisions run, so this axis is compared by ordering, not exact bytes.
+// a shared pool: flush builds and each tree's one merge run on pool threads
+// while the feed keeps writing. Write amplification depends on WHEN decisions
+// run, so this axis is compared by ordering, not exact bytes.
 int RunConcurrencyAxis(bool assert_mode) {
   std::printf(
       "-- (e) background-concurrency axis: pooled flush builds + merges, "
       "4-thread pool --\n");
-  std::printf("%-13s %8s %10s %10s %10s %8s %12s %10s %10s\n", "policy",
-              "max-mrg", "time(s)", "MiB/s", "write-amp", "merges",
-              "comps/part", "conc-HWM", "queue-HWM");
+  std::printf("%-13s %10s %10s %10s %8s %12s %10s\n", "policy", "time(s)",
+              "MiB/s", "write-amp", "merges", "comps/part", "queue-HWM");
   int64_t mb = BenchMegabytes();
   TaskPool pool(4);
-  (void)RunPolicyConcurrent("prefix", mb, &pool, 1);
-  PolicyResult prefix = RunPolicyConcurrent("prefix", mb, &pool, 4);
-  (void)RunPolicyConcurrent("tiered", mb, &pool, 1);
-  PolicyResult tiered = RunPolicyConcurrent("tiered", mb, &pool, 4);
+  PolicyResult prefix = RunPolicyPooled("prefix", mb, &pool);
+  PolicyResult tiered = RunPolicyPooled("tiered", mb, &pool);
   std::printf("\n");
   if (!assert_mode) return 0;
   if (tiered.write_amp >= prefix.write_amp) {
     std::fprintf(stderr,
-                 "FAIL: with concurrent merges, tiered write-amp %.3f not "
-                 "below prefix %.3f\n",
+                 "FAIL: with pooled background work, tiered write-amp %.3f "
+                 "not below prefix %.3f\n",
                  tiered.write_amp, prefix.write_amp);
     return 1;
   }
   std::printf(
-      "TC_MERGE_CONCURRENCY_ASSERT ok: concurrent-merge mode keeps tiered "
+      "TC_MERGE_CONCURRENCY_ASSERT ok: pooled background work keeps tiered "
       "write-amp %.3f < prefix %.3f\n",
       tiered.write_amp, prefix.write_amp);
   return 0;

@@ -343,22 +343,13 @@ BENCHMARK(BM_PointLookupScaling)
 // ---------------------------------------------------------------------------
 // Ingest scaling under the background-work pipeline: one writer inserts a
 // fixed volume through a tiny memtable (constant flush pressure) with the
-// SATA-SSD device model throttling all file I/O; flush builds and merges run
-// on a 3-thread pool with a tiered policy. The axis caps the merges one tree
-// may run concurrently:
-//
-//   max_merges=1  the old single-inflight scheduler — disjoint merge plans
-//                 queue behind whichever rewrite happens to be running.
-//   max_merges>1  disjoint merges overlap their (modeled) I/O, so background
-//                 work drains while the writer keeps ingesting.
-//
-// Timing covers ingest + final drain (Flush + WaitForMerges): concurrent
-// scheduling must finish the same total work in no more wall-clock time than
-// single-inflight — even on one core, since throttled I/O sleeps overlap.
+// SATA-SSD device model throttling all file I/O; flush builds and the tree's
+// one merge at a time run on a 3-thread pool with a tiered policy, so the
+// writer keeps ingesting while background work drains. Timing covers ingest
+// + final drain (Flush + WaitForMerges).
 // ---------------------------------------------------------------------------
 
 void BM_IngestScaling(benchmark::State& state) {
-  const size_t max_merges = static_cast<size_t>(state.range(0));
   constexpr int kRecords = 4000;
   uint64_t total_records = 0;
   std::string payload(200, 'v');
@@ -380,7 +371,6 @@ void BM_IngestScaling(benchmark::State& state) {
       o.use_wal = false;
       o.merge_policy = MakeTieredMergePolicy(3, 2);
       o.merge_pool = &pool;
-      o.max_concurrent_merges = max_merges;
       auto tree = LsmTree::Open(std::move(o)).ValueOrDie();
       state.ResumeTiming();
       for (int i = 0; i < kRecords; ++i) {
@@ -390,19 +380,14 @@ void BM_IngestScaling(benchmark::State& state) {
       TC_CHECK(tree->WaitForMerges().ok());
       state.PauseTiming();
       total_records += kRecords;
-      state.counters["conc_hwm"] = static_cast<double>(
-          tree->stats().concurrent_merges_high_water);
+      state.counters["merges"] =
+          static_cast<double>(tree->stats().merge_count);
     }
     state.ResumeTiming();
   }
   state.SetItemsProcessed(static_cast<int64_t>(total_records));
-  state.counters["max_merges"] = static_cast<double>(max_merges);
 }
 BENCHMARK(BM_IngestScaling)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->ArgNames({"max_merges"})
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 

@@ -12,7 +12,7 @@ Result<std::unique_ptr<ClusterHarness>> ClusterHarness::Create(
   auto h = std::unique_ptr<ClusterHarness>(new ClusterHarness());
   h->topology_ = topology;
   // One bounded executor for ALL partitions' background work — flush builds
-  // and (concurrent, disjoint) merges: feeds hand rewrites off instead of
+  // and merges (one at a time per tree): feeds hand rewrites off instead of
   // running them caller-runs, and total background parallelism tracks the
   // hardware, not the feed count.
   h->executor_ = std::make_unique<TaskPool>(topology.executor_threads);

@@ -10,9 +10,8 @@
 // caller-runs on whichever feed thread happened to fill a memtable (what a
 // dataset without a pool does). A feed thread
 // pays only the WAL append + memtable update + generation swap; each tree
-// runs up to DatasetOptions::merge.max_concurrent_merges disjoint merges
-// concurrently, with kDefaultMaxPendingFlushBuilds bounding each tree's
-// queued builds (backpressure).
+// runs at most one merge at a time, with kDefaultMaxPendingFlushBuilds
+// bounding its queued builds (backpressure).
 #ifndef TC_CLUSTER_CLUSTER_H_
 #define TC_CLUSTER_CLUSTER_H_
 

@@ -80,8 +80,8 @@ class TaskPool {
 /// tasks cannot run before it returns.
 ///
 /// Every task receives `canceled`: a task dequeued after Cancel() gets true
-/// and should perform only its (cheap) completion bookkeeping — releasing
-/// claims, decrementing counters — and skip its (expensive) payload. Running
+/// and should perform only its (cheap) completion bookkeeping — clearing a
+/// scheduled flag, waking waiters — and skip its (expensive) payload. Running
 /// tasks are never interrupted. Wait() returns once every submitted task has
 /// executed, normally or as a cancel-skip, so state the tasks capture (e.g.
 /// the owning tree) may be destroyed immediately after Cancel() + Wait().

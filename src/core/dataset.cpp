@@ -76,7 +76,6 @@ Result<std::unique_ptr<DatasetPartition>> DatasetPartition::Open(
   lsm.filter = opts->filter;
   lsm.merge_policy = MakeMergePolicy(opts->merge);
   lsm.merge_pool = opts->merge_pool;
-  lsm.max_concurrent_merges = opts->merge.max_concurrent_merges;
   lsm.use_wal = opts->use_wal;
   lsm.wal_sync_every = opts->wal_sync_every;
   // Inferred-mode partitions infer and compact at every component write —
@@ -88,18 +87,26 @@ Result<std::unique_ptr<DatasetPartition>> DatasetPartition::Open(
                              !opts->secondary_index_field.empty();
   lsm.arbiter = arbiter;
 
+  // The index trees run on the primary's options minus what only the primary
+  // does: their key-only entries need no transformer, old-version capture or
+  // existence filter. No WAL either, and recovery does not rebuild them:
+  // primary WAL replay restores only the primary, so entries still in an
+  // index tree's memtable at a restart are lost — and, for the pk index,
+  // their later upserts skip the old-version capture (an open bug, see the
+  // ROADMAP's crash-anywhere item).
+  auto index_options = [&](const char* suffix) {
+    LsmTreeOptions o = lsm;
+    o.name = opts->name + part_suffix + suffix;
+    o.transformer = nullptr;
+    o.capture_old_versions = false;
+    o.key_may_exist = nullptr;
+    o.use_wal = false;
+    return o;
+  };
+
   // Optional primary-key index for upsert existence checks (§3.2.2).
   if (opts->primary_key_index) {
-    LsmTreeOptions pk = lsm;
-    pk.name = opts->name + part_suffix + ".pkidx";
-    pk.transformer = nullptr;  // key-only payloads: nothing to re-encode
-    pk.capture_old_versions = false;
-    // No WAL, and recovery does not rebuild it: primary WAL replay restores
-    // only the primary, so keys still in this tree's memtable at a restart
-    // are lost and their later upserts skip the old-version capture (an
-    // open bug, see the ROADMAP's crash-anywhere item).
-    pk.use_wal = false;
-    TC_ASSIGN_OR_RETURN(p->pk_index_, LsmTree::Open(std::move(pk)));
+    TC_ASSIGN_OR_RETURN(p->pk_index_, LsmTree::Open(index_options(".pkidx")));
     LsmTree* pk_tree = p->pk_index_.get();
     lsm.key_may_exist = [pk_tree](const BtreeKey& key) {
       auto hit = pk_tree->Get(key);
@@ -107,27 +114,11 @@ Result<std::unique_ptr<DatasetPartition>> DatasetPartition::Open(
     };
   }
 
-  TC_ASSIGN_OR_RETURN(p->primary_, LsmTree::Open(std::move(lsm)));
+  TC_ASSIGN_OR_RETURN(p->primary_, LsmTree::Open(lsm));
 
   if (!opts->secondary_index_field.empty()) {
-    LsmTreeOptions sk = {};
-    sk.fs = opts->fs;
-    sk.cache = opts->cache;
-    sk.dir = opts->dir;
-    sk.name = opts->name + part_suffix + ".sidx";
-    sk.page_size = opts->page_size;
-    sk.compression = opts->compression ? CompressionKind::kSnappy
-                                       : CompressionKind::kNone;
-    sk.filter = opts->filter;
-    sk.merge_policy = MakeMergePolicy(opts->merge);
-    sk.merge_recompress = opts->merge_recompress;
-    sk.merge_pool = opts->merge_pool;
-    sk.max_concurrent_merges = lsm.max_concurrent_merges;
-    // No WAL either, with the pk index's recovery gap: entries still in
-    // this tree's memtable at a restart are lost.
-    sk.use_wal = false;
-    sk.arbiter = arbiter;
-    TC_ASSIGN_OR_RETURN(p->secondary_, SecondaryIndex::Open(std::move(sk)));
+    TC_ASSIGN_OR_RETURN(p->secondary_,
+                        SecondaryIndex::Open(index_options(".sidx")));
   }
 
   // Crash recovery: the compactor reloaded the newest valid component's
@@ -565,8 +556,6 @@ LsmStats Dataset::AggregateStats() const {
     // the worst partition.
     agg.component_count_high_water =
         std::max(agg.component_count_high_water, s.component_count_high_water);
-    agg.concurrent_merges_high_water = std::max(
-        agg.concurrent_merges_high_water, s.concurrent_merges_high_water);
     agg.flush_queue_high_water =
         std::max(agg.flush_queue_high_water, s.flush_queue_high_water);
   }

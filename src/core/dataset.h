@@ -97,10 +97,9 @@ struct DatasetOptions {
   /// (not owned; must outlive the dataset). Null = caller-runs: the same
   /// jobs run on the writer thread and finish inside the flush that started
   /// them — deterministic, what unit tests use. ClusterHarness wires its
-  /// nproc-sized pool here. The per-tree merge concurrency cap rides in
-  /// `merge.max_concurrent_merges`; each tree lets
-  /// kDefaultMaxPendingFlushBuilds sealed generations queue for their build
-  /// before writers stall.
+  /// nproc-sized pool here. Each tree runs at most one merge at a time and
+  /// lets kDefaultMaxPendingFlushBuilds sealed generations queue for their
+  /// build before writers stall.
   TaskPool* merge_pool = nullptr;
 
   std::shared_ptr<FileSystem> fs;   // required

@@ -279,7 +279,6 @@ VectorRecordWalker::VectorRecordWalker(const VectorRecordView& view) : view_(vie
   var_len_reader_ = BitReader(d + view.offset(1), view.offset(2) - view.offset(1));
   size_t slots_end = view.compacted() ? view.size() : view.offset(4);
   name_slot_reader_ = BitReader(d + view.offset(3), slots_end - view.offset(3));
-  stack_.reserve(8);
 }
 
 Status VectorRecordWalker::Next(Item* item, bool* done) {
@@ -298,26 +297,26 @@ Status VectorRecordWalker::Next(Item* item, bool* done) {
   *item = Item{};
   if (tag == AdmTag::kEov) {
     // EOV doubles as the root object's scope close (paper Figure 13).
-    if (stack_.size() > 1) return Status::Corruption("vb: EOV inside open scope");
-    stack_.clear();
+    if (depth_ > 1) return Status::Corruption("vb: EOV inside open scope");
+    depth_ = 0;
     *done = true;
     return Status::OK();
   }
   if (tag == AdmTag::kEndNest) {
-    if (stack_.empty()) return Status::Corruption("vb: end-nest underflow");
-    stack_.pop_back();
+    if (depth_ == 0) return Status::Corruption("vb: end-nest underflow");
+    --depth_;
     item->tag = AdmTag::kEndNest;
-    item->depth = static_cast<int>(stack_.size());
+    item->depth = static_cast<int>(depth_);
     return Status::OK();
   }
 
   // Item depth d is nesting level d + 1: the bound every reader relies on.
-  if (stack_.size() >= static_cast<size_t>(kMaxNestingDepth)) {
+  if (depth_ >= static_cast<size_t>(kMaxNestingDepth)) {
     return Status::Corruption("vb: nesting exceeds depth limit");
   }
   item->tag = tag;
-  item->depth = static_cast<int>(stack_.size());
-  bool in_object = !stack_.empty() && stack_.back() == AdmTag::kObject;
+  item->depth = static_cast<int>(depth_);
+  bool in_object = depth_ > 0 && stack_[depth_ - 1] == AdmTag::kObject;
   if (in_object) {
     item->named = true;
     uint64_t slot = name_slot_reader_.Read(view_.name_len_bits());
@@ -339,10 +338,10 @@ Status VectorRecordWalker::Next(Item* item, bool* done) {
   }
 
   if (IsNested(tag)) {
-    if (tag == AdmTag::kObject && !in_object && !stack_.empty()) {
+    if (tag == AdmTag::kObject && !in_object && depth_ > 0) {
       last_object_item_ = {tag_pos_ - 1, name_slot_reader_, true};
     }
-    stack_.push_back(tag);
+    stack_[depth_++] = tag;
     return Status::OK();
   }
   if (IsVariableLengthScalar(tag)) {
@@ -370,8 +369,8 @@ size_t VectorRecordWalker::TryFixedRun(AdmTag* tag, const uint8_t** base) {
   // Only legal inside a collection scope: object fields consume name slots,
   // which a wholesale tag-run consume would leave behind. Items past the
   // depth bound are Next's to reject.
-  if (stack_.empty() || stack_.back() == AdmTag::kObject ||
-      stack_.size() >= static_cast<size_t>(kMaxNestingDepth)) {
+  if (depth_ == 0 || stack_[depth_ - 1] == AdmTag::kObject ||
+      depth_ >= static_cast<size_t>(kMaxNestingDepth)) {
     return 0;
   }
   if (tag_pos_ >= view_.tag_count()) return 0;
@@ -430,7 +429,7 @@ bool VectorRecordWalker::LoadShapeTemplate(size_t* tag_len, size_t* stride) {
 }
 
 size_t VectorRecordWalker::TryShapeRun(ShapeRun* run) {
-  if (stack_.empty() || stack_.back() == AdmTag::kObject) return 0;
+  if (depth_ == 0 || stack_[depth_ - 1] == AdmTag::kObject) return 0;
   const uint8_t* tags = view_.data() + kVectorHeaderSize;
   if (tag_pos_ >= view_.tag_count() ||
       tags[tag_pos_] != static_cast<uint8_t>(AdmTag::kObject)) {

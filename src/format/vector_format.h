@@ -135,7 +135,7 @@ class VectorRecordWalker {
   /// fields.
   size_t TryShapeRun(ShapeRun* run);
 
-  int depth() const { return static_cast<int>(stack_.size()); }
+  int depth() const { return static_cast<int>(depth_); }
 
  private:
   /// Where the walk stood when it opened an object item of a collection
@@ -157,7 +157,10 @@ class VectorRecordWalker {
   size_t name_bytes_pos_ = 0;   // byte offset into name_values
   BitReader var_len_reader_;
   BitReader name_slot_reader_;
-  std::vector<AdmTag> stack_;   // open nesting scopes
+  // Open nesting scopes, innermost at stack_[depth_ - 1]: inline, so a walk
+  // allocates nothing (Next rejects nesting past kMaxNestingDepth).
+  AdmTag stack_[kMaxNestingDepth] = {};
+  size_t depth_ = 0;
   ObjectItemStart last_object_item_;
   std::vector<ShapeField> shape_fields_;  // the current template
 };

@@ -230,8 +230,6 @@ Result<std::unique_ptr<LsmTree>> LsmTree::Open(LsmTreeOptions options) {
   if (tree->opts_.merge_policy == nullptr) {
     tree->opts_.merge_policy = MakePrefixMergePolicy(32ull << 20, 5);
   }
-  tree->opts_.max_concurrent_merges =
-      std::max<size_t>(1, tree->opts_.max_concurrent_merges);
   tree->opts_.max_pending_flush_builds =
       std::max<size_t>(1, tree->opts_.max_pending_flush_builds);
   tree->compressor_ = GetCompressor(tree->opts_.compression);
@@ -666,12 +664,12 @@ Status LsmTree::FlushLocked() {
                           TaskPriority::kHigh);
     }
   }
-  std::vector<MergePlan> plans;
+  std::optional<MergePlan> plan;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    plans = ScheduleMergesLocked();
+    plan = ScheduleMergeLocked();
   }
-  SubmitMerges(std::move(plans));
+  SubmitMerge(std::move(plan));
   // A caller-runs failure above happened during this call, so it is this
   // call's error; with a pool, whatever has latched so far.
   return BackgroundError();
@@ -795,7 +793,7 @@ void LsmTree::FlushBuildJob(bool canceled) {
   Result<std::shared_ptr<BtreeComponent>> built =
       BuildFlushComponent(*work.mem, work.cid, &counters);
   bool more = false;
-  std::vector<MergePlan> plans;
+  std::optional<MergePlan> plan;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (!built.ok()) {
@@ -820,10 +818,10 @@ void LsmTree::FlushBuildJob(bool canceled) {
     flush_queue_.pop_front();
     more = !flush_queue_.empty();
     if (!more) flush_build_running_ = false;
-    plans = ScheduleMergesLocked();
+    plan = ScheduleMergeLocked();
     flush_cv_.notify_all();
   }
-  SubmitMerges(std::move(plans));
+  SubmitMerge(std::move(plan));
   // Sealed accounting releases only now, when the memory is truly traded
   // for a durable component (approximate_bytes is lock-free once sealed).
   opts_.arbiter->OnFlushInstalled(arbiter_reg_, work.mem->approximate_bytes());
@@ -848,15 +846,8 @@ void LsmTree::FlushBuildJob(bool canceled) {
 Result<LsmTree::MergePlan> LsmTree::DecideMergeLocked() {
   std::vector<uint64_t> sizes;
   sizes.reserve(components_.size());
-  std::vector<bool> claimed;
-  if (!claimed_.empty()) claimed.resize(components_.size(), false);
-  for (size_t i = 0; i < components_.size(); ++i) {
-    sizes.push_back(components_[i]->physical_bytes());
-    if (!claimed.empty() && claimed_.count(components_[i].get()) > 0) {
-      claimed[i] = true;
-    }
-  }
-  MergeDecision d = opts_.merge_policy->Decide(sizes, claimed);
+  for (const auto& c : components_) sizes.push_back(c->physical_bytes());
+  MergeDecision d = opts_.merge_policy->Decide(sizes);
   MergePlan plan;
   if (!d.merge) return plan;
   // Harden against malformed decisions: an inverted range would underflow the
@@ -870,18 +861,6 @@ Result<LsmTree::MergePlan> LsmTree::DecideMergeLocked() {
     return Status::Internal(buf);
   }
   if (d.end - d.begin < 2) return plan;
-  // A range overlapping an in-flight merge's claimed inputs would double-
-  // merge (and double-retire) those components.
-  for (size_t i = d.begin; i < d.end; ++i) {
-    if (!claimed.empty() && claimed[i]) {
-      char buf[160];
-      std::snprintf(buf, sizeof(buf),
-                    "merge policy '%s' proposed range [%zu, %zu) overlapping a "
-                    "claimed component",
-                    opts_.merge_policy->name(), d.begin, d.end);
-      return Status::Internal(buf);
-    }
-  }
   plan.inputs.assign(components_.begin() + static_cast<ptrdiff_t>(d.begin),
                      components_.begin() + static_cast<ptrdiff_t>(d.end));
   plan.drop_tombstones = (d.end == components_.size());
@@ -936,31 +915,19 @@ Result<std::shared_ptr<BtreeComponent>> LsmTree::BuildMergedComponent(
 
 void LsmTree::InstallMergedLocked(const MergePlan& plan,
                                   std::shared_ptr<BtreeComponent> merged) {
-  // Locate the inputs by IDENTITY, not position: flushes prepend and other
-  // disjoint merges install while this one rewrote, so indexes have shifted
-  // — but the claimed inputs themselves cannot move relative to each other
-  // or leave the vector, so the merged component takes the slot of the
-  // newest input.
-  std::unordered_set<const BtreeComponent*> in_plan;
-  for (const auto& c : plan.inputs) in_plan.insert(c.get());
-  std::vector<std::shared_ptr<BtreeComponent>> rebuilt;
-  rebuilt.reserve(components_.size() + 1 - plan.inputs.size());
-  size_t idx = components_.size();
-  size_t found = 0;
-  for (const auto& c : components_) {
-    if (in_plan.count(c.get()) > 0) {
-      if (found == 0) idx = rebuilt.size();
-      ++found;
-      continue;
-    }
-    rebuilt.push_back(c);
-  }
-  TC_CHECK(found == plan.inputs.size());
+  // Flushes prepend while the merge rewrites, so the inputs have shifted
+  // toward the old end — but nothing else touches them (this is the tree's
+  // only merge), so they are still one contiguous run, found by its newest
+  // input. The merged component takes the run's place.
+  auto first = std::find(components_.begin(), components_.end(),
+                         plan.inputs.front());
+  size_t n = plan.inputs.size();
+  TC_CHECK(static_cast<size_t>(components_.end() - first) >= n &&
+           std::equal(plan.inputs.begin(), plan.inputs.end(), first));
   stats_.bytes_merged += merged->physical_bytes();
   ++stats_.merge_count;
-  rebuilt.insert(rebuilt.begin() + static_cast<ptrdiff_t>(idx),
-                 std::move(merged));
-  components_.swap(rebuilt);
+  *first = std::move(merged);
+  components_.erase(first + 1, first + static_cast<ptrdiff_t>(n));
   // Swap complete: the inputs leave the tree. Views still referencing them
   // keep the files alive; the reclaimer deletes them on last release.
   for (const auto& c : plan.inputs) reclaimer_->Retire(c);
@@ -986,109 +953,30 @@ void LsmTree::FoldFlushCountersLocked(const StageCounters& counters) {
   stats_.flush_write_usecs += counters.write_nanos / 1000;
 }
 
-void LsmTree::ReleaseMergePlanLocked(const MergePlan& plan) {
-  for (const auto& c : plan.inputs) claimed_.erase(c.get());
-  TC_CHECK(merges_inflight_ > 0);
-  --merges_inflight_;
+std::optional<LsmTree::MergePlan> LsmTree::ScheduleMergeLocked() {
+  // One merge per tree at a time: while one is scheduled, its completion's
+  // cascade is what decides next. WAL replay takes no merge decision. Once
+  // an error is latched every further merge is doomed work; stop cascading
+  // (the sticky error already gates writers).
+  if (merge_scheduled_ || replaying_ || !background_error_.ok()) {
+    return std::nullopt;
+  }
+  Result<MergePlan> plan = DecideMergeLocked();
+  if (!plan.ok()) {
+    background_error_ = plan.status();
+    flush_cv_.notify_all();
+    return std::nullopt;
+  }
+  if (plan.value().inputs.empty()) return std::nullopt;
+  merge_scheduled_ = true;
+  return std::move(plan).value();
 }
 
-double EstimateMergeRewriteValue(uint64_t total_bytes,
-                                 uint64_t stale_schema_bytes,
-                                 uint64_t recompressible_bytes, size_t fan_in) {
-  if (total_bytes == 0 || fan_in == 0) return 0.0;
-  // Each term is the fraction of the rewritten bytes that the merge improves:
-  // bytes re-encoded onto the newest schema, bytes moved to the heavier
-  // codec, and the read-amplification payoff of collapsing fan_in components
-  // into one (a 2-way merge halves the lookups over those bytes; an 8-way
-  // merge nearly eliminates them). Summing deliberately over-weights plans
-  // that win on several axes at once.
-  double total = static_cast<double>(total_bytes);
-  double stale = static_cast<double>(stale_schema_bytes);
-  double recomp = static_cast<double>(recompressible_bytes);
-  double collapse =
-      total * (static_cast<double>(fan_in - 1) / static_cast<double>(fan_in));
-  return (stale + recomp + collapse) / total;
-}
-
-double LsmTree::ScoreMergePlanLocked(const MergePlan& plan) const {
-  uint64_t total = 0;
-  uint64_t stale = 0;
-  uint64_t recompressible = 0;
-  // "Newest schema" = the newest component in the whole tree, not the plan:
-  // a merge whose inputs agree with each other but lag the tree still
-  // persists the transformer's live schema.
-  const Buffer* newest_schema = components_.empty()
-                                    ? nullptr
-                                    : &components_.front()->meta().schema_blob;
-  bool transforming = opts_.transformer != nullptr;
-  bool recompressing = plan.drop_tombstones &&
-                       opts_.merge_recompress != CompressionKind::kNone;
-  for (const auto& c : plan.inputs) {
-    uint64_t phys = c->physical_bytes();
-    total += phys;
-    if (transforming && newest_schema != nullptr &&
-        c->meta().schema_blob != *newest_schema) {
-      stale += phys;
-    }
-    if (recompressing && c->compression() != opts_.merge_recompress) {
-      recompressible += phys;
-    }
-  }
-  return EstimateMergeRewriteValue(total, stale, recompressible,
-                                   plan.inputs.size());
-}
-
-std::vector<LsmTree::MergePlan> LsmTree::ScheduleMergesLocked() {
-  // WAL replay takes no merge decision. Once an error is latched every
-  // further merge is doomed work; stop cascading (the sticky error already
-  // gates writers).
-  if (replaying_ || !background_error_.ok()) return {};
-  // Collect EVERY disjoint plan the policy proposes (claiming as we go so
-  // each successive decision sees the previous ranges as taken), then order
-  // by estimated rewrite value instead of proposal (FIFO) order. Plans past
-  // the concurrency cap are unclaimed again — the cascade re-proposes (and
-  // re-scores) them when a slot frees, so scoring stays fresh.
-  std::vector<std::pair<double, MergePlan>> scored;
-  while (true) {
-    Result<MergePlan> plan_or = DecideMergeLocked();
-    if (!plan_or.ok()) {
-      for (const auto& sp : scored) {
-        for (const auto& c : sp.second.inputs) claimed_.erase(c.get());
-      }
-      background_error_ = plan_or.status();
-      flush_cv_.notify_all();
-      return {};
-    }
-    MergePlan plan = std::move(plan_or).value();
-    if (plan.inputs.empty()) break;
-    for (const auto& c : plan.inputs) claimed_.insert(c.get());
-    double score = ScoreMergePlanLocked(plan);
-    scored.emplace_back(score, std::move(plan));
-  }
-  // Stable on ties so equal-value plans keep the policy's proposal order.
-  std::stable_sort(
-      scored.begin(), scored.end(),
-      [](const auto& a, const auto& b) { return a.first > b.first; });
-  std::vector<MergePlan> launch;
-  for (auto& sp : scored) {
-    if (merges_inflight_ >= opts_.max_concurrent_merges) {
-      // Over the cap: give the claim back. The next install's cascade will
-      // re-decide, so nothing is lost — only deferred.
-      for (const auto& c : sp.second.inputs) claimed_.erase(c.get());
-      continue;
-    }
-    ++merges_inflight_;
-    launch.push_back(std::move(sp.second));
-  }
-  return launch;
-}
-
-void LsmTree::SubmitMerges(std::vector<MergePlan> plans) {
-  for (auto& plan : plans) {
-    merge_jobs_->Submit([this, plan = std::move(plan)](bool canceled) mutable {
-      MergeJob(std::move(plan), canceled);
-    });
-  }
+void LsmTree::SubmitMerge(std::optional<MergePlan> plan) {
+  if (!plan.has_value()) return;
+  merge_jobs_->Submit([this, plan = std::move(*plan)](bool canceled) mutable {
+    MergeJob(std::move(plan), canceled);
+  });
 }
 
 void LsmTree::MergeJob(MergePlan plan, bool canceled) {
@@ -1099,37 +987,31 @@ void LsmTree::MergeJob(MergePlan plan, bool canceled) {
     // check a sticky build failure kept the cascade scheduling doomed
     // merges forever.
     if (canceled || !BackgroundErrorLocked().ok()) {
-      ReleaseMergePlanLocked(plan);
+      merge_scheduled_ = false;
       flush_cv_.notify_all();
       return;
     }
-    ++merges_building_;
-    stats_.concurrent_merges_high_water = std::max<uint64_t>(
-        stats_.concurrent_merges_high_water, merges_building_);
   }
   StageCounters counters;
   Result<std::shared_ptr<BtreeComponent>> merged =
       BuildMergedComponent(plan, &counters);
   uint64_t phys = merged.ok() ? merged.value()->physical_bytes() : 0;
-  std::vector<MergePlan> cascade;
+  std::optional<MergePlan> cascade;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    --merges_building_;
+    merge_scheduled_ = false;
     if (!merged.ok()) {
       if (background_error_.ok()) background_error_ = merged.status();
-      ReleaseMergePlanLocked(plan);
       flush_cv_.notify_all();  // wake backpressured writers into the error
       return;
     }
     InstallMergedLocked(plan, std::move(merged).value());
     FoldMergeCountersLocked(counters, phys);
-    ReleaseMergePlanLocked(plan);
     // Cascade: the policy may want another merge on the new shape (e.g. a
-    // tier completed by this rewrite) — and freeing a claim may unblock a
-    // plan the concurrency cap deferred.
-    cascade = ScheduleMergesLocked();
+    // tier completed by this rewrite, or flushes that installed meanwhile).
+    cascade = ScheduleMergeLocked();
   }
-  SubmitMerges(std::move(cascade));
+  SubmitMerge(std::move(cascade));
   plan.inputs.clear();  // drop our pins so the drain can reclaim the inputs
   // Deferred-deletion sweep. Failures latch into the reclaimer's sticky
   // error — shared with every view and surfaced through BackgroundError()

@@ -32,11 +32,10 @@
 //     build, its install and the whole merge cascade run on the writer
 //     thread before Flush returns — deterministic, what unit tests, the
 //     figure benches and crash-recovery replay use.
-//   * Merges run concurrently per tree: the policy proposes plans over
-//     DISJOINT component ranges (components claimed by an in-flight merge
-//     are excluded from later decisions), up to `max_concurrent_merges` jobs
-//     build at once on the pool, and completions install by component
-//     identity — out of order, interleaved with flush installs.
+//   * A tree runs at most one merge at a time. Flush builds keep installing
+//     (prepending) while it rewrites, so it installs over its contiguous
+//     input run wherever that run has shifted to; its cascade then
+//     re-decides over the whole component vector.
 //   * Merge retires its input components by dropping them from the component
 //     vector into a deferred-deletion list (ComponentReclaimer); the physical
 //     files are deleted only when the last view referencing them is released.
@@ -57,7 +56,6 @@
 #include <mutex>
 #include <optional>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "common/bytes.h"
@@ -80,7 +78,7 @@ enum class WriteOp : uint8_t { kInsert, kUpsert, kDelete };
 /// bulk load and merge stream each live payload through Transform, so the
 /// tuple compactor piggybacks schema inference and record compaction on
 /// every rewrite (after Mycelium's transformation-embedded LSM-tree). Calls
-/// may come from a flush build and several merges at once, so an
+/// may come from a flush build and a merge at once, so an
 /// implementation must be thread-safe.
 class ComponentTransformer {
  public:
@@ -105,6 +103,9 @@ class ComponentTransformer {
   /// the replayed memtable flushes through the transformer normally).
   virtual Status OnRecoveredSchema(const Buffer& blob) = 0;
 };
+
+/// Sealed generations a tree queues for their build before writers stall.
+inline constexpr size_t kDefaultMaxPendingFlushBuilds = 2;
 
 struct LsmTreeOptions {
   std::shared_ptr<FileSystem> fs;
@@ -142,11 +143,6 @@ struct LsmTreeOptions {
   /// tree). Null = caller-runs: the same jobs run on the thread that flushes,
   /// finished before the flush returns.
   TaskPool* merge_pool = nullptr;
-  /// Cap on merges of THIS tree scheduled at once (clamped to >= 1).
-  /// Disjoint plans beyond the cap stay unscheduled until a scheduled merge
-  /// completes; candidates are ordered by EstimateMergeRewriteValue, so the
-  /// most valuable rewrite runs first when plans outnumber the cap.
-  size_t max_concurrent_merges = kDefaultMaxConcurrentMerges;
   /// Backpressure for flush builds: writers stall once this many sealed
   /// generations await their component build (clamped to >= 1; never
   /// reached caller-runs, where each build finishes inside its flush).
@@ -189,10 +185,6 @@ struct LsmStats {
   /// Most on-disk components ever live at once — the worst case a point
   /// lookup pays under this merge schedule (the fig24 policy-axis metric).
   uint64_t component_count_high_water = 0;
-  /// Most merges of this tree ever BUILDING at the same instant — >= 2 proves
-  /// disjoint merges actually ran concurrently (scheduled-but-queued jobs
-  /// don't count).
-  uint64_t concurrent_merges_high_water = 0;
   /// Most sealed generations ever queued for a flush build at once (bounded
   /// by max_pending_flush_builds; 1 once a caller-runs tree has flushed).
   uint64_t flush_queue_high_water = 0;
@@ -241,14 +233,6 @@ struct LsmStats {
            static_cast<double>(total);
   }
 };
-
-/// Value score for ordering candidate merge plans (higher = scheduled
-/// first): rewards stale-schema bytes (re-compaction payoff), recompressible
-/// cold bytes, and the write-amp payoff of wide fan-in, normalized by the
-/// bytes the rewrite must move. Pure — unit-tested for monotonicity.
-double EstimateMergeRewriteValue(uint64_t total_bytes,
-                                 uint64_t stale_schema_bytes,
-                                 uint64_t recompressible_bytes, size_t fan_in);
 
 /// Deferred deletion of retired (merged-away or destroyed) components: files
 /// are physically deleted only once no ReadView pins the component. Shared by
@@ -619,21 +603,16 @@ class LsmTree {
   // itself while generations remain queued.
   void FlushBuildJob(bool canceled);
   // *Locked methods require `mu_` to be held by the caller.
-  // Claims every disjoint plan the policy proposes, highest rewrite value
-  // first, up to max_concurrent_merges, and returns them for SubmitMerges;
-  // claimed components are excluded from decisions. Empty during WAL replay
-  // or once an error is latched.
-  std::vector<MergePlan> ScheduleMergesLocked();
-  // Submits one MergeJob per plan. Called WITHOUT mu_: a caller-runs job
-  // runs inside Submit and takes mu_ itself.
-  void SubmitMerges(std::vector<MergePlan> plans);
+  // Returns the policy's plan over the whole component vector and marks a
+  // merge scheduled; empty while a merge is already scheduled, during WAL
+  // replay, or once an error is latched.
+  std::optional<MergePlan> ScheduleMergeLocked();
+  // Submits the MergeJob for a scheduled plan, if any. Called WITHOUT mu_: a
+  // caller-runs job runs inside Submit and takes mu_ itself.
+  void SubmitMerge(std::optional<MergePlan> plan);
   Result<MergePlan> DecideMergeLocked();
   void InstallMergedLocked(const MergePlan& plan,
                            std::shared_ptr<BtreeComponent> merged);
-  // Unclaims a plan's inputs and decrements the in-flight count (the
-  // completion bookkeeping shared by the install, failure, and cancel-skip
-  // paths of MergeJob).
-  void ReleaseMergePlanLocked(const MergePlan& plan);
   // Sticky first background failure (never cleared) — build errors and the
   // reclaimer's deferred-deletion errors; every writer entry point gates on
   // it. Takes mu_ itself.
@@ -653,9 +632,6 @@ class LsmTree {
   // (thread-safe) buffer cache.
   Result<std::shared_ptr<BtreeComponent>> BuildMergedComponent(
       const MergePlan& plan, StageCounters* counters);
-  // Requires mu_: EstimateMergeRewriteValue over the plan's inputs, using the
-  // newest component's schema blob to spot stale-schema bytes.
-  double ScoreMergePlanLocked(const MergePlan& plan) const;
   // Requires mu_: folds one rewrite's pipeline counters into stats_;
   // `merged_physical_bytes` is the freshly installed component's on-disk size
   // (the recompressed-bytes figure when the rewrite switched codecs).
@@ -689,13 +665,9 @@ class LsmTree {
   std::deque<PendingFlush> flush_queue_;
   bool flush_build_running_ = false;  // a FlushBuildJob is scheduled/running
   std::condition_variable flush_cv_;  // backpressure (with mu_)
-  // Merge scheduling: inputs of every in-flight merge (excluded from new
-  // decisions) and the in-flight/building counts.
-  std::unordered_set<const BtreeComponent*> claimed_;
-  size_t merges_inflight_ = 0;  // scheduled or running
-  size_t merges_building_ = 0;  // actually rewriting right now
-  Status background_error_;     // sticky first background failure
-  bool replaying_ = false;      // WAL replay in progress: no merge decisions
+  bool merge_scheduled_ = false;  // a MergeJob is scheduled/running
+  Status background_error_;       // sticky first background failure
+  bool replaying_ = false;        // WAL replay in progress: no merge decisions
 
   // Track this tree's jobs, split by kind: WaitForMerges() waits on both;
   // the destructor always cancels queued MERGE jobs (their inputs stay live

@@ -7,37 +7,10 @@
 namespace tc {
 namespace {
 
-// Applies `within(begin, end)` to each maximal run of unclaimed components,
-// newest first, returning the first merge any run proposes. Components
-// claimed by an in-flight merge partition the vector; a proposal never spans
-// a claimed component, so concurrently proposed merges are always disjoint.
-// With nothing claimed the single run [0, n) makes this exactly the policy's
-// historical behaviour.
-template <typename WithinFn>
-MergeDecision FirstUnclaimedRunDecision(size_t n,
-                                        const std::vector<bool>& claimed,
-                                        WithinFn within) {
-  if (claimed.empty()) return within(0, n);
-  size_t i = 0;
-  while (i < n) {
-    if (i < claimed.size() && claimed[i]) {
-      ++i;
-      continue;
-    }
-    size_t j = i;
-    while (j < n && !(j < claimed.size() && claimed[j])) ++j;
-    MergeDecision d = within(i, j);
-    if (d.merge) return d;
-    i = j;
-  }
-  return {};
-}
-
 class NoMergePolicy final : public MergePolicy {
  public:
   const char* name() const override { return "no-merge"; }
-  MergeDecision Decide(const std::vector<uint64_t>& /*sizes*/,
-                       const std::vector<bool>& /*claimed*/) const override {
+  MergeDecision Decide(const std::vector<uint64_t>& /*sizes*/) const override {
     return {};
   }
 };
@@ -49,53 +22,45 @@ class PrefixMergePolicy final : public MergePolicy {
 
   const char* name() const override { return "prefix"; }
 
-  MergeDecision Decide(const std::vector<uint64_t>& sizes,
-                       const std::vector<bool>& claimed) const override {
-    return FirstUnclaimedRunDecision(
-        sizes.size(), claimed,
-        [&](size_t b, size_t e) { return DecideWithin(sizes, b, e); });
-  }
-
- private:
-  MergeDecision DecideWithin(const std::vector<uint64_t>& sizes, size_t b,
-                             size_t e) const {
-    // Find the run of "small" components at the newest end of the window (a
-    // component that grew past max_bytes_ is left alone, as are all
-    // components older than it).
-    size_t end = b;
-    while (end < e && sizes[end] < max_bytes_) ++end;
-    if (end - b <= tolerance_) return {};
+  MergeDecision Decide(const std::vector<uint64_t>& sizes) const override {
+    // Find the run of "small" components at the newest end (a component that
+    // grew past max_bytes_ is left alone, as are all components older than
+    // it).
+    size_t end = 0;
+    while (end < sizes.size() && sizes[end] < max_bytes_) ++end;
+    if (end <= tolerance_) return {};
     // Merge the longest newest-first prefix of that run whose sum fits.
     uint64_t total = 0;
     size_t take = 0;
-    while (b + take < end && total + sizes[b + take] <= max_bytes_) {
-      total += sizes[b + take];
+    while (take < end && total + sizes[take] <= max_bytes_) {
+      total += sizes[take];
       ++take;
     }
     if (take < 2) {
       // The run overflows even pairwise; merge the two newest regardless so
       // the component count stays bounded — but never reach past the run: a
       // component that exceeded max_bytes_ stays left alone.
-      if (end - b < 2) return {};
+      if (end < 2) return {};
       take = 2;
     }
-    return {true, b, b + take};
+    return {true, 0, take};
   }
 
+ private:
   uint64_t max_bytes_;
   size_t tolerance_;
 };
 
-// Scans [begin, end) newest-first for the first tier — a maximal run of
+// Scans [0, end) newest-first for the first tier — a maximal run of
 // components whose sizes span strictly less than a factor of `ratio` — that
 // is at least `width` long; the full tier merges at once. The strict bound
 // keeps a geometric tower of merged tiers (each level exactly `ratio`× the
 // one above — tiering's steady state) stable instead of collapsing it like a
 // leveling merge would. Tiers are disjoint: the scan resumes after each run,
 // so a short newest tier never blocks an older full one.
-MergeDecision DecideTierWithin(const std::vector<uint64_t>& sizes, size_t begin,
-                               size_t end, size_t ratio, size_t width) {
-  size_t i = begin;
+MergeDecision DecideTier(const std::vector<uint64_t>& sizes, size_t end,
+                         size_t ratio, size_t width) {
+  size_t i = 0;
   while (i < end) {
     uint64_t lo = sizes[i];
     uint64_t hi = sizes[i];
@@ -115,7 +80,7 @@ MergeDecision DecideTierWithin(const std::vector<uint64_t>& sizes, size_t begin,
   // Once the window holds far more components than healthy tiering would keep
   // (roughly `width` per level of a `ratio`-geometric tower), force-merge the
   // newest `width` regardless of similarity so the count stays bounded.
-  if (end - begin >= 8 * width) return {true, begin, begin + width};
+  if (end >= 8 * width) return {true, 0, width};
   return {};
 }
 
@@ -127,12 +92,8 @@ class TieredMergePolicy final : public MergePolicy {
 
   const char* name() const override { return "tiered"; }
 
-  MergeDecision Decide(const std::vector<uint64_t>& sizes,
-                       const std::vector<bool>& claimed) const override {
-    return FirstUnclaimedRunDecision(
-        sizes.size(), claimed, [&](size_t b, size_t e) {
-          return DecideTierWithin(sizes, b, e, ratio_, width_);
-        });
+  MergeDecision Decide(const std::vector<uint64_t>& sizes) const override {
+    return DecideTier(sizes, sizes.size(), ratio_, width_);
   }
 
  private:
@@ -148,32 +109,18 @@ class LazyLeveledMergePolicy final : public MergePolicy {
 
   const char* name() const override { return "lazy-leveled"; }
 
-  MergeDecision Decide(const std::vector<uint64_t>& sizes,
-                       const std::vector<bool>& claimed) const override {
+  MergeDecision Decide(const std::vector<uint64_t>& sizes) const override {
     size_t n = sizes.size();
     if (n < 2) return {};
-    bool any_claimed = false;
-    for (bool c : claimed) any_claimed |= c;
-    if (!any_claimed) {
-      // The oldest component is the single leveled bottom; everything newer
-      // is the tiered upper deck. Absorb the deck into the bottom once it is
-      // wide enough and carries enough bytes for the bottom rewrite to
-      // amortize.
-      uint64_t upper_total = 0;
-      for (size_t i = 0; i + 1 < n; ++i) upper_total += sizes[i];
-      if (n - 1 >= width_ && upper_total * ratio_ >= sizes[n - 1]) {
-        return {true, 0, n};
-      }
-      return DecideTierWithin(sizes, 0, n - 1, ratio_, width_);
+    // The oldest component is the single leveled bottom; everything newer is
+    // the tiered upper deck. Absorb the deck into the bottom once it is wide
+    // enough and carries enough bytes for the bottom rewrite to amortize.
+    uint64_t upper_total = 0;
+    for (size_t i = 0; i + 1 < n; ++i) upper_total += sizes[i];
+    if (n - 1 >= width_ && upper_total * ratio_ >= sizes[n - 1]) {
+      return {true, 0, n};
     }
-    // A merge is in flight: the full-deck absorb (which needs every
-    // component, bottom included) is off the table, but the unclaimed runs
-    // of the upper deck can keep tiering concurrently so bursts are still
-    // absorbed while the big rewrite runs.
-    return FirstUnclaimedRunDecision(
-        n - 1, claimed, [&](size_t b, size_t e) {
-          return DecideTierWithin(sizes, b, e, ratio_, width_);
-        });
+    return DecideTier(sizes, n - 1, ratio_, width_);
   }
 
  private:

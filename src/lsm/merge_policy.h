@@ -14,7 +14,6 @@
 
 namespace tc {
 
-/// Sizes of the current on-disk components, newest first.
 struct MergeDecision {
   bool merge = false;
   // Range [begin, end) of component indexes (newest-first order) to merge.
@@ -26,22 +25,11 @@ class MergePolicy {
  public:
   virtual ~MergePolicy() = default;
   virtual const char* name() const = 0;
-  /// Claim-aware decision — what enables several disjoint merges per tree.
-  /// `sizes[0]` is the newest component's physical size in bytes;
-  /// `claimed[i]` marks a component already pinned as the input of an
-  /// in-flight merge (an empty vector means nothing is claimed). The returned
-  /// range must not overlap a claimed component, so policies apply their
-  /// logic within each maximal run of unclaimed components: with nothing
-  /// claimed the single run [0, n) reproduces the historical single-inflight
-  /// behaviour exactly, and with a merge running the newer flushes that
-  /// accumulate in front of (or the strata stranded behind) its claimed run
-  /// can still be proposed concurrently.
-  virtual MergeDecision Decide(const std::vector<uint64_t>& sizes,
-                               const std::vector<bool>& claimed) const = 0;
-  /// Convenience for single-inflight callers and tests: nothing claimed.
-  MergeDecision Decide(const std::vector<uint64_t>& sizes) const {
-    return Decide(sizes, {});
-  }
+  /// `sizes` are the current on-disk components' physical sizes in bytes,
+  /// newest first. A tree runs at most one merge at a time, so the decision
+  /// always covers the whole vector; the completing merge's cascade asks
+  /// again.
+  virtual MergeDecision Decide(const std::vector<uint64_t>& sizes) const = 0;
 };
 
 /// Never merges.
@@ -81,13 +69,6 @@ enum class MergePolicyKind {
   kLazyLeveled,
 };
 
-/// Background-scheduling defaults. kDefaultMaxConcurrentMerges is shared by
-/// MergePolicyConfig (the dataset-level knob bag) and LsmTreeOptions
-/// (directly-opened trees) so the two entry points cannot silently drift
-/// apart; every dataset tree queues kDefaultMaxPendingFlushBuilds.
-inline constexpr size_t kDefaultMaxConcurrentMerges = 4;
-inline constexpr size_t kDefaultMaxPendingFlushBuilds = 2;
-
 const char* MergePolicyKindName(MergePolicyKind kind);
 
 /// Parses "none"/"no-merge", "prefix", "tiered", and
@@ -102,10 +83,6 @@ struct MergePolicyConfig {
   // run with size ratio 4 and merge width 4.
   uint64_t max_mergeable_bytes = 32ull << 20;
   size_t max_tolerance_count = 5;
-  // Background-scheduling (not policy) knob, carried here because this
-  // config already reaches every LSM tree: cap on merges of one tree
-  // scheduled at once (>= 1).
-  size_t max_concurrent_merges = kDefaultMaxConcurrentMerges;
 };
 
 std::unique_ptr<MergePolicy> MakeMergePolicy(const MergePolicyConfig& config);

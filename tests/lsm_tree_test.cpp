@@ -335,8 +335,7 @@ class RiggedPolicy final : public MergePolicy {
  public:
   RiggedPolicy(size_t begin, size_t end) : begin_(begin), end_(end) {}
   const char* name() const override { return "rigged"; }
-  MergeDecision Decide(const std::vector<uint64_t>&,
-                       const std::vector<bool>&) const override {
+  MergeDecision Decide(const std::vector<uint64_t>&) const override {
     return {true, begin_, end_};
   }
 
@@ -559,8 +558,7 @@ TEST(LsmTree, CallerRunsIsDeterministic) {
                  s.bulk_load_count, s.bytes_bulk_loaded, s.point_lookups,
                  s.old_version_lookups, s.filter_checks, s.filter_negatives,
                  s.filter_false_positives, s.lookup_pages_read,
-                 s.component_count_high_water, s.concurrent_merges_high_water,
-                 s.flush_queue_high_water, s.merge_records_recompacted,
+                 s.component_count_high_water, s.flush_queue_high_water, s.merge_records_recompacted,
                  s.merge_bytes_recompacted, s.merge_components_recompressed,
                  s.merge_bytes_recompressed};
     auto view = t->View();
@@ -569,7 +567,6 @@ TEST(LsmTree, CallerRunsIsDeterministic) {
     }
     EXPECT_GT(s.flush_count, 10u);
     EXPECT_GT(s.merge_count, 2u);
-    EXPECT_EQ(s.concurrent_merges_high_water, 1u);  // one job at a time
     return out;
   };
   Outcome a = run();

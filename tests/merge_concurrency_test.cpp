@@ -1,22 +1,26 @@
-// Concurrent background-work pipeline (concurrent disjoint merges + pooled
-// flush builds) and its error-handling contract:
-//   * >= 2 merges over disjoint component ranges provably BUILD at the same
-//     time on one tree (gated filesystem makes the overlap deterministic);
+// Concurrent background-work pipeline (pooled flush builds beside each
+// tree's one merge at a time) and its error-handling contract:
+//   * while a merge rewrites, flush builds keep installing in front of its
+//     inputs and no second merge of the tree starts; the completing merge
+//     installs over its shifted inputs and its cascade merges what
+//     accumulated (gated filesystem makes the interleaving deterministic);
 //   * a pooled flush costs the writer only the generation swap — the build
 //     runs on the executor while readers keep seeing the sealed generation;
 //   * once a sticky background error is latched, queued and cascading merge
 //     jobs short-circuit instead of scheduling doomed work;
 //   * deferred-deletion (reclaimer drain) failures latch and surface through
 //     WaitForMerges()/writer gating instead of vanishing;
-//   * a TSan-clean stress: continuous ingestion + concurrent merges + pooled
-//     flushes under readers holding ReadViews.
+//   * a TSan-clean stress: continuous ingestion + merges + pooled flushes
+//     under readers holding ReadViews.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cinttypes>
 #include <condition_variable>
 #include <cstdio>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <string>
@@ -107,8 +111,7 @@ struct Fixture {
   std::unique_ptr<TaskPool> pool;
 
   std::unique_ptr<LsmTree> Open(std::shared_ptr<MergePolicy> policy,
-                                size_t pool_threads, size_t max_merges,
-                                size_t max_pending = 2,
+                                size_t pool_threads, size_t max_pending = 2,
                                 size_t memtable_bytes = 1 << 20,
                                 bool capture_old = false, bool use_wal = true,
                                 bool use_pool = true) {
@@ -122,7 +125,6 @@ struct Fixture {
     o.memtable_budget_bytes = memtable_bytes;
     o.merge_policy = std::move(policy);
     o.merge_pool = use_pool ? pool.get() : nullptr;
-    o.max_concurrent_merges = max_merges;
     o.max_pending_flush_builds = max_pending;
     o.capture_old_versions = capture_old;
     o.use_wal = use_wal;
@@ -147,48 +149,93 @@ struct Fixture {
   }
 };
 
-// Two disjoint merges must BUILD concurrently: the gate holds every merge
-// build inside Create() until two distinct merge outputs have arrived, so the
-// concurrent-merge high-water mark is >= 2 by construction — the scheduler
-// just has to actually propose and launch the second disjoint plan while the
-// first is mid-rewrite (which a single-inflight scheduler never does).
-TEST(MergeConcurrency, TwoDisjointMergesBuildConcurrently) {
-  Fixture fx;
+// Polls `done` for up to 30 s; false on timeout (the caller's assertion then
+// fails instead of hanging the suite).
+template <typename Pred>
+bool WaitUntil(Pred done) {
+  for (int spin = 0; spin < 30000; ++spin) {
+    if (done()) return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return done();
+}
+
+// Holds every merge build inside Create() until opened, counting the builds
+// that arrive and the most ever held at once.
+struct MergeGate {
   std::mutex mu;
   std::condition_variable cv;
-  int merge_creates = 0;
-  fx.fs->create_hook = [&](const std::string& path) -> Status {
-    if (!IsMergeOutput(path)) return Status::OK();
-    std::unique_lock<std::mutex> lock(mu);
-    ++merge_creates;
+  bool open = false;
+  int arrived = 0;
+  int held = 0;
+  int max_held = 0;
+
+  void Install(HookFs* fs) {
+    fs->create_hook = [this](const std::string& path) -> Status {
+      if (!IsMergeOutput(path)) return Status::OK();
+      std::unique_lock<std::mutex> lock(mu);
+      ++arrived;
+      max_held = std::max(max_held, ++held);
+      cv.wait_for(lock, std::chrono::seconds(30), [this] { return open; });
+      --held;
+      return Status::OK();
+    };
+  }
+  int Arrived() {
+    std::lock_guard<std::mutex> lock(mu);
+    return arrived;
+  }
+  void Open() {
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      open = true;
+    }
     cv.notify_all();
-    // Generous timeout: on a failure the test fails the assertions below
-    // instead of hanging the suite.
-    cv.wait_for(lock, std::chrono::seconds(30),
-                [&] { return merge_creates >= 2; });
-    return Status::OK();
-  };
-  // Pool: 2 blocked merge builds + 1 flush build in flight.
-  auto t = fx.Open(MakeTieredMergePolicy(3, 2), /*pool_threads=*/3,
-                   /*max_merges=*/2);
+  }
+};
+
+// One merge per tree at a time: while the first merge is held in the gate,
+// flush builds keep installing in front of its inputs, and no second merge
+// starts even though the flushes piling up form a tier of their own (a
+// scheduler that launched one would show a second arrival at the gate, and
+// there are free pool threads to run it). Once the gate opens, the merge
+// installs over its shifted inputs and the cascade merges what accumulated.
+TEST(MergeConcurrency, OneMergePerTreeWhileFlushesInstall) {
+  Fixture fx;
+  MergeGate gate;
+  gate.Install(fx.fs.get());
+  auto t = fx.Open(MakeTieredMergePolicy(3, 2), /*pool_threads=*/3);
   std::string v(64, 'v');
-  // Four equal flushes: after the second installs, the tier [f2, f1] merges
-  // (and blocks in the gate); flushes three and four form a second, disjoint
-  // tier in front of the claimed pair, launching the second merge.
-  for (int f = 0; f < 4; ++f) {
+  // The second install proposes the tier [f2, f1]; its merge enters the gate.
+  for (int f = 0; f < 2; ++f) {
     ASSERT_TRUE(fx.FlushBatch(t.get(), f * 8, 8, v).ok());
   }
-  ASSERT_TRUE(t->WaitForMerges().ok());
-
-  LsmStats s = t->stats();
-  EXPECT_GE(s.concurrent_merges_high_water, 2u);
-  EXPECT_GE(s.merge_count, 2u);
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    EXPECT_GE(merge_creates, 2);
+  ASSERT_TRUE(WaitUntil([&] { return gate.Arrived() == 1; }));
+  // Four more flushes install while the merge rewrites.
+  for (int f = 2; f < 6; ++f) {
+    ASSERT_TRUE(fx.FlushBatch(t.get(), f * 8, 8, v).ok());
   }
-  // Every key still resolves; the settled tree owns exactly its own files.
-  for (int64_t k = 0; k < 32; ++k) {
+  ASSERT_TRUE(WaitUntil([&] { return t->stats().flush_count == 6; }));
+  // Give a wrongly launched second merge time to reach the gate.
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  EXPECT_EQ(gate.Arrived(), 1);
+  EXPECT_EQ(t->component_count(), 6u);
+  EXPECT_EQ(t->stats().merge_count, 0u);
+  for (int64_t k = 0; k < 48; ++k) {
+    EXPECT_TRUE(t->Get(BtreeKey{k, 0}).ValueOrDie().has_value()) << k;
+  }
+
+  gate.Open();
+  ASSERT_TRUE(t->WaitForMerges().ok());
+  LsmStats s = t->stats();
+  EXPECT_GE(s.merge_count, 2u);  // the gated merge + its cascade
+  // The cascade merged the four flushes that accumulated behind the gate.
+  EXPECT_LT(t->component_count(), 5u);
+  {
+    std::lock_guard<std::mutex> lock(gate.mu);
+    EXPECT_EQ(gate.max_held, 1);
+  }
+  for (int64_t k = 0; k < 48; ++k) {
     EXPECT_TRUE(t->Get(BtreeKey{k, 0}).ValueOrDie().has_value()) << k;
   }
   t->View();  // release-drain any leftovers
@@ -211,9 +258,8 @@ TEST(MergeConcurrency, PooledFlushDoesNotBlockWriterBeyondSwap) {
     cv.wait_for(lock, std::chrono::seconds(30), [&] { return release; });
     return Status::OK();
   };
-  auto t = fx.Open(MakeNoMergePolicy(), /*pool_threads=*/2, /*max_merges=*/1,
-                   /*max_pending=*/2, /*memtable_bytes=*/1 << 20,
-                   /*capture_old=*/true);
+  auto t = fx.Open(MakeNoMergePolicy(), /*pool_threads=*/2, /*max_pending=*/2,
+                   /*memtable_bytes=*/1 << 20, /*capture_old=*/true);
   ASSERT_TRUE(t->Insert(BtreeKey{1, 0}, "v1").ok());
   // Returns after the swap even though the build cannot finish yet.
   ASSERT_TRUE(t->Flush().ok());
@@ -252,72 +298,52 @@ TEST(MergeConcurrency, PooledFlushDoesNotBlockWriterBeyondSwap) {
 }
 
 // Regression (cascade resubmit): once any background job latches the sticky
-// error, a concurrently-running merge must NOT cascade-schedule new merges on
-// completion. Deterministic sequencing: merge A ([c1-c2]) and merge B
-// ([c3-c4]) both enter the gate; once the flushes have returned (a flush
-// reports whatever error has latched by then, so A must not fail earlier),
-// A's build is failed first and the test waits until the error is latched
-// (writers become gated) before releasing B. B installs fine — but its
-// cascade, which would propose merging B's output with A's now-unclaimed
-// inputs, must short-circuit.
+// error, a running merge must NOT cascade-schedule a new merge on
+// completion. Deterministic sequencing: the merge over [f1, f2] waits in the
+// gate while f3 and f4 install in front of it; then f5's flush build fails,
+// and the test waits until that error is latched (writers become gated)
+// before opening the gate. The merge installs fine — but its cascade, which
+// the policy would otherwise answer with a merge of [f4, f3, merged], must
+// short-circuit.
 TEST(MergeConcurrency, CascadeShortCircuitsAfterStickyError) {
   Fixture fx;
-  std::mutex mu;
-  std::condition_variable cv;
-  int arrived = 0;
-  bool release_a = false;
-  bool release_b = false;
-  int merge_attempts = 0;
+  MergeGate gate;
+  gate.Install(fx.fs.get());
+  auto merge_hook = fx.fs->create_hook;
   fx.fs->create_hook = [&](const std::string& path) -> Status {
     uint64_t lo = 0, hi = 0;
-    if (!ParseComponentCids(path, &lo, &hi) || lo == hi) return Status::OK();
-    std::unique_lock<std::mutex> lock(mu);
-    ++merge_attempts;
-    ++arrived;
-    cv.notify_all();
-    if (lo == 1) {  // merge A over the oldest pair
-      cv.wait_for(lock, std::chrono::seconds(30),
-                  [&] { return arrived >= 2 && release_a; });
-      return Status::IOError("injected merge-build failure");
+    if (ParseComponentCids(path, &lo, &hi) && lo == 5 && hi == 5) {
+      return Status::IOError("injected flush-build failure");
     }
-    // merge B: held until the test observed A's latched error.
-    cv.wait_for(lock, std::chrono::seconds(30), [&] { return release_b; });
-    return Status::OK();
+    return merge_hook(path);
   };
-  auto t = fx.Open(MakeTieredMergePolicy(3, 2), /*pool_threads=*/3,
-                   /*max_merges=*/2);
+  auto t = fx.Open(MakeTieredMergePolicy(3, 2), /*pool_threads=*/3);
   std::string v(64, 'v');
-  for (int f = 0; f < 4; ++f) {
+  for (int f = 0; f < 2; ++f) {
     ASSERT_TRUE(fx.FlushBatch(t.get(), f * 8, 8, v).ok());
   }
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    release_a = true;
+  ASSERT_TRUE(WaitUntil([&] { return gate.Arrived() == 1; }));
+  for (int f = 2; f < 4; ++f) {
+    ASSERT_TRUE(fx.FlushBatch(t.get(), f * 8, 8, v).ok());
   }
-  cv.notify_all();
-  // Both merges enter the gate (A waits for B's arrival, then fails).
-  // Wait until A's failure is latched: writers are gated by the sticky error.
-  for (int spin = 0; spin < 5000; ++spin) {
-    Status st = t->Insert(BtreeKey{1000 + spin, 0}, "probe");
-    if (!st.ok()) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  ASSERT_TRUE(WaitUntil([&] { return t->stats().flush_count == 4; }));
+  // f5: its build fails on the pool; Flush may or may not see the latch yet.
+  for (int i = 0; i < 8; ++i) {
+    ASSERT_TRUE(t->Insert(BtreeKey{32 + i, 0}, v).ok());
   }
-  EXPECT_FALSE(t->Insert(BtreeKey{9999, 0}, "probe").ok());
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    release_b = true;
-  }
-  cv.notify_all();
+  (void)t->Flush();
+  // Wait until the failure is latched: writers are gated by the sticky error.
+  ASSERT_TRUE(WaitUntil(
+      [&] { return !t->Insert(BtreeKey{9999, 0}, "probe").ok(); }));
+  gate.Open();
   Status st = t->WaitForMerges();
   EXPECT_FALSE(st.ok());
-  EXPECT_NE(st.message().find("injected merge-build failure"), std::string::npos);
-  // B installed; A failed; and crucially B's cascade did NOT schedule the
-  // third (doomed) merge the policy would otherwise propose.
+  EXPECT_NE(st.message().find("injected flush-build failure"), std::string::npos);
+  // The gated merge installed, and crucially its cascade did NOT schedule the
+  // (doomed) merge the policy would otherwise propose.
   EXPECT_EQ(t->stats().merge_count, 1u);
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    EXPECT_EQ(merge_attempts, 2);
-  }
+  EXPECT_EQ(t->component_count(), 3u);
+  EXPECT_EQ(gate.Arrived(), 1);
 }
 
 // Regression (dropped drain status): a component-file deletion failure during
@@ -345,8 +371,7 @@ TEST(MergeConcurrency, DrainFailureSurfacesAsBackgroundError) {
     }
     return Status::OK();
   };
-  auto t = fx.Open(MakePrefixMergePolicy(UINT64_MAX, 2), /*pool_threads=*/1,
-                   /*max_merges=*/1);
+  auto t = fx.Open(MakePrefixMergePolicy(UINT64_MAX, 2), /*pool_threads=*/1);
   std::string v(64, 'v');
   for (int f = 0; f < 2; ++f) {
     ASSERT_TRUE(fx.FlushBatch(t.get(), f * 8, 8, v).ok());
@@ -379,16 +404,14 @@ TEST(MergeConcurrency, DrainFailureSurfacesAsBackgroundError) {
 }
 
 // TSan-target stress (wired into the thread-sanitizer CI job): continuous
-// ingestion with pooled flush builds and up to three concurrent merges,
-// while readers hold ReadViews across batches of lookups and scans. Asserts
+// ingestion with pooled flush builds and merges, while readers hold ReadViews across batches of lookups and scans. Asserts
 // no torn payloads, versions never regress, coherent full scans, and that
 // WaitForMerges drains every job with the settled tree owning exactly its
 // live files.
 TEST(MergeConcurrency, StressIngestMergeReadUnderViews) {
   Fixture fx;
   auto t = fx.Open(MakeTieredMergePolicy(3, 2), /*pool_threads=*/4,
-                   /*max_merges=*/3, /*max_pending=*/2,
-                   /*memtable_bytes=*/2 * 1024);
+                   /*max_pending=*/2, /*memtable_bytes=*/2 * 1024);
   constexpr int64_t kKeys = 48;
   constexpr uint64_t kRounds = 50;
   auto payload = [](int64_t key, uint64_t version) {
@@ -477,50 +500,43 @@ TEST(MergeConcurrency, StressIngestMergeReadUnderViews) {
   EXPECT_EQ(fx.ComponentFilesOnDisk(), t->component_count());
 }
 
-// Out-of-order completion: a long merge over an OLD disjoint range installs
-// after newer flushes and a newer merge already reshaped the vector — the
-// identity-based install must splice it into the right slot (cid order).
+// Merges a pair only when the tree holds exactly two components, so the
+// test below can see where the completing merge installed (its cascade over
+// three components proposes nothing).
+class PairOnlyPolicy final : public MergePolicy {
+ public:
+  const char* name() const override { return "pair-only"; }
+  MergeDecision Decide(const std::vector<uint64_t>& sizes) const override {
+    if (sizes.size() != 2) return {};
+    return {true, 0, 2};
+  }
+};
+
+// A slow merge over the OLD components installs after newer flushes already
+// prepended to the vector: the install must find its shifted input run and
+// splice the output into that slot (strict descending cid order).
 TEST(MergeConcurrency, SlowOldMergeInstallsAfterNewerWork) {
   Fixture fx;
-  std::mutex mu;
-  std::condition_variable cv;
-  bool release_old = false;
-  fx.fs->create_hook = [&](const std::string& path) -> Status {
-    uint64_t lo = 0, hi = 0;
-    if (!ParseComponentCids(path, &lo, &hi) || lo == hi) return Status::OK();
-    if (lo == 1) {  // the merge over the oldest pair: hold it
-      std::unique_lock<std::mutex> lock(mu);
-      cv.wait_for(lock, std::chrono::seconds(30), [&] { return release_old; });
-    }
-    return Status::OK();
-  };
-  auto t = fx.Open(MakeTieredMergePolicy(3, 2), /*pool_threads=*/3,
-                   /*max_merges=*/2);
+  MergeGate gate;
+  gate.Install(fx.fs.get());
+  auto t = fx.Open(std::make_shared<PairOnlyPolicy>(), /*pool_threads=*/3);
   std::string v(64, 'v');
-  // f1+f2 trigger the gated old merge; f3+f4 trigger a second merge that
-  // completes (and installs) while the old one is still stuck.
+  // f1+f2 trigger the gated merge; f3+f4 install while it is stuck.
   for (int f = 0; f < 4; ++f) {
     ASSERT_TRUE(fx.FlushBatch(t.get(), f * 8, 8, v).ok());
   }
-  // Wait until the newer merge landed, then free the old one.
-  for (int spin = 0; spin < 5000 && t->stats().merge_count < 1; ++spin) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  EXPECT_GE(t->stats().merge_count, 1u);
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    release_old = true;
-  }
-  cv.notify_all();
+  ASSERT_TRUE(WaitUntil([&] { return t->stats().flush_count == 4; }));
+  EXPECT_EQ(t->stats().merge_count, 0u);
+  gate.Open();
   ASSERT_TRUE(t->WaitForMerges().ok());
-  EXPECT_GE(t->stats().merge_count, 2u);
-  // Newest-first component order must still be strict descending cid.
+  EXPECT_EQ(t->stats().merge_count, 1u);
   auto view = t->View();
-  uint64_t prev = UINT64_MAX;
+  std::vector<std::pair<uint64_t, uint64_t>> cids;
   for (const auto& c : view.components()) {
-    EXPECT_LT(c->meta().cid_max, prev);
-    prev = c->meta().cid_max;
+    cids.emplace_back(c->meta().cid_min, c->meta().cid_max);
   }
+  std::vector<std::pair<uint64_t, uint64_t>> want = {{4, 4}, {3, 3}, {1, 2}};
+  EXPECT_EQ(cids, want);
   for (int64_t k = 0; k < 32; ++k) {
     EXPECT_TRUE(t->Get(BtreeKey{k, 0}).ValueOrDie().has_value()) << k;
   }
@@ -541,9 +557,9 @@ TEST(MergeConcurrency, TeardownDrainsFlushBuildsOfWalLessTrees) {
     std::unique_lock<std::mutex> lock(mu);
     cv.wait_for(lock, std::chrono::seconds(30), [&] { return release; });
   });
-  auto t = fx.Open(MakeNoMergePolicy(), /*pool_threads=*/1, /*max_merges=*/1,
-                   /*max_pending=*/2, /*memtable_bytes=*/1 << 20,
-                   /*capture_old=*/false, /*use_wal=*/false);
+  auto t = fx.Open(MakeNoMergePolicy(), /*pool_threads=*/1, /*max_pending=*/2,
+                   /*memtable_bytes=*/1 << 20, /*capture_old=*/false,
+                   /*use_wal=*/false);
   ASSERT_TRUE(t->Insert(BtreeKey{1, 0}, "must-survive").ok());
   ASSERT_TRUE(t->Flush().ok());  // sealed; build queued behind the blocker
   EXPECT_EQ(fx.ComponentFilesOnDisk(), 0u);
@@ -559,9 +575,9 @@ TEST(MergeConcurrency, TeardownDrainsFlushBuildsOfWalLessTrees) {
   // pool, no WAL) still finds the record.
   EXPECT_EQ(fx.ComponentFilesOnDisk(), 1u);
   auto reopened =
-      fx.Open(MakeNoMergePolicy(), /*pool_threads=*/1, /*max_merges=*/1,
-              /*max_pending=*/2, /*memtable_bytes=*/1 << 20,
-              /*capture_old=*/false, /*use_wal=*/false, /*use_pool=*/false);
+      fx.Open(MakeNoMergePolicy(), /*pool_threads=*/1, /*max_pending=*/2,
+              /*memtable_bytes=*/1 << 20, /*capture_old=*/false,
+              /*use_wal=*/false, /*use_pool=*/false);
   EXPECT_EQ(S(*reopened->Get(BtreeKey{1, 0}).ValueOrDie()), "must-survive");
 }
 
@@ -594,7 +610,7 @@ TEST(MergeConcurrency, FlushBuildsOutrankQueuedMergesUnderStorm) {
   // Tiered(3, 2): the second install proposes a pair merge, which a FIFO
   // queue would run before the third and fourth flush builds.
   auto t = fx.Open(MakeTieredMergePolicy(3, 2), /*pool_threads=*/1,
-                   /*max_merges=*/2, /*max_pending=*/8);
+                   /*max_pending=*/8);
   std::string v(64, 'v');
   for (int f = 0; f < 4; ++f) {
     ASSERT_TRUE(fx.FlushBatch(t.get(), f * 8, 8, v).ok());

@@ -217,123 +217,5 @@ TEST(AllPolicies, RandomizedSimulationInvariants) {
   }
 }
 
-// ---------------------------------------------------------------------------
-// Claim-aware decisions (concurrent disjoint merges): components pinned by an
-// in-flight merge partition the vector, and policies re-apply their logic
-// within each unclaimed run.
-// ---------------------------------------------------------------------------
-
-TEST(ClaimAware, EmptyClaimsMatchSingleArgDecide) {
-  // The two-arg overload with nothing claimed must reproduce the historical
-  // decision bit for bit — the single-inflight schedule depends on it.
-  std::vector<std::shared_ptr<MergePolicy>> policies = {
-      MakeNoMergePolicy(), MakePrefixMergePolicy(2 * kMB, 3),
-      MakePrefixMergePolicy(UINT64_MAX, 5), MakeTieredMergePolicy(3, 3),
-      MakeLazyLeveledMergePolicy(3, 3)};
-  Rng rng(777);
-  for (const auto& p : policies) {
-    for (int trial = 0; trial < 200; ++trial) {
-      std::vector<uint64_t> sizes(1 + rng.Uniform(12));
-      for (auto& s : sizes) s = 1024 + rng.Uniform(4 * kMB);
-      MergeDecision a = p->Decide(sizes);
-      MergeDecision b = p->Decide(sizes, std::vector<bool>(sizes.size(), false));
-      EXPECT_EQ(a.merge, b.merge) << p->name();
-      if (a.merge) {
-        EXPECT_EQ(a.begin, b.begin) << p->name();
-        EXPECT_EQ(a.end, b.end) << p->name();
-      }
-    }
-  }
-}
-
-TEST(ClaimAware, PrefixProposesBehindAndAheadOfClaimedRun) {
-  auto p = MakePrefixMergePolicy(32 * kMB, 1);
-  // The two newest are claimed by a running merge; the run behind them still
-  // exceeds the tolerance and merges on its own.
-  std::vector<uint64_t> sizes = {kMB, kMB, kMB, kMB, kMB};
-  std::vector<bool> claimed = {true, true, false, false, false};
-  MergeDecision d = p->Decide(sizes, claimed);
-  ASSERT_TRUE(d.merge);
-  EXPECT_EQ(d.begin, 2u);
-  EXPECT_EQ(d.end, 5u);
-  // Claimed in the middle: fresh flushes in FRONT of the claimed run merge.
-  claimed = {false, false, false, true, true};
-  d = p->Decide(sizes, claimed);
-  ASSERT_TRUE(d.merge);
-  EXPECT_EQ(d.begin, 0u);
-  EXPECT_EQ(d.end, 3u);
-}
-
-TEST(ClaimAware, TieredTiersWithinUnclaimedRuns) {
-  auto p = MakeTieredMergePolicy(3, 2);
-  // [claimed claimed | s s] — the unclaimed pair is a full tier of its own.
-  std::vector<uint64_t> sizes = {kMB, kMB, kMB, kMB};
-  std::vector<bool> claimed = {true, true, false, false};
-  MergeDecision d = p->Decide(sizes, claimed);
-  ASSERT_TRUE(d.merge);
-  EXPECT_EQ(d.begin, 2u);
-  EXPECT_EQ(d.end, 4u);
-  // A claimed component splits what would otherwise be one wide tier; each
-  // side is too narrow on its own.
-  claimed = {false, true, false, false};
-  d = p->Decide({kMB, kMB, kMB, 100 * kMB}, claimed);
-  EXPECT_FALSE(d.merge);
-}
-
-TEST(ClaimAware, UncappedPrefixMergesTheUnclaimedRunOnly) {
-  auto p = MakePrefixMergePolicy(UINT64_MAX, 2);
-  std::vector<uint64_t> sizes = {kMB, kMB, kMB, kMB, kMB};
-  std::vector<bool> claimed = {true, true, false, false, false};
-  MergeDecision d = p->Decide(sizes, claimed);
-  ASSERT_TRUE(d.merge);
-  EXPECT_EQ(d.begin, 2u);
-  EXPECT_EQ(d.end, 5u);
-}
-
-TEST(ClaimAware, LazyLeveledNeverAbsorbsWhileAMergeRuns) {
-  auto p = MakeLazyLeveledMergePolicy(2, 2);
-  // Unclaimed, deck wide + heavy enough: full absorb into the bottom.
-  std::vector<uint64_t> sizes = {4 * kMB, 4 * kMB, 8 * kMB};
-  MergeDecision d = p->Decide(sizes);
-  ASSERT_TRUE(d.merge);
-  EXPECT_EQ(d.begin, 0u);
-  EXPECT_EQ(d.end, 3u);
-  // Any claim forbids the absorb (it would need every component); the
-  // unclaimed deck pair still tiers.
-  std::vector<bool> claimed = {false, false, true};
-  d = p->Decide(sizes, claimed);
-  ASSERT_TRUE(d.merge);
-  EXPECT_EQ(d.begin, 0u);
-  EXPECT_EQ(d.end, 2u);
-}
-
-// Property: whatever the claim pattern, a proposed range is well-formed and
-// never overlaps a claimed component — the invariant the tree's scheduler
-// (and its double-merge hardening) relies on.
-TEST(ClaimAware, ProposalsNeverOverlapClaims) {
-  std::vector<std::shared_ptr<MergePolicy>> policies = {
-      MakePrefixMergePolicy(2 * kMB, 2), MakePrefixMergePolicy(UINT64_MAX, 3),
-      MakeTieredMergePolicy(3, 2), MakeLazyLeveledMergePolicy(3, 2)};
-  Rng rng(20260726);
-  for (const auto& p : policies) {
-    for (int trial = 0; trial < 400; ++trial) {
-      std::vector<uint64_t> sizes(1 + rng.Uniform(14));
-      std::vector<bool> claimed(sizes.size());
-      for (size_t i = 0; i < sizes.size(); ++i) {
-        sizes[i] = 1024 + rng.Uniform(4 * kMB);
-        claimed[i] = rng.Bernoulli(0.3);
-      }
-      MergeDecision d = p->Decide(sizes, claimed);
-      if (!d.merge) continue;
-      ASSERT_LT(d.begin, d.end) << p->name();
-      ASSERT_LE(d.end, sizes.size()) << p->name();
-      ASSERT_GE(d.end - d.begin, 2u) << p->name();
-      for (size_t i = d.begin; i < d.end; ++i) {
-        ASSERT_FALSE(claimed[i]) << p->name() << " proposed a claimed component";
-      }
-    }
-  }
-}
-
 }  // namespace
 }  // namespace tc

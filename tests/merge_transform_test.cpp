@@ -38,44 +38,6 @@ std::string_view View(const Buffer& b) {
 }
 
 // ---------------------------------------------------------------------------
-// EstimateMergeRewriteValue
-// ---------------------------------------------------------------------------
-
-TEST(MergeRewriteValue, ZeroTotalScoresZero) {
-  EXPECT_EQ(EstimateMergeRewriteValue(0, 0, 0, 2), 0.0);
-  EXPECT_EQ(EstimateMergeRewriteValue(100, 0, 0, 0), 0.0);
-}
-
-TEST(MergeRewriteValue, PureSpliceOfOneComponentIsWorthless) {
-  // fan_in == 1, nothing stale, nothing to recompress: no payoff at all.
-  EXPECT_EQ(EstimateMergeRewriteValue(1 << 20, 0, 0, 1), 0.0);
-}
-
-TEST(MergeRewriteValue, MonotonicInEveryAxis) {
-  const uint64_t total = 1 << 20;
-  double base = EstimateMergeRewriteValue(total, 0, 0, 2);
-  EXPECT_GT(base, 0.0);  // collapsing two components already pays
-  // More stale-schema bytes -> strictly more value.
-  EXPECT_GT(EstimateMergeRewriteValue(total, total / 4, 0, 2), base);
-  EXPECT_GT(EstimateMergeRewriteValue(total, total, 0, 2),
-            EstimateMergeRewriteValue(total, total / 4, 0, 2));
-  // More recompressible bytes -> strictly more value.
-  EXPECT_GT(EstimateMergeRewriteValue(total, 0, total / 2, 2), base);
-  // Wider fan-in -> strictly more value (read-amplification payoff).
-  EXPECT_GT(EstimateMergeRewriteValue(total, 0, 0, 4), base);
-  EXPECT_GT(EstimateMergeRewriteValue(total, 0, 0, 8),
-            EstimateMergeRewriteValue(total, 0, 0, 4));
-}
-
-TEST(MergeRewriteValue, StaleEverythingBeatsStaleNothingAtAnyFanIn) {
-  for (size_t fan = 2; fan <= 6; ++fan) {
-    EXPECT_GT(EstimateMergeRewriteValue(4096, 4096, 0, fan),
-              EstimateMergeRewriteValue(4096, 0, 0, fan))
-        << fan;
-  }
-}
-
-// ---------------------------------------------------------------------------
 // TupleCompactor::Transform
 // ---------------------------------------------------------------------------
 
